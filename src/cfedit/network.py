@@ -86,6 +86,9 @@ class LayerSpec:
         bad = set(obj) - known
         if bad:
             raise FormatError(f"unknown layer fields {sorted(bad)}")
+        not_int = sorted(name for name, v in obj.items() if type(v) is not int)
+        if not_int:
+            raise FormatError(f"layer fields {not_int} must be integers")
         return cls(kind=kind, **obj)
 
 
@@ -401,8 +404,9 @@ def head_input_gradient(
     F: FeatureGrid,
     target_class: int | None = None,
     upstream: np.ndarray | None = None,
-) -> np.ndarray:
-    """d(objective)/dF through the head, as an (hw, d) matrix.
+) -> tuple[LogProbVector, np.ndarray]:
+    """g(F) and d(objective)/dF through the head, the latter as an (hw, d)
+    matrix; both come from one forward pass.
 
     The objective is the log-probability of `target_class`; callers may instead
     (or additionally) supply an explicit upstream gradient over the head output.
@@ -413,14 +417,14 @@ def head_input_gradient(
         )
     h, w, d = model.feature_shape
     x = F.values.reshape(1, h, w, d)
-    _, caches = forward_layers(model.head, x, keep_caches=True)
+    out, caches = forward_layers(model.head, x, keep_caches=True)
     g = np.zeros((1, model.class_count))
     if target_class is not None:
         g[0, target_class] = 1.0
     if upstream is not None:
         g = g + np.asarray(upstream, dtype=np.float64).reshape(1, -1)
     gx, _ = backward_layers(model.head, caches, g)
-    return gx.reshape(h * w, d)
+    return LogProbVector(out[0]), gx.reshape(h * w, d)
 
 
 def full_logprobs(model: ModelBundle, image: np.ndarray) -> LogProbVector:

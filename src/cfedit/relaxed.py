@@ -88,8 +88,7 @@ def relaxed_objective_and_grads(
     PF2 = P @ F2.values
     blended = FeatureGrid(F.h, F.w, F.d, (1.0 - a[:, None]) * F.values + a[:, None] * PF2)
 
-    lp = head_logprobs(model, blended)
-    G = head_input_gradient(model, blended, target_class)  # (n, d)
+    lp, G = head_input_gradient(model, blended, target_class)  # G: (n, d)
 
     log_a = np.log(np.where(a > 0, a, 1.0))
     log_P = np.log(np.where(P > 0, P, 1.0))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,17 +223,22 @@ def write_raster(path: str, raster: np.ndarray):
         fh.write(data.tobytes())
 
 
+_RASTER_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def read_raster(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    parts = blob.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] not in (b"P5", b"P6"):
+    # exactly one whitespace byte ends the header; pixel bytes may look like whitespace
+    header = _RASTER_HEADER.match(blob)
+    if header is None:
         raise FormatError(f"{path}: not a binary PGM/PPM file")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
+    magic = header.group(1)
+    w, h, maxval = (int(v) for v in header.group(2, 3, 4))
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
-    channels = 3 if parts[0] == b"P6" else 1
-    data = np.frombuffer(parts[4][: h * w * channels], dtype=np.uint8)
+    channels = 3 if magic == b"P6" else 1
+    data = np.frombuffer(blob[header.end() : header.end() + h * w * channels], dtype=np.uint8)
     if data.size != h * w * channels:
         raise FormatError(f"{path}: truncated pixel data")
     arr = data.reshape((h, w, 3) if channels == 3 else (h, w)).astype(np.float64) / 255.0
@@ -277,7 +283,8 @@ def result_to_record(
 
 
 def record_to_result(record: dict) -> ExplanationResult:
-    for key in ("record_version", "grid", "edits", "trajectory", "status"):
+    required = ("record_version", "grid", "edits", "trajectory", "status", "query_class", "target_class")
+    for key in required:
         if key not in record:
             raise FormatError(f"record missing field {key!r}")
     if record["record_version"] != RECORD_VERSION:

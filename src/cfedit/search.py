@@ -6,6 +6,14 @@ class, and keeps the best pair (ties broken by smallest query index, then
 smallest source index).  The greedy loop repeats this on the evolving grid,
 excluding already-used cells, until the model's decision flips to the target
 class or the candidate budget runs out.
+
+Scoring all (hw)^2 single edits does not build the edited grids when the head
+begins flatten -> dense: an edit changes one cell, so its pre-activation in
+that first dense layer is the unedited one plus the cell's difference times
+that cell's block of the weight, and only the rest of the head runs per
+candidate.  Heads with any other first layer fall back to building the edited
+grids and running the whole head.  Both paths work through a fixed number of
+values per block of query cells, so memory stays bounded as the grid grows.
 """
 
 from __future__ import annotations
@@ -17,7 +25,10 @@ import numpy as np
 
 from .errors import ExhaustedError, ShapeError
 from .grids import EditList, FeatureGrid, single_edit
-from .network import ModelBundle, forward_features, head_logprobs, head_logprobs_batch
+from .network import ModelBundle, forward_features, forward_layers, head_logprobs, head_logprobs_batch
+
+# float64 values one block of query cells may hold in candidate_scores (16 MB)
+_BLOCK_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -106,13 +117,47 @@ def candidate_scores(
     model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int
 ) -> np.ndarray:
     """Target-class log-probability of every single edit, as an (hw, hw) array
-    indexed by (query cell, source cell)."""
-    n = F.cells
-    grids = np.broadcast_to(F.values, (n, n) + F.values.shape).copy()
-    rows = np.arange(n)
-    grids[rows[:, None], rows[None, :], rows[:, None], :] = F2.values[None, :, :]
-    out = head_logprobs_batch(model, grids.reshape(n * n, n, F.d))
-    return out[:, target_class].reshape(n, n)
+    indexed by (query cell, source cell).
+
+    When the head begins flatten -> dense with weight W and bias b, the first
+    dense output of edit (i, j) is z0 + (F2[j] - F[i]) . W_i, where
+    z0 = vec(F) . W + b and W_i is the (d, units) block of W for cell i; only
+    the layers after that dense layer run on the candidates.  The difference
+    is taken before the product, so no-op edits (F2[j] == F[i]) and identical
+    source rows score bit-identically.  Any other head is scored by building
+    the edited grids and running the whole head.
+    """
+    for G in (F, F2):
+        if (G.h, G.w, G.d) != model.feature_shape:
+            raise ShapeError(
+                f"grid geometry {(G.h, G.w, G.d)} does not match head input {model.feature_shape}"
+            )
+    n, d = F.values.shape
+    head = model.head
+    if head[0].spec.kind == "flatten" and head[1].spec.kind == "dense":
+        weight, bias = head[1].weights["weight"], head[1].weights["bias"]
+        W = weight.reshape(n, d, -1)
+        z0 = F.values.reshape(-1) @ weight + bias
+        per_cell = n * (d + W.shape[2])
+
+        def score(q):
+            z = z0 + np.matmul(F2.values[None] - F.values[q, None, :], W[q])
+            return forward_layers(head[2:], z.reshape(len(q) * n, -1))
+
+    else:
+        per_cell = n * n * d
+
+        def score(q):
+            grids = np.broadcast_to(F.values, (len(q), n, n, d)).copy()
+            grids[np.arange(len(q))[:, None], np.arange(n), q[:, None], :] = F2.values
+            return head_logprobs_batch(model, grids.reshape(len(q) * n, n, d))
+
+    step = max(1, _BLOCK_VALUES // per_cell)
+    out = np.empty((n, n))
+    for lo in range(0, n, step):
+        q = np.arange(lo, min(lo + step, n))
+        out[q] = score(q)[:, target_class].reshape(len(q), n)
+    return out
 
 
 def greedy_counterfactual(

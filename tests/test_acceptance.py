@@ -259,7 +259,7 @@ class TestCriterion5GradientSuite:
             F2 = random_grid(rng, 2, 2, 2)
             target = int(rng.integers(3))
 
-            grad = head_input_gradient(model, F, target)
+            _, grad = head_input_gradient(model, F, target)
             fd = np.zeros_like(grad)
             for i in range(4):
                 for c in range(2):

@@ -5,6 +5,9 @@ import os
 import pytest
 
 from cfedit.cli import main
+from cfedit.network import save_model
+
+from conftest import identity_feature_model
 
 
 def run_ok(argv, capsys):
@@ -183,3 +186,38 @@ class TestConfigAndErrors:
             capsys,
         )
         assert "no records" in err["message"]
+
+    def test_record_without_query_class(self, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        record = {
+            "record_version": 1,
+            "grid": {"h": 2, "w": 2},
+            "edits": [],
+            "trajectory": [[-0.1, -2.0]],
+            "status": "flipped",
+            "target_class": 1,
+        }
+        (records / "pair_0000.json").write_text(json.dumps(record))
+        err = run_err(
+            ["evaluate", "--records", str(records), "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert err["type"] == "FormatError"
+        assert "query_class" in err["message"]
+
+    def test_manifest_non_integer_layer_field(self, tmp_path, capsys):
+        bundle = str(tmp_path / "bundle")
+        save_model(identity_feature_model(2, 2, 1, 2), bundle)
+        manifest_path = os.path.join(bundle, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["head"][1]["units"] = "2"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        err = run_err(
+            ["explain", *BATCH_ARGS, "--model", bundle, "--query-index", "0",
+             "--distractor-index", "1", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert err["type"] == "FormatError"
+        assert "units" in err["message"]

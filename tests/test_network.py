@@ -118,7 +118,7 @@ class TestHeadInputGradient:
         logits = F.values.ravel() @ W + model.head[1].weights["bias"]
         p = np.exp(log_softmax_ref(logits))
         expected = ((np.eye(3)[target] - p) @ W.T).reshape(4, 1)
-        np.testing.assert_allclose(head_input_gradient(model, F, target), expected, atol=1e-12)
+        np.testing.assert_allclose(head_input_gradient(model, F, target)[1], expected, atol=1e-12)
 
     def test_finite_difference_random_heads(self):
         rng = np.random.default_rng(6)
@@ -126,7 +126,7 @@ class TestHeadInputGradient:
             model = identity_feature_model(2, 3, 2, 4, seed=100 + k, linear=False)
             F = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
             target = int(rng.integers(4))
-            grad = head_input_gradient(model, F, target)
+            _, grad = head_input_gradient(model, F, target)
             eps = 1e-5
             fd = np.zeros_like(grad)
             for i in range(6):
@@ -145,7 +145,7 @@ class TestHeadInputGradient:
         model = identity_feature_model(2, 2, 1, 3)
         model.head[1].weights["weight"][...] = 0.0
         F = FeatureGrid(2, 2, 1, np.ones((4, 1)))
-        np.testing.assert_array_equal(head_input_gradient(model, F, 0), 0.0)
+        np.testing.assert_array_equal(head_input_gradient(model, F, 0)[1], 0.0)
 
 
 class TestComposition:

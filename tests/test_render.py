@@ -179,6 +179,15 @@ class TestRasterIO:
         write_raster(path, img)
         np.testing.assert_allclose(read_raster(path), img, atol=1e-12)
 
+    def test_whitespace_valued_leading_pixels_round_trip(self, tmp_path):
+        # pixel bytes 9-13 and 32 are ASCII whitespace; they follow the header directly
+        for shape, name in (((2, 4), "x.pgm"), ((2, 2, 3), "x.ppm")):
+            img = (np.array([32, 9, 10, 11, 12, 13, 32, 0, 255, 32, 32, 13]) / 255)[: np.prod(shape)]
+            img = img.reshape(shape)
+            path = str(tmp_path / name)
+            write_raster(path, img)
+            np.testing.assert_array_equal(read_raster(path), img)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"JUNK\n2 2\n255\n aaaa")

@@ -4,12 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
+from cfedit import search
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid, single_edit
-from cfedit.network import head_logprobs
-from cfedit.search import ExplanationResult, SearchConfig, best_edit_exhaustive, greedy_counterfactual
+from cfedit.network import LayerSpec, head_logprobs
+from cfedit.search import (
+    ExplanationResult,
+    SearchConfig,
+    best_edit_exhaustive,
+    candidate_scores,
+    greedy_counterfactual,
+)
 
-from conftest import brute_force_best_edit, identity_feature_model, random_grid
+from conftest import brute_force_best_edit, identity_feature_model, make_model, random_grid
 
 
 def min_edit_oracle(model, F, F2, target_class, max_size=2, policy="query-and-distractor-cells"):
@@ -239,3 +246,94 @@ class TestGreedyVsMinimumOracle:
             assert greedy_set == minimal[0]
             checked += 1
         assert checked >= 3
+
+
+class TestCandidateScoresEquivalence:
+    """Both scoring paths against a per-grid brute force: the factored one
+    (head begins flatten -> dense) and the materializing fallback."""
+
+    HEADS = {
+        "factored": [LayerSpec("flatten"), LayerSpec("dense", units=8), LayerSpec("relu")],
+        "relu-first": [LayerSpec("relu"), LayerSpec("flatten"), LayerSpec("dense", units=8)],
+        "conv1x1-first": [
+            LayerSpec("conv2d", out_channels=4, kernel_size=1),
+            LayerSpec("relu"),
+            LayerSpec("flatten"),
+        ],
+    }
+
+    @staticmethod
+    def grids(rng, h, w, d):
+        """Random pairs plus pairs with duplicated, all-zero and shared rows,
+        so that exact ties occur among the candidates."""
+        n = h * w
+        F, F2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        dupF, dupF2 = F.copy(), F2.copy()
+        dupF[1::2] = dupF[0]
+        dupF[2] = 0.0
+        dupF2[::3] = 0.0
+        dupF2[1] = dupF[0]  # no-op edits (i, 1) for every i holding dupF[0]
+        dupF2[4:] = dupF2[3]
+        same = np.tile(rng.normal(size=d), (n, 1))  # every edit is a no-op
+        zero = np.zeros((n, d))
+        pairs = [(F, F2), (dupF, dupF2), (same, same), (zero, dupF2), (dupF, zero)]
+        return [(FeatureGrid(h, w, d, a), FeatureGrid(h, w, d, b)) for a, b in pairs]
+
+    @staticmethod
+    def brute_force_scores(model, F, F2, target):
+        n = F.cells
+        return np.array(
+            [[head_logprobs(model, single_edit(F, F2, i, j))[target] for j in range(n)] for i in range(n)]
+        )
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("block_values", [None, 1, 300])
+    def test_matches_per_grid_brute_force(self, head, block_values, monkeypatch):
+        if block_values is not None:  # several blocks of query cells, uneven last block
+            monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(90)
+        h, w, d, classes = 2, 3, 2, 3
+        n = h * w
+        exclusions = [((), ()), ((0, 2), (1,)), ((1, 3, 5), (0, 3))]
+        ties = 0
+        for k in range(4):
+            model = make_model(
+                [LayerSpec("conv2d", out_channels=d, kernel_size=1)],
+                self.HEADS[head] + [LayerSpec("dense", units=classes), LayerSpec("log-softmax")],
+                (h, w, d),
+                classes,
+                seed=500 + k,
+            )
+            for F, F2 in self.grids(rng, h, w, d):
+                target = int(rng.integers(classes))
+                want = self.brute_force_scores(model, F, F2, target)
+                np.testing.assert_allclose(
+                    candidate_scores(model, F, F2, target), want, rtol=0, atol=1e-12
+                )
+                for ex_q, ex_s in exclusions:
+                    i, j2, score = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s)
+                    bi, bj, bscore = brute_force_best_edit(model, F, F2, target, ex_q, ex_s)
+                    assert (i, j2) == (bi, bj)
+                    assert score == pytest.approx(bscore, abs=1e-12)
+                    allowed = want[np.setdiff1d(range(n), ex_q)][:, np.setdiff1d(range(n), ex_s)]
+                    ties += int(np.sum(allowed == allowed.max()) > 1)
+        assert ties > 0
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_no_op_edits_score_bit_identically(self, head):
+        # every source row also sits in some query cell; copying it there is a no-op
+        rng = np.random.default_rng(91)
+        h, w, d = 3, 3, 20
+        n = h * w
+        model = make_model(
+            [LayerSpec("conv2d", out_channels=d, kernel_size=1)],
+            self.HEADS[head] + [LayerSpec("dense", units=3), LayerSpec("log-softmax")],
+            (h, w, d),
+            3,
+            seed=7,
+        )
+        values = rng.normal(size=(n, d))
+        perm = rng.permutation(n)
+        F, F2 = FeatureGrid(h, w, d, values), FeatureGrid(h, w, d, values[perm])
+        scores = candidate_scores(model, F, F2, 0)
+        assert np.unique(scores[perm, np.arange(n)]).size == 1
