@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .data import Dataset, gen_shapes, load_idx
-from .errors import CfeditError
+from .errors import CfeditError, FormatError, is_number
 from .metrics import avg_edit_count, relaxation_fidelity
 from .network import (
     ModelBundle,
@@ -47,7 +47,7 @@ def _add_common(p):
 
 
 def _add_dataset_args(p):
-    p.add_argument("--dataset", choices=["shapes", "idx"], default=None)
+    p.add_argument("--dataset", choices=CHOICES["dataset"], default=None)
     p.add_argument("--idx-images")
     p.add_argument("--idx-labels")
     p.add_argument("--shapes-count", type=int, default=None)
@@ -110,13 +110,9 @@ def build_parser():
 
 
 def _add_search_args(p):
-    p.add_argument("--strategy", choices=["exhaustive", "relaxed"], default=None)
+    p.add_argument("--strategy", choices=CHOICES["strategy"], default=None)
     p.add_argument("--max-edits", type=int, default=None)
-    p.add_argument(
-        "--exclusion-policy",
-        choices=["query-cells-only", "query-and-distractor-cells"],
-        default=None,
-    )
+    p.add_argument("--exclusion-policy", choices=CHOICES["exclusion_policy"], default=None)
     p.add_argument("--relax-lr", type=float, default=None)
     p.add_argument("--relax-steps", type=int, default=None)
 
@@ -138,13 +134,23 @@ DEFAULTS = {
     "instances": 100,
 }
 
+CHOICES = {
+    "dataset": ("shapes", "idx"),
+    "strategy": ("exhaustive", "relaxed"),
+    "exclusion_policy": ("query-cells-only", "query-and-distractor-cells"),
+}
+
 
 def resolve_config(args) -> dict:
-    """DEFAULTS < config file < explicit flags."""
+    """DEFAULTS < config file < explicit flags.  Values of numeric keys must be
+    numbers (integers where the default is one) and keys in CHOICES must take
+    one of their listed values."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise FormatError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise CfeditError(f"unknown config keys: {sorted(unknown)}")
@@ -153,6 +159,12 @@ def resolve_config(args) -> dict:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
+    for key, default in DEFAULTS.items():
+        if key in CHOICES and cfg[key] not in CHOICES[key]:
+            raise FormatError(f"config {key} must be one of {list(CHOICES[key])}, got {cfg[key]!r}")
+        if type(default) in (int, float) and not is_number(cfg[key], integer=type(default) is int):
+            kind = "an integer" if type(default) is int else "a number"
+            raise FormatError(f"config {key} must be {kind}, got {cfg[key]!r}")
     return cfg
 
 
@@ -164,22 +176,44 @@ def _load_dataset(args, cfg, split="data") -> Dataset:
     return gen_shapes(cfg["shapes_count"], size=cfg["shapes_size"], seed=cfg["seed"], split=split)
 
 
+def _relax_opt(cfg) -> RelaxOptConfig:
+    return RelaxOptConfig(learning_rate=cfg["relax_lr"], max_steps=cfg["relax_steps"])
+
+
 def _search_config(cfg) -> SearchConfig:
-    relax = RelaxOptConfig(learning_rate=cfg["relax_lr"], max_steps=cfg["relax_steps"])
+    relax = _relax_opt(cfg)
     return SearchConfig(
         exclusion_policy=cfg["exclusion_policy"],
         max_edits=cfg["max_edits"],
-        strategy=cfg["strategy"],
         relax=relax if cfg["strategy"] == "relaxed" else None,
     )
 
 
-def _extractor_specs_of(model: ModelBundle):
-    return [ly.spec for ly in model.extractor]
+def _receptive_fields(model: ModelBundle):
+    return receptive_field_map([ly.spec for ly in model.extractor], *model.input_shape[:2])
+
+
+def _sample_pairs(preds, count, rng) -> list[tuple[int, int]]:
+    """Up to `count` (query, distractor) pairs predicted differently; 20 draws per pair at most."""
+    pairs = []
+    for _ in range(count * 20):
+        if len(pairs) == count:
+            break
+        q = int(rng.integers(len(preds)))
+        others = np.flatnonzero(preds != preds[q])
+        if len(others):
+            pairs.append((q, int(others[rng.integers(len(others))])))
+    return pairs
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
+    tc = TrainConfig(
+        learning_rate=cfg["learning_rate"],
+        batch_size=cfg["batch_size"],
+        epochs=cfg["epochs"],
+        seed=cfg["seed"],
+    )
     dataset = _load_dataset(args, cfg, split="train")
     test_images = test_labels = None
     if args.test_idx_images and args.test_idx_labels:
@@ -190,12 +224,6 @@ def cmd_train(args) -> int:
             max(cfg["shapes_count"] // 4, 40), size=cfg["shapes_size"], seed=cfg["seed"], split="test"
         )
         test_images, test_labels = test.images, test.labels
-    tc = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-    )
     model = train(
         reference_extractor_specs(),
         reference_head_specs(dataset.class_count),
@@ -211,8 +239,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _explain_one(model, dataset, cfg, query_index, distractor_index, out_dir, prefix, rasters=True):
-    sc = _search_config(cfg)
+def _explain_one(
+    model, dataset, cfg, sc, query_index, distractor_index, out_dir, prefix, rasters=True
+):
     result = greedy_counterfactual(
         model,
         dataset.images[query_index],
@@ -222,7 +251,7 @@ def _explain_one(model, dataset, cfg, query_index, distractor_index, out_dir, pr
         query_id=dataset.ids[query_index],
         distractor_id=dataset.ids[distractor_index],
     )
-    rf = receptive_field_map(_extractor_specs_of(model), model.input_shape[0], model.input_shape[1])
+    rf = _receptive_fields(model)
     renders = None
     if rasters:
         renders = render_explanation(
@@ -239,6 +268,7 @@ def _explain_one(model, dataset, cfg, query_index, distractor_index, out_dir, pr
 
 def cmd_explain(args) -> int:
     cfg = resolve_config(args)
+    sc = _search_config(cfg)
     model = load_model(args.model)
     dataset = _load_dataset(args, cfg)
     if (args.distractor_index is None) == (args.distractor_class is None):
@@ -250,34 +280,24 @@ def cmd_explain(args) -> int:
         if not len(candidates):
             raise CfeditError(f"no image predicted as class {args.distractor_class}")
         d_index = int(candidates[substream(cfg["seed"], "distractor-pick").integers(len(candidates))])
-    result = _explain_one(model, dataset, cfg, args.query_index, d_index, args.out, "explanation")
+    result = _explain_one(model, dataset, cfg, sc, args.query_index, d_index, args.out, "explanation")
     print(json.dumps({"status": result.status, "edits": result.edit_count}, sort_keys=True))
     return 0
 
 
 def cmd_batch_explain(args) -> int:
     cfg = resolve_config(args)
+    sc = _search_config(cfg)
     model = load_model(args.model)
     dataset = _load_dataset(args, cfg)
     preds = predict_batch(model, dataset.images)
-    rng = substream(cfg["seed"], "pairs")
-    made = 0
-    attempts = 0
+    pairs = _sample_pairs(preds, cfg["pairs"], substream(cfg["seed"], "pairs"))
     statuses = []
-    while made < cfg["pairs"] and attempts < cfg["pairs"] * 20:
-        attempts += 1
-        q = int(rng.integers(len(dataset)))
-        c = int(preds[q])
-        others = np.flatnonzero(preds != c)
-        if not len(others):
-            continue
-        d = int(others[rng.integers(len(others))])
-        result = _explain_one(
-            model, dataset, cfg, q, d, args.out, f"pair_{made:04d}", rasters=not args.no_rasters
-        )
+    for k, (q, d) in enumerate(pairs):
+        prefix = f"pair_{k:04d}"
+        result = _explain_one(model, dataset, cfg, sc, q, d, args.out, prefix, not args.no_rasters)
         statuses.append(result.status)
-        made += 1
-    print(json.dumps({"pairs": made, "flipped": statuses.count("flipped")}, sort_keys=True))
+    print(json.dumps({"pairs": len(pairs), "flipped": statuses.count("flipped")}, sort_keys=True))
     return 0
 
 
@@ -298,28 +318,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_fidelity(args) -> int:
     cfg = resolve_config(args)
+    opt = _relax_opt(cfg)
     model = load_model(args.model)
     dataset = _load_dataset(args, cfg)
     preds = predict_batch(model, dataset.images)
-    rng = substream(cfg["seed"], "fidelity")
     instances = []
-    attempts = 0
-    while len(instances) < cfg["instances"] and attempts < cfg["instances"] * 20:
-        attempts += 1
-        q = int(rng.integers(len(dataset)))
-        others = np.flatnonzero(preds != preds[q])
-        if not len(others):
-            continue
-        d = int(others[rng.integers(len(others))])
-        F = forward_features(model, dataset.images[q])
-        F2 = forward_features(model, dataset.images[d])
+    for q, d in _sample_pairs(preds, cfg["instances"], substream(cfg["seed"], "fidelity")):
+        F, F2 = forward_features(model, dataset.images[q]), forward_features(model, dataset.images[d])
         instances.append((F, F2, int(preds[d]), (), ()))
-    report = relaxation_fidelity(
-        model,
-        instances,
-        RelaxOptConfig(learning_rate=cfg["relax_lr"], max_steps=cfg["relax_steps"]),
-        use_relaxed=cfg["strategy"] == "relaxed",
-    )
+    report = relaxation_fidelity(model, instances, opt, use_relaxed=cfg["strategy"] == "relaxed")
     payload = report.to_json()
     payload["run_config"] = cfg
     with open(args.out, "w") as fh:
@@ -335,7 +342,7 @@ def cmd_render(args) -> int:
     result, record = read_explanation(args.record)
     if "query_index" not in record or "distractor_index" not in record:
         raise CfeditError("record carries no dataset indices; cannot re-render")
-    rf = receptive_field_map(_extractor_specs_of(model), model.input_shape[0], model.input_shape[1])
+    rf = _receptive_fields(model)
     renders = render_explanation(
         dataset.images[record["query_index"]],
         dataset.images[record["distractor_index"]],

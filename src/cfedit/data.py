@@ -1,21 +1,26 @@
-"""Dataset ingestion: IDX digit files and a synthetic shapes generator.
+"""Dataset ingestion and file formats: IDX digit files, PGM/PPM rasters,
+annotations, and a synthetic shapes generator.
 
 The IDX parser reads the standard big-endian container used to distribute
-handwritten-digit datasets.  The shapes generator renders labeled images of
-simple shapes from a small class grammar; it is separable by the reference
-CNN by construction and fully deterministic per seed, so it backs the
-desk-scale experiments and the test suite.
+handwritten-digit datasets.  Annotations are per-image segmentation masks
+(stored as PGM rasters) and named keypoints.  The shapes generator renders
+labeled images of simple shapes from a small class grammar; it is separable
+by the reference CNN by construction and fully deterministic per seed, so it
+backs the desk-scale experiments and the test suite.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .metrics import AnnotationSet, Keypoint
+from .rng import substream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -101,6 +106,125 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np
 
 
 # ---------------------------------------------------------------------------
+# rasters: binary PGM (P5) / PPM (P6), maxval 255
+# ---------------------------------------------------------------------------
+
+def write_raster(path: str, raster: np.ndarray):
+    arr = np.asarray(raster, dtype=np.float64)
+    if arr.ndim == 3 and arr.shape[2] == 1:
+        arr = arr[:, :, 0]
+    if np.any(arr < 0) or np.any(arr > 1):
+        raise ShapeError("raster values must lie in [0, 1]")
+    data = np.round(arr * 255.0).astype(np.uint8)
+    if arr.ndim == 2:
+        magic = b"P5"
+    elif arr.ndim == 3 and arr.shape[2] == 3:
+        magic = b"P6"
+    else:
+        raise ShapeError(f"raster must be HxW or HxWx3, got shape {arr.shape}")
+    h, w = arr.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+        fh.write(data.tobytes())
+
+
+_RASTER_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def read_raster(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # exactly one whitespace byte ends the header; pixel bytes may look like whitespace
+    header = _RASTER_HEADER.match(blob)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PGM/PPM file")
+    magic = header.group(1)
+    w, h, maxval = (int(v) for v in header.group(2, 3, 4))
+    if maxval != 255:
+        raise FormatError(f"{path}: unsupported maxval {maxval}")
+    channels = 3 if magic == b"P6" else 1
+    data = np.frombuffer(blob[header.end() : header.end() + h * w * channels], dtype=np.uint8)
+    if data.size != h * w * channels:
+        raise FormatError(f"{path}: truncated pixel data")
+    arr = data.reshape((h, w, 3) if channels == 3 else (h, w)).astype(np.float64) / 255.0
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# annotations: segmentation masks and named keypoints
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Keypoint:
+    name: str
+    x: float
+    y: float
+    visible: bool
+
+
+@dataclass
+class ImageAnnotation:
+    mask: np.ndarray  # (H, W) bool segmentation
+    keypoints: list = field(default_factory=list)
+
+
+@dataclass
+class AnnotationSet:
+    """Per-image segmentation masks and named keypoints, keyed by image id."""
+
+    entries: dict = field(default_factory=dict)
+
+    def __contains__(self, image_id):
+        return image_id in self.entries
+
+    def __getitem__(self, image_id) -> ImageAnnotation:
+        return self.entries[image_id]
+
+    def add(self, image_id: str, mask: np.ndarray, keypoints=()):
+        mask = np.asarray(mask, dtype=bool)
+        for kp in keypoints:
+            if kp.visible and not (0 <= kp.y < mask.shape[0] and 0 <= kp.x < mask.shape[1]):
+                raise ShapeError(f"visible keypoint {kp.name!r} at ({kp.x}, {kp.y}) outside image")
+        self.entries[image_id] = ImageAnnotation(mask, list(keypoints))
+
+    def save(self, path: str):
+        """Index JSON plus one PGM mask per image, in path's directory."""
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        index = {}
+        for image_id, ann in sorted(self.entries.items()):
+            mask_name = f"mask_{image_id}.pgm"
+            write_raster(os.path.join(os.path.dirname(path) or ".", mask_name), ann.mask.astype(float))
+            index[image_id] = {
+                "mask": mask_name,
+                "keypoints": [[k.name, k.x, k.y, k.visible] for k in ann.keypoints],
+            }
+        with open(path, "w") as fh:
+            json.dump({"annotation_version": 1, "images": index}, fh, indent=1, sort_keys=True)
+
+    @classmethod
+    def load(cls, path: str) -> "AnnotationSet":
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(data, dict) or data.get("annotation_version") != 1:
+            raise FormatError(f"{path}: unsupported annotation_version")
+        if not isinstance(data.get("images"), dict):
+            raise FormatError(f"{path}: 'images' must be an object")
+        out = cls()
+        base = os.path.dirname(path) or "."
+        for image_id, entry in data["images"].items():
+            try:
+                mask_path = os.path.join(base, entry["mask"])
+                kps = [Keypoint(n, float(x), float(y), bool(v)) for n, x, y, v in entry["keypoints"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: malformed entry for {image_id!r}: {exc!r}") from exc
+            out.add(image_id, read_raster(mask_path) > 0.5, kps)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # synthetic shapes
 # ---------------------------------------------------------------------------
 
@@ -146,8 +270,6 @@ def gen_shapes(
     """
     if count <= 0:
         raise ShapeError("count must be positive")
-    from .rng import substream
-
     rng = substream(seed, f"shapes-{split}")
     images = np.zeros((count, size, size))
     labels = np.zeros(count, dtype=int)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that
+config validation uses before raising them."""
+
+import numbers
 
 
 class CfeditError(Exception):
@@ -35,3 +38,9 @@ class FormatError(CfeditError):
 
 class ExhaustedError(CfeditError):
     """No candidate edits remain."""
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """True for a real number (an integer when `integer`) that is not a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)

@@ -14,7 +14,7 @@ row-stochastic alignment) are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,82 +9,16 @@ keypoint annotations.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
-from .grids import FeatureGrid
+from .data import AnnotationSet
+from .errors import ShapeError
 from .network import ModelBundle, forward_features
 from .relaxed import RelaxOptConfig, best_edit_relaxed
-from .render import ReceptiveFieldMap, read_raster
-from .search import ExplanationResult, best_edit_exhaustive
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    name: str
-    x: float
-    y: float
-    visible: bool
-
-
-@dataclass
-class ImageAnnotation:
-    mask: np.ndarray  # (H, W) bool segmentation
-    keypoints: list = field(default_factory=list)
-
-
-@dataclass
-class AnnotationSet:
-    """Per-image segmentation masks and named keypoints, keyed by image id."""
-
-    entries: dict = field(default_factory=dict)
-
-    def __contains__(self, image_id):
-        return image_id in self.entries
-
-    def __getitem__(self, image_id) -> ImageAnnotation:
-        return self.entries[image_id]
-
-    def add(self, image_id: str, mask: np.ndarray, keypoints=()):
-        mask = np.asarray(mask, dtype=bool)
-        for kp in keypoints:
-            if kp.visible and not (0 <= kp.y < mask.shape[0] and 0 <= kp.x < mask.shape[1]):
-                raise ShapeError(f"visible keypoint {kp.name!r} at ({kp.x}, {kp.y}) outside image")
-        self.entries[image_id] = ImageAnnotation(mask, list(keypoints))
-
-    def save(self, path: str):
-        """Index JSON plus one PGM mask per image, in path's directory."""
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        from .render import write_raster
-
-        index = {}
-        for image_id, ann in sorted(self.entries.items()):
-            mask_name = f"mask_{image_id}.pgm"
-            write_raster(os.path.join(os.path.dirname(path) or ".", mask_name), ann.mask.astype(float))
-            index[image_id] = {
-                "mask": mask_name,
-                "keypoints": [[k.name, k.x, k.y, k.visible] for k in ann.keypoints],
-            }
-        with open(path, "w") as fh:
-            json.dump({"annotation_version": 1, "images": index}, fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "AnnotationSet":
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("annotation_version") != 1:
-            raise FormatError("unsupported annotation_version")
-        out = cls()
-        base = os.path.dirname(path) or "."
-        for image_id, entry in data["images"].items():
-            mask = read_raster(os.path.join(base, entry["mask"])) > 0.5
-            kps = [Keypoint(n, float(x), float(y), bool(v)) for n, x, y, v in entry["keypoints"]]
-            out.add(image_id, mask, kps)
-        return out
+from .render import ReceptiveFieldMap
+from .search import best_edit_exhaustive
 
 
 @dataclass
@@ -372,10 +306,3 @@ def pick_distractor_image_nearest_keypoints(
     if best is None:
         raise ShapeError("no candidate shares visible keypoints with the query")
     return best
-
-
-def load_attribute_table(path: str) -> dict:
-    """Per-class attribute vectors: JSON {class index: [floats]}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return {int(k): [float(x) for x in v] for k, v in data.items()}

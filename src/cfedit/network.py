@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError
+from .errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError, is_number
 from .grids import FeatureGrid
 from .rng import substream
 
@@ -455,6 +455,14 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if not (is_number(self.learning_rate) and self.learning_rate > 0):
+            raise FormatError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
+        if not (is_number(self.batch_size, integer=True) and self.batch_size > 0):
+            raise FormatError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        if not (is_number(self.epochs, integer=True) and self.epochs >= 0):
+            raise FormatError(f"epochs must be a nonnegative integer, got {self.epochs!r}")
 
 
 def _accuracy(model, images, labels):

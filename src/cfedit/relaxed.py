@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustedError, ShapeError
-from .grids import FeatureGrid
+from .errors import ExhaustedError, FormatError, ShapeError, is_number
+from .grids import FeatureGrid, single_edit
 from .network import ModelBundle, head_input_gradient, head_logprobs
-from .grids import single_edit
 
 MASK_LOGIT = -1e9
 
@@ -44,17 +43,17 @@ class RelaxOptConfig:
     entropy_weight_gate: float = 0.1
     entropy_weight_align: float = 0.1
     sharpness_stop: float = 0.95
-    gate_align_entropy: bool = True  # weight each row's entropy term by its gate mass
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-        if self.entropy_weight_gate < 0 or self.entropy_weight_align < 0:
-            raise ValueError("entropy weights must be nonnegative")
-        if not (0 < self.sharpness_stop <= 1):
-            raise ValueError("sharpness_stop must lie in (0, 1]")
+        if not (is_number(self.learning_rate) and self.learning_rate > 0):
+            raise FormatError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
+        if not (is_number(self.max_steps, integer=True) and self.max_steps > 0):
+            raise FormatError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        for w in (self.entropy_weight_gate, self.entropy_weight_align):
+            if not (is_number(w) and w >= 0):
+                raise FormatError(f"entropy weights must be nonnegative numbers, got {w!r}")
+        if not (is_number(self.sharpness_stop) and 0 < self.sharpness_stop <= 1):
+            raise FormatError(f"sharpness_stop must lie in (0, 1], got {self.sharpness_stop!r}")
 
     def to_json(self) -> dict:
         return {
@@ -63,7 +62,6 @@ class RelaxOptConfig:
             "entropy_weight_gate": self.entropy_weight_gate,
             "entropy_weight_align": self.entropy_weight_align,
             "sharpness_stop": self.sharpness_stop,
-            "gate_align_entropy": self.gate_align_entropy,
         }
 
 
@@ -78,11 +76,10 @@ def relaxed_objective_and_grads(
 ):
     """Objective value and its analytic gradients w.r.t. the logits (alpha, M).
 
-    objective = g_target(blend) - w_a * H(a) - w_P * sum_i r_i * H(p_i)
-    where a = softmax(alpha), p_i = softmax(M[i]), and r_i is a_i when the
-    align-entropy term is gate-weighted, else 1.
+    objective = g_target(blend) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
+    where a = softmax(alpha) and p_i = softmax(M[i]): each row's alignment
+    entropy is weighted by its gate mass.
     """
-    n, d = F.values.shape
     a = softmax(alpha)
     P = softmax(M)
     PF2 = P @ F2.values
@@ -94,21 +91,19 @@ def relaxed_objective_and_grads(
     log_P = np.log(np.where(P > 0, P, 1.0))
     H_a = float(-(a * log_a).sum())
     H_rows = -(P * log_P).sum(axis=1)
-    row_weight = a if opt.gate_align_entropy else np.ones(n)
     objective = (
         lp[target_class]
         - opt.entropy_weight_gate * H_a
-        - opt.entropy_weight_align * float(row_weight @ H_rows)
+        - opt.entropy_weight_align * float(a @ H_rows)
     )
 
     # d objective / d a
     da = (G * (PF2 - F.values)).sum(axis=1)
     da += opt.entropy_weight_gate * (log_a + 1.0)
-    if opt.gate_align_entropy:
-        da -= opt.entropy_weight_align * H_rows
+    da -= opt.entropy_weight_align * H_rows
     # d objective / d P
     dP = a[:, None] * (G @ F2.values.T)
-    dP += opt.entropy_weight_align * row_weight[:, None] * (log_P + 1.0)
+    dP += opt.entropy_weight_align * a[:, None] * (log_P + 1.0)
 
     # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g)
     dalpha = a * (da - float(a @ da))

@@ -6,18 +6,18 @@ rectangles on the image (soft radial falloff by default, hard boxes for
 bit-exact tests); the composite view pastes the distractor's highlighted
 patch onto the query, center-aligned, using highlight intensity as per-pixel
 alpha.  Explanation records are versioned JSON with stable key order;
-rasters are binary PGM/PPM.
+rasters go through the PGM/PPM codec in `data`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_raster
 from .errors import FormatError, ShapeError, UnsupportedLayerError
 from .grids import EditList
 from .search import ExplanationResult, SearchConfig
@@ -80,12 +80,6 @@ def receptive_field_map(extractor_specs, image_h: int, image_w: int) -> Receptiv
         geom_h = (geom_h + 2 * p - k) // s + 1
         geom_w = (geom_w + 2 * p - k) // s + 1
     return ReceptiveFieldMap(geom_h, geom_w, field, jump, offset, image_h, image_w)
-
-
-def receptive_field(extractor_specs, cell: tuple, image_h: int, image_w: int):
-    """Clipped pixel rectangle of one cell (top, left, bottom, right)."""
-    rf = receptive_field_map(extractor_specs, image_h, image_w)
-    return rf.rect(*cell)
 
 
 # ---------------------------------------------------------------------------
@@ -198,51 +192,6 @@ def render_explanation(
     for quad in result.edits:
         comp = render_composite(comp, distractor_image, quad, rf, rf, mode)
     return RenderedExplanation(qh, dh, comp, result)
-
-
-# ---------------------------------------------------------------------------
-# rasters: binary PGM (P5) / PPM (P6), maxval 255
-# ---------------------------------------------------------------------------
-
-def write_raster(path: str, raster: np.ndarray):
-    arr = np.asarray(raster, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        arr = arr[:, :, 0]
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ShapeError("raster values must lie in [0, 1]")
-    data = np.round(arr * 255.0).astype(np.uint8)
-    if arr.ndim == 2:
-        magic = b"P5"
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ShapeError(f"raster must be HxW or HxWx3, got shape {arr.shape}")
-    h, w = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(data.tobytes())
-
-
-_RASTER_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
-
-
-def read_raster(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    # exactly one whitespace byte ends the header; pixel bytes may look like whitespace
-    header = _RASTER_HEADER.match(blob)
-    if header is None:
-        raise FormatError(f"{path}: not a binary PGM/PPM file")
-    magic = header.group(1)
-    w, h, maxval = (int(v) for v in header.group(2, 3, 4))
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval}")
-    channels = 3 if magic == b"P6" else 1
-    data = np.frombuffer(blob[header.end() : header.end() + h * w * channels], dtype=np.uint8)
-    if data.size != h * w * channels:
-        raise FormatError(f"{path}: truncated pixel data")
-    arr = data.reshape((h, w, 3) if channels == 3 else (h, w)).astype(np.float64) / 255.0
-    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ values per block of query cells, so memory stays bounded as the grid grows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustedError, ShapeError
+from .errors import ExhaustedError, FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid, single_edit
 from .network import ModelBundle, forward_features, forward_layers, head_logprobs, head_logprobs_batch
+from .relaxed import RelaxOptConfig, best_edit_relaxed
 
 # float64 values one block of query cells may hold in candidate_scores (16 MB)
 _BLOCK_VALUES = 1 << 21
@@ -35,26 +36,20 @@ _BLOCK_VALUES = 1 << 21
 class SearchConfig:
     exclusion_policy: str = "query-and-distractor-cells"  # or "query-cells-only"
     max_edits: int | None = None  # default: hw
-    strategy: str = "exhaustive"  # or "relaxed"
-    stop_rule: str = "argmax"  # or "pairwise" (g_c' > g_c)
-    relax: "object" = None  # RelaxOptConfig when strategy == "relaxed"
+    relax: RelaxOptConfig | None = None  # None: exhaustive search
 
     def __post_init__(self):
         if self.exclusion_policy not in ("query-cells-only", "query-and-distractor-cells"):
-            raise ValueError(f"unknown exclusion policy {self.exclusion_policy!r}")
-        if self.strategy not in ("exhaustive", "relaxed"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.stop_rule not in ("argmax", "pairwise"):
-            raise ValueError(f"unknown stop rule {self.stop_rule!r}")
-        if self.max_edits is not None and self.max_edits <= 0:
-            raise ValueError("max_edits must be positive")
+            raise FormatError(f"unknown exclusion policy {self.exclusion_policy!r}")
+        max_edits = self.max_edits
+        if not (max_edits is None or is_number(max_edits, integer=True) and max_edits > 0):
+            raise FormatError(f"max_edits must be a positive integer, got {max_edits!r}")
 
     def to_json(self) -> dict:
         out = {
             "exclusion_policy": self.exclusion_policy,
             "max_edits": self.max_edits,
-            "strategy": self.strategy,
-            "stop_rule": self.stop_rule,
+            "strategy": "exhaustive" if self.relax is None else "relaxed",
         }
         if self.relax is not None:
             out["relax"] = self.relax.to_json()
@@ -184,28 +179,20 @@ def greedy_counterfactual(
         )
 
     h, w = F.h, F.w
-    if query_class == target_class:
-        return ExplanationResult(
-            EditList((), h, w),
-            ((lp[query_class], lp[target_class]),),
-            "flipped",
-            query_class,
-            target_class,
-            query_id,
-            distractor_id,
-        )
-
-    best_edit = _best_edit_fn(config)
     max_edits = config.max_edits if config.max_edits is not None else F.cells
     excluded_q: list[int] = []
     excluded_s: list[int] = []
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]
     current = F
-    status = "exhausted"
-    while len(quads) < max_edits:
+    status = "flipped" if query_class == target_class else "exhausted"
+    while status == "exhausted" and len(quads) < max_edits:
         try:
-            i, j2, _score = best_edit(model, current, F2, target_class, excluded_q, excluded_s)
+            step = (model, current, F2, target_class, excluded_q, excluded_s)
+            if config.relax is None:
+                i, j2, _ = best_edit_exhaustive(*step)
+            else:
+                i, j2, _, _ = best_edit_relaxed(*step, config.relax)
         except ExhaustedError:
             break
         current = single_edit(current, F2, i, j2)
@@ -215,9 +202,8 @@ def greedy_counterfactual(
             excluded_s.append(j2)
         lp = head_logprobs(model, current)
         trajectory.append((lp[query_class], lp[target_class]))
-        if _flipped(lp, query_class, target_class, config.stop_rule):
+        if lp.argmax() == target_class:
             status = "flipped"
-            break
 
     return ExplanationResult(
         EditList(tuple(quads), h, w),
@@ -228,25 +214,3 @@ def greedy_counterfactual(
         query_id,
         distractor_id,
     )
-
-
-def _flipped(lp, query_class, target_class, stop_rule) -> bool:
-    if stop_rule == "pairwise":
-        return lp[target_class] > lp[query_class]
-    return lp.argmax() == target_class
-
-
-def _best_edit_fn(config: SearchConfig):
-    if config.strategy == "exhaustive":
-        return best_edit_exhaustive
-    from .relaxed import RelaxOptConfig, best_edit_relaxed
-
-    opt = config.relax if config.relax is not None else RelaxOptConfig()
-
-    def relaxed(model, F, F2, target_class, excluded_q, excluded_s):
-        i, j2, score, _traj = best_edit_relaxed(
-            model, F, F2, target_class, excluded_q, excluded_s, opt
-        )
-        return i, j2, score
-
-    return relaxed

@@ -92,6 +92,18 @@ class TestExplainPipeline:
         record = json.load(open(os.path.join(out, "explanation.json")))
         assert record["run_config"]["seed"] == 0
 
+    def test_explain_relaxed_records_its_config(self, cli_model, tmp_path, capsys):
+        out = str(tmp_path / "relaxed")
+        run_ok(
+            ["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0",
+             "--distractor-index", "1", "--strategy", "relaxed", "--relax-steps", "20",
+             "--out", out],
+            capsys,
+        )
+        config = json.load(open(os.path.join(out, "explanation.json")))["config"]
+        assert config["strategy"] == "relaxed"
+        assert config["relax"]["max_steps"] == 20
+
     def test_render_from_record(self, cli_model, tmp_path, capsys):
         src = str(tmp_path / "src")
         run_ok(
@@ -159,6 +171,48 @@ class TestConfigAndErrors:
             capsys,
         )
         assert "unknown config keys" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, file_cfg, field",
+        [
+            (["fidelity", "--relax-lr", "-1"], None, "learning_rate"),
+            (["explain", "--max-edits", "0"], None, "max_edits"),
+            (["batch-explain"], {"exclusion_policy": "bogus"}, "exclusion_policy"),
+            (["explain"], {"max_edits": "3"}, "max_edits"),
+            (["batch-explain"], {"strategy": "bogus"}, "strategy"),
+            (["batch-explain"], {"pairs": "3"}, "pairs"),
+            (["fidelity"], {"relax_steps": 2.5}, "relax_steps"),
+            (["batch-explain"], [["pairs", 3]], "JSON object"),
+            (["train", "--batch-size", "0"], None, "batch_size"),
+            (["train", "--batch-size", "-4"], None, "batch_size"),
+            (["train", "--learning-rate", "0"], None, "learning_rate"),
+            (["train"], {"epochs": "2"}, "epochs"),
+        ],
+        ids=[
+            "relax-lr", "max-edits-zero", "exclusion-policy", "max-edits-string", "strategy",
+            "pairs-string", "relax-steps-float", "config-not-object", "batch-size-zero",
+            "batch-size-negative", "learning-rate-zero", "epochs-string",
+        ],
+    )
+    def test_bad_config_value_is_one_error_line(self, cli_model, tmp_path, capsys, argv, file_cfg, field):
+        argv = argv + ["--dataset", "shapes", "--shapes-count", "40", "--out", str(tmp_path / "out")]
+        if argv[0] != "train":
+            argv += ["--model", cli_model]
+        if argv[0] == "explain":
+            argv += ["--query-index", "0", "--distractor-index", "1"]
+        if file_cfg is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(file_cfg))
+            argv += ["--config", str(cfg_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "FormatError"
+        assert field in err["message"]
+        assert not os.path.exists(tmp_path / "out")
 
     def test_both_distractor_flags_rejected(self, cli_model, tmp_path, capsys):
         err = run_err(

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from cfedit.errors import ShapeError
+from cfedit.data import AnnotationSet, Keypoint, write_raster
+from cfedit.errors import FormatError, ShapeError
 from cfedit.grids import EditList, FeatureGrid
 from cfedit.metrics import (
-    AnnotationSet,
-    Keypoint,
     agreement_cross_class,
     agreement_same_class,
     avg_edit_count,
@@ -196,6 +195,31 @@ class TestAnnotationIO:
         back = AnnotationSet.load(path)
         np.testing.assert_array_equal(back["img-0"].mask, mask)
         assert back["img-0"].keypoints == anns["img-0"].keypoints
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            '{"annotation_version": 1}',
+            '[{"annotation_version": 1, "images": {}}]',
+            '{"annotation_version": 1, "images": []}',
+            '{"annotation_version": 1, "images": {"a": {"keypoints": []}}}',
+            '{"annotation_version": 1, "images": {"a": {"mask": "m.pgm", "keypoints": [["p", 1.0, 2.0]]}}}',
+            '{"annotation_version": 1, "images": {"a": {"mask": "m.pgm", "keypoints": [["p", "x", 2, 1]]}}}',
+            '{"annotation_version": 1, "images": {"a": {"mask": "m.pgm", "keypoints": 3}}}',
+            '{"annotation_version": 1, "images": {"a": [1, 2]}}',
+            '{"annotation_version": 1, "images": {',
+        ],
+        ids=[
+            "no-images", "top-level-list", "images-not-object", "no-mask", "short-keypoint",
+            "non-numeric-keypoint", "keypoints-not-list", "entry-not-object", "invalid-json",
+        ],
+    )
+    def test_malformed_index_raises_format_error(self, tmp_path, index):
+        write_raster(str(tmp_path / "m.pgm"), np.ones((4, 4)))
+        path = tmp_path / "annotations.json"
+        path.write_text(index)
+        with pytest.raises(FormatError):
+            AnnotationSet.load(str(path))
 
     def test_visible_keypoint_bounds_checked(self):
         anns = AnnotationSet()

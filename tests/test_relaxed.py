@@ -50,10 +50,9 @@ class TestEntropy:
 
 
 class TestObjectiveGradients:
-    @pytest.mark.parametrize("gated", [True, False])
-    def test_finite_differences(self, gated):
+    def test_finite_differences(self):
         rng = np.random.default_rng(3)
-        opt = RelaxOptConfig(gate_align_entropy=gated)
+        opt = RelaxOptConfig()
         for k in range(5):
             model = identity_feature_model(3, 3, 2, 3, seed=400 + k, linear=bool(k % 2))
             F = random_grid(rng, 3, 3, 2)

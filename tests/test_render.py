@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cfedit.data import read_raster, write_raster
 from cfedit.errors import FormatError, ShapeError, UnsupportedLayerError
 from cfedit.grids import EditList
 from cfedit.network import LayerSpec, forward_features, reference_extractor_specs
@@ -10,14 +11,11 @@ from cfedit.render import (
     ReceptiveFieldMap,
     intensity_map,
     read_explanation,
-    read_raster,
-    receptive_field,
     receptive_field_map,
     render_composite,
     render_heatmap,
     result_to_record,
     write_explanation,
-    write_raster,
 )
 from cfedit.search import ExplanationResult, SearchConfig
 
@@ -26,12 +24,13 @@ from conftest import make_model
 
 class TestReceptiveField:
     def test_identity_extractor_single_pixel(self):
-        assert receptive_field([], (3, 5), 8, 8) == (3, 5, 3, 5)
+        assert receptive_field_map([], 8, 8).rect(3, 5) == (3, 5, 3, 5)
 
     def test_single_3x3_conv(self):
         specs = [LayerSpec("conv2d", out_channels=2, kernel_size=3)]
-        assert receptive_field(specs, (0, 0), 8, 8) == (0, 0, 2, 2)
-        assert receptive_field(specs, (2, 3), 8, 8) == (2, 3, 4, 5)
+        rf = receptive_field_map(specs, 8, 8)
+        assert rf.rect(0, 0) == (0, 0, 2, 2)
+        assert rf.rect(2, 3) == (2, 3, 4, 5)
 
     def test_conv_pool_recurrence(self):
         specs = [
@@ -52,7 +51,7 @@ class TestReceptiveField:
 
     def test_dense_layer_rejected(self):
         with pytest.raises(UnsupportedLayerError):
-            receptive_field([LayerSpec("dense", units=3)], (0, 0), 8, 8)
+            receptive_field_map([LayerSpec("dense", units=3)], 8, 8)
 
     def test_perturbation_soundness_reference_extractor(self):
         # zeroing pixels outside a cell's predicted rectangle must not change

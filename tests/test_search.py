@@ -8,6 +8,7 @@ from cfedit import search
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid, single_edit
 from cfedit.network import LayerSpec, head_logprobs
+from cfedit.relaxed import RelaxOptConfig, best_edit_relaxed
 from cfedit.search import (
     ExplanationResult,
     SearchConfig,
@@ -217,6 +218,39 @@ class TestGreedy:
         pred = head_logprobs(model, FeatureGrid.from_array(img)).argmax()
         with pytest.warns(UserWarning, match="distractor"):
             greedy_counterfactual(model, img, img, 1 - pred)
+
+
+class TestGreedyRelaxed:
+    def test_first_edit_and_trajectory_replay(self):
+        rng = np.random.default_rng(21)
+        model = identity_feature_model(3, 3, 2, 3, seed=41, linear=False)
+        query = rng.normal(size=(3, 3, 2))
+        distractor = rng.normal(size=(3, 3, 2))
+        F = FeatureGrid.from_array(query)
+        F2 = FeatureGrid.from_array(distractor)
+        lp_q = head_logprobs(model, F)
+        query_class = lp_q.argmax()
+        target = int(np.argsort(lp_q.values)[0])
+        opt = RelaxOptConfig(max_steps=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = greedy_counterfactual(model, query, distractor, target, SearchConfig(relax=opt))
+        assert result.edit_count >= 1
+        i, j2, _, _ = best_edit_relaxed(model, F, F2, target, (), (), opt)
+        assert result.edits.edits[0] == (i // 3, i % 3, j2 // 3, j2 % 3)
+
+        state = F
+        ex_q, ex_s = [], []
+        assert result.trajectory[0] == (lp_q[query_class], lp_q[target])
+        for (r, c, r2, c2), step in zip(result.edits, result.trajectory[1:]):
+            cell, src = r * 3 + c, r2 * 3 + c2
+            assert best_edit_relaxed(model, state, F2, target, ex_q, ex_s, opt)[:2] == (cell, src)
+            state = single_edit(state, F2, cell, src)
+            ex_q.append(cell)
+            ex_s.append(src)
+            lp = head_logprobs(model, state)
+            assert step == (lp[query_class], lp[target])
+        assert (result.status == "flipped") == (head_logprobs(model, state).argmax() == target)
 
 
 class TestGreedyVsMinimumOracle:
