@@ -193,6 +193,12 @@ def _receptive_fields(model: ModelBundle):
     return receptive_field_map([ly.spec for ly in model.extractor], *model.input_shape[:2])
 
 
+def _checked_index(dataset: Dataset, index, what: str) -> int:
+    if not (is_number(index, integer=True) and 0 <= index < len(dataset)):
+        raise FormatError(f"{what} {index!r} is outside the dataset's {len(dataset)} images")
+    return int(index)
+
+
 def _sample_pairs(preds, count, rng) -> list[tuple[int, int]]:
     """Up to `count` (query, distractor) pairs predicted differently; 20 draws per pair at most."""
     pairs = []
@@ -273,14 +279,16 @@ def cmd_explain(args) -> int:
     dataset = _load_dataset(args, cfg)
     if (args.distractor_index is None) == (args.distractor_class is None):
         raise CfeditError("give exactly one of --distractor-index / --distractor-class")
-    d_index = args.distractor_index
-    if d_index is None:
+    q_index = _checked_index(dataset, args.query_index, "query index")
+    if args.distractor_index is not None:
+        d_index = _checked_index(dataset, args.distractor_index, "distractor index")
+    else:
         preds = predict_batch(model, dataset.images)
         candidates = np.flatnonzero(preds == args.distractor_class)
         if not len(candidates):
             raise CfeditError(f"no image predicted as class {args.distractor_class}")
         d_index = int(candidates[substream(cfg["seed"], "distractor-pick").integers(len(candidates))])
-    result = _explain_one(model, dataset, cfg, sc, args.query_index, d_index, args.out, "explanation")
+    result = _explain_one(model, dataset, cfg, sc, q_index, d_index, args.out, "explanation")
     print(json.dumps({"status": result.status, "edits": result.edit_count}, sort_keys=True))
     return 0
 
@@ -342,17 +350,14 @@ def cmd_render(args) -> int:
     result, record = read_explanation(args.record)
     if "query_index" not in record or "distractor_index" not in record:
         raise CfeditError("record carries no dataset indices; cannot re-render")
+    q_index = _checked_index(dataset, record["query_index"], "record query_index")
+    d_index = _checked_index(dataset, record["distractor_index"], "record distractor_index")
     rf = _receptive_fields(model)
-    renders = render_explanation(
-        dataset.images[record["query_index"]],
-        dataset.images[record["distractor_index"]],
-        result,
-        rf,
-    )
+    renders = render_explanation(dataset.images[q_index], dataset.images[d_index], result, rf)
     prefix = os.path.splitext(os.path.basename(args.record))[0]
     write_explanation(result, renders, args.out, rf, rf, None, prefix=prefix, extra={
-        "query_index": record["query_index"],
-        "distractor_index": record["distractor_index"],
+        "query_index": q_index,
+        "distractor_index": d_index,
         "run_config": cfg,
     })
     print(json.dumps({"rendered": prefix}, sort_keys=True))

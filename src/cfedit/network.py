@@ -7,6 +7,12 @@ to class log-probabilities.  Everything needed downstream is provided here:
 forward evaluation, reverse-mode gradients (including gradients w.r.t. the
 head input, used by the relaxed edit optimizer), a desk-scale SGD trainer,
 and a portable two-file model format (JSON manifest + float64 blob).
+
+Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
+2006) one block of images at a time, so that the forward pass, the weight
+gradient and the input gradient are each one GEMM per block.  A block's patch
+matrix holds at most `_PATCH_VALUES` float64 values, or one image's patches
+when those alone are more, which bounds the scratch memory of every conv layer.
 """
 
 from __future__ import annotations
@@ -104,6 +110,8 @@ def output_geometry(spec: LayerSpec, geom: tuple) -> tuple:
     k = spec.kind
     if k in ("relu", "log-softmax"):
         return geom
+    if k in ("conv2d", "maxpool2d") and len(geom) != 3:
+        raise ShapeError(f"{k} layer requires spatial input")
     if k == "conv2d":
         h, w, c = geom
         s = spec.effective_stride()
@@ -129,27 +137,49 @@ def output_geometry(spec: LayerSpec, geom: tuple) -> tuple:
     raise UnsupportedLayerError(k)
 
 
+def _param_shapes(spec: LayerSpec, geom: tuple) -> dict:
+    """Weight shapes of a layer applied to input geometry `geom`, by name."""
+    if spec.kind == "conv2d":
+        k = spec.kernel_size
+        return {"kernel": (k, k, geom[2], spec.out_channels), "bias": (spec.out_channels,)}
+    if spec.kind == "dense":
+        return {"weight": (geom[0], spec.units), "bias": (spec.units,)}
+    return {}
+
+
 def init_layer(spec: LayerSpec, geom: tuple, rng: np.random.Generator) -> tuple[Layer, tuple]:
     """Layer with freshly initialized weights (uniform +-1/sqrt(fan_in))."""
     out_geom = output_geometry(spec, geom)
     weights = {}
-    if spec.kind == "conv2d":
-        kh = kw = spec.kernel_size
-        cin = geom[2]
-        bound = 1.0 / np.sqrt(kh * kw * cin)
-        weights["kernel"] = rng.uniform(-bound, bound, size=(kh, kw, cin, spec.out_channels))
-        weights["bias"] = rng.uniform(-bound, bound, size=(spec.out_channels,))
-    elif spec.kind == "dense":
-        fan_in = geom[0]
-        bound = 1.0 / np.sqrt(fan_in)
-        weights["weight"] = rng.uniform(-bound, bound, size=(fan_in, spec.units))
-        weights["bias"] = rng.uniform(-bound, bound, size=(spec.units,))
+    names = PARAM_ORDER.get(spec.kind, ())
+    if names:
+        shapes = _param_shapes(spec, geom)
+        bound = 1.0 / np.sqrt(np.prod(shapes[names[0]][:-1]))
+        weights = {name: rng.uniform(-bound, bound, size=shapes[name]) for name in names}
     return Layer(spec, weights), out_geom
 
 
 # ---------------------------------------------------------------------------
 # forward / backward per kind (batched, channels-last)
 # ---------------------------------------------------------------------------
+
+# Cap on the float64 values of one block's patch matrix (2 MB).  A block holds
+# as many whole images as fit, and at least one.
+_PATCH_VALUES = 1 << 18
+
+
+def _patch_blocks(xpad, kh, kw, s, oh, ow):
+    """Yield (lo, hi, cols) over blocks of images, where cols is the
+    (images·oh·ow, kh·kw·cin) patch matrix of xpad[lo:hi] in (dh, dw, c) order."""
+    n, cin = xpad.shape[0], xpad.shape[3]
+    per_image = oh * ow * kh * kw * cin
+    step = max(1, _PATCH_VALUES // per_image)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        win = np.lib.stride_tricks.sliding_window_view(xpad[lo:hi], (kh, kw), axis=(1, 2))
+        win = win[:, : oh * s : s, : ow * s : s]  # (b, oh, ow, cin, kh, kw)
+        yield lo, hi, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
+
 
 def _conv_forward(x, layer):
     spec = layer.spec
@@ -163,31 +193,33 @@ def _conv_forward(x, layer):
     n, hp, wp, _ = x.shape
     oh = (hp - kh) // s + 1
     ow = (wp - kw) // s + 1
-    out = np.broadcast_to(bias, (n, oh, ow, cout)).copy()
-    for dh in range(kh):
-        for dw in range(kw):
-            xs = x[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :]
-            out += xs @ kern[dh, dw]
-    return out, x  # cache padded input
+    kmat = kern.reshape(-1, cout)
+    out = np.empty((n * oh * ow, cout))
+    for lo, hi, cols in _patch_blocks(x, kh, kw, s, oh, ow):
+        np.matmul(cols, kmat, out=out[lo * oh * ow : hi * oh * ow])
+    out += bias
+    return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
 
 
 def _conv_backward(g, layer, xpad):
     spec = layer.spec
     kern = layer.weights["kernel"]
-    kh, kw, _, _ = kern.shape
+    kh, kw, cin, cout = kern.shape
     s, p = spec.effective_stride(), spec.padding
     _, oh, ow, _ = g.shape
-    gk = np.zeros_like(kern)
+    kmat = kern.reshape(-1, cout)
+    gk = np.zeros_like(kmat)
     gx = np.zeros_like(xpad)
-    for dh in range(kh):
-        for dw in range(kw):
-            xs = xpad[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :]
-            gk[dh, dw] = np.einsum("nhwc,nhwo->co", xs, g)
-            gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += g @ kern[dh, dw].T
-    gb = g.sum(axis=(0, 1, 2))
+    for lo, hi, cols in _patch_blocks(xpad, kh, kw, s, oh, ow):
+        gm = g[lo:hi].reshape(-1, cout)
+        gk += cols.T @ gm
+        gcols = (gm @ kmat.T).reshape(hi - lo, oh, ow, kh, kw, cin)
+        for dh in range(kh):
+            for dw in range(kw):
+                gx[lo:hi, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += gcols[:, :, :, dh, dw]
     if p:
         gx = gx[:, p:-p, p:-p, :]
-    return gx, {"kernel": gk, "bias": gb}
+    return gx, {"kernel": gk.reshape(kern.shape), "bias": g.sum(axis=(0, 1, 2))}
 
 
 def _pool_forward(x, layer):
@@ -329,6 +361,16 @@ class LogProbVector:
         return float(self.values[c])
 
 
+def _checked_geometry(layer: Layer, geom: tuple) -> tuple:
+    """Output geometry of `layer`, after checking its weights fit input `geom`."""
+    out = output_geometry(layer.spec, geom)
+    expected = _param_shapes(layer.spec, geom)
+    got = {name: np.shape(w) for name, w in layer.weights.items()}
+    if got != expected:
+        raise ShapeError(f"{layer.spec.kind} weights {got} do not match the expected {expected}")
+    return out
+
+
 @dataclass
 class ModelBundle:
     extractor: list
@@ -342,12 +384,12 @@ class ModelBundle:
             raise ShapeError("head must end in a log-softmax layer")
         geom = tuple(self.input_shape)
         for layer in self.extractor:
-            geom = output_geometry(layer.spec, geom)
+            geom = _checked_geometry(layer, geom)
         if len(geom) != 3:
             raise ShapeError("extractor must produce a spatial h x w x d geometry")
         self.feature_shape = geom
         for layer in self.head:
-            geom = output_geometry(layer.spec, geom)
+            geom = _checked_geometry(layer, geom)
         if geom != (self.class_count,):
             raise ShapeError(
                 f"head output geometry {geom} does not match class count {self.class_count}"
@@ -564,18 +606,49 @@ def save_model(model: ModelBundle, path: str):
     blob.astype("<f8").tofile(os.path.join(path, "weights.bin"))
 
 
-def load_model(path: str) -> ModelBundle:
-    try:
-        with open(os.path.join(path, "manifest.json")) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+def _is_int_list(value, minimum: int) -> bool:
+    return isinstance(value, list) and all(
+        is_number(v, integer=True) and v >= minimum for v in value
+    )
+
+
+def _check_manifest(manifest):
+    """Raise FormatError unless `manifest` has the structure load_model reads."""
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest must be a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version!r}")
     for key in ("input_shape", "class_count", "extractor", "head", "weights"):
         if key not in manifest:
             raise FormatError(f"manifest missing field {key!r}")
+    shape = manifest["input_shape"]
+    if not (_is_int_list(shape, 1) and len(shape) == 3):
+        raise FormatError(f"manifest input_shape must be 3 positive integers, got {shape!r}")
+    count = manifest["class_count"]
+    if not (is_number(count, integer=True) and count > 0):
+        raise FormatError(f"manifest class_count must be a positive integer, got {count!r}")
+    for section in ("extractor", "head"):
+        layers = manifest[section]
+        if not (isinstance(layers, list) and all(isinstance(o, dict) for o in layers)):
+            raise FormatError(f"manifest {section} must be a list of layer objects")
+    entries = manifest["weights"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int_list(e.get("shape"), 0)
+        for e in entries
+    ):
+        raise FormatError("manifest weights must be a list of {name, shape} objects")
+    if not isinstance(manifest.get("metrics", {}), dict):
+        raise FormatError("manifest metrics must be an object")
+
+
+def load_model(path: str) -> ModelBundle:
+    try:
+        with open(os.path.join(path, "manifest.json")) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    _check_manifest(manifest)
 
     ext_specs = [LayerSpec.from_json(o) for o in manifest["extractor"]]
     head_specs = [LayerSpec.from_json(o) for o in manifest["head"]]
@@ -608,7 +681,7 @@ def load_model(path: str) -> ModelBundle:
     model = ModelBundle(
         build("extractor", ext_specs),
         build("head", head_specs),
-        int(manifest["class_count"]),
+        manifest["class_count"],
         tuple(manifest["input_shape"]),
         metrics=dict(manifest.get("metrics", {})),
     )

@@ -214,6 +214,39 @@ class TestConfigAndErrors:
         assert field in err["message"]
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "query, distractor",
+        [("999", "1"), ("-1", "1"), ("0", "40")],
+        ids=["query-999", "query-negative", "distractor-past-end"],
+    )
+    def test_index_outside_dataset(self, cli_model, tmp_path, capsys, query, distractor):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        rc = main(
+            ["explain", "--dataset", "shapes", "--shapes-count", "40", "--model", cli_model,
+             "--query-index", query, "--distractor-index", distractor, "--out", str(out)]
+        )
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "FormatError" and "40 images" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["query_index", "distractor_index"])
+    def test_render_record_index_outside_dataset(self, cli_model, tmp_path, capsys, field):
+        args = ["--dataset", "shapes", "--shapes-count", "40", "--model", cli_model]
+        src = tmp_path / "src"
+        run_ok(["explain", *args, "--query-index", "0", "--distractor-index", "1",
+                "--out", str(src)], capsys)
+        record_path = src / "explanation.json"
+        record = json.loads(record_path.read_text())
+        record[field] = 40
+        record_path.write_text(json.dumps(record))
+        err = run_err(["render", *args, "--record", str(record_path), "--out", str(tmp_path / "r")],
+                      capsys)
+        assert err["type"] == "FormatError" and field in err["message"]
+        assert not (tmp_path / "r").exists()
+
     def test_both_distractor_flags_rejected(self, cli_model, tmp_path, capsys):
         err = run_err(
             ["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0",

@@ -1,9 +1,13 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfedit import network
 from cfedit.errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError
 from cfedit.grids import FeatureGrid
 from cfedit.network import (
@@ -73,6 +77,138 @@ class TestForward:
         model = identity_feature_model(2, 2, 1, 3)
         with pytest.raises(ShapeError):
             forward_features(model, np.zeros((3, 3, 1)))
+
+
+def conv_forward_reference(x, layer):
+    """Per-offset convolution: one matmul per kernel offset (dh, dw)."""
+    spec = layer.spec
+    kern, bias = layer.weights["kernel"], layer.weights["bias"]
+    kh, kw, _, cout = kern.shape
+    s, p = spec.effective_stride(), spec.padding
+    x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    n, hp, wp, _ = x.shape
+    oh = (hp - kh) // s + 1
+    ow = (wp - kw) // s + 1
+    out = np.broadcast_to(bias, (n, oh, ow, cout)).copy()
+    for dh in range(kh):
+        for dw in range(kw):
+            out += x[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] @ kern[dh, dw]
+    return out, x
+
+
+def conv_backward_reference(g, layer, xpad):
+    """Per-offset gradients w.r.t. the input, the kernel and the bias."""
+    spec = layer.spec
+    kern = layer.weights["kernel"]
+    kh, kw, _, _ = kern.shape
+    s, p = spec.effective_stride(), spec.padding
+    _, oh, ow, _ = g.shape
+    gk = np.zeros_like(kern)
+    gx = np.zeros_like(xpad)
+    for dh in range(kh):
+        for dw in range(kw):
+            xs = xpad[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :]
+            gk[dh, dw] = np.einsum("nhwc,nhwo->co", xs, g)
+            gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += g @ kern[dh, dw].T
+    gx = gx[:, p : xpad.shape[1] - p, p : xpad.shape[2] - p, :]
+    return gx, {"kernel": gk, "bias": g.sum(axis=(0, 1, 2))}
+
+
+@st.composite
+def conv_cases(draw, min_batch=1):
+    """A random conv2d layer, an input batch it accepts and an upstream gradient."""
+    n = draw(st.integers(min_batch, 9))
+    cin, cout = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    k, s = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    p = draw(st.integers(0, k - 1))
+    h = draw(st.integers(max(1, k - 2 * p), k + 7))
+    w = draw(st.integers(max(1, k - 2 * p), k + 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = LayerSpec("conv2d", out_channels=cout, kernel_size=k, stride=s, padding=p)
+    layer, (oh, ow, _) = network.init_layer(spec, (h, w, cin), rng)
+    return layer, rng.normal(size=(n, h, w, cin)), rng.normal(size=(n, oh, ow, cout))
+
+
+def assert_close_to_reference(actual, expected):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert actual.shape == expected.shape
+    assert float(np.abs(actual - expected).max()) <= 1e-12 * scale
+
+
+def check_conv_against_reference(layer, x, g):
+    (out, cache), (out_ref, cache_ref) = network._conv_forward(x, layer), conv_forward_reference(x, layer)
+    assert_close_to_reference(out, out_ref)
+    gx, grads = network._conv_backward(g, layer, cache)
+    gx_ref, grads_ref = conv_backward_reference(g, layer, cache_ref)
+    assert_close_to_reference(gx, gx_ref)
+    for name in ("kernel", "bias"):
+        assert_close_to_reference(grads[name], grads_ref[name])
+
+
+class TestConvKernels:
+    """The blocked patch-matrix kernels against the per-offset reference."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(conv_cases())
+    def test_matches_per_offset_reference(self, case):
+        check_conv_against_reference(*case)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(conv_cases(min_batch=2), st.data())
+    def test_matches_reference_across_blocks(self, case, data):
+        layer, x, g = case
+        n, (oh, ow) = len(x), g.shape[1:3]
+        kh, kw, cin, _ = layer.weights["kernel"].shape
+        per_image = oh * ow * kh * kw * cin
+        images = data.draw(st.integers(1, n - 1), label="images per block")
+        cap = images * per_image + data.draw(st.integers(0, per_image - 1), label="spare values")
+        with mock.patch.object(network, "_PATCH_VALUES", cap):
+            check_conv_against_reference(layer, x, g)
+
+    def test_remainder_block(self):
+        rng = np.random.default_rng(0)
+        spec = LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=1)
+        layer, (oh, ow, _) = network.init_layer(spec, (9, 8, 2), rng)
+        x, g = rng.normal(size=(7, 9, 8, 2)), rng.normal(size=(7, oh, ow, 3))
+        blocks = []
+        real_blocks = network._patch_blocks
+
+        def spy(*args):
+            for lo, hi, cols in real_blocks(*args):
+                blocks.append((lo, hi))
+                yield lo, hi, cols
+
+        with mock.patch.object(network, "_PATCH_VALUES", 3 * oh * ow * 9 * 2), \
+                mock.patch.object(network, "_patch_blocks", spy):
+            check_conv_against_reference(layer, x, g)
+        assert blocks == [(0, 3), (3, 6), (6, 7)] * 2
+
+    def test_finite_differences_strided_padded(self):
+        # objective sum(R * out**2) / 2 through one stride-2, padding-1 conv
+        rng = np.random.default_rng(11)
+        spec = LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=1)
+        layer, (oh, ow, _) = network.init_layer(spec, (7, 6, 2), rng)
+        x = rng.normal(size=(2, 7, 6, 2))
+        R = rng.normal(size=(2, oh, ow, 3))
+
+        def objective():
+            return 0.5 * float(np.sum(R * network._conv_forward(x, layer)[0] ** 2))
+
+        out, cache = network._conv_forward(x, layer)
+        gx, grads = network._conv_backward(R * out, layer, cache)
+        eps = 1e-6
+        for array, grad in ((x, gx), (layer.weights["kernel"], grads["kernel"]),
+                            (layer.weights["bias"], grads["bias"])):
+            fd = np.zeros_like(array)
+            for idx in np.ndindex(array.shape):
+                keep = array[idx]
+                array[idx] = keep + eps
+                up = objective()
+                array[idx] = keep - eps
+                down = objective()
+                array[idx] = keep
+                fd[idx] = (up - down) / (2 * eps)
+            assert np.abs(fd - grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
 class TestHead:
@@ -245,6 +381,12 @@ class TestTrain:
                 np.testing.assert_array_equal(a.weights[name], b.weights[name])
 
 
+def pool_after_flatten(manifest):
+    manifest["head"].insert(1, {"kind": "maxpool2d", "window": 1})
+    for entry in manifest["weights"]:
+        entry["name"] = entry["name"].replace("head.1.", "head.2.")
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=7)
@@ -290,4 +432,33 @@ class TestSerialization:
         manifest["format_version"] = 99
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="format_version"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda m: m["weights"][0].pop("shape"), FormatError),
+            (lambda m: m["weights"][0].update(shape="abc"), FormatError),
+            (lambda m: m.update(weights=5), FormatError),
+            (lambda m: m.update(class_count="x"), FormatError),
+            (lambda m: m.update(input_shape=[28]), FormatError),
+            (lambda m: m.update(extractor=[5]), FormatError),
+            (lambda m: m.update(metrics=[1]), FormatError),
+            (lambda m: m["weights"][0].update(shape=[1]), ShapeError),
+            (pool_after_flatten, ShapeError),
+        ],
+        ids=[
+            "weight-without-shape", "weight-shape-string", "weights-not-list",
+            "class-count-string", "input-shape-rank-1", "extractor-entry-not-object",
+            "metrics-not-object", "weight-shape-mismatch", "pool-after-flatten",
+        ],
+    )
+    def test_malformed_manifest_raises_typed_error(self, tmp_path, edit, error):
+        model = identity_feature_model(2, 2, 1, 3)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(error):
             load_model(str(path))
