@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ModeError, ShapeError
+from .errors import BoundsError, ExhaustedError, ModeError, ShapeError
 
 SIMPLEX_TOL = 1e-6
 
@@ -225,6 +225,18 @@ def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid
     out = F.values.copy()
     out[i] = F2.values[j2]
     return FeatureGrid(F.h, F.w, F.d, out)
+
+
+def open_cells(n: int, excluded_query=(), excluded_source=()) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the query and source cells a best-edit search may
+    still use; raises ExhaustedError when either is empty."""
+    open_q = np.ones(n, dtype=bool)
+    open_s = np.ones(n, dtype=bool)
+    open_q[list(excluded_query)] = False
+    open_s[list(excluded_source)] = False
+    if not (open_q.any() and open_s.any()):
+        raise ExhaustedError("all candidate edits are excluded")
+    return open_q, open_s
 
 
 def extract_edit_set(a: GateVector, P: AlignmentMatrix, h: int, w: int) -> EditList:

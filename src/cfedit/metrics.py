@@ -70,21 +70,28 @@ def avg_edit_count(results) -> MetricReport:
 # query-cell agreement across distractors
 # ---------------------------------------------------------------------------
 
-def selected_query_cell(model: ModelBundle, query_image, distractor_image, target_class) -> int:
-    """Query cell of the single best edit toward `target_class`."""
-    F = forward_features(model, query_image)
-    F2 = forward_features(model, distractor_image)
-    i, _, _ = best_edit_exhaustive(model, F, F2, target_class)
-    return i
-
-
-def _pairwise_agreement(cells) -> tuple[int, int]:
+def _agreement(model: ModelBundle, queries) -> tuple[int, int, list]:
+    """Pairwise agreement of the best edit's query cell across each query's
+    distractors.  `queries` holds (query_image, [(distractor_image,
+    target_class)]) entries, or None for a skipped query.  Returns the agreeing
+    and total pair counts and each query's rate (None where skipped)."""
     agree = total = 0
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            total += 1
-            agree += cells[a] == cells[b]
-    return agree, total
+    per_query = []
+    for entry in queries:
+        if entry is None:
+            per_query.append(None)
+            continue
+        query_image, distractors = entry
+        F = forward_features(model, query_image)
+        cells = [
+            best_edit_exhaustive(model, F, forward_features(model, d), c)[0] for d, c in distractors
+        ]
+        pairs = [(a, b) for k, a in enumerate(cells) for b in cells[k + 1 :]]
+        hits = sum(a == b for a, b in pairs)
+        agree += hits
+        total += len(pairs)
+        per_query.append(hits / len(pairs))
+    return agree, total, per_query
 
 
 def agreement_same_class(model: ModelBundle, samples) -> MetricReport:
@@ -93,19 +100,11 @@ def agreement_same_class(model: ModelBundle, samples) -> MetricReport:
     `samples` is a list of (query_image, target_class, [distractor_images]).
     Queries with fewer than 2 distractors are skipped with a note.
     """
-    agree = total = 0
-    per_query = []
-    skipped = 0
-    for query_image, target_class, distractors in samples:
-        if len(distractors) < 2:
-            skipped += 1
-            per_query.append(None)
-            continue
-        cells = [selected_query_cell(model, query_image, d, target_class) for d in distractors]
-        a, t = _pairwise_agreement(cells)
-        agree += a
-        total += t
-        per_query.append(a / t)
+    queries = [
+        (q, [(d, target_class) for d in distractors]) if len(distractors) >= 2 else None
+        for q, target_class, distractors in samples
+    ]
+    agree, total, per_query = _agreement(model, queries)
     if total == 0:
         raise ShapeError("no query had at least 2 usable distractors")
     return MetricReport(
@@ -113,7 +112,7 @@ def agreement_same_class(model: ModelBundle, samples) -> MetricReport:
         agree / total,
         len(samples),
         samples=per_query,
-        extras={"pairs": total, "skipped": skipped},
+        extras={"pairs": total, "skipped": per_query.count(None)},
     )
 
 
@@ -123,17 +122,9 @@ def agreement_cross_class(model: ModelBundle, samples) -> MetricReport:
     `samples` is a list of (query_image, [(distractor_image, target_class)]);
     each query's distractors must span at least 2 classes.
     """
-    agree = total = 0
-    per_query = []
-    for query_image, distractors in samples:
-        classes = {c for _, c in distractors}
-        if len(classes) < 2:
-            raise ShapeError("cross-class agreement needs distractors from at least 2 classes")
-        cells = [selected_query_cell(model, query_image, d, c) for d, c in distractors]
-        a, t = _pairwise_agreement(cells)
-        agree += a
-        total += t
-        per_query.append(a / t)
+    if any(len({c for _, c in distractors}) < 2 for _, distractors in samples):
+        raise ShapeError("cross-class agreement needs distractors from at least 2 classes")
+    agree, total, per_query = _agreement(model, samples)
     if total == 0:
         raise ShapeError("no usable queries supplied")
     return MetricReport(
@@ -208,7 +199,6 @@ def region_annotation_hit_rate(
     """
     if radius is None:
         radius = rf_query.stride / 2.0
-    seg_q, seg_d, kp_q, kp_d, same_kp = [], [], [], [], []
     skipped = 0
     per_edit = []
     for result in results:
@@ -220,41 +210,26 @@ def region_annotation_hit_rate(
         for (i, j, i2, j2) in result.edits:
             cy_q, cx_q = rf_query.rect_center(i, j)
             cy_d, cx_d = rf_distractor.rect_center(i2, j2)
-            seg_q.append(bool(ann_q.mask[int(round(cy_q)), int(round(cx_q))]))
-            seg_d.append(bool(ann_d.mask[int(round(cy_d)), int(round(cx_d))]))
             nq, dq = _nearest_keypoint(ann_q.keypoints, cy_q, cx_q)
             nd, dd = _nearest_keypoint(ann_d.keypoints, cy_d, cx_d)
-            kp_q.append(nq is not None and dq <= radius)
-            kp_d.append(nd is not None and dd <= radius)
-            same_kp.append(nq is not None and nd is not None and nq.name == nd.name)
             per_edit.append(
                 {
                     "query_id": result.query_id,
                     "distractor_id": result.distractor_id,
-                    "seg_query": seg_q[-1],
-                    "seg_distractor": seg_d[-1],
-                    "kp_query": kp_q[-1],
-                    "kp_distractor": kp_d[-1],
-                    "same_keypoint": same_kp[-1],
+                    "seg_query": bool(ann_q.mask[int(round(cy_q)), int(round(cx_q))]),
+                    "seg_distractor": bool(ann_d.mask[int(round(cy_d)), int(round(cx_d))]),
+                    "kp_query": nq is not None and dq <= radius,
+                    "kp_distractor": nd is not None and dd <= radius,
+                    "same_keypoint": nq is not None and nd is not None and nq.name == nd.name,
                 }
             )
-    if not seg_q:
+    if not per_edit:
         raise ShapeError("no edits with annotations available")
-
-    def rate(xs):
-        return float(np.mean(xs))
-
-    extras = {
-        "seg_query": rate(seg_q),
-        "seg_distractor": rate(seg_d),
-        "kp_query": rate(kp_q),
-        "kp_distractor": rate(kp_d),
-        "same_keypoint": rate(same_kp),
-        "radius": radius,
-        "skipped_results": skipped,
-    }
+    rates = ("seg_query", "seg_distractor", "kp_query", "kp_distractor", "same_keypoint")
+    extras = {key: float(np.mean([row[key] for row in per_edit])) for key in rates}
+    extras.update(radius=radius, skipped_results=skipped)
     return MetricReport(
-        "region_annotation_hit_rate", extras["seg_query"], len(seg_q), samples=per_edit, extras=extras
+        "region_annotation_hit_rate", extras["seg_query"], len(per_edit), samples=per_edit, extras=extras
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,20 +76,17 @@ class LayerSpec:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
-        for name in ("out_channels", "kernel_size", "stride", "padding", "window", "units"):
-            v = getattr(self, name)
-            if v is not None and not (name == "padding" and v == 0):
-                out[name] = v
+        for f in fields(self)[1:]:
+            v = getattr(self, f.name)
+            if v is not None and not (f.name == "padding" and v == 0):
+                out[f.name] = v
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "LayerSpec":
         obj = dict(obj)
         kind = obj.pop("kind", None)
-        if kind not in LAYER_KINDS:
-            raise UnsupportedLayerError(f"unknown layer kind {kind!r} in manifest")
-        known = {"out_channels", "kernel_size", "stride", "padding", "window", "units"}
-        bad = set(obj) - known
+        bad = set(obj) - {f.name for f in fields(cls)}
         if bad:
             raise FormatError(f"unknown layer fields {sorted(bad)}")
         not_int = sorted(name for name, v in obj.items() if type(v) is not int)
@@ -314,10 +311,7 @@ _BACKWARD = {
 def forward_layers(layers, x, keep_caches=False):
     caches = [] if keep_caches else None
     for layer in layers:
-        fn = _FORWARD.get(layer.spec.kind)
-        if fn is None:
-            raise UnsupportedLayerError(layer.spec.kind)
-        x, cache = fn(x, layer)
+        x, cache = _FORWARD[layer.spec.kind](x, layer)
         if keep_caches:
             caches.append(cache)
     return (x, caches) if keep_caches else x
@@ -329,11 +323,7 @@ def backward_layers(layers, caches, g):
     grads = [None] * len(layers)
     for idx in range(len(layers) - 1, -1, -1):
         layer = layers[idx]
-        fn = _BACKWARD.get(layer.spec.kind)
-        if fn is None:
-            raise UnsupportedLayerError(layer.spec.kind)
-        g, wg = fn(g, layer, caches[idx])
-        grads[idx] = wg
+        g, grads[idx] = _BACKWARD[layer.spec.kind](g, layer, caches[idx])
     return g, grads
 
 
@@ -395,6 +385,14 @@ class ModelBundle:
                 f"head output geometry {geom} does not match class count {self.class_count}"
             )
 
+    def check_grids(self, *grids: FeatureGrid):
+        """Raise ShapeError unless every grid has the head's input geometry."""
+        for G in grids:
+            if (G.h, G.w, G.d) != self.feature_shape:
+                raise ShapeError(
+                    f"grid geometry {(G.h, G.w, G.d)} does not match head input {self.feature_shape}"
+                )
+
     @property
     def h(self):
         return self.feature_shape[0]
@@ -408,18 +406,23 @@ class ModelBundle:
         return self.feature_shape[2]
 
 
-def _as_batch(model: ModelBundle, image: np.ndarray) -> np.ndarray:
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    if img.shape != tuple(model.input_shape):
-        raise ShapeError(f"image shape {img.shape} does not match model input {model.input_shape}")
-    return img[None]
+# images per forward pass in predict_batch
+_PREDICT_IMAGES = 256
+
+
+def _as_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
+    """(N, h, w[, c]) images as a float64 (N, h, w, c) batch of the model's input shape."""
+    imgs = np.asarray(images, dtype=np.float64)
+    if imgs.ndim == 3:
+        imgs = imgs[..., None]
+    if imgs.shape[1:] != tuple(model.input_shape):
+        raise ShapeError(f"image shape {imgs.shape[1:]} does not match model input {model.input_shape}")
+    return imgs
 
 
 def forward_features(model: ModelBundle, image: np.ndarray) -> FeatureGrid:
     """f(image): run the extractor, returning the spatial feature grid."""
-    out = forward_layers(model.extractor, _as_batch(model, image))
+    out = forward_layers(model.extractor, _as_batch(model, [image]))
     return FeatureGrid.from_array(out[0])
 
 
@@ -434,55 +437,38 @@ def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
 
 def head_logprobs(model: ModelBundle, F: FeatureGrid) -> LogProbVector:
     """g(F): class log-probabilities for one feature grid."""
-    if (F.h, F.w, F.d) != model.feature_shape:
-        raise ShapeError(
-            f"grid geometry {(F.h, F.w, F.d)} does not match head input {model.feature_shape}"
-        )
+    model.check_grids(F)
     return LogProbVector(head_logprobs_batch(model, F.values[None])[0])
 
 
 def head_input_gradient(
-    model: ModelBundle,
-    F: FeatureGrid,
-    target_class: int | None = None,
-    upstream: np.ndarray | None = None,
+    model: ModelBundle, F: FeatureGrid, target_class: int
 ) -> tuple[LogProbVector, np.ndarray]:
-    """g(F) and d(objective)/dF through the head, the latter as an (hw, d)
-    matrix; both come from one forward pass.
-
-    The objective is the log-probability of `target_class`; callers may instead
-    (or additionally) supply an explicit upstream gradient over the head output.
-    """
-    if (F.h, F.w, F.d) != model.feature_shape:
-        raise ShapeError(
-            f"grid geometry {(F.h, F.w, F.d)} does not match head input {model.feature_shape}"
-        )
+    """g(F) and the gradient of its `target_class` log-probability w.r.t. F,
+    the latter as an (hw, d) matrix; both come from one forward pass."""
+    model.check_grids(F)
     h, w, d = model.feature_shape
     x = F.values.reshape(1, h, w, d)
     out, caches = forward_layers(model.head, x, keep_caches=True)
     g = np.zeros((1, model.class_count))
-    if target_class is not None:
-        g[0, target_class] = 1.0
-    if upstream is not None:
-        g = g + np.asarray(upstream, dtype=np.float64).reshape(1, -1)
+    g[0, target_class] = 1.0
     gx, _ = backward_layers(model.head, caches, g)
     return LogProbVector(out[0]), gx.reshape(h * w, d)
 
 
 def full_logprobs(model: ModelBundle, image: np.ndarray) -> LogProbVector:
     """g(f(image)) through the full stack."""
-    out = forward_layers(model.head, forward_layers(model.extractor, _as_batch(model, image)))
+    out = forward_layers(model.head, forward_layers(model.extractor, _as_batch(model, [image])))
     return LogProbVector(out[0])
 
 
-def predict_batch(model: ModelBundle, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    imgs = np.asarray(images, dtype=np.float64)
-    if imgs.ndim == 3:
-        imgs = imgs[..., None]
+def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
+    """Predicted class of each image, evaluated `_PREDICT_IMAGES` images at a time."""
+    imgs = _as_batch(model, images)
     preds = []
-    for lo in range(0, len(imgs), batch_size):
-        out = forward_layers(model.head, forward_layers(model.extractor, imgs[lo : lo + batch_size]))
-        preds.append(np.argmax(out, axis=1))
+    for lo in range(0, len(imgs), _PREDICT_IMAGES):
+        features = forward_layers(model.extractor, imgs[lo : lo + _PREDICT_IMAGES])
+        preds.append(np.argmax(forward_layers(model.head, features), axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 

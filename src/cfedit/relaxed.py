@@ -11,11 +11,12 @@ score is re-evaluated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ExhaustedError, FormatError, ShapeError, is_number
-from .grids import FeatureGrid, single_edit
+from .errors import FormatError, is_number
+from .grids import FeatureGrid, open_cells, single_edit
 from .network import ModelBundle, head_input_gradient, head_logprobs
 
 MASK_LOGIT = -1e9
@@ -42,7 +43,7 @@ class RelaxOptConfig:
     max_steps: int = 300
     entropy_weight_gate: float = 0.1
     entropy_weight_align: float = 0.1
-    sharpness_stop: float = 0.95
+    sharpness_stop: ClassVar[float] = 0.95  # stop once the gate and its row's alignment both reach it
 
     def __post_init__(self):
         if not (is_number(self.learning_rate) and self.learning_rate > 0):
@@ -52,8 +53,6 @@ class RelaxOptConfig:
         for w in (self.entropy_weight_gate, self.entropy_weight_align):
             if not (is_number(w) and w >= 0):
                 raise FormatError(f"entropy weights must be nonnegative numbers, got {w!r}")
-        if not (is_number(self.sharpness_stop) and 0 < self.sharpness_stop <= 1):
-            raise FormatError(f"sharpness_stop must lie in (0, 1], got {self.sharpness_stop!r}")
 
     def to_json(self) -> dict:
         return {
@@ -61,7 +60,6 @@ class RelaxOptConfig:
             "max_steps": self.max_steps,
             "entropy_weight_gate": self.entropy_weight_gate,
             "entropy_weight_align": self.entropy_weight_align,
-            "sharpness_stop": self.sharpness_stop,
         }
 
 
@@ -127,25 +125,15 @@ def best_edit_relaxed(
     edit, so this drops into the greedy loop interchangeably with the
     exhaustive search.
     """
-    if (F.h, F.w, F.d) != (F2.h, F2.w, F2.d):
-        raise ShapeError("query and distractor grids must share geometry")
-    n = F.cells
-    q_mask = np.zeros(n)
-    s_mask = np.zeros(n)
-    for i in excluded_query:
-        q_mask[int(i)] = MASK_LOGIT
-    for j in excluded_source:
-        s_mask[int(j)] = MASK_LOGIT
-    if np.all(q_mask < 0) or np.all(s_mask < 0):
-        raise ExhaustedError("all candidate edits are excluded")
-
-    alpha = np.zeros(n)
-    M = np.zeros((n, n))
+    model.check_grids(F, F2)
+    open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
+    # excluded cells get zero mass, hence zero gradient, so their logits stay put
+    alpha = np.where(open_q, 0.0, MASK_LOGIT)
+    M = np.zeros((F.cells, F.cells))
+    M[:, ~open_s] = MASK_LOGIT
     trajectory = []
     for _ in range(opt.max_steps):
-        obj, dalpha, dM, a, P = relaxed_objective_and_grads(
-            model, F, F2, target_class, alpha + q_mask, M + s_mask[None, :], opt
-        )
+        obj, dalpha, dM, a, P = relaxed_objective_and_grads(model, F, F2, target_class, alpha, M, opt)
         trajectory.append(obj)
         i_star = int(np.argmax(a))
         if a[i_star] >= opt.sharpness_stop and P[i_star].max() >= opt.sharpness_stop:
@@ -153,8 +141,8 @@ def best_edit_relaxed(
         alpha += opt.learning_rate * dalpha
         M += opt.learning_rate * dM
 
-    a = softmax(alpha + q_mask)
-    P = softmax(M + s_mask[None, :])
+    a = softmax(alpha)
+    P = softmax(M)
     i = int(np.argmax(a))
     j2 = int(np.argmax(P[i]))
     score = head_logprobs(model, single_edit(F, F2, i, j2))[target_class]

@@ -238,17 +238,20 @@ def record_to_result(record: dict) -> ExplanationResult:
             raise FormatError(f"record missing field {key!r}")
     if record["record_version"] != RECORD_VERSION:
         raise FormatError(f"unsupported record_version {record['record_version']!r}")
-    g = record["grid"]
-    quads = tuple(tuple(e["cell"]) + tuple(e["source"]) for e in record["edits"])
-    return ExplanationResult(
-        EditList(quads, g["h"], g["w"]),
-        tuple((a, b) for a, b in record["trajectory"]),
-        record["status"],
-        record["query_class"],
-        record["target_class"],
-        record.get("query_id", ""),
-        record.get("distractor_id", ""),
-    )
+    try:
+        g = record["grid"]
+        quads = tuple(tuple(e["cell"]) + tuple(e["source"]) for e in record["edits"])
+        return ExplanationResult(
+            EditList(quads, g["h"], g["w"]),
+            tuple((a, b) for a, b in record["trajectory"]),
+            record["status"],
+            record["query_class"],
+            record["target_class"],
+            record.get("query_id", ""),
+            record.get("distractor_id", ""),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed record: {exc!r}") from exc
 
 
 def write_explanation(

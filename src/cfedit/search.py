@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustedError, FormatError, ShapeError, is_number
-from .grids import EditList, FeatureGrid, single_edit
+from .errors import FormatError, ShapeError, is_number
+from .grids import EditList, FeatureGrid, open_cells, single_edit
 from .network import ModelBundle, forward_features, forward_layers, head_logprobs, head_logprobs_batch
 from .relaxed import RelaxOptConfig, best_edit_relaxed
 
@@ -91,20 +91,10 @@ def best_edit_exhaustive(
 ) -> tuple[int, int, float]:
     """Single edit maximizing the target-class log-probability over all
     non-excluded (query cell, source cell) pairs. Returns (i, j2, score)."""
-    if (F.h, F.w, F.d) != (F2.h, F2.w, F2.d):
-        raise ShapeError("query and distractor grids must share geometry")
-    n = F.cells
-    scores = candidate_scores(model, F, F2, target_class)
-    mask = np.zeros((n, n), dtype=bool)
-    if len(excluded_query):
-        mask[np.fromiter(excluded_query, dtype=int), :] = True
-    if len(excluded_source):
-        mask[:, np.fromiter(excluded_source, dtype=int)] = True
-    if mask.all():
-        raise ExhaustedError("all candidate edits are excluded")
-    scores = np.where(mask, -np.inf, scores)
+    open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
+    scores = np.where(open_q[:, None] & open_s, candidate_scores(model, F, F2, target_class), -np.inf)
     flat = int(np.argmax(scores))  # first occurrence: smallest i, then smallest j2
-    i, j2 = divmod(flat, n)
+    i, j2 = divmod(flat, F.cells)
     return i, j2, float(scores[i, j2])
 
 
@@ -122,11 +112,7 @@ def candidate_scores(
     source rows score bit-identically.  Any other head is scored by building
     the edited grids and running the whole head.
     """
-    for G in (F, F2):
-        if (G.h, G.w, G.d) != model.feature_shape:
-            raise ShapeError(
-                f"grid geometry {(G.h, G.w, G.d)} does not match head input {model.feature_shape}"
-            )
+    model.check_grids(F, F2)
     n, d = F.values.shape
     head = model.head
     if head[0].spec.kind == "flatten" and head[1].spec.kind == "dense":
@@ -179,7 +165,8 @@ def greedy_counterfactual(
         )
 
     h, w = F.h, F.w
-    max_edits = config.max_edits if config.max_edits is not None else F.cells
+    # every step closes its query cell, so no run can outlast the cell count
+    max_edits = min(config.max_edits or F.cells, F.cells)
     excluded_q: list[int] = []
     excluded_s: list[int] = []
     quads = []
@@ -187,14 +174,11 @@ def greedy_counterfactual(
     current = F
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:
-        try:
-            step = (model, current, F2, target_class, excluded_q, excluded_s)
-            if config.relax is None:
-                i, j2, _ = best_edit_exhaustive(*step)
-            else:
-                i, j2, _, _ = best_edit_relaxed(*step, config.relax)
-        except ExhaustedError:
-            break
+        step = (model, current, F2, target_class, excluded_q, excluded_s)
+        if config.relax is None:
+            i, j2, _ = best_edit_exhaustive(*step)
+        else:
+            i, j2, _, _ = best_edit_relaxed(*step, config.relax)
         current = single_edit(current, F2, i, j2)
         quads.append((i // w, i % w, j2 // w, j2 % w))
         excluded_q.append(i)

@@ -293,6 +293,65 @@ class TestConfigAndErrors:
         assert err["type"] == "FormatError"
         assert "query_class" in err["message"]
 
+    @pytest.mark.parametrize("command", ["evaluate", "render"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("edits", [{"source": [1, 0]}]),
+            ("grid", {"w": 2}),
+            ("grid", [2, 2]),
+            ("edits", 5),
+            ("edits", [{"cell": ["a", 1], "source": [1, 0]}]),
+            ("trajectory", [[-0.1, -2.0, 0.0], [-1.0, -0.5]]),
+        ],
+        ids=[
+            "edit-without-cell", "grid-without-h", "grid-not-object", "edits-not-list",
+            "cell-not-integer", "trajectory-not-pairs",
+        ],
+    )
+    def test_malformed_record_is_one_error_line(self, cli_model, tmp_path, capsys, command, field, value):
+        record = {
+            "record_version": 1,
+            "grid": {"h": 2, "w": 2},
+            "edits": [{"cell": [0, 1], "source": [1, 0]}],
+            "trajectory": [[-0.1, -2.0], [-1.0, -0.5]],
+            "status": "flipped",
+            "query_class": 0,
+            "target_class": 1,
+            "query_index": 0,
+            "distractor_index": 1,
+        }
+        record[field] = value
+        records = tmp_path / "records"
+        records.mkdir()
+        (records / "pair_0000.json").write_text(json.dumps(record))
+        out = tmp_path / "out"
+        if command == "evaluate":
+            argv = ["evaluate", "--records", str(records), "--out", str(out)]
+        else:
+            argv = ["render", *BATCH_ARGS, "--model", cli_model,
+                    "--record", str(records / "pair_0000.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert json.loads(lines[0][len("error: "):])["type"] == "FormatError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["8", "20"])
+    def test_image_size_unlike_model_input(self, cli_model, tmp_path, capsys, size):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        rc = main(
+            ["explain", "--dataset", "shapes", "--shapes-count", "40", "--shapes-size", size,
+             "--model", cli_model, "--query-index", "0", "--distractor-index", "1", "--out", str(out)]
+        )
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "ShapeError" and "model input" in err["message"]
+        assert not out.exists()
+
     def test_manifest_non_integer_layer_field(self, tmp_path, capsys):
         bundle = str(tmp_path / "bundle")
         save_model(identity_feature_model(2, 2, 1, 2), bundle)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfedit import search
-from cfedit.errors import ExhaustedError
+from cfedit.errors import ExhaustedError, ShapeError
 from cfedit.grids import FeatureGrid, single_edit
 from cfedit.network import LayerSpec, head_logprobs
 from cfedit.relaxed import RelaxOptConfig, best_edit_relaxed
@@ -86,6 +87,31 @@ class TestBestEditExhaustive:
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         with pytest.raises(ExhaustedError):
             best_edit_exhaustive(model, F, F, 1, excluded_query=range(4))
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [best_edit_exhaustive, functools.partial(best_edit_relaxed, opt=RelaxOptConfig(max_steps=5))],
+    ids=["exhaustive", "relaxed"],
+)
+class TestSolverEdgeCases:
+    def test_all_source_cells_excluded_raises(self, solver):
+        rng = np.random.default_rng(3)
+        model = identity_feature_model(2, 2, 1, 2)
+        F, F2 = random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1)
+        with pytest.raises(ExhaustedError):
+            solver(model, F, F2, 1, excluded_source=range(4))
+
+    @pytest.mark.parametrize("other", [(2, 3, 1), (2, 2, 2)], ids=["grid-size", "depth"])
+    def test_mismatched_geometry_raises(self, solver, other):
+        rng = np.random.default_rng(5)
+        model = identity_feature_model(2, 2, 1, 2)
+        F = random_grid(rng, 2, 2, 1)
+        G = random_grid(rng, *other)
+        with pytest.raises(ShapeError, match="head input"):
+            solver(model, F, G, 1)
+        with pytest.raises(ShapeError, match="head input"):
+            solver(model, G, F, 1)
 
 
 class TestGreedy:
