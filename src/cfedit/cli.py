@@ -128,8 +128,8 @@ DEFAULTS = {
     "strategy": "exhaustive",
     "max_edits": None,
     "exclusion_policy": "query-and-distractor-cells",
-    "relax_lr": 0.3,
-    "relax_steps": 300,
+    "relax_lr": RelaxOptConfig().learning_rate,
+    "relax_steps": RelaxOptConfig().max_steps,
     "pairs": 50,
     "instances": 100,
 }

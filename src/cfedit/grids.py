@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ExhaustedError, ModeError, ShapeError
+from .errors import BoundsError, ExhaustedError, FormatError, ModeError, ShapeError, is_number
 
 SIMPLEX_TOL = 1e-6
 
@@ -169,6 +169,9 @@ class EditList:
     w: int
 
     def __post_init__(self):
+        for e in self.edits:
+            if not all(is_number(v, integer=True) for v in e):
+                raise FormatError(f"edit {e!r} has a cell coordinate that is not an integer")
         norm = tuple(tuple(int(v) for v in e) for e in self.edits)
         seen = set()
         for (i, j, i2, j2) in norm:

@@ -2,10 +2,10 @@
 
 The binary gate and permutation alignment are relaxed to a simplex vector and
 a row-stochastic matrix, both parameterized through softmax so the constraints
-hold by construction.  Plain gradient ascent maximizes the target-class
-log-probability of the blended grid minus entropy penalties that sharpen the
-distributions; the result is rounded back to a single discrete edit whose
-score is re-evaluated exactly.
+hold by construction.  Adam (Kingma & Ba, ICLR 2015) ascends the
+target-class log-probability of the blended grid minus entropy penalties that
+sharpen the distributions; the result is rounded back to a single discrete
+edit whose score is re-evaluated exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .grids import FeatureGrid, open_cells, single_edit
 from .network import ModelBundle, head_input_gradient, head_logprobs
 
 MASK_LOGIT = -1e9
+# Adam's moment decays and denominator guard; RelaxOptConfig.learning_rate is its step size
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -109,6 +113,33 @@ def relaxed_objective_and_grads(
     return objective, dalpha, dM, a, P
 
 
+def ascent_steps(
+    model: ModelBundle,
+    F: FeatureGrid,
+    F2: FeatureGrid,
+    target_class: int,
+    alpha: np.ndarray,
+    M: np.ndarray,
+    opt: RelaxOptConfig,
+):
+    """Bias-corrected Adam ascent on the logits `alpha` and `M`, updated in place.
+
+    Yields (objective, a, P) at each iterate before stepping from it, at most
+    `opt.max_steps` times.  A logit whose gradient is always exactly zero (a
+    closed cell at MASK_LOGIT) keeps zero moments and so never moves.
+    """
+    moments = [(np.zeros_like(x), np.zeros_like(x)) for x in (alpha, M)]
+    for t in range(1, opt.max_steps + 1):
+        obj, dalpha, dM, a, P = relaxed_objective_and_grads(model, F, F2, target_class, alpha, M, opt)
+        yield obj, a, P
+        for x, g, (m, v) in zip((alpha, M), (dalpha, dM), moments):
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            x += opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
 def best_edit_relaxed(
     model: ModelBundle,
     F: FeatureGrid,
@@ -132,14 +163,11 @@ def best_edit_relaxed(
     M = np.zeros((F.cells, F.cells))
     M[:, ~open_s] = MASK_LOGIT
     trajectory = []
-    for _ in range(opt.max_steps):
-        obj, dalpha, dM, a, P = relaxed_objective_and_grads(model, F, F2, target_class, alpha, M, opt)
+    for obj, a, P in ascent_steps(model, F, F2, target_class, alpha, M, opt):
         trajectory.append(obj)
         i_star = int(np.argmax(a))
         if a[i_star] >= opt.sharpness_stop and P[i_star].max() >= opt.sharpness_stop:
             break
-        alpha += opt.learning_rate * dalpha
-        M += opt.learning_rate * dM
 
     a = softmax(alpha)
     P = softmax(M)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_raster
-from .errors import FormatError, ShapeError, UnsupportedLayerError
+from .errors import FormatError, ShapeError, UnsupportedLayerError, is_number
 from .grids import EditList
 from .search import ExplanationResult, SearchConfig
 
@@ -238,6 +238,9 @@ def record_to_result(record: dict) -> ExplanationResult:
             raise FormatError(f"record missing field {key!r}")
     if record["record_version"] != RECORD_VERSION:
         raise FormatError(f"unsupported record_version {record['record_version']!r}")
+    for key in ("query_class", "target_class"):
+        if not (is_number(record[key], integer=True) and record[key] >= 0):
+            raise FormatError(f"record {key} must be a nonnegative integer, got {record[key]!r}")
     try:
         g = record["grid"]
         quads = tuple(tuple(e["cell"]) + tuple(e["source"]) for e in record["edits"])

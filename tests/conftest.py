@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from cfedit.data import gen_shapes
 from cfedit.grids import FeatureGrid
 from cfedit.network import (
     LayerSpec,
@@ -124,4 +125,19 @@ def digits_model(digits_surrogate):
         test_images=digits_surrogate["test_images"],
         test_labels=digits_surrogate["test_labels"],
         class_count=10,
+    )
+
+
+@pytest.fixture(scope="session")
+def shapes_model():
+    """Reference architecture trained for a few seconds on 600 28x28 shapes
+    (train accuracy 0.95): an always-available stand-in for the MNIST model."""
+    ds = gen_shapes(600, size=28, seed=0, split="train")
+    return train(
+        reference_extractor_specs(),
+        reference_head_specs(ds.class_count),
+        ds.images,
+        ds.labels,
+        TrainConfig(epochs=8, seed=0, learning_rate=0.05),
+        class_count=ds.class_count,
     )

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from cfedit.cli import main
+from cfedit.cli import DEFAULTS, main
 from cfedit.network import save_model
+from cfedit.relaxed import RelaxOptConfig
 
 from conftest import identity_feature_model
 
@@ -151,6 +152,10 @@ class TestFidelity:
 
 
 class TestConfigAndErrors:
+    def test_relaxed_defaults_are_the_solver_defaults(self):
+        opt = RelaxOptConfig()
+        assert (DEFAULTS["relax_lr"], DEFAULTS["relax_steps"]) == (opt.learning_rate, opt.max_steps)
+
     def test_config_file_applies_and_flags_override(self, cli_model, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"shapes_count": 600, "pairs": 1}))
@@ -303,10 +308,17 @@ class TestConfigAndErrors:
             ("edits", 5),
             ("edits", [{"cell": ["a", 1], "source": [1, 0]}]),
             ("trajectory", [[-0.1, -2.0, 0.0], [-1.0, -0.5]]),
+            ("edits", [{"cell": [0.7, True], "source": [1, 0]}]),
+            ("edits", [{"cell": [0, 1], "source": [1.0, 0]}]),
+            ("query_class", "x"),
+            ("query_class", 0.0),
+            ("target_class", -1),
+            ("target_class", None),
         ],
         ids=[
             "edit-without-cell", "grid-without-h", "grid-not-object", "edits-not-list",
-            "cell-not-integer", "trajectory-not-pairs",
+            "cell-not-integer", "trajectory-not-pairs", "cell-fraction-and-bool", "source-float",
+            "query-class-string", "query-class-float", "target-class-negative", "target-class-null",
         ],
     )
     def test_malformed_record_is_one_error_line(self, cli_model, tmp_path, capsys, command, field, value):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfedit.errors import BoundsError, ModeError, ShapeError
+from cfedit.errors import BoundsError, FormatError, ModeError, ShapeError
 from cfedit.grids import (
     AlignmentMatrix,
     EditList,
@@ -68,6 +68,11 @@ class TestTypes:
     def test_edit_list_bounds(self):
         with pytest.raises(BoundsError):
             EditList(((0, 2, 0, 0),), 2, 2)
+
+    @pytest.mark.parametrize("edit", [(0.7, True, 0, 0), (0, 1, 1.0, 0), (0, 1, "1", 0)])
+    def test_edit_list_rejects_non_integer_cells(self, edit):
+        with pytest.raises(FormatError):
+            EditList((edit,), 2, 2)
 
 
 class TestApplyEdits:

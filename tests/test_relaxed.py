@@ -4,7 +4,9 @@ import pytest
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid
 from cfedit.relaxed import (
+    MASK_LOGIT,
     RelaxOptConfig,
+    ascent_steps,
     best_edit_relaxed,
     entropy_penalty,
     relaxed_objective_and_grads,
@@ -91,13 +93,31 @@ class TestObjectiveGradients:
         opt = RelaxOptConfig(max_steps=50)
         alpha = np.zeros(4)
         M = np.zeros((4, 4))
-        for _ in range(50):
-            _, dalpha, dM, a, P = relaxed_objective_and_grads(model, F, F2, 1, alpha, M, opt)
+        steps = 0
+        for _, a, P in ascent_steps(model, F, F2, 1, alpha, M, opt):
             assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-6
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
-            alpha += opt.learning_rate * dalpha
-            M += opt.learning_rate * dM
+            steps += 1
+        assert steps == 50
+
+    def test_first_step_moves_each_logit_by_learning_rate(self):
+        # bias-corrected Adam's first step is lr * g / (|g| + eps): about the
+        # step size times the gradient's sign
+        rng = np.random.default_rng(5)
+        model = identity_feature_model(3, 3, 2, 3, seed=21, linear=False)
+        F = random_grid(rng, 3, 3, 2)
+        F2 = random_grid(rng, 3, 3, 2)
+        opt = RelaxOptConfig(learning_rate=0.25, max_steps=2)
+        alpha = rng.normal(size=9) * 0.5
+        M = rng.normal(size=(9, 9)) * 0.5
+        alpha0, M0 = alpha.copy(), M.copy()
+        _, dalpha, dM, _, _ = relaxed_objective_and_grads(model, F, F2, 2, alpha0, M0, opt)
+        steps = ascent_steps(model, F, F2, 2, alpha, M, opt)
+        next(steps)
+        next(steps)  # resuming runs the first update
+        np.testing.assert_allclose(alpha - alpha0, 0.25 * dalpha / (np.abs(dalpha) + 1e-8), rtol=1e-9)
+        np.testing.assert_allclose(M - M0, 0.25 * dM / (np.abs(dM) + 1e-8), rtol=1e-9)
 
 
 class TestBestEditRelaxed:
@@ -131,26 +151,42 @@ class TestBestEditRelaxed:
         excluded_q = [0, 4]
         excluded_s = [2, 8]
         opt = RelaxOptConfig(max_steps=60)
-        # mirror the optimizer loop to inspect the soft distributions at every step
-        from cfedit.relaxed import MASK_LOGIT
-
-        q_mask = np.zeros(9)
-        s_mask = np.zeros(9)
-        q_mask[excluded_q] = MASK_LOGIT
-        s_mask[excluded_s] = MASK_LOGIT
+        # start from the solver's masked logits and inspect the soft distributions at every step
         alpha = np.zeros(9)
+        alpha[excluded_q] = MASK_LOGIT
         M = np.zeros((9, 9))
-        for _ in range(60):
-            _, dalpha, dM, a, P = relaxed_objective_and_grads(
-                model, F, F2, 1, alpha + q_mask, M + s_mask[None, :], opt
-            )
+        M[:, excluded_s] = MASK_LOGIT
+        steps = 0
+        for _, a, P in ascent_steps(model, F, F2, 1, alpha, M, opt):
             assert np.all(a[excluded_q] < 1e-12)
             assert np.all(P[:, excluded_s] < 1e-12)
-            alpha += opt.learning_rate * dalpha
-            M += opt.learning_rate * dM
+            steps += 1
+        assert steps == 60
         i, j2, _, _ = best_edit_relaxed(model, F, F2, 1, excluded_q, excluded_s, opt)
         assert i not in excluded_q
         assert j2 not in excluded_s
+
+    def test_closed_logits_stay_exactly_masked(self):
+        # closed cells get exactly zero gradient, so zero Adam moments and zero steps
+        rng = np.random.default_rng(12)
+        model = identity_feature_model(3, 3, 2, 3, seed=17, linear=False)
+        F = random_grid(rng, 3, 3, 2)
+        F2 = random_grid(rng, 3, 3, 2)
+        opt = RelaxOptConfig()
+        excluded_q = [1, 5, 6]
+        excluded_s = [0, 7]
+        alpha = np.zeros(9)
+        alpha[excluded_q] = MASK_LOGIT
+        M = np.zeros((9, 9))
+        M[:, excluded_s] = MASK_LOGIT
+        steps = sum(1 for _ in ascent_steps(model, F, F2, 0, alpha, M, opt))
+        assert steps == opt.max_steps
+        assert np.all(alpha[excluded_q] == MASK_LOGIT)
+        assert np.all(M[:, excluded_s] == MASK_LOGIT)
+        open_q = np.setdiff1d(np.arange(9), excluded_q)
+        open_s = np.setdiff1d(np.arange(9), excluded_s)
+        assert np.all(alpha[open_q] != 0.0) and np.all(np.abs(alpha[open_q]) < 1e3)
+        assert np.all(M[np.ix_(open_q, open_s)] != 0.0)
 
     def test_all_excluded_raises(self):
         model = identity_feature_model(2, 2, 1, 2)
