@@ -7,14 +7,13 @@ model's decision to the distractor's class, and renders those edits back to
 pixel space via receptive fields.
 """
 
-from .grids import AlignmentMatrix, EditList, FeatureGrid, GateVector, apply_edits, extract_edit_set, single_edit
+from .grids import AlignmentMatrix, EditList, FeatureGrid, GateVector, apply_edits, single_edit
 from .network import (
     LayerSpec,
     LogProbVector,
     ModelBundle,
     TrainConfig,
     forward_features,
-    full_logprobs,
     head_input_gradient,
     head_logprobs,
     load_model,
@@ -23,7 +22,7 @@ from .network import (
     save_model,
     train,
 )
-from .relaxed import RelaxOptConfig, best_edit_relaxed, entropy_penalty, softmax
+from .relaxed import RelaxOptConfig, best_edit_relaxed, softmax
 from .search import ExplanationResult, SearchConfig, best_edit_exhaustive, greedy_counterfactual
 
 __all__ = [
@@ -41,10 +40,7 @@ __all__ = [
     "apply_edits",
     "best_edit_exhaustive",
     "best_edit_relaxed",
-    "entropy_penalty",
-    "extract_edit_set",
     "forward_features",
-    "full_logprobs",
     "greedy_counterfactual",
     "head_input_gradient",
     "head_logprobs",

@@ -140,11 +140,14 @@ CHOICES = {
     "exclusion_policy": ("query-cells-only", "query-and-distractor-cells"),
 }
 
+# smallest accepted value of numeric keys that no constructor checks downstream
+MINIMUM = {"seed": 0, "pairs": 1, "instances": 1}
+
 
 def resolve_config(args) -> dict:
     """DEFAULTS < config file < explicit flags.  Values of numeric keys must be
-    numbers (integers where the default is one) and keys in CHOICES must take
-    one of their listed values."""
+    numbers (integers where the default is one), at least their MINIMUM, and
+    keys in CHOICES must take one of their listed values."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -165,6 +168,8 @@ def resolve_config(args) -> dict:
         if type(default) in (int, float) and not is_number(cfg[key], integer=type(default) is int):
             kind = "an integer" if type(default) is int else "a number"
             raise FormatError(f"config {key} must be {kind}, got {cfg[key]!r}")
+        if key in MINIMUM and cfg[key] < MINIMUM[key]:
+            raise FormatError(f"config {key} must be at least {MINIMUM[key]}, got {cfg[key]!r}")
     return cfg
 
 

@@ -55,16 +55,6 @@ class FeatureGrid:
     def cells(self) -> int:
         return self.h * self.w
 
-    def cell_index(self, row: int, col: int) -> int:
-        if not (0 <= row < self.h and 0 <= col < self.w):
-            raise BoundsError(f"cell ({row}, {col}) outside {self.h}x{self.w} grid")
-        return row * self.w + col
-
-    def cell_coords(self, i: int) -> tuple[int, int]:
-        if not (0 <= i < self.cells):
-            raise BoundsError(f"cell index {i} outside [0, {self.cells})")
-        return divmod(i, self.w)
-
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "FeatureGrid":
         """Build from an (h, w, d) array."""
@@ -73,9 +63,6 @@ class FeatureGrid:
             raise ShapeError(f"expected 3-d array, got shape {arr.shape}")
         h, w, d = arr.shape
         return cls(h, w, d, arr.reshape(h * w, d))
-
-    def to_array(self) -> np.ndarray:
-        return self.values.reshape(self.h, self.w, self.d).copy()
 
 
 @dataclass(frozen=True)
@@ -106,14 +93,6 @@ class GateVector:
     def zeros(cls, n: int) -> "GateVector":
         return cls(np.zeros(n), "discrete")
 
-    @classmethod
-    def one_hot(cls, n: int, i: int) -> "GateVector":
-        if not (0 <= i < n):
-            raise BoundsError(f"cell index {i} outside [0, {n})")
-        w = np.zeros(n)
-        w[i] = 1.0
-        return cls(w, "discrete")
-
 
 @dataclass(frozen=True)
 class AlignmentMatrix:
@@ -142,23 +121,12 @@ class AlignmentMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def identity(cls, n: int) -> "AlignmentMatrix":
-        return cls(np.eye(n), "permutation")
-
-    @classmethod
     def from_source_map(cls, sources: np.ndarray) -> "AlignmentMatrix":
         """Permutation whose row i selects source cell sources[i]."""
         n = len(sources)
         m = np.zeros((n, n))
         m[np.arange(n), sources] = 1.0
         return cls(m, "permutation")
-
-    def source_of(self, i: int) -> int:
-        """Source cell selected by row i (permutation mode)."""
-        if self.mode != "permutation":
-            raise ModeError("source_of requires permutation mode")
-        return int(np.argmax(self.entries[i]))
-
 
 @dataclass(frozen=True)
 class EditList:
@@ -241,17 +209,3 @@ def open_cells(n: int, excluded_query=(), excluded_source=()) -> tuple[np.ndarra
         raise ExhaustedError("all candidate edits are excluded")
     return open_q, open_s
 
-
-def extract_edit_set(a: GateVector, P: AlignmentMatrix, h: int, w: int) -> EditList:
-    """Open-gate cells with their alignment sources, by ascending query cell."""
-    if a.mode != "discrete":
-        raise ModeError("gate is relaxed; round to discrete before extracting edits")
-    if P.mode != "permutation":
-        raise ModeError("alignment is row-stochastic; round to a permutation first")
-    if len(a) != h * w or P.n != h * w:
-        raise ShapeError("gate/alignment size does not match h*w")
-    edits = []
-    for i in np.flatnonzero(a.weights == 1.0):
-        src = P.source_of(int(i))
-        edits.append((i // w, i % w, src // w, src % w))
-    return EditList(tuple(edits), h, w)

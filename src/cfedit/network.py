@@ -456,12 +456,6 @@ def head_input_gradient(
     return LogProbVector(out[0]), gx.reshape(h * w, d)
 
 
-def full_logprobs(model: ModelBundle, image: np.ndarray) -> LogProbVector:
-    """g(f(image)) through the full stack."""
-    out = forward_layers(model.head, forward_layers(model.extractor, _as_batch(model, [image])))
-    return LogProbVector(out[0])
-
-
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
     """Predicted class of each image, evaluated `_PREDICT_IMAGES` images at a time."""
     imgs = _as_batch(model, images)
@@ -476,10 +470,12 @@ def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
 # training
 # ---------------------------------------------------------------------------
 
+MOMENTUM = 0.9  # velocity decay of the SGD trainer
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
-    momentum: float = 0.9
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
@@ -550,7 +546,7 @@ def train(
             _, wgrads = backward_layers(all_layers, caches, g)
             for ly, vel, wg in zip(all_layers, velocity, wgrads):
                 for name, grad in wg.items():
-                    vel[name] = config.momentum * vel[name] - config.learning_rate * grad
+                    vel[name] = MOMENTUM * vel[name] - config.learning_rate * grad
                     ly.weights[name] += vel[name]
             step += 1
 

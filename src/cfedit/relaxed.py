@@ -24,6 +24,9 @@ MASK_LOGIT = -1e9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# weights of the gate entropy and of the gate-weighted alignment entropies in the objective
+ENTROPY_WEIGHT_GATE = 0.1
+ENTROPY_WEIGHT_ALIGN = 0.1
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -34,21 +37,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy_penalty(p: np.ndarray) -> float:
-    """Shannon entropy -sum p ln p with 0 ln 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-terms.sum())
-
-
 @dataclass(frozen=True)
 class RelaxOptConfig:
     learning_rate: float = 0.3
     # with Adam, instances that sharpen do so in about 30 steps; the rest sit at a
     # mixed gate whose rounding no longer changes, so more steps only cost time
     max_steps: int = 60
-    entropy_weight_gate: float = 0.1
-    entropy_weight_align: float = 0.1
     sharpness_stop: ClassVar[float] = 0.95  # stop once the gate and its row's alignment both reach it
 
     def __post_init__(self):
@@ -56,17 +50,9 @@ class RelaxOptConfig:
             raise FormatError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
         if not (is_number(self.max_steps, integer=True) and self.max_steps > 0):
             raise FormatError(f"max_steps must be a positive integer, got {self.max_steps!r}")
-        for w in (self.entropy_weight_gate, self.entropy_weight_align):
-            if not (is_number(w) and w >= 0):
-                raise FormatError(f"entropy weights must be nonnegative numbers, got {w!r}")
 
     def to_json(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_steps": self.max_steps,
-            "entropy_weight_gate": self.entropy_weight_gate,
-            "entropy_weight_align": self.entropy_weight_align,
-        }
+        return {"learning_rate": self.learning_rate, "max_steps": self.max_steps}
 
 
 def relaxed_objective_and_grads(
@@ -81,8 +67,10 @@ def relaxed_objective_and_grads(
     """Objective value and its analytic gradients w.r.t. the logits (alpha, M).
 
     objective = g_target(blend) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
-    where a = softmax(alpha) and p_i = softmax(M[i]): each row's alignment
-    entropy is weighted by its gate mass.
+    where a = softmax(alpha), p_i = softmax(M[i]), H(p) = -sum p ln p with
+    0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
+    each row's alignment entropy is weighted by its gate mass.  `opt` is not
+    read: every weight in the objective is a module constant.
     """
     a = softmax(alpha)
     P = softmax(M)
@@ -95,19 +83,15 @@ def relaxed_objective_and_grads(
     log_P = np.log(np.where(P > 0, P, 1.0))
     H_a = float(-(a * log_a).sum())
     H_rows = -(P * log_P).sum(axis=1)
-    objective = (
-        lp[target_class]
-        - opt.entropy_weight_gate * H_a
-        - opt.entropy_weight_align * float(a @ H_rows)
-    )
+    objective = lp[target_class] - ENTROPY_WEIGHT_GATE * H_a - ENTROPY_WEIGHT_ALIGN * float(a @ H_rows)
 
     # d objective / d a
     da = (G * (PF2 - F.values)).sum(axis=1)
-    da += opt.entropy_weight_gate * (log_a + 1.0)
-    da -= opt.entropy_weight_align * H_rows
+    da += ENTROPY_WEIGHT_GATE * (log_a + 1.0)
+    da -= ENTROPY_WEIGHT_ALIGN * H_rows
     # d objective / d P
     dP = a[:, None] * (G @ F2.values.T)
-    dP += opt.entropy_weight_align * a[:, None] * (log_P + 1.0)
+    dP += ENTROPY_WEIGHT_ALIGN * a[:, None] * (log_P + 1.0)
 
     # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g)
     dalpha = a * (da - float(a @ da))

@@ -6,7 +6,7 @@ rectangles on the image (soft radial falloff by default, hard boxes for
 bit-exact tests); the composite view pastes the distractor's highlighted
 patch onto the query, center-aligned, using highlight intensity as per-pixel
 alpha.  Explanation records are versioned JSON with stable key order;
-rasters go through the PGM/PPM codec in `data`.
+rasters go through the PGM/PPM writer in `data`.
 """
 
 from __future__ import annotations
@@ -232,17 +232,22 @@ def result_to_record(
 
 
 def record_to_result(record: dict) -> ExplanationResult:
+    if not isinstance(record, dict):
+        raise FormatError(f"record must be a JSON object, got {type(record).__name__}")
     required = ("record_version", "grid", "edits", "trajectory", "status", "query_class", "target_class")
     for key in required:
         if key not in record:
             raise FormatError(f"record missing field {key!r}")
-    if record["record_version"] != RECORD_VERSION:
-        raise FormatError(f"unsupported record_version {record['record_version']!r}")
+    version = record["record_version"]
+    if not (is_number(version, integer=True) and version == RECORD_VERSION):
+        raise FormatError(f"unsupported record_version {version!r}")
     for key in ("query_class", "target_class"):
         if not (is_number(record[key], integer=True) and record[key] >= 0):
             raise FormatError(f"record {key} must be a nonnegative integer, got {record[key]!r}")
+    g = record["grid"]
+    if not (isinstance(g, dict) and all(is_number(g.get(k), integer=True) and g[k] > 0 for k in "hw")):
+        raise FormatError(f"record grid must hold positive integers h and w, got {g!r}")
     try:
-        g = record["grid"]
         quads = tuple(tuple(e["cell"]) + tuple(e["source"]) for e in record["edits"])
         return ExplanationResult(
             EditList(quads, g["h"], g["w"]),
@@ -253,7 +258,7 @@ def record_to_result(record: dict) -> ExplanationResult:
             record.get("query_id", ""),
             record.get("distractor_id", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed record: {exc!r}") from exc
 
 
@@ -290,7 +295,7 @@ def read_explanation(record_path: str) -> tuple[ExplanationResult, dict]:
     try:
         with open(record_path) as fh:
             record = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
         raise FormatError(f"{record_path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"{record_path}: {exc}") from exc

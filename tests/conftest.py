@@ -1,9 +1,12 @@
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from cfedit.data import gen_shapes
+from cfedit.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, gen_shapes
+from cfedit.errors import FormatError
 from cfedit.grids import FeatureGrid
 from cfedit.network import (
     LayerSpec,
@@ -39,6 +42,43 @@ def mnist_paths_or_skip():
             f"{base}); dataset downloads are blocked in this environment"
         )
     return paths
+
+
+def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np.ndarray):
+    """Inverse of load_idx, for fixtures."""
+    imgs = np.asarray(images)
+    if imgs.ndim == 4 and imgs.shape[3] == 1:
+        imgs = imgs[..., 0]
+    data = np.round(np.clip(imgs, 0, 1) * 255.0).astype(np.uint8)
+    n, rows, cols = data.shape
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
+        fh.write(data.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
+        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+_RASTER_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def read_raster(path: str) -> np.ndarray:
+    """Inverse of write_raster (binary PGM/PPM, maxval 255), for checking rendered files."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # exactly one whitespace byte ends the header; pixel bytes may look like whitespace
+    header = _RASTER_HEADER.match(blob)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PGM/PPM file")
+    magic = header.group(1)
+    w, h, maxval = (int(v) for v in header.group(2, 3, 4))
+    if maxval != 255:
+        raise FormatError(f"{path}: unsupported maxval {maxval}")
+    channels = 3 if magic == b"P6" else 1
+    data = np.frombuffer(blob[header.end() : header.end() + h * w * channels], dtype=np.uint8)
+    if data.size != h * w * channels:
+        raise FormatError(f"{path}: truncated pixel data")
+    return data.reshape((h, w, 3) if channels == 3 else (h, w)).astype(np.float64) / 255.0
 
 
 def make_model(ext_specs, head_specs, input_shape, class_count, seed=0) -> ModelBundle:

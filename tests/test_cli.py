@@ -192,11 +192,17 @@ class TestConfigAndErrors:
             (["train", "--batch-size", "-4"], None, "batch_size"),
             (["train", "--learning-rate", "0"], None, "learning_rate"),
             (["train"], {"epochs": "2"}, "epochs"),
+            (["batch-explain", "--seed", "-1"], None, "seed"),
+            (["train"], {"seed": -3}, "seed"),
+            (["batch-explain", "--pairs", "-1"], None, "pairs"),
+            (["batch-explain"], {"pairs": 0}, "pairs"),
+            (["fidelity", "--instances", "0"], None, "instances"),
         ],
         ids=[
             "relax-lr", "max-edits-zero", "exclusion-policy", "max-edits-string", "strategy",
             "pairs-string", "relax-steps-float", "config-not-object", "batch-size-zero",
-            "batch-size-negative", "learning-rate-zero", "epochs-string",
+            "batch-size-negative", "learning-rate-zero", "epochs-string", "seed-negative",
+            "seed-negative-in-file", "pairs-negative", "pairs-zero", "instances-zero",
         ],
     )
     def test_bad_config_value_is_one_error_line(self, cli_model, tmp_path, capsys, argv, file_cfg, field):
@@ -314,11 +320,19 @@ class TestConfigAndErrors:
             ("query_class", 0.0),
             ("target_class", -1),
             ("target_class", None),
+            ("record_version", True),
+            ("grid", {"h": -3, "w": 2}),
+            ("grid", {"h": 2.0, "w": 2}),
+            ("trajectory", [[-0.1, -2.0], [-1.0, 10**400]]),
+            (None, 5),
+            (None, None),
         ],
         ids=[
             "edit-without-cell", "grid-without-h", "grid-not-object", "edits-not-list",
             "cell-not-integer", "trajectory-not-pairs", "cell-fraction-and-bool", "source-float",
             "query-class-string", "query-class-float", "target-class-negative", "target-class-null",
+            "version-bool", "grid-negative-h", "grid-float-h", "trajectory-int-overflow", "record-int",
+            "record-null",
         ],
     )
     def test_malformed_record_is_one_error_line(self, cli_model, tmp_path, capsys, command, field, value):
@@ -333,7 +347,10 @@ class TestConfigAndErrors:
             "query_index": 0,
             "distractor_index": 1,
         }
-        record[field] = value
+        if field is None:  # the value replaces the whole record
+            record = value
+        else:
+            record[field] = value
         records = tmp_path / "records"
         records.mkdir()
         (records / "pair_0000.json").write_text(json.dumps(record))

@@ -8,9 +8,11 @@ from cfedit.grids import (
     FeatureGrid,
     GateVector,
     apply_edits,
-    extract_edit_set,
     single_edit,
 )
+
+
+IDENTITY_4 = AlignmentMatrix.from_source_map(np.arange(4))  # each cell its own source
 
 
 def grid_2x2():
@@ -39,10 +41,15 @@ class TestTypes:
             FeatureGrid(1, 2, 1, np.array([[np.nan], [0.0]]))
 
     def test_cell_index_bijection(self):
-        F = FeatureGrid(3, 4, 1, np.zeros((12, 1)))
-        for row in range(3):
-            for col in range(4):
-                assert F.cell_coords(F.cell_index(row, col)) == (row, col)
+        # row-major numbering: cell row * w + col holds array position (row, col)
+        arr = np.arange(3 * 4, dtype=float).reshape(3, 4, 1)
+        F = FeatureGrid.from_array(arr)
+        quads = tuple((row, col, 2 - row, 3 - col) for row in range(3) for col in range(4))
+        edits = EditList(quads, 3, 4)
+        assert edits.query_cells() == list(range(12))
+        assert edits.source_cells() == list(range(11, -1, -1))
+        for (row, col, _, _), i in zip(quads, edits.query_cells()):
+            assert F.values[i, 0] == arr[row, col, 0]
 
     def test_discrete_gate_rejects_fractions(self):
         with pytest.raises(ModeError):
@@ -78,18 +85,18 @@ class TestTypes:
 class TestApplyEdits:
     def test_closed_gate_is_identity(self):
         F, F2 = grid_2x2()
-        out = apply_edits(F, F2, GateVector.zeros(4), AlignmentMatrix.identity(4))
+        out = apply_edits(F, F2, GateVector.zeros(4), IDENTITY_4)
         np.testing.assert_array_equal(out.values, F.values)
 
     def test_full_gate_identity_alignment_is_replacement(self):
         F, F2 = grid_2x2()
-        out = apply_edits(F, F2, GateVector(np.ones(4), "discrete"), AlignmentMatrix.identity(4))
+        out = apply_edits(F, F2, GateVector(np.ones(4), "discrete"), IDENTITY_4)
         np.testing.assert_array_equal(out.values, F2.values)
 
     def test_hand_case_cell0_from_cell3(self):
         # one-hot gate at cell 0, alignment row 0 <- cell 3; oracle value [8,2,3,4]
         F, F2 = grid_2x2()
-        a = GateVector.one_hot(4, 0)
+        a = GateVector(np.eye(4)[0], "discrete")
         P = AlignmentMatrix.from_source_map(np.array([3, 1, 2, 0]))
         out = apply_edits(F, F2, a, P)
         np.testing.assert_array_equal(out.values, [[8.0], [2.0], [3.0], [4.0]])
@@ -110,12 +117,12 @@ class TestApplyEdits:
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         F2 = FeatureGrid(2, 2, 2, np.zeros((4, 2)))
         with pytest.raises(ShapeError, match="d"):
-            apply_edits(F, F2, GateVector.zeros(4), AlignmentMatrix.identity(4))
+            apply_edits(F, F2, GateVector.zeros(4), IDENTITY_4)
 
     def test_inputs_unmodified(self):
         F, F2 = grid_2x2()
         before = F.values.copy()
-        apply_edits(F, F2, GateVector(np.ones(4), "discrete"), AlignmentMatrix.identity(4))
+        apply_edits(F, F2, GateVector(np.ones(4), "discrete"), IDENTITY_4)
         np.testing.assert_array_equal(F.values, before)
 
     def test_idempotent_discrete(self):
@@ -177,7 +184,7 @@ class TestSingleEdit:
             sources[i], sources[j2] = j2, i
             assert sources[i] == j2
             via_apply = apply_edits(
-                F, F2, GateVector.one_hot(n, i), AlignmentMatrix.from_source_map(sources)
+                F, F2, GateVector(np.eye(n)[i], "discrete"), AlignmentMatrix.from_source_map(sources)
             )
             np.testing.assert_array_equal(single_edit(F, F2, i, j2).values, via_apply.values)
 
@@ -188,33 +195,3 @@ class TestSingleEdit:
         with pytest.raises(BoundsError):
             single_edit(F, F2, 0, -1)
 
-
-class TestExtractEditSet:
-    def test_empty_gate(self):
-        out = extract_edit_set(GateVector.zeros(4), AlignmentMatrix.identity(4), 2, 2)
-        assert len(out) == 0
-
-    def test_identity_alignment_one_hot(self):
-        out = extract_edit_set(GateVector.one_hot(4, 2), AlignmentMatrix.identity(4), 2, 2)
-        assert list(out) == [(1, 0, 1, 0)]
-
-    def test_two_edits_hand_permutation(self):
-        a = np.zeros(9)
-        a[1] = a[7] = 1.0
-        sources = np.arange(9)
-        sources[1], sources[5] = 5, 1
-        sources[7], sources[2] = 2, 7
-        out = extract_edit_set(
-            GateVector(a, "discrete"), AlignmentMatrix.from_source_map(sources), 3, 3
-        )
-        assert list(out) == [(0, 1, 1, 2), (2, 1, 0, 2)]
-
-    def test_relaxed_inputs_rejected(self):
-        with pytest.raises(ModeError, match="round"):
-            extract_edit_set(
-                GateVector(np.full(4, 0.25), "relaxed"), AlignmentMatrix.identity(4), 2, 2
-            )
-        with pytest.raises(ModeError, match="round"):
-            extract_edit_set(
-                GateVector.zeros(4), AlignmentMatrix(np.full((4, 4), 0.25), "row-stochastic"), 2, 2
-            )

@@ -16,7 +16,6 @@ from cfedit.network import (
     ModelBundle,
     TrainConfig,
     forward_features,
-    full_logprobs,
     head_input_gradient,
     head_logprobs,
     load_model,
@@ -27,6 +26,11 @@ from cfedit.network import (
 )
 
 from conftest import identity_feature_model, make_model
+
+
+def full_stack(model, images):
+    """g(f(images)): one forward pass over extractor + head for an (N, H, W, C) batch."""
+    return network.forward_layers(model.extractor + model.head, np.asarray(images, dtype=np.float64))
 
 
 def log_softmax_ref(logits):
@@ -71,7 +75,7 @@ class TestForward:
         model = identity_feature_model(2, 2, 1, 3)
         img = np.array([[0.1, 0.2], [0.3, 0.4]])[:, :, None]
         F = forward_features(model, img)
-        np.testing.assert_allclose(F.to_array(), img)
+        np.testing.assert_allclose(F.values.reshape(F.h, F.w, F.d), img)
 
     def test_geometry_mismatch(self):
         model = identity_feature_model(2, 2, 1, 3)
@@ -291,7 +295,7 @@ class TestComposition:
         for _ in range(5):
             img = rng.uniform(0, 1, (28, 28, 1))
             composed = head_logprobs(model, forward_features(model, img)).values
-            full = full_logprobs(model, img).values
+            full = full_stack(model, img[None])[0]
             np.testing.assert_allclose(composed, full, atol=1e-12)
 
 
@@ -344,8 +348,9 @@ class TestTrain:
                 class_count=2,
             )
 
-    def test_monotone_descent_smoke(self):
-        # tiny fixed batch, small step: loss must not increase epoch over epoch
+    def test_monotone_descent_smoke(self, monkeypatch):
+        # tiny fixed batch, small step, plain SGD: loss must not increase epoch over epoch
+        monkeypatch.setattr(network, "MOMENTUM", 0.0)
         rng = np.random.default_rng(3)
         images = rng.uniform(0, 1, (10, 6, 6))
         labels = rng.integers(2, size=10)
@@ -356,10 +361,10 @@ class TestTrain:
                 [LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("log-softmax")],
                 images,
                 labels,
-                TrainConfig(epochs=epochs, seed=0, batch_size=10, learning_rate=1e-3, momentum=0.0),
+                TrainConfig(epochs=epochs, seed=0, batch_size=10, learning_rate=1e-3),
                 class_count=2,
             )
-            out = np.array([full_logprobs(model, img[:, :, None]).values for img in images])
+            out = full_stack(model, images[..., None])
             losses.append(-float(np.mean(out[np.arange(10), labels])))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -401,9 +406,7 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         for _ in range(100):
             img = rng.uniform(0, 1, (28, 28, 1))
-            np.testing.assert_array_equal(
-                full_logprobs(model, img).values, full_logprobs(loaded, img).values
-            )
+            np.testing.assert_array_equal(full_stack(model, img[None]), full_stack(loaded, img[None]))
 
     def test_truncated_blob(self, tmp_path):
         model = identity_feature_model(2, 2, 1, 3)

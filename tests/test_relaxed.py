@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from cfedit import relaxed
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid
+from cfedit.network import head_logprobs
 from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
     ascent_steps,
     best_edit_relaxed,
-    entropy_penalty,
     relaxed_objective_and_grads,
     softmax,
 )
@@ -35,20 +36,48 @@ class TestSoftmax:
         assert np.isfinite(out).all() and out[0] == pytest.approx(1.0)
 
 
+def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
+    """Target log-probability of the blend minus the objective: the entropy
+    penalty the objective subtracts at logits (alpha, M) under these weights."""
+    monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_GATE", weight_gate)
+    monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_ALIGN", weight_align)
+    n = len(alpha)
+    rng = np.random.default_rng(n)
+    model = identity_feature_model(1, n, 1, 2, seed=n)
+    F, F2 = random_grid(rng, 1, n, 1), random_grid(rng, 1, n, 1)
+    objective, _, _, a, P = relaxed_objective_and_grads(model, F, F2, 1, alpha, M, RelaxOptConfig())
+    blend = FeatureGrid(1, n, 1, (1.0 - a[:, None]) * F.values + a[:, None] * (P @ F2.values))
+    return head_logprobs(model, blend)[1] - objective
+
+
+def one_hot_rows(n):
+    return np.where(np.eye(n) > 0, 0.0, MASK_LOGIT)
+
+
 class TestEntropy:
-    def test_one_hot_is_zero(self):
-        assert entropy_penalty(np.array([0.0, 1.0, 0.0])) == 0.0
+    """The Shannon entropies -sum p ln p (with 0 ln 0 = 0) of the gate and of
+    the alignment rows, as the objective subtracts them."""
 
-    def test_uniform_is_log_n(self):
-        assert entropy_penalty(np.full(8, 1 / 8)) == pytest.approx(np.log(8), abs=1e-12)
+    def test_one_hot_is_zero(self, monkeypatch):
+        alpha = np.array([MASK_LOGIT, 0.0, MASK_LOGIT])
+        assert entropy_terms(monkeypatch, alpha, one_hot_rows(3), 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_half_half(self):
-        assert entropy_penalty(np.array([0.5, 0.5])) == pytest.approx(np.log(2), abs=1e-12)
+    def test_uniform_is_log_n(self, monkeypatch):
+        gate = entropy_terms(monkeypatch, np.zeros(8), one_hot_rows(8), 1.0, 0.0)
+        align = entropy_terms(monkeypatch, np.zeros(8), np.zeros((8, 8)), 0.0, 1.0)
+        assert gate == pytest.approx(np.log(8), abs=1e-12)
+        assert align == pytest.approx(np.log(8), abs=1e-12)  # gate mass sums to 1
 
-    def test_nonnegative(self):
+    def test_half_half(self, monkeypatch):
+        alpha = np.array([0.0, 0.0, MASK_LOGIT])
+        penalty = entropy_terms(monkeypatch, alpha, one_hot_rows(3), 1.0, 0.0)
+        assert penalty == pytest.approx(np.log(2), abs=1e-12)
+
+    def test_nonnegative(self, monkeypatch):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert entropy_penalty(rng.dirichlet(np.ones(6))) >= 0
+            alpha, M = rng.normal(size=6) * 3, rng.normal(size=(6, 6)) * 3
+            assert entropy_terms(monkeypatch, alpha, M, 1.0, 1.0) >= -1e-12
 
 
 class TestObjectiveGradients:
@@ -194,10 +223,12 @@ class TestBestEditRelaxed:
         with pytest.raises(ExhaustedError):
             best_edit_relaxed(model, F, F, 1, excluded_query=range(4))
 
-    def test_zero_entropy_dominant_edit_agreement_rate(self):
+    def test_zero_entropy_dominant_edit_agreement_rate(self, monkeypatch):
         # local optima are possible: log failures, assert a loose majority
+        monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_GATE", 0.0)
+        monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_ALIGN", 0.0)
         rng = np.random.default_rng(8)
-        opt = RelaxOptConfig(entropy_weight_gate=0.0, entropy_weight_align=0.0)
+        opt = RelaxOptConfig()
         agree = 0
         trials = 20
         for k in range(trials):

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cfedit.data import read_raster, write_raster
-from cfedit.errors import FormatError, ShapeError, UnsupportedLayerError
+from cfedit.data import write_raster
+from cfedit.errors import CfeditError, FormatError, ShapeError, UnsupportedLayerError
 from cfedit.grids import EditList
 from cfedit.network import LayerSpec, forward_features, reference_extractor_specs
 from cfedit.render import (
@@ -19,7 +21,7 @@ from cfedit.render import (
 )
 from cfedit.search import ExplanationResult, SearchConfig
 
-from conftest import make_model
+from conftest import make_model, read_raster
 
 
 class TestReceptiveField:
@@ -249,3 +251,67 @@ class TestRecords:
             json.dump(record, fh)
         with pytest.raises(FormatError, match="record_version"):
             read_explanation(paths["record"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# places a mutation may hit; () is the whole record
+RECORD_PATHS = (
+    (), ("record_version",), ("grid",), ("grid", "h"), ("grid", "w"), ("edits",), ("edits", 0),
+    ("edits", 0, "cell"), ("edits", 0, "cell", 1), ("edits", 1, "source"), ("trajectory",),
+    ("trajectory", 0), ("trajectory", 2, 1), ("status",), ("query_class",), ("target_class",),
+    ("query_id",),
+)
+
+
+def mutate(record, path, value, delete):
+    """`record` with the entry at `path` replaced by `value` or deleted; the
+    record unchanged where an earlier mutation removed the path."""
+    if not path:
+        return value
+    try:
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return record
+
+
+@st.composite
+def mutated_record_bytes(draw):
+    """A valid two-edit record's file after 1-3 structural mutations, and
+    sometimes a truncation or a splice of arbitrary bytes."""
+    record = result_to_record(sample_result(2))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(RECORD_PATHS))
+        record = mutate(record, path, draw(JSON_VALUES), delete=bool(path) and draw(st.booleans()))
+    raw = json.dumps(record).encode()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(raw)))
+        j = draw(st.integers(i, len(raw)))
+        raw = raw[:i] + draw(st.binary(max_size=4)) + raw[j:]
+    return raw
+
+
+class TestRecordProperties:
+    @settings(
+        max_examples=400, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mutated_record_bytes())
+    def test_loads_or_raises_typed_error(self, tmp_path, raw):
+        path = tmp_path / "record.json"
+        path.write_bytes(raw)
+        try:
+            result, _ = read_explanation(str(path))
+        except CfeditError:
+            return
+        assert len(result.trajectory) == len(result.edits) + 1

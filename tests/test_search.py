@@ -116,7 +116,7 @@ class TestSolverEdgeCases:
 
 class TestGreedy:
     def _images_for(self, model, F, F2):
-        return F.to_array(), F2.to_array()
+        return F.values.reshape(F.h, F.w, F.d), F2.values.reshape(F2.h, F2.w, F2.d)
 
     def test_query_already_target_class(self):
         model = identity_feature_model(2, 2, 1, 2, seed=2)
