@@ -150,8 +150,11 @@ def resolve_config(args) -> dict:
     keys in CHOICES must take one of their listed values."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+            raise FormatError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise FormatError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
@@ -383,7 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (CfeditError, OSError, json.JSONDecodeError) as exc:
+    except (CfeditError, OSError) as exc:
         print(
             "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -4,15 +4,24 @@ The layer vocabulary is fixed: conv2d, relu, maxpool2d, flatten, dense,
 log-softmax.  Tensors are channels-last, float64, batched as (N, H, W, C).
 The extractor maps pixels to an h x w x d feature grid; the head maps a grid
 to class log-probabilities.  Everything needed downstream is provided here:
-forward evaluation, reverse-mode gradients (including gradients w.r.t. the
-head input, used by the relaxed edit optimizer), a desk-scale SGD trainer,
-and a portable two-file model format (JSON manifest + float64 blob).
+forward evaluation, reverse-mode gradients, a desk-scale SGD trainer, and a
+portable two-file model format (JSON manifest + float64 blob).
+
+`backward_layers` computes only the gradients its caller reads.  `train`
+takes every weight gradient and skips the gradient w.r.t. the image;
+`head_input_gradient`, used by the relaxed edit optimizer, takes the gradient
+w.r.t. the head input and skips every weight gradient.
 
 Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
 2006) one block of images at a time, so that the forward pass, the weight
 gradient and the input gradient are each one GEMM per block.  A block's patch
 matrix holds at most `_PATCH_VALUES` float64 values, or one image's patches
 when those alone are more, which bounds the scratch memory of every conv layer.
+
+Max pooling takes a running `np.maximum` over the k² strided views of its
+input, then recovers for each output the index of the first maximum in
+(dh, dw) scan order, one comparison per tap; its backward routes each
+gradient to that one input.
 """
 
 from __future__ import annotations
@@ -165,17 +174,29 @@ def init_layer(spec: LayerSpec, geom: tuple, rng: np.random.Generator) -> tuple[
 _PATCH_VALUES = 1 << 18
 
 
-def _patch_blocks(xpad, kh, kw, s, oh, ow):
-    """Yield (lo, hi, cols) over blocks of images, where cols is the
-    (images·oh·ow, kh·kw·cin) patch matrix of xpad[lo:hi] in (dh, dw, c) order."""
-    n, cin = xpad.shape[0], xpad.shape[3]
-    per_image = oh * ow * kh * kw * cin
+def _image_blocks(n, per_image):
+    """Yield (lo, hi) over blocks of whole images, `per_image` scratch values
+    each: as many images as fit in `_PATCH_VALUES`, and at least one."""
     step = max(1, _PATCH_VALUES // per_image)
     for lo in range(0, n, step):
-        hi = min(n, lo + step)
+        yield lo, min(n, lo + step)
+
+
+def _patch_blocks(xpad, kh, kw, s, oh, ow, tap_major=False):
+    """Yield (lo, hi, cols) over blocks of images, where cols is the
+    (images·oh·ow, kh·kw·cin) patch matrix of xpad[lo:hi] in (dh, dw, c) order.
+
+    `tap_major` copies the patches tap by tap and yields the transpose of that
+    copy, which GEMM reads as cheaply.  With one input channel each tap then
+    copies whole image rows, about twice as fast as the pixel-major copy."""
+    cin = xpad.shape[3]
+    for lo, hi in _image_blocks(xpad.shape[0], oh * ow * kh * kw * cin):
         win = np.lib.stride_tricks.sliding_window_view(xpad[lo:hi], (kh, kw), axis=(1, 2))
         win = win[:, : oh * s : s, : ow * s : s]  # (b, oh, ow, cin, kh, kw)
-        yield lo, hi, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
+        if tap_major:
+            yield lo, hi, np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(kh * kw * cin, -1).T
+        else:
+            yield lo, hi, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
 
 
 def _conv_forward(x, layer):
@@ -192,31 +213,45 @@ def _conv_forward(x, layer):
     ow = (wp - kw) // s + 1
     kmat = kern.reshape(-1, cout)
     out = np.empty((n * oh * ow, cout))
+    # pixel-major patches: BLAS rounds a one-image product with the transposed
+    # tap-major matrix differently, and features would change in their last bits
     for lo, hi, cols in _patch_blocks(x, kh, kw, s, oh, ow):
         np.matmul(cols, kmat, out=out[lo * oh * ow : hi * oh * ow])
     out += bias
     return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
 
 
-def _conv_backward(g, layer, xpad):
-    spec = layer.spec
+def _conv_weight_grads(g, layer, xpad):
     kern = layer.weights["kernel"]
     kh, kw, cin, cout = kern.shape
-    s, p = spec.effective_stride(), spec.padding
+    s = layer.spec.effective_stride()
     _, oh, ow, _ = g.shape
+    gk = np.zeros((kh * kw * cin, cout))
+    for lo, hi, cols in _patch_blocks(xpad, kh, kw, s, oh, ow, tap_major=cin == 1):
+        gk += cols.T @ g[lo:hi].reshape(-1, cout)
+    gm = g.reshape(-1, cout)
+    # a ones-vector GEMM: a reduction over axes (0, 1, 2) runs an inner loop only cout long
+    return {"kernel": gk.reshape(kern.shape), "bias": np.ones(len(gm)) @ gm}
+
+
+def _conv_input_grad(g, layer, xpad):
+    kern = layer.weights["kernel"]
+    kh, kw, cin, cout = kern.shape
+    s, p = layer.spec.effective_stride(), layer.spec.padding
+    n, oh, ow, _ = g.shape
     kmat = kern.reshape(-1, cout)
-    gk = np.zeros_like(kmat)
-    gx = np.zeros_like(xpad)
-    for lo, hi, cols in _patch_blocks(xpad, kh, kw, s, oh, ow):
-        gm = g[lo:hi].reshape(-1, cout)
-        gk += cols.T @ gm
-        gcols = (gm @ kmat.T).reshape(hi - lo, oh, ow, kh, kw, cin)
+    # accumulated channels-first, so that every tap of the tap-major GEMM adds
+    # rows that are contiguous over ow on both sides; transposed back once
+    gx = np.zeros((cin,) + xpad.shape[:3])
+    for lo, hi in _image_blocks(n, oh * ow * kh * kw * cin):
+        taps = (kmat @ g[lo:hi].reshape(-1, cout).T).reshape(kh, kw, cin, hi - lo, oh, ow)
         for dh in range(kh):
             for dw in range(kw):
-                gx[lo:hi, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += gcols[:, :, :, dh, dw]
+                gx[:, lo:hi, dh : dh + oh * s : s, dw : dw + ow * s : s] += taps[dh, dw]
+    gx = gx.transpose(1, 2, 3, 0)
     if p:
         gx = gx[:, p:-p, p:-p, :]
-    return gx, {"kernel": gk.reshape(kern.shape), "bias": g.sum(axis=(0, 1, 2))}
+    return np.ascontiguousarray(gx)
 
 
 def _pool_forward(x, layer):
@@ -225,17 +260,22 @@ def _pool_forward(x, layer):
     n, h, w, c = x.shape
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    stack = np.stack(
-        [x[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] for dh in range(k) for dw in range(k)],
-        axis=-1,
-    )
-    # argmax picks the first maximum in (dh, dw) scan order: deterministic ties
-    idx = np.argmax(stack, axis=-1)
-    out = np.take_along_axis(stack, idx[..., None], axis=-1)[..., 0]
+    taps = [x[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] for dh in range(k) for dw in range(k)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        # on equal values np.maximum returns its second argument: the earlier tap's bits stay
+        np.maximum(tap, out, out=out)
+    # the index of the first maximum in (dh, dw) scan order (deterministic ties)
+    # is the number of taps before it, each below the maximum
+    below = taps[0] != out
+    idx = below.astype(np.min_scalar_type(k * k - 1))
+    for tap in taps[1:-1]:
+        below &= tap != out
+        idx += below
     return out, (idx, x.shape)
 
 
-def _pool_backward(g, layer, cache):
+def _pool_input_grad(g, layer, cache):
     spec = layer.spec
     k, s = spec.window, spec.effective_stride()
     idx, xshape = cache
@@ -243,17 +283,16 @@ def _pool_backward(g, layer, cache):
     oh, ow = g.shape[1], g.shape[2]
     for m in range(k * k):
         dh, dw = divmod(m, k)
-        sel = g * (idx == m)
-        gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += sel
-    return gx, {}
+        gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += g * (idx == m)
+    return gx
 
 
 def _relu_forward(x, layer):
     return np.maximum(x, 0.0), x > 0
 
 
-def _relu_backward(g, layer, mask):
-    return g * mask, {}
+def _relu_input_grad(g, layer, mask):
+    return g * mask
 
 
 def _flatten_forward(x, layer):
@@ -261,8 +300,8 @@ def _flatten_forward(x, layer):
     return x.reshape(n, -1), x.shape
 
 
-def _flatten_backward(g, layer, shape):
-    return g.reshape(shape), {}
+def _flatten_input_grad(g, layer, shape):
+    return g.reshape(shape)
 
 
 def _dense_forward(x, layer):
@@ -272,9 +311,12 @@ def _dense_forward(x, layer):
     return x @ w + b, x
 
 
-def _dense_backward(g, layer, x):
-    w = layer.weights["weight"]
-    return g @ w.T, {"weight": x.T @ g, "bias": g.sum(axis=0)}
+def _dense_weight_grads(g, layer, x):
+    return {"weight": x.T @ g, "bias": g.sum(axis=0)}
+
+
+def _dense_input_grad(g, layer, x):
+    return g @ layer.weights["weight"].T
 
 
 def _logsoftmax_forward(x, layer):
@@ -284,9 +326,9 @@ def _logsoftmax_forward(x, layer):
     return z - lse, z - lse
 
 
-def _logsoftmax_backward(g, layer, y):
+def _logsoftmax_input_grad(g, layer, y):
     p = np.exp(y)
-    return g - p * g.sum(axis=-1, keepdims=True), {}
+    return g - p * g.sum(axis=-1, keepdims=True)
 
 
 _FORWARD = {
@@ -298,14 +340,17 @@ _FORWARD = {
     "log-softmax": _logsoftmax_forward,
 }
 
-_BACKWARD = {
-    "conv2d": _conv_backward,
-    "maxpool2d": _pool_backward,
-    "relu": _relu_backward,
-    "flatten": _flatten_backward,
-    "dense": _dense_backward,
-    "log-softmax": _logsoftmax_backward,
+_INPUT_GRAD = {
+    "conv2d": _conv_input_grad,
+    "maxpool2d": _pool_input_grad,
+    "relu": _relu_input_grad,
+    "flatten": _flatten_input_grad,
+    "dense": _dense_input_grad,
+    "log-softmax": _logsoftmax_input_grad,
 }
+
+# kinds that hold weights; each function returns {parameter name: gradient}
+_WEIGHT_GRADS = {"conv2d": _conv_weight_grads, "dense": _dense_weight_grads}
 
 
 def forward_layers(layers, x, keep_caches=False):
@@ -317,13 +362,22 @@ def forward_layers(layers, x, keep_caches=False):
     return (x, caches) if keep_caches else x
 
 
-def backward_layers(layers, caches, g):
-    """Gradient of a scalar objective w.r.t. the stack input, given the
-    upstream gradient at the stack output. Also returns per-layer weight grads."""
-    grads = [None] * len(layers)
+def backward_layers(layers, caches, g, input_grad=True, weight_grads=True):
+    """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
+    objective, given its gradient `g` at the stack output.
+
+    A caller computes only what it reads: with `input_grad=False` the first
+    layer's input gradient is skipped and None takes its place; with
+    `weight_grads=False` no weight gradient is computed and every layer's
+    entry is an empty dict.
+    """
+    grads = [{} for _ in layers]
     for idx in range(len(layers) - 1, -1, -1):
-        layer = layers[idx]
-        g, grads[idx] = _BACKWARD[layer.spec.kind](g, layer, caches[idx])
+        layer, cache = layers[idx], caches[idx]
+        kind = layer.spec.kind
+        if weight_grads and kind in _WEIGHT_GRADS:
+            grads[idx] = _WEIGHT_GRADS[kind](g, layer, cache)
+        g = _INPUT_GRAD[kind](g, layer, cache) if idx or input_grad else None
     return g, grads
 
 
@@ -452,7 +506,7 @@ def head_input_gradient(
     out, caches = forward_layers(model.head, x, keep_caches=True)
     g = np.zeros((1, model.class_count))
     g[0, target_class] = 1.0
-    gx, _ = backward_layers(model.head, caches, g)
+    gx, _ = backward_layers(model.head, caches, g, weight_grads=False)
     return LogProbVector(out[0]), gx.reshape(h * w, d)
 
 
@@ -543,7 +597,7 @@ def train(
                 raise TrainingError(f"loss became non-finite at step {step}", step=step)
             g = np.zeros_like(out)
             g[np.arange(len(y)), y] = -1.0 / len(y)
-            _, wgrads = backward_layers(all_layers, caches, g)
+            _, wgrads = backward_layers(all_layers, caches, g, input_grad=False)
             for ly, vel, wg in zip(all_layers, velocity, wgrads):
                 for name, grad in wg.items():
                     vel[name] = MOMENTUM * vel[name] - config.learning_rate * grad
@@ -628,7 +682,7 @@ def load_model(path: str) -> ModelBundle:
     try:
         with open(os.path.join(path, "manifest.json")) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     _check_manifest(manifest)
 

@@ -247,11 +247,16 @@ def record_to_result(record: dict) -> ExplanationResult:
     g = record["grid"]
     if not (isinstance(g, dict) and all(is_number(g.get(k), integer=True) and g[k] > 0 for k in "hw")):
         raise FormatError(f"record grid must hold positive integers h and w, got {g!r}")
+    trajectory = record["trajectory"]
+    if not (isinstance(trajectory, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(is_number(v) for v in e) for e in trajectory
+    )):
+        raise FormatError("record trajectory must be a list of pairs of numbers")
     try:
         quads = tuple(tuple(e["cell"]) + tuple(e["source"]) for e in record["edits"])
         return ExplanationResult(
             EditList(quads, g["h"], g["w"]),
-            tuple((a, b) for a, b in record["trajectory"]),
+            tuple((a, b) for a, b in trajectory),
             record["status"],
             record["query_class"],
             record["target_class"],

@@ -225,6 +225,25 @@ class TestConfigAndErrors:
         assert field in err["message"]
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_json_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_bytes(b"\x80{}")
+        (bad / "cfg.json").write_bytes(b"\x80{}")
+        out = tmp_path / "out"
+        if command == "evaluate":
+            argv = ["evaluate", "--records", str(bad), "--config", str(bad / "cfg.json"), "--out", str(out)]
+        else:
+            argv = ["explain", "--dataset", "shapes", "--shapes-count", "40", "--model", str(bad),
+                    "--query-index", "0", "--distractor-index", "1", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert json.loads(lines[0][len("error: "):])["type"] == "FormatError"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "query, distractor",
         [("999", "1"), ("-1", "1"), ("0", "40")],
@@ -326,13 +345,14 @@ class TestConfigAndErrors:
             ("trajectory", [[-0.1, -2.0], [-1.0, 10**400]]),
             (None, 5),
             (None, None),
+            ("trajectory", [["-0.1", "-2.0"], ["-1.0", "-0.5"]]),
         ],
         ids=[
             "edit-without-cell", "grid-without-h", "grid-not-object", "edits-not-list",
             "cell-not-integer", "trajectory-not-pairs", "cell-fraction-and-bool", "source-float",
             "query-class-string", "query-class-float", "target-class-negative", "target-class-null",
             "version-bool", "grid-negative-h", "grid-float-h", "trajectory-int-overflow", "record-int",
-            "record-null",
+            "record-null", "trajectory-numeric-strings",
         ],
     )
     def test_malformed_record_is_one_error_line(self, cli_model, tmp_path, capsys, command, field, value):

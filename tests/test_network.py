@@ -142,7 +142,7 @@ def assert_close_to_reference(actual, expected):
 def check_conv_against_reference(layer, x, g):
     (out, cache), (out_ref, cache_ref) = network._conv_forward(x, layer), conv_forward_reference(x, layer)
     assert_close_to_reference(out, out_ref)
-    gx, grads = network._conv_backward(g, layer, cache)
+    gx, (grads,) = network.backward_layers([layer], [cache], g)
     gx_ref, grads_ref = conv_backward_reference(g, layer, cache_ref)
     assert_close_to_reference(gx, gx_ref)
     for name in ("kernel", "bias"):
@@ -177,8 +177,8 @@ class TestConvKernels:
         blocks = []
         real_blocks = network._patch_blocks
 
-        def spy(*args):
-            for lo, hi, cols in real_blocks(*args):
+        def spy(*args, **kwargs):
+            for lo, hi, cols in real_blocks(*args, **kwargs):
                 blocks.append((lo, hi))
                 yield lo, hi, cols
 
@@ -199,7 +199,7 @@ class TestConvKernels:
             return 0.5 * float(np.sum(R * network._conv_forward(x, layer)[0] ** 2))
 
         out, cache = network._conv_forward(x, layer)
-        gx, grads = network._conv_backward(R * out, layer, cache)
+        gx, (grads,) = network.backward_layers([layer], [cache], R * out)
         eps = 1e-6
         for array, grad in ((x, gx), (layer.weights["kernel"], grads["kernel"]),
                             (layer.weights["bias"], grads["bias"])):
@@ -213,6 +213,107 @@ class TestConvKernels:
                 array[idx] = keep
                 fd[idx] = (up - down) / (2 * eps)
             assert np.abs(fd - grad).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+def pool_reference(x, window, stride):
+    """Per-window max pooling: each output is the first maximum of its window
+    in (dh, dw) scan order, with that tap's index dh * window + dw."""
+    n, h, w, c = x.shape
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    out, idx = np.empty((n, oh, ow, c)), np.empty((n, oh, ow, c), dtype=int)
+    for b, i, j, ch in np.ndindex(n, oh, ow, c):
+        win = x[b, i * stride : i * stride + window, j * stride : j * stride + window, ch].ravel()
+        m = max(range(len(win)), key=lambda t: (win[t], -t))
+        out[b, i, j, ch], idx[b, i, j, ch] = win[m], m
+    return out, idx
+
+
+def pool_layer(window, stride):
+    return network.Layer(LayerSpec("maxpool2d", window=window, stride=stride))
+
+
+class TestPoolKernels:
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (3, 1), (3, 2), (2, 3), (1, 1)])
+    def test_matches_per_window_reference(self, window, stride):
+        rng = np.random.default_rng(window * 10 + stride)
+        # relu output: many all-zero windows, where the first tap must win
+        x = np.maximum(rng.normal(-0.5, 1.0, size=(3, 9, 8, 2)), 0.0)
+        x[0, :4, :4, 0] = 0.0
+        x[1, 2:6, 1:5, 1] = 0.25  # equal nonzero values tie too
+        signed_zeros = np.where(rng.random((2, 7, 10, 3)) < 0.5, -0.0, 0.0)  # ties equal in value only
+        for inputs in (x, rng.normal(size=(2, 7, 10, 3)), signed_zeros):
+            out, (idx, shape) = network._pool_forward(inputs, pool_layer(window, stride))
+            out_ref, idx_ref = pool_reference(inputs, window, stride)
+            assert out.tobytes() == out_ref.tobytes()
+            np.testing.assert_array_equal(idx, idx_ref)
+            assert shape == inputs.shape
+
+    def test_all_zero_window_routes_gradient_to_first_tap(self):
+        x = np.zeros((1, 4, 4, 1))
+        out, cache = network._pool_forward(x, pool_layer(2, 2))
+        gx, _ = network.backward_layers([pool_layer(2, 2)], [cache], np.ones_like(out))
+        np.testing.assert_array_equal(gx[0, :, :, 0], np.tile([[1.0, 0.0], [0.0, 0.0]], (2, 2)))
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 1), (3, 2)])
+    def test_finite_differences(self, window, stride):
+        # objective sum(R * out**2) / 2; distinct values keep every window's maximum away from a tie
+        rng = np.random.default_rng(stride)
+        layer = pool_layer(window, stride)
+        x = rng.permutation(np.arange(2 * 7 * 6 * 2, dtype=float)).reshape(2, 7, 6, 2) / 10
+        out, cache = network._pool_forward(x, layer)
+        R = rng.normal(size=out.shape)
+        gx, _ = network.backward_layers([layer], [cache], R * out)
+        eps = 1e-6
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(x.shape):
+            keep = x[idx]
+            x[idx] = keep + eps
+            up = 0.5 * float(np.sum(R * network._pool_forward(x, layer)[0] ** 2))
+            x[idx] = keep - eps
+            down = 0.5 * float(np.sum(R * network._pool_forward(x, layer)[0] ** 2))
+            x[idx] = keep
+            fd[idx] = (up - down) / (2 * eps)
+        assert np.abs(fd - gx).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+class TestBackwardSelection:
+    """backward_layers computes only what its caller reads, and the same bits."""
+
+    def stack(self, seed):
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=seed)
+        rng = np.random.default_rng(seed)
+        layers = model.extractor + model.head
+        out, caches = network.forward_layers(layers, rng.uniform(0, 1, (5, 28, 28, 1)), keep_caches=True)
+        return model, layers, caches, rng.normal(size=out.shape)
+
+    def test_weight_grads_without_input_grad_are_bit_identical(self):
+        _, layers, caches, g = self.stack(1)
+        gx, full = network.backward_layers(layers, caches, g)
+        skipped, grads = network.backward_layers(layers, caches, g, input_grad=False)
+        assert gx.shape == (5, 28, 28, 1) and skipped is None
+        assert [sorted(d) for d in grads] == [sorted(d) for d in full]
+        for a, b in zip(grads, full):
+            for name in b:
+                assert a[name].tobytes() == b[name].tobytes()
+
+    def test_input_grad_without_weight_grads_is_bit_identical(self):
+        _, layers, caches, g = self.stack(2)
+        gx, _ = network.backward_layers(layers, caches, g)
+        gx_only, grads = network.backward_layers(layers, caches, g, weight_grads=False)
+        assert gx_only.tobytes() == gx.tobytes()
+        assert grads == [{}] * len(layers)
+
+    def test_head_input_gradient_equals_full_backward(self):
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=3)
+        F = forward_features(model, np.random.default_rng(3).uniform(0, 1, (28, 28, 1)))
+        target = 7
+        lp, grad = head_input_gradient(model, F, target)
+        out, caches = network.forward_layers(model.head, F.values.reshape(1, 4, 4, 20), keep_caches=True)
+        g = np.zeros_like(out)
+        g[0, target] = 1.0
+        gx, _ = network.backward_layers(model.head, caches, g)
+        assert grad.tobytes() == gx.reshape(16, 20).tobytes()
+        assert lp.values.tobytes() == out[0].tobytes()
 
 
 class TestHead:
