@@ -95,7 +95,7 @@ def build_parser():
     p = sub.add_parser("fidelity", help="relaxed vs exhaustive best-edit fidelity")
     _add_common(p)
     _add_dataset_args(p)
-    _add_search_args(p)
+    _add_solver_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--instances", type=int, default=None)
     p.add_argument("--out", required=True, help="output report JSON")
@@ -109,12 +109,16 @@ def build_parser():
     return parser
 
 
-def _add_search_args(p):
+def _add_solver_args(p):
     p.add_argument("--strategy", choices=CHOICES["strategy"], default=None)
-    p.add_argument("--max-edits", type=int, default=None)
-    p.add_argument("--exclusion-policy", choices=CHOICES["exclusion_policy"], default=None)
     p.add_argument("--relax-lr", type=float, default=None)
     p.add_argument("--relax-steps", type=int, default=None)
+
+
+def _add_search_args(p):
+    _add_solver_args(p)
+    p.add_argument("--max-edits", type=int, default=None)
+    p.add_argument("--exclusion-policy", choices=CHOICES["exclusion_policy"], default=None)
 
 
 DEFAULTS = {
@@ -140,8 +144,8 @@ CHOICES = {
     "exclusion_policy": ("query-cells-only", "query-and-distractor-cells"),
 }
 
-# smallest accepted value of numeric keys that no constructor checks downstream
-MINIMUM = {"seed": 0, "pairs": 1, "instances": 1}
+# smallest accepted value of numeric keys, checked before any data is built
+MINIMUM = {"seed": 0, "shapes_size": 1, "pairs": 1, "instances": 1}
 
 
 def resolve_config(args) -> dict:

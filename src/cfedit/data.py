@@ -138,6 +138,8 @@ def gen_shapes(count: int, size: int = 28, seed: int = 0, split: str = "shapes")
     """
     if count <= 0:
         raise ShapeError("count must be positive")
+    if size <= 0:
+        raise ShapeError("size must be positive")
     rng = substream(seed, f"shapes-{split}")
     images = np.zeros((count, size, size))
     labels = np.zeros(count, dtype=int)

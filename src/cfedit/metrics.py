@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .network import ModelBundle, forward_features
-from .relaxed import RelaxOptConfig, best_edit_relaxed
+from .relaxed import RelaxOptConfig, best_edits_relaxed
 from .search import best_edit_exhaustive
 
 
@@ -140,25 +140,27 @@ def relaxation_fidelity(
     against exhaustive search.
 
     `instances` is a list of (F, F2, target_class, excluded_query,
-    excluded_source).  `use_relaxed=False` self-compares exhaustive search
-    (a calibration identity).
+    excluded_source); the relaxed solver runs them all as lockstep batches in
+    one `best_edits_relaxed` call.  Each relaxed sample also holds the
+    solver's step count and whether its last step met the stop test.
+    `use_relaxed=False` self-compares exhaustive search (a calibration
+    identity).
     """
-    matches = []
-    ratios = []
-    for F, F2, target_class, exq, exs in instances:
-        ei, ej, escore = best_edit_exhaustive(model, F, F2, target_class, exq, exs)
-        if use_relaxed:
-            ri, rj, rscore, _ = best_edit_relaxed(model, F, F2, target_class, exq, exs, opt)
-        else:
-            ri, rj, rscore = ei, ej, escore
-        matches.append((ri, rj) == (ei, ej))
-        ratios.append(float(np.exp(rscore - escore)))
-    if not matches:
+    instances = list(instances)
+    if not instances:
         raise ShapeError("no instances supplied")
-    return MetricReport(
-        "relaxation_fidelity",
-        float(np.mean(matches)),
-        len(matches),
-        samples=[{"match": bool(m), "prob_ratio": r} for m, r in zip(matches, ratios)],
-        extras={"match_rate": float(np.mean(matches)), "mean_prob_ratio": float(np.mean(ratios))},
-    )
+    exhaustive = [best_edit_exhaustive(model, *inst) for inst in instances]
+    solved = best_edits_relaxed(model, instances, opt) if use_relaxed else exhaustive
+    samples = []
+    for (ei, ej, escore), (ri, rj, rscore, *work) in zip(exhaustive, solved):
+        sample = {"match": (ri, rj) == (ei, ej), "prob_ratio": float(np.exp(rscore - escore))}
+        if work:
+            trajectory, converged = work
+            sample.update(steps=len(trajectory), converged=converged)
+        samples.append(sample)
+    match_rate = float(np.mean([s["match"] for s in samples]))
+    extras = {"match_rate": match_rate, "mean_prob_ratio": float(np.mean([s["prob_ratio"] for s in samples]))}
+    if use_relaxed:
+        extras["mean_steps"] = float(np.mean([s["steps"] for s in samples]))
+        extras["converged_rate"] = float(np.mean([s["converged"] for s in samples]))
+    return MetricReport("relaxation_fidelity", match_rate, len(samples), samples=samples, extras=extras)

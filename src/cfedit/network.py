@@ -9,8 +9,9 @@ portable two-file model format (JSON manifest + float64 blob).
 
 `backward_layers` computes only the gradients its caller reads.  `train`
 takes every weight gradient and skips the gradient w.r.t. the image;
-`head_input_gradient`, used by the relaxed edit optimizer, takes the gradient
-w.r.t. the head input and skips every weight gradient.
+`head_input_gradient_batch`, used by the relaxed edit optimizer, takes the
+gradient w.r.t. the head input of a stack of grids and skips every weight
+gradient.
 
 Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
 2006) one block of images at a time, so that the forward pass, the weight
@@ -480,13 +481,18 @@ def forward_features(model: ModelBundle, image: np.ndarray) -> FeatureGrid:
     return FeatureGrid.from_array(out[0])
 
 
-def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
-    """g over a batch of grids given as (N, hw, d) matrices; returns (N, classes)."""
+def _grid_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
+    """(N, hw, d) grid matrices as a float64 (N, h, w, d) batch of the head's input shape."""
     h, w, d = model.feature_shape
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 3 or v.shape[1:] != (h * w, d):
         raise ShapeError(f"expected batch of ({h * w}, {d}) grids, got {v.shape}")
-    return forward_layers(model.head, v.reshape(-1, h, w, d))
+    return v.reshape(-1, h, w, d)
+
+
+def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
+    """g over a batch of grids given as (N, hw, d) matrices; returns (N, classes)."""
+    return forward_layers(model.head, _grid_batch(model, values))
 
 
 def head_logprobs(model: ModelBundle, F: FeatureGrid) -> LogProbVector:
@@ -495,19 +501,30 @@ def head_logprobs(model: ModelBundle, F: FeatureGrid) -> LogProbVector:
     return LogProbVector(head_logprobs_batch(model, F.values[None])[0])
 
 
+def head_input_gradient_batch(
+    model: ModelBundle, values: np.ndarray, targets
+) -> tuple[np.ndarray, np.ndarray]:
+    """g over a batch of grids given as (N, hw, d) matrices, and the gradient of
+    each grid's `targets[k]` log-probability w.r.t. that grid; returns the
+    (N, classes) log-probabilities and the (N, hw, d) gradients, all from one
+    forward and one backward pass over the batch."""
+    x = _grid_batch(model, values)
+    out, caches = forward_layers(model.head, x, keep_caches=True)
+    g = np.zeros_like(out)
+    g[np.arange(len(out)), targets] = 1.0
+    gx, _ = backward_layers(model.head, caches, g, weight_grads=False)
+    return out, gx.reshape(len(x), -1, model.d)
+
+
 def head_input_gradient(
     model: ModelBundle, F: FeatureGrid, target_class: int
 ) -> tuple[LogProbVector, np.ndarray]:
     """g(F) and the gradient of its `target_class` log-probability w.r.t. F,
-    the latter as an (hw, d) matrix; both come from one forward pass."""
+    the latter as an (hw, d) matrix: the batch-of-one case of
+    `head_input_gradient_batch`."""
     model.check_grids(F)
-    h, w, d = model.feature_shape
-    x = F.values.reshape(1, h, w, d)
-    out, caches = forward_layers(model.head, x, keep_caches=True)
-    g = np.zeros((1, model.class_count))
-    g[0, target_class] = 1.0
-    gx, _ = backward_layers(model.head, caches, g, weight_grads=False)
-    return LogProbVector(out[0]), gx.reshape(h * w, d)
+    out, gx = head_input_gradient_batch(model, F.values[None], [target_class])
+    return LogProbVector(out[0]), gx[0]
 
 
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:

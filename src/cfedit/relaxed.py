@@ -6,6 +6,14 @@ hold by construction.  Adam (Kingma & Ba, ICLR 2015) ascends the
 target-class log-probability of the blended grid minus entropy penalties that
 sharpen the distributions; the result is rounded back to a single discrete
 edit whose score is re-evaluated exactly.
+
+Problems are solved in lockstep batches: the gates, alignments, blends,
+entropies, gradients and Adam moments of B problems are stacked along a
+leading axis, and each step runs the head forward and backward once over the
+(B, h, w, d) stack.  A problem that meets the stop test is frozen, not
+removed: its logits stop moving and its trajectory ends.  The one-problem
+functions are the batch-of-one case of the same code, so greedy search's
+relaxed steps round exactly as they would alone.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from .errors import FormatError, is_number
 from .grids import FeatureGrid, open_cells, single_edit
-from .network import ModelBundle, head_input_gradient, head_logprobs
+from .network import ModelBundle, head_input_gradient_batch, head_logprobs
 
 MASK_LOGIT = -1e9
 # Adam's moment decays and denominator guard; RelaxOptConfig.learning_rate is its step size
@@ -55,6 +63,51 @@ class RelaxOptConfig:
         return {"learning_rate": self.learning_rate, "max_steps": self.max_steps}
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (B, n) stacks, as a (B,) vector.
+
+    Each row is a (1, n) by (n, 1) product, which rounds as the 1-d dot
+    product `x[b] @ y[b]` does whatever B is (np.einsum rounds differently)."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _objective_and_grads(model: ModelBundle, F, F2, targets, alpha, M):
+    """The objective and its gradients for a stack of B problems.
+
+    F and F2 are (B, n, d) grid values, `targets` the B target classes, and
+    alpha (B, n) and M (B, n, n) the logits.  Returns the (B,) objectives,
+    their gradients w.r.t. alpha and M, and the gates and alignments.
+    """
+    a = softmax(alpha)
+    P = softmax(M)
+    PF2 = P @ F2
+    gate = a[:, :, None]
+    blended = (1.0 - gate) * F + gate * PF2
+
+    lp, G = head_input_gradient_batch(model, blended, targets)  # G: (B, n, d)
+
+    log_a = np.log(np.where(a > 0, a, 1.0))
+    log_P = np.log(np.where(P > 0, P, 1.0))
+    H_a = -(a * log_a).sum(axis=-1)
+    H_rows = -(P * log_P).sum(axis=-1)
+    objective = (
+        lp[np.arange(len(lp)), targets] - ENTROPY_WEIGHT_GATE * H_a - ENTROPY_WEIGHT_ALIGN * _dots(a, H_rows)
+    )
+
+    # d objective / d a
+    da = (G * (PF2 - F)).sum(axis=-1)
+    da += ENTROPY_WEIGHT_GATE * (log_a + 1.0)
+    da -= ENTROPY_WEIGHT_ALIGN * H_rows
+    # d objective / d P
+    dP = gate * (G @ F2.transpose(0, 2, 1))
+    dP += ENTROPY_WEIGHT_ALIGN * gate * (log_P + 1.0)
+
+    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g)
+    dalpha = a * (da - _dots(a, da)[:, None])
+    dM = P * (dP - (P * dP).sum(axis=-1, keepdims=True))
+    return objective, dalpha, dM, a, P
+
+
 def relaxed_objective_and_grads(
     model: ModelBundle,
     F: FeatureGrid,
@@ -70,60 +123,107 @@ def relaxed_objective_and_grads(
     where a = softmax(alpha), p_i = softmax(M[i]), H(p) = -sum p ln p with
     0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
     each row's alignment entropy is weighted by its gate mass.  `opt` is not
-    read: every weight in the objective is a module constant.
+    read: every weight in the objective is a module constant.  This is the
+    batch-of-one case of the objective the solver ascends.
     """
-    a = softmax(alpha)
-    P = softmax(M)
-    PF2 = P @ F2.values
-    blended = FeatureGrid(F.h, F.w, F.d, (1.0 - a[:, None]) * F.values + a[:, None] * PF2)
-
-    lp, G = head_input_gradient(model, blended, target_class)  # G: (n, d)
-
-    log_a = np.log(np.where(a > 0, a, 1.0))
-    log_P = np.log(np.where(P > 0, P, 1.0))
-    H_a = float(-(a * log_a).sum())
-    H_rows = -(P * log_P).sum(axis=1)
-    objective = lp[target_class] - ENTROPY_WEIGHT_GATE * H_a - ENTROPY_WEIGHT_ALIGN * float(a @ H_rows)
-
-    # d objective / d a
-    da = (G * (PF2 - F.values)).sum(axis=1)
-    da += ENTROPY_WEIGHT_GATE * (log_a + 1.0)
-    da -= ENTROPY_WEIGHT_ALIGN * H_rows
-    # d objective / d P
-    dP = a[:, None] * (G @ F2.values.T)
-    dP += ENTROPY_WEIGHT_ALIGN * a[:, None] * (log_P + 1.0)
-
-    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g)
-    dalpha = a * (da - float(a @ da))
-    dM = P * (dP - (P * dP).sum(axis=1, keepdims=True))
-    return objective, dalpha, dM, a, P
+    obj, dalpha, dM, a, P = _objective_and_grads(
+        model, F.values[None], F2.values[None], [target_class], alpha[None], M[None]
+    )
+    return float(obj[0]), dalpha[0], dM[0], a[0], P[0]
 
 
-def ascent_steps(
-    model: ModelBundle,
-    F: FeatureGrid,
-    F2: FeatureGrid,
-    target_class: int,
-    alpha: np.ndarray,
-    M: np.ndarray,
-    opt: RelaxOptConfig,
-):
-    """Bias-corrected Adam ascent on the logits `alpha` and `M`, updated in place.
+def ascent_steps(model: ModelBundle, F, F2, targets, alpha, M, opt: RelaxOptConfig):
+    """Bias-corrected Adam ascent on B problems in lockstep: the (B, n) logits
+    `alpha` and (B, n, n) logits `M` are updated in place.
 
-    Yields (objective, a, P) at each iterate before stepping from it, at most
-    `opt.max_steps` times.  A logit whose gradient is always exactly zero (a
-    closed cell at MASK_LOGIT) keeps zero moments and so never moves.
+    F and F2 are (B, n, d) grid values and `targets` the B target classes.
+    Yields (objectives, a, P, live) at each iterate before stepping from it,
+    at most `opt.max_steps` times.  `live` is a (B,) boolean array, all True
+    at first: a consumer freezes a problem by clearing its entry, after which
+    its logits stay exactly where they are, and the ascent ends once no
+    problem is live.  A logit whose gradient is always exactly zero (a closed
+    cell at MASK_LOGIT) keeps zero moments and so never moves.
     """
-    moments = [(np.zeros_like(x), np.zeros_like(x)) for x in (alpha, M)]
+    live = np.ones(len(alpha), dtype=bool)
+    # per logit array: its Adam moments, and a view of `live` that broadcasts over it
+    state = [
+        (np.zeros_like(x), np.zeros_like(x), live.reshape((-1,) + (1,) * (x.ndim - 1))) for x in (alpha, M)
+    ]
     for t in range(1, opt.max_steps + 1):
-        obj, dalpha, dM, a, P = relaxed_objective_and_grads(model, F, F2, target_class, alpha, M, opt)
-        yield obj, a, P
-        for x, g, (m, v) in zip((alpha, M), (dalpha, dM), moments):
+        obj, dalpha, dM, a, P = _objective_and_grads(model, F, F2, targets, alpha, M)
+        yield obj, a, P, live
+        if not live.any():
+            return
+        for x, g, (m, v, moving) in zip((alpha, M), (dalpha, dM), state):
             m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
             v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             m_hat = m / (1.0 - ADAM_BETA1**t)
             v_hat = v / (1.0 - ADAM_BETA2**t)
-            x += opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.add(x, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=x, where=moving)
+
+
+# float64 values (n² alignment logits and n·d grid values per problem) one
+# lockstep chunk of problems may hold in each of its stacked arrays (2 MB)
+_CHUNK_VALUES = 1 << 18
+
+
+def best_edits_relaxed(model: ModelBundle, problems, opt: RelaxOptConfig = RelaxOptConfig()) -> list:
+    """Relaxed best edits of many problems, solved in lockstep batches.
+
+    `problems` is a list of (F, F2, target_class, excluded_query,
+    excluded_source).  They are split into chunks of at most
+    `_CHUNK_VALUES` // (n² + n·d) problems, and at least one; every
+    chunk runs through one Adam ascent, one head forward and backward over
+    the whole stack per step.  A problem that meets the stop test is frozen
+    there and its trajectory ends, while the rest of its chunk goes on.
+
+    Returns, per problem and in order, (query cell, source cell, discrete
+    score, per-step objective values, converged), where converged means the
+    last step met the stop test.  Each edit, score and step count is the one
+    the problem gets when solved alone; the objectives may differ in their
+    last bits, as a batched product rounds differently from a one-row one.
+    """
+    problems = list(problems)
+    n = model.h * model.w
+    size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
+    edits = []
+    for lo in range(0, len(problems), size):
+        edits += _solve_chunk(model, problems[lo : lo + size], opt)
+    return edits
+
+
+def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
+    """best_edits_relaxed on problems that run as one lockstep batch."""
+    for F, F2, *_ in problems:
+        model.check_grids(F, F2)
+    n = model.h * model.w
+    masks = [open_cells(n, exq, exs) for _, _, _, exq, exs in problems]
+    # excluded cells get zero mass, hence zero gradient, so their logits stay put
+    alpha = np.stack([np.where(open_q, 0.0, MASK_LOGIT) for open_q, _ in masks])
+    M = np.stack([np.where(open_s, np.zeros((n, 1)), MASK_LOGIT) for _, open_s in masks])
+    Fv = np.stack([p[0].values for p in problems])
+    F2v = np.stack([p[1].values for p in problems])
+    targets = np.array([p[2] for p in problems])
+    rows = np.arange(len(problems))
+    objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
+    steps = np.zeros(len(problems), dtype=int)
+    for obj, a, P, live in ascent_steps(model, Fv, F2v, targets, alpha, M, opt):
+        objectives.append(obj)
+        steps += live
+        i_star = a.argmax(axis=1)
+        sharp = (a[rows, i_star] >= opt.sharpness_stop) & (P[rows, i_star].max(axis=1) >= opt.sharpness_stop)
+        live &= ~sharp
+
+    # `live` now marks the problems that never met the stop test
+    objectives = np.array(objectives)
+    cells = softmax(alpha).argmax(axis=1)
+    sources = softmax(M[rows, cells]).argmax(axis=1)
+    edits = []
+    for b, (F, F2, target, _, _) in enumerate(problems):
+        i, j2 = int(cells[b]), int(sources[b])
+        score = head_logprobs(model, single_edit(F, F2, i, j2))[target]
+        edits.append((i, j2, float(score), objectives[: steps[b], b].tolist(), not live[b]))
+    return edits
 
 
 def best_edit_relaxed(
@@ -140,24 +240,6 @@ def best_edit_relaxed(
     Returns (query cell, source cell, discrete score, per-step objective values).
     The score is the target-class log-probability of the *discrete* rounded
     edit, so this drops into the greedy loop interchangeably with the
-    exhaustive search.
+    exhaustive search.  This is `best_edits_relaxed` on one problem.
     """
-    model.check_grids(F, F2)
-    open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
-    # excluded cells get zero mass, hence zero gradient, so their logits stay put
-    alpha = np.where(open_q, 0.0, MASK_LOGIT)
-    M = np.zeros((F.cells, F.cells))
-    M[:, ~open_s] = MASK_LOGIT
-    trajectory = []
-    for obj, a, P in ascent_steps(model, F, F2, target_class, alpha, M, opt):
-        trajectory.append(obj)
-        i_star = int(np.argmax(a))
-        if a[i_star] >= opt.sharpness_stop and P[i_star].max() >= opt.sharpness_stop:
-            break
-
-    a = softmax(alpha)
-    P = softmax(M)
-    i = int(np.argmax(a))
-    j2 = int(np.argmax(P[i]))
-    score = head_logprobs(model, single_edit(F, F2, i, j2))[target_class]
-    return i, j2, float(score), trajectory
+    return best_edits_relaxed(model, [(F, F2, target_class, excluded_query, excluded_source)], opt)[0][:4]

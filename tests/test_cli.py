@@ -150,6 +150,26 @@ class TestFidelity:
         assert extras["match_rate"] == 1.0
         assert json.load(open(report_path))["extras"]["match_rate"] == 1.0
 
+    def test_relaxed_report_counts_solver_work(self, cli_model, tmp_path, capsys):
+        report_path = str(tmp_path / "fid.json")
+        extras = run_ok(
+            ["fidelity", *BATCH_ARGS, "--model", cli_model, "--instances", "6",
+             "--strategy", "relaxed", "--relax-steps", "20", "--out", report_path],
+            capsys,
+        )
+        samples = json.load(open(report_path))["samples"]
+        assert len(samples) == 6
+        assert all(1 <= s["steps"] <= 20 and (s["converged"] or s["steps"] == 20) for s in samples)
+        assert extras["mean_steps"] == sum(s["steps"] for s in samples) / 6
+        assert extras["converged_rate"] == sum(s["converged"] for s in samples) / 6
+
+    @pytest.mark.parametrize("flag", [["--max-edits", "3"], ["--exclusion-policy", "query-cells-only"]])
+    def test_greedy_search_flags_rejected(self, cli_model, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", *BATCH_ARGS, "--model", cli_model, *flag, "--out", str(tmp_path / "fid.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestConfigAndErrors:
     def test_relaxed_defaults_are_the_solver_defaults(self):
@@ -197,12 +217,15 @@ class TestConfigAndErrors:
             (["batch-explain", "--pairs", "-1"], None, "pairs"),
             (["batch-explain"], {"pairs": 0}, "pairs"),
             (["fidelity", "--instances", "0"], None, "instances"),
+            (["batch-explain", "--shapes-size", "-4"], None, "shapes_size"),
+            (["batch-explain"], {"shapes_size": -4}, "shapes_size"),
         ],
         ids=[
             "relax-lr", "max-edits-zero", "exclusion-policy", "max-edits-string", "strategy",
             "pairs-string", "relax-steps-float", "config-not-object", "batch-size-zero",
             "batch-size-negative", "learning-rate-zero", "epochs-string", "seed-negative",
             "seed-negative-in-file", "pairs-negative", "pairs-zero", "instances-zero",
+            "shapes-size-negative", "shapes-size-negative-in-file",
         ],
     )
     def test_bad_config_value_is_one_error_line(self, cli_model, tmp_path, capsys, argv, file_cfg, field):

@@ -1,10 +1,12 @@
-"""The benchmark's `fidelity` and `train` workloads at smoke size, as part of every test run.
+"""The benchmark's `fidelity`, `train` and `explain-ref` workloads at smoke size, as part of every test run.
 
 Their checks run outside the timed region. On `fidelity`, exhaustive search
 must equal the brute-force oracle and its own self-comparison, and the
 relaxed solver's edit must never score above the exhaustive optimum. On
 `train`, trained weights must be finite, the reported accuracy must equal a
-recomputed one, and repeats must train byte-identical weights.
+recomputed one, and repeats must train byte-identical weights. On
+`explain-ref`, each greedy explanation's first edit must be the oracle's best
+edit, and replaying its edits must reproduce its recorded trajectory.
 """
 
 import json
@@ -33,3 +35,7 @@ def test_fidelity_smoke_is_correct():
 
 def test_train_smoke_is_correct():
     assert_smoke_correct("train")
+
+
+def test_explain_ref_smoke_is_correct():
+    assert_smoke_correct("explain-ref")

@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cfedit import relaxed
 from cfedit.errors import ExhaustedError
-from cfedit.grids import FeatureGrid
+from cfedit.grids import FeatureGrid, open_cells
 from cfedit.network import head_logprobs
 from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
     ascent_steps,
     best_edit_relaxed,
+    best_edits_relaxed,
     relaxed_objective_and_grads,
     softmax,
 )
@@ -48,6 +51,13 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
     objective, _, _, a, P = relaxed_objective_and_grads(model, F, F2, 1, alpha, M, RelaxOptConfig())
     blend = FeatureGrid(1, n, 1, (1.0 - a[:, None]) * F.values + a[:, None] * (P @ F2.values))
     return head_logprobs(model, blend)[1] - objective
+
+
+def ascent_one(model, F, F2, target, alpha, M, opt):
+    """ascent_steps on a batch of one problem, yielding its (objective, a, P)
+    at each step; alpha and M are updated in place."""
+    for obj, a, P, _ in ascent_steps(model, F.values[None], F2.values[None], [target], alpha[None], M[None], opt):
+        yield obj[0], a[0], P[0]
 
 
 def one_hot_rows(n):
@@ -123,7 +133,7 @@ class TestObjectiveGradients:
         alpha = np.zeros(4)
         M = np.zeros((4, 4))
         steps = 0
-        for _, a, P in ascent_steps(model, F, F2, 1, alpha, M, opt):
+        for _, a, P in ascent_one(model, F, F2, 1, alpha, M, opt):
             assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-6
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
@@ -142,7 +152,7 @@ class TestObjectiveGradients:
         M = rng.normal(size=(9, 9)) * 0.5
         alpha0, M0 = alpha.copy(), M.copy()
         _, dalpha, dM, _, _ = relaxed_objective_and_grads(model, F, F2, 2, alpha0, M0, opt)
-        steps = ascent_steps(model, F, F2, 2, alpha, M, opt)
+        steps = ascent_one(model, F, F2, 2, alpha, M, opt)
         next(steps)
         next(steps)  # resuming runs the first update
         np.testing.assert_allclose(alpha - alpha0, 0.25 * dalpha / (np.abs(dalpha) + 1e-8), rtol=1e-9)
@@ -186,7 +196,7 @@ class TestBestEditRelaxed:
         M = np.zeros((9, 9))
         M[:, excluded_s] = MASK_LOGIT
         steps = 0
-        for _, a, P in ascent_steps(model, F, F2, 1, alpha, M, opt):
+        for _, a, P in ascent_one(model, F, F2, 1, alpha, M, opt):
             assert np.all(a[excluded_q] < 1e-12)
             assert np.all(P[:, excluded_s] < 1e-12)
             steps += 1
@@ -208,7 +218,7 @@ class TestBestEditRelaxed:
         alpha[excluded_q] = MASK_LOGIT
         M = np.zeros((9, 9))
         M[:, excluded_s] = MASK_LOGIT
-        steps = sum(1 for _ in ascent_steps(model, F, F2, 0, alpha, M, opt))
+        steps = sum(1 for _ in ascent_one(model, F, F2, 0, alpha, M, opt))
         assert steps == opt.max_steps
         assert np.all(alpha[excluded_q] == MASK_LOGIT)
         assert np.all(M[:, excluded_s] == MASK_LOGIT)
@@ -239,3 +249,112 @@ class TestBestEditRelaxed:
             got = best_edit_relaxed(model, F, F2, 1, opt=opt)[:2]
             agree += got == want
         assert agree / trials >= 0.75
+
+
+def lockstep_problems():
+    """Problems on one 3x3x2 model: open, with exclusions on both sides, and
+    one with a single open query and source cell, whose gate and alignment
+    are one-hot from the start so it stops on step 1."""
+    rng = np.random.default_rng(30)
+    model = identity_feature_model(3, 3, 2, 3, seed=31, linear=False)
+    exclusions = [((), ()), ([0, 4], [2, 8]), ((), [1]), ([3], ()), ([k for k in range(9) if k != 5], range(1, 9))]
+    problems = []
+    for k in range(12):
+        exq, exs = exclusions[k % len(exclusions)]
+        problems.append((random_grid(rng, 3, 3, 2), random_grid(rng, 3, 3, 2), k % 3, exq, exs))
+    return model, problems
+
+
+class TestLockstepBatches:
+    def test_each_problem_matches_its_solo_solve(self):
+        model, problems = lockstep_problems()
+        order = np.random.default_rng(32).permutation(len(problems))
+        shuffled = [problems[k] for k in order]
+        opt = RelaxOptConfig()
+        batch = best_edits_relaxed(model, shuffled, opt)
+        steps = []
+        for problem, (i, j2, score, traj, converged) in zip(shuffled, batch):
+            si, sj2, sscore, straj = best_edit_relaxed(model, *problem, opt=opt)
+            assert (i, j2, score, len(traj)) == (si, sj2, sscore, len(straj))
+            np.testing.assert_allclose(traj, straj, rtol=1e-12, atol=0)
+            steps.append(len(traj))
+        single = batch[list(order).index(4)]  # the problem with one open query and source cell
+        assert single[:2] == (5, 0) and len(single[3]) == 1
+        assert max(steps) > 1
+
+    def test_converged_means_last_step_met_the_stop_test(self):
+        model, problems = lockstep_problems()
+        # two of these problems meet the stop test on exactly their 17th step
+        opt = RelaxOptConfig(max_steps=17)
+        stop = opt.sharpness_stop
+        flags = []
+        for (F, F2, target, exq, exs), edit in zip(problems, best_edits_relaxed(model, problems, opt)):
+            open_q, open_s = open_cells(9, exq, exs)
+            alpha = np.where(open_q, 0.0, MASK_LOGIT)
+            M = np.where(open_s, np.zeros((9, 1)), MASK_LOGIT)
+            for _, a, P in itertools.islice(ascent_one(model, F, F2, target, alpha, M, opt), len(edit[3])):
+                pass
+            i = a.argmax()
+            assert edit[4] == (a[i] >= stop and P[i].max() >= stop)
+            flags.append((edit[4], len(edit[3]) == opt.max_steps))
+        assert {(True, False), (True, True), (False, True)} <= set(flags)
+
+    def test_ascent_ends_once_no_problem_is_live(self):
+        model, problems = lockstep_problems()
+        F = np.stack([p[0].values for p in problems[:2]])
+        F2 = np.stack([p[1].values for p in problems[:2]])
+        alpha, M = np.zeros((2, 9)), np.zeros((2, 9, 9))
+        count = 0
+        for _, _, _, live in ascent_steps(model, F, F2, [0, 1], alpha, M, RelaxOptConfig()):
+            count += 1
+            if count == 2:
+                live[:] = False
+        assert count == 2
+
+    def test_frozen_row_logits_stay_exactly_fixed(self):
+        model, problems = lockstep_problems()
+        F = np.stack([p[0].values for p in problems[:3]])
+        F2 = np.stack([p[1].values for p in problems[:3]])
+        alpha = np.zeros((3, 9))
+        M = np.zeros((3, 9, 9))
+        steps = ascent_steps(model, F, F2, [0, 1, 2], alpha, M, RelaxOptConfig(max_steps=20))
+        for _ in range(3):
+            _, _, _, live = next(steps)
+        live[1] = False
+        frozen = alpha[1].copy(), M[1].copy()
+        moving = alpha[0].copy(), M[0].copy()
+        count = 3 + sum(1 for _ in steps)
+        assert count == 20
+        np.testing.assert_array_equal(alpha[1], frozen[0])
+        np.testing.assert_array_equal(M[1], frozen[1])
+        assert np.all(alpha[0] != moving[0]) and np.all(M[0] != moving[1])
+
+    def test_closed_cells_stay_at_mask_logit(self):
+        model, problems = lockstep_problems()
+        chunk = problems[:4]
+        F = np.stack([p[0].values for p in chunk])
+        F2 = np.stack([p[1].values for p in chunk])
+        alpha = np.zeros((4, 9))
+        M = np.zeros((4, 9, 9))
+        for b, (_, _, _, exq, exs) in enumerate(chunk):
+            alpha[b, list(exq)] = MASK_LOGIT
+            M[b][:, list(exs)] = MASK_LOGIT
+        opt = RelaxOptConfig()
+        assert sum(1 for _ in ascent_steps(model, F, F2, [p[2] for p in chunk], alpha, M, opt)) == opt.max_steps
+        for b, (_, _, _, exq, exs) in enumerate(chunk):
+            assert np.all(alpha[b, list(exq)] == MASK_LOGIT)
+            assert np.all(M[b][:, list(exs)] == MASK_LOGIT)
+            open_q = np.setdiff1d(np.arange(9), list(exq))
+            assert np.all(alpha[b, open_q] != 0.0)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_smaller_chunks_give_the_same_edits(self, monkeypatch, per_chunk):
+        model, problems = lockstep_problems()
+        whole = best_edits_relaxed(model, problems)
+        monkeypatch.setattr(relaxed, "_CHUNK_VALUES", per_chunk * 9 * (9 + 2))
+        chunked = best_edits_relaxed(model, problems)
+        assert [e[:3] + (len(e[3]), e[4]) for e in chunked] == [e[:3] + (len(e[3]), e[4]) for e in whole]
+
+    def test_no_problems(self):
+        model, _ = lockstep_problems()
+        assert best_edits_relaxed(model, []) == []
