@@ -7,14 +7,13 @@ model's decision to the distractor's class, and renders those edits back to
 pixel space via receptive fields.
 """
 
-from .grids import AlignmentMatrix, EditList, FeatureGrid, GateVector, apply_edits, single_edit
+from .grids import EditList, FeatureGrid, apply_edits, single_edit
 from .network import (
     LayerSpec,
     LogProbVector,
     ModelBundle,
     TrainConfig,
     forward_features,
-    head_input_gradient,
     head_logprobs,
     load_model,
     reference_extractor_specs,
@@ -26,11 +25,9 @@ from .relaxed import RelaxOptConfig, best_edit_relaxed, softmax
 from .search import ExplanationResult, SearchConfig, best_edit_exhaustive, greedy_counterfactual
 
 __all__ = [
-    "AlignmentMatrix",
     "EditList",
     "ExplanationResult",
     "FeatureGrid",
-    "GateVector",
     "LayerSpec",
     "LogProbVector",
     "ModelBundle",
@@ -42,7 +39,6 @@ __all__ = [
     "best_edit_relaxed",
     "forward_features",
     "greedy_counterfactual",
-    "head_input_gradient",
     "head_logprobs",
     "load_model",
     "reference_extractor_specs",

@@ -258,18 +258,18 @@ def cmd_train(args) -> int:
 
 
 def _explain_one(
-    model, dataset, cfg, sc, query_index, distractor_index, out_dir, prefix, rasters=True
+    model, dataset, cfg, sc, rf, query_index, distractor_index, target_class, out_dir, prefix, rasters=True
 ):
+    """Explain one pair toward `target_class`, the distractor's predicted class."""
     result = greedy_counterfactual(
         model,
         dataset.images[query_index],
         dataset.images[distractor_index],
-        int(predict_batch(model, dataset.images[distractor_index][None])[0]),
+        target_class,
         sc,
         query_id=dataset.ids[query_index],
         distractor_id=dataset.ids[distractor_index],
     )
-    rf = _receptive_fields(model)
     renders = None
     if rasters:
         renders = render_explanation(
@@ -294,13 +294,16 @@ def cmd_explain(args) -> int:
     q_index = _checked_index(dataset, args.query_index, "query index")
     if args.distractor_index is not None:
         d_index = _checked_index(dataset, args.distractor_index, "distractor index")
+        target = int(predict_batch(model, dataset.images[d_index][None])[0])
     else:
         preds = predict_batch(model, dataset.images)
         candidates = np.flatnonzero(preds == args.distractor_class)
         if not len(candidates):
             raise CfeditError(f"no image predicted as class {args.distractor_class}")
         d_index = int(candidates[substream(cfg["seed"], "distractor-pick").integers(len(candidates))])
-    result = _explain_one(model, dataset, cfg, sc, q_index, d_index, args.out, "explanation")
+        target = args.distractor_class
+    rf = _receptive_fields(model)
+    result = _explain_one(model, dataset, cfg, sc, rf, q_index, d_index, target, args.out, "explanation")
     print(json.dumps({"status": result.status, "edits": result.edit_count}, sort_keys=True))
     return 0
 
@@ -312,10 +315,13 @@ def cmd_batch_explain(args) -> int:
     dataset = _load_dataset(args, cfg)
     preds = predict_batch(model, dataset.images)
     pairs = _sample_pairs(preds, cfg["pairs"], substream(cfg["seed"], "pairs"))
+    rf = _receptive_fields(model)
     statuses = []
     for k, (q, d) in enumerate(pairs):
         prefix = f"pair_{k:04d}"
-        result = _explain_one(model, dataset, cfg, sc, q, d, args.out, prefix, not args.no_rasters)
+        result = _explain_one(
+            model, dataset, cfg, sc, rf, q, d, int(preds[d]), args.out, prefix, not args.no_rasters
+        )
         statuses.append(result.status)
     print(json.dumps({"pairs": len(pairs), "flipped": statuses.count("flipped")}, sort_keys=True))
     return 0

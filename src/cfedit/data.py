@@ -1,11 +1,12 @@
-"""Dataset ingestion and file formats: IDX digit files, PGM/PPM rasters, and
-a synthetic shapes generator.
+"""Dataset ingestion and file formats: IDX digit files, PGM rasters, and a
+synthetic shapes generator.
 
 The IDX parser reads the standard big-endian container used to distribute
 handwritten-digit datasets.  The shapes generator renders labeled images of
 simple shapes from a small class grammar; it is separable by the reference
 CNN by construction and fully deterministic per seed, so it backs the
-desk-scale experiments and the test suite.
+desk-scale experiments and the test suite.  Both sources yield grayscale
+(N, H, W) images, so every raster written is a single-channel PGM.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, H, W) or (N, H, W, C), values in [0, 1]
+    images: np.ndarray  # (N, H, W), values in [0, 1]
     labels: np.ndarray  # (N,) ints
     class_count: int
     split: str = ""
@@ -83,25 +84,19 @@ def load_idx(images_path: str, labels_path: str, split: str = "") -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# rasters: binary PGM (P5) / PPM (P6), maxval 255
+# rasters: binary PGM (P5), maxval 255
 # ---------------------------------------------------------------------------
 
 def write_raster(path: str, raster: np.ndarray):
     arr = np.asarray(raster, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        arr = arr[:, :, 0]
+    if arr.ndim != 2:
+        raise ShapeError(f"raster must be HxW grayscale, got shape {arr.shape}")
     if np.any(arr < 0) or np.any(arr > 1):
         raise ShapeError("raster values must lie in [0, 1]")
     data = np.round(arr * 255.0).astype(np.uint8)
-    if arr.ndim == 2:
-        magic = b"P5"
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ShapeError(f"raster must be HxW or HxWx3, got shape {arr.shape}")
-    h, w = arr.shape[:2]
+    h, w = arr.shape
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+        fh.write(b"P5\n%d %d\n255\n" % (w, h))
         fh.write(data.tobytes())
 
 

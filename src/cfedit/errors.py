@@ -16,10 +16,6 @@ class BoundsError(CfeditError):
     """Cell index or coordinate outside the valid grid range."""
 
 
-class ModeError(CfeditError):
-    """Operation requires discrete/permutation inputs but got relaxed ones."""
-
-
 class UnsupportedLayerError(CfeditError):
     """Layer kind not in the fixed vocabulary, or not usable in this context."""
 

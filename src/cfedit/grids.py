@@ -7,9 +7,12 @@ cells and an alignment matrix selecting source cells:
 
     edited = (1 - a) o F  +  a o (P @ F')
 
-where `o` broadcasts the gate across the d channels.  Both the discrete form
-(binary gate, permutation alignment) and the relaxed form (simplex gate,
-row-stochastic alignment) are supported.
+where `o` broadcasts the gate across the d channels.  `apply_edits` takes
+the gate and alignment as plain arrays, in either the discrete form (binary
+gate, permutation alignment) or the relaxed one (simplex gate,
+row-stochastic alignment), and checks only their shapes.  The search runs
+the discrete form one cell at a time through `single_edit`; the relaxed
+solver blends its stacked arrays inline.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ExhaustedError, FormatError, ModeError, ShapeError, is_number
-
-SIMPLEX_TOL = 1e-6
-
-
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,8 @@ class FeatureGrid:
     def __post_init__(self):
         if self.h <= 0 or self.w <= 0 or self.d <= 0:
             raise ShapeError(f"grid geometry must be positive, got {self.h}x{self.w}x{self.d}")
-        vals = _frozen(self.values)
+        vals = np.array(self.values, dtype=np.float64)
+        vals.setflags(write=False)
         if vals.shape != (self.h * self.w, self.d):
             raise ShapeError(
                 f"values shape {vals.shape} does not match hw x d = "
@@ -64,69 +60,6 @@ class FeatureGrid:
         h, w, d = arr.shape
         return cls(h, w, d, arr.reshape(h * w, d))
 
-
-@dataclass(frozen=True)
-class GateVector:
-    """Per-cell replacement gate: binary, or a point on the simplex."""
-
-    weights: np.ndarray
-    mode: str  # "discrete" | "relaxed"
-
-    def __post_init__(self):
-        w = _frozen(self.weights)
-        if w.ndim != 1:
-            raise ShapeError(f"gate must be a vector, got shape {w.shape}")
-        if self.mode == "discrete":
-            if not np.all((w == 0.0) | (w == 1.0)):
-                raise ModeError("discrete gate entries must be exactly 0 or 1")
-        elif self.mode == "relaxed":
-            if np.any(w < 0) or abs(w.sum() - 1.0) > SIMPLEX_TOL:
-                raise ModeError("relaxed gate must be nonnegative and sum to 1")
-        else:
-            raise ModeError(f"unknown gate mode {self.mode!r}")
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self):
-        return self.weights.shape[0]
-
-    @classmethod
-    def zeros(cls, n: int) -> "GateVector":
-        return cls(np.zeros(n), "discrete")
-
-
-@dataclass(frozen=True)
-class AlignmentMatrix:
-    """Source-cell selection: a permutation, or a row-stochastic matrix."""
-
-    entries: np.ndarray
-    mode: str  # "permutation" | "row-stochastic"
-
-    def __post_init__(self):
-        m = _frozen(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"alignment must be square, got shape {m.shape}")
-        if self.mode == "permutation":
-            binary = np.all((m == 0.0) | (m == 1.0))
-            if not (binary and np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1)):
-                raise ModeError("permutation mode requires a 0/1 matrix with one 1 per row and column")
-        elif self.mode == "row-stochastic":
-            if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > SIMPLEX_TOL):
-                raise ModeError("row-stochastic mode requires nonnegative rows summing to 1")
-        else:
-            raise ModeError(f"unknown alignment mode {self.mode!r}")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_source_map(cls, sources: np.ndarray) -> "AlignmentMatrix":
-        """Permutation whose row i selects source cell sources[i]."""
-        n = len(sources)
-        m = np.zeros((n, n))
-        m[np.arange(n), sources] = 1.0
-        return cls(m, "permutation")
 
 @dataclass(frozen=True)
 class EditList:
@@ -172,16 +105,18 @@ def _check_pair(F: FeatureGrid, F2: FeatureGrid):
             )
 
 
-def apply_edits(F: FeatureGrid, F2: FeatureGrid, a: GateVector, P: AlignmentMatrix) -> FeatureGrid:
-    """Edited grid (1 - a) o F + a o (P @ F2); inputs are left untouched."""
+def apply_edits(F: FeatureGrid, F2: FeatureGrid, a: np.ndarray, P: np.ndarray) -> FeatureGrid:
+    """Edited grid (1 - a) o F + a o (P @ F2) for an (n,) gate `a` and an
+    (n, n) alignment `P`; inputs are left untouched."""
     _check_pair(F, F2)
     n = F.cells
-    if len(a) != n:
-        raise ShapeError(f"gate length {len(a)} does not match cell count {n}")
-    if P.n != n:
-        raise ShapeError(f"alignment size {P.n} does not match cell count {n}")
-    w = a.weights[:, None]
-    out = (1.0 - w) * F.values + w * (P.entries @ F2.values)
+    a, P = np.asarray(a, dtype=np.float64), np.asarray(P, dtype=np.float64)
+    if a.shape != (n,):
+        raise ShapeError(f"gate shape {a.shape} does not match cell count {n}")
+    if P.shape != (n, n):
+        raise ShapeError(f"alignment shape {P.shape} does not match cell count {n}")
+    w = a[:, None]
+    out = (1.0 - w) * F.values + w * (P @ F2.values)
     return FeatureGrid(F.h, F.w, F.d, out)
 
 

@@ -11,7 +11,7 @@ portable two-file model format (JSON manifest + float64 blob).
 takes every weight gradient and skips the gradient w.r.t. the image;
 `head_input_gradient_batch`, used by the relaxed edit optimizer, takes the
 gradient w.r.t. the head input of a stack of grids and skips every weight
-gradient.
+gradient; a single grid is a stack of one.
 
 Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
 2006) one block of images at a time, so that the forward pass, the weight
@@ -516,17 +516,6 @@ def head_input_gradient_batch(
     return out, gx.reshape(len(x), -1, model.d)
 
 
-def head_input_gradient(
-    model: ModelBundle, F: FeatureGrid, target_class: int
-) -> tuple[LogProbVector, np.ndarray]:
-    """g(F) and the gradient of its `target_class` log-probability w.r.t. F,
-    the latter as an (hw, d) matrix: the batch-of-one case of
-    `head_input_gradient_batch`."""
-    model.check_grids(F)
-    out, gx = head_input_gradient_batch(model, F.values[None], [target_class])
-    return LogProbVector(out[0]), gx[0]
-
-
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
     """Predicted class of each image, evaluated `_PREDICT_IMAGES` images at a time."""
     imgs = _as_batch(model, images)
@@ -552,8 +541,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (is_number(self.learning_rate) and self.learning_rate > 0):
-            raise FormatError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
+        if not (is_number(self.learning_rate) and 0 < self.learning_rate < np.inf):
+            raise FormatError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
         if not (is_number(self.batch_size, integer=True) and self.batch_size > 0):
             raise FormatError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not (is_number(self.epochs, integer=True) and self.epochs >= 0):

@@ -11,9 +11,9 @@ Problems are solved in lockstep batches: the gates, alignments, blends,
 entropies, gradients and Adam moments of B problems are stacked along a
 leading axis, and each step runs the head forward and backward once over the
 (B, h, w, d) stack.  A problem that meets the stop test is frozen, not
-removed: its logits stop moving and its trajectory ends.  The one-problem
-functions are the batch-of-one case of the same code, so greedy search's
-relaxed steps round exactly as they would alone.
+removed: its logits stop moving and its trajectory ends.  `best_edit_relaxed`,
+which greedy search calls once per step, is a batch of one through the same
+code.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class RelaxOptConfig:
     sharpness_stop: ClassVar[float] = 0.95  # stop once the gate and its row's alignment both reach it
 
     def __post_init__(self):
-        if not (is_number(self.learning_rate) and self.learning_rate > 0):
-            raise FormatError(f"learning_rate must be a positive number, got {self.learning_rate!r}")
+        if not (is_number(self.learning_rate) and 0 < self.learning_rate < np.inf):
+            raise FormatError(f"learning_rate must be a positive finite number, got {self.learning_rate!r}")
         if not (is_number(self.max_steps, integer=True) and self.max_steps > 0):
             raise FormatError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
@@ -72,7 +72,12 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _objective_and_grads(model: ModelBundle, F, F2, targets, alpha, M):
-    """The objective and its gradients for a stack of B problems.
+    """The objective and its analytic gradients for a stack of B problems.
+
+    objective = g_target(blend) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
+    where a = softmax(alpha), p_i = softmax(M[i]), H(p) = -sum p ln p with
+    0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
+    each row's alignment entropy is weighted by its gate mass.
 
     F and F2 are (B, n, d) grid values, `targets` the B target classes, and
     alpha (B, n) and M (B, n, n) the logits.  Returns the (B,) objectives,
@@ -106,30 +111,6 @@ def _objective_and_grads(model: ModelBundle, F, F2, targets, alpha, M):
     dalpha = a * (da - _dots(a, da)[:, None])
     dM = P * (dP - (P * dP).sum(axis=-1, keepdims=True))
     return objective, dalpha, dM, a, P
-
-
-def relaxed_objective_and_grads(
-    model: ModelBundle,
-    F: FeatureGrid,
-    F2: FeatureGrid,
-    target_class: int,
-    alpha: np.ndarray,
-    M: np.ndarray,
-    opt: RelaxOptConfig,
-):
-    """Objective value and its analytic gradients w.r.t. the logits (alpha, M).
-
-    objective = g_target(blend) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
-    where a = softmax(alpha), p_i = softmax(M[i]), H(p) = -sum p ln p with
-    0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
-    each row's alignment entropy is weighted by its gate mass.  `opt` is not
-    read: every weight in the objective is a module constant.  This is the
-    batch-of-one case of the objective the solver ascends.
-    """
-    obj, dalpha, dM, a, P = _objective_and_grads(
-        model, F.values[None], F2.values[None], [target_class], alpha[None], M[None]
-    )
-    return float(obj[0]), dalpha[0], dM[0], a[0], P[0]
 
 
 def ascent_steps(model: ModelBundle, F, F2, targets, alpha, M, opt: RelaxOptConfig):

@@ -2,11 +2,11 @@
 
 Feature cells are mapped back to input-pixel rectangles via the standard
 layer-by-layer receptive-field recurrence.  Highlights overlay those
-rectangles on the image (soft radial falloff by default, hard boxes for
-bit-exact tests); the composite view pastes the distractor's highlighted
-patch onto the query, center-aligned, using highlight intensity as per-pixel
+rectangles on the grayscale image with a soft radial falloff, blending
+toward white; the composite view pastes the distractor's highlighted patch
+onto the query, center-aligned, using highlight intensity as per-pixel
 alpha.  Explanation records are versioned JSON with stable key order;
-rasters go through the PGM/PPM writer in `data`.
+rasters go through the PGM writer in `data`.
 """
 
 from __future__ import annotations
@@ -86,45 +86,34 @@ def receptive_field_map(extractor_specs, image_h: int, image_w: int) -> Receptiv
 # rendering
 # ---------------------------------------------------------------------------
 
-def intensity_map(rf: ReceptiveFieldMap, cells, mode: str = "soft") -> np.ndarray:
-    """Per-pixel highlight intensity in [0,1] for weighted cells; overlaps take
+def intensity_map(rf: ReceptiveFieldMap, cells) -> np.ndarray:
+    """Per-pixel highlight intensity in [0,1] for weighted cells: a radial
+    falloff from each rectangle's center, scaled by its weight; overlaps take
     the max.  `cells` is an iterable of ((row, col), weight)."""
     out = np.zeros((rf.image_h, rf.image_w))
     for (row, col), weight in cells:
         if not (0.0 <= weight <= 1.0):
             raise ShapeError(f"cell weight {weight} outside [0, 1]")
         t, l, b, r = rf.rect(row, col)
-        if mode == "hard":
-            patch = np.full((b - t + 1, r - l + 1), float(weight))
-        elif mode == "soft":
-            cy, cx = (t + b) / 2.0, (l + r) / 2.0
-            ry, rx = (b - t) / 2.0 + 0.5, (r - l) / 2.0 + 0.5
-            ys = np.arange(t, b + 1)[:, None]
-            xs = np.arange(l, r + 1)[None, :]
-            dist = np.sqrt(((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2)
-            patch = weight * np.clip(1.0 - dist, 0.0, 1.0)
-        else:
-            raise ShapeError(f"unknown highlight mode {mode!r}")
+        cy, cx = (t + b) / 2.0, (l + r) / 2.0
+        ry, rx = (b - t) / 2.0 + 0.5, (r - l) / 2.0 + 0.5
+        ys = np.arange(t, b + 1)[:, None]
+        xs = np.arange(l, r + 1)[None, :]
+        dist = np.sqrt(((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2)
+        patch = weight * np.clip(1.0 - dist, 0.0, 1.0)
         region = out[t : b + 1, l : r + 1]
         np.maximum(region, patch, out=region)
     return out
 
 
-HIGHLIGHT_RGB = np.array([1.0, 0.1, 0.1])
-
-
-def render_heatmap(image: np.ndarray, cells, rf: ReceptiveFieldMap, mode: str = "soft") -> np.ndarray:
-    """Image with highlighted receptive-field rectangles; geometry preserved.
-
-    Grayscale images blend toward white, color images toward red.
-    """
+def render_heatmap(image: np.ndarray, cells, rf: ReceptiveFieldMap) -> np.ndarray:
+    """Grayscale image with its highlighted receptive-field rectangles
+    blended toward white; geometry preserved."""
     img = np.asarray(image, dtype=np.float64)
-    alpha = intensity_map(rf, cells, mode)
-    if img.ndim == 2 or (img.ndim == 3 and img.shape[2] == 1):
-        flat = img if img.ndim == 2 else img[:, :, 0]
-        out = (1.0 - alpha) * flat + alpha * 1.0
-        return out if img.ndim == 2 else out[:, :, None]
-    return (1.0 - alpha[:, :, None]) * img + alpha[:, :, None] * HIGHLIGHT_RGB
+    if img.ndim != 2:
+        raise ShapeError(f"image must be HxW grayscale, got shape {img.shape}")
+    alpha = intensity_map(rf, cells)
+    return (1.0 - alpha) * img + alpha * 1.0
 
 
 def render_composite(
@@ -133,7 +122,6 @@ def render_composite(
     edit: tuple,
     rf_query: ReceptiveFieldMap,
     rf_distractor: ReceptiveFieldMap,
-    mode: str = "soft",
 ) -> np.ndarray:
     """Paste the distractor's highlighted patch onto the query.
 
@@ -150,7 +138,7 @@ def render_composite(
     cy_d, cx_d = rf_distractor.rect_center(i2, j2)
     dy = int(round(cy_q - cy_d))
     dx = int(round(cx_q - cx_d))
-    alpha = intensity_map(rf_distractor, [((i2, j2), 1.0)], mode)
+    alpha = intensity_map(rf_distractor, [((i2, j2), 1.0)])
 
     out = q.copy()
     h, w = alpha.shape
@@ -162,8 +150,6 @@ def render_composite(
     src_t, src_l = dst_t - dy, dst_l - dx
     src_b, src_r = dst_b - dy, dst_r - dx
     a = alpha[src_t:src_b, src_l:src_r]
-    if q.ndim == 3:
-        a = a[:, :, None]
     out[dst_t:dst_b, dst_l:dst_r] = (1.0 - a) * q[dst_t:dst_b, dst_l:dst_r] + a * dimg[
         src_t:src_b, src_l:src_r
     ]
@@ -179,18 +165,18 @@ class RenderedExplanation:
 
 
 def render_explanation(
-    query_image, distractor_image, result: ExplanationResult, rf: ReceptiveFieldMap, mode="soft"
+    query_image, distractor_image, result: ExplanationResult, rf: ReceptiveFieldMap
 ) -> RenderedExplanation:
     """Standard renders for one result: per-edit weights decay with rank."""
     n = max(len(result.edits), 1)
     weights = [1.0 - 0.5 * k / n for k in range(len(result.edits))]
     q_cells = [((i, j), wt) for (i, j, _, _), wt in zip(result.edits, weights)]
     d_cells = [((i2, j2), wt) for (_, _, i2, j2), wt in zip(result.edits, weights)]
-    qh = render_heatmap(query_image, q_cells, rf, mode)
-    dh = render_heatmap(distractor_image, d_cells, rf, mode)
+    qh = render_heatmap(query_image, q_cells, rf)
+    dh = render_heatmap(distractor_image, d_cells, rf)
     comp = np.asarray(query_image, dtype=np.float64).copy()
     for quad in result.edits:
-        comp = render_composite(comp, distractor_image, quad, rf, rf, mode)
+        comp = render_composite(comp, distractor_image, quad, rf, rf)
     return RenderedExplanation(qh, dh, comp, result)
 
 
@@ -277,7 +263,7 @@ def write_explanation(
     prefix: str = "explanation",
     extra: dict | None = None,
 ) -> dict:
-    """Write record JSON plus rasters; returns {name: path}."""
+    """Write record JSON plus PGM rasters; returns {name: path}."""
     os.makedirs(out_dir, exist_ok=True)
     record = result_to_record(result, rf_query, rf_distractor, config, extra)
     paths = {"record": os.path.join(out_dir, f"{prefix}.json")}
@@ -289,9 +275,7 @@ def write_explanation(
             ("distractor_heatmap", renders.distractor_heatmap),
             ("composite", renders.composite),
         ):
-            arr = np.asarray(raster)
-            ext = "ppm" if arr.ndim == 3 and arr.shape[-1] == 3 else "pgm"
-            paths[name] = os.path.join(out_dir, f"{prefix}_{name}.{ext}")
+            paths[name] = os.path.join(out_dir, f"{prefix}_{name}.pgm")
             write_raster(paths[name], raster)
     return paths
 

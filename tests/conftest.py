@@ -59,26 +59,24 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
 
 
-_RASTER_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+_RASTER_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def read_raster(path: str) -> np.ndarray:
-    """Inverse of write_raster (binary PGM/PPM, maxval 255), for checking rendered files."""
+    """Inverse of write_raster (binary PGM, maxval 255), for checking rendered files."""
     with open(path, "rb") as fh:
         blob = fh.read()
     # exactly one whitespace byte ends the header; pixel bytes may look like whitespace
     header = _RASTER_HEADER.match(blob)
     if header is None:
-        raise FormatError(f"{path}: not a binary PGM/PPM file")
-    magic = header.group(1)
-    w, h, maxval = (int(v) for v in header.group(2, 3, 4))
+        raise FormatError(f"{path}: not a binary PGM file")
+    w, h, maxval = (int(v) for v in header.group(1, 2, 3))
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
-    channels = 3 if magic == b"P6" else 1
-    data = np.frombuffer(blob[header.end() : header.end() + h * w * channels], dtype=np.uint8)
-    if data.size != h * w * channels:
+    data = np.frombuffer(blob[header.end() : header.end() + h * w], dtype=np.uint8)
+    if data.size != h * w:
         raise FormatError(f"{path}: truncated pixel data")
-    return data.reshape((h, w, 3) if channels == 3 else (h, w)).astype(np.float64) / 255.0
+    return data.reshape(h, w).astype(np.float64) / 255.0
 
 
 def make_model(ext_specs, head_specs, input_shape, class_count, seed=0) -> ModelBundle:

@@ -118,7 +118,7 @@ class TestExplainPipeline:
              "--record", os.path.join(src, "explanation.json"), "--out", out],
             capsys,
         )
-        rasters = [f for f in os.listdir(out) if f.endswith((".pgm", ".ppm"))]
+        rasters = [f for f in os.listdir(out) if f.endswith(".pgm")]
         assert rasters
 
 
@@ -219,13 +219,21 @@ class TestConfigAndErrors:
             (["fidelity", "--instances", "0"], None, "instances"),
             (["batch-explain", "--shapes-size", "-4"], None, "shapes_size"),
             (["batch-explain"], {"shapes_size": -4}, "shapes_size"),
+            (["train", "--learning-rate", "inf"], None, "learning_rate"),
+            (["train"], {"learning_rate": float("inf")}, "learning_rate"),
+            (["explain", "--strategy", "relaxed", "--relax-lr", "inf"], None, "learning_rate"),
+            (["fidelity", "--strategy", "relaxed", "--relax-lr", "inf"], None, "learning_rate"),
+            (["fidelity"], {"relax_lr": float("inf")}, "learning_rate"),
+            (["fidelity", "--relax-lr", "nan"], None, "learning_rate"),
         ],
         ids=[
             "relax-lr", "max-edits-zero", "exclusion-policy", "max-edits-string", "strategy",
             "pairs-string", "relax-steps-float", "config-not-object", "batch-size-zero",
             "batch-size-negative", "learning-rate-zero", "epochs-string", "seed-negative",
             "seed-negative-in-file", "pairs-negative", "pairs-zero", "instances-zero",
-            "shapes-size-negative", "shapes-size-negative-in-file",
+            "shapes-size-negative", "shapes-size-negative-in-file", "learning-rate-inf",
+            "learning-rate-infinity-in-file", "explain-relax-lr-inf", "fidelity-relax-lr-inf",
+            "relax-lr-infinity-in-file", "relax-lr-nan",
         ],
     )
     def test_bad_config_value_is_one_error_line(self, cli_model, tmp_path, capsys, argv, file_cfg, field):

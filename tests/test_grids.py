@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from cfedit.errors import BoundsError, FormatError, ModeError, ShapeError
-from cfedit.grids import (
-    AlignmentMatrix,
-    EditList,
-    FeatureGrid,
-    GateVector,
-    apply_edits,
-    single_edit,
-)
+from cfedit.errors import BoundsError, FormatError, ShapeError
+from cfedit.grids import EditList, FeatureGrid, apply_edits, single_edit
 
 
-IDENTITY_4 = AlignmentMatrix.from_source_map(np.arange(4))  # each cell its own source
+def source_map(sources):
+    """Permutation alignment whose row i selects source cell sources[i]."""
+    n = len(sources)
+    P = np.zeros((n, n))
+    P[np.arange(n), sources] = 1.0
+    return P
+
+
+IDENTITY_4 = source_map(np.arange(4))  # each cell its own source
 
 
 def grid_2x2():
@@ -26,8 +27,8 @@ def scalar_loop_edit(F, F2, a, P):
     out = np.zeros_like(F.values)
     for i in range(F.cells):
         for c in range(F.d):
-            mixed = sum(P.entries[i, j] * F2.values[j, c] for j in range(F.cells))
-            out[i, c] = (1 - a.weights[i]) * F.values[i, c] + a.weights[i] * mixed
+            mixed = sum(P[i, j] * F2.values[j, c] for j in range(F.cells))
+            out[i, c] = (1 - a[i]) * F.values[i, c] + a[i] * mixed
     return out
 
 
@@ -51,23 +52,6 @@ class TestTypes:
         for (row, col, _, _), i in zip(quads, edits.query_cells()):
             assert F.values[i, 0] == arr[row, col, 0]
 
-    def test_discrete_gate_rejects_fractions(self):
-        with pytest.raises(ModeError):
-            GateVector(np.array([0.5, 0.5]), "discrete")
-
-    def test_relaxed_gate_must_be_simplex(self):
-        with pytest.raises(ModeError):
-            GateVector(np.array([0.5, 0.6]), "relaxed")
-        GateVector(np.array([0.5, 0.5]), "relaxed")
-
-    def test_permutation_validated(self):
-        with pytest.raises(ModeError):
-            AlignmentMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), "permutation")
-
-    def test_row_stochastic_validated(self):
-        with pytest.raises(ModeError):
-            AlignmentMatrix(np.array([[0.9, 0.0], [0.5, 0.5]]), "row-stochastic")
-
     def test_edit_list_rejects_duplicate_query_cell(self):
         with pytest.raises(BoundsError):
             EditList(((0, 0, 1, 1), (0, 0, 0, 1)), 2, 2)
@@ -85,19 +69,19 @@ class TestTypes:
 class TestApplyEdits:
     def test_closed_gate_is_identity(self):
         F, F2 = grid_2x2()
-        out = apply_edits(F, F2, GateVector.zeros(4), IDENTITY_4)
+        out = apply_edits(F, F2, np.zeros(4), IDENTITY_4)
         np.testing.assert_array_equal(out.values, F.values)
 
     def test_full_gate_identity_alignment_is_replacement(self):
         F, F2 = grid_2x2()
-        out = apply_edits(F, F2, GateVector(np.ones(4), "discrete"), IDENTITY_4)
+        out = apply_edits(F, F2, np.ones(4), IDENTITY_4)
         np.testing.assert_array_equal(out.values, F2.values)
 
     def test_hand_case_cell0_from_cell3(self):
         # one-hot gate at cell 0, alignment row 0 <- cell 3; oracle value [8,2,3,4]
         F, F2 = grid_2x2()
-        a = GateVector(np.eye(4)[0], "discrete")
-        P = AlignmentMatrix.from_source_map(np.array([3, 1, 2, 0]))
+        a = np.eye(4)[0]
+        P = source_map(np.array([3, 1, 2, 0]))
         out = apply_edits(F, F2, a, P)
         np.testing.assert_array_equal(out.values, [[8.0], [2.0], [3.0], [4.0]])
         np.testing.assert_array_equal(out.values, scalar_loop_edit(F, F2, a, P))
@@ -108,8 +92,8 @@ class TestApplyEdits:
             h, w, d = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4)
             F = FeatureGrid(h, w, d, rng.normal(size=(h * w, d)))
             F2 = FeatureGrid(h, w, d, rng.normal(size=(h * w, d)))
-            a = GateVector((rng.random(h * w) < 0.5).astype(float), "discrete")
-            P = AlignmentMatrix.from_source_map(rng.permutation(h * w))
+            a = (rng.random(h * w) < 0.5).astype(float)
+            P = source_map(rng.permutation(h * w))
             out = apply_edits(F, F2, a, P)
             np.testing.assert_allclose(out.values, scalar_loop_edit(F, F2, a, P), atol=1e-12)
 
@@ -117,20 +101,27 @@ class TestApplyEdits:
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         F2 = FeatureGrid(2, 2, 2, np.zeros((4, 2)))
         with pytest.raises(ShapeError, match="d"):
-            apply_edits(F, F2, GateVector.zeros(4), IDENTITY_4)
+            apply_edits(F, F2, np.zeros(4), IDENTITY_4)
+
+    def test_gate_and_alignment_shapes_checked(self):
+        F, F2 = grid_2x2()
+        with pytest.raises(ShapeError, match="gate"):
+            apply_edits(F, F2, np.zeros(3), IDENTITY_4)
+        with pytest.raises(ShapeError, match="alignment"):
+            apply_edits(F, F2, np.zeros(4), IDENTITY_4[:3])
 
     def test_inputs_unmodified(self):
         F, F2 = grid_2x2()
         before = F.values.copy()
-        apply_edits(F, F2, GateVector(np.ones(4), "discrete"), IDENTITY_4)
+        apply_edits(F, F2, np.ones(4), IDENTITY_4)
         np.testing.assert_array_equal(F.values, before)
 
     def test_idempotent_discrete(self):
         rng = np.random.default_rng(3)
         F = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
         F2 = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
-        a = GateVector((rng.random(6) < 0.5).astype(float), "discrete")
-        P = AlignmentMatrix.from_source_map(rng.permutation(6))
+        a = (rng.random(6) < 0.5).astype(float)
+        P = source_map(rng.permutation(6))
         once = apply_edits(F, F2, a, P)
         twice = apply_edits(once, F2, a, P)
         np.testing.assert_array_equal(once.values, twice.values)
@@ -139,13 +130,13 @@ class TestApplyEdits:
         rng = np.random.default_rng(5)
         F = FeatureGrid(2, 2, 3, rng.normal(size=(4, 3)))
         F2 = FeatureGrid(2, 2, 3, rng.normal(size=(4, 3)))
-        P = AlignmentMatrix(np.full((4, 4), 0.25), "row-stochastic")
+        P = np.full((4, 4), 0.25)
         w1 = rng.dirichlet(np.ones(4))
         w2 = rng.dirichlet(np.ones(4))
-        mid = apply_edits(F, F2, GateVector((w1 + w2) / 2, "relaxed"), P)
+        mid = apply_edits(F, F2, (w1 + w2) / 2, P)
         avg = (
-            apply_edits(F, F2, GateVector(w1, "relaxed"), P).values
-            + apply_edits(F, F2, GateVector(w2, "relaxed"), P).values
+            apply_edits(F, F2, w1, P).values
+            + apply_edits(F, F2, w2, P).values
         ) / 2
         np.testing.assert_allclose(mid.values, avg, atol=1e-9)
 
@@ -153,12 +144,12 @@ class TestApplyEdits:
         rng = np.random.default_rng(11)
         F = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
         F2 = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
-        a = GateVector((rng.random(9) < 0.4).astype(float), "discrete")
-        P = AlignmentMatrix.from_source_map(rng.permutation(9))
+        a = (rng.random(9) < 0.4).astype(float)
+        P = source_map(rng.permutation(9))
         out = apply_edits(F, F2, a, P)
         changed = np.any(out.values != F.values, axis=1).sum()
-        assert changed <= a.weights.sum()  # equality unless a source row equals the query row
-        assert changed == a.weights.sum()  # continuous random values never collide
+        assert changed <= a.sum()  # equality unless a source row equals the query row
+        assert changed == a.sum()  # continuous random values never collide
 
 
 class TestSingleEdit:
@@ -183,9 +174,7 @@ class TestSingleEdit:
             sources = np.arange(n)  # transposition: a permutation with row i -> j2
             sources[i], sources[j2] = j2, i
             assert sources[i] == j2
-            via_apply = apply_edits(
-                F, F2, GateVector(np.eye(n)[i], "discrete"), AlignmentMatrix.from_source_map(sources)
-            )
+            via_apply = apply_edits(F, F2, np.eye(n)[i], source_map(sources))
             np.testing.assert_array_equal(single_edit(F, F2, i, j2).values, via_apply.values)
 
     def test_bounds(self):

@@ -16,7 +16,7 @@ from cfedit.network import (
     ModelBundle,
     TrainConfig,
     forward_features,
-    head_input_gradient,
+    head_input_gradient_batch,
     head_logprobs,
     load_model,
     reference_extractor_specs,
@@ -307,13 +307,13 @@ class TestBackwardSelection:
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=3)
         F = forward_features(model, np.random.default_rng(3).uniform(0, 1, (28, 28, 1)))
         target = 7
-        lp, grad = head_input_gradient(model, F, target)
+        lp, grad = head_input_gradient_batch(model, F.values[None], [target])
         out, caches = network.forward_layers(model.head, F.values.reshape(1, 4, 4, 20), keep_caches=True)
         g = np.zeros_like(out)
         g[0, target] = 1.0
         gx, _ = network.backward_layers(model.head, caches, g)
-        assert grad.tobytes() == gx.reshape(16, 20).tobytes()
-        assert lp.values.tobytes() == out[0].tobytes()
+        assert grad.tobytes() == gx.reshape(1, 16, 20).tobytes()
+        assert lp.tobytes() == out.tobytes()
 
 
 class TestHead:
@@ -359,7 +359,8 @@ class TestHeadInputGradient:
         logits = F.values.ravel() @ W + model.head[1].weights["bias"]
         p = np.exp(log_softmax_ref(logits))
         expected = ((np.eye(3)[target] - p) @ W.T).reshape(4, 1)
-        np.testing.assert_allclose(head_input_gradient(model, F, target)[1], expected, atol=1e-12)
+        _, grad = head_input_gradient_batch(model, F.values[None], [target])
+        np.testing.assert_allclose(grad[0], expected, atol=1e-12)
 
     def test_finite_difference_random_heads(self):
         rng = np.random.default_rng(6)
@@ -367,7 +368,7 @@ class TestHeadInputGradient:
             model = identity_feature_model(2, 3, 2, 4, seed=100 + k, linear=False)
             F = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
             target = int(rng.integers(4))
-            _, grad = head_input_gradient(model, F, target)
+            grad = head_input_gradient_batch(model, F.values[None], [target])[1][0]
             eps = 1e-5
             fd = np.zeros_like(grad)
             for i in range(6):
@@ -386,7 +387,7 @@ class TestHeadInputGradient:
         model = identity_feature_model(2, 2, 1, 3)
         model.head[1].weights["weight"][...] = 0.0
         F = FeatureGrid(2, 2, 1, np.ones((4, 1)))
-        np.testing.assert_array_equal(head_input_gradient(model, F, 0)[1], 0.0)
+        np.testing.assert_array_equal(head_input_gradient_batch(model, F.values[None], [0])[1], 0.0)
 
 
 class TestComposition:

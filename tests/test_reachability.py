@@ -10,6 +10,12 @@ annotations and attributes of imported modules (`json.load`) are not
 references, so a re-export in `__init__`, a type hint or a library call of
 the same name keeps nothing alive.  Module-level statements outside
 `__init__` run on import and count as reached code.
+
+A function can be reached while one of its options is set only by unit
+tests, so a second rule checks options: every defaulted parameter of a
+public function, method or constructor is set, by keyword, by position or
+through `*args`/`**kwargs`, at some call site in the package, the benchmark
+or the acceptance tests.  Call sites are matched by name as above.
 """
 
 import ast
@@ -133,3 +139,70 @@ def unreached_public_names():
 def test_every_public_name_is_reached():
     unreached = unreached_public_names()
     assert not unreached, f"public names no command, benchmark or acceptance test reaches: {unreached}"
+
+
+def call_sites():
+    """{callee name: [(positional count, keyword names, open-ended)]} for
+    every call in the package, the benchmark and the acceptance tests.  A
+    callee is named by its last identifier (`f(...)`, `mod.f(...)`,
+    `obj.f(...)`), through `from ... import f as g` aliases; a call that
+    passes `*args` or `**kwargs` is open-ended and may set any parameter."""
+    paths = [os.path.join(PACKAGE_DIR, f) for f in sorted(os.listdir(PACKAGE_DIR)) if f.endswith(".py")]
+    paths += [os.path.join(PERFBENCH_DIR, f) for f in sorted(os.listdir(PERFBENCH_DIR)) if f.endswith(".py")]
+    sites = {}
+    for path in paths + [ACCEPTANCE]:
+        tree = parse(path)
+        imports = [a for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+        aliases = {a.asname: a.name for a in imports if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            open_ended = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            sites.setdefault(aliases.get(name, name), []).append((len(node.args), keywords, open_ended))
+    return sites
+
+
+def defaulted_parameters(node, method):
+    """(position, name) of each parameter of `node` that has a default;
+    position counts from the first argument a caller passes, None for a
+    keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if method:
+        positional = positional[1:]  # self or cls, bound by the call
+    first = len(positional) - len(args.defaults)
+    found = [(p, positional[p].arg) for p in range(first, len(positional))]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def unset_defaulted_parameters():
+    defs, _, _ = definitions()
+    sites = call_sites()
+    unset = []
+    for qual, (node, cls) in defs.items():
+        if isinstance(node, ast.ClassDef):
+            continue
+        parts = qual.split(".")[1:]
+        if any(part.startswith("_") and part != "__init__" for part in parts):
+            continue
+        callee = parts[-2] if parts[-1] == "__init__" else parts[-1]  # a class is called by its name
+        calls = sites.get(callee, [])
+        for pos, name in defaulted_parameters(node, cls is not None):
+            if not any(
+                open_ended or name in keywords or (pos is not None and count > pos)
+                for count, keywords, open_ended in calls
+            ):
+                unset.append(f"{qual}({name})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """An option that no command, benchmark or acceptance test sets is an
+    option only unit tests reach; the name-based reachability above cannot
+    see it, because its function is reached either way."""
+    unset = unset_defaulted_parameters()
+    assert not unset, f"defaulted parameters no command, benchmark or acceptance test sets: {unset}"

@@ -13,7 +13,6 @@ from cfedit.relaxed import (
     ascent_steps,
     best_edit_relaxed,
     best_edits_relaxed,
-    relaxed_objective_and_grads,
     softmax,
 )
 from cfedit.search import best_edit_exhaustive
@@ -39,6 +38,13 @@ class TestSoftmax:
         assert np.isfinite(out).all() and out[0] == pytest.approx(1.0)
 
 
+def objective_one(model, F, F2, target, alpha, M):
+    """The objective, its gradients, the gate and the alignment of one
+    problem: `_objective_and_grads` on a stack of one."""
+    out = relaxed._objective_and_grads(model, F.values[None], F2.values[None], [target], alpha[None], M[None])
+    return [x[0] for x in out]
+
+
 def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
     """Target log-probability of the blend minus the objective: the entropy
     penalty the objective subtracts at logits (alpha, M) under these weights."""
@@ -48,7 +54,7 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
     rng = np.random.default_rng(n)
     model = identity_feature_model(1, n, 1, 2, seed=n)
     F, F2 = random_grid(rng, 1, n, 1), random_grid(rng, 1, n, 1)
-    objective, _, _, a, P = relaxed_objective_and_grads(model, F, F2, 1, alpha, M, RelaxOptConfig())
+    objective, _, _, a, P = objective_one(model, F, F2, 1, alpha, M)
     blend = FeatureGrid(1, n, 1, (1.0 - a[:, None]) * F.values + a[:, None] * (P @ F2.values))
     return head_logprobs(model, blend)[1] - objective
 
@@ -93,7 +99,6 @@ class TestEntropy:
 class TestObjectiveGradients:
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
-        opt = RelaxOptConfig()
         for k in range(5):
             model = identity_feature_model(3, 3, 2, 3, seed=400 + k, linear=bool(k % 2))
             F = random_grid(rng, 3, 3, 2)
@@ -101,11 +106,11 @@ class TestObjectiveGradients:
             target = int(rng.integers(3))
             alpha = rng.normal(size=9) * 0.5
             M = rng.normal(size=(9, 9)) * 0.5
-            _, dalpha, dM, _, _ = relaxed_objective_and_grads(model, F, F2, target, alpha, M, opt)
+            _, dalpha, dM, _, _ = objective_one(model, F, F2, target, alpha, M)
             eps = 1e-5
 
             def obj(al, mm):
-                return relaxed_objective_and_grads(model, F, F2, target, al, mm, opt)[0]
+                return objective_one(model, F, F2, target, al, mm)[0]
 
             fd_alpha = np.zeros(9)
             for i in range(9):
@@ -151,7 +156,7 @@ class TestObjectiveGradients:
         alpha = rng.normal(size=9) * 0.5
         M = rng.normal(size=(9, 9)) * 0.5
         alpha0, M0 = alpha.copy(), M.copy()
-        _, dalpha, dM, _, _ = relaxed_objective_and_grads(model, F, F2, 2, alpha0, M0, opt)
+        _, dalpha, dM, _, _ = objective_one(model, F, F2, 2, alpha0, M0)
         steps = ascent_one(model, F, F2, 2, alpha, M, opt)
         next(steps)
         next(steps)  # resuming runs the first update
