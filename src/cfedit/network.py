@@ -320,11 +320,32 @@ def _dense_input_grad(g, layer, x):
     return g @ layer.weights["weight"].T
 
 
+def _log_softmax(x, target=None):
+    """Log-softmax over the last (class) axis of `x`, or only its class
+    `target` (the last axis dropped) when one is given.
+
+    It works on class columns: a running maximum, the shift and exp, then a
+    sum that adds the columns in class order.  No step reduces along the
+    short class axis, whose sum order is numpy's choice (pairwise from 8
+    values on), so a row's result depends on that row alone, whatever the
+    batch, and the `target` column equals that column of the full output.
+    """
+    classes = x.shape[-1]
+    m = x[..., 0]
+    for c in range(1, classes):
+        m = np.maximum(m, x[..., c])
+    z = x - m[..., None]
+    e = np.exp(z)
+    s = e[..., 0]
+    for c in range(1, classes):
+        s = s + e[..., c]
+    lse = np.log(s)
+    return z - lse[..., None] if target is None else z[..., target] - lse
+
+
 def _logsoftmax_forward(x, layer):
-    m = x.max(axis=-1, keepdims=True)
-    z = x - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z - lse, z - lse
+    y = _log_softmax(x)
+    return y, y
 
 
 def _logsoftmax_input_grad(g, layer, y):

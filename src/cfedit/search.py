@@ -12,8 +12,11 @@ begins flatten -> dense: an edit changes one cell, so its pre-activation in
 that first dense layer is the unedited one plus the cell's difference times
 that cell's block of the weight, and only the rest of the head runs per
 candidate.  Heads with any other first layer fall back to building the edited
-grids and running the whole head.  Both paths work through a fixed number of
-values per block of query cells, so memory stays bounded as the grid grows.
+grids and running the whole head.  Either way only the query cells still open
+are scored, and of the final log-softmax only the target class is computed,
+bit-identical to that column of the full output.  Both paths work through a
+fixed number of values per block of query cells, so memory stays bounded as
+the grid grows.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid, open_cells, single_edit
-from .network import ModelBundle, forward_features, forward_layers, head_logprobs, head_logprobs_batch
+from .network import ModelBundle, _log_softmax, forward_features, forward_layers, head_logprobs
 from .relaxed import RelaxOptConfig, best_edit_relaxed
 
-# float64 values one block of query cells may hold in candidate_scores (16 MB)
+# float64 values one block of query cells may hold in candidate_scores (16 MB);
+# only open query cells are scored, and only the target class's log-probability
+# is kept
 _BLOCK_VALUES = 1 << 21
 
 
@@ -92,17 +97,19 @@ def best_edit_exhaustive(
     """Single edit maximizing the target-class log-probability over all
     non-excluded (query cell, source cell) pairs. Returns (i, j2, score)."""
     open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
-    scores = np.where(open_q[:, None] & open_s, candidate_scores(model, F, F2, target_class), -np.inf)
+    scores = candidate_scores(model, F, F2, target_class, np.flatnonzero(open_q))
+    scores[:, ~open_s] = -np.inf
     flat = int(np.argmax(scores))  # first occurrence: smallest i, then smallest j2
     i, j2 = divmod(flat, F.cells)
     return i, j2, float(scores[i, j2])
 
 
 def candidate_scores(
-    model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int
+    model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int, rows
 ) -> np.ndarray:
-    """Target-class log-probability of every single edit, as an (hw, hw) array
-    indexed by (query cell, source cell).
+    """Target-class log-probability of every single edit of the query cells
+    `rows` (indices), as an (hw, hw) array indexed by (query cell, source
+    cell); every other row is -inf.
 
     When the head begins flatten -> dense with weight W and bias b, the first
     dense output of edit (i, j) is z0 + (F2[j] - F[i]) . W_i, where
@@ -110,7 +117,9 @@ def candidate_scores(
     the layers after that dense layer run on the candidates.  The difference
     is taken before the product, so no-op edits (F2[j] == F[i]) and identical
     source rows score bit-identically.  Any other head is scored by building
-    the edited grids and running the whole head.
+    the edited grids and running the whole head.  Both paths end in the
+    target column of the log-softmax, and a row's scores do not depend on
+    which other rows are scored with it.
     """
     model.check_grids(F, F2)
     n, d = F.values.shape
@@ -121,23 +130,25 @@ def candidate_scores(
         z0 = F.values.reshape(-1) @ weight + bias
         per_cell = n * (d + W.shape[2])
 
-        def score(q):
-            z = z0 + np.matmul(F2.values[None] - F.values[q, None, :], W[q])
-            return forward_layers(head[2:], z.reshape(len(q) * n, -1))
+        def logits(q):
+            z = np.matmul(F2.values[None] - F.values[q, None, :], W[q])
+            z += z0
+            return forward_layers(head[2:-1], z.reshape(len(q) * n, -1))
 
     else:
         per_cell = n * n * d
 
-        def score(q):
+        def logits(q):
             grids = np.broadcast_to(F.values, (len(q), n, n, d)).copy()
             grids[np.arange(len(q))[:, None], np.arange(n), q[:, None], :] = F2.values
-            return head_logprobs_batch(model, grids.reshape(len(q) * n, n, d))
+            return forward_layers(head[:-1], grids.reshape(len(q) * n, F.h, F.w, d))
 
     step = max(1, _BLOCK_VALUES // per_cell)
-    out = np.empty((n, n))
-    for lo in range(0, n, step):
-        q = np.arange(lo, min(lo + step, n))
-        out[q] = score(q)[:, target_class].reshape(len(q), n)
+    rows = np.asarray(rows, dtype=int)
+    out = np.full((n, n), -np.inf)
+    for lo in range(0, len(rows), step):
+        q = rows[lo : lo + step]
+        out[q] = _log_softmax(logits(q), target_class).reshape(len(q), n)
     return out
 
 

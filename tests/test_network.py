@@ -350,6 +350,68 @@ class TestHead:
             LogProbVector(np.array([0.0, 0.0]))  # exp-sum 2
 
 
+class TestLogSoftmax:
+    """The one log-softmax both the layer and the candidate scorer use: a row's
+    result does not depend on the batch around it, at any class count."""
+
+    BATCHES = (1, 7, 2401)
+
+    @staticmethod
+    def row_formula(x):
+        """The row-sum formula the layer used before; numpy sums a row of
+        fewer than 8 values left to right."""
+        z = x - x.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def class_order_formula(x):
+        """Each row's exp-sum added in Python floats, in class order."""
+        z = x - x.max(axis=-1, keepdims=True)
+        sums = []
+        for row in np.exp(z):
+            total = 0.0
+            for v in row:
+                total += float(v)
+            sums.append(total)
+        return z - np.log(np.array(sums))[:, None]
+
+    @pytest.mark.parametrize("classes", range(2, 18))
+    def test_target_column_and_rows_are_batch_independent(self, classes):
+        rng = np.random.default_rng(classes)
+        x = rng.normal(scale=6.0, size=(max(self.BATCHES), classes))
+        x[::5, 0] = x[::5, -1]  # ties for the running maximum
+        full = network._log_softmax(x)
+        assert np.array_equal(full, self.class_order_formula(x))
+        assert np.all(full <= 0)
+        np.testing.assert_allclose(np.exp(full).sum(axis=1), 1.0, atol=1e-12)
+        for batch in self.BATCHES:
+            for lo in (0, len(x) - batch):
+                part = x[lo : lo + batch]
+                out = network._log_softmax(part)
+                assert np.array_equal(out, full[lo : lo + batch])
+                for target in range(classes):
+                    assert np.array_equal(network._log_softmax(part, target), out[:, target])
+                if classes <= 7:
+                    assert np.array_equal(out, self.row_formula(part))
+
+    @pytest.mark.parametrize("classes", range(2, 18))
+    def test_one_grid_equals_its_row_of_a_batch(self, classes):
+        # a head of flatten -> log-softmax on a 1 x 1 x classes grid: no
+        # matrix product whose kernel could change with the batch size
+        model = make_model(
+            [LayerSpec("conv2d", out_channels=classes, kernel_size=1)],
+            [LayerSpec("flatten"), LayerSpec("log-softmax")],
+            (1, 1, classes),
+            classes,
+        )
+        grids = np.random.default_rng(100 + classes).normal(scale=6.0, size=(max(self.BATCHES), 1, classes))
+        for batch in self.BATCHES:
+            out = network.head_logprobs_batch(model, grids[:batch])
+            for k in sorted({0, batch // 2, batch - 1}):
+                one = head_logprobs(model, FeatureGrid(1, 1, classes, grids[k])).values
+                assert np.array_equal(one, out[k])
+
+
 class TestHeadInputGradient:
     def test_linear_head_closed_form(self):
         model = identity_feature_model(2, 2, 1, 3, seed=4)

@@ -1,12 +1,13 @@
-"""The benchmark's `fidelity`, `train` and `explain-ref` workloads at smoke size, as part of every test run.
+"""The benchmark's four workloads at smoke size, as part of every test run.
 
 Their checks run outside the timed region. On `fidelity`, exhaustive search
 must equal the brute-force oracle and its own self-comparison, and the
 relaxed solver's edit must never score above the exhaustive optimum. On
 `train`, trained weights must be finite, the reported accuracy must equal a
 recomputed one, and repeats must train byte-identical weights. On
-`explain-ref`, each greedy explanation's first edit must be the oracle's best
-edit, and replaying its edits must reproduce its recorded trajectory.
+`explain-ref` (4x4 grid) and `explain-wide` (7x7 grid), each greedy
+explanation's first edit must be the oracle's best edit, and replaying its
+edits must reproduce its recorded trajectory.
 """
 
 import json
@@ -39,3 +40,7 @@ def test_train_smoke_is_correct():
 
 def test_explain_ref_smoke_is_correct():
     assert_smoke_correct("explain-ref")
+
+
+def test_explain_wide_smoke_is_correct():
+    assert_smoke_correct("explain-wide")

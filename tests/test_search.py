@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cfedit import search
+from cfedit.data import gen_shapes
 from cfedit.errors import ExhaustedError, ShapeError
 from cfedit.grids import FeatureGrid, single_edit
-from cfedit.network import LayerSpec, head_logprobs
+from cfedit.network import LayerSpec, head_logprobs, predict_batch
 from cfedit.relaxed import RelaxOptConfig, best_edit_relaxed
 from cfedit.search import (
     ExplanationResult,
@@ -148,12 +149,10 @@ class TestGreedy:
         )
         assert size == 2
 
-    def test_trajectory_and_status_invariants(self, digits_model, digits_surrogate):
+    def test_trajectory_and_status_invariants(self, shapes_model):
         rng = np.random.default_rng(3)
-        imgs = digits_surrogate["test_images"]
-        from cfedit.network import predict_batch
-
-        preds = predict_batch(digits_model, imgs[:80])
+        imgs = gen_shapes(80, size=28, seed=1, split="search-test").images
+        preds = predict_batch(shapes_model, imgs)
         done = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -162,7 +161,7 @@ class TestGreedy:
                 if preds[q] == preds[d]:
                     continue
                 result = greedy_counterfactual(
-                    digits_model, imgs[q], imgs[d], int(preds[d])
+                    shapes_model, imgs[q], imgs[d], int(preds[d])
                 )
                 assert len(result.trajectory) == result.edit_count + 1
                 cells = result.edits.query_cells()
@@ -368,7 +367,7 @@ class TestCandidateScoresEquivalence:
                 target = int(rng.integers(classes))
                 want = self.brute_force_scores(model, F, F2, target)
                 np.testing.assert_allclose(
-                    candidate_scores(model, F, F2, target), want, rtol=0, atol=1e-12
+                    candidate_scores(model, F, F2, target, range(n)), want, rtol=0, atol=1e-12
                 )
                 for ex_q, ex_s in exclusions:
                     i, j2, score = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s)
@@ -395,5 +394,33 @@ class TestCandidateScoresEquivalence:
         values = rng.normal(size=(n, d))
         perm = rng.permutation(n)
         F, F2 = FeatureGrid(h, w, d, values), FeatureGrid(h, w, d, values[perm])
-        scores = candidate_scores(model, F, F2, 0)
+        scores = candidate_scores(model, F, F2, 0, range(n))
         assert np.unique(scores[perm, np.arange(n)]).size == 1
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("block_values", [None, 1, 300])
+    @pytest.mark.parametrize("h, w", [(3, 3), (7, 7)])
+    def test_row_subsets_match_all_rows_bit_for_bit(self, head, block_values, h, w, monkeypatch):
+        if block_values is not None:
+            monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(92)
+        d, classes = 4, 5
+        n = h * w
+        model = make_model(
+            [LayerSpec("conv2d", out_channels=d, kernel_size=1)],
+            self.HEADS[head] + [LayerSpec("dense", units=classes), LayerSpec("log-softmax")],
+            (h, w, d),
+            classes,
+            seed=11,
+        )
+        subsets = [[], [0], [n // 2], [n - 1], [0, n - 1], list(range(1, n))]
+        subsets += [sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False)) for _ in range(6)]
+        for F, F2 in self.grids(rng, h, w, d):
+            target = int(rng.integers(classes))
+            full = candidate_scores(model, F, F2, target, range(n))
+            assert np.all(np.isfinite(full))
+            for rows in subsets:
+                part = candidate_scores(model, F, F2, target, rows)
+                closed = np.setdiff1d(range(n), rows)
+                assert np.array_equal(part[rows], full[rows]), rows
+                assert np.all(part[closed] == -np.inf), rows
