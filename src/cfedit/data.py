@@ -91,8 +91,9 @@ def write_raster(path: str, raster: np.ndarray):
     arr = np.asarray(raster, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"raster must be HxW grayscale, got shape {arr.shape}")
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ShapeError("raster values must lie in [0, 1]")
+    # negated, so that NaN fails too
+    if not np.all((arr >= 0) & (arr <= 1)):
+        raise ShapeError("raster values must be finite and lie in [0, 1]")
     data = np.round(arr * 255.0).astype(np.uint8)
     h, w = arr.shape
     with open(path, "wb") as fh:

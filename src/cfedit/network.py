@@ -23,6 +23,12 @@ Max pooling takes a running `np.maximum` over the k² strided views of its
 input, then recovers for each output the index of the first maximum in
 (dh, dw) scan order, one comparison per tap; its backward routes each
 gradient to that one input.
+
+A forward pass that keeps no caches (every inference pass: features, head
+scores, predictions) computes none: max pooling stops after the running
+maximum and relu builds no mask, with outputs bit-identical to a pass that
+keeps them.  `forward_feature_pair` runs a query and a distractor through
+the extractor as one two-image batch, bit-identical to two single passes.
 """
 
 from __future__ import annotations
@@ -200,7 +206,7 @@ def _patch_blocks(xpad, kh, kw, s, oh, ow, tap_major=False):
             yield lo, hi, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
 
 
-def _conv_forward(x, layer):
+def _conv_forward(x, layer, keep_cache=True):
     spec = layer.spec
     kern, bias = layer.weights["kernel"], layer.weights["bias"]
     kh, kw, cin, cout = kern.shape
@@ -255,7 +261,7 @@ def _conv_input_grad(g, layer, xpad):
     return np.ascontiguousarray(gx)
 
 
-def _pool_forward(x, layer):
+def _pool_forward(x, layer, keep_cache=True):
     spec = layer.spec
     k, s = spec.window, spec.effective_stride()
     n, h, w, c = x.shape
@@ -266,6 +272,8 @@ def _pool_forward(x, layer):
     for tap in taps[1:]:
         # on equal values np.maximum returns its second argument: the earlier tap's bits stay
         np.maximum(tap, out, out=out)
+    if not keep_cache:
+        return out, None
     # the index of the first maximum in (dh, dw) scan order (deterministic ties)
     # is the number of taps before it, each below the maximum
     below = taps[0] != out
@@ -288,15 +296,15 @@ def _pool_input_grad(g, layer, cache):
     return gx
 
 
-def _relu_forward(x, layer):
-    return np.maximum(x, 0.0), x > 0
+def _relu_forward(x, layer, keep_cache=True):
+    return np.maximum(x, 0.0), (x > 0 if keep_cache else None)
 
 
 def _relu_input_grad(g, layer, mask):
     return g * mask
 
 
-def _flatten_forward(x, layer):
+def _flatten_forward(x, layer, keep_cache=True):
     n = x.shape[0]
     return x.reshape(n, -1), x.shape
 
@@ -305,7 +313,7 @@ def _flatten_input_grad(g, layer, shape):
     return g.reshape(shape)
 
 
-def _dense_forward(x, layer):
+def _dense_forward(x, layer, keep_cache=True):
     w, b = layer.weights["weight"], layer.weights["bias"]
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense input size {x.shape[1]} does not match weight rows {w.shape[0]}")
@@ -343,7 +351,7 @@ def _log_softmax(x, target=None):
     return z - lse[..., None] if target is None else z[..., target] - lse
 
 
-def _logsoftmax_forward(x, layer):
+def _logsoftmax_forward(x, layer, keep_cache=True):
     y = _log_softmax(x)
     return y, y
 
@@ -353,6 +361,8 @@ def _logsoftmax_input_grad(g, layer, y):
     return g - p * g.sum(axis=-1, keepdims=True)
 
 
+# each forward returns (output, cache); with keep_cache False the max pool
+# stops at its running max and relu builds no mask, and their cache is None
 _FORWARD = {
     "conv2d": _conv_forward,
     "maxpool2d": _pool_forward,
@@ -376,9 +386,11 @@ _WEIGHT_GRADS = {"conv2d": _conv_weight_grads, "dense": _dense_weight_grads}
 
 
 def forward_layers(layers, x, keep_caches=False):
+    """Output of the stack on batch `x`, and with `keep_caches` the per-layer
+    caches `backward_layers` reads; without them no cache is computed."""
     caches = [] if keep_caches else None
     for layer in layers:
-        x, cache = _FORWARD[layer.spec.kind](x, layer)
+        x, cache = _FORWARD[layer.spec.kind](x, layer, keep_caches)
         if keep_caches:
             caches.append(cache)
     return (x, caches) if keep_caches else x
@@ -500,6 +512,13 @@ def forward_features(model: ModelBundle, image: np.ndarray) -> FeatureGrid:
     """f(image): run the extractor, returning the spatial feature grid."""
     out = forward_layers(model.extractor, _as_batch(model, [image]))
     return FeatureGrid.from_array(out[0])
+
+
+def forward_feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> tuple:
+    """(f(image), f(image2)) from one two-image extractor pass."""
+    batch = np.concatenate([_as_batch(model, [image]), _as_batch(model, [image2])])
+    out = forward_layers(model.extractor, batch)
+    return FeatureGrid.from_array(out[0]), FeatureGrid.from_array(out[1])
 
 
 def _grid_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:

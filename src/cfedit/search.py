@@ -17,6 +17,14 @@ are scored, and of the final log-softmax only the target class is computed,
 bit-identical to that column of the full output.  Both paths work through a
 fixed number of values per block of query cells, so memory stays bounded as
 the grid grows.
+
+A greedy step only changes the query cell it then closes, so the edit
+contraction of an open cell is the same at every step of a pair.  The greedy
+loop computes the contraction of all query cells once per pair and hands it
+to every step, which then only adds that step's unedited pre-activation.  It
+is kept only when its hw·hw·units values, and the differences they are made
+from, fit in one block; larger grids keep computing it per block and step.
+Query and distractor go through the extractor as one two-image batch.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid, open_cells, single_edit
-from .network import ModelBundle, _log_softmax, forward_features, forward_layers, head_logprobs
+from .network import ModelBundle, _log_softmax, forward_feature_pair, forward_layers, head_logprobs
 from .relaxed import RelaxOptConfig, best_edit_relaxed
 
 # float64 values one block of query cells may hold in candidate_scores (16 MB);
@@ -93,11 +101,13 @@ def best_edit_exhaustive(
     target_class: int,
     excluded_query=(),
     excluded_source=(),
+    contraction=None,
 ) -> tuple[int, int, float]:
     """Single edit maximizing the target-class log-probability over all
-    non-excluded (query cell, source cell) pairs. Returns (i, j2, score)."""
+    non-excluded (query cell, source cell) pairs. Returns (i, j2, score).
+    `contraction` is passed on to `candidate_scores`."""
     open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
-    scores = candidate_scores(model, F, F2, target_class, np.flatnonzero(open_q))
+    scores = candidate_scores(model, F, F2, target_class, np.flatnonzero(open_q), contraction)
     scores[:, ~open_s] = -np.inf
     flat = int(np.argmax(scores))  # first occurrence: smallest i, then smallest j2
     i, j2 = divmod(flat, F.cells)
@@ -105,7 +115,7 @@ def best_edit_exhaustive(
 
 
 def candidate_scores(
-    model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int, rows
+    model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int, rows, contraction=None
 ) -> np.ndarray:
     """Target-class log-probability of every single edit of the query cells
     `rows` (indices), as an (hw, hw) array indexed by (query cell, source
@@ -120,6 +130,11 @@ def candidate_scores(
     the edited grids and running the whole head.  Both paths end in the
     target column of the log-softmax, and a row's scores do not depend on
     which other rows are scored with it.
+
+    `contraction`, from `_edit_contraction`, holds (F2[j] - F[i]) . W_i for
+    every cell i of a grid whose rows `rows` equal F's; the greedy loop
+    computes it once per pair, so a step only gathers its open rows.  None
+    computes those rows here, one block at a time.
     """
     model.check_grids(F, F2)
     n, d = F.values.shape
@@ -131,7 +146,7 @@ def candidate_scores(
         per_cell = n * (d + W.shape[2])
 
         def logits(q):
-            z = np.matmul(F2.values[None] - F.values[q, None, :], W[q])
+            z = _contract(F, F2, W, q) if contraction is None else contraction[q]
             z += z0
             return forward_layers(head[2:-1], z.reshape(len(q) * n, -1))
 
@@ -152,6 +167,25 @@ def candidate_scores(
     return out
 
 
+def _contract(F, F2, W, q):
+    """(F2[j] - F[i]) . W_i for the query cells i in `q`, as (len(q), hw, units)."""
+    return np.matmul(F2.values[None] - F.values[q, None, :], W[q])
+
+
+def _edit_contraction(model: ModelBundle, F: FeatureGrid, F2: FeatureGrid):
+    """(F2[j] - F[i]) . W_i for every (query cell i, source cell j), as an
+    (hw, hw, units) array, when the head begins flatten -> dense and it fits
+    in one block of `_BLOCK_VALUES`; otherwise None."""
+    head = model.head
+    if not (head[0].spec.kind == "flatten" and head[1].spec.kind == "dense"):
+        return None
+    n, d = F.values.shape
+    weight = head[1].weights["weight"]
+    if n * n * (d + weight.shape[1]) > _BLOCK_VALUES:
+        return None
+    return _contract(F, F2, weight.reshape(n, d, -1), np.arange(n))
+
+
 def greedy_counterfactual(
     model: ModelBundle,
     query_image: np.ndarray,
@@ -163,8 +197,7 @@ def greedy_counterfactual(
 ) -> ExplanationResult:
     """Edit f(query) toward f(distractor) until the decision flips to
     `target_class` (Greedy Sequential Search)."""
-    F = forward_features(model, query_image)
-    F2 = forward_features(model, distractor_image)
+    F, F2 = forward_feature_pair(model, query_image, distractor_image)
     lp = head_logprobs(model, F)
     query_class = lp.argmax()
     distractor_class = head_logprobs(model, F2).argmax()
@@ -182,12 +215,14 @@ def greedy_counterfactual(
     excluded_s: list[int] = []
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]
+    # open query cells keep their unedited values, so one contraction serves every step
+    contraction = _edit_contraction(model, F, F2) if config.relax is None else None
     current = F
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:
         step = (model, current, F2, target_class, excluded_q, excluded_s)
         if config.relax is None:
-            i, j2, _ = best_edit_exhaustive(*step)
+            i, j2, _ = best_edit_exhaustive(*step, contraction=contraction)
         else:
             i, j2, _, _ = best_edit_relaxed(*step, config.relax)
         current = single_edit(current, F2, i, j2)

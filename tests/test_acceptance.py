@@ -364,26 +364,32 @@ class TestCriterion6TransformationIdentities:
 
 
 class TestCriterion7ReceptiveFieldSoundness:
-    def test_out_of_rectangle_pixels_are_inert(self, digits_model):
+    def check(self, model, label):
         rf = receptive_field_map(reference_extractor_specs(), 28, 28)
         rng = np.random.default_rng(70)
         worst = 0.0
         for _ in range(100):
             img = rng.uniform(0, 1, (28, 28, 1))
-            base = forward_layers(digits_model.extractor, img[None])[0]
+            base = forward_layers(model.extractor, img[None])[0]
             masked = np.zeros((16, 28, 28, 1))
             for cell in range(16):
                 t, l, b, r = rf.rect(cell // 4, cell % 4)
                 masked[cell, t : b + 1, l : r + 1] = img[t : b + 1, l : r + 1]
-            acts = forward_layers(digits_model.extractor, masked)
+            acts = forward_layers(model.extractor, masked)
             for cell in range(16):
                 diff = np.abs(acts[cell, cell // 4, cell % 4] - base[cell // 4, cell % 4]).max()
                 worst = max(worst, diff)
         ok = worst <= 1e-12
         report(
-            7, "receptive-field soundness",
+            7, label,
             ok, f"max activation change {worst:.2e} (<=1e-12) over 100 images x 16 cells",
         )
+
+    def test_out_of_rectangle_pixels_are_inert(self, digits_model):
+        self.check(digits_model, "receptive-field soundness")
+
+    def test_shapes(self, shapes_model):
+        self.check(shapes_model, "receptive-field soundness, shapes")
 
 
 class TestCriterion8AgreementOrdering:
@@ -456,13 +462,13 @@ class TestCriterion9Determinism:
 
 
 class TestCriterion10FormatRoundTrips:
-    def test_round_trips_and_typed_errors(self, digits_model, tmp_path):
+    def check(self, model, tmp_path, label):
         problems = []
 
         model_dir = str(tmp_path / "model")
-        save_model(digits_model, model_dir)
+        save_model(model, model_dir)
         back = load_model(model_dir)
-        for la, lb in zip(digits_model.extractor + digits_model.head, back.extractor + back.head):
+        for la, lb in zip(model.extractor + model.head, back.extractor + back.head):
             for name in la.weights:
                 if not np.array_equal(la.weights[name], lb.weights[name]):
                     problems.append(f"weights differ: {name}")
@@ -492,7 +498,7 @@ class TestCriterion10FormatRoundTrips:
             pass
 
         truncated = tmp_path / "truncated"
-        save_model(digits_model, str(truncated))
+        save_model(model, str(truncated))
         blob = open(truncated / "weights.bin", "rb").read()
         open(truncated / "weights.bin", "wb").write(blob[:100])
         try:
@@ -512,7 +518,13 @@ class TestCriterion10FormatRoundTrips:
 
         ok = not problems
         report(
-            10, "format round-trips",
+            10, label,
             ok, "model and record round trips bit-exact; malformed fixtures raise typed errors"
             if ok else f"problems: {problems}",
         )
+
+    def test_round_trips_and_typed_errors(self, digits_model, tmp_path):
+        self.check(digits_model, tmp_path, "format round-trips")
+
+    def test_shapes(self, shapes_model, tmp_path):
+        self.check(shapes_model, tmp_path, "format round-trips, shapes")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfedit import network
+from cfedit.data import gen_shapes
 from cfedit.errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError
 from cfedit.grids import FeatureGrid
 from cfedit.network import (
@@ -15,6 +16,7 @@ from cfedit.network import (
     LogProbVector,
     ModelBundle,
     TrainConfig,
+    forward_feature_pair,
     forward_features,
     head_input_gradient_batch,
     head_logprobs,
@@ -81,6 +83,78 @@ class TestForward:
         model = identity_feature_model(2, 2, 1, 3)
         with pytest.raises(ShapeError):
             forward_features(model, np.zeros((3, 3, 1)))
+        for pair in ((np.zeros((3, 3, 1)), np.zeros((2, 2, 1))), (np.zeros((2, 2, 1)), np.zeros((3, 3, 1)))):
+            with pytest.raises(ShapeError):
+                forward_feature_pair(model, *pair)
+
+    def test_pair_pass_equals_two_single_passes(self, shapes_model):
+        images = gen_shapes(24, size=28, seed=5, split="pair-test").images
+        for q, d in [(0, 1), (2, 2), (5, 17), (23, 0)] + [(k, k + 12) for k in range(12)]:
+            F, F2 = forward_feature_pair(shapes_model, images[q], images[d])
+            assert F.values.tobytes() == forward_features(shapes_model, images[q]).values.tobytes()
+            assert F2.values.tobytes() == forward_features(shapes_model, images[d]).values.tobytes()
+            assert (F.h, F.w, F.d) == (F2.h, F2.w, F2.d) == shapes_model.feature_shape
+
+
+class TestCacheFreeForward:
+    """A forward pass that keeps no caches gives the same bits and builds none."""
+
+    @staticmethod
+    def signed_zeros(rng, shape):
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+    def cases(self):
+        rng = np.random.default_rng(31)
+        spatial = np.maximum(rng.normal(-0.5, 1.0, size=(3, 9, 8, 2)), 0.0)
+        spatial[0, :4, :4, 0] = 0.0  # all-zero windows
+        spatial[1, 2:6, 1:5, 1] = 0.25  # equal nonzero maxima
+        spatial[2, :, :, 0] = self.signed_zeros(rng, (9, 8))  # ties equal in value only
+        mixed = rng.normal(size=(3, 9, 8, 2))
+        mixed[0] = self.signed_zeros(rng, (9, 8, 2))  # relu inputs at +0.0 and -0.0
+        flat = rng.normal(size=(4, 6))
+        flat[0] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0]
+        conv = network.Layer(LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=1), {
+            "kernel": rng.normal(size=(3, 3, 2, 3)), "bias": rng.normal(size=3)})
+        dense = network.Layer(LayerSpec("dense", units=5), {"weight": rng.normal(size=(6, 5)), "bias": rng.normal(size=5)})
+        pools = [pool_layer(w, s) for w, s in [(2, 2), (3, 3), (3, 1), (3, 2), (2, 3), (1, 1)]]
+        relu = network.Layer(LayerSpec("relu"))
+        yield conv, spatial
+        yield conv, mixed
+        for layer in pools:
+            yield layer, spatial
+            yield layer, mixed
+        yield relu, spatial
+        yield relu, mixed
+        yield relu, flat
+        yield network.Layer(LayerSpec("flatten")), mixed
+        yield dense, flat
+        yield network.Layer(LayerSpec("log-softmax")), flat
+
+    def test_every_layer_kind_is_bit_identical(self):
+        kinds = set()
+        for layer, x in self.cases():
+            kinds.add(layer.spec.kind)
+            out = network.forward_layers([layer], x)
+            kept, caches = network.forward_layers([layer], x, keep_caches=True)
+            assert out.tobytes() == kept.tobytes() and out.shape == kept.shape, layer.spec
+            assert len(caches) == 1
+        assert kinds == set(network.LAYER_KINDS)
+
+    def test_pool_and_relu_build_no_cache(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(2, 6, 6, 3))
+        assert network._pool_forward(x, pool_layer(2, 2), keep_cache=False)[1] is None
+        assert network._relu_forward(x, network.Layer(LayerSpec("relu")), keep_cache=False)[1] is None
+
+    def test_reference_stack_is_bit_identical(self):
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=4)
+        x = np.random.default_rng(33).uniform(0, 1, (6, 28, 28, 1))
+        x[0] = 0.0
+        layers = model.extractor + model.head
+        out = network.forward_layers(layers, x)
+        kept, caches = network.forward_layers(layers, x, keep_caches=True)
+        assert out.tobytes() == kept.tobytes()
+        assert len(caches) == len(layers)
 
 
 def conv_forward_reference(x, layer):

@@ -8,6 +8,10 @@ recomputed one, and repeats must train byte-identical weights. On
 `explain-ref` (4x4 grid) and `explain-wide` (7x7 grid), each greedy
 explanation's first edit must be the oracle's best edit, and replaying its
 edits must reproduce its recorded trajectory.
+
+The explain workloads also run traced: their per-layer counts must show
+that greedy search went through the traced per-step functions, so a
+tracer hook that no longer fits its function's signature fails here.
 """
 
 import json
@@ -15,19 +19,22 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def assert_smoke_correct(workload):
+def assert_smoke_correct(workload, trace=0):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", workload, "--smoke", "--seconds", "0.5", "--trace", "0"],
+         "--workload", workload, "--smoke", "--seconds", "0.5", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stdout
     assert result["failed"] == 0 and result["attempted"] > 0, result
+    return result["metrics"]
 
 
 def test_fidelity_smoke_is_correct():
@@ -44,3 +51,10 @@ def test_explain_ref_smoke_is_correct():
 
 def test_explain_wide_smoke_is_correct():
     assert_smoke_correct("explain-wide")
+
+
+@pytest.mark.parametrize("workload", ["explain-ref", "explain-wide"])
+def test_explain_traced_smoke_counts_greedy_steps(workload):
+    metrics = assert_smoke_correct(workload, trace=1)
+    assert metrics["search.steps_per_pair"]["value"] > 0, metrics["search.steps_per_pair"]
+    assert metrics["search.committed_edits"]["value"] > 0, metrics["search.committed_edits"]

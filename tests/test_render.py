@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ class TestRasterIO:
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ShapeError):
             write_raster(str(tmp_path / "y.pgm"), np.full((2, 2), 1.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        img = np.full((2, 2), 0.5)
+        img[1, 0] = bad
+        path = tmp_path / "n.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any cast could warn
+            with pytest.raises(ShapeError):
+                write_raster(str(path), img)
+        assert not path.exists()
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 1)])
     def test_channel_axis_rejected(self, tmp_path, shape):

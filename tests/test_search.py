@@ -9,7 +9,7 @@ from cfedit import search
 from cfedit.data import gen_shapes
 from cfedit.errors import ExhaustedError, ShapeError
 from cfedit.grids import FeatureGrid, single_edit
-from cfedit.network import LayerSpec, head_logprobs, predict_batch
+from cfedit.network import LayerSpec, forward_features, head_logprobs, predict_batch
 from cfedit.relaxed import RelaxOptConfig, best_edit_relaxed
 from cfedit.search import (
     ExplanationResult,
@@ -424,3 +424,99 @@ class TestCandidateScoresEquivalence:
                 closed = np.setdiff1d(range(n), rows)
                 assert np.array_equal(part[rows], full[rows]), rows
                 assert np.all(part[closed] == -np.inf), rows
+
+
+class TestGreedyContraction:
+    """Greedy's once-per-pair edit contraction against a per-step replay
+    that computes every step's scores from scratch."""
+
+    @staticmethod
+    def replay(model, query, distractor, target, policy):
+        F = forward_features(model, query)
+        F2 = forward_features(model, distractor)
+        lp = head_logprobs(model, F)
+        query_class = lp.argmax()
+        trajectory = [(lp[query_class], lp[target])]
+        quads, ex_q, ex_s = [], [], []
+        state, status = F, "flipped" if query_class == target else "exhausted"
+        while status == "exhausted" and len(quads) < F.cells:
+            i, j2, _ = best_edit_exhaustive(model, state, F2, target, ex_q, ex_s)
+            state = single_edit(state, F2, i, j2)
+            quads.append((i // F.w, i % F.w, j2 // F.w, j2 % F.w))
+            ex_q.append(i)
+            if policy == "query-and-distractor-cells":
+                ex_s.append(j2)
+            lp = head_logprobs(model, state)
+            trajectory.append((lp[query_class], lp[target]))
+            if lp.argmax() == target:
+                status = "flipped"
+        return tuple(quads), tuple(trajectory), status
+
+    @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
+    @pytest.mark.parametrize("block_values", [None, 1, 300])
+    @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
+    def test_matches_per_step_replay_bit_for_bit(self, head, block_values, policy, monkeypatch):
+        if block_values is not None:  # 1 and 300 leave no room for the contraction
+            monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
+        seen = []
+        scores = search.candidate_scores
+
+        def spy(*args):
+            seen.append(args[5] is not None)
+            got = scores(*args)
+            assert np.array_equal(got, scores(*args[:5]))  # each step's scores, not only its argmax
+            return got
+
+        monkeypatch.setattr(search, "candidate_scores", spy)
+        rng = np.random.default_rng(93)
+        h, w, d, classes = 3, 3, 2, 4
+        steps = 0
+        for k in range(3):
+            model = make_model(
+                [LayerSpec("conv2d", out_channels=d, kernel_size=1)],
+                TestCandidateScoresEquivalence.HEADS[head]
+                + [LayerSpec("dense", units=classes), LayerSpec("log-softmax")],
+                (h, w, d),
+                classes,
+                seed=600 + k,
+            )
+            for F, F2 in TestCandidateScoresEquivalence.grids(rng, h, w, d):
+                query, distractor = F.values.reshape(h, w, d), F2.values.reshape(h, w, d)
+                lp = head_logprobs(model, forward_features(model, query))
+                for target in np.argsort(lp.values)[:2]:  # the least likely classes take the most steps
+                    target = int(target)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy))
+                    seen_greedy = list(seen)
+                    del seen[:]
+                    want = self.replay(model, query, distractor, target, policy)
+                    del seen[:]
+                    assert (got.edits.edits, got.trajectory, got.status) == want
+                    assert len(seen_greedy) == got.edit_count
+                    steps += got.edit_count
+                    contracted = head == "factored" and block_values is None
+                    assert seen_greedy == [contracted] * got.edit_count
+        assert steps >= 30
+
+    def test_contraction_fits_one_block(self, monkeypatch):
+        rng = np.random.default_rng(94)
+        h, w, d, units = 3, 3, 2, 8
+        model = make_model(
+            [LayerSpec("conv2d", out_channels=d, kernel_size=1)],
+            TestCandidateScoresEquivalence.HEADS["factored"] + [LayerSpec("dense", units=3), LayerSpec("log-softmax")],
+            (h, w, d),
+            3,
+        )
+        F, F2 = random_grid(rng, h, w, d), random_grid(rng, h, w, d)
+        n = h * w
+        monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units))
+        C = search._edit_contraction(model, F, F2)
+        assert C.shape == (n, n, units) and C.size <= search._BLOCK_VALUES
+        W = model.head[1].weights["weight"].reshape(n, d, units)
+        naive = np.array([[(F2.values[j] - F.values[i]) @ W[i] for j in range(n)] for i in range(n)])
+        np.testing.assert_allclose(C, naive, rtol=0, atol=1e-12)
+        for q in ([0], [n - 1], [1, 4, 5], list(range(n))):  # the blocks the per-step path computes
+            assert C[q].tobytes() == search._contract(F, F2, W, np.array(q)).tobytes()
+        monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
+        assert search._edit_contraction(model, F, F2) is None
