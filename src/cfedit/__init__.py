@@ -10,7 +10,6 @@ pixel space via receptive fields.
 from .grids import EditList, FeatureGrid, apply_edits, single_edit
 from .network import (
     LayerSpec,
-    LogProbVector,
     ModelBundle,
     TrainConfig,
     forward_features,
@@ -21,7 +20,7 @@ from .network import (
     save_model,
     train,
 )
-from .relaxed import RelaxOptConfig, best_edit_relaxed, softmax
+from .relaxed import RelaxOptConfig, softmax
 from .search import ExplanationResult, SearchConfig, best_edit_exhaustive, greedy_counterfactual
 
 __all__ = [
@@ -29,14 +28,12 @@ __all__ = [
     "ExplanationResult",
     "FeatureGrid",
     "LayerSpec",
-    "LogProbVector",
     "ModelBundle",
     "RelaxOptConfig",
     "SearchConfig",
     "TrainConfig",
     "apply_edits",
     "best_edit_exhaustive",
-    "best_edit_relaxed",
     "forward_features",
     "greedy_counterfactual",
     "head_logprobs",

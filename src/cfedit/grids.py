@@ -7,12 +7,13 @@ cells and an alignment matrix selecting source cells:
 
     edited = (1 - a) o F  +  a o (P @ F')
 
-where `o` broadcasts the gate across the d channels.  `apply_edits` takes
-the gate and alignment as plain arrays, in either the discrete form (binary
-gate, permutation alignment) or the relaxed one (simplex gate,
-row-stochastic alignment), and checks only their shapes.  The search runs
-the discrete form one cell at a time through `single_edit`; the relaxed
-solver blends its stacked arrays inline.
+where `o` broadcasts the gate across the d channels.  `apply_edits` is the
+one place this transform is computed: it takes plain stacks of grid values,
+gates and alignments, in either the discrete form (binary gate, permutation
+alignment) or the relaxed one (simplex gate, row-stochastic alignment), and
+checks only their shapes.  The relaxed solver blends its (B, n, d) stacks
+through it at every step; greedy search runs the discrete form one cell at a
+time through `single_edit`, which equals it for a one-hot gate.
 """
 
 from __future__ import annotations
@@ -97,32 +98,28 @@ class EditList:
         return [i2 * self.w + j2 for (_, _, i2, j2) in self.edits]
 
 
-def _check_pair(F: FeatureGrid, F2: FeatureGrid):
-    for dim in ("h", "w", "d"):
-        if getattr(F, dim) != getattr(F2, dim):
-            raise ShapeError(
-                f"grid {dim} mismatch: {getattr(F, dim)} vs {getattr(F2, dim)}"
-            )
+def apply_edits(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
+    """The edited stack (1 - a) o F + a o (P @ F2), and the aligned rows P @ F2.
 
-
-def apply_edits(F: FeatureGrid, F2: FeatureGrid, a: np.ndarray, P: np.ndarray) -> FeatureGrid:
-    """Edited grid (1 - a) o F + a o (P @ F2) for an (n,) gate `a` and an
-    (n, n) alignment `P`; inputs are left untouched."""
-    _check_pair(F, F2)
-    n = F.cells
-    a, P = np.asarray(a, dtype=np.float64), np.asarray(P, dtype=np.float64)
-    if a.shape != (n,):
-        raise ShapeError(f"gate shape {a.shape} does not match cell count {n}")
-    if P.shape != (n, n):
-        raise ShapeError(f"alignment shape {P.shape} does not match cell count {n}")
-    w = a[:, None]
-    out = (1.0 - w) * F.values + w * (P @ F2.values)
-    return FeatureGrid(F.h, F.w, F.d, out)
+    F and F2 are (..., n, d) stacks of grid values, `a` the (..., n) gates and
+    `P` the (..., n, n) alignments; inputs are left untouched."""
+    F, F2, a, P = (np.asarray(x, dtype=np.float64) for x in (F, F2, a, P))
+    if F.ndim < 2 or F2.shape != F.shape:
+        raise ShapeError(f"grid stacks must share an (..., n, d) shape, got {F.shape} and {F2.shape}")
+    if a.shape != F.shape[:-1]:
+        raise ShapeError(f"gate shape {a.shape} does not match grid cells {F.shape[:-1]}")
+    if P.shape != a.shape + a.shape[-1:]:
+        raise ShapeError(f"alignment shape {P.shape} does not match grid cells {F.shape[:-1]}")
+    PF2 = P @ F2
+    gate = a[..., None]
+    return (1.0 - gate) * F + gate * PF2, PF2
 
 
 def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid:
     """F with row i replaced by row j2 of F2."""
-    _check_pair(F, F2)
+    for dim in ("h", "w", "d"):
+        if getattr(F, dim) != getattr(F2, dim):
+            raise ShapeError(f"grid {dim} mismatch: {getattr(F, dim)} vs {getattr(F2, dim)}")
     n = F.cells
     if not (0 <= i < n):
         raise BoundsError(f"query cell {i} outside [0, {n})")

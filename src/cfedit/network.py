@@ -3,7 +3,9 @@
 The layer vocabulary is fixed: conv2d, relu, maxpool2d, flatten, dense,
 log-softmax.  Tensors are channels-last, float64, batched as (N, H, W, C).
 The extractor maps pixels to an h x w x d feature grid; the head maps a grid
-to class log-probabilities.  Everything needed downstream is provided here:
+to class log-probabilities, returned as plain float64 arrays: `ModelBundle`
+requires the head to end in log-softmax, so they need no further check.
+Everything needed downstream is provided here:
 forward evaluation, reverse-mode gradients, a desk-scale SGD trainer, and a
 portable two-file model format (JSON manifest + float64 blob).
 
@@ -34,6 +36,7 @@ the extractor as one two-image batch, bit-identical to two single passes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -142,7 +145,7 @@ def output_geometry(spec: LayerSpec, geom: tuple) -> tuple:
             raise ShapeError(f"maxpool2d output collapses to {oh}x{ow} from input {h}x{w}")
         return (oh, ow, c)
     if k == "flatten":
-        return (int(np.prod(geom)),)
+        return (math.prod(geom),)
     if k == "dense":
         if len(geom) != 1:
             raise ShapeError("dense layer requires flattened input")
@@ -419,26 +422,6 @@ def backward_layers(layers, caches, g, input_grad=True, weight_grads=True):
 # model bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogProbVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ShapeError(f"log-prob vector must be 1-d, got shape {v.shape}")
-        if np.any(v > 0) or abs(np.exp(v).sum() - 1.0) > 1e-9:
-            raise ShapeError("log-probabilities must be <= 0 and exponentiate-sum to 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def argmax(self) -> int:
-        return int(np.argmax(self.values))
-
-    def __getitem__(self, c: int) -> float:
-        return float(self.values[c])
-
-
 def _checked_geometry(layer: Layer, geom: tuple) -> tuple:
     """Output geometry of `layer`, after checking its weights fit input `geom`."""
     out = output_geometry(layer.spec, geom)
@@ -535,10 +518,10 @@ def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
     return forward_layers(model.head, _grid_batch(model, values))
 
 
-def head_logprobs(model: ModelBundle, F: FeatureGrid) -> LogProbVector:
-    """g(F): class log-probabilities for one feature grid."""
+def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
+    """g(F): the float64 (classes,) log-probabilities of one feature grid."""
     model.check_grids(F)
-    return LogProbVector(head_logprobs_batch(model, F.values[None])[0])
+    return head_logprobs_batch(model, F.values[None])[0]
 
 
 def head_input_gradient_batch(
@@ -734,17 +717,19 @@ def load_model(path: str) -> ModelBundle:
 
     ext_specs = [LayerSpec.from_json(o) for o in manifest["extractor"]]
     head_specs = [LayerSpec.from_json(o) for o in manifest["head"]]
-    blob = np.fromfile(os.path.join(path, "weights.bin"), dtype="<f8")
-    expected = sum(int(np.prod(e["shape"])) for e in manifest["weights"])
-    if blob.size != expected:
-        raise FormatError(
-            f"weights blob holds {blob.size} values but manifest declares {expected}"
-        )
+    with open(os.path.join(path, "weights.bin"), "rb") as fh:
+        raw = fh.read()
+    if len(raw) % 8:
+        raise FormatError(f"weights blob is {len(raw)} bytes, not a whole number of float64 values")
+    blob = np.frombuffer(raw, dtype="<f8")
+    # Python ints: np.prod would wrap around in int64 on huge declared shapes
+    sizes = [math.prod(e["shape"]) for e in manifest["weights"]]
+    if blob.size != sum(sizes):
+        raise FormatError(f"weights blob holds {blob.size} values but manifest declares {sum(sizes)}")
 
     arrays = {}
     off = 0
-    for entry in manifest["weights"]:
-        size = int(np.prod(entry["shape"]))
+    for entry, size in zip(manifest["weights"], sizes):
         arrays[entry["name"]] = blob[off : off + size].reshape(entry["shape"]).copy()
         off += size
 

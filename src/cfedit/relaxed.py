@@ -11,9 +11,9 @@ Problems are solved in lockstep batches: the gates, alignments, blends,
 entropies, gradients and Adam moments of B problems are stacked along a
 leading axis, and each step runs the head forward and backward once over the
 (B, h, w, d) stack.  A problem that meets the stop test is frozen, not
-removed: its logits stop moving and its trajectory ends.  `best_edit_relaxed`,
-which greedy search calls once per step, is a batch of one through the same
-code.
+removed: its logits stop moving and its trajectory ends.  The blend itself is
+`grids.apply_edits`, the transform's only implementation; greedy search's
+relaxed step is `best_edits_relaxed` on a batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import FormatError, is_number
-from .grids import FeatureGrid, open_cells, single_edit
+from .grids import apply_edits, open_cells, single_edit
 from .network import ModelBundle, head_input_gradient_batch, head_logprobs
 
 MASK_LOGIT = -1e9
@@ -85,9 +85,8 @@ def _objective_and_grads(model: ModelBundle, F, F2, targets, alpha, M):
     """
     a = softmax(alpha)
     P = softmax(M)
-    PF2 = P @ F2
+    blended, PF2 = apply_edits(F, F2, a, P)
     gate = a[:, :, None]
-    blended = (1.0 - gate) * F + gate * PF2
 
     lp, G = head_input_gradient_batch(model, blended, targets)  # G: (B, n, d)
 
@@ -206,21 +205,3 @@ def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         edits.append((i, j2, float(score), objectives[: steps[b], b].tolist(), not live[b]))
     return edits
 
-
-def best_edit_relaxed(
-    model: ModelBundle,
-    F: FeatureGrid,
-    F2: FeatureGrid,
-    target_class: int,
-    excluded_query=(),
-    excluded_source=(),
-    opt: RelaxOptConfig = RelaxOptConfig(),
-) -> tuple[int, int, float, list]:
-    """Relaxed best-edit: optimize the soft gate/alignment, round by argmax.
-
-    Returns (query cell, source cell, discrete score, per-step objective values).
-    The score is the target-class log-probability of the *discrete* rounded
-    edit, so this drops into the greedy loop interchangeably with the
-    exhaustive search.  This is `best_edits_relaxed` on one problem.
-    """
-    return best_edits_relaxed(model, [(F, F2, target_class, excluded_query, excluded_source)], opt)[0][:4]

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid, open_cells, single_edit
 from .network import ModelBundle, _log_softmax, forward_feature_pair, forward_layers, head_logprobs
-from .relaxed import RelaxOptConfig, best_edit_relaxed
+from .relaxed import RelaxOptConfig, best_edits_relaxed
 
 # float64 values one block of query cells may hold in candidate_scores (16 MB);
 # only open query cells are scored, and only the target class's log-probability
@@ -199,7 +199,7 @@ def greedy_counterfactual(
     `target_class` (Greedy Sequential Search)."""
     F, F2 = forward_feature_pair(model, query_image, distractor_image)
     lp = head_logprobs(model, F)
-    query_class = lp.argmax()
+    query_class = int(lp.argmax())
     distractor_class = head_logprobs(model, F2).argmax()
     if distractor_class != target_class:
         warnings.warn(
@@ -220,11 +220,11 @@ def greedy_counterfactual(
     current = F
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:
-        step = (model, current, F2, target_class, excluded_q, excluded_s)
+        step = (current, F2, target_class, excluded_q, excluded_s)
         if config.relax is None:
-            i, j2, _ = best_edit_exhaustive(*step, contraction=contraction)
+            i, j2, _ = best_edit_exhaustive(model, *step, contraction=contraction)
         else:
-            i, j2, _, _ = best_edit_relaxed(*step, config.relax)
+            i, j2, *_ = best_edits_relaxed(model, [step], config.relax)[0]
         current = single_edit(current, F2, i, j2)
         quads.append((i // w, i % w, j2 // w, j2 % w))
         excluded_q.append(i)

@@ -20,7 +20,7 @@ import pytest
 
 from cfedit.cli import main as cli_main
 from cfedit.errors import FormatError
-from cfedit.grids import FeatureGrid, apply_edits
+from cfedit.grids import FeatureGrid, apply_edits, single_edit
 from cfedit.metrics import (
     agreement_cross_class,
     agreement_same_class,
@@ -159,6 +159,19 @@ class TestCriterion2EditCounts:
         report(
             2, "edit-count reproduction, surrogate digits",
             ok, f"mean {rep.value:.2f} (in [1.5, 4.5]), flip rate {rep.extras['flip_rate']:.3f} (>=0.95), {elapsed:.0f}s",
+        )
+
+    def test_shapes(self, shapes_model):
+        # Measured on 200 pairs of held-out shapes: mean edits 4.49, 4.29 and
+        # 4.69 and flip rate 0.995, 0.98 and 0.99 on seeds 2, 5 and 6.  On
+        # seed 2 the bounds leave margins of 0.69 edits on either side and
+        # 0.045 of flip rate.
+        images = gen_shapes(400, size=28, seed=2, split="edit-test").images
+        rep, elapsed = self.run_pairs(shapes_model, images, 200, seed=2)
+        ok = 3.8 <= rep.value <= 5.2 and rep.extras["flip_rate"] >= 0.95
+        report(
+            2, "edit-count reproduction, shapes",
+            ok, f"mean {rep.value:.2f} (in [3.8, 5.2]), flip rate {rep.extras['flip_rate']:.3f} (>=0.95), {elapsed:.1f}s",
         )
 
 
@@ -328,6 +341,7 @@ class TestCriterion6TransformationIdentities:
     def test_identity_replacement_affine(self):
         rng = np.random.default_rng(60)
         failures = 0
+        relaxed = {}  # (n, d) -> the relaxed instances of that shape, with their outputs
         for k in range(1000):
             h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             d = int(rng.integers(1, 4))
@@ -338,28 +352,44 @@ class TestCriterion6TransformationIdentities:
             P = np.eye(n)[perm]  # row i selects source cell perm[i]
 
             # gate all zeros: output is the query grid, bitwise
-            out = apply_edits(F, F2, np.zeros(n), P)
-            if not np.array_equal(out.values, F.values):
+            out, _ = apply_edits(F.values, F2.values, np.zeros(n), P)
+            if not np.array_equal(out, F.values):
                 failures += 1
                 continue
 
             # gate all ones: output rows are the aligned distractor rows
-            out = apply_edits(F, F2, np.ones(n), P)
-            if not np.allclose(out.values, F2.values[perm], atol=1e-12):
+            out, aligned = apply_edits(F.values, F2.values, np.ones(n), P)
+            if not (np.allclose(out, F2.values[perm], atol=1e-12) and np.array_equal(aligned, F2.values[perm])):
+                failures += 1
+                continue
+
+            # one-hot gate and a permutation row: greedy search's single_edit, bitwise
+            i = k % n
+            out, _ = apply_edits(F.values, F2.values, np.eye(n)[i], P)
+            if not np.array_equal(out, single_edit(F, F2, i, perm[i]).values):
                 failures += 1
                 continue
 
             # relaxed gate: every row is the stated affine combination
             a = rng.dirichlet(np.ones(n))
             M = rng.dirichlet(np.ones(n), size=n)
-            out = apply_edits(F, F2, a, M)
+            out, _ = apply_edits(F.values, F2.values, a, M)
             expected = (1 - a)[:, None] * F.values + a[:, None] * (M @ F2.values)
-            if not np.allclose(out.values, expected, atol=1e-12):
+            if not np.allclose(out, expected, atol=1e-12):
                 failures += 1
+                continue
+            relaxed.setdefault((n, d), []).append((F.values, F2.values, a, M, out))
+
+        # a stack of same-shape instances, as the relaxed solver passes them, equals the per-instance calls
+        for group in relaxed.values():
+            Fs, F2s, gates, aligns, outs = (np.stack(x) for x in zip(*group))
+            stacked, _ = apply_edits(Fs, F2s, gates, aligns)
+            failures += int((np.abs(stacked - outs) > 1e-12).any(axis=(1, 2)).sum())
         ok = failures == 0
         report(
             6, "transformation identities",
-            ok, f"{failures} failures over 1000 random instances at 1e-12",
+            ok, f"{failures} failures over 1000 random instances at 1e-12 "
+            f"(one-hot gates against single_edit, relaxed ones stacked in {len(relaxed)} shape groups)",
         )
 
 
@@ -393,35 +423,57 @@ class TestCriterion7ReceptiveFieldSoundness:
 
 
 class TestCriterion8AgreementOrdering:
-    def test_same_class_exceeds_cross_class(self, digits_model, digits_surrogate):
-        images = np.concatenate(
-            [digits_surrogate["train_images"], digits_surrogate["test_images"]]
-        )
-        preds = predict_batch(digits_model, images)
-        rng = np.random.default_rng(80)
+    def agreement(self, model, images, classes, distractors, seed):
+        """Same-class and cross-class agreement over 20 queries, each with
+        `distractors` distractors of one other class and one distractor from
+        each of `distractors` other classes."""
+        preds = predict_batch(model, images)
+        rng = np.random.default_rng(seed)
         same_samples, cross_samples = [], []
         for q in rng.choice(len(images), 20, replace=False):
             c = int(preds[q])
-            eligible = [t for t in range(10) if t != c and (preds == t).sum() >= 5]
+            eligible = [t for t in range(classes) if t != c and (preds == t).sum() >= distractors]
             t_cls = int(eligible[rng.integers(len(eligible))])
             pool = np.flatnonzero(preds == t_cls)
-            picks = pool[rng.choice(len(pool), 5, replace=False)]
+            picks = pool[rng.choice(len(pool), distractors, replace=False)]
             same_samples.append(
                 (images[q][..., None], t_cls, [images[d][..., None] for d in picks])
             )
-            cls_choices = rng.choice([t for t in range(10) if t != c], 5, replace=False)
+            cls_choices = rng.choice([t for t in range(classes) if t != c], distractors, replace=False)
             pairs = []
             for t2 in cls_choices:
                 pool = np.flatnonzero(preds == int(t2))
                 d = int(pool[rng.integers(len(pool))])
                 pairs.append((images[d][..., None], int(t2)))
             cross_samples.append((images[q][..., None], pairs))
-        same = agreement_same_class(digits_model, same_samples).value
-        cross = agreement_cross_class(digits_model, cross_samples).value
+        same = agreement_same_class(model, same_samples).value
+        cross = agreement_cross_class(model, cross_samples).value
+        return same, cross
+
+    def test_same_class_exceeds_cross_class(self, digits_model, digits_surrogate):
+        images = np.concatenate(
+            [digits_surrogate["train_images"], digits_surrogate["test_images"]]
+        )
+        same, cross = self.agreement(digits_model, images, 10, 5, seed=80)
         ok = same > cross
         report(
             8, "agreement ordering",
             ok, f"same-class {same:.3f} > cross-class {cross:.3f} on 20 queries x 5 distractors",
+        )
+
+    def test_shapes(self, shapes_model):
+        # Shapes has 4 classes, so each side has 3 distractors per query.
+        # Measured: same-class 0.883, 0.883 and 0.900 against cross-class
+        # 0.650, 0.500 and 0.717 on seeds 80, 81 and 82; the ordering holds
+        # on seed 80 by a margin of 0.233.
+        images = gen_shapes(400, size=28, seed=80, split="agreement-test").images
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            same, cross = self.agreement(shapes_model, images, 4, 3, seed=80)
+        ok = same > cross
+        report(
+            8, "agreement ordering, shapes",
+            ok, f"same-class {same:.3f} > cross-class {cross:.3f} on 20 queries x 3 distractors",
         )
 
 

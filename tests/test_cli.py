@@ -1,11 +1,16 @@
+import argparse
 import filecmp
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfedit.cli import DEFAULTS, main
-from cfedit.network import save_model
+from cfedit.cli import CHOICES, DEFAULTS, MINIMUM, _search_config, main, resolve_config
+from cfedit.errors import CfeditError
+from cfedit.network import TrainConfig, save_model
 from cfedit.relaxed import RelaxOptConfig
 
 from conftest import identity_feature_model
@@ -171,6 +176,63 @@ class TestFidelity:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# config-file values: every JSON kind, integers past int64, NaN and infinities, and the listed choices
+config_values = (
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([v for values in CHOICES.values() for v in values]) | st.lists(st.integers(), max_size=2)
+)
+
+
+
+def config_value(key):
+    """A value of `key`'s kind (choices, integers past int64, any float) three times in four, any value otherwise."""
+    default = DEFAULTS[key]
+    if key in CHOICES:
+        typed = st.sampled_from(CHOICES[key])
+    elif type(default) is float:
+        typed = st.floats()
+    else:
+        typed = st.integers(-2, 2**70) | (st.none() if default is None else st.nothing())
+    return st.integers(0, 3).flatmap(lambda kind: typed if kind else config_values)
+
+
+config_files = (
+    st.fixed_dictionaries({}, optional={key: config_value(key) for key in DEFAULTS})
+    | st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["unknown"]), config_values, max_size=4)
+    | config_values
+)
+
+
+class TestConfigFileProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(config_files)
+    def test_config_file_resolves_or_raises_typed_error(self, file_cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(file_cfg, fh)
+            try:
+                cfg = resolve_config(argparse.Namespace(config=path))
+            except CfeditError:
+                return
+        assert set(cfg) == set(DEFAULTS)
+        for key, value in file_cfg.items():
+            assert json.dumps(cfg[key]) == json.dumps(value)
+        for key in CHOICES:
+            assert cfg[key] in CHOICES[key]
+        for key, least in MINIMUM.items():
+            assert cfg[key] >= least
+        # the run configs built from a resolved config construct or raise a typed error
+        for build in (
+            lambda: _search_config(cfg),
+            lambda: TrainConfig(cfg["learning_rate"], cfg["batch_size"], cfg["epochs"], cfg["seed"]),
+        ):
+            try:
+                build()
+            except CfeditError:
+                pass
+
+
 class TestConfigAndErrors:
     def test_relaxed_defaults_are_the_solver_defaults(self):
         opt = RelaxOptConfig()
@@ -306,6 +368,22 @@ class TestConfigAndErrors:
         err = run_err(["render", *args, "--record", str(record_path), "--out", str(tmp_path / "r")],
                       capsys)
         assert err["type"] == "FormatError" and field in err["message"]
+        assert not (tmp_path / "r").exists()
+
+    def test_render_record_grid_unlike_model(self, cli_model, tmp_path, capsys):
+        # a 7x7 record, as a 42x42 model writes, rendered with this 4x4 model
+        args = [*BATCH_ARGS, "--model", cli_model]
+        src = tmp_path / "src"
+        run_ok(["explain", *args, "--query-index", "0", "--distractor-index", "1",
+                "--out", str(src)], capsys)
+        record_path = src / "explanation.json"
+        record = json.loads(record_path.read_text())
+        record["grid"] = {"h": 7, "w": 7}
+        record_path.write_text(json.dumps(record))
+        err = run_err(["render", *args, "--record", str(record_path), "--out", str(tmp_path / "r")],
+                      capsys)
+        assert err["type"] == "FormatError"
+        assert "7x7" in err["message"] and "4x4" in err["message"]
         assert not (tmp_path / "r").exists()
 
     def test_both_distractor_flags_rejected(self, cli_model, tmp_path, capsys):
@@ -447,3 +525,19 @@ class TestConfigAndErrors:
         )
         assert err["type"] == "FormatError"
         assert "units" in err["message"]
+
+    def test_manifest_weight_shape_overflowing_int64(self, tmp_path, capsys):
+        # 2**32 * 2**32 values wrap to 0 in int64, which an empty blob would match
+        bundle = str(tmp_path / "bundle")
+        save_model(identity_feature_model(2, 2, 1, 2), bundle)
+        manifest_path = os.path.join(bundle, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["weights"].append({"name": "extra", "shape": [2**32, 2**32]})
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        rc = main(["fidelity", *BATCH_ARGS, "--model", bundle, "--out", str(tmp_path / "f.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "FormatError" and f"declares {2**64 + 12}" in err["message"]

@@ -66,25 +66,29 @@ class TestTypes:
             EditList((edit,), 2, 2)
 
 
+def edited(F, F2, a, P):
+    """The edited values of grids F, F2 under gate `a` and alignment `P`."""
+    return apply_edits(F.values, F2.values, a, P)[0]
+
+
 class TestApplyEdits:
     def test_closed_gate_is_identity(self):
         F, F2 = grid_2x2()
-        out = apply_edits(F, F2, np.zeros(4), IDENTITY_4)
-        np.testing.assert_array_equal(out.values, F.values)
+        np.testing.assert_array_equal(edited(F, F2, np.zeros(4), IDENTITY_4), F.values)
 
     def test_full_gate_identity_alignment_is_replacement(self):
         F, F2 = grid_2x2()
-        out = apply_edits(F, F2, np.ones(4), IDENTITY_4)
-        np.testing.assert_array_equal(out.values, F2.values)
+        np.testing.assert_array_equal(edited(F, F2, np.ones(4), IDENTITY_4), F2.values)
 
     def test_hand_case_cell0_from_cell3(self):
         # one-hot gate at cell 0, alignment row 0 <- cell 3; oracle value [8,2,3,4]
         F, F2 = grid_2x2()
         a = np.eye(4)[0]
         P = source_map(np.array([3, 1, 2, 0]))
-        out = apply_edits(F, F2, a, P)
-        np.testing.assert_array_equal(out.values, [[8.0], [2.0], [3.0], [4.0]])
-        np.testing.assert_array_equal(out.values, scalar_loop_edit(F, F2, a, P))
+        out, aligned = apply_edits(F.values, F2.values, a, P)
+        np.testing.assert_array_equal(out, [[8.0], [2.0], [3.0], [4.0]])
+        np.testing.assert_array_equal(out, scalar_loop_edit(F, F2, a, P))
+        np.testing.assert_array_equal(aligned, [[8.0], [6.0], [7.0], [5.0]])
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -94,60 +98,66 @@ class TestApplyEdits:
             F2 = FeatureGrid(h, w, d, rng.normal(size=(h * w, d)))
             a = (rng.random(h * w) < 0.5).astype(float)
             P = source_map(rng.permutation(h * w))
-            out = apply_edits(F, F2, a, P)
-            np.testing.assert_allclose(out.values, scalar_loop_edit(F, F2, a, P), atol=1e-12)
+            np.testing.assert_allclose(edited(F, F2, a, P), scalar_loop_edit(F, F2, a, P), atol=1e-12)
 
-    def test_shape_error_names_dimension(self):
-        F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
-        F2 = FeatureGrid(2, 2, 2, np.zeros((4, 2)))
-        with pytest.raises(ShapeError, match="d"):
-            apply_edits(F, F2, np.zeros(4), IDENTITY_4)
+    def test_stack_equals_each_instance(self):
+        rng = np.random.default_rng(9)
+        F, F2 = rng.normal(size=(2, 5, 6, 3))
+        a = rng.dirichlet(np.ones(6), size=5)
+        P = rng.dirichlet(np.ones(6), size=(5, 6))
+        out, aligned = apply_edits(F, F2, a, P)
+        for b in range(5):
+            one, one_aligned = apply_edits(F[b], F2[b], a[b], P[b])
+            np.testing.assert_allclose(out[b], one, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(aligned[b], one_aligned, rtol=0, atol=1e-12)
+
+    def test_grid_shapes_checked(self):
+        with pytest.raises(ShapeError, match="grid stacks"):
+            apply_edits(np.zeros((4, 1)), np.zeros((4, 2)), np.zeros(4), IDENTITY_4)
+        with pytest.raises(ShapeError, match="grid stacks"):
+            apply_edits(np.zeros(4), np.zeros(4), np.zeros(4), IDENTITY_4)
 
     def test_gate_and_alignment_shapes_checked(self):
         F, F2 = grid_2x2()
         with pytest.raises(ShapeError, match="gate"):
-            apply_edits(F, F2, np.zeros(3), IDENTITY_4)
+            edited(F, F2, np.zeros(3), IDENTITY_4)
         with pytest.raises(ShapeError, match="alignment"):
-            apply_edits(F, F2, np.zeros(4), IDENTITY_4[:3])
+            edited(F, F2, np.zeros(4), IDENTITY_4[:3])
+        with pytest.raises(ShapeError, match="alignment"):
+            edited(F, F2, np.zeros(4), IDENTITY_4[None])
 
     def test_inputs_unmodified(self):
         F, F2 = grid_2x2()
         before = F.values.copy()
-        apply_edits(F, F2, np.ones(4), IDENTITY_4)
+        edited(F, F2, np.ones(4), IDENTITY_4)
         np.testing.assert_array_equal(F.values, before)
 
     def test_idempotent_discrete(self):
         rng = np.random.default_rng(3)
-        F = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
-        F2 = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
+        F, F2 = rng.normal(size=(2, 6, 2))
         a = (rng.random(6) < 0.5).astype(float)
         P = source_map(rng.permutation(6))
-        once = apply_edits(F, F2, a, P)
-        twice = apply_edits(once, F2, a, P)
-        np.testing.assert_array_equal(once.values, twice.values)
+        once, _ = apply_edits(F, F2, a, P)
+        twice, _ = apply_edits(once, F2, a, P)
+        np.testing.assert_array_equal(once, twice)
 
     def test_affine_in_relaxed_gate(self):
         rng = np.random.default_rng(5)
-        F = FeatureGrid(2, 2, 3, rng.normal(size=(4, 3)))
-        F2 = FeatureGrid(2, 2, 3, rng.normal(size=(4, 3)))
+        F, F2 = rng.normal(size=(2, 4, 3))
         P = np.full((4, 4), 0.25)
         w1 = rng.dirichlet(np.ones(4))
         w2 = rng.dirichlet(np.ones(4))
-        mid = apply_edits(F, F2, (w1 + w2) / 2, P)
-        avg = (
-            apply_edits(F, F2, w1, P).values
-            + apply_edits(F, F2, w2, P).values
-        ) / 2
-        np.testing.assert_allclose(mid.values, avg, atol=1e-9)
+        mid, _ = apply_edits(F, F2, (w1 + w2) / 2, P)
+        avg = (apply_edits(F, F2, w1, P)[0] + apply_edits(F, F2, w2, P)[0]) / 2
+        np.testing.assert_allclose(mid, avg, atol=1e-9)
 
     def test_rows_changed_equals_gate_l1_norm(self):
         rng = np.random.default_rng(11)
-        F = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
-        F2 = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
+        F, F2 = rng.normal(size=(2, 9, 2))
         a = (rng.random(9) < 0.4).astype(float)
         P = source_map(rng.permutation(9))
-        out = apply_edits(F, F2, a, P)
-        changed = np.any(out.values != F.values, axis=1).sum()
+        out, _ = apply_edits(F, F2, a, P)
+        changed = np.any(out != F, axis=1).sum()
         assert changed <= a.sum()  # equality unless a source row equals the query row
         assert changed == a.sum()  # continuous random values never collide
 
@@ -174,8 +184,14 @@ class TestSingleEdit:
             sources = np.arange(n)  # transposition: a permutation with row i -> j2
             sources[i], sources[j2] = j2, i
             assert sources[i] == j2
-            via_apply = apply_edits(F, F2, np.eye(n)[i], source_map(sources))
-            np.testing.assert_array_equal(single_edit(F, F2, i, j2).values, via_apply.values)
+            via_apply = edited(F, F2, np.eye(n)[i], source_map(sources))
+            np.testing.assert_array_equal(single_edit(F, F2, i, j2).values, via_apply)
+
+    def test_shape_error_names_dimension(self):
+        F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
+        F2 = FeatureGrid(2, 2, 2, np.zeros((4, 2)))
+        with pytest.raises(ShapeError, match="grid d mismatch"):
+            single_edit(F, F2, 0, 0)
 
     def test_bounds(self):
         F, F2 = grid_2x2()

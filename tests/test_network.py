@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -9,11 +10,10 @@ from hypothesis import strategies as st
 
 from cfedit import network
 from cfedit.data import gen_shapes
-from cfedit.errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError
+from cfedit.errors import CfeditError, FormatError, ShapeError, TrainingError, UnsupportedLayerError
 from cfedit.grids import FeatureGrid
 from cfedit.network import (
     LayerSpec,
-    LogProbVector,
     ModelBundle,
     TrainConfig,
     forward_feature_pair,
@@ -397,7 +397,7 @@ class TestHead:
         head_dense.weights["weight"][...] = 0.0
         head_dense.weights["bias"][...] = 0.0
         lp = head_logprobs(model, FeatureGrid(2, 2, 1, np.ones((4, 1))))
-        np.testing.assert_allclose(lp.values, np.log(1 / 5), atol=1e-12)
+        np.testing.assert_allclose(lp, np.log(1 / 5), atol=1e-12)
 
     def test_hand_set_single_cell_head(self):
         model = identity_feature_model(1, 1, 2, 3)
@@ -408,7 +408,7 @@ class TestHead:
         F = FeatureGrid(1, 1, 2, np.array([[2.0, -1.0]]))
         lp = head_logprobs(model, F)
         logits = F.values[0] @ W + b
-        np.testing.assert_allclose(lp.values, log_softmax_ref(logits), atol=1e-12)
+        np.testing.assert_allclose(lp, log_softmax_ref(logits), atol=1e-12)
 
     def test_normalization_over_random_models(self):
         rng = np.random.default_rng(2)
@@ -416,12 +416,9 @@ class TestHead:
             model = identity_feature_model(2, 2, 2, 4, seed=k, linear=bool(k % 2))
             F = FeatureGrid(2, 2, 2, rng.normal(size=(4, 2)))
             lp = head_logprobs(model, F)
-            assert abs(np.exp(lp.values).sum() - 1.0) < 1e-9
-            assert np.all(lp.values <= 0)
-
-    def test_logprob_vector_invariants(self):
-        with pytest.raises(ShapeError):
-            LogProbVector(np.array([0.0, 0.0]))  # exp-sum 2
+            assert lp.dtype == np.float64 and lp.shape == (4,)
+            assert abs(np.exp(lp).sum() - 1.0) < 1e-9
+            assert np.all(lp <= 0)
 
 
 class TestLogSoftmax:
@@ -482,7 +479,7 @@ class TestLogSoftmax:
         for batch in self.BATCHES:
             out = network.head_logprobs_batch(model, grids[:batch])
             for k in sorted({0, batch // 2, batch - 1}):
-                one = head_logprobs(model, FeatureGrid(1, 1, classes, grids[k])).values
+                one = head_logprobs(model, FeatureGrid(1, 1, classes, grids[k]))
                 assert np.array_equal(one, out[k])
 
 
@@ -532,7 +529,7 @@ class TestComposition:
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=3)
         for _ in range(5):
             img = rng.uniform(0, 1, (28, 28, 1))
-            composed = head_logprobs(model, forward_features(model, img)).values
+            composed = head_logprobs(model, forward_features(model, img))
             full = full_stack(model, img[None])[0]
             np.testing.assert_allclose(composed, full, atol=1e-12)
 
@@ -630,7 +627,95 @@ def pool_after_flatten(manifest):
         entry["name"] = entry["name"].replace("head.1.", "head.2.")
 
 
+# any JSON value, small: integers reach past int64, floats include NaN and infinities
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# a dimension list as a manifest might declare it: mostly small, sometimes negative or past int64
+dims = st.lists(st.integers(-2, 6) | st.sampled_from([2**31, 2**32, 2**63, 2**64]), max_size=4)
+
+
+LAYER_FIELDS = ["kind", "out_channels", "kernel_size", "stride", "padding", "window", "units", "bogus"]
+
+
+def mutate_manifest(data, manifest):
+    """Replace or delete up to two layer fields, weight shapes and top-level fields of `manifest`."""
+
+    def edit(owner, key, values):
+        if data.draw(st.booleans(), label=f"delete {key}"):
+            owner.pop(key, None)
+        else:
+            owner[key] = data.draw(values, label=key)
+
+    layers = manifest["extractor"] + manifest["head"]
+    layer_values = st.sampled_from(network.LAYER_KINDS) | st.integers(-2, 9) | st.just(2**64) | json_values
+    for _ in range(data.draw(st.integers(0, 2), label="layer edits")):
+        edit(data.draw(st.sampled_from(layers)), data.draw(st.sampled_from(LAYER_FIELDS)), layer_values)
+    for _ in range(data.draw(st.integers(0, 2), label="shape edits")):
+        edit(data.draw(st.sampled_from(manifest["weights"])), "shape", dims | json_values)
+    for _ in range(data.draw(st.integers(0, 2), label="field edits")):
+        key = data.draw(st.sampled_from(sorted(manifest) + ["unknown"]))
+        edit(manifest, key, {"input_shape": dims, "class_count": st.integers(-1, 5)}.get(key, json_values))
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_manifest_and_blob_load_or_raise_typed_error(self, data):
+        # every blob is at most a few hundred bytes, so no declared shape allocates anything large
+        model = identity_feature_model(2, 2, 1, 3, linear=False)
+        with tempfile.TemporaryDirectory() as path:
+            save_model(model, path)
+            with open(os.path.join(path, "manifest.json")) as fh:
+                manifest = json.load(fh)
+            mutate_manifest(data, manifest)
+            with open(os.path.join(path, "manifest.json"), "w") as fh:
+                json.dump(manifest, fh)
+            blob_path = os.path.join(path, "weights.bin")
+            with open(blob_path, "rb") as fh:
+                blob = fh.read()
+            cut = data.draw(st.just(0) | st.integers(-len(blob), 24), label="blob bytes added")
+            with open(blob_path, "wb") as fh:
+                fh.write(blob[: len(blob) + cut] if cut < 0 else blob + bytes(cut))
+            try:
+                loaded = load_model(path)
+            except CfeditError:
+                return
+            # a bundle that loads saves and loads again to the same weights
+            again = os.path.join(path, "again")
+            save_model(loaded, again)
+            reloaded = load_model(again)
+            for a, b in zip(loaded.extractor + loaded.head, reloaded.extractor + reloaded.head):
+                assert a.spec == b.spec and a.weights.keys() == b.weights.keys()
+                for name in a.weights:
+                    assert a.weights[name].tobytes() == b.weights[name].tobytes()
+
+    @pytest.mark.parametrize("cut", [-8, -3, 3], ids=["value-short", "bytes-short", "bytes-over"])
+    def test_blob_of_partial_values(self, tmp_path, cut):
+        model = identity_feature_model(2, 2, 1, 3)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        blob = (path / "weights.bin").read_bytes()
+        (path / "weights.bin").write_bytes(blob[:cut] if cut < 0 else blob + bytes(cut))
+        with pytest.raises(FormatError, match="blob"):
+            load_model(str(path))
+
+    def test_flatten_size_past_int64(self, tmp_path):
+        # 2**32 * 2**32 cells wrap to 0 in int64; a dense weight declared (0, 1) must not fit
+        model = identity_feature_model(2, 2, 1, 1)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["input_shape"] = [2**32, 2**32, 1]
+        manifest["extractor"] = [{"kind": "relu"}]
+        manifest["weights"] = [{"name": "head.1.weight", "shape": [0, 1]}, {"name": "head.1.bias", "shape": [1]}]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        (path / "weights.bin").write_bytes(bytes(8))
+        with pytest.raises(ShapeError, match="weight"):
+            load_model(str(path))
+
     def test_round_trip_bit_exact(self, tmp_path):
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=7)
         save_model(model, str(tmp_path / "m"))
@@ -645,15 +730,6 @@ class TestSerialization:
         for _ in range(100):
             img = rng.uniform(0, 1, (28, 28, 1))
             np.testing.assert_array_equal(full_stack(model, img[None]), full_stack(loaded, img[None]))
-
-    def test_truncated_blob(self, tmp_path):
-        model = identity_feature_model(2, 2, 1, 3)
-        path = tmp_path / "m"
-        save_model(model, str(path))
-        blob = (path / "weights.bin").read_bytes()
-        (path / "weights.bin").write_bytes(blob[:-8])
-        with pytest.raises(FormatError, match="blob"):
-            load_model(str(path))
 
     def test_unknown_layer_kind(self, tmp_path):
         model = identity_feature_model(2, 2, 1, 3)

@@ -12,6 +12,8 @@ edits must reproduce its recorded trajectory.
 The explain workloads also run traced: their per-layer counts must show
 that greedy search went through the traced per-step functions, so a
 tracer hook that no longer fits its function's signature fails here.
+`fidelity` runs traced too, with the tracer wrapped around the public
+functions the relaxed solver calls at every step.
 """
 
 import json
@@ -39,6 +41,10 @@ def assert_smoke_correct(workload, trace=0):
 
 def test_fidelity_smoke_is_correct():
     assert_smoke_correct("fidelity")
+
+
+def test_fidelity_traced_smoke_is_correct():
+    assert_smoke_correct("fidelity", trace=1)
 
 
 def test_train_smoke_is_correct():

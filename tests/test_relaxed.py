@@ -11,7 +11,6 @@ from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
     ascent_steps,
-    best_edit_relaxed,
     best_edits_relaxed,
     softmax,
 )
@@ -172,7 +171,7 @@ class TestBestEditRelaxed:
         model.head[1].weights["weight"][0, 1] = 1.0
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         F2 = FeatureGrid(2, 2, 1, np.array([[9.0], [0.0], [0.0], [0.0]]))
-        i, j2, score, traj = best_edit_relaxed(model, F, F2, 1)
+        i, j2, score, traj, _ = best_edits_relaxed(model, [(F, F2, 1, (), ())])[0]
         assert (i, j2) == best_edit_exhaustive(model, F, F2, 1)[:2] == (0, 0)
         assert len(traj) >= 1
 
@@ -184,7 +183,7 @@ class TestBestEditRelaxed:
         from cfedit.grids import single_edit
         from cfedit.network import head_logprobs
 
-        i, j2, score, _ = best_edit_relaxed(model, F, F2, 2)
+        i, j2, score, _, _ = best_edits_relaxed(model, [(F, F2, 2, (), ())])[0]
         assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], abs=1e-12)
 
     def test_masking_soundness(self):
@@ -206,7 +205,7 @@ class TestBestEditRelaxed:
             assert np.all(P[:, excluded_s] < 1e-12)
             steps += 1
         assert steps == 60
-        i, j2, _, _ = best_edit_relaxed(model, F, F2, 1, excluded_q, excluded_s, opt)
+        i, j2, *_ = best_edits_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], opt)[0]
         assert i not in excluded_q
         assert j2 not in excluded_s
 
@@ -236,7 +235,7 @@ class TestBestEditRelaxed:
         model = identity_feature_model(2, 2, 1, 2)
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         with pytest.raises(ExhaustedError):
-            best_edit_relaxed(model, F, F, 1, excluded_query=range(4))
+            best_edits_relaxed(model, [(F, F, 1, range(4), ())])
 
     def test_zero_entropy_dominant_edit_agreement_rate(self, monkeypatch):
         # local optima are possible: log failures, assert a loose majority
@@ -251,7 +250,7 @@ class TestBestEditRelaxed:
             F = random_grid(rng, 2, 2, 1)
             F2 = FeatureGrid(2, 2, 1, rng.normal(size=(4, 1)) * 5)
             want = best_edit_exhaustive(model, F, F2, 1)[:2]
-            got = best_edit_relaxed(model, F, F2, 1, opt=opt)[:2]
+            got = best_edits_relaxed(model, [(F, F2, 1, (), ())], opt)[0][:2]
             agree += got == want
         assert agree / trials >= 0.75
 
@@ -279,7 +278,7 @@ class TestLockstepBatches:
         batch = best_edits_relaxed(model, shuffled, opt)
         steps = []
         for problem, (i, j2, score, traj, converged) in zip(shuffled, batch):
-            si, sj2, sscore, straj = best_edit_relaxed(model, *problem, opt=opt)
+            si, sj2, sscore, straj, _ = best_edits_relaxed(model, [problem], opt)[0]
             assert (i, j2, score, len(traj)) == (si, sj2, sscore, len(straj))
             np.testing.assert_allclose(traj, straj, rtol=1e-12, atol=0)
             steps.append(len(traj))

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import warnings
 
@@ -10,7 +9,7 @@ from cfedit.data import gen_shapes
 from cfedit.errors import ExhaustedError, ShapeError
 from cfedit.grids import FeatureGrid, single_edit
 from cfedit.network import LayerSpec, forward_features, head_logprobs, predict_batch
-from cfedit.relaxed import RelaxOptConfig, best_edit_relaxed
+from cfedit.relaxed import RelaxOptConfig, best_edits_relaxed
 from cfedit.search import (
     ExplanationResult,
     SearchConfig,
@@ -90,9 +89,15 @@ class TestBestEditExhaustive:
             best_edit_exhaustive(model, F, F, 1, excluded_query=range(4))
 
 
+def relaxed_single_problem(model, F, F2, target, excluded_query=(), excluded_source=()):
+    """best_edits_relaxed on one problem, called as best_edit_exhaustive is."""
+    problem = (F, F2, target, excluded_query, excluded_source)
+    return best_edits_relaxed(model, [problem], RelaxOptConfig(max_steps=5))[0]
+
+
 @pytest.mark.parametrize(
     "solver",
-    [best_edit_exhaustive, functools.partial(best_edit_relaxed, opt=RelaxOptConfig(max_steps=5))],
+    [best_edit_exhaustive, relaxed_single_problem],
     ids=["exhaustive", "relaxed"],
 )
 class TestSolverEdgeCases:
@@ -179,7 +184,7 @@ class TestGreedy:
         distractor = rng.normal(size=(3, 3, 2))
         F2 = FeatureGrid.from_array(distractor)
         lp_q = head_logprobs(model, FeatureGrid.from_array(query))
-        target = int(np.argsort(lp_q.values)[0])
+        target = int(np.argsort(lp_q)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = greedy_counterfactual(model, query, distractor, target)
@@ -255,13 +260,13 @@ class TestGreedyRelaxed:
         F2 = FeatureGrid.from_array(distractor)
         lp_q = head_logprobs(model, F)
         query_class = lp_q.argmax()
-        target = int(np.argsort(lp_q.values)[0])
+        target = int(np.argsort(lp_q)[0])
         opt = RelaxOptConfig(max_steps=60)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = greedy_counterfactual(model, query, distractor, target, SearchConfig(relax=opt))
         assert result.edit_count >= 1
-        i, j2, _, _ = best_edit_relaxed(model, F, F2, target, (), (), opt)
+        i, j2, *_ = best_edits_relaxed(model, [(F, F2, target, (), ())], opt)[0]
         assert result.edits.edits[0] == (i // 3, i % 3, j2 // 3, j2 % 3)
 
         state = F
@@ -269,7 +274,7 @@ class TestGreedyRelaxed:
         assert result.trajectory[0] == (lp_q[query_class], lp_q[target])
         for (r, c, r2, c2), step in zip(result.edits, result.trajectory[1:]):
             cell, src = r * 3 + c, r2 * 3 + c2
-            assert best_edit_relaxed(model, state, F2, target, ex_q, ex_s, opt)[:2] == (cell, src)
+            assert best_edits_relaxed(model, [(state, F2, target, ex_q, ex_s)], opt)[0][:2] == (cell, src)
             state = single_edit(state, F2, cell, src)
             ex_q.append(cell)
             ex_s.append(src)
@@ -483,7 +488,7 @@ class TestGreedyContraction:
             for F, F2 in TestCandidateScoresEquivalence.grids(rng, h, w, d):
                 query, distractor = F.values.reshape(h, w, d), F2.values.reshape(h, w, d)
                 lp = head_logprobs(model, forward_features(model, query))
-                for target in np.argsort(lp.values)[:2]:  # the least likely classes take the most steps
+                for target in np.argsort(lp)[:2]:  # the least likely classes take the most steps
                     target = int(target)
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
