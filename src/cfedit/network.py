@@ -11,9 +11,13 @@ portable two-file model format (JSON manifest + float64 blob).
 
 `backward_layers` computes only the gradients its caller reads.  `train`
 takes every weight gradient and skips the gradient w.r.t. the image;
-`head_input_gradient_batch`, used by the relaxed edit optimizer, takes the
-gradient w.r.t. the head input of a stack of grids and skips every weight
-gradient; a single grid is a stack of one.
+`head_input_gradient_batch` takes the gradient w.r.t. the head input of a
+stack of grids and skips every weight gradient; a single grid is a stack of
+one.  The relaxed edit optimizer builds that pass once per batch of problems
+with `head_gradient_pass`.  A head made of flatten, then only dense and relu
+layers, then log-softmax (the reference head) runs it through one fused
+function, `_mlp_head_gradient`, which performs the generic pass's operations
+in the same order and so agrees with it in every bit.
 
 Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
 2006) one block of images at a time, so that the forward pass, the weight
@@ -524,6 +528,54 @@ def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
     return head_logprobs_batch(model, F.values[None])[0]
 
 
+def _is_mlp_head(head) -> bool:
+    """Whether the head is flatten, then only dense and relu layers, then
+    log-softmax: the heads `_mlp_head_gradient` runs."""
+    kinds = [layer.spec.kind for layer in head]
+    return kinds[0] == "flatten" and kinds[-1] == "log-softmax" and set(kinds[1:-1]) <= {"dense", "relu"}
+
+
+def _mlp_head_gradient(head, x, onehot):
+    """The head's log-probabilities and the gradient of the one-hot selected
+    log-probabilities w.r.t. its flattened (N, hw·d) input `x`, for a head
+    `_is_mlp_head` accepts.  It performs the operations of `forward_layers` and
+    `backward_layers` in their order, so every bit agrees with them, without
+    their per-layer dispatch, caches or shape checks."""
+    inputs = []
+    for layer in head[1:-1]:
+        inputs.append(x)
+        x = x @ layer.weights["weight"] + layer.weights["bias"] if layer.spec.kind == "dense" else np.maximum(x, 0.0)
+    out = _log_softmax(x)
+    g = onehot - np.exp(out)  # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
+    for layer, x in zip(reversed(head[1:-1]), reversed(inputs)):
+        g = g @ layer.weights["weight"].T if layer.spec.kind == "dense" else g * (x > 0)
+    return out, g
+
+
+def head_gradient_pass(model: ModelBundle, targets):
+    """The function that maps an (N, hw, d) stack of grids, N = len(targets),
+    to what `head_input_gradient_batch` returns for it.
+
+    The one-hot output gradient is built here, once, and the pass chosen once
+    from the head's layer kinds: `_mlp_head_gradient` for an MLP head, else the
+    generic `forward_layers`/`backward_layers`.  A caller that evaluates many
+    stacks of the same shape and targets (the relaxed solver, once per Adam
+    step) pays for neither per call; the stack's shape is its to check."""
+    onehot = np.zeros((len(targets), model.class_count))
+    onehot[np.arange(len(targets)), targets] = 1.0
+    head, fused = model.head, _is_mlp_head(model.head)
+
+    def run(values):
+        if fused:
+            out, g = _mlp_head_gradient(head, values.reshape(len(values), -1), onehot)
+        else:
+            out, caches = forward_layers(head, values.reshape((-1,) + model.feature_shape), keep_caches=True)
+            g, _ = backward_layers(head, caches, onehot, weight_grads=False)
+        return out, g.reshape(values.shape)
+
+    return run
+
+
 def head_input_gradient_batch(
     model: ModelBundle, values: np.ndarray, targets
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -532,11 +584,7 @@ def head_input_gradient_batch(
     (N, classes) log-probabilities and the (N, hw, d) gradients, all from one
     forward and one backward pass over the batch."""
     x = _grid_batch(model, values)
-    out, caches = forward_layers(model.head, x, keep_caches=True)
-    g = np.zeros_like(out)
-    g[np.arange(len(out)), targets] = 1.0
-    gx, _ = backward_layers(model.head, caches, g, weight_grads=False)
-    return out, gx.reshape(len(x), -1, model.d)
+    return head_gradient_pass(model, targets)(x.reshape(len(x), -1, model.d))
 
 
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
@@ -682,7 +730,7 @@ def _check_manifest(manifest):
     if not isinstance(manifest, dict):
         raise FormatError("manifest must be a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if not (is_number(version, integer=True) and version == FORMAT_VERSION):
         raise FormatError(f"unsupported format_version {version!r}")
     for key in ("input_shape", "class_count", "extractor", "head", "weights"):
         if key not in manifest:
@@ -730,6 +778,8 @@ def load_model(path: str) -> ModelBundle:
     arrays = {}
     off = 0
     for entry, size in zip(manifest["weights"], sizes):
+        if entry["name"] in arrays:
+            raise FormatError(f"manifest weight entry {entry['name']!r} appears twice")
         arrays[entry["name"]] = blob[off : off + size].reshape(entry["shape"]).copy()
         off += size
 
@@ -741,13 +791,16 @@ def load_model(path: str) -> ModelBundle:
                 key = f"{section}.{idx}.{name}"
                 if key not in arrays:
                     raise FormatError(f"manifest missing weight entry {key!r}")
-                weights[name] = arrays[key]
+                weights[name] = arrays.pop(key)
             layers.append(Layer(spec, weights))
         return layers
 
+    extractor, head = build("extractor", ext_specs), build("head", head_specs)
+    if arrays:  # every entry is read by exactly one layer, so save_model writes the blob back whole
+        raise FormatError(f"manifest weight entry {min(arrays)!r} is read by no layer")
     model = ModelBundle(
-        build("extractor", ext_specs),
-        build("head", head_specs),
+        extractor,
+        head,
         manifest["class_count"],
         tuple(manifest["input_shape"]),
         metrics=dict(manifest.get("metrics", {})),

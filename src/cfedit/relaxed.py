@@ -10,10 +10,16 @@ edit whose score is re-evaluated exactly.
 Problems are solved in lockstep batches: the gates, alignments, blends,
 entropies, gradients and Adam moments of B problems are stacked along a
 leading axis, and each step runs the head forward and backward once over the
-(B, h, w, d) stack.  A problem that meets the stop test is frozen, not
-removed: its logits stop moving and its trajectory ends.  The blend itself is
-`grids.apply_edits`, the transform's only implementation; greedy search's
-relaxed step is `best_edits_relaxed` on a batch of one.
+(B, h, w, d) stack.  Each problem's logits are packed into one (n+1, n)
+array, the gate logits in row 0 over the n alignment rows; every row is a
+softmax of its own, so one softmax, one entropy pass, one softmax chain rule
+and one Adam update cover both.  The head pass is `network.head_gradient_pass`,
+built once per chunk: its one-hot output gradient is made once, and an MLP
+head (flatten, dense/relu layers, log-softmax) takes the fused pass.  A
+problem that meets the stop test is frozen, not removed: its logits stop
+moving and its trajectory ends.  The blend itself is `grids.apply_edits`, the
+transform's only implementation; greedy search's relaxed step is
+`best_edits_relaxed` on a batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import FormatError, is_number
 from .grids import apply_edits, open_cells, single_edit
-from .network import ModelBundle, head_input_gradient_batch, head_logprobs
+from .network import ModelBundle, head_gradient_pass, head_logprobs
 
 MASK_LOGIT = -1e9
 # Adam's moment decays and denominator guard; RelaxOptConfig.learning_rate is its step size
@@ -71,7 +77,7 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _objective_and_grads(model: ModelBundle, F, F2, targets, alpha, M):
+def _objective_and_grads(head_pass, F, F2, targets, X):
     """The objective and its analytic gradients for a stack of B problems.
 
     objective = g_target(blend) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
@@ -79,71 +85,80 @@ def _objective_and_grads(model: ModelBundle, F, F2, targets, alpha, M):
     0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
     each row's alignment entropy is weighted by its gate mass.
 
-    F and F2 are (B, n, d) grid values, `targets` the B target classes, and
-    alpha (B, n) and M (B, n, n) the logits.  Returns the (B,) objectives,
-    their gradients w.r.t. alpha and M, and the gates and alignments.
+    F and F2 are (B, n, d) grid values, `targets` the B target classes and
+    `head_pass` is `network.head_gradient_pass` for them.  X is the (B, n+1, n)
+    packed logits: row 0 the gate logits alpha, rows 1..n the alignment
+    logits M.  Every row is a softmax of its own, so one softmax, one entropy
+    pass and one chain rule cover both.  Returns the (B,) objectives, their
+    gradient w.r.t. X, and S = softmax(X), packed as X is (gate a in row 0,
+    alignment P in rows 1..n).
     """
-    a = softmax(alpha)
-    P = softmax(M)
+    S = softmax(X)
+    a, P = S[:, 0], S[:, 1:]
     blended, PF2 = apply_edits(F, F2, a, P)
     gate = a[:, :, None]
 
-    lp, G = head_input_gradient_batch(model, blended, targets)  # G: (B, n, d)
+    lp, G = head_pass(blended)  # G: (B, n, d)
 
-    log_a = np.log(np.where(a > 0, a, 1.0))
-    log_P = np.log(np.where(P > 0, P, 1.0))
-    H_a = -(a * log_a).sum(axis=-1)
-    H_rows = -(P * log_P).sum(axis=-1)
+    log_S = np.log(np.where(S > 0, S, 1.0))
+    H = -(S * log_S).sum(axis=-1)  # (B, n+1): the gate's entropy, then each alignment row's
+    H_rows = H[:, 1:]
     objective = (
-        lp[np.arange(len(lp)), targets] - ENTROPY_WEIGHT_GATE * H_a - ENTROPY_WEIGHT_ALIGN * _dots(a, H_rows)
+        lp[np.arange(len(lp)), targets] - ENTROPY_WEIGHT_GATE * H[:, 0] - ENTROPY_WEIGHT_ALIGN * _dots(a, H_rows)
     )
 
+    dS = np.empty_like(S)
     # d objective / d a
-    da = (G * (PF2 - F)).sum(axis=-1)
-    da += ENTROPY_WEIGHT_GATE * (log_a + 1.0)
+    da = dS[:, 0]
+    (G * (PF2 - F)).sum(axis=-1, out=da)
+    da += ENTROPY_WEIGHT_GATE * (log_S[:, 0] + 1.0)
     da -= ENTROPY_WEIGHT_ALIGN * H_rows
     # d objective / d P
-    dP = gate * (G @ F2.transpose(0, 2, 1))
-    dP += ENTROPY_WEIGHT_ALIGN * gate * (log_P + 1.0)
+    dP = dS[:, 1:]
+    np.multiply(gate, G @ F2.transpose(0, 2, 1), out=dP)
+    dP += ENTROPY_WEIGHT_ALIGN * gate * (log_S[:, 1:] + 1.0)
 
-    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g)
-    dalpha = a * (da - _dots(a, da)[:, None])
-    dM = P * (dP - (P * dP).sum(axis=-1, keepdims=True))
-    return objective, dalpha, dM, a, P
+    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g), row by row;
+    # the gate row's y.g is a row dot product, as in the objective
+    ydots = (S * dS).sum(axis=-1, keepdims=True)
+    ydots[:, 0, 0] = _dots(a, da)
+    return objective, S * (dS - ydots), S
 
 
-def ascent_steps(model: ModelBundle, F, F2, targets, alpha, M, opt: RelaxOptConfig):
-    """Bias-corrected Adam ascent on B problems in lockstep: the (B, n) logits
-    `alpha` and (B, n, n) logits `M` are updated in place.
+def ascent_steps(model: ModelBundle, F, F2, targets, X, opt: RelaxOptConfig):
+    """Bias-corrected Adam ascent on B problems in lockstep: the (B, n+1, n)
+    packed logits X (see `_objective_and_grads`) are updated in place.
 
     F and F2 are (B, n, d) grid values and `targets` the B target classes.
-    Yields (objectives, a, P, live) at each iterate before stepping from it,
-    at most `opt.max_steps` times.  `live` is a (B,) boolean array, all True
+    Yields (objectives, S, live) at each iterate before stepping from it, at
+    most `opt.max_steps` times, where S = softmax(X) holds the gates in row 0
+    and the alignments in rows 1..n.  `live` is a (B,) boolean array, all True
     at first: a consumer freezes a problem by clearing its entry, after which
     its logits stay exactly where they are, and the ascent ends once no
     problem is live.  A logit whose gradient is always exactly zero (a closed
     cell at MASK_LOGIT) keeps zero moments and so never moves.
     """
-    live = np.ones(len(alpha), dtype=bool)
-    # per logit array: its Adam moments, and a view of `live` that broadcasts over it
-    state = [
-        (np.zeros_like(x), np.zeros_like(x), live.reshape((-1,) + (1,) * (x.ndim - 1))) for x in (alpha, M)
-    ]
+    head_pass = head_gradient_pass(model, targets)
+    live = np.ones(len(X), dtype=bool)
+    moving = live[:, None, None]  # a view: clearing an entry of `live` freezes that problem
+    m, v = np.zeros_like(X), np.zeros_like(X)
     for t in range(1, opt.max_steps + 1):
-        obj, dalpha, dM, a, P = _objective_and_grads(model, F, F2, targets, alpha, M)
-        yield obj, a, P, live
+        obj, dX, S = _objective_and_grads(head_pass, F, F2, targets, X)
+        yield obj, S, live
         if not live.any():
             return
-        for x, g, (m, v, moving) in zip((alpha, M), (dalpha, dM), state):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            np.add(x, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=x, where=moving)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * dX
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * dX * dX
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        np.add(X, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=X, where=moving)
 
 
 # float64 values (n² alignment logits and n·d grid values per problem) one
-# lockstep chunk of problems may hold in each of its stacked arrays (2 MB)
+# lockstep chunk of problems may hold in each of its stacked arrays (2 MB);
+# the packed logits, n² + n per problem, fit as d >= 1
 _CHUNK_VALUES = 1 << 18
 
 
@@ -178,26 +193,34 @@ def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         model.check_grids(F, F2)
     n = model.h * model.w
     masks = [open_cells(n, exq, exs) for _, _, _, exq, exs in problems]
-    # excluded cells get zero mass, hence zero gradient, so their logits stay put
-    alpha = np.stack([np.where(open_q, 0.0, MASK_LOGIT) for open_q, _ in masks])
-    M = np.stack([np.where(open_s, np.zeros((n, 1)), MASK_LOGIT) for _, open_s in masks])
+    # packed logits, the gate row over the alignment rows, in C order (a softmax
+    # over the rows of another layout rounds differently); excluded cells get
+    # zero mass, hence zero gradient, so their logits stay put
+    X = np.full((len(problems), n + 1, n), MASK_LOGIT)
+    for x, (open_q, open_s) in zip(X, masks):
+        x[0, open_q] = 0.0
+        x[1:, open_s] = 0.0
     Fv = np.stack([p[0].values for p in problems])
     F2v = np.stack([p[1].values for p in problems])
     targets = np.array([p[2] for p in problems])
     rows = np.arange(len(problems))
     objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
     steps = np.zeros(len(problems), dtype=int)
-    for obj, a, P, live in ascent_steps(model, Fv, F2v, targets, alpha, M, opt):
+    for obj, S, live in ascent_steps(model, Fv, F2v, targets, X, opt):
         objectives.append(obj)
         steps += live
-        i_star = a.argmax(axis=1)
-        sharp = (a[rows, i_star] >= opt.sharpness_stop) & (P[rows, i_star].max(axis=1) >= opt.sharpness_stop)
-        live &= ~sharp
+        # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
+        a = S[:, 0]
+        sharp = a.max(axis=1) >= opt.sharpness_stop
+        if sharp.any():
+            sharp &= S[rows, 1 + a.argmax(axis=1)].max(axis=1) >= opt.sharpness_stop
+            live &= ~sharp
 
     # `live` now marks the problems that never met the stop test
     objectives = np.array(objectives)
-    cells = softmax(alpha).argmax(axis=1)
-    sources = softmax(M[rows, cells]).argmax(axis=1)
+    S = softmax(X)
+    cells = S[:, 0].argmax(axis=1)
+    sources = S[rows, 1 + cells].argmax(axis=1)
     edits = []
     for b, (F, F2, target, _, _) in enumerate(problems):
         i, j2 = int(cells[b]), int(sources[b])

@@ -116,6 +116,18 @@ def random_grid(rng, h, w, d) -> FeatureGrid:
     return FeatureGrid(h, w, d, rng.normal(size=(h * w, d)))
 
 
+def pack_logits(alpha, M) -> np.ndarray:
+    """The relaxed solver's packed (..., n+1, n) logits: the gate logits
+    `alpha` (..., n) in row 0 over the alignment logits `M` (..., n, n)."""
+    return np.concatenate([np.asarray(alpha, dtype=np.float64)[..., None, :], M], axis=-2)
+
+
+def unpack(X) -> tuple:
+    """Views of the gate row and of the alignment rows of packed logits, or of
+    anything packed as they are (their gradient, their softmax)."""
+    return X[..., 0, :], X[..., 1:, :]
+
+
 def brute_force_best_edit(model, F, F2, target_class, excluded_query=(), excluded_source=()):
     """Independent double-loop oracle: materialize every edited grid, run the head."""
     from cfedit.grids import single_edit

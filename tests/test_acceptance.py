@@ -31,6 +31,7 @@ from cfedit.network import (
     TrainConfig,
     forward_features,
     forward_layers,
+    head_gradient_pass,
     head_input_gradient_batch,
     head_logprobs,
     load_model,
@@ -49,7 +50,9 @@ from conftest import (
     brute_force_best_edit,
     identity_feature_model,
     mnist_paths_or_skip,
+    pack_logits,
     random_grid,
+    unpack,
 )
 from test_search import min_edit_oracle
 
@@ -124,6 +127,18 @@ class TestCriterion1Training:
             ok, f"test accuracy {acc:.4f} (>=0.97), features {digits_model.feature_shape} (4x4x20)",
         )
 
+
+    def test_shapes(self, shapes_model):
+        # Measured on 400 held-out shapes: test accuracy 0.9475, 0.935, 0.9625,
+        # 0.9425, 0.9375 and 0.95 on seeds 1 to 6.  On seed 1 the bound leaves
+        # a margin of 0.0475; the lowest measured value is 0.035 above it.
+        held_out = gen_shapes(400, size=28, seed=1, split="test")
+        acc = float(np.mean(predict_batch(shapes_model, held_out.images) == held_out.labels))
+        ok = acc >= 0.90 and shapes_model.feature_shape == (4, 4, 20)
+        report(
+            1, "training reproduction, shapes",
+            ok, f"held-out accuracy {acc:.4f} (>=0.90), features {shapes_model.feature_shape} (4x4x20)",
+        )
 
 class TestCriterion2EditCounts:
     def run_pairs(self, model, images, count, seed):
@@ -304,9 +319,13 @@ class TestCriterion5GradientSuite:
             alpha = rng.normal(size=4) * 0.5
             M = rng.normal(size=(4, 4)) * 0.5
 
+            head_pass = head_gradient_pass(model, [target])
+
             def objective_and_grads(al, mm):  # one problem, as a stack of one
-                out = _objective_and_grads(model, F.values[None], F2.values[None], [target], al[None], mm[None])
-                return [x[0] for x in out]
+                objective, dX, S = _objective_and_grads(
+                    head_pass, F.values[None], F2.values[None], [target], pack_logits(al, mm)[None]
+                )
+                return (objective[0], *unpack(dX[0]), *unpack(S[0]))
 
             _, dalpha, dM, _, _ = objective_and_grads(alpha, M)
 

@@ -27,6 +27,7 @@ from cfedit.network import (
     train,
 )
 
+import test_search
 from conftest import identity_feature_model, make_model
 
 
@@ -523,6 +524,49 @@ class TestHeadInputGradient:
         np.testing.assert_array_equal(head_input_gradient_batch(model, F.values[None], [0])[1], 0.0)
 
 
+def generic_head_pass(monkeypatch):
+    """Make every head take the generic forward_layers/backward_layers pass."""
+    monkeypatch.setattr(network, "_is_mlp_head", lambda head: False)
+
+
+class TestFusedHeadPass:
+    """The fused pass of MLP heads (flatten, dense/relu layers, log-softmax)
+    against the generic per-layer pass, bit for bit, on every head the tests build."""
+
+    @staticmethod
+    def heads(shapes_model):
+        """(name, model, expected to take the fused pass) for each test head."""
+        yield "identity-linear", identity_feature_model(2, 3, 2, 4, seed=1), True
+        yield "identity-mlp", identity_feature_model(2, 3, 2, 4, seed=2, linear=False), True
+        yield "shapes", shapes_model, True
+        for name, head in sorted(test_search.TestCandidateScoresEquivalence.HEADS.items()):
+            specs = head + [LayerSpec("dense", units=5), LayerSpec("log-softmax")]
+            model = make_model([LayerSpec("conv2d", out_channels=4, kernel_size=1)], specs, (3, 3, 4), 5, seed=3)
+            yield name, model, name == "factored"
+
+    @pytest.mark.parametrize("batch", [1, 4, 7])
+    def test_matches_generic_pass_bit_for_bit(self, shapes_model, monkeypatch, batch):
+        rng = np.random.default_rng(batch)
+        for name, model, fused in self.heads(shapes_model):
+            assert network._is_mlp_head(model.head) == fused, name
+            values = rng.normal(size=(batch, model.h * model.w, model.d))
+            targets = rng.integers(model.class_count, size=batch)
+            got = head_input_gradient_batch(model, values, targets)
+            with monkeypatch.context() as patch:
+                generic_head_pass(patch)
+                want = head_input_gradient_batch(model, values, targets)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w), name
+
+    def test_pass_leaves_its_one_hot_gradient_alone(self, shapes_model):
+        # the relaxed solver calls one pass once per Adam step
+        run = network.head_gradient_pass(shapes_model, [1, 3])
+        values = np.random.default_rng(0).normal(size=(2, 16, shapes_model.d))
+        first = run(values)
+        for g, w in zip(run(values), first):
+            np.testing.assert_array_equal(g, w)
+
+
 class TestComposition:
     def test_head_of_features_equals_full_stack(self):
         rng = np.random.default_rng(9)
@@ -640,8 +684,11 @@ dims = st.lists(st.integers(-2, 6) | st.sampled_from([2**31, 2**32, 2**63, 2**64
 LAYER_FIELDS = ["kind", "out_channels", "kernel_size", "stride", "padding", "window", "units", "bogus"]
 
 
-def mutate_manifest(data, manifest):
-    """Replace or delete up to two layer fields, weight shapes and top-level fields of `manifest`."""
+def mutate_manifest(data, manifest) -> int:
+    """Maybe append a weight entry, no layer's or a copy of one already there,
+    then replace or delete up to two layer fields, weight shapes and top-level
+    fields of `manifest`.  Returns the number of values the appended entry
+    declares, which the blob needs on top of its own."""
 
     def edit(owner, key, values):
         if data.draw(st.booleans(), label=f"delete {key}"):
@@ -649,6 +696,12 @@ def mutate_manifest(data, manifest):
         else:
             owner[key] = data.draw(values, label=key)
 
+    added = 0
+    if data.draw(st.booleans(), label="append weight entry"):
+        unread = {"name": "head.9.weight", "shape": [2]}
+        entry = dict(data.draw(st.sampled_from([unread] + manifest["weights"]), label="appended entry"))
+        manifest["weights"].append(entry)
+        added = int(np.prod(entry["shape"]))
     layers = manifest["extractor"] + manifest["head"]
     layer_values = st.sampled_from(network.LAYER_KINDS) | st.integers(-2, 9) | st.just(2**64) | json_values
     for _ in range(data.draw(st.integers(0, 2), label="layer edits")):
@@ -658,6 +711,7 @@ def mutate_manifest(data, manifest):
     for _ in range(data.draw(st.integers(0, 2), label="field edits")):
         key = data.draw(st.sampled_from(sorted(manifest) + ["unknown"]))
         edit(manifest, key, {"input_shape": dims, "class_count": st.integers(-1, 5)}.get(key, json_values))
+    return added
 
 
 class TestSerialization:
@@ -670,12 +724,12 @@ class TestSerialization:
             save_model(model, path)
             with open(os.path.join(path, "manifest.json")) as fh:
                 manifest = json.load(fh)
-            mutate_manifest(data, manifest)
+            added = mutate_manifest(data, manifest)
             with open(os.path.join(path, "manifest.json"), "w") as fh:
                 json.dump(manifest, fh)
             blob_path = os.path.join(path, "weights.bin")
             with open(blob_path, "rb") as fh:
-                blob = fh.read()
+                blob = fh.read() + bytes(8 * added)
             cut = data.draw(st.just(0) | st.integers(-len(blob), 24), label="blob bytes added")
             with open(blob_path, "wb") as fh:
                 fh.write(blob[: len(blob) + cut] if cut < 0 else blob + bytes(cut))
@@ -683,9 +737,13 @@ class TestSerialization:
                 loaded = load_model(path)
             except CfeditError:
                 return
-            # a bundle that loads saves and loads again to the same weights
+            # a bundle that loads saves and loads again to the same weights, and
+            # every entry it declares is read once, so saving writes each one back
             again = os.path.join(path, "again")
             save_model(loaded, again)
+            with open(os.path.join(again, "manifest.json")) as fh:
+                written = json.load(fh)["weights"]
+            assert sorted(e["name"] for e in written) == sorted(e["name"] for e in manifest["weights"])
             reloaded = load_model(again)
             for a, b in zip(loaded.extractor + loaded.head, reloaded.extractor + reloaded.head):
                 assert a.spec == b.spec and a.weights.keys() == b.weights.keys()
@@ -739,6 +797,31 @@ class TestSerialization:
         manifest["head"][0]["kind"] = "transformer"
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(UnsupportedLayerError, match="transformer"):
+            load_model(str(path))
+
+    def test_format_version_true_is_not_1(self, tmp_path):
+        model = identity_feature_model(2, 2, 1, 3)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = True  # True == 1 in Python
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="format_version"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["unread", "duplicate"])
+    def test_every_weight_entry_is_read_once(self, tmp_path, copy):
+        # the blob holds the appended entry's values too, so its length is right
+        model = identity_feature_model(2, 2, 1, 3)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        manifest = json.loads((path / "manifest.json").read_text())
+        entry = dict(manifest["weights"][0]) if copy else {"name": "head.9.weight", "shape": [2]}
+        manifest["weights"].append(entry)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        blob = (path / "weights.bin").read_bytes()
+        (path / "weights.bin").write_bytes(blob + bytes(8 * int(np.prod(entry["shape"]))))
+        with pytest.raises(FormatError, match=repr(entry["name"]).replace(".", r"\.")):
             load_model(str(path))
 
     def test_unsupported_version(self, tmp_path):

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from cfedit import relaxed
+from cfedit import network, relaxed
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid, open_cells
-from cfedit.network import head_logprobs
+from cfedit.network import head_gradient_pass, head_logprobs
 from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
@@ -16,7 +16,7 @@ from cfedit.relaxed import (
 )
 from cfedit.search import best_edit_exhaustive
 
-from conftest import identity_feature_model, random_grid
+from conftest import identity_feature_model, pack_logits, random_grid, unpack
 
 
 class TestSoftmax:
@@ -40,8 +40,10 @@ class TestSoftmax:
 def objective_one(model, F, F2, target, alpha, M):
     """The objective, its gradients, the gate and the alignment of one
     problem: `_objective_and_grads` on a stack of one."""
-    out = relaxed._objective_and_grads(model, F.values[None], F2.values[None], [target], alpha[None], M[None])
-    return [x[0] for x in out]
+    X = pack_logits(alpha, M)[None]
+    head_pass = head_gradient_pass(model, [target])
+    objective, dX, S = relaxed._objective_and_grads(head_pass, F.values[None], F2.values[None], [target], X)
+    return (objective[0], *unpack(dX[0]), *unpack(S[0]))
 
 
 def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
@@ -58,11 +60,11 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
     return head_logprobs(model, blend)[1] - objective
 
 
-def ascent_one(model, F, F2, target, alpha, M, opt):
+def ascent_one(model, F, F2, target, X, opt):
     """ascent_steps on a batch of one problem, yielding its (objective, a, P)
-    at each step; alpha and M are updated in place."""
-    for obj, a, P, _ in ascent_steps(model, F.values[None], F2.values[None], [target], alpha[None], M[None], opt):
-        yield obj[0], a[0], P[0]
+    at each step; its packed logits X are updated in place."""
+    for obj, S, _ in ascent_steps(model, F.values[None], F2.values[None], [target], X[None], opt):
+        yield (obj[0], *unpack(S[0]))
 
 
 def one_hot_rows(n):
@@ -134,10 +136,9 @@ class TestObjectiveGradients:
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
         opt = RelaxOptConfig(max_steps=50)
-        alpha = np.zeros(4)
-        M = np.zeros((4, 4))
+        X = pack_logits(np.zeros(4), np.zeros((4, 4)))
         steps = 0
-        for _, a, P in ascent_one(model, F, F2, 1, alpha, M, opt):
+        for _, a, P in ascent_one(model, F, F2, 1, X, opt):
             assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-6
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
@@ -152,11 +153,11 @@ class TestObjectiveGradients:
         F = random_grid(rng, 3, 3, 2)
         F2 = random_grid(rng, 3, 3, 2)
         opt = RelaxOptConfig(learning_rate=0.25, max_steps=2)
-        alpha = rng.normal(size=9) * 0.5
-        M = rng.normal(size=(9, 9)) * 0.5
+        X = pack_logits(rng.normal(size=9) * 0.5, rng.normal(size=(9, 9)) * 0.5)
+        alpha, M = unpack(X)
         alpha0, M0 = alpha.copy(), M.copy()
         _, dalpha, dM, _, _ = objective_one(model, F, F2, 2, alpha0, M0)
-        steps = ascent_one(model, F, F2, 2, alpha, M, opt)
+        steps = ascent_one(model, F, F2, 2, X, opt)
         next(steps)
         next(steps)  # resuming runs the first update
         np.testing.assert_allclose(alpha - alpha0, 0.25 * dalpha / (np.abs(dalpha) + 1e-8), rtol=1e-9)
@@ -181,7 +182,7 @@ class TestBestEditRelaxed:
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
         from cfedit.grids import single_edit
-        from cfedit.network import head_logprobs
+        from cfedit.network import head_gradient_pass, head_logprobs
 
         i, j2, score, _, _ = best_edits_relaxed(model, [(F, F2, 2, (), ())])[0]
         assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], abs=1e-12)
@@ -195,12 +196,12 @@ class TestBestEditRelaxed:
         excluded_s = [2, 8]
         opt = RelaxOptConfig(max_steps=60)
         # start from the solver's masked logits and inspect the soft distributions at every step
-        alpha = np.zeros(9)
+        X = pack_logits(np.zeros(9), np.zeros((9, 9)))
+        alpha, M = unpack(X)
         alpha[excluded_q] = MASK_LOGIT
-        M = np.zeros((9, 9))
         M[:, excluded_s] = MASK_LOGIT
         steps = 0
-        for _, a, P in ascent_one(model, F, F2, 1, alpha, M, opt):
+        for _, a, P in ascent_one(model, F, F2, 1, X, opt):
             assert np.all(a[excluded_q] < 1e-12)
             assert np.all(P[:, excluded_s] < 1e-12)
             steps += 1
@@ -218,11 +219,11 @@ class TestBestEditRelaxed:
         opt = RelaxOptConfig()
         excluded_q = [1, 5, 6]
         excluded_s = [0, 7]
-        alpha = np.zeros(9)
+        X = pack_logits(np.zeros(9), np.zeros((9, 9)))
+        alpha, M = unpack(X)
         alpha[excluded_q] = MASK_LOGIT
-        M = np.zeros((9, 9))
         M[:, excluded_s] = MASK_LOGIT
-        steps = sum(1 for _ in ascent_one(model, F, F2, 0, alpha, M, opt))
+        steps = sum(1 for _ in ascent_one(model, F, F2, 0, X, opt))
         assert steps == opt.max_steps
         assert np.all(alpha[excluded_q] == MASK_LOGIT)
         assert np.all(M[:, excluded_s] == MASK_LOGIT)
@@ -294,9 +295,8 @@ class TestLockstepBatches:
         flags = []
         for (F, F2, target, exq, exs), edit in zip(problems, best_edits_relaxed(model, problems, opt)):
             open_q, open_s = open_cells(9, exq, exs)
-            alpha = np.where(open_q, 0.0, MASK_LOGIT)
-            M = np.where(open_s, np.zeros((9, 1)), MASK_LOGIT)
-            for _, a, P in itertools.islice(ascent_one(model, F, F2, target, alpha, M, opt), len(edit[3])):
+            X = pack_logits(np.where(open_q, 0.0, MASK_LOGIT), np.where(open_s, np.zeros((9, 1)), MASK_LOGIT))
+            for _, a, P in itertools.islice(ascent_one(model, F, F2, target, X, opt), len(edit[3])):
                 pass
             i = a.argmax()
             assert edit[4] == (a[i] >= stop and P[i].max() >= stop)
@@ -307,9 +307,9 @@ class TestLockstepBatches:
         model, problems = lockstep_problems()
         F = np.stack([p[0].values for p in problems[:2]])
         F2 = np.stack([p[1].values for p in problems[:2]])
-        alpha, M = np.zeros((2, 9)), np.zeros((2, 9, 9))
+        X = pack_logits(np.zeros((2, 9)), np.zeros((2, 9, 9)))
         count = 0
-        for _, _, _, live in ascent_steps(model, F, F2, [0, 1], alpha, M, RelaxOptConfig()):
+        for _, _, live in ascent_steps(model, F, F2, [0, 1], X, RelaxOptConfig()):
             count += 1
             if count == 2:
                 live[:] = False
@@ -319,11 +319,11 @@ class TestLockstepBatches:
         model, problems = lockstep_problems()
         F = np.stack([p[0].values for p in problems[:3]])
         F2 = np.stack([p[1].values for p in problems[:3]])
-        alpha = np.zeros((3, 9))
-        M = np.zeros((3, 9, 9))
-        steps = ascent_steps(model, F, F2, [0, 1, 2], alpha, M, RelaxOptConfig(max_steps=20))
+        X = pack_logits(np.zeros((3, 9)), np.zeros((3, 9, 9)))
+        alpha, M = unpack(X)
+        steps = ascent_steps(model, F, F2, [0, 1, 2], X, RelaxOptConfig(max_steps=20))
         for _ in range(3):
-            _, _, _, live = next(steps)
+            _, _, live = next(steps)
         live[1] = False
         frozen = alpha[1].copy(), M[1].copy()
         moving = alpha[0].copy(), M[0].copy()
@@ -338,18 +338,38 @@ class TestLockstepBatches:
         chunk = problems[:4]
         F = np.stack([p[0].values for p in chunk])
         F2 = np.stack([p[1].values for p in chunk])
-        alpha = np.zeros((4, 9))
-        M = np.zeros((4, 9, 9))
+        X = pack_logits(np.zeros((4, 9)), np.zeros((4, 9, 9)))
+        alpha, M = unpack(X)
         for b, (_, _, _, exq, exs) in enumerate(chunk):
             alpha[b, list(exq)] = MASK_LOGIT
             M[b][:, list(exs)] = MASK_LOGIT
         opt = RelaxOptConfig()
-        assert sum(1 for _ in ascent_steps(model, F, F2, [p[2] for p in chunk], alpha, M, opt)) == opt.max_steps
+        assert sum(1 for _ in ascent_steps(model, F, F2, [p[2] for p in chunk], X, opt)) == opt.max_steps
         for b, (_, _, _, exq, exs) in enumerate(chunk):
             assert np.all(alpha[b, list(exq)] == MASK_LOGIT)
             assert np.all(M[b][:, list(exs)] == MASK_LOGIT)
             open_q = np.setdiff1d(np.arange(9), list(exq))
             assert np.all(alpha[b, open_q] != 0.0)
+
+    def test_trajectory_replays_bit_for_bit(self):
+        # a solo solve's objectives are those of the ascent on C-ordered packed logits
+        model, problems = lockstep_problems()
+        for F, F2, target, exq, exs in problems:
+            _, _, _, traj, _ = best_edits_relaxed(model, [(F, F2, target, exq, exs)])[0]
+            open_q, open_s = open_cells(9, exq, exs)
+            X = pack_logits(np.where(open_q, 0.0, MASK_LOGIT), np.where(open_s, np.zeros((9, 1)), MASK_LOGIT))
+            replay = [obj for obj, _, _ in itertools.islice(ascent_one(model, F, F2, target, X, RelaxOptConfig()), len(traj))]
+            assert traj == replay
+
+    def test_fused_head_pass_gives_identical_solves(self, monkeypatch):
+        # the MLP head takes the fused pass; forcing the generic one changes no bit
+        model, problems = lockstep_problems()
+        assert network._is_mlp_head(model.head)
+        fused = best_edits_relaxed(model, problems)
+        solo = [best_edits_relaxed(model, [p])[0] for p in problems[:4]]
+        monkeypatch.setattr(network, "_is_mlp_head", lambda head: False)
+        assert best_edits_relaxed(model, problems) == fused
+        assert [best_edits_relaxed(model, [p])[0] for p in problems[:4]] == solo
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_smaller_chunks_give_the_same_edits(self, monkeypatch, per_chunk):
