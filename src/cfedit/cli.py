@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .data import Dataset, gen_shapes, load_idx
+from .data import Dataset, gen_shapes, load_idx, write_json
 from .errors import CfeditError, FormatError, is_number
 from .metrics import avg_edit_count, relaxation_fidelity
 from .network import (
@@ -329,15 +329,16 @@ def cmd_batch_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
-    names = sorted(f for f in os.listdir(args.records) if f.endswith(".json"))
-    results = [read_explanation(os.path.join(args.records, n))[0] for n in names]
+    # the report may be written among the records; a rerun must not read it as one
+    report_path = os.path.realpath(args.out)
+    paths = sorted(os.path.join(args.records, f) for f in os.listdir(args.records) if f.endswith(".json"))
+    results = [read_explanation(p)[0] for p in paths if os.path.realpath(p) != report_path]
     if not results:
         raise CfeditError(f"no records found in {args.records}")
     report = avg_edit_count(results)
     payload = report.to_json()
     payload["run_config"] = cfg
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(args.out, payload)
     print(json.dumps({"value": report.value, "count": report.count}, sort_keys=True))
     return 0
 
@@ -355,8 +356,7 @@ def cmd_fidelity(args) -> int:
     report = relaxation_fidelity(model, instances, opt, use_relaxed=cfg["strategy"] == "relaxed")
     payload = report.to_json()
     payload["run_config"] = cfg
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(args.out, payload)
     print(json.dumps(report.extras, sort_keys=True))
     return 0
 

@@ -1,5 +1,5 @@
-"""Dataset ingestion and file formats: IDX digit files, PGM rasters, and a
-synthetic shapes generator.
+"""Dataset ingestion and file formats: IDX digit files, the file writer,
+PGM rasters, and a synthetic shapes generator.
 
 The IDX parser reads the standard big-endian container used to distribute
 handwritten-digit datasets.  The shapes generator renders labeled images of
@@ -11,6 +11,9 @@ desk-scale experiments and the test suite.  Both sources yield grayscale
 
 from __future__ import annotations
 
+import json
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -84,6 +87,34 @@ def load_idx(images_path: str, labels_path: str, split: str = "") -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# file output
+# ---------------------------------------------------------------------------
+
+def write_file(path: str, payload: bytes):
+    """Make `payload` the whole content of the file at `path`, in place.
+
+    Every file cfedit writes goes through here.  The file is opened without
+    O_TRUNC (created with mode 0o666 less the umask, as `open` does), written
+    and then cut at the end of the payload.  Truncating a file that holds
+    data to zero frees its blocks and, on ext4, starts writeback at close,
+    which costs several times the write itself when a run overwrites earlier
+    output; an interrupted write may leave old bytes past the new ones.
+    Devices and pipes are not cut, as `open` ignores O_TRUNC for them.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:  # a buffered writer retries partial writes
+        fh.write(payload)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
+def write_json(path: str, obj):
+    """Write `obj` as indented, key-sorted JSON, ASCII-only as `json.dump`
+    writes it: the form of every record, report and manifest."""
+    write_file(path, json.dumps(obj, indent=1, sort_keys=True).encode("ascii"))
+
+
+# ---------------------------------------------------------------------------
 # rasters: binary PGM (P5), maxval 255
 # ---------------------------------------------------------------------------
 
@@ -96,9 +127,7 @@ def write_raster(path: str, raster: np.ndarray):
         raise ShapeError("raster values must be finite and lie in [0, 1]")
     data = np.round(arr * 255.0).astype(np.uint8)
     h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h))
-        fh.write(data.tobytes())
+    write_file(path, b"P5\n%d %d\n255\n" % (w, h) + data.tobytes())
 
 
 # ---------------------------------------------------------------------------

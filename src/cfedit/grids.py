@@ -7,12 +7,13 @@ cells and an alignment matrix selecting source cells:
 
     edited = (1 - a) o F  +  a o (P @ F')
 
-where `o` broadcasts the gate across the d channels.  `apply_edits` is the
-one place this transform is computed: it takes plain stacks of grid values,
+where `o` broadcasts the gate across the d channels.  `blend` is the one
+place this transform is computed: it takes plain stacks of grid values,
 gates and alignments, in either the discrete form (binary gate, permutation
-alignment) or the relaxed one (simplex gate, row-stochastic alignment), and
-checks only their shapes.  The relaxed solver blends its (B, n, d) stacks
-through it at every step; greedy search runs the discrete form one cell at a
+alignment) or the relaxed one (simplex gate, row-stochastic alignment).
+`apply_edits` converts its inputs, checks their shapes and calls it; the
+relaxed solver checks its (B, n, d) stacks once per lockstep chunk and calls
+`blend` at every step.  Greedy search runs the discrete form one cell at a
 time through `single_edit`, which equals it for a one-hot gate.
 """
 
@@ -104,12 +105,24 @@ def apply_edits(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
     F and F2 are (..., n, d) stacks of grid values, `a` the (..., n) gates and
     `P` the (..., n, n) alignments; inputs are left untouched."""
     F, F2, a, P = (np.asarray(x, dtype=np.float64) for x in (F, F2, a, P))
-    if F.ndim < 2 or F2.shape != F.shape:
-        raise ShapeError(f"grid stacks must share an (..., n, d) shape, got {F.shape} and {F2.shape}")
-    if a.shape != F.shape[:-1]:
-        raise ShapeError(f"gate shape {a.shape} does not match grid cells {F.shape[:-1]}")
-    if P.shape != a.shape + a.shape[-1:]:
-        raise ShapeError(f"alignment shape {P.shape} does not match grid cells {F.shape[:-1]}")
+    check_edit_shapes(F.shape, F2.shape, a.shape, P.shape)
+    return blend(F, F2, a, P)
+
+
+def check_edit_shapes(F_shape, F2_shape, a_shape, P_shape):
+    """Raise ShapeError unless the shapes fit `apply_edits`."""
+    if len(F_shape) < 2 or F2_shape != F_shape:
+        raise ShapeError(f"grid stacks must share an (..., n, d) shape, got {F_shape} and {F2_shape}")
+    if a_shape != F_shape[:-1]:
+        raise ShapeError(f"gate shape {a_shape} does not match grid cells {F_shape[:-1]}")
+    if P_shape != a_shape + a_shape[-1:]:
+        raise ShapeError(f"alignment shape {P_shape} does not match grid cells {F_shape[:-1]}")
+
+
+def blend(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
+    """`apply_edits` without conversion or checks, for float64 arrays whose
+    shapes `check_edit_shapes` has passed: a caller that blends stacks of one
+    shape many times checks them once."""
     PF2 = P @ F2
     gate = a[..., None]
     return (1.0 - gate) * F + gate * PF2, PF2

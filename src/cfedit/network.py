@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .data import write_file, write_json
 from .errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError, is_number
 from .grids import FeatureGrid
 from .rng import substream
@@ -713,10 +714,9 @@ def save_model(model: ModelBundle, path: str):
         "weights": [{"name": name, "shape": list(arr.shape)} for name, arr in entries],
         "metrics": model.metrics,
     }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(path, "manifest.json"), manifest)
     blob = np.concatenate([arr.ravel() for _, arr in entries]) if entries else np.zeros(0)
-    blob.astype("<f8").tofile(os.path.join(path, "weights.bin"))
+    write_file(os.path.join(path, "weights.bin"), blob.astype("<f8").tobytes())
 
 
 def _is_int_list(value, minimum: int) -> bool:

@@ -17,9 +17,10 @@ and one Adam update cover both.  The head pass is `network.head_gradient_pass`,
 built once per chunk: its one-hot output gradient is made once, and an MLP
 head (flatten, dense/relu layers, log-softmax) takes the fused pass.  A
 problem that meets the stop test is frozen, not removed: its logits stop
-moving and its trajectory ends.  The blend itself is `grids.apply_edits`, the
-transform's only implementation; greedy search's relaxed step is
-`best_edits_relaxed` on a batch of one.
+moving and its trajectory ends.  The blend itself is `grids.blend`, the
+transform's only implementation, on stacks whose shapes `ascent_steps` checks
+once per chunk; greedy search's relaxed step is `best_edits_relaxed` on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import FormatError, is_number
-from .grids import apply_edits, open_cells, single_edit
+from .grids import blend, check_edit_shapes, open_cells, single_edit
 from .network import ModelBundle, head_gradient_pass, head_logprobs
 
 MASK_LOGIT = -1e9
@@ -85,17 +86,17 @@ def _objective_and_grads(head_pass, F, F2, targets, X):
     0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
     each row's alignment entropy is weighted by its gate mass.
 
-    F and F2 are (B, n, d) grid values, `targets` the B target classes and
-    `head_pass` is `network.head_gradient_pass` for them.  X is the (B, n+1, n)
-    packed logits: row 0 the gate logits alpha, rows 1..n the alignment
-    logits M.  Every row is a softmax of its own, so one softmax, one entropy
+    F and F2 are (B, n, d) float64 grid values, `targets` the B target classes
+    and `head_pass` is `network.head_gradient_pass` for them; `ascent_steps`
+    has checked their shapes.  X is the (B, n+1, n) packed logits: row 0 the
+    gate logits alpha, rows 1..n the alignment logits M.  Every row is a softmax of its own, so one softmax, one entropy
     pass and one chain rule cover both.  Returns the (B,) objectives, their
     gradient w.r.t. X, and S = softmax(X), packed as X is (gate a in row 0,
     alignment P in rows 1..n).
     """
     S = softmax(X)
     a, P = S[:, 0], S[:, 1:]
-    blended, PF2 = apply_edits(F, F2, a, P)
+    blended, PF2 = blend(F, F2, a, P)
     gate = a[:, :, None]
 
     lp, G = head_pass(blended)  # G: (B, n, d)
@@ -129,15 +130,17 @@ def ascent_steps(model: ModelBundle, F, F2, targets, X, opt: RelaxOptConfig):
     """Bias-corrected Adam ascent on B problems in lockstep: the (B, n+1, n)
     packed logits X (see `_objective_and_grads`) are updated in place.
 
-    F and F2 are (B, n, d) grid values and `targets` the B target classes.
-    Yields (objectives, S, live) at each iterate before stepping from it, at
-    most `opt.max_steps` times, where S = softmax(X) holds the gates in row 0
-    and the alignments in rows 1..n.  `live` is a (B,) boolean array, all True
-    at first: a consumer freezes a problem by clearing its entry, after which
-    its logits stay exactly where they are, and the ascent ends once no
-    problem is live.  A logit whose gradient is always exactly zero (a closed
+    F and F2 are (B, n, d) float64 grid values and `targets` the B target
+    classes; their shapes are checked here, once, and every step blends them
+    unchecked.  Yields (objectives, S, live) at each iterate before stepping
+    from it, at most `opt.max_steps` times, where S = softmax(X) holds the
+    gates in row 0 and the alignments in rows 1..n.  `live` is a (B,)
+    boolean array, all True at first: a consumer freezes a problem by
+    clearing its entry, after which its logits stay exactly where they are,
+    and the ascent ends once no problem is live.  A logit whose gradient is always exactly zero (a closed
     cell at MASK_LOGIT) keeps zero moments and so never moves.
     """
+    check_edit_shapes(F.shape, F2.shape, X[:, 0].shape, X[:, 1:].shape)
     head_pass = head_gradient_pass(model, targets)
     live = np.ones(len(X), dtype=bool)
     moving = live[:, None, None]  # a view: clearing an entry of `live` freezes that problem

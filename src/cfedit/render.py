@@ -6,7 +6,7 @@ rectangles on the grayscale image with a soft radial falloff, blending
 toward white; the composite view pastes the distractor's highlighted patch
 onto the query, center-aligned, using highlight intensity as per-pixel
 alpha.  Explanation records are versioned JSON with stable key order;
-rasters go through the PGM writer in `data`.
+records and rasters are written through the file writer in `data`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_raster
+from .data import write_json, write_raster
 from .errors import FormatError, ShapeError, UnsupportedLayerError, is_number
 from .grids import EditList
 from .search import ExplanationResult, SearchConfig
@@ -267,8 +267,7 @@ def write_explanation(
     os.makedirs(out_dir, exist_ok=True)
     record = result_to_record(result, rf_query, rf_distractor, config, extra)
     paths = {"record": os.path.join(out_dir, f"{prefix}.json")}
-    with open(paths["record"], "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
+    write_json(paths["record"], record)
     if renders is not None:
         for name, raster in (
             ("query_heatmap", renders.query_heatmap),

@@ -59,6 +59,11 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
 
 
+def tree_bytes(root) -> dict:
+    """{path relative to `root`: contents} for every file under the directory `root` (a Path)."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 _RASTER_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 

@@ -13,7 +13,7 @@ from cfedit.errors import CfeditError
 from cfedit.network import TrainConfig, save_model
 from cfedit.relaxed import RelaxOptConfig
 
-from conftest import identity_feature_model
+from conftest import identity_feature_model, tree_bytes
 
 
 def run_ok(argv, capsys):
@@ -142,6 +142,52 @@ class TestDeterminism:
         assert names == sorted(os.listdir(dirs[1]))
         match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
         assert not mismatch and not errors
+
+
+class TestRewrites:
+    def test_evaluate_report_among_its_records(self, cli_model, tmp_path, capsys):
+        records = str(tmp_path / "records")
+        run_ok(["batch-explain", *BATCH_ARGS, "--model", cli_model, "--pairs", "3", "--no-rasters",
+                "--out", records], capsys)
+        report_path = os.path.join(records, "report.json")
+        reports = []
+        for _ in range(2):
+            assert run_ok(["evaluate", "--records", records, "--out", report_path], capsys)["count"] == 3
+            with open(report_path, "rb") as fh:
+                reports.append(fh.read())
+        assert reports[0] == reports[1]
+
+    @staticmethod
+    def run_commands(out, config, capsys):
+        """Every command, each writing into `out`, under the config file `config`."""
+        data = ["--dataset", "shapes", "--shapes-count", "200", "--seed", "0", "--config", config]
+        model, records, one = (os.path.join(out, name) for name in ("model", "records", "one"))
+        run_ok(["train", *data, "--learning-rate", "0.05", "--out", model], capsys)
+        run_ok(["batch-explain", *data, "--model", model, "--pairs", "4", "--out", records], capsys)
+        run_ok(["explain", *data, "--model", model, "--query-index", "0", "--distractor-index", "1",
+                "--out", one], capsys)
+        run_ok(["render", *data, "--model", model, "--record", os.path.join(records, "pair_0000.json"),
+                "--out", one], capsys)
+        run_ok(["evaluate", "--config", config, "--records", records,
+                "--out", os.path.join(records, "report.json")], capsys)
+        run_ok(["fidelity", *data, "--model", model, "--instances", "3",
+                "--out", os.path.join(out, "fidelity.json")], capsys)
+
+    def test_rerun_into_written_paths_matches_a_fresh_run(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps({"epochs": 4}))
+        # a shorter run config in every record and report, and at most one edit per record
+        second.write_text(json.dumps({"epochs": 3, "max_edits": 1}))
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        self.run_commands(str(rerun), str(first), capsys)
+        before = tree_bytes(rerun)
+        self.run_commands(str(rerun), str(second), capsys)
+        self.run_commands(str(fresh), str(second), capsys)
+        after = tree_bytes(rerun)
+        assert after == tree_bytes(fresh)
+        assert sorted(after) == sorted(before)
+        shrunk = {path.name for path in after if len(after[path]) < len(before[path])}
+        assert {"pair_0000.json", "explanation.json", "report.json", "fidelity.json"} <= shrunk
 
 
 class TestFidelity:

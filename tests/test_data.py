@@ -1,3 +1,6 @@
+import io
+import os
+import stat
 import struct
 
 import numpy as np
@@ -12,17 +15,24 @@ from cfedit.data import (
     Dataset,
     gen_shapes,
     load_idx,
+    write_file,
+    write_json,
 )
 from cfedit.errors import CfeditError, FormatError, ShapeError
+from cfedit.grids import EditList
+from cfedit.metrics import avg_edit_count
 from cfedit.network import (
     LayerSpec,
     TrainConfig,
     predict_batch,
     reference_head_specs,
+    save_model,
     train,
 )
+from cfedit.render import RenderedExplanation, write_explanation
+from cfedit.search import ExplanationResult
 
-from conftest import write_idx
+from conftest import identity_feature_model, tree_bytes, write_idx
 
 
 def write_pair(tmp_path, images, labels, *, img_header=None, lbl_header=None):
@@ -175,3 +185,57 @@ class TestShapes:
         )
         preds = predict_batch(model, test_ds.images[..., None])
         assert (preds == test_ds.labels).mean() >= 0.9
+
+
+def write_artifacts(out, size):
+    """A record with its three rasters, a report and a model bundle, each
+    longer the larger `size` is."""
+    quads = tuple((k, k, k, 0) for k in range(size))
+    result = ExplanationResult(
+        EditList(quads, 4, 4), [(-0.25 * k, -1.5) for k in range(size + 1)], "flipped", 0, 1, "q", "d"
+    )
+    raster = np.linspace(0, 1, 9 * size * size).reshape(3 * size, 3 * size)
+    write_explanation(result, RenderedExplanation(raster, raster, raster, result), out)
+    write_json(os.path.join(out, "report.json"), avg_edit_count([result] * size).to_json())
+    save_model(identity_feature_model(2, 2, size, size), os.path.join(out, "model"))
+
+
+class TestFileWriter:
+    def test_shorter_artifacts_overwrite_longer_ones(self, tmp_path):
+        over, fresh = tmp_path / "over", tmp_path / "fresh"
+        write_artifacts(str(over), 3)
+        longer = tree_bytes(over)
+        write_artifacts(str(over), 1)
+        write_artifacts(str(fresh), 1)
+        shorter = tree_bytes(fresh)
+        assert tree_bytes(over) == shorter
+        assert sorted(shorter) == sorted(longer) and len(shorter) == 7
+        assert all(len(shorter[name]) < len(longer[name]) for name in shorter)
+
+    def test_missing_file_is_created_under_the_umask(self, tmp_path):
+        old = os.umask(0o007)
+        try:
+            write_file(str(tmp_path / "new"), b"abc")
+            open(tmp_path / "opened", "wb").close()
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "new").st_mode)
+        assert mode == 0o660 == stat.S_IMODE(os.stat(tmp_path / "opened").st_mode)
+        assert (tmp_path / "new").read_bytes() == b"abc"
+
+    def test_payload_larger_than_a_buffer(self, tmp_path):
+        path = tmp_path / "big"
+        payloads = [np.random.default_rng(k).bytes(n * io.DEFAULT_BUFFER_SIZE + 3) for k, n in ((0, 9), (1, 5))]
+        for payload in payloads:
+            write_file(str(path), payload)
+            assert path.read_bytes() == payload
+
+    def test_pipe_is_written_and_not_cut(self, tmp_path):
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_file(path, b"abc")
+            assert os.read(reader, 16) == b"abc"
+        finally:
+            os.close(reader)
