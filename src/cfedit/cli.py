@@ -362,6 +362,9 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_render(args) -> int:
+    prefix = os.path.splitext(os.path.basename(args.record))[0]
+    if os.path.realpath(os.path.join(args.out, f"{prefix}.json")) == os.path.realpath(args.record):
+        raise CfeditError(f"render would overwrite the record it reads, {args.record}; choose another --out")
     cfg = resolve_config(args)
     model = load_model(args.model)
     dataset = _load_dataset(args, cfg)
@@ -377,12 +380,10 @@ def cmd_render(args) -> int:
     d_index = _checked_index(dataset, record["distractor_index"], "record distractor_index")
     rf = _receptive_fields(model)
     renders = render_explanation(dataset.images[q_index], dataset.images[d_index], result, rf)
-    prefix = os.path.splitext(os.path.basename(args.record))[0]
-    write_explanation(result, renders, args.out, rf, rf, None, prefix=prefix, extra={
-        "query_index": q_index,
-        "distractor_index": d_index,
-        "run_config": cfg,
-    })
+    extra = {"query_index": q_index, "distractor_index": d_index, "run_config": cfg}
+    if "config" in record:
+        extra["config"] = record["config"]  # the source record's search config, unchanged
+    write_explanation(result, renders, args.out, rf, rf, None, prefix=prefix, extra=extra)
     print(json.dumps({"rendered": prefix}, sort_keys=True))
     return 0
 

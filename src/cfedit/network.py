@@ -404,6 +404,18 @@ def forward_layers(layers, x, keep_caches=False):
     return (x, caches) if keep_caches else x
 
 
+def _forward_owned(layers, x):
+    """`forward_layers` without caches, for an `x` the caller gives up: relu
+    overwrites its input (`x` itself, or the fresh output of the layer before
+    it) instead of allocating another array, with the same bits."""
+    for layer in layers:
+        if layer.spec.kind == "relu":
+            np.maximum(x, 0.0, out=x)
+        else:
+            x, _ = _FORWARD[layer.spec.kind](x, layer, False)
+    return x
+
+
 def backward_layers(layers, caches, g, input_grad=True, weight_grads=True):
     """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
     objective, given its gradient `g` at the stack output.

@@ -3,14 +3,18 @@
 Feature cells are mapped back to input-pixel rectangles via the standard
 layer-by-layer receptive-field recurrence.  Highlights overlay those
 rectangles on the grayscale image with a soft radial falloff, blending
-toward white; the composite view pastes the distractor's highlighted patch
-onto the query, center-aligned, using highlight intensity as per-pixel
-alpha.  Explanation records are versioned JSON with stable key order;
-records and rasters are written through the file writer in `data`.
+toward white.  The falloff depends only on a clipped rectangle's height and
+width, so it is computed once per size, kept in a small cache of read-only
+patches, and scaled by each highlight's weight.  The composite view pastes
+the distractor's highlighted patch onto the query, center-aligned, using
+highlight intensity as per-pixel alpha.  Explanation records are versioned
+JSON with stable key order; records and rasters are written through the
+file writer in `data`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -86,6 +90,23 @@ def receptive_field_map(extractor_specs, image_h: int, image_w: int) -> Receptiv
 # rendering
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _unit_falloff(height: int, width: int) -> np.ndarray:
+    """Read-only `clip(1 - dist, 0, 1)` over a height x width rectangle,
+    `dist` the elliptical distance from its center scaled to reach 1 half a
+    pixel past its edges.  A rectangle's offsets from its center are exact
+    half-integers, so the falloff of every rectangle of this size is this
+    one, bit for bit."""
+    cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
+    ry, rx = (height - 1) / 2.0 + 0.5, (width - 1) / 2.0 + 0.5
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)[None, :]
+    dist = np.sqrt(((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2)
+    patch = np.clip(1.0 - dist, 0.0, 1.0)
+    patch.setflags(write=False)
+    return patch
+
+
 def intensity_map(rf: ReceptiveFieldMap, cells) -> np.ndarray:
     """Per-pixel highlight intensity in [0,1] for weighted cells: a radial
     falloff from each rectangle's center, scaled by its weight; overlaps take
@@ -95,12 +116,7 @@ def intensity_map(rf: ReceptiveFieldMap, cells) -> np.ndarray:
         if not (0.0 <= weight <= 1.0):
             raise ShapeError(f"cell weight {weight} outside [0, 1]")
         t, l, b, r = rf.rect(row, col)
-        cy, cx = (t + b) / 2.0, (l + r) / 2.0
-        ry, rx = (b - t) / 2.0 + 0.5, (r - l) / 2.0 + 0.5
-        ys = np.arange(t, b + 1)[:, None]
-        xs = np.arange(l, r + 1)[None, :]
-        dist = np.sqrt(((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2)
-        patch = weight * np.clip(1.0 - dist, 0.0, 1.0)
+        patch = weight * _unit_falloff(b - t + 1, r - l + 1)
         region = out[t : b + 1, l : r + 1]
         np.maximum(region, patch, out=region)
     return out

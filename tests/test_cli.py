@@ -126,6 +126,37 @@ class TestExplainPipeline:
         rasters = [f for f in os.listdir(out) if f.endswith(".pgm")]
         assert rasters
 
+    def test_render_carries_the_source_config(self, cli_model, tmp_path, capsys):
+        src = str(tmp_path / "src")
+        run_ok(["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0", "--distractor-index", "1",
+                "--strategy", "relaxed", "--relax-steps", "20", "--max-edits", "2", "--out", src], capsys)
+        out = str(tmp_path / "rerender")
+        run_ok(["render", *BATCH_ARGS, "--model", cli_model,
+                "--record", os.path.join(src, "explanation.json"), "--out", out], capsys)
+        source = json.load(open(os.path.join(src, "explanation.json")))
+        rendered = json.load(open(os.path.join(out, "explanation.json")))
+        assert source["config"]["strategy"] == "relaxed" and source["config"]["max_edits"] == 2
+        assert rendered["config"] == source["config"]
+        assert rendered["edits"] == source["edits"] and rendered["trajectory"] == source["trajectory"]
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_render_refuses_to_overwrite_its_record(self, cli_model, tmp_path, capsys, spelling):
+        src = tmp_path / "src"
+        run_ok(["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0", "--distractor-index", "1",
+                "--out", str(src)], capsys)
+        before = tree_bytes(src)
+        out = {"same": str(src), "dotted": str(src / ".." / "src"), "symlink": str(tmp_path / "link")}[spelling]
+        if spelling == "symlink":
+            os.symlink(src, out)
+        capsys.readouterr()
+        rc = main(["render", *BATCH_ARGS, "--model", cli_model,
+                   "--record", str(src / "explanation.json"), "--out", out])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "CfeditError" and "overwrite the record it reads" in err["message"]
+        assert tree_bytes(src) == before
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_artifacts(self, cli_model, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cfedit import render
 from cfedit.data import write_raster
 from cfedit.errors import CfeditError, FormatError, ShapeError, UnsupportedLayerError
 from cfedit.grids import EditList
@@ -120,6 +121,56 @@ class TestHeatmap:
         a = render_heatmap(img, [((1, 1), 0.7)], self.rf())
         b = render_heatmap(img, [((1, 1), 0.7)], self.rf())
         np.testing.assert_array_equal(a, b)
+
+
+class TestFalloffCache:
+    """`intensity_map` scales one cached falloff patch per rectangle size; it
+    must give the bits of the per-call formula it replaced."""
+
+    @staticmethod
+    def per_call(rf, row, col, weight):
+        out = np.zeros((rf.image_h, rf.image_w))
+        t, l, b, r = rf.rect(row, col)
+        cy, cx = (t + b) / 2.0, (l + r) / 2.0
+        ry, rx = (b - t) / 2.0 + 0.5, (r - l) / 2.0 + 0.5
+        ys = np.arange(t, b + 1)[:, None]
+        xs = np.arange(l, r + 1)[None, :]
+        dist = np.sqrt(((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2)
+        patch = weight * np.clip(1.0 - dist, 0.0, 1.0)
+        region = out[t : b + 1, l : r + 1]
+        np.maximum(region, patch, out=region)
+        return out
+
+    PADDED = [LayerSpec("conv2d", out_channels=2, kernel_size=5, padding=2), LayerSpec("maxpool2d", window=2),
+              LayerSpec("conv2d", out_channels=2, kernel_size=3, padding=1)]
+
+    @pytest.mark.parametrize("specs, size, grid", [
+        (reference_extractor_specs(), 28, (4, 4)),
+        (reference_extractor_specs(), 42, (7, 7)),
+        (PADDED, 12, (6, 6)),
+    ])
+    def test_matches_per_call_formula_bitwise(self, specs, size, grid):
+        rf = receptive_field_map(specs, size, size)
+        assert (rf.h, rf.w) == grid
+        sizes = set()
+        for row in range(rf.h):
+            for col in range(rf.w):
+                t, l, b, r = rf.rect(row, col)
+                sizes.add((b - t + 1, r - l + 1))
+                for weight in (1.0, 0.5):
+                    got = intensity_map(rf, [((row, col), weight)])
+                    assert got.tobytes() == self.per_call(rf, row, col, weight).tobytes(), (row, col, weight)
+        if specs is self.PADDED:  # edge rectangles are clipped to the image
+            assert len(sizes) > 1 and (rf.field, rf.field) in sizes
+
+    def test_cached_patch_rejects_writes(self):
+        patch = render._unit_falloff(5, 7)
+        assert patch.shape == (5, 7) and render._unit_falloff(5, 7) is patch
+        with pytest.raises(ValueError):
+            patch[2, 3] = 0.0
+        with pytest.raises(ValueError):
+            patch *= 0.5
+        assert patch[2, 3] == 1.0
 
 
 class TestComposite:

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from cfedit import search
 from cfedit.data import gen_shapes
 from cfedit.errors import ExhaustedError, ShapeError
 from cfedit.grids import FeatureGrid, single_edit
-from cfedit.network import LayerSpec, forward_features, head_logprobs, predict_batch
+from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
 from cfedit.relaxed import RelaxOptConfig, best_edits_relaxed
 from cfedit.search import (
     ExplanationResult,
@@ -432,13 +434,13 @@ class TestCandidateScoresEquivalence:
 
 
 class TestGreedyContraction:
-    """Greedy's once-per-pair edit contraction against a per-step replay
-    that computes every step's scores from scratch."""
+    """Greedy's carried state (first-dense pre-activation, once-per-pair edit
+    contraction, committed row's scored logits) against a per-step replay
+    that computes every step from scratch on an edited grid."""
 
     @staticmethod
     def replay(model, query, distractor, target, policy):
-        F = forward_features(model, query)
-        F2 = forward_features(model, distractor)
+        F, F2 = forward_feature_pair(model, query, distractor)
         lp = head_logprobs(model, F)
         query_class = lp.argmax()
         trajectory = [(lp[query_class], lp[target])]
@@ -460,19 +462,18 @@ class TestGreedyContraction:
     @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
     @pytest.mark.parametrize("block_values", [None, 1, 300])
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
-    def test_matches_per_step_replay_bit_for_bit(self, head, block_values, policy, monkeypatch):
+    def test_matches_per_step_replay_and_its_own_scores(self, head, block_values, policy, monkeypatch):
         if block_values is not None:  # 1 and 300 leave no room for the contraction
             monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
-        seen = []
-        scores = search.candidate_scores
+        seen = []  # (carried state, contraction stored, returned score) per greedy step
+        best_edit = search.best_edit_exhaustive
 
-        def spy(*args):
-            seen.append(args[5] is not None)
-            got = scores(*args)
-            assert np.array_equal(got, scores(*args[:5]))  # each step's scores, not only its argmax
+        def spy(*args, carry=None):
+            got = best_edit(*args, carry=carry)
+            seen.append((carry is not None, carry is not None and carry.contraction is not None, got[2]))
             return got
 
-        monkeypatch.setattr(search, "candidate_scores", spy)
+        monkeypatch.setattr(search, "best_edit_exhaustive", spy)
         rng = np.random.default_rng(93)
         h, w, d, classes = 3, 3, 2, 4
         steps = 0
@@ -490,19 +491,54 @@ class TestGreedyContraction:
                 lp = head_logprobs(model, forward_features(model, query))
                 for target in np.argsort(lp)[:2]:  # the least likely classes take the most steps
                     target = int(target)
+                    del seen[:]
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy))
-                    seen_greedy = list(seen)
-                    del seen[:]
-                    want = self.replay(model, query, distractor, target, policy)
-                    del seen[:]
-                    assert (got.edits.edits, got.trajectory, got.status) == want
-                    assert len(seen_greedy) == got.edit_count
+                    edits, trajectory, status = self.replay(model, query, distractor, target, policy)
+                    assert (got.edits.edits, got.status) == (edits, status)
+                    np.testing.assert_allclose(got.trajectory, trajectory, rtol=1e-12, atol=0)
+                    assert got.trajectory[0] == trajectory[0]  # the unedited grid's one-grid pass
+                    factored = head == "factored"
+                    assert [s[:2] for s in seen] == [(factored, factored and block_values is None)] * got.edit_count
+                    if factored:  # each entry is the committed candidate's scored row
+                        assert [b for _, b in got.trajectory[1:]] == [s[2] for s in seen]
+                    else:  # the edited grid's one-grid pass
+                        assert got.trajectory == trajectory
                     steps += got.edit_count
-                    contracted = head == "factored" and block_values is None
-                    assert seen_greedy == [contracted] * got.edit_count
         assert steps >= 30
+
+    @staticmethod
+    def frozen_model(name):
+        """A frozen benchmark model, after checking its digest."""
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+        spec = importlib.util.spec_from_file_location("perfbench_common", os.path.join(bench, "common.py"))
+        common = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(common)
+        path = common.model_path(name)
+        assert common.model_digest(path) == common.expected_digests()[name]
+        return load_model(path)
+
+    @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
+    def test_frozen_models_match_per_step_replay(self, name, size):
+        model = self.frozen_model(name)
+        ds = gen_shapes(160, size=size, seed=5, split="bench")
+        preds = predict_batch(model, ds.images)
+        rng = np.random.default_rng(95)
+        classes = np.unique(preds)
+        assert len(classes) >= 3
+        edits = 0
+        for a, b in itertools.permutations(classes, 2):  # every ordered class pair, three times
+            for _ in range(3):
+                q = int(rng.choice(np.flatnonzero(preds == a)))
+                d = int(rng.choice(np.flatnonzero(preds == b)))
+                got = greedy_counterfactual(model, ds.images[q], ds.images[d], int(b))
+                want = self.replay(model, ds.images[q], ds.images[d], int(b), "query-and-distractor-cells")
+                assert (got.query_class, got.target_class) == (a, b)
+                assert (got.edits.edits, got.status) == (want[0], want[2])
+                np.testing.assert_allclose(got.trajectory, want[1], rtol=1e-12, atol=0)
+                edits += got.edit_count
+        assert edits >= 3 * len(classes) * (len(classes) - 1)
 
     def test_contraction_fits_one_block(self, monkeypatch):
         rng = np.random.default_rng(94)
@@ -516,7 +552,7 @@ class TestGreedyContraction:
         F, F2 = random_grid(rng, h, w, d), random_grid(rng, h, w, d)
         n = h * w
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units))
-        C = search._edit_contraction(model, F, F2)
+        C = search._Carry(model, F, F2, store=True).contraction
         assert C.shape == (n, n, units) and C.size <= search._BLOCK_VALUES
         W = model.head[1].weights["weight"].reshape(n, d, units)
         naive = np.array([[(F2.values[j] - F.values[i]) @ W[i] for j in range(n)] for i in range(n)])
@@ -524,4 +560,4 @@ class TestGreedyContraction:
         for q in ([0], [n - 1], [1, 4, 5], list(range(n))):  # the blocks the per-step path computes
             assert C[q].tobytes() == search._contract(F, F2, W, np.array(q)).tobytes()
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
-        assert search._edit_contraction(model, F, F2) is None
+        assert search._Carry(model, F, F2, store=True).contraction is None
