@@ -232,9 +232,11 @@ def cmd_train(args) -> int:
         epochs=cfg["epochs"],
         seed=cfg["seed"],
     )
+    if bool(args.test_idx_images) != bool(args.test_idx_labels):
+        raise CfeditError("an idx test set requires both --test-idx-images and --test-idx-labels")
     dataset = _load_dataset(args, cfg, split="train")
     test_images = test_labels = None
-    if args.test_idx_images and args.test_idx_labels:
+    if args.test_idx_images:
         test = load_idx(args.test_idx_images, args.test_idx_labels, split="test")
         test_images, test_labels = test.images, test.labels
     elif cfg["dataset"] == "shapes":

@@ -95,17 +95,22 @@ def write_file(path: str, payload: bytes):
 
     Every file cfedit writes goes through here.  The file is opened without
     O_TRUNC (created with mode 0o666 less the umask, as `open` does), written
-    and then cut at the end of the payload.  Truncating a file that holds
+    through its descriptor with no buffer between, and then cut at the end of
+    the payload.  Truncating a file that holds
     data to zero frees its blocks and, on ext4, starts writeback at close,
     which costs several times the write itself when a run overwrites earlier
     output; an interrupted write may leave old bytes past the new ones.
     Devices and pipes are not cut, as `open` ignores O_TRUNC for them.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:  # a buffered writer retries partial writes
-        fh.write(payload)
+    try:
+        view = memoryview(payload)
+        while view:  # a write may take only part of the payload
+            view = view[os.write(fd, view) :]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+            os.ftruncate(fd, len(payload))
+    finally:
+        os.close(fd)
 
 
 def write_json(path: str, obj):

@@ -138,37 +138,34 @@ def render_composite(
     edit: tuple,
     rf_query: ReceptiveFieldMap,
     rf_distractor: ReceptiveFieldMap,
+    in_place: bool = False,
 ) -> np.ndarray:
     """Paste the distractor's highlighted patch onto the query.
 
     The two receptive-field rectangle centers are aligned; the highlight
     intensity over the distractor is the per-pixel alpha.  Source pixels that
-    fall outside either image are skipped.
+    fall outside either image are skipped.  Only the distractor rectangle,
+    moved and clipped to the query, is blended, with the cached falloff of
+    its size as alpha; alpha is zero everywhere else.  With `in_place`, the
+    float64 array `query` itself is blended and returned, else a copy.
     """
     q = np.asarray(query, dtype=np.float64)
     dimg = np.asarray(distractor, dtype=np.float64)
     if q.shape != dimg.shape:
         raise ShapeError(f"query shape {q.shape} != distractor shape {dimg.shape}")
+    out = q if in_place else q.copy()
     i, j, i2, j2 = edit
     cy_q, cx_q = rf_query.rect_center(i, j)
-    cy_d, cx_d = rf_distractor.rect_center(i2, j2)
-    dy = int(round(cy_q - cy_d))
-    dx = int(round(cx_q - cx_d))
-    alpha = intensity_map(rf_distractor, [((i2, j2), 1.0)])
-
-    out = q.copy()
-    h, w = alpha.shape
-    # destination window [dy, dy+h) x [dx, dx+w), clipped to the query image
-    dst_t, dst_l = max(dy, 0), max(dx, 0)
-    dst_b, dst_r = min(dy + h, q.shape[0]), min(dx + w, q.shape[1])
-    if dst_t >= dst_b or dst_l >= dst_r:
-        return out
-    src_t, src_l = dst_t - dy, dst_l - dx
-    src_b, src_r = dst_b - dy, dst_r - dx
-    a = alpha[src_t:src_b, src_l:src_r]
-    out[dst_t:dst_b, dst_l:dst_r] = (1.0 - a) * q[dst_t:dst_b, dst_l:dst_r] + a * dimg[
-        src_t:src_b, src_l:src_r
-    ]
+    t, l, b, r = rf_distractor.rect(i2, j2)
+    dy = int(round(cy_q - (t + b) / 2.0))
+    dx = int(round(cx_q - (l + r) / 2.0))
+    # destination rows [dst_t, dst_b) and columns [dst_l, dst_r) in the query
+    dst_t, dst_l = max(t + dy, 0), max(l + dx, 0)
+    dst_b, dst_r = min(b + 1 + dy, q.shape[0]), min(r + 1 + dx, q.shape[1])
+    if dst_t < dst_b and dst_l < dst_r:
+        a = _unit_falloff(b - t + 1, r - l + 1)[dst_t - dy - t : dst_b - dy - t, dst_l - dx - l : dst_r - dx - l]
+        region = out[dst_t:dst_b, dst_l:dst_r]
+        region[...] = (1.0 - a) * region + a * dimg[dst_t - dy : dst_b - dy, dst_l - dx : dst_r - dx]
     return out
 
 
@@ -192,7 +189,7 @@ def render_explanation(
     dh = render_heatmap(distractor_image, d_cells, rf)
     comp = np.asarray(query_image, dtype=np.float64).copy()
     for quad in result.edits:
-        comp = render_composite(comp, distractor_image, quad, rf, rf)
+        render_composite(comp, distractor_image, quad, rf, rf, in_place=True)
     return RenderedExplanation(qh, dh, comp, result)
 
 

@@ -463,6 +463,19 @@ class TestConfigAndErrors:
         assert "7x7" in err["message"] and "4x4" in err["message"]
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("flag", ["--test-idx-images", "--test-idx-labels"])
+    def test_train_with_half_an_idx_test_set(self, tmp_path, capsys, flag):
+        out = tmp_path / "bundle"
+        capsys.readouterr()
+        rc = main(["train", "--dataset", "shapes", "--shapes-count", "40", "--epochs", "1",
+                   flag, str(tmp_path / "nonexistent"), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "CfeditError"
+        assert "--test-idx-images" in err["message"] and "--test-idx-labels" in err["message"]
+        assert not out.exists()
+
     def test_both_distractor_flags_rejected(self, cli_model, tmp_path, capsys):
         err = run_err(
             ["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0",

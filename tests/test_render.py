@@ -218,6 +218,49 @@ class TestComposite:
         with pytest.raises(ShapeError):
             render_composite(np.zeros((8, 8)), np.zeros((6, 6)), (0, 0, 0, 0), self.rf(), self.rf())
 
+    @staticmethod
+    def whole_image(q, d, edit, rf):
+        """The composite as a blend of the whole query with a shifted
+        whole-image intensity map, zero outside the distractor rectangle."""
+        i, j, i2, j2 = edit
+        alpha = intensity_map(rf, [((i2, j2), 1.0)])
+        cy_q, cx_q = rf.rect_center(i, j)
+        cy_d, cx_d = rf.rect_center(i2, j2)
+        dy, dx = int(round(cy_q - cy_d)), int(round(cx_q - cx_d))
+        out = q.copy()
+        h, w = alpha.shape
+        dst_t, dst_l = max(dy, 0), max(dx, 0)
+        dst_b, dst_r = min(dy + h, q.shape[0]), min(dx + w, q.shape[1])
+        if dst_t < dst_b and dst_l < dst_r:
+            a = alpha[dst_t - dy : dst_b - dy, dst_l - dx : dst_r - dx]
+            window = (slice(dst_t, dst_b), slice(dst_l, dst_r))
+            out[window] = (1.0 - a) * q[window] + a * d[dst_t - dy : dst_b - dy, dst_l - dx : dst_r - dx]
+        return out
+
+    @pytest.mark.parametrize("specs, size", [
+        (reference_extractor_specs(), 28),
+        (reference_extractor_specs(), 42),
+        (TestFalloffCache.PADDED, 12),
+    ])
+    def test_clipped_rectangle_blend_matches_whole_image_blend_bitwise(self, specs, size):
+        # every (query cell, distractor cell) pair, so that clipped edge
+        # rectangles and windows shifted past the border both occur
+        rf = receptive_field_map(specs, size, size)
+        rng = np.random.default_rng(10)
+        q, d = rng.uniform(0, 1, (size, size)), rng.uniform(0, 1, (size, size))
+        cells = [(row, col) for row in range(rf.h) for col in range(rf.w)]
+        for cell in cells:
+            for source in cells:
+                edit = cell + source
+                got = render_composite(q, d, edit, rf, rf)
+                assert got.tobytes() == self.whole_image(q, d, edit, rf).tobytes(), edit
+        edits = [cells[k] + cells[-1 - k] for k in range(len(cells))]
+        result = ExplanationResult(EditList(tuple(edits), rf.h, rf.w), ((0.0, 0.0),) * (len(edits) + 1), "exhausted", 0, 1)
+        want = q
+        for edit in edits:
+            want = self.whole_image(want, d, edit, rf)
+        assert render.render_explanation(q, d, result, rf).composite.tobytes() == want.tobytes()
+
 
 class TestRasterIO:
     def test_pgm_round_trip(self, tmp_path):

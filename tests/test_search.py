@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import itertools
 import os
@@ -5,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfedit import search
 from cfedit.data import gen_shapes
@@ -462,9 +465,12 @@ class TestGreedyContraction:
     @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
     @pytest.mark.parametrize("block_values", [None, 1, 300])
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
-    def test_matches_per_step_replay_and_its_own_scores(self, head, block_values, policy, monkeypatch):
+    @pytest.mark.parametrize("bounded", [False, True], ids=["every-cell", "bounded"])
+    def test_matches_per_step_replay_and_its_own_scores(self, head, block_values, policy, bounded, monkeypatch):
         if block_values is not None:  # 1 and 300 leave no room for the contraction
             monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
+        if bounded:  # the bound and the cut, on a grid below their crossover
+            monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)
         seen = []  # (carried state, contraction stored, returned score) per greedy step
         best_edit = search.best_edit_exhaustive
 
@@ -552,7 +558,7 @@ class TestGreedyContraction:
         F, F2 = random_grid(rng, h, w, d), random_grid(rng, h, w, d)
         n = h * w
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units))
-        C = search._Carry(model, F, F2, store=True).contraction
+        C = search._Carry(model, F, F2, greedy=True).contraction
         assert C.shape == (n, n, units) and C.size <= search._BLOCK_VALUES
         W = model.head[1].weights["weight"].reshape(n, d, units)
         naive = np.array([[(F2.values[j] - F.values[i]) @ W[i] for j in range(n)] for i in range(n)])
@@ -560,4 +566,235 @@ class TestGreedyContraction:
         for q in ([0], [n - 1], [1, 4, 5], list(range(n))):  # the blocks the per-step path computes
             assert C[q].tobytes() == search._contract(F, F2, W, np.array(q)).tobytes()
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
-        assert search._Carry(model, F, F2, store=True).contraction is None
+        assert search._Carry(model, F, F2, greedy=True).contraction is None
+
+
+def bound_grids(rng, h, w, d, kind):
+    """A grid pair whose scores stress the bound: random, with every F2 row
+    the same (each cell's interval is a point, so the bound is as tight as
+    rounding lets it be), with duplicated and all-zero rows, or with F2 rows
+    copied from F (no-op edits)."""
+    n = h * w
+    F, F2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    if kind == "point":
+        F2[:] = F2[0]
+    elif kind == "dup-zero":
+        F[1::2] = F[0]
+        F[2] = 0.0
+        F2[::3] = 0.0
+        F2[4:] = F2[3]
+    elif kind == "no-op":
+        F2[: n // 2] = F[rng.permutation(n)[: n // 2]]
+    return FeatureGrid(h, w, d, F), FeatureGrid(h, w, d, F2)
+
+
+def bound_model(seed, h, w, d, tail, first_units, scale):
+    """flatten -> dense(first_units) -> tail -> log-softmax, with weights
+    scaled by `scale`; the class count is the last dense layer's units."""
+    specs = [LayerSpec("flatten"), LayerSpec("dense", units=first_units)]
+    classes = first_units
+    for layer in tail:
+        if layer == "relu":
+            specs.append(LayerSpec("relu"))
+        else:
+            specs.append(LayerSpec("dense", units=layer))
+            classes = layer
+    model = make_model(
+        [LayerSpec("conv2d", out_channels=d, kernel_size=1)], specs + [LayerSpec("log-softmax")], (h, w, d), classes, seed
+    )
+    for layer in model.head:
+        for v in layer.weights.values():
+            v *= scale
+    return model, classes
+
+
+class TestRowBound:
+    """The interval bound on each query cell's best score, and the cut that
+    scores only the cells whose bound reaches the leader."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        tail=st.lists(st.one_of(st.just("relu"), st.integers(2, 6)), max_size=4),
+        first_units=st.integers(2, 7),
+        scale=st.sampled_from([0.3, 1.0, 4.0, 30.0]),
+        kind=st.sampled_from(["random", "point", "dup-zero", "no-op"]),
+        drift=st.sampled_from([0.0, 1e-13, 0.5]),
+        stored=st.booleans(),
+    )
+    def test_bound_is_above_every_score_of_its_cell(self, seed, tail, first_units, scale, kind, drift, stored):
+        rng = np.random.default_rng(seed)
+        h, w, d = 2, 3, 3
+        n = h * w
+        model, classes = bound_model(seed, h, w, d, tail, first_units, scale)
+        F, F2 = bound_grids(rng, h, w, d, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_BOUND_CANDIDATES", 1)
+            if not stored:
+                mp.setattr(search, "_BLOCK_VALUES", 1)  # no room for the contraction
+            carry = search._Carry(model, F, F2, greedy=True)
+            assert carry.bound is not None and (carry.contraction is not None) == stored
+            carry.z0 = carry.z0 + drift * rng.normal(size=carry.z0.shape)  # as committed edits leave it
+            i, j = np.divmod(np.arange(n * n), n)
+            for target in range(classes):
+                scores = candidate_scores(model, F, F2, target, range(n), carry)
+                assert np.all(np.isfinite(scores))
+                bounds = carry.bound.sums(carry.z0, target)
+                if bounds is None:  # logits this large keep every cell
+                    rows = carry.rows_to_score(model.head, F, F2, target, np.arange(n), np.ones(n, bool))
+                    assert list(rows) == list(range(n))
+                    continue
+                sums, margin = bounds
+                assert np.all(np.log(sums) <= -scores.max(axis=1) + margin), (np.log(sums), scores.max(axis=1))
+                # the leader's single-edit logits stay within the margin of the
+                # scorer's (a sum that overflows keeps every cell)
+                z = carry._pair_logits(model.head, F, F2, i, j)
+                with np.errstate(over="ignore"):
+                    pair_sums = np.exp(z - z[:, target : target + 1]).sum(axis=1)
+                finite = np.isfinite(pair_sums)
+                assert np.all(np.abs(np.log(pair_sums[finite]) + scores[i, j][finite]) <= margin)
+
+    @staticmethod
+    def tied_model():
+        """A head whose first dense layer applies one weight block to every
+        cell, so that query cells holding the same values score the same."""
+        model = identity_feature_model(3, 3, 2, 3, seed=4, linear=False)
+        W = model.head[1].weights["weight"].reshape(9, 2, -1)
+        W[:] = W[0]
+        return model
+
+    @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
+    def test_exact_ties_across_cells_go_to_the_smallest_cell(self, policy, monkeypatch):
+        monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)
+        model = self.tied_model()
+        rng = np.random.default_rng(6)
+        f, g = rng.normal(size=2), rng.normal(size=2)
+        F2 = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
+        kinds = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0], dtype=bool)
+        F = FeatureGrid(3, 3, 2, np.where(kinds[:, None], f, g))
+        for target in range(3):
+            # the cells of whichever kind scores better tie with each other
+            full = candidate_scores(model, F, F2, target, range(9))
+            best_cells = [i for i in range(9) if full[i].max() == full.max()]
+            assert best_cells in ([1, 3, 4, 6], [0, 2, 5, 7, 8])
+            ex_q, ex_s = [], []
+            for _ in range(3):
+                allowed = full.copy()
+                allowed[ex_q] = -np.inf
+                allowed[:, ex_s] = -np.inf
+                tied = [i for i in range(9) if allowed[i].max() == allowed.max()]
+                assert len(tied) >= 2
+                carry = search._Carry(model, F, F2, greedy=True)
+                # the leader comes from the last of the tied cells, not the first
+                carry.row_sources[tied[-1]] = np.argmax(allowed[tied[-1]])
+                got = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s, carry=carry)
+                assert got == (tied[0], np.argmax(allowed[tied[0]]), allowed.max())
+                ex_q.append(got[0])
+                if policy == "query-and-distractor-cells":
+                    ex_s.append(got[1])
+
+    def test_leader_beaten_by_1e12_from_a_lower_bound_cell(self, monkeypatch):
+        monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)
+        model = self.tied_model()
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(9, 2))
+        F2 = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
+        target, a, b = 0, 2, 6
+        values[b] = values[a]
+        # nudge cell b until its best edit beats cell a's by about 1e-12
+        for eps in 10.0 ** -np.arange(4, 17, 0.25):
+            for sign in (1.0, -1.0):
+                nudged = values.copy()
+                nudged[b, 0] += sign * eps
+                F = FeatureGrid(3, 3, 2, nudged)
+                full = candidate_scores(model, F, F2, target, range(9))
+                gap = full[b].max() - full[a].max()
+                if 0 < gap <= 2e-12 and full[b].max() == full.max():
+                    break
+            else:
+                continue
+            break
+        assert 0 < gap <= 2e-12 and full[b].max() == full.max()
+        carry = search._Carry(model, F, F2, greedy=True)
+        _, margin = carry.bound.sums(carry.z0, target)
+        # cell a has the largest bound, so its best edit is the leader; cell
+        # b's bound is exactly its best score, below a's
+        sums = np.full(9, np.inf)
+        sums[a] = np.exp(-full[a].max()) / 2
+        sums[b] = np.exp(-full[b].max())
+        monkeypatch.setattr(carry.bound, "sums", lambda z0, t: (sums, margin))
+        kept = carry.rows_to_score(model.head, F, F2, target, np.arange(9), np.ones(9, bool))
+        assert list(kept) == [a, b]
+        got = best_edit_exhaustive(model, F, F2, target, carry=carry)
+        assert got[:2] == (b, int(np.argmax(full[b]))) and got[2] == full.max()
+
+    @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
+    @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
+    def test_bounded_greedy_matches_every_cell_greedy_bit_for_bit(self, name, size, policy, monkeypatch):
+        monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)  # the 4x4 grid too
+        model = TestGreedyContraction.frozen_model(name)
+        ds = gen_shapes(120, size=size, seed=8, split="bench")
+        preds = predict_batch(model, ds.images)
+        rng = np.random.default_rng(96)
+        classes = np.unique(preds)
+        pairs = [
+            (int(rng.choice(np.flatnonzero(preds == a))), int(rng.choice(np.flatnonzero(preds == b))), int(b))
+            for a, b in itertools.permutations(classes, 2)
+        ]
+        rows = {"scored": 0, "open": 0}
+        scorer = search.candidate_scores
+
+        def counting(model, F, F2, target, scored, carry=None, sources=None):
+            rows["scored"] += len(scored)
+            return scorer(model, F, F2, target, scored, carry, sources)
+
+        def run():
+            config = SearchConfig(policy)
+            return [greedy_counterfactual(model, ds.images[q], ds.images[d], t, config) for q, d, t in pairs]
+
+        monkeypatch.setattr(search, "candidate_scores", counting)
+        bounded = run()
+        pruned, rows["scored"] = rows["scored"], 0
+        monkeypatch.setattr(search._Carry, "rows_to_score", lambda self, head, F, F2, t, open_rows, sources: open_rows)
+        every = run()
+        assert bounded == every
+        assert pruned < rows["scored"]
+
+    def test_rows_scored_per_open_row_on_the_wide_pool(self, monkeypatch):
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+        monkeypatch.syspath_prepend(bench)
+        workloads = importlib.import_module("workloads")
+        wl = workloads.WORKLOADS["explain-wide"](1, False)
+        wl.setup()
+        rows = {"scored": 0, "open": 0}
+        scorer, best_edit = search.candidate_scores, search.best_edit_exhaustive
+
+        def counting(model, F, F2, target, scored, carry=None, sources=None):
+            rows["scored"] += len(scored)
+            return scorer(model, F, F2, target, scored, carry, sources)
+
+        def opening(model, F, F2, target, ex_q=(), ex_s=(), carry=None):
+            rows["open"] += F.cells - len(ex_q)
+            return best_edit(model, F, F2, target, ex_q, ex_s, carry=carry)
+
+        monkeypatch.setattr(search, "candidate_scores", counting)
+        monkeypatch.setattr(search, "best_edit_exhaustive", opening)
+        for q, d in wl.pool[:20]:
+            target = int(predict_batch(wl.model, wl.ds.images[d][None])[0])
+            greedy_counterfactual(wl.model, wl.ds.images[q], wl.ds.images[d], target, wl.config)
+        assert rows["open"] > 0 and rows["scored"] / rows["open"] <= 0.5, rows
+
+    def test_source_major_contraction_has_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)
+        rng = np.random.default_rng(97)
+        model = identity_feature_model(3, 3, 2, 3, seed=8, linear=False)
+        F, F2 = random_grid(rng, 3, 3, 2), random_grid(rng, 3, 3, 2)
+        carry = search._Carry(model, F, F2, greedy=True)
+        monkeypatch.setattr(search, "_BOUND_CANDIDATES", 82)  # above 3x3's 81 candidates
+        plain = search._Carry(model, F, F2, greedy=True)
+        assert plain.bound is None
+        assert carry.contraction.shape == plain.contraction.shape == (9, 9, 8)
+        assert not carry.contraction.flags.c_contiguous and plain.contraction.flags.c_contiguous
+        assert carry.contraction.tobytes() == plain.contraction.tobytes()
+        for q in ([0], [8], [1, 4, 5], list(range(9))):
+            assert carry.contraction_rows(F, F2, q).tobytes() == plain.contraction_rows(F, F2, q).tobytes()
