@@ -133,27 +133,24 @@ def render_heatmap(image: np.ndarray, cells, rf: ReceptiveFieldMap) -> np.ndarra
 
 
 def render_composite(
-    query: np.ndarray,
+    composite: np.ndarray,
     distractor: np.ndarray,
     edit: tuple,
     rf_query: ReceptiveFieldMap,
     rf_distractor: ReceptiveFieldMap,
-    in_place: bool = False,
-) -> np.ndarray:
-    """Paste the distractor's highlighted patch onto the query.
+):
+    """Paste the distractor's highlighted patch onto `composite`, a float64
+    array of the query's shape, in place.
 
     The two receptive-field rectangle centers are aligned; the highlight
     intensity over the distractor is the per-pixel alpha.  Source pixels that
     fall outside either image are skipped.  Only the distractor rectangle,
     moved and clipped to the query, is blended, with the cached falloff of
-    its size as alpha; alpha is zero everywhere else.  With `in_place`, the
-    float64 array `query` itself is blended and returned, else a copy.
+    its size as alpha; alpha is zero everywhere else.
     """
-    q = np.asarray(query, dtype=np.float64)
     dimg = np.asarray(distractor, dtype=np.float64)
-    if q.shape != dimg.shape:
-        raise ShapeError(f"query shape {q.shape} != distractor shape {dimg.shape}")
-    out = q if in_place else q.copy()
+    if composite.shape != dimg.shape:
+        raise ShapeError(f"query shape {composite.shape} != distractor shape {dimg.shape}")
     i, j, i2, j2 = edit
     cy_q, cx_q = rf_query.rect_center(i, j)
     t, l, b, r = rf_distractor.rect(i2, j2)
@@ -161,12 +158,11 @@ def render_composite(
     dx = int(round(cx_q - (l + r) / 2.0))
     # destination rows [dst_t, dst_b) and columns [dst_l, dst_r) in the query
     dst_t, dst_l = max(t + dy, 0), max(l + dx, 0)
-    dst_b, dst_r = min(b + 1 + dy, q.shape[0]), min(r + 1 + dx, q.shape[1])
+    dst_b, dst_r = min(b + 1 + dy, dimg.shape[0]), min(r + 1 + dx, dimg.shape[1])
     if dst_t < dst_b and dst_l < dst_r:
         a = _unit_falloff(b - t + 1, r - l + 1)[dst_t - dy - t : dst_b - dy - t, dst_l - dx - l : dst_r - dx - l]
-        region = out[dst_t:dst_b, dst_l:dst_r]
+        region = composite[dst_t:dst_b, dst_l:dst_r]
         region[...] = (1.0 - a) * region + a * dimg[dst_t - dy : dst_b - dy, dst_l - dx : dst_r - dx]
-    return out
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,9 @@ def render_explanation(
     d_cells = [((i2, j2), wt) for (_, _, i2, j2), wt in zip(result.edits, weights)]
     qh = render_heatmap(query_image, q_cells, rf)
     dh = render_heatmap(distractor_image, d_cells, rf)
-    comp = np.asarray(query_image, dtype=np.float64).copy()
+    comp = np.array(query_image, dtype=np.float64)
     for quad in result.edits:
-        render_composite(comp, distractor_image, quad, rf, rf, in_place=True)
+        render_composite(comp, distractor_image, quad, rf, rf)
     return RenderedExplanation(qh, dh, comp, result)
 
 

@@ -182,7 +182,8 @@ class TestComposite:
         # is the very patch it overwrites
         img = np.random.default_rng(2).uniform(0, 1, (8, 8))
         for cell in ((0, 0), (1, 1)):
-            out = render_composite(img, img, cell + cell, self.rf(), self.rf())
+            out = img.copy()
+            render_composite(out, img, cell + cell, self.rf(), self.rf())
             np.testing.assert_allclose(out, img, atol=1e-12)
 
     def test_zero_alpha_leaves_query_unchanged(self):
@@ -192,7 +193,8 @@ class TestComposite:
         rf_zero = ReceptiveFieldMap(2, 2, 4, 4, 0, 8, 8)
         alpha = intensity_map(rf_zero, [])
         assert alpha.max() == 0.0  # no cells highlighted -> no blending anywhere
-        out = render_composite(q, q, (0, 0, 0, 0), rf_zero, rf_zero)
+        out = q.copy()
+        render_composite(out, q, (0, 0, 0, 0), rf_zero, rf_zero)
         np.testing.assert_allclose(out, q, atol=1e-12)
 
     def test_blend_matches_scalar_oracle(self):
@@ -200,7 +202,8 @@ class TestComposite:
         q = rng.uniform(0, 1, (8, 8))
         d = rng.uniform(0, 1, (8, 8))
         edit = (1, 0, 0, 1)  # query cell (1,0) <- distractor cell (0,1)
-        out = render_composite(q, d, edit, self.rf(), self.rf())
+        out = q.copy()
+        render_composite(out, d, edit, self.rf(), self.rf())
         alpha = intensity_map(self.rf(), [((0, 1), 1.0)])
         cy_q, cx_q = self.rf().rect_center(1, 0)
         cy_d, cx_d = self.rf().rect_center(0, 1)
@@ -252,7 +255,8 @@ class TestComposite:
         for cell in cells:
             for source in cells:
                 edit = cell + source
-                got = render_composite(q, d, edit, rf, rf)
+                got = q.copy()
+                render_composite(got, d, edit, rf, rf)
                 assert got.tobytes() == self.whole_image(q, d, edit, rf).tobytes(), edit
         edits = [cells[k] + cells[-1 - k] for k in range(len(cells))]
         result = ExplanationResult(EditList(tuple(edits), rf.h, rf.w), ((0.0, 0.0),) * (len(edits) + 1), "exhausted", 0, 1)
