@@ -52,8 +52,8 @@ Only the cells whose ub reaches the leader less a margin tau go to the
 step's one `candidate_scores` call, in ascending order.  tau is the float64
 rounding error these computations can make, from the dot-product error
 bound gamma_k (Higham 2002, ch. 3) over the magnitudes the step sees (|z0|
-plus the largest |C|, |W| and |b|); it is about 1e-12 of the logits'
-scale.  Every cell that could reach or tie the best is scored, a cell's
+plus the largest |C|, |W| and |b|); it is about 1.6e-13 of G, the bound on
+|logit| those magnitudes give, about 1e-11 on a 7x7 shapes model.  Every cell that could reach or tie the best is scored, a cell's
 scores do not depend on which other cells are scored, and so the chosen
 edit, the tie rule, the trajectory and the records are what scoring every
 open cell gives, bit for bit.  The bound is skipped below
