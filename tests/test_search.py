@@ -465,12 +465,19 @@ class TestGreedyContraction:
     @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
     @pytest.mark.parametrize("block_values", [None, 1, 300])
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
-    @pytest.mark.parametrize("bounded", [False, True], ids=["every-cell", "bounded"])
-    def test_matches_per_step_replay_and_its_own_scores(self, head, block_values, policy, bounded, monkeypatch):
+    def test_matches_per_step_replay_and_its_own_scores(self, head, block_values, policy, monkeypatch):
+        self.check_replay(head, block_values, policy, monkeypatch)
+
+    @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
+    @pytest.mark.parametrize("block_values", [None, 1, 300])
+    @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
+    def test_bounded_greedy_matches_per_step_replay_and_its_own_scores(self, head, block_values, policy, monkeypatch):
+        monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)  # the bound and the cut, below their crossover
+        self.check_replay(head, block_values, policy, monkeypatch)
+
+    def check_replay(self, head, block_values, policy, monkeypatch):
         if block_values is not None:  # 1 and 300 leave no room for the contraction
             monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
-        if bounded:  # the bound and the cut, on a grid below their crossover
-            monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)
         seen = []  # (carried state, contraction stored, returned score) per greedy step
         best_edit = search.best_edit_exhaustive
 
