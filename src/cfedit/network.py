@@ -3,21 +3,21 @@
 The layer vocabulary is fixed: conv2d, relu, maxpool2d, flatten, dense,
 log-softmax.  Tensors are channels-last, float64, batched as (N, H, W, C).
 The extractor maps pixels to an h x w x d feature grid; the head maps a grid
-to class log-probabilities, returned as plain float64 arrays: `ModelBundle`
-requires the head to end in log-softmax, so they need no further check.
-Everything needed downstream is provided here:
+to class log-probabilities, returned as plain float64 arrays.  `ModelBundle`
+accepts one head form, flatten -> dense -> (dense | relu)* -> log-softmax
+(the paper's fc head; a global-average-pool -> fc head is a dense layer on
+the flattened grid with tied weights), and raises UnsupportedLayerError for
+any other.  Everything needed downstream is provided here:
 forward evaluation, reverse-mode gradients, a desk-scale SGD trainer, and a
 portable two-file model format (JSON manifest + float64 blob).
 
-`backward_layers` computes only the gradients its caller reads.  `train`
-takes every weight gradient and skips the gradient w.r.t. the image;
+`backward_layers` computes only the gradients its caller reads: `train`
+takes every weight gradient and skips the gradient w.r.t. the image.
 `head_input_gradient_batch` takes the gradient w.r.t. the head input of a
-stack of grids and skips every weight gradient; a single grid is a stack of
-one.  The relaxed edit optimizer builds that pass once per batch of problems
-with `head_gradient_pass`.  A head made of flatten, then only dense and relu
-layers, then log-softmax (the reference head) runs it through one fused
-function, `_mlp_head_gradient`, which performs the generic pass's operations
-in the same order and so agrees with it in every bit.
+stack of grids and no weight gradient; a single grid is a stack of one.  The
+relaxed edit optimizer builds that pass once per batch of problems with
+`head_gradient_pass`, which runs the head through one fused function,
+`_mlp_head_gradient`.
 
 Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
 2006) one block of images at a time, so that the forward pass, the weight
@@ -416,20 +416,16 @@ def _forward_owned(layers, x):
     return x
 
 
-def backward_layers(layers, caches, g, input_grad=True, weight_grads=True):
+def backward_layers(layers, caches, g, input_grad=True):
     """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
-    objective, given its gradient `g` at the stack output.
-
-    A caller computes only what it reads: with `input_grad=False` the first
-    layer's input gradient is skipped and None takes its place; with
-    `weight_grads=False` no weight gradient is computed and every layer's
-    entry is an empty dict.
-    """
+    objective, given its gradient `g` at the stack output.  With
+    `input_grad=False` the first layer's input gradient is skipped and None
+    takes its place."""
     grads = [{} for _ in layers]
     for idx in range(len(layers) - 1, -1, -1):
         layer, cache = layers[idx], caches[idx]
         kind = layer.spec.kind
-        if weight_grads and kind in _WEIGHT_GRADS:
+        if kind in _WEIGHT_GRADS:
             grads[idx] = _WEIGHT_GRADS[kind](g, layer, cache)
         g = _INPUT_GRAD[kind](g, layer, cache) if idx or input_grad else None
     return g, grads
@@ -471,6 +467,11 @@ class ModelBundle:
         if geom != (self.class_count,):
             raise ShapeError(
                 f"head output geometry {geom} does not match class count {self.class_count}"
+            )
+        kinds = [layer.spec.kind for layer in self.head]
+        if kinds[:2] != ["flatten", "dense"] or not set(kinds[2:-1]) <= {"dense", "relu"}:
+            raise UnsupportedLayerError(
+                f"head {kinds} is not flatten -> dense -> (dense | relu)* -> log-softmax"
             )
 
     def check_grids(self, *grids: FeatureGrid):
@@ -541,19 +542,12 @@ def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
     return head_logprobs_batch(model, F.values[None])[0]
 
 
-def _is_mlp_head(head) -> bool:
-    """Whether the head is flatten, then only dense and relu layers, then
-    log-softmax: the heads `_mlp_head_gradient` runs."""
-    kinds = [layer.spec.kind for layer in head]
-    return kinds[0] == "flatten" and kinds[-1] == "log-softmax" and set(kinds[1:-1]) <= {"dense", "relu"}
-
-
 def _mlp_head_gradient(head, x, onehot):
     """The head's log-probabilities and the gradient of the one-hot selected
-    log-probabilities w.r.t. its flattened (N, hw·d) input `x`, for a head
-    `_is_mlp_head` accepts.  It performs the operations of `forward_layers` and
-    `backward_layers` in their order, so every bit agrees with them, without
-    their per-layer dispatch, caches or shape checks."""
+    log-probabilities w.r.t. its flattened (N, hw·d) input `x`.  It performs
+    the operations of `forward_layers` and `backward_layers` in their order,
+    so every bit agrees with them, without their per-layer dispatch, caches
+    or shape checks."""
     inputs = []
     for layer in head[1:-1]:
         inputs.append(x)
@@ -569,21 +563,15 @@ def head_gradient_pass(model: ModelBundle, targets):
     """The function that maps an (N, hw, d) stack of grids, N = len(targets),
     to what `head_input_gradient_batch` returns for it.
 
-    The one-hot output gradient is built here, once, and the pass chosen once
-    from the head's layer kinds: `_mlp_head_gradient` for an MLP head, else the
-    generic `forward_layers`/`backward_layers`.  A caller that evaluates many
-    stacks of the same shape and targets (the relaxed solver, once per Adam
-    step) pays for neither per call; the stack's shape is its to check."""
+    The one-hot output gradient is built here, once.  A caller that
+    evaluates many stacks of the same shape and targets (the relaxed solver,
+    once per Adam step) does not pay for it per call; the stack's shape is
+    its to check."""
     onehot = np.zeros((len(targets), model.class_count))
     onehot[np.arange(len(targets)), targets] = 1.0
-    head, fused = model.head, _is_mlp_head(model.head)
 
     def run(values):
-        if fused:
-            out, g = _mlp_head_gradient(head, values.reshape(len(values), -1), onehot)
-        else:
-            out, caches = forward_layers(head, values.reshape((-1,) + model.feature_shape), keep_caches=True)
-            g, _ = backward_layers(head, caches, onehot, weight_grads=False)
+        out, g = _mlp_head_gradient(model.head, values.reshape(len(values), -1), onehot)
         return out, g.reshape(values.shape)
 
     return run

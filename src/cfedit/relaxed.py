@@ -13,14 +13,15 @@ leading axis, and each step runs the head forward and backward once over the
 (B, h, w, d) stack.  Each problem's logits are packed into one (n+1, n)
 array, the gate logits in row 0 over the n alignment rows; every row is a
 softmax of its own, so one softmax, one entropy pass, one softmax chain rule
-and one Adam update cover both.  The head pass is `network.head_gradient_pass`,
-built once per chunk: its one-hot output gradient is made once, and an MLP
-head (flatten, dense/relu layers, log-softmax) takes the fused pass.  A
-problem that meets the stop test is frozen, not removed: its logits stop
-moving and its trajectory ends.  The blend itself is `grids.blend`, the
-transform's only implementation, on stacks whose shapes `ascent_steps` checks
-once per chunk; greedy search's relaxed step is `best_edits_relaxed` on a
-batch of one.
+and one Adam update cover both.  The head pass is
+`network.head_gradient_pass`, built once per chunk: its one-hot output
+gradient is made once, and it runs the head (flatten -> dense -> (dense |
+relu)* -> log-softmax, the one form a bundle has) forward and backward as
+one fused pass.  A problem that meets the stop test is frozen, not removed:
+its logits stop moving and its trajectory ends.  The blend itself is
+`grids.blend`, the transform's only implementation, on stacks whose shapes
+`ascent_steps` checks once per chunk; greedy search's relaxed step is
+`best_edits_relaxed` on a batch of one.
 """
 
 from __future__ import annotations

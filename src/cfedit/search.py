@@ -7,34 +7,32 @@ smallest source index).  The greedy loop repeats this on the evolving grid,
 excluding already-used cells, until the model's decision flips to the target
 class or the candidate budget runs out.
 
-Scoring all (hw)^2 single edits does not build the edited grids when the head
-begins flatten -> dense: an edit changes one cell, so its pre-activation in
-that first dense layer is the unedited one plus the cell's difference times
-that cell's block of the weight, and only the rest of the head runs per
-candidate.  Heads with any other first layer fall back to building the edited
-grids and running the whole head.  Either way only the query cells still open
-are scored, and of the final log-softmax only the target class is computed,
-bit-identical to that column of the full output.  Both paths work through a
-fixed number of values per block of query cells, so memory stays bounded as
-the grid grows.
+The head is flatten -> dense -> (dense | relu)* -> log-softmax, the one form
+`ModelBundle` accepts.  Scoring all (hw)^2 single edits builds no edited
+grid: an edit changes one cell, so its pre-activation in the first dense
+layer is the unedited one plus the cell's difference times that cell's block
+of the weight, and only the rest of the head runs per candidate.  Only the
+query cells still open are scored, and of the final log-softmax only the
+target class is computed, bit-identical to that column of the full output.
+Scoring works through a fixed number of values per block of query cells, so
+memory stays bounded as the grid grows.
 
 A greedy step only changes the query cell it then closes, so the query cells
-still open keep their unedited values at every step of a pair.  For a head
-that begins flatten -> dense, greedy carries its state from one exhaustive
-step to the next instead of rebuilding the edited grid: the current grid's
-pre-activation z0 in that first dense layer, and the edit contraction of all
-query cells, computed once per pair and kept only when its hw·hw·units
-values, and the differences they are made from, fit in one block (larger
-grids compute each block's rows, and each committed edit's one row, per
-step).  Committing edit (i, j) adds its contraction row to z0, which equals
-the pre-activation of that scored candidate bit for bit, because IEEE
-addition commutes.  Each scored block keeps the head logits of its best
-candidate, so a trajectory entry is the full log-softmax of the committed
-candidate's scored row: its target entry is the score that chose the edit,
-bit for bit, and no per-step edited grid or one-grid head pass is built.
-Other heads, and the relaxed strategy, still apply each edit to a grid and
-run the head on it.  Query and distractor go through the extractor as one
-two-image batch.
+still open keep their unedited values at every step of a pair.  Exhaustive
+greedy carries its state from one step to the next instead of rebuilding the
+edited grid: the current grid's pre-activation z0 in that first dense layer,
+and the edit contraction of all query cells, computed once per pair and kept
+only when its hw·hw·units values, and the differences they are made from,
+fit in one block (larger grids compute each block's rows, and each committed
+edit's one row, per step).  Committing edit (i, j) adds its contraction row
+to z0, which equals the pre-activation of that scored candidate bit for bit,
+because IEEE addition commutes.  Each scored block keeps the head logits of
+its best candidate, so a trajectory entry is the full log-softmax of the
+committed candidate's scored row: its target entry is the score that chose
+the edit, bit for bit, and no per-step edited grid or one-grid head pass is
+built.  The relaxed strategy still applies each edit to a grid and runs the
+head on it.  Query and distractor go through the extractor as one two-image
+batch.
 
 Most query cells cannot hold a step's best edit, and greedy skips them
 exactly (interval bound propagation, Gowal et al. 2018).  Once per pair,
@@ -58,9 +56,8 @@ scores do not depend on which other cells are scored, and so the chosen
 edit, the tie rule, the trajectory and the records are what scoring every
 open cell gives, bit for bit.  The bound is skipped below
 `_BOUND_CANDIDATES` candidates per step, where scoring every open cell costs
-less than bounding, and for a head with layers other than dense and relu
-after its first dense layer; the relaxed strategy and calls without a carry
-score every open cell.
+less than bounding; the relaxed strategy and calls without a carry score
+every open cell.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ from .network import (
     _forward_owned,
     _log_softmax,
     forward_feature_pair,
-    forward_layers,
     head_logprobs,
 )
 from .relaxed import RelaxOptConfig, best_edits_relaxed
@@ -175,15 +171,14 @@ def candidate_scores(
     source cell); every other row, and every source column outside the
     boolean mask `sources` (None: all), is -inf.
 
-    When the head begins flatten -> dense with weight W and bias b, the first
-    dense output of edit (i, j) is z0 + (F2[j] - F[i]) . W_i, where
-    z0 = vec(F) . W + b and W_i is the (d, units) block of W for cell i; only
-    the layers after that dense layer run on the candidates.  The difference
-    is taken before the product, so no-op edits (F2[j] == F[i]) and identical
-    source rows score bit-identically.  Any other head is scored by building
-    the edited grids and running the whole head.  Both paths end in the
-    target column of the log-softmax, and a row's scores do not depend on
-    which other rows are scored with it.
+    The head is flatten -> dense -> (dense | relu)* -> log-softmax.  With
+    that first dense layer's weight W and bias b, the first dense output of
+    edit (i, j) is z0 + (F2[j] - F[i]) . W_i, where z0 = vec(F) . W + b and
+    W_i is the (d, units) block of W for cell i; only the layers after that
+    dense layer run on the candidates, and of the log-softmax only the target
+    column.  The difference is taken before the product, so no-op edits
+    (F2[j] == F[i]) and identical source rows score bit-identically, and a
+    row's scores do not depend on which other rows are scored with it.
 
     `carry`, a `_Carry` of the grid pair, supplies z0 and the contraction in
     place of F's (F's rows `rows` must equal the carry's query grid's), and
@@ -194,29 +189,14 @@ def candidate_scores(
     """
     model.check_grids(F, F2)
     n, d = F.values.shape
-    head = model.head
-    if _begins_dense(head):
-        state = _Carry(model, F, F2, greedy=False) if carry is None else carry
-        per_cell = n * (d + state.W.shape[2])
-
-        def logits(q):
-            return state.logits(head, F, F2, q)
-
-    else:
-        per_cell = n * n * d
-
-        def logits(q):
-            grids = np.broadcast_to(F.values, (len(q), n, n, d)).copy()
-            grids[np.arange(len(q))[:, None], np.arange(n), q[:, None], :] = F2.values
-            return forward_layers(head[:-1], grids.reshape(len(q) * n, F.h, F.w, d))
-
-    step = max(1, _BLOCK_VALUES // per_cell)
+    state = _Carry(model, F, F2, greedy=False) if carry is None else carry
+    step = max(1, _BLOCK_VALUES // (n * (d + state.W.shape[2])))
     rows = np.asarray(rows, dtype=int)
     out = np.full((n, n), -np.inf)
     best = None
     for lo in range(0, len(rows), step):
         q = rows[lo : lo + step]
-        z = logits(q)
+        z = state.logits(model.head, F, F2, q)
         block = _log_softmax(z, target_class).reshape(len(q), n)
         if sources is not None:
             block[:, ~sources] = -np.inf
@@ -232,10 +212,6 @@ def candidate_scores(
     return out
 
 
-def _begins_dense(head) -> bool:
-    return head[0].spec.kind == "flatten" and head[1].spec.kind == "dense"
-
-
 def _contract(F, F2, W, q, out=None):
     """(F2[j] - F[i]) . W_i for the query cells i in `q`, as (len(q), hw, units),
     into `out` when given."""
@@ -243,18 +219,18 @@ def _contract(F, F2, W, q, out=None):
 
 
 class _Carry:
-    """What greedy carries between the exhaustive steps of one pair, for a
-    head that begins flatten -> dense: the current grid's pre-activation z0
-    in that dense layer, the edit contraction (F2[j] - F[i]) . W_i of the
-    query grid F when it is stored, and the (1, classes) head logits of the
-    best candidate the last scoring saw.
+    """What greedy carries between the exhaustive steps of one pair: the
+    current grid's pre-activation z0 in the head's first dense layer, the
+    edit contraction (F2[j] - F[i]) . W_i of the query grid F when it is
+    stored, and the (1, classes) head logits of the best candidate the last
+    scoring saw.
 
     Greedy's carry (`greedy`) stores the contraction when it fits, and on a
-    grid of at least `_BOUND_CANDIDATES` candidates, with a head that
-    `_RowBound` covers, also holds the interval bound on each query cell's
-    best score and the source cell each cell's best edit took when last
-    scored (-1 before), from which each step picks the cells it scores
-    (`rows_to_score`).  `candidate_scores`' own carry does neither."""
+    grid of at least `_BOUND_CANDIDATES` candidates also holds the interval
+    bound on each query cell's best score and the source cell each cell's
+    best edit took when last scored (-1 before), from which each step picks
+    the cells it scores (`rows_to_score`).  `candidate_scores`' own carry
+    does neither."""
 
     def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, greedy: bool):
         weight, bias = model.head[1].weights["weight"], model.head[1].weights["bias"]
@@ -262,7 +238,7 @@ class _Carry:
         units = weight.shape[1]
         self.W = weight.reshape(n, d, units)
         self.z0 = F.values.reshape(-1) @ weight + bias
-        bounded = greedy and n * n >= _BOUND_CANDIDATES and _RowBound.covers(model.head)
+        bounded = greedy and n * n >= _BOUND_CANDIDATES
         # the (hw, hw, units) contraction is kept only when it, and the
         # differences it is made from, fit in one block of `_BLOCK_VALUES`
         self.contraction = None
@@ -391,10 +367,6 @@ class _RowBound:
     for rounding, which the margin covers.  `pair_error` bounds how far the
     leader's first dense outputs may lie from the scorer's.
     """
-
-    @staticmethod
-    def covers(head) -> bool:
-        return all(layer.spec.kind in ("dense", "relu") for layer in head[2:-1])
 
     def __init__(self, head, cmin, cmax, pair_error: float):
         self.ends = np.stack([cmin, cmax], axis=1)  # (hw, 2, units)
@@ -528,7 +500,7 @@ def greedy_counterfactual(
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]
     # open query cells keep their unedited values, so a carry scores every step on F
-    carry = _Carry(model, F, F2, greedy=True) if config.relax is None and _begins_dense(model.head) else None
+    carry = _Carry(model, F, F2, greedy=True) if config.relax is None else None
     current = F
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:

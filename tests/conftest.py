@@ -12,6 +12,8 @@ from cfedit.network import (
     LayerSpec,
     ModelBundle,
     TrainConfig,
+    backward_layers,
+    forward_layers,
     head_logprobs,
     init_layer,
     reference_extractor_specs,
@@ -131,6 +133,22 @@ def unpack(X) -> tuple:
     """Views of the gate row and of the alignment rows of packed logits, or of
     anything packed as they are (their gradient, their softmax)."""
     return X[..., 0, :], X[..., 1:, :]
+
+
+def layered_head_pass(model, targets):
+    """`network.head_gradient_pass` rebuilt layer by layer: `forward_layers`
+    with caches, then `backward_layers` from the one-hot output gradient.
+    The fused pass performs the same operations in the same order, so the
+    two agree in every bit."""
+
+    def run(values):
+        out, caches = forward_layers(model.head, values.reshape((-1,) + model.feature_shape), keep_caches=True)
+        onehot = np.zeros_like(out)
+        onehot[np.arange(len(targets)), targets] = 1.0
+        g, _ = backward_layers(model.head, caches, onehot)
+        return out, g.reshape(values.shape)
+
+    return run
 
 
 def brute_force_best_edit(model, F, F2, target_class, excluded_query=(), excluded_source=()):

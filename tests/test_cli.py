@@ -14,6 +14,7 @@ from cfedit.network import TrainConfig, save_model
 from cfedit.relaxed import RelaxOptConfig
 
 from conftest import identity_feature_model, tree_bytes
+from test_network import relu_first
 
 
 def run_ok(argv, capsys):
@@ -615,6 +616,24 @@ class TestConfigAndErrors:
         )
         assert err["type"] == "FormatError"
         assert "units" in err["message"]
+
+    def test_manifest_head_of_another_form(self, tmp_path, capsys):
+        bundle = str(tmp_path / "bundle")
+        save_model(identity_feature_model(2, 2, 1, 2), bundle)
+        manifest_path = os.path.join(bundle, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        relu_first(manifest)  # relu -> flatten -> dense -> log-softmax
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        rc = main(
+            ["explain", *BATCH_ARGS, "--model", bundle, "--query-index", "0",
+             "--distractor-index", "1", "--out", str(tmp_path / "x")]
+        )
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        err = json.loads(lines[0][len("error: "):])
+        assert err["type"] == "UnsupportedLayerError" and "flatten -> dense" in err["message"]
 
     def test_manifest_weight_shape_overflowing_int64(self, tmp_path, capsys):
         # 2**32 * 2**32 values wrap to 0 in int64, which an empty blob would match

@@ -28,7 +28,7 @@ from cfedit.network import (
 )
 
 import test_search
-from conftest import identity_feature_model, make_model
+from conftest import identity_feature_model, layered_head_pass, make_model
 
 
 def full_stack(model, images):
@@ -371,13 +371,6 @@ class TestBackwardSelection:
             for name in b:
                 assert a[name].tobytes() == b[name].tobytes()
 
-    def test_input_grad_without_weight_grads_is_bit_identical(self):
-        _, layers, caches, g = self.stack(2)
-        gx, _ = network.backward_layers(layers, caches, g)
-        gx_only, grads = network.backward_layers(layers, caches, g, weight_grads=False)
-        assert gx_only.tobytes() == gx.tobytes()
-        assert grads == [{}] * len(layers)
-
     def test_head_input_gradient_equals_full_backward(self):
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=3)
         F = forward_features(model, np.random.default_rng(3).uniform(0, 1, (28, 28, 1)))
@@ -468,14 +461,17 @@ class TestLogSoftmax:
 
     @pytest.mark.parametrize("classes", range(2, 18))
     def test_one_grid_equals_its_row_of_a_batch(self, classes):
-        # a head of flatten -> log-softmax on a 1 x 1 x classes grid: no
-        # matrix product whose kernel could change with the batch size
+        # a head of flatten -> dense -> log-softmax on a 1 x 1 x classes grid,
+        # the dense layer an identity with zero bias: every product adds one
+        # value to zeros, so it is exact whatever kernel the batch size picks
         model = make_model(
             [LayerSpec("conv2d", out_channels=classes, kernel_size=1)],
-            [LayerSpec("flatten"), LayerSpec("log-softmax")],
+            [LayerSpec("flatten"), LayerSpec("dense", units=classes), LayerSpec("log-softmax")],
             (1, 1, classes),
             classes,
         )
+        model.head[1].weights["weight"][...] = np.eye(classes)
+        model.head[1].weights["bias"][...] = 0.0
         grids = np.random.default_rng(100 + classes).normal(scale=6.0, size=(max(self.BATCHES), 1, classes))
         for batch in self.BATCHES:
             out = network.head_logprobs_batch(model, grids[:batch])
@@ -524,37 +520,29 @@ class TestHeadInputGradient:
         np.testing.assert_array_equal(head_input_gradient_batch(model, F.values[None], [0])[1], 0.0)
 
 
-def generic_head_pass(monkeypatch):
-    """Make every head take the generic forward_layers/backward_layers pass."""
-    monkeypatch.setattr(network, "_is_mlp_head", lambda head: False)
-
-
 class TestFusedHeadPass:
-    """The fused pass of MLP heads (flatten, dense/relu layers, log-softmax)
-    against the generic per-layer pass, bit for bit, on every head the tests build."""
+    """The fused head pass against the per-layer forward and backward pass,
+    bit for bit, on every head the tests build."""
 
     @staticmethod
     def heads(shapes_model):
-        """(name, model, expected to take the fused pass) for each test head."""
-        yield "identity-linear", identity_feature_model(2, 3, 2, 4, seed=1), True
-        yield "identity-mlp", identity_feature_model(2, 3, 2, 4, seed=2, linear=False), True
-        yield "shapes", shapes_model, True
+        """(name, model) for each test head."""
+        yield "identity-linear", identity_feature_model(2, 3, 2, 4, seed=1)
+        yield "identity-mlp", identity_feature_model(2, 3, 2, 4, seed=2, linear=False)
+        yield "shapes", shapes_model
         for name, head in sorted(test_search.TestCandidateScoresEquivalence.HEADS.items()):
             specs = head + [LayerSpec("dense", units=5), LayerSpec("log-softmax")]
             model = make_model([LayerSpec("conv2d", out_channels=4, kernel_size=1)], specs, (3, 3, 4), 5, seed=3)
-            yield name, model, name == "factored"
+            yield name, model
 
     @pytest.mark.parametrize("batch", [1, 4, 7])
-    def test_matches_generic_pass_bit_for_bit(self, shapes_model, monkeypatch, batch):
+    def test_matches_generic_pass_bit_for_bit(self, shapes_model, batch):
         rng = np.random.default_rng(batch)
-        for name, model, fused in self.heads(shapes_model):
-            assert network._is_mlp_head(model.head) == fused, name
+        for name, model in self.heads(shapes_model):
             values = rng.normal(size=(batch, model.h * model.w, model.d))
             targets = rng.integers(model.class_count, size=batch)
             got = head_input_gradient_batch(model, values, targets)
-            with monkeypatch.context() as patch:
-                generic_head_pass(patch)
-                want = head_input_gradient_batch(model, values, targets)
+            want = layered_head_pass(model, targets)(values)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and np.array_equal(g, w), name
 
@@ -611,6 +599,23 @@ class TestTrain:
         for a, b in zip(trained.extractor + trained.head, fresh.extractor + fresh.head):
             for name in a.weights:
                 np.testing.assert_array_equal(a.weights[name], b.weights[name])
+
+    def test_off_form_head_raises_before_the_first_step(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        images = rng.uniform(0, 1, (10, 6, 6))
+        labels = rng.integers(2, size=10)
+        passes = []
+        monkeypatch.setattr(network, "forward_layers", lambda *args, **kwargs: passes.append(args))
+        with pytest.raises(UnsupportedLayerError, match="relu"):
+            train(
+                [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
+                [LayerSpec("relu"), LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("log-softmax")],
+                images,
+                labels,
+                TrainConfig(epochs=1, seed=0),
+                class_count=2,
+            )
+        assert passes == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_training_error(self):
@@ -669,6 +674,32 @@ def pool_after_flatten(manifest):
     manifest["head"].insert(1, {"kind": "maxpool2d", "window": 1})
     for entry in manifest["weights"]:
         entry["name"] = entry["name"].replace("head.1.", "head.2.")
+
+
+def relu_first(manifest):
+    manifest["head"].insert(0, {"kind": "relu"})
+    for entry in manifest["weights"]:
+        entry["name"] = entry["name"].replace("head.1.", "head.2.")
+
+
+def conv1x1_in_head(manifest):
+    # the extractor's 1x1 conv, with its weights, moves to the head's front
+    manifest["head"].insert(0, manifest["extractor"][0])
+    manifest["extractor"] = [{"kind": "relu"}]
+    for entry in manifest["weights"]:
+        entry["name"] = entry["name"].replace("head.1.", "head.2.").replace("extractor.0.", "head.0.")
+
+
+def flatten_then_log_softmax(manifest):
+    # the dense layer's 12 + 3 values become a 2x2 conv to 3 channels at the
+    # extractor's end, whose 3x3x3 output the head flattens into 27 classes
+    manifest["extractor"].append({"kind": "conv2d", "out_channels": 3, "kernel_size": 2, "padding": 1})
+    manifest["head"] = [{"kind": "flatten"}, {"kind": "log-softmax"}]
+    manifest["class_count"] = 27
+    manifest["weights"][2:] = [
+        {"name": "extractor.1.kernel", "shape": [2, 2, 1, 3]},
+        {"name": "extractor.1.bias", "shape": [3]},
+    ]
 
 
 # any JSON value, small: integers reach past int64, floats include NaN and infinities
@@ -744,6 +775,10 @@ class TestSerialization:
             with open(os.path.join(again, "manifest.json")) as fh:
                 written = json.load(fh)["weights"]
             assert sorted(e["name"] for e in written) == sorted(e["name"] for e in manifest["weights"])
+            # and its head has the one form a bundle accepts
+            kinds = [layer.spec.kind for layer in loaded.head]
+            assert kinds[:2] == ["flatten", "dense"] and kinds[-1] == "log-softmax"
+            assert set(kinds[2:-1]) <= {"dense", "relu"}
             reloaded = load_model(again)
             for a, b in zip(loaded.extractor + loaded.head, reloaded.extractor + reloaded.head):
                 assert a.spec == b.spec and a.weights.keys() == b.weights.keys()
@@ -846,11 +881,15 @@ class TestSerialization:
             (lambda m: m.update(metrics=[1]), FormatError),
             (lambda m: m["weights"][0].update(shape=[1]), ShapeError),
             (pool_after_flatten, ShapeError),
+            (relu_first, UnsupportedLayerError),
+            (conv1x1_in_head, UnsupportedLayerError),
+            (flatten_then_log_softmax, UnsupportedLayerError),
         ],
         ids=[
             "weight-without-shape", "weight-shape-string", "weights-not-list",
             "class-count-string", "input-shape-rank-1", "extractor-entry-not-object",
             "metrics-not-object", "weight-shape-mismatch", "pool-after-flatten",
+            "relu-first", "conv1x1-in-head", "flatten-then-log-softmax",
         ],
     )
     def test_malformed_manifest_raises_typed_error(self, tmp_path, edit, error):

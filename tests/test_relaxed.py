@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cfedit import network, relaxed
+from cfedit import relaxed
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid, open_cells
 from cfedit.network import head_gradient_pass, head_logprobs
@@ -16,7 +16,7 @@ from cfedit.relaxed import (
 )
 from cfedit.search import best_edit_exhaustive
 
-from conftest import identity_feature_model, pack_logits, random_grid, unpack
+from conftest import identity_feature_model, layered_head_pass, pack_logits, random_grid, unpack
 
 
 class TestSoftmax:
@@ -362,12 +362,11 @@ class TestLockstepBatches:
             assert traj == replay
 
     def test_fused_head_pass_gives_identical_solves(self, monkeypatch):
-        # the MLP head takes the fused pass; forcing the generic one changes no bit
+        # the fused head pass against the per-layer forward and backward: no bit changes
         model, problems = lockstep_problems()
-        assert network._is_mlp_head(model.head)
         fused = best_edits_relaxed(model, problems)
         solo = [best_edits_relaxed(model, [p])[0] for p in problems[:4]]
-        monkeypatch.setattr(network, "_is_mlp_head", lambda head: False)
+        monkeypatch.setattr(relaxed, "head_gradient_pass", layered_head_pass)
         assert best_edits_relaxed(model, problems) == fused
         assert [best_edits_relaxed(model, [p])[0] for p in problems[:4]] == solo
 

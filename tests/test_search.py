@@ -318,16 +318,18 @@ class TestGreedyVsMinimumOracle:
 
 
 class TestCandidateScoresEquivalence:
-    """Both scoring paths against a per-grid brute force: the factored one
-    (head begins flatten -> dense) and the materializing fallback."""
+    """Factored scoring against a per-grid brute force, on heads of the one
+    form: each is followed by dense(classes) -> log-softmax."""
 
     HEADS = {
         "factored": [LayerSpec("flatten"), LayerSpec("dense", units=8), LayerSpec("relu")],
-        "relu-first": [LayerSpec("relu"), LayerSpec("flatten"), LayerSpec("dense", units=8)],
-        "conv1x1-first": [
-            LayerSpec("conv2d", out_channels=4, kernel_size=1),
-            LayerSpec("relu"),
+        "linear": [LayerSpec("flatten"), LayerSpec("dense", units=8)],
+        "deep": [
             LayerSpec("flatten"),
+            LayerSpec("dense", units=8),
+            LayerSpec("relu"),
+            LayerSpec("dense", units=6),
+            LayerSpec("relu"),
         ],
     }
 
@@ -512,12 +514,9 @@ class TestGreedyContraction:
                     assert (got.edits.edits, got.status) == (edits, status)
                     np.testing.assert_allclose(got.trajectory, trajectory, rtol=1e-12, atol=0)
                     assert got.trajectory[0] == trajectory[0]  # the unedited grid's one-grid pass
-                    factored = head == "factored"
-                    assert [s[:2] for s in seen] == [(factored, factored and block_values is None)] * got.edit_count
-                    if factored:  # each entry is the committed candidate's scored row
-                        assert [b for _, b in got.trajectory[1:]] == [s[2] for s in seen]
-                    else:  # the edited grid's one-grid pass
-                        assert got.trajectory == trajectory
+                    assert [s[:2] for s in seen] == [(True, block_values is None)] * got.edit_count
+                    # each entry is the committed candidate's scored row
+                    assert [b for _, b in got.trajectory[1:]] == [s[2] for s in seen]
                     steps += got.edit_count
         assert steps >= 30
 
