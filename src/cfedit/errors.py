@@ -13,7 +13,8 @@ class ShapeError(CfeditError):
 
 
 class BoundsError(CfeditError):
-    """Cell index or coordinate outside the valid grid range."""
+    """Cell index or coordinate outside the valid grid range, or a class index
+    outside the head's classes."""
 
 
 class UnsupportedLayerError(CfeditError):

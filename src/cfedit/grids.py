@@ -145,11 +145,13 @@ def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid
 
 def open_cells(n: int, excluded_query=(), excluded_source=()) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks of the query and source cells a best-edit search may
-    still use; raises ExhaustedError when either is empty."""
-    open_q = np.ones(n, dtype=bool)
-    open_s = np.ones(n, dtype=bool)
-    open_q[list(excluded_query)] = False
-    open_s[list(excluded_source)] = False
+    still use; raises BoundsError for an excluded cell outside [0, n) and
+    ExhaustedError when either mask is empty."""
+    open_q, open_s = masks = np.ones((2, n), dtype=bool)
+    for mask, cells in zip(masks, (list(excluded_query), list(excluded_source))):
+        if not all(0 <= c < n for c in cells):
+            raise BoundsError(f"excluded cells {cells} reach outside [0, {n})")
+        mask[cells] = False
     if not (open_q.any() and open_s.any()):
         raise ExhaustedError("all candidate edits are excluded")
     return open_q, open_s

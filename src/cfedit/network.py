@@ -11,13 +11,11 @@ any other.  Everything needed downstream is provided here:
 forward evaluation, reverse-mode gradients, a desk-scale SGD trainer, and a
 portable two-file model format (JSON manifest + float64 blob).
 
-`backward_layers` computes only the gradients its caller reads: `train`
-takes every weight gradient and skips the gradient w.r.t. the image.
-`head_input_gradient_batch` takes the gradient w.r.t. the head input of a
-stack of grids and no weight gradient; a single grid is a stack of one.  The
-relaxed edit optimizer builds that pass once per batch of problems with
-`head_gradient_pass`, which runs the head through one fused function,
-`_mlp_head_gradient`.
+The bundle parses that head once into `mlp`, the layers between flatten and
+log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
+None per relu.  Every head pass reads it, through `_mlp_forward` or, for the
+gradient w.r.t. the input of a stack of grids, `head_gradient_pass`; only
+`train` runs the head's layers through `forward_layers` and `backward_layers`.
 
 Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
 2006) one block of images at a time, so that the forward pass, the weight
@@ -47,7 +45,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import write_file, write_json
-from .errors import FormatError, ShapeError, TrainingError, UnsupportedLayerError, is_number
+from .errors import BoundsError, FormatError, ShapeError, TrainingError, UnsupportedLayerError, is_number
 from .grids import FeatureGrid
 from .rng import substream
 
@@ -404,15 +402,15 @@ def forward_layers(layers, x, keep_caches=False):
     return (x, caches) if keep_caches else x
 
 
-def _forward_owned(layers, x):
-    """`forward_layers` without caches, for an `x` the caller gives up: relu
-    overwrites its input (`x` itself, or the fresh output of the layer before
-    it) instead of allocating another array, with the same bits."""
-    for layer in layers:
-        if layer.spec.kind == "relu":
+def _mlp_forward(mlp, x):
+    """The layers `mlp` (a slice of `ModelBundle.mlp`) on the (N, features)
+    batch `x`, which the caller gives up: relu overwrites its input instead of
+    allocating another array, with the bits of `forward_layers`."""
+    for layer in mlp:
+        if layer is None:
             np.maximum(x, 0.0, out=x)
         else:
-            x, _ = _FORWARD[layer.spec.kind](x, layer, False)
+            x = x @ layer[0] + layer[1]
     return x
 
 
@@ -473,6 +471,15 @@ class ModelBundle:
             raise UnsupportedLayerError(
                 f"head {kinds} is not flatten -> dense -> (dense | relu)* -> log-softmax"
             )
+        # the layers' own arrays, so that in-place weight updates reach every head pass
+        self.mlp = tuple(
+            None if ly.spec.kind == "relu" else (ly.weights["weight"], ly.weights["bias"]) for ly in self.head[1:-1]
+        )
+
+    def check_class(self, target):
+        """Raise BoundsError unless `target` is one of the head's class indices."""
+        if not (is_number(target, integer=True) and 0 <= target < self.class_count):
+            raise BoundsError(f"target class {target!r} outside [0, {self.class_count})")
 
     def check_grids(self, *grids: FeatureGrid):
         """Raise ShapeError unless every grid has the head's input geometry."""
@@ -523,40 +530,23 @@ def forward_feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarr
 
 
 def _grid_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
-    """(N, hw, d) grid matrices as a float64 (N, h, w, d) batch of the head's input shape."""
+    """(N, hw, d) grid matrices as float64, after checking them against the head's input shape."""
     h, w, d = model.feature_shape
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 3 or v.shape[1:] != (h * w, d):
         raise ShapeError(f"expected batch of ({h * w}, {d}) grids, got {v.shape}")
-    return v.reshape(-1, h, w, d)
+    return v
 
 
 def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
     """g over a batch of grids given as (N, hw, d) matrices; returns (N, classes)."""
-    return forward_layers(model.head, _grid_batch(model, values))
+    return _log_softmax(_mlp_forward(model.mlp, _grid_batch(model, values).reshape(len(values), -1)))
 
 
 def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
     """g(F): the float64 (classes,) log-probabilities of one feature grid."""
     model.check_grids(F)
     return head_logprobs_batch(model, F.values[None])[0]
-
-
-def _mlp_head_gradient(head, x, onehot):
-    """The head's log-probabilities and the gradient of the one-hot selected
-    log-probabilities w.r.t. its flattened (N, hw·d) input `x`.  It performs
-    the operations of `forward_layers` and `backward_layers` in their order,
-    so every bit agrees with them, without their per-layer dispatch, caches
-    or shape checks."""
-    inputs = []
-    for layer in head[1:-1]:
-        inputs.append(x)
-        x = x @ layer.weights["weight"] + layer.weights["bias"] if layer.spec.kind == "dense" else np.maximum(x, 0.0)
-    out = _log_softmax(x)
-    g = onehot - np.exp(out)  # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
-    for layer, x in zip(reversed(head[1:-1]), reversed(inputs)):
-        g = g @ layer.weights["weight"].T if layer.spec.kind == "dense" else g * (x > 0)
-    return out, g
 
 
 def head_gradient_pass(model: ModelBundle, targets):
@@ -566,26 +556,32 @@ def head_gradient_pass(model: ModelBundle, targets):
     The one-hot output gradient is built here, once.  A caller that
     evaluates many stacks of the same shape and targets (the relaxed solver,
     once per Adam step) does not pay for it per call; the stack's shape is
-    its to check."""
+    its to check.  The pass performs the operations of `forward_layers` and
+    `backward_layers` in their order, so every bit agrees with them."""
     onehot = np.zeros((len(targets), model.class_count))
     onehot[np.arange(len(targets)), targets] = 1.0
 
     def run(values):
-        out, g = _mlp_head_gradient(model.head, values.reshape(len(values), -1), onehot)
+        x = values.reshape(len(values), -1)
+        masks = []  # relu's input > 0, per layer
+        for layer in model.mlp:
+            masks.append(x > 0 if layer is None else None)
+            x = np.maximum(x, 0.0) if layer is None else x @ layer[0] + layer[1]
+        out = _log_softmax(x)
+        g = onehot - np.exp(out)  # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
+        for layer, mask in zip(reversed(model.mlp), reversed(masks)):
+            g = g * mask if layer is None else g @ layer[0].T
         return out, g.reshape(values.shape)
 
     return run
 
 
-def head_input_gradient_batch(
-    model: ModelBundle, values: np.ndarray, targets
-) -> tuple[np.ndarray, np.ndarray]:
+def head_input_gradient_batch(model: ModelBundle, values: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     """g over a batch of grids given as (N, hw, d) matrices, and the gradient of
     each grid's `targets[k]` log-probability w.r.t. that grid; returns the
     (N, classes) log-probabilities and the (N, hw, d) gradients, all from one
     forward and one backward pass over the batch."""
-    x = _grid_batch(model, values)
-    return head_gradient_pass(model, targets)(x.reshape(len(x), -1, model.d))
+    return head_gradient_pass(model, targets)(_grid_batch(model, values))
 
 
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
@@ -594,7 +590,8 @@ def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
     preds = []
     for lo in range(0, len(imgs), _PREDICT_IMAGES):
         features = forward_layers(model.extractor, imgs[lo : lo + _PREDICT_IMAGES])
-        preds.append(np.argmax(forward_layers(model.head, features), axis=1))
+        logits = _mlp_forward(model.mlp, features.reshape(len(features), -1))
+        preds.append(np.argmax(_log_softmax(logits), axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 
@@ -642,6 +639,12 @@ def train(
     if images.ndim == 3:
         images = images[..., None]
     labels = np.asarray(labels, dtype=int)
+    sets = [(images, labels)]
+    if test_images is not None and test_labels is not None:
+        sets.append((np.asarray(test_images, dtype=np.float64), np.asarray(test_labels, dtype=int)))
+    for imgs, labs in sets:
+        if labs.shape != imgs.shape[:1]:
+            raise ShapeError(f"label shape {labs.shape} does not match {len(imgs)} images")
     if len(images) == 0:
         raise ShapeError("dataset is empty")
     if class_count is None:
@@ -683,10 +686,8 @@ def train(
             step += 1
 
     model.metrics["train_accuracy"] = _accuracy(model, images, labels)
-    if test_images is not None and test_labels is not None:
-        model.metrics["test_accuracy"] = _accuracy(
-            model, np.asarray(test_images, dtype=np.float64), np.asarray(test_labels, dtype=int)
-        )
+    if len(sets) > 1:
+        model.metrics["test_accuracy"] = _accuracy(model, *sets[1])
     return model
 
 

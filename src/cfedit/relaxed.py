@@ -16,9 +16,10 @@ softmax of its own, so one softmax, one entropy pass, one softmax chain rule
 and one Adam update cover both.  The head pass is
 `network.head_gradient_pass`, built once per chunk: its one-hot output
 gradient is made once, and it runs the head (flatten -> dense -> (dense |
-relu)* -> log-softmax, the one form a bundle has) forward and backward as
-one fused pass.  A problem that meets the stop test is frozen, not removed:
-its logits stop moving and its trajectory ends.  The blend itself is
+relu)* -> log-softmax, the one form a bundle has) forward and backward over
+the bundle's parsed `mlp`, the (weight, bias) pair of each dense layer and
+a None for each relu.  A problem that meets the stop test is frozen, not
+removed: its logits stop moving and its trajectory ends.  The blend itself is
 `grids.blend`, the transform's only implementation, on stacks whose shapes
 `ascent_steps` checks once per chunk; greedy search's relaxed step is
 `best_edits_relaxed` on a batch of one.
@@ -90,10 +91,11 @@ def _objective_and_grads(head_pass, F, F2, targets, X):
     F and F2 are (B, n, d) float64 grid values, `targets` the B target classes
     and `head_pass` is `network.head_gradient_pass` for them; `ascent_steps`
     has checked their shapes.  X is the (B, n+1, n) packed logits: row 0 the
-    gate logits alpha, rows 1..n the alignment logits M.  Every row is a softmax of its own, so one softmax, one entropy
-    pass and one chain rule cover both.  Returns the (B,) objectives, their
-    gradient w.r.t. X, and S = softmax(X), packed as X is (gate a in row 0,
-    alignment P in rows 1..n).
+    gate logits alpha, rows 1..n the alignment logits M.  Every row is a
+    softmax of its own, so one softmax, one entropy pass and one chain rule
+    cover both.  Returns the (B,) objectives, their gradient w.r.t. X, and
+    S = softmax(X), packed as X is (gate a in row 0, alignment P in rows
+    1..n).
     """
     S = softmax(X)
     a, P = S[:, 0], S[:, 1:]
@@ -138,8 +140,9 @@ def ascent_steps(model: ModelBundle, F, F2, targets, X, opt: RelaxOptConfig):
     gates in row 0 and the alignments in rows 1..n.  `live` is a (B,)
     boolean array, all True at first: a consumer freezes a problem by
     clearing its entry, after which its logits stay exactly where they are,
-    and the ascent ends once no problem is live.  A logit whose gradient is always exactly zero (a closed
-    cell at MASK_LOGIT) keeps zero moments and so never moves.
+    and the ascent ends once no problem is live.  A logit whose gradient is
+    always exactly zero (a closed cell at MASK_LOGIT) keeps zero moments and
+    so never moves.
     """
     check_edit_shapes(F.shape, F2.shape, X[:, 0].shape, X[:, 1:].shape)
     head_pass = head_gradient_pass(model, targets)
@@ -183,6 +186,9 @@ def best_edits_relaxed(model: ModelBundle, problems, opt: RelaxOptConfig = Relax
     last bits, as a batched product rounds differently from a one-row one.
     """
     problems = list(problems)
+    for F, F2, target, *_ in problems:
+        model.check_grids(F, F2)
+        model.check_class(target)
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
     edits = []
@@ -193,8 +199,6 @@ def best_edits_relaxed(model: ModelBundle, problems, opt: RelaxOptConfig = Relax
 
 def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     """best_edits_relaxed on problems that run as one lockstep batch."""
-    for F, F2, *_ in problems:
-        model.check_grids(F, F2)
     n = model.h * model.w
     masks = [open_cells(n, exq, exs) for _, _, _, exq, exs in problems]
     # packed logits, the gate row over the alignment rows, in C order (a softmax

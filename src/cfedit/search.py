@@ -8,10 +8,11 @@ excluding already-used cells, until the model's decision flips to the target
 class or the candidate budget runs out.
 
 The head is flatten -> dense -> (dense | relu)* -> log-softmax, the one form
-`ModelBundle` accepts.  Scoring all (hw)^2 single edits builds no edited
-grid: an edit changes one cell, so its pre-activation in the first dense
-layer is the unedited one plus the cell's difference times that cell's block
-of the weight, and only the rest of the head runs per candidate.  Only the
+`ModelBundle` accepts, read here only as the bundle's parsed `mlp`.  Scoring
+all (hw)^2 single edits builds no edited grid: an edit changes one cell, so
+its pre-activation in the first dense layer is the unedited one plus the
+cell's difference times that cell's block of the weight, and only the tail
+of `mlp` after it runs per candidate (`network._mlp_forward`).  Only the
 query cells still open are scored, and of the final log-softmax only the
 target class is computed, bit-identical to that column of the full output.
 Scoring works through a fixed number of values per block of query cells, so
@@ -51,13 +52,14 @@ step's one `candidate_scores` call, in ascending order.  tau is the float64
 rounding error these computations can make, from the dot-product error
 bound gamma_k (Higham 2002, ch. 3) over the magnitudes the step sees (|z0|
 plus the largest |C|, |W| and |b|); it is about 1.6e-13 of G, the bound on
-|logit| those magnitudes give, about 1e-11 on a 7x7 shapes model.  Every cell that could reach or tie the best is scored, a cell's
-scores do not depend on which other cells are scored, and so the chosen
-edit, the tie rule, the trajectory and the records are what scoring every
-open cell gives, bit for bit.  The bound is skipped below
-`_BOUND_CANDIDATES` candidates per step, where scoring every open cell costs
-less than bounding; the relaxed strategy and calls without a carry score
-every open cell.
+|logit| those magnitudes give, about 1e-11 on a 7x7 shapes model.  Every
+cell that could reach or tie the best is scored, a cell's scores do not
+depend on which other cells are scored, and so the chosen edit, the tie
+rule, the trajectory and the records are what scoring every open cell
+gives, bit for bit.  The bound is skipped below `_BOUND_CANDIDATES`
+candidates per step, where scoring every open cell costs less than
+bounding; the relaxed strategy and calls without a carry score every open
+cell.
 """
 
 from __future__ import annotations
@@ -70,13 +72,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid, open_cells, single_edit
-from .network import (
-    ModelBundle,
-    _forward_owned,
-    _log_softmax,
-    forward_feature_pair,
-    head_logprobs,
-)
+from .network import ModelBundle, _log_softmax, _mlp_forward, forward_feature_pair, head_logprobs
 from .relaxed import RelaxOptConfig, best_edits_relaxed
 
 # float64 values one block of query cells may hold in candidate_scores (16 MB);
@@ -153,10 +149,11 @@ def best_edit_exhaustive(
     """Single edit maximizing the target-class log-probability over all
     non-excluded (query cell, source cell) pairs. Returns (i, j2, score).
     `carry` is passed on to `candidate_scores`."""
+    model.check_class(target_class)
     open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
     rows = np.flatnonzero(open_q)
     if carry is not None and carry.bound is not None:
-        rows = carry.rows_to_score(model.head, F, F2, target_class, rows, open_s)
+        rows = carry.rows_to_score(target_class, rows, open_s)
     scores = candidate_scores(model, F, F2, target_class, rows, carry, open_s)
     flat = int(np.argmax(scores))  # first occurrence: smallest i, then smallest j2
     i, j2 = divmod(flat, F.cells)
@@ -180,23 +177,22 @@ def candidate_scores(
     (F2[j] == F[i]) and identical source rows score bit-identically, and a
     row's scores do not depend on which other rows are scored with it.
 
-    `carry`, a `_Carry` of the grid pair, supplies z0 and the contraction in
-    place of F's (F's rows `rows` must equal the carry's query grid's), and
-    gets the head logits of the best candidate scored here, found under the
-    same tie rule as `best_edit_exhaustive`, and, when it keeps them, each
-    scored row's best source.  None computes z0 here and the contraction one
-    block at a time.
+    `carry`, a `_Carry` of the grid pair, scores its own grids, with its z0
+    and contraction (F's rows `rows` must equal its query grid's), and gets
+    the head logits of the best candidate scored here, found under the same
+    tie rule as `best_edit_exhaustive`, and, when it keeps them, each scored
+    row's best source.  None computes z0 here and the contraction one block
+    at a time.
     """
     model.check_grids(F, F2)
-    n, d = F.values.shape
+    n = F.cells
     state = _Carry(model, F, F2, greedy=False) if carry is None else carry
-    step = max(1, _BLOCK_VALUES // (n * (d + state.W.shape[2])))
     rows = np.asarray(rows, dtype=int)
     out = np.full((n, n), -np.inf)
     best = None
-    for lo in range(0, len(rows), step):
-        q = rows[lo : lo + step]
-        z = state.logits(model.head, F, F2, q)
+    for lo in range(0, len(rows), state.block_rows):
+        q = rows[lo : lo + state.block_rows]
+        z = state.logits(q)
         block = _log_softmax(z, target_class).reshape(len(q), n)
         if sources is not None:
             block[:, ~sources] = -np.inf
@@ -212,18 +208,12 @@ def candidate_scores(
     return out
 
 
-def _contract(F, F2, W, q, out=None):
-    """(F2[j] - F[i]) . W_i for the query cells i in `q`, as (len(q), hw, units),
-    into `out` when given."""
-    return np.matmul(F2.values[None] - F.values[q, None, :], W[q], out=out)
-
-
 class _Carry:
-    """What greedy carries between the exhaustive steps of one pair: the
-    current grid's pre-activation z0 in the head's first dense layer, the
+    """What greedy carries between the exhaustive steps of the pair (F, F2):
+    the current grid's pre-activation z0 in the head's first dense layer, the
     edit contraction (F2[j] - F[i]) . W_i of the query grid F when it is
-    stored, and the (1, classes) head logits of the best candidate the last
-    scoring saw.
+    stored, the `tail` of the head's `mlp` after that layer, and the
+    (1, classes) head logits of the best candidate the last scoring saw.
 
     Greedy's carry (`greedy`) stores the contraction when it fits, and on a
     grid of at least `_BOUND_CANDIDATES` candidates also holds the interval
@@ -233,75 +223,78 @@ class _Carry:
     does neither."""
 
     def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, greedy: bool):
-        weight, bias = model.head[1].weights["weight"], model.head[1].weights["bias"]
+        (weight, bias), *tail = model.mlp
+        self.F, self.F2, self.tail = F, F2, tuple(tail)
         n, d = F.values.shape
         units = weight.shape[1]
         self.W = weight.reshape(n, d, units)
         self.z0 = F.values.reshape(-1) @ weight + bias
+        # query cells whose contraction, and the differences it is made from, fit in
+        # one block of `_BLOCK_VALUES`; greedy keeps the whole contraction if all do
+        self.block_rows = max(1, _BLOCK_VALUES // (n * (d + units)))
         bounded = greedy and n * n >= _BOUND_CANDIDATES
-        # the (hw, hw, units) contraction is kept only when it, and the
-        # differences it is made from, fit in one block of `_BLOCK_VALUES`
         self.contraction = None
         if greedy and n * n * (d + units) <= _BLOCK_VALUES:
             # source-major when bounded, so that its extremes over the source
             # cells reduce over the outermost axis; the products are the same
             out = np.empty((n, n, units)).transpose(1, 0, 2) if bounded else None
-            self.contraction = _contract(F, F2, self.W, np.arange(n), out)
+            self.contraction = np.matmul(F2.values[None] - F.values[:, None, :], self.W, out=out)
         self.best_logits = None
         self.bound = self.row_sources = None
         if bounded:
-            self.bound = _RowBound(model.head, *self._source_extremes(F, F2), self._pair_error(F, F2))
+            self.bound = _RowBound(self.tail, *self._source_extremes(), self._pair_error())
             self.row_sources = np.full(n, -1)
 
-    def _source_extremes(self, F, F2):
+    def _source_extremes(self):
         """The (hw, units) minimum and maximum of the contraction over all
         source cells, in one pass over its blocks when it is not stored."""
         if self.contraction is not None:
             return self.contraction.min(axis=1), self.contraction.max(axis=1)
-        n, d = F.values.shape
-        units = self.W.shape[2]
+        n, _, units = self.W.shape
         cmin, cmax = np.empty((n, units)), np.empty((n, units))
-        step = max(1, _BLOCK_VALUES // (n * (d + units)))
-        for lo in range(0, n, step):
-            C = _contract(F, F2, self.W, np.arange(lo, min(lo + step, n)))
-            C.min(axis=1, out=cmin[lo : lo + step])
-            C.max(axis=1, out=cmax[lo : lo + step])
+        for lo in range(0, n, self.block_rows):
+            C = self.contraction_rows(np.arange(lo, min(lo + self.block_rows, n)))
+            C.min(axis=1, out=cmin[lo : lo + self.block_rows])
+            C.max(axis=1, out=cmax[lo : lo + self.block_rows])
         return cmin, cmax
 
-    def _pair_error(self, F, F2) -> float:
+    def _pair_error(self) -> float:
         """How far `_pair_logits`'s contraction values may lie from the
         scorer's: none when stored, else twice the gamma_d error bound of a
         length-d product of the differences, whose largest terms come from
         F2's extremes per channel."""
         if self.contraction is not None:
             return 0.0
-        F2v = F2.values
+        F, F2v = self.F, self.F2.values
         spread = np.maximum(F2v.max(axis=0) - F.values, F.values - F2v.min(axis=0))
         largest = np.einsum("ic,ick->ik", spread, np.abs(self.W)).max()
         return 2 * _gamma(F.values.shape[1]) * largest * (1 + 4 * _UNIT_ROUNDOFF)
 
-    def contraction_rows(self, F, F2, q):
-        """The contraction of the query cells `q` as a new (len(q), hw, units) array."""
-        return _contract(F, F2, self.W, q) if self.contraction is None else self.contraction[q]
+    def contraction_rows(self, q):
+        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
+        new (len(q), hw, units) array."""
+        if self.contraction is not None:
+            return self.contraction[q]
+        return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
 
-    def logits(self, head, F, F2, q):
+    def logits(self, q):
         """Head logits of every edit of the query cells `q`, as
         (len(q) * hw, classes); a row's bits do not depend on `q`'s others."""
-        z = self.contraction_rows(F, F2, q)  # a fresh array, so the head runs in place on it
+        z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
         z += self.z0
-        return _forward_owned(head[2:-1], z.reshape(len(q) * F.cells, -1))
+        return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
 
-    def _pair_logits(self, head, F, F2, i, j):
+    def _pair_logits(self, i, j):
         """Head logits of the edits (i[k], j[k]), as (len(i), classes), within
         `_RowBound`'s edit deviation of the scorer's."""
         if self.contraction is not None:
             z = self.contraction[i, j]
         else:
-            z = np.matmul((F2.values[j] - F.values[i])[:, None, :], self.W[i])[:, 0]
+            z = np.matmul((self.F2.values[j] - self.F.values[i])[:, None, :], self.W[i])[:, 0]
         z += self.z0
-        return _forward_owned(head[2:-1], z)
+        return _mlp_forward(self.tail, z)
 
-    def rows_to_score(self, head, F, F2, target_class: int, rows, sources):
+    def rows_to_score(self, target_class: int, rows, sources):
         """The query cells of `rows` (ascending) whose bound reaches the
         leader, less the rounding margin.  Every cell left out scores below
         the leader, which some candidate over `sources` reaches, so the best
@@ -320,19 +313,19 @@ class _Carry:
         seen = js >= 0
         seen[seen] = sources[js[seen]]
         if seen.any():
-            z = self._pair_logits(head, F, F2, rows[seen], js[seen])
+            z = self._pair_logits(rows[seen], js[seen])
         else:
             top = rows[[np.argmin(ub_sums)]]
-            z = self.logits(head, F, F2, top)[sources]
+            z = self.logits(top)[sources]
         z -= z[:, target_class : target_class + 1]
         np.exp(z, out=z)
         lead = z.sum(axis=1).min()
         return rows[ub_sums <= lead * math.exp(margin)]
 
-    def commit(self, F, F2, i: int, j2: int) -> np.ndarray:
+    def commit(self, i: int, j2: int) -> np.ndarray:
         """Apply edit (i, j2), the best candidate of the last scoring, to z0,
         and return the edited grid's log-probabilities from its scored row."""
-        self.z0 = self.z0 + self.contraction_rows(F, F2, [i])[0, j2]
+        self.z0 = self.z0 + self.contraction_rows([i])[0, j2]
         return _log_softmax(self.best_logits)[0]
 
 
@@ -368,31 +361,28 @@ class _RowBound:
     leader's first dense outputs may lie from the scorer's.
     """
 
-    def __init__(self, head, cmin, cmax, pair_error: float):
+    def __init__(self, tail, cmin, cmax, pair_error: float):
         self.ends = np.stack([cmin, cmax], axis=1)  # (hw, 2, units)
         self._x = np.empty_like(self.ends)
         self.c_abs = max(-cmin.min(), cmax.max(), 0.0)  # the largest |C[i, j, k]|
         self.pair_error = pair_error
-        tail = list(head[2:-1])
-        last = tail.pop() if tail and tail[-1].spec.kind == "dense" else None
+        tail = list(tail)
+        last = tail.pop() if tail and tail[-1] is not None else None
         # per layer after the first dense one: None for relu, and for dense the
         # block weight [[W+, W-], [W-, W+]], bias [b | b], fan-in, largest
         # column 1-norm of |W| and largest |b|
         self.layers = []
         size = cmin.shape[1]
         for layer in tail:
-            if layer.spec.kind == "relu":
-                self.layers.append(None)
-                continue
-            w, b = layer.weights["weight"], layer.weights["bias"]
-            pos, neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
-            block = np.block([[pos, neg], [neg, pos]])
-            self.layers.append((block, np.concatenate([b, b]), w.shape[0], _col_norm(w), float(np.abs(b).max())))
-            size = w.shape[1]
-        if last is None:  # the logits are the interval itself
-            self.last_w, self.last_b = np.eye(size), np.zeros(size)
-        else:
-            self.last_w, self.last_b = last.weights["weight"], last.weights["bias"]
+            if layer is not None:
+                w, b = layer
+                pos, neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+                block = np.block([[pos, neg], [neg, pos]])
+                layer = (block, np.concatenate([b, b]), w.shape[0], _col_norm(w), float(np.abs(b).max()))
+                size = w.shape[1]
+            self.layers.append(layer)
+        # without a last dense layer the logits are the interval itself
+        self.last_w, self.last_b = last or (np.eye(size), np.zeros(size))
         self.last_norm, self.last_bmax = _col_norm(self.last_w), float(np.abs(self.last_b).max())
         self._targets = {}
 
@@ -481,6 +471,7 @@ def greedy_counterfactual(
 ) -> ExplanationResult:
     """Edit f(query) toward f(distractor) until the decision flips to
     `target_class` (Greedy Sequential Search)."""
+    model.check_class(target_class)
     F, F2 = forward_feature_pair(model, query_image, distractor_image)
     lp = head_logprobs(model, F)
     query_class = int(lp.argmax())
@@ -517,7 +508,7 @@ def greedy_counterfactual(
             current = single_edit(current, F2, i, j2)
             lp = head_logprobs(model, current)
         else:
-            lp = carry.commit(F, F2, i, j2)
+            lp = carry.commit(i, j2)
         trajectory.append((lp[query_class], lp[target_class]))
         if lp.argmax() == target_class:
             status = "flipped"

@@ -26,6 +26,7 @@ from cfedit.network import (
     save_model,
     train,
 )
+from cfedit.search import candidate_scores
 
 import test_search
 from conftest import identity_feature_model, layered_head_pass, make_model
@@ -546,6 +547,35 @@ class TestFusedHeadPass:
             for g, w in zip(got, want):
                 assert g.shape == w.shape and np.array_equal(g, w), name
 
+    @pytest.mark.parametrize("batch", [1, 4, 7])
+    def test_logprobs_and_predictions_match_forward_layers(self, shapes_model, batch):
+        rng = np.random.default_rng(10 + batch)
+        for name, model in self.heads(shapes_model):
+            values = rng.normal(size=(batch, model.h * model.w, model.d))
+            want = network.forward_layers(model.head, values.reshape((batch,) + model.feature_shape))
+            assert network.head_logprobs_batch(model, values).tobytes() == want.tobytes(), name
+            images = rng.uniform(0, 1, (batch,) + tuple(model.input_shape))
+            want = network.forward_layers(model.head, network.forward_layers(model.extractor, images))
+            assert np.array_equal(network.predict_batch(model, images), want.argmax(axis=1)), name
+
+    def test_in_place_weight_writes_reach_every_head_pass(self):
+        rng = np.random.default_rng(11)
+        model = identity_feature_model(2, 3, 2, 4, seed=2, linear=False)
+        F, F2 = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2))), FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
+        built = network.head_gradient_pass(model, [1])
+
+        def passes(m, run):
+            return (head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), *run(F.values[None]))
+
+        before = passes(model, built)
+        for layer in model.head:
+            for w in layer.weights.values():
+                w[...] = rng.normal(size=w.shape)
+        fresh = ModelBundle(model.extractor, model.head, model.class_count, model.input_shape)
+        want = passes(fresh, network.head_gradient_pass(fresh, [1]))
+        for old, got, new in zip(before, passes(model, built), want):
+            assert got.tobytes() == new.tobytes() and not np.array_equal(got, old)
+
     def test_pass_leaves_its_one_hot_gradient_alone(self, shapes_model):
         # the relaxed solver calls one pass once per Adam step
         run = network.head_gradient_pass(shapes_model, [1, 3])
@@ -614,6 +644,29 @@ class TestTrain:
                 labels,
                 TrainConfig(epochs=1, seed=0),
                 class_count=2,
+            )
+        assert passes == []
+
+    @pytest.mark.parametrize(
+        "labels, test_set", [(7, None), (12, None), (10, (5, 3))], ids=["short", "long", "test-set"]
+    )
+    def test_label_count_mismatch_raises_before_the_first_step(self, monkeypatch, labels, test_set):
+        rng = np.random.default_rng(4)
+        images = rng.uniform(0, 1, (10, 6, 6))
+        tests = {}
+        if test_set:
+            tests = {"test_images": rng.uniform(0, 1, (test_set[0], 6, 6)), "test_labels": [0] * test_set[1]}
+        passes = []
+        monkeypatch.setattr(network, "forward_layers", lambda *args, **kwargs: passes.append(args))
+        with pytest.raises(ShapeError, match="label shape"):
+            train(
+                [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
+                [LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("log-softmax")],
+                images,
+                rng.integers(2, size=labels),
+                TrainConfig(epochs=1, seed=0),
+                class_count=2,
+                **tests,
             )
         assert passes == []
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from cfedit import search
 from cfedit.data import gen_shapes
-from cfedit.errors import ExhaustedError, ShapeError
+from cfedit.errors import BoundsError, ExhaustedError, ShapeError
 from cfedit.grids import FeatureGrid, single_edit
+from cfedit.metrics import relaxation_fidelity
 from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
 from cfedit.relaxed import RelaxOptConfig, best_edits_relaxed
 from cfedit.search import (
@@ -123,6 +124,24 @@ class TestSolverEdgeCases:
             solver(model, F, G, 1)
         with pytest.raises(ShapeError, match="head input"):
             solver(model, G, F, 1)
+
+    @pytest.mark.parametrize("target", [-1, 2, 99, 1.0])
+    def test_target_class_out_of_range_raises(self, solver, target):
+        rng = np.random.default_rng(6)
+        model = identity_feature_model(2, 2, 1, 2)
+        F, F2 = random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1)
+        with pytest.raises(BoundsError, match="target class"):
+            solver(model, F, F2, target)
+
+    @pytest.mark.parametrize(
+        "excluded", [{"excluded_query": [4]}, {"excluded_query": [-1]}, {"excluded_source": [0, 99]}]
+    )
+    def test_excluded_cell_out_of_range_raises(self, solver, excluded):
+        rng = np.random.default_rng(7)
+        model = identity_feature_model(2, 2, 1, 2)
+        F, F2 = random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1)
+        with pytest.raises(BoundsError, match="excluded cells"):
+            solver(model, F, F2, 1, **excluded)
 
 
 class TestGreedy:
@@ -569,10 +588,25 @@ class TestGreedyContraction:
         W = model.head[1].weights["weight"].reshape(n, d, units)
         naive = np.array([[(F2.values[j] - F.values[i]) @ W[i] for j in range(n)] for i in range(n)])
         np.testing.assert_allclose(C, naive, rtol=0, atol=1e-12)
+        unstored = search._Carry(model, F, F2, greedy=False)
         for q in ([0], [n - 1], [1, 4, 5], list(range(n))):  # the blocks the per-step path computes
-            assert C[q].tobytes() == search._contract(F, F2, W, np.array(q)).tobytes()
+            assert C[q].tobytes() == unstored.contraction_rows(np.array(q)).tobytes()
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
         assert search._Carry(model, F, F2, greedy=True).contraction is None
+
+
+@pytest.mark.parametrize("target", [-1, 99])
+def test_frozen_model_refuses_a_target_class_out_of_range(target):
+    model = TestGreedyContraction.frozen_model("ref")
+    ds = gen_shapes(4, size=28, seed=8, split="bench")
+    query, distractor = ds.images[0], ds.images[1]
+    for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
+        with pytest.raises(BoundsError, match="target class"):
+            greedy_counterfactual(model, query, distractor, target, config)
+    F, F2 = forward_feature_pair(model, query, distractor)
+    for use_relaxed in (True, False):
+        with pytest.raises(BoundsError, match="target class"):
+            relaxation_fidelity(model, [(F, F2, target, [], [])], use_relaxed=use_relaxed)
 
 
 def bound_grids(rng, h, w, d, kind):
@@ -647,14 +681,14 @@ class TestRowBound:
                 assert np.all(np.isfinite(scores))
                 bounds = carry.bound.sums(carry.z0, target)
                 if bounds is None:  # logits this large keep every cell
-                    rows = carry.rows_to_score(model.head, F, F2, target, np.arange(n), np.ones(n, bool))
+                    rows = carry.rows_to_score(target, np.arange(n), np.ones(n, bool))
                     assert list(rows) == list(range(n))
                     continue
                 sums, margin = bounds
                 assert np.all(np.log(sums) <= -scores.max(axis=1) + margin), (np.log(sums), scores.max(axis=1))
                 # the leader's single-edit logits stay within the margin of the
                 # scorer's (a sum that overflows keeps every cell)
-                z = carry._pair_logits(model.head, F, F2, i, j)
+                z = carry._pair_logits(i, j)
                 with np.errstate(over="ignore"):
                     pair_sums = np.exp(z - z[:, target : target + 1]).sum(axis=1)
                 finite = np.isfinite(pair_sums)
@@ -729,7 +763,7 @@ class TestRowBound:
         sums[a] = np.exp(-full[a].max()) / 2
         sums[b] = np.exp(-full[b].max())
         monkeypatch.setattr(carry.bound, "sums", lambda z0, t: (sums, margin))
-        kept = carry.rows_to_score(model.head, F, F2, target, np.arange(9), np.ones(9, bool))
+        kept = carry.rows_to_score(target, np.arange(9), np.ones(9, bool))
         assert list(kept) == [a, b]
         got = best_edit_exhaustive(model, F, F2, target, carry=carry)
         assert got[:2] == (b, int(np.argmax(full[b]))) and got[2] == full.max()
@@ -761,7 +795,7 @@ class TestRowBound:
         monkeypatch.setattr(search, "candidate_scores", counting)
         bounded = run()
         pruned, rows["scored"] = rows["scored"], 0
-        monkeypatch.setattr(search._Carry, "rows_to_score", lambda self, head, F, F2, t, open_rows, sources: open_rows)
+        monkeypatch.setattr(search._Carry, "rows_to_score", lambda self, t, open_rows, sources: open_rows)
         every = run()
         assert bounded == every
         assert pruned < rows["scored"]
@@ -803,4 +837,4 @@ class TestRowBound:
         assert not carry.contraction.flags.c_contiguous and plain.contraction.flags.c_contiguous
         assert carry.contraction.tobytes() == plain.contraction.tobytes()
         for q in ([0], [8], [1, 4, 5], list(range(9))):
-            assert carry.contraction_rows(F, F2, q).tobytes() == plain.contraction_rows(F, F2, q).tobytes()
+            assert carry.contraction_rows(q).tobytes() == plain.contraction_rows(q).tobytes()
