@@ -17,11 +17,17 @@ None per relu.  Every head pass reads it, through `_mlp_forward` or, for the
 gradient w.r.t. the input of a stack of grids, `head_gradient_pass`; only
 `train` runs the head's layers through `forward_layers` and `backward_layers`.
 
-Convolution unrolls its input into a patch matrix (im2col, Chellapilla et al.
-2006) one block of images at a time, so that the forward pass, the weight
-gradient and the input gradient are each one GEMM per block.  A block's patch
-matrix holds at most `_PATCH_VALUES` float64 values, or one image's patches
-when those alone are more, which bounds the scratch memory of every conv layer.
+A stack's leading per-image layers (conv2d, relu, maxpool2d: an extractor)
+run forward and backward one block of images at a time, every layer on one
+block before the next block starts, so that a block's arrays stay in cache
+and the scratch memory is bounded per block (cache blocking, Lam, Rothberg &
+Wolf 1991).  A block holds as many images as keep the largest conv layer's
+patch matrix within `_PATCH_VALUES` float64 values, and at least one: 16
+images on the 28x28 reference layers, 4 on 42x42 ones.  The layers from
+flatten on run over the whole batch.  Convolution unrolls a block into its
+patch matrix (im2col, Chellapilla et al. 2006), copying each window row as
+one record, so that its forward pass, weight gradient and input gradient
+are one GEMM each.
 
 Max pooling takes a running `np.maximum` over the k² strided views of its
 input, then recovers for each output the index of the first maximum in
@@ -33,6 +39,12 @@ scores, predictions) computes none: max pooling stops after the running
 maximum and relu builds no mask, with outputs bit-identical to a pass that
 keeps them.  `forward_feature_pair` runs a query and a distractor through
 the extractor as one two-image batch, bit-identical to two single passes.
+Larger batches are not: BLAS picks its GEMM kernel by the product's size, so
+a block of four or more 28x28 images rounds conv1 differently from a one- or
+two-image pass, and an image's features can differ in their last bits with
+the batch it came in (2,389 of 20,480 values for 64 images on the frozen
+benchmark model `ref`).  Its predicted class has not differed on the
+benchmark's image sets.
 """
 
 from __future__ import annotations
@@ -182,34 +194,33 @@ def init_layer(spec: LayerSpec, geom: tuple, rng: np.random.Generator) -> tuple[
 # forward / backward per kind (batched, channels-last)
 # ---------------------------------------------------------------------------
 
-# Cap on the float64 values of one block's patch matrix (2 MB).  A block holds
-# as many whole images as fit, and at least one.
+# Cap on the float64 values of the largest conv patch matrix of one block of
+# images (2 MB).  A block holds as many whole images as fit, and at least one.
 _PATCH_VALUES = 1 << 18
 
-
-def _image_blocks(n, per_image):
-    """Yield (lo, hi) over blocks of whole images, `per_image` scratch values
-    each: as many images as fit in `_PATCH_VALUES`, and at least one."""
-    step = max(1, _PATCH_VALUES // per_image)
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
+# kinds that act on each image alone; a stack's leading run of them goes block by block
+_PER_IMAGE = ("conv2d", "relu", "maxpool2d")
 
 
-def _patch_blocks(xpad, kh, kw, s, oh, ow, tap_major=False):
-    """Yield (lo, hi, cols) over blocks of images, where cols is the
-    (images·oh·ow, kh·kw·cin) patch matrix of xpad[lo:hi] in (dh, dw, c) order.
+def _patches(xpad, kh, kw, s, oh, ow, tap_major=False):
+    """The (images·oh·ow, kh·kw·cin) patch matrix of the contiguous batch xpad,
+    in (dh, dw, c) order.  Channels-last, the kw·cin values of one window row
+    are contiguous, so the copy moves each row as one record.
 
-    `tap_major` copies the patches tap by tap and yields the transpose of that
-    copy, which GEMM reads as cheaply.  With one input channel each tap then
-    copies whole image rows, about twice as fast as the pixel-major copy."""
+    `tap_major` copies the patches tap by tap instead and returns the transpose
+    of that copy, which GEMM reads as cheaply.  With one input channel each tap
+    copies whole image rows: the reference conv1's weight gradient on a
+    16-image block then takes 0.71 ms instead of 0.87 ms (medians of 7 rounds,
+    2-vCPU Xeon, one BLAS thread)."""
     cin = xpad.shape[3]
-    for lo, hi in _image_blocks(xpad.shape[0], oh * ow * kh * kw * cin):
-        win = np.lib.stride_tricks.sliding_window_view(xpad[lo:hi], (kh, kw), axis=(1, 2))
-        win = win[:, : oh * s : s, : ow * s : s]  # (b, oh, ow, cin, kh, kw)
-        if tap_major:
-            yield lo, hi, np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(kh * kw * cin, -1).T
-        else:
-            yield lo, hi, win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * cin)
+    if tap_major:
+        win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, : oh * s : s, : ow * s : s]
+        return np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(kh * kw * cin, -1).T
+    sn, sh, sw, _ = xpad.strides
+    rows = np.ndarray(
+        (len(xpad), oh, ow, kh), np.dtype((np.void, kw * cin * 8)), xpad, strides=(sn, sh * s, sw * s, sh)
+    )
+    return rows.copy().view(np.float64).reshape(-1, kh * kw * cin)
 
 
 def _conv_forward(x, layer, keep_cache=True):
@@ -219,17 +230,11 @@ def _conv_forward(x, layer, keep_cache=True):
     if x.shape[3] != cin:
         raise ShapeError(f"conv2d input has {x.shape[3]} channels, kernel expects {cin}")
     s, p = spec.effective_stride(), spec.padding
-    if p:
-        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else np.ascontiguousarray(x)
     n, hp, wp, _ = x.shape
     oh = (hp - kh) // s + 1
     ow = (wp - kw) // s + 1
-    kmat = kern.reshape(-1, cout)
-    out = np.empty((n * oh * ow, cout))
-    # pixel-major patches: BLAS rounds a one-image product with the transposed
-    # tap-major matrix differently, and features would change in their last bits
-    for lo, hi, cols in _patch_blocks(x, kh, kw, s, oh, ow):
-        np.matmul(cols, kmat, out=out[lo * oh * ow : hi * oh * ow])
+    out = _patches(x, kh, kw, s, oh, ow) @ kern.reshape(-1, cout)
     out += bias
     return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
 
@@ -237,12 +242,9 @@ def _conv_forward(x, layer, keep_cache=True):
 def _conv_weight_grads(g, layer, xpad):
     kern = layer.weights["kernel"]
     kh, kw, cin, cout = kern.shape
-    s = layer.spec.effective_stride()
     _, oh, ow, _ = g.shape
-    gk = np.zeros((kh * kw * cin, cout))
-    for lo, hi, cols in _patch_blocks(xpad, kh, kw, s, oh, ow, tap_major=cin == 1):
-        gk += cols.T @ g[lo:hi].reshape(-1, cout)
     gm = g.reshape(-1, cout)
+    gk = _patches(xpad, kh, kw, layer.spec.effective_stride(), oh, ow, tap_major=cin == 1).T @ gm
     # a ones-vector GEMM: a reduction over axes (0, 1, 2) runs an inner loop only cout long
     return {"kernel": gk.reshape(kern.shape), "bias": np.ones(len(gm)) @ gm}
 
@@ -252,15 +254,13 @@ def _conv_input_grad(g, layer, xpad):
     kh, kw, cin, cout = kern.shape
     s, p = layer.spec.effective_stride(), layer.spec.padding
     n, oh, ow, _ = g.shape
-    kmat = kern.reshape(-1, cout)
+    taps = (kern.reshape(-1, cout) @ g.reshape(-1, cout).T).reshape(kh, kw, cin, n, oh, ow)
     # accumulated channels-first, so that every tap of the tap-major GEMM adds
     # rows that are contiguous over ow on both sides; transposed back once
     gx = np.zeros((cin,) + xpad.shape[:3])
-    for lo, hi in _image_blocks(n, oh * ow * kh * kw * cin):
-        taps = (kmat @ g[lo:hi].reshape(-1, cout).T).reshape(kh, kw, cin, hi - lo, oh, ow)
-        for dh in range(kh):
-            for dw in range(kw):
-                gx[:, lo:hi, dh : dh + oh * s : s, dw : dw + ow * s : s] += taps[dh, dw]
+    for dh in range(kh):
+        for dw in range(kw):
+            gx[:, :, dh : dh + oh * s : s, dw : dw + ow * s : s] += taps[dh, dw]
     gx = gx.transpose(1, 2, 3, 0)
     if p:
         gx = gx[:, p:-p, p:-p, :]
@@ -391,14 +391,58 @@ _INPUT_GRAD = {
 _WEIGHT_GRADS = {"conv2d": _conv_weight_grads, "dense": _dense_weight_grads}
 
 
-def forward_layers(layers, x, keep_caches=False):
-    """Output of the stack on batch `x`, and with `keep_caches` the per-layer
-    caches `backward_layers` reads; without them no cache is computed."""
-    caches = [] if keep_caches else None
+def _leading_per_image(layers):
+    """The number of leading layers of the stack that act on each image alone."""
+    return next((k for k, layer in enumerate(layers) if layer.spec.kind not in _PER_IMAGE), len(layers))
+
+
+def _block_plan(layers, shape):
+    """(images per block, output geometry) of the per-image `layers` on a batch
+    of `shape`: as many images as keep every conv layer's patch matrix within
+    `_PATCH_VALUES`, and at least one."""
+    geom, per_image = tuple(shape[1:]), 1
     for layer in layers:
-        x, cache = _FORWARD[layer.spec.kind](x, layer, keep_caches)
-        if keep_caches:
+        out = output_geometry(layer.spec, geom)
+        if layer.spec.kind == "conv2d":
+            per_image = max(per_image, out[0] * out[1] * layer.spec.kernel_size**2 * geom[2])
+        geom = out
+    return max(1, _PATCH_VALUES // per_image), geom
+
+
+def _forward_run(layers, x, caches):
+    """Output of `layers` on `x`, appending each layer's cache to the list
+    `caches`; with `caches` None no cache is computed."""
+    for layer in layers:
+        x, cache = _FORWARD[layer.spec.kind](x, layer, caches is not None)
+        if caches is not None:
             caches.append(cache)
+    return x
+
+
+def forward_layers(layers, x, keep_caches=False):
+    """Output of the stack on batch `x`, and with `keep_caches` the caches
+    `backward_layers` reads; without them no cache is computed.
+
+    The stack's leading per-image layers run one block of images at a time
+    (see `_block_plan`), and their caches make one entry: a (slice of the
+    batch, list of per-layer caches) pair per block.  Every later layer runs
+    on the whole batch and has an entry of its own."""
+    lead = _leading_per_image(layers)
+    caches = [] if keep_caches else None
+    if lead:
+        step, geom = _block_plan(layers[:lead], x.shape)
+        spans = [slice(lo, lo + step) for lo in range(0, len(x), step)] if len(x) > step else [slice(None)]
+        blocks = [(span, [] if keep_caches else None) for span in spans]
+        if len(blocks) == 1:  # the one block's output is the stack's, uncopied
+            x = _forward_run(layers[:lead], x, blocks[0][1])
+        else:
+            out = np.empty((len(x),) + geom)
+            for span, block in blocks:
+                out[span] = _forward_run(layers[:lead], x[span], block)
+            x = out
+        if keep_caches:
+            caches.append(blocks)
+    x = _forward_run(layers[lead:], x, caches)
     return (x, caches) if keep_caches else x
 
 
@@ -414,18 +458,32 @@ def _mlp_forward(mlp, x):
     return x
 
 
-def backward_layers(layers, caches, g, input_grad=True):
-    """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
-    objective, given its gradient `g` at the stack output.  With
-    `input_grad=False` the first layer's input gradient is skipped and None
-    takes its place."""
-    grads = [{} for _ in layers]
+def _backward_run(layers, caches, g, grads, input_grad):
+    """Gradient w.r.t. the input of `layers` from `g` at their output, adding
+    each layer's weight gradients into its dict in `grads`."""
     for idx in range(len(layers) - 1, -1, -1):
         layer, cache = layers[idx], caches[idx]
         kind = layer.spec.kind
         if kind in _WEIGHT_GRADS:
-            grads[idx] = _WEIGHT_GRADS[kind](g, layer, cache)
+            for name, grad in _WEIGHT_GRADS[kind](g, layer, cache).items():
+                grads[idx][name] = grads[idx][name] + grad if name in grads[idx] else grad
         g = _INPUT_GRAD[kind](g, layer, cache) if idx or input_grad else None
+    return g
+
+
+def backward_layers(layers, caches, g, input_grad=True):
+    """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
+    objective, given its gradient `g` at the stack output and the caches of
+    `forward_layers`.  The leading per-image layers run back block by block, in
+    the forward pass's blocks, and a conv layer's weight gradients are the sum
+    of its blocks' in block order.  With `input_grad=False` the first layer's
+    input gradient is skipped and None takes its place."""
+    lead = _leading_per_image(layers)
+    grads = [{} for _ in layers]
+    g = _backward_run(layers[lead:], caches[bool(lead) :], g, grads[lead:], input_grad or lead > 0)
+    if lead:
+        parts = [_backward_run(layers[:lead], block, g[span], grads, input_grad) for span, block in caches[0]]
+        g = np.concatenate(parts) if input_grad and len(parts) > 1 else parts[0]
     return g, grads
 
 
@@ -589,8 +647,9 @@ def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
     imgs = _as_batch(model, images)
     preds = []
     for lo in range(0, len(imgs), _PREDICT_IMAGES):
-        features = forward_layers(model.extractor, imgs[lo : lo + _PREDICT_IMAGES])
-        logits = _mlp_forward(model.mlp, features.reshape(len(features), -1))
+        chunk = imgs[lo : lo + _PREDICT_IMAGES]
+        # the features stay a temporary, freed before the next chunk's pass
+        logits = _mlp_forward(model.mlp, forward_layers(model.extractor, chunk).reshape(len(chunk), -1))
         preds.append(np.argmax(_log_softmax(logits), axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 

@@ -1,11 +1,12 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfedit import network
@@ -156,7 +157,10 @@ class TestCacheFreeForward:
         out = network.forward_layers(layers, x)
         kept, caches = network.forward_layers(layers, x, keep_caches=True)
         assert out.tobytes() == kept.tobytes()
-        assert len(caches) == len(layers)
+        # one entry for the blocked extractor, holding a cache per layer per block, then one per head layer
+        assert len(caches) == 1 + len(model.head)
+        assert [span for span, _ in caches[0]] == [slice(None)]  # six images make one block
+        assert len(caches[0][0][1]) == len(model.extractor)
 
 
 def conv_forward_reference(x, layer):
@@ -216,9 +220,9 @@ def assert_close_to_reference(actual, expected):
 
 
 def check_conv_against_reference(layer, x, g):
-    (out, cache), (out_ref, cache_ref) = network._conv_forward(x, layer), conv_forward_reference(x, layer)
+    (out, caches), (out_ref, cache_ref) = network.forward_layers([layer], x, True), conv_forward_reference(x, layer)
     assert_close_to_reference(out, out_ref)
-    gx, (grads,) = network.backward_layers([layer], [cache], g)
+    gx, (grads,) = network.backward_layers([layer], caches, g)
     gx_ref, grads_ref = conv_backward_reference(g, layer, cache_ref)
     assert_close_to_reference(gx, gx_ref)
     for name in ("kernel", "bias"):
@@ -245,24 +249,6 @@ class TestConvKernels:
         with mock.patch.object(network, "_PATCH_VALUES", cap):
             check_conv_against_reference(layer, x, g)
 
-    def test_remainder_block(self):
-        rng = np.random.default_rng(0)
-        spec = LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=1)
-        layer, (oh, ow, _) = network.init_layer(spec, (9, 8, 2), rng)
-        x, g = rng.normal(size=(7, 9, 8, 2)), rng.normal(size=(7, oh, ow, 3))
-        blocks = []
-        real_blocks = network._patch_blocks
-
-        def spy(*args, **kwargs):
-            for lo, hi, cols in real_blocks(*args, **kwargs):
-                blocks.append((lo, hi))
-                yield lo, hi, cols
-
-        with mock.patch.object(network, "_PATCH_VALUES", 3 * oh * ow * 9 * 2), \
-                mock.patch.object(network, "_patch_blocks", spy):
-            check_conv_against_reference(layer, x, g)
-        assert blocks == [(0, 3), (3, 6), (6, 7)] * 2
-
     def test_finite_differences_strided_padded(self):
         # objective sum(R * out**2) / 2 through one stride-2, padding-1 conv
         rng = np.random.default_rng(11)
@@ -272,10 +258,10 @@ class TestConvKernels:
         R = rng.normal(size=(2, oh, ow, 3))
 
         def objective():
-            return 0.5 * float(np.sum(R * network._conv_forward(x, layer)[0] ** 2))
+            return 0.5 * float(np.sum(R * network.forward_layers([layer], x) ** 2))
 
-        out, cache = network._conv_forward(x, layer)
-        gx, (grads,) = network.backward_layers([layer], [cache], R * out)
+        out, caches = network.forward_layers([layer], x, keep_caches=True)
+        gx, (grads,) = network.backward_layers([layer], caches, R * out)
         eps = 1e-6
         for array, grad in ((x, gx), (layer.weights["kernel"], grads["kernel"]),
                             (layer.weights["bias"], grads["bias"])):
@@ -326,8 +312,8 @@ class TestPoolKernels:
 
     def test_all_zero_window_routes_gradient_to_first_tap(self):
         x = np.zeros((1, 4, 4, 1))
-        out, cache = network._pool_forward(x, pool_layer(2, 2))
-        gx, _ = network.backward_layers([pool_layer(2, 2)], [cache], np.ones_like(out))
+        out, caches = network.forward_layers([pool_layer(2, 2)], x, keep_caches=True)
+        gx, _ = network.backward_layers([pool_layer(2, 2)], caches, np.ones_like(out))
         np.testing.assert_array_equal(gx[0, :, :, 0], np.tile([[1.0, 0.0], [0.0, 0.0]], (2, 2)))
 
     @pytest.mark.parametrize("window, stride", [(2, 2), (3, 1), (3, 2)])
@@ -336,9 +322,9 @@ class TestPoolKernels:
         rng = np.random.default_rng(stride)
         layer = pool_layer(window, stride)
         x = rng.permutation(np.arange(2 * 7 * 6 * 2, dtype=float)).reshape(2, 7, 6, 2) / 10
-        out, cache = network._pool_forward(x, layer)
+        out, caches = network.forward_layers([layer], x, keep_caches=True)
         R = rng.normal(size=out.shape)
-        gx, _ = network.backward_layers([layer], [cache], R * out)
+        gx, _ = network.backward_layers([layer], caches, R * out)
         eps = 1e-6
         fd = np.zeros_like(x)
         for idx in np.ndindex(x.shape):
@@ -350,6 +336,203 @@ class TestPoolKernels:
             x[idx] = keep
             fd[idx] = (up - down) / (2 * eps)
         assert np.abs(fd - gx).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+def pool_backward_reference(g, idx, window, stride, shape):
+    """Per-window max-pool backward: each gradient goes to its window's first maximum."""
+    gx = np.zeros(shape)
+    for b, i, j, c in np.ndindex(g.shape):
+        dh, dw = divmod(int(idx[b, i, j, c]), window)
+        gx[b, i * stride + dh, j * stride + dw, c] += g[b, i, j, c]
+    return gx
+
+
+def stack_forward_reference(layers, x):
+    """(output, per-layer caches) of a conv / relu / maxpool stack through the reference kernels."""
+    caches = []
+    for layer in layers:
+        kind = layer.spec.kind
+        if kind == "conv2d":
+            x, cache = conv_forward_reference(x, layer)
+        elif kind == "relu":
+            x, cache = np.maximum(x, 0.0), x > 0
+        else:
+            cache = x.shape
+            x, idx = pool_reference(x, layer.spec.window, layer.spec.effective_stride())
+            cache = (idx, cache)
+        caches.append(cache)
+    return x, caches
+
+
+def stack_backward_reference(layers, caches, g):
+    """(input gradient, per-layer weight gradients) of the stack through the reference kernels."""
+    grads = [{} for _ in layers]
+    for idx in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[idx], caches[idx]
+        kind = layer.spec.kind
+        if kind == "conv2d":
+            g, grads[idx] = conv_backward_reference(g, layer, cache)
+        elif kind == "relu":
+            g = g * cache
+        else:
+            g = pool_backward_reference(g, cache[0], layer.spec.window, layer.spec.effective_stride(), cache[1])
+    return g, grads
+
+
+def patch_values_per_image(layers, geom):
+    """The largest conv patch matrix of one image, in values, over the stack on input geometry `geom`."""
+    most = 1
+    for layer in layers:
+        out = network.output_geometry(layer.spec, geom)
+        if layer.spec.kind == "conv2d":
+            most = max(most, out[0] * out[1] * layer.spec.kernel_size**2 * geom[2])
+        geom = out
+    return most
+
+
+@st.composite
+def conv_stacks(draw):
+    """A random conv -> relu -> maxpool -> conv -> relu [-> maxpool] stack, with
+    strides and padding, and an input batch of at least two images."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, geom = draw(st.integers(2, 7)), (draw(st.integers(5, 12)), draw(st.integers(5, 12)), draw(st.integers(1, 3)))
+    specs = []
+    for second in (False, True):
+        k = draw(st.integers(1, 4))
+        specs += [
+            LayerSpec("conv2d", out_channels=draw(st.integers(1, 4)), kernel_size=k,
+                      stride=draw(st.integers(1, 2)), padding=draw(st.integers(0, k - 1))),
+            LayerSpec("relu"),
+        ]
+        if not second or draw(st.booleans()):
+            specs.append(LayerSpec("maxpool2d", window=draw(st.integers(1, 3)), stride=draw(st.integers(1, 3))))
+    layers, shape = [], geom
+    for spec in specs:
+        try:
+            layer, shape = network.init_layer(spec, shape, rng)
+        except ShapeError:
+            assume(False)
+        layers.append(layer)
+    return layers, rng.normal(size=(n,) + geom)
+
+
+class TestImageBlocks:
+    """forward_layers and backward_layers run the leading per-image layers one
+    block of images at a time, and every layer from flatten on over the batch."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(conv_stacks(), st.data())
+    def test_blocked_stack_matches_references(self, stack, data):
+        layers, x = stack
+        per_image = patch_values_per_image(layers, x.shape[1:])
+        images = data.draw(st.integers(1, min(3, len(x) - 1)), label="images per block")
+        cap = images * per_image + data.draw(st.integers(0, per_image - 1), label="spare values")
+        out_ref, caches_ref = stack_forward_reference(layers, x)
+        g = np.random.default_rng(len(x)).normal(size=out_ref.shape)
+        gx_ref, grads_ref = stack_backward_reference(layers, caches_ref, g)
+        with mock.patch.object(network, "_PATCH_VALUES", cap):
+            out, caches = network.forward_layers(layers, x, keep_caches=True)
+            gx, grads = network.backward_layers(layers, caches, g)
+        assert [span.stop - span.start for span, _ in caches[0][:-1]] == [images] * (-(-len(x) // images) - 1)
+        assert_close_to_reference(out, out_ref)
+        assert_close_to_reference(gx, gx_ref)
+        for got, want in zip(grads, grads_ref):
+            assert sorted(got) == sorted(want)
+            for name in want:
+                assert_close_to_reference(got[name], want[name])
+
+    def test_remainder_block(self):
+        # seven images at three a block: every per-image kernel sees 3, 3 and 1
+        # images, forward and back, and every later kernel all seven
+        rng = np.random.default_rng(0)
+        specs = [
+            LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=1),
+            LayerSpec("relu"),
+            LayerSpec("maxpool2d", window=2, stride=1),
+            LayerSpec("conv2d", out_channels=2, kernel_size=2),
+            LayerSpec("flatten"),
+            LayerSpec("dense", units=3),
+            LayerSpec("log-softmax"),
+        ]
+        layers, geom = [], (9, 8, 2)
+        for spec in specs:
+            layer, geom = network.init_layer(spec, geom, rng)
+            layers.append(layer)
+        lead, x = layers[:4], rng.normal(size=(7, 9, 8, 2))
+        seen = []
+
+        def spy(table, name):
+            def wrap(kind, real):
+                def run(first, *rest):
+                    seen.append((name, kind, len(first)))
+                    return real(first, *rest)
+                return run
+
+            return {kind: wrap(kind, real) for kind, real in table.items()}
+
+        with mock.patch.object(network, "_PATCH_VALUES", 3 * patch_values_per_image(lead, x.shape[1:])), \
+                mock.patch.dict(network._FORWARD, spy(network._FORWARD, "forward")), \
+                mock.patch.dict(network._WEIGHT_GRADS, spy(network._WEIGHT_GRADS, "weights")), \
+                mock.patch.dict(network._INPUT_GRAD, spy(network._INPUT_GRAD, "input")):
+            out, caches = network.forward_layers(layers, x, keep_caches=True)
+            network.backward_layers(layers, caches, rng.normal(size=out.shape))
+
+        def steps(layer, images):
+            names = ("weights", "input") if layer.spec.kind in network._WEIGHT_GRADS else ("input",)
+            return [(name, layer.spec.kind, images) for name in names]
+
+        blocks = (3, 3, 1)
+        forward = [("forward", ly.spec.kind, b) for b in blocks for ly in lead]
+        forward += [("forward", ly.spec.kind, 7) for ly in layers[4:]]
+        backward = [step for ly in reversed(layers[4:]) for step in steps(ly, 7)]
+        backward += [step for b in blocks for ly in reversed(lead) for step in steps(ly, b)]
+        assert seen == forward + backward
+
+    def test_train_repeats_under_a_small_budget(self):
+        rng = np.random.default_rng(6)
+        images, labels = rng.uniform(0, 1, (20, 10, 10)), rng.integers(3, size=20)
+        specs = (
+            [LayerSpec("conv2d", out_channels=4, kernel_size=3), LayerSpec("relu"), LayerSpec("maxpool2d", window=2),
+             LayerSpec("conv2d", out_channels=5, kernel_size=3, padding=1), LayerSpec("relu"),
+             LayerSpec("maxpool2d", window=2)],
+            [LayerSpec("flatten"), LayerSpec("dense", units=6), LayerSpec("relu"), LayerSpec("dense", units=3),
+             LayerSpec("log-softmax")],
+        )
+        config = TrainConfig(epochs=2, batch_size=8, seed=3, learning_rate=0.05)
+        default = train(*specs, images, labels, config, class_count=3)
+        # two images per block: conv1 and conv2 each have 8 * 8 * 9 * 1 = 4 * 4 * 9 * 4 = 576 patch values per image
+        with mock.patch.object(network, "_PATCH_VALUES", 2 * 576):
+            small = [train(*specs, images, labels, config, class_count=3) for _ in range(2)]
+        for a, b, c in zip(*(m.extractor + m.head for m in small + [default])):
+            for name in c.weights:
+                assert a.weights[name].tobytes() == b.weights[name].tobytes()
+                assert np.abs(a.weights[name] - c.weights[name]).max() <= 1e-12 * np.abs(c.weights[name]).max()
+
+
+class TestFrozenModelBatches:
+    """What callers of predict_batch rely on, on the frozen benchmark models."""
+
+    @pytest.mark.parametrize("name, size, count", [("ref", 28, 400), ("wide", 42, 300)])
+    def test_batch_class_equals_single_image_class(self, name, size, count):
+        # a batch pass may round an image's features differently from a one-image
+        # pass (BLAS picks its kernel by product size), but not its class
+        model = test_search.TestGreedyContraction.frozen_model(name)
+        for seed in (1, 2, 3):
+            images = gen_shapes(count, size=size, seed=seed, split="bench").images
+            single = [int(network.predict_batch(model, image[None])[0]) for image in images]
+            assert network.predict_batch(model, images).tolist() == single
+
+    def test_predict_batch_memory_is_bounded(self):
+        model = test_search.TestGreedyContraction.frozen_model("wide")
+        for count in (64, 256, 512):
+            images = gen_shapes(count, size=42, seed=1, split="bench").images
+            tracemalloc.start()
+            try:
+                network.predict_batch(model, images)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20, (count, peak)
 
 
 class TestBackwardSelection:

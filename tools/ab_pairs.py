@@ -1,0 +1,136 @@
+"""Alternating A/B pairs of the benchmark: a parent revision against this checkout.
+
+    python3 tools/ab_pairs.py --rev HEAD --workload train --seeds 101-110 --seconds 10
+
+Each pair runs `perfbench/run.py --trace 0` on the same seed once in the
+parent's tree and once in this checkout, back to back. The side that runs
+first alternates from pair to pair, so drift in machine speed falls on both
+sides alike. The parent's tree is `--rev` exported with `git archive` into a
+temporary directory, which is removed afterwards; nothing is added to the
+repository. Nothing under `perfbench/` is changed: each side runs its own copy.
+
+For every end-to-end metric of BENCHMARK.json it prints both sides' medians
+and quartiles, the relative gap of the medians, the pairs the change won
+(ties count for neither side), and whether the change clears the 9-in-10
+rule: it wins at least 9 of every 10 pairs, and its median beats the parent's
+by more than the parent's interquartile range. `--out` also writes every
+pair's metrics as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'101-110' or '3,5,8' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def export_tree(rev: str, dest: str) -> str:
+    """Write the tree of `rev` into `dest` and return the commit it names."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
+    with tempfile.TemporaryFile() as fh:
+        fh.write(archive.stdout)
+        fh.seek(0)
+        with tarfile.open(fileobj=fh) as tar:
+            tar.extractall(dest, filter="data")
+    return commit
+
+
+def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The end-to-end metrics of one benchmark run in `tree`, with `correct` and `failed`."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench in {tree} exited with {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics.update(correct=result["correct"], failed=result["failed"])
+    return metrics
+
+
+def summarize(pairs: list[dict], spec: dict) -> list[str]:
+    """One line per end-to-end metric over the (parent, change) pairs of one workload."""
+    lines = []
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        q_parent = statistics.quantiles(parent, n=4, method="inclusive") if len(pairs) > 1 else parent * 3
+        q_change = statistics.quantiles(change, n=4, method="inclusive") if len(pairs) > 1 else change * 3
+        med_p, med_c = statistics.median(parent), statistics.median(change)
+        gap = (med_c - med_p) / med_p if med_p else math.nan
+        clears = wins >= math.ceil(0.9 * len(pairs)) and sign * (med_p - med_c) > q_parent[2] - q_parent[0]
+        lines.append(
+            f"  {name:16s} parent {med_p:10.4g} [{q_parent[0]:.4g}, {q_parent[2]:.4g}]"
+            f"  change {med_c:10.4g} [{q_change[0]:.4g}, {q_change[2]:.4g}]"
+            f"  gap {gap:+7.2%}  wins {wins}/{len(pairs)} losses {losses}  9-in-10 {'yes' if clears else 'no'}"
+        )
+    return lines
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
+    p.add_argument("--workload", nargs="+", required=True, choices=[w["name"] for w in spec["workloads"]])
+    p.add_argument("--seeds", type=parse_seeds, required=True, help="one pair per seed: '101-110' or '3,5,8'")
+    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    p.add_argument("--out", help="write every pair's metrics to this JSON file")
+    args = p.parse_args(argv)
+
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree:
+        commit = export_tree(args.rev, parent_tree)
+        print(f"parent {commit} in {parent_tree}; change {ROOT}", flush=True)
+        for workload in args.workload:
+            pairs = results[workload] = []
+            for k, seed in enumerate(args.seeds):
+                sides = [("parent", parent_tree), ("change", ROOT)]
+                if k % 2:
+                    sides.reverse()
+                pair = {"seed": seed, "first": sides[0][0]}
+                for side, tree in sides:
+                    pair[side] = run_side(tree, workload, seed, args.seconds)
+                pairs.append(pair)
+                bad = [s for s in ("parent", "change") if not pair[s]["correct"] or pair[s]["failed"]]
+                print(
+                    f"{workload} seed {seed} ({pair['first']} first): op_cal_ms_p50 "
+                    f"{pair['parent']['op_cal_ms_p50']:.4g} -> {pair['change']['op_cal_ms_p50']:.4g}"
+                    + (f"  INCORRECT OR FAILED: {', '.join(bad)}" if bad else ""),
+                    flush=True,
+                )
+            print(f"{workload}: {len(pairs)} pairs")
+            print("\n".join(summarize(pairs, spec)), flush=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"parent": commit, "results": results}, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
