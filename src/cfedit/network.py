@@ -26,8 +26,13 @@ patch matrix within `_PATCH_VALUES` float64 values, and at least one: 16
 images on the 28x28 reference layers, 4 on 42x42 ones.  The layers from
 flatten on run over the whole batch.  Convolution unrolls a block into its
 patch matrix (im2col, Chellapilla et al. 2006), copying each window row as
-one record, so that its forward pass, weight gradient and input gradient
-are one GEMM each.
+one record.  Its forward pass is one stacked product, one GEMM per image of
+the block, and its weight gradient one GEMM over the block.  Its input
+gradient copies the output gradient kw times, strided, into a zero buffer
+with one column per padded input column (an im2col of the gradient along
+the width only), multiplies that by the kernel laid out as (kw·cout, kh·cin)
+in one GEMM, and adds the product into the input gradient in kh row-shifted
+slices, for every stride and padding.
 
 Max pooling takes a running `np.maximum` over the k² strided views of its
 input, then recovers for each output the index of the first maximum in
@@ -37,14 +42,15 @@ gradient to that one input.
 A forward pass that keeps no caches (every inference pass: features, head
 scores, predictions) computes none: max pooling stops after the running
 maximum and relu builds no mask, with outputs bit-identical to a pass that
-keeps them.  `forward_feature_pair` runs a query and a distractor through
-the extractor as one two-image batch, bit-identical to two single passes.
-Larger batches are not: BLAS picks its GEMM kernel by the product's size, so
-a block of four or more 28x28 images rounds conv1 differently from a one- or
-two-image pass, and an image's features can differ in their last bits with
-the batch it came in (2,389 of 20,480 values for 64 images on the frozen
-benchmark model `ref`).  Its predicted class has not differed on the
-benchmark's image sets.
+keeps them.
+
+An image's features do not depend on the batch it runs in: each conv GEMM
+has the shape of a one-image pass, and every other extractor step acts on
+each value alone, so every image of a batch, a block or the two-image batch
+of `forward_feature_pair` gets the bits of its one-image pass.  One GEMM
+over a whole block would not give them, because BLAS picks its kernel by
+the product's size: it rounded 2,375 to 2,389 of the 20,480 feature values
+of 64 images differently on the frozen benchmark model `ref`.
 """
 
 from __future__ import annotations
@@ -210,8 +216,10 @@ def _patches(xpad, kh, kw, s, oh, ow, tap_major=False):
     `tap_major` copies the patches tap by tap instead and returns the transpose
     of that copy, which GEMM reads as cheaply.  With one input channel each tap
     copies whole image rows: the reference conv1's weight gradient on a
-    16-image block then takes 0.71 ms instead of 0.87 ms (medians of 7 rounds,
-    2-vCPU Xeon, one BLAS thread)."""
+    16-image block then takes 0.72-0.75 ms, against 0.74-0.82 ms from the
+    row-record copy in the (gm.T @ P).T order that more channels use, and
+    0.83-0.92 ms in the P.T @ gm order (medians of 9 interleaved rounds, 3
+    runs, 2-vCPU Xeon, one BLAS thread)."""
     cin = xpad.shape[3]
     if tap_major:
         win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, : oh * s : s, : ow * s : s]
@@ -234,7 +242,8 @@ def _conv_forward(x, layer, keep_cache=True):
     n, hp, wp, _ = x.shape
     oh = (hp - kh) // s + 1
     ow = (wp - kw) // s + 1
-    out = _patches(x, kh, kw, s, oh, ow) @ kern.reshape(-1, cout)
+    # one GEMM per image, of the shape a one-image pass runs (see the module docstring)
+    out = _patches(x, kh, kw, s, oh, ow).reshape(n, oh * ow, -1) @ kern.reshape(-1, cout)
     out += bias
     return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
 
@@ -244,7 +253,12 @@ def _conv_weight_grads(g, layer, xpad):
     kh, kw, cin, cout = kern.shape
     _, oh, ow, _ = g.shape
     gm = g.reshape(-1, cout)
-    gk = _patches(xpad, kh, kw, layer.spec.effective_stride(), oh, ow, tap_major=cin == 1).T @ gm
+    s = layer.spec.effective_stride()
+    # the faster GEMM order for each (see `_patches`)
+    if cin == 1:
+        gk = _patches(xpad, kh, kw, s, oh, ow, tap_major=True).T @ gm
+    else:
+        gk = (gm.T @ _patches(xpad, kh, kw, s, oh, ow)).T
     # a ones-vector GEMM: a reduction over axes (0, 1, 2) runs an inner loop only cout long
     return {"kernel": gk.reshape(kern.shape), "bias": np.ones(len(gm)) @ gm}
 
@@ -254,17 +268,19 @@ def _conv_input_grad(g, layer, xpad):
     kh, kw, cin, cout = kern.shape
     s, p = layer.spec.effective_stride(), layer.spec.padding
     n, oh, ow, _ = g.shape
-    taps = (kern.reshape(-1, cout) @ g.reshape(-1, cout).T).reshape(kh, kw, cin, n, oh, ow)
-    # accumulated channels-first, so that every tap of the tap-major GEMM adds
-    # rows that are contiguous over ow on both sides; transposed back once
-    gx = np.zeros((cin,) + xpad.shape[:3])
+    wp = xpad.shape[2]
+    # g copied kw times into its input columns: cols[:, i, x, dw] is the gradient
+    # of output (i, (x - dw) / s), zero where that is no output
+    cols = np.zeros((n, oh, wp, kw, cout))
+    for dw in range(kw):
+        cols[:, :, dw : dw + ow * s : s, dw] = g
+    kern_cols = kern.transpose(1, 3, 0, 2).reshape(kw * cout, kh * cin)  # rows (dw, cout), columns (dh, cin)
+    # rows[:, i, :, dh] is output row i's gradient at input row i·s + dh
+    rows = (cols.reshape(-1, kw * cout) @ kern_cols).reshape(n, oh, wp, kh, cin)
+    gx = np.zeros(xpad.shape)
     for dh in range(kh):
-        for dw in range(kw):
-            gx[:, :, dh : dh + oh * s : s, dw : dw + ow * s : s] += taps[dh, dw]
-    gx = gx.transpose(1, 2, 3, 0)
-    if p:
-        gx = gx[:, p:-p, p:-p, :]
-    return np.ascontiguousarray(gx)
+        gx[:, dh : dh + oh * s : s] += rows[:, :, :, dh]
+    return gx[:, p : gx.shape[1] - p, p : gx.shape[2] - p]
 
 
 def _pool_forward(x, layer, keep_cache=True):
@@ -693,22 +709,25 @@ def train(
     test_labels=None,
     class_count: int | None = None,
 ) -> ModelBundle:
-    """SGD-with-momentum trainer; deterministic given config.seed."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[..., None]
-    labels = np.asarray(labels, dtype=int)
-    sets = [(images, labels)]
-    if test_images is not None and test_labels is not None:
-        sets.append((np.asarray(test_images, dtype=np.float64), np.asarray(test_labels, dtype=int)))
+    """SGD-with-momentum trainer; deterministic given config.seed.  The
+    optional test set, given whole or not at all, is checked against the
+    training set before the first step and scored after the last."""
+    if (test_images is None) != (test_labels is None):
+        raise ShapeError("test_images and test_labels must be given together")
+    sets = [(images, labels)] + ([] if test_images is None else [(test_images, test_labels)])
+    sets = [(np.asarray(imgs, dtype=np.float64), np.asarray(labs, dtype=int)) for imgs, labs in sets]
+    sets = [(imgs[..., None] if imgs.ndim == 3 else imgs, labs) for imgs, labs in sets]
+    images, labels = sets[0]
     for imgs, labs in sets:
         if labs.shape != imgs.shape[:1]:
             raise ShapeError(f"label shape {labs.shape} does not match {len(imgs)} images")
+        if imgs.shape[1:] != images.shape[1:]:
+            raise ShapeError(f"test image shape {imgs.shape[1:]} does not match training images {images.shape[1:]}")
     if len(images) == 0:
         raise ShapeError("dataset is empty")
     if class_count is None:
         class_count = int(labels.max()) + 1
-    if np.any(labels >= class_count) or np.any(labels < 0):
+    if any(np.any(labs >= class_count) or np.any(labs < 0) for _, labs in sets):
         raise ShapeError("labels must lie in [0, class_count)")
 
     init_rng = substream(config.seed, "init")

@@ -1,0 +1,80 @@
+"""tools/ab_pairs.py on synthetic pairs: seed parsing, per-metric comparison
+and the 9-in-10 verdict, with no benchmark run."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("ab_pairs", os.path.join(ROOT, "tools", "ab_pairs.py"))
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+# ten parent runs: median 104.5, quartiles 102.25 and 106.75 (an IQR of 4.5)
+PARENT = [float(v) for v in range(100, 110)]
+
+
+@pytest.mark.parametrize(
+    "text, seeds",
+    [("101-103,7", [101, 102, 103, 7]), ("5", [5]), ("3,5,8", [3, 5, 8]), ("9-9", [9]), ("1-2,4-5", [1, 2, 4, 5])],
+)
+def test_parse_seeds(text, seeds):
+    assert ab_pairs.parse_seeds(text) == seeds
+
+
+def test_wins_losses_and_ties():
+    r = ab_pairs.compare([10.0, 10.0, 10.0, 10.0, 10.0], [9.0, 11.0, 10.0, 8.0, 10.0], "lower")
+    assert (r["wins"], r["losses"]) == (2, 1)  # the two equal pairs count for neither side
+    assert r["parent"] == 10.0 and r["change"] == 10.0 and r["gap"] == 0.0
+    assert not r["clears"]
+
+
+def test_higher_is_better_flips_the_sign():
+    change = [v + 10 for v in PARENT]
+    higher, lower = ab_pairs.compare(PARENT, change, "higher"), ab_pairs.compare(PARENT, change, "lower")
+    assert (higher["wins"], higher["losses"], higher["clears"]) == (10, 0, True)
+    assert (lower["wins"], lower["losses"], lower["clears"]) == (0, 10, False)
+    assert higher["gap"] == lower["gap"] == pytest.approx(10 / 104.5)
+
+
+def test_quartiles_are_inclusive():
+    r = ab_pairs.compare(PARENT, [v - 10 for v in PARENT], "lower")
+    assert r["parent"] == 104.5 and r["parent_q"] == (102.25, 106.75)
+    assert r["change"] == 94.5 and r["change_q"] == (92.25, 96.75)
+
+
+@pytest.mark.parametrize(
+    "shift, losing_pairs, clears",
+    [
+        (10.0, 0, True),  # 10 of 10, the gap 10 beyond the parent IQR 4.5
+        (10.0, 1, True),  # 9 of 10 is enough
+        (10.0, 2, False),  # 8 of 10 is not
+        (4.0, 0, False),  # 10 of 10, but the median gap 4 lies inside the parent IQR
+        (4.5, 0, False),  # a gap equal to the IQR does not beat it
+        (5.0, 0, True),
+    ],
+)
+def test_nine_in_ten_verdict(shift, losing_pairs, clears):
+    change = [v - shift for v in PARENT]
+    for k in range(losing_pairs):  # pairs far from the median, so that the change's median stays put
+        change[k * 9] = PARENT[k * 9] + 1
+    r = ab_pairs.compare(PARENT, change, "lower")
+    assert (r["wins"], r["losses"]) == (10 - losing_pairs, losing_pairs)
+    assert r["clears"] is clears
+
+
+def test_summarize_prints_one_line_per_metric():
+    spec = {"end_to_end": [{"name": "op_ms", "better": "lower"}, {"name": "items", "better": "higher"}]}
+    pairs = [{"parent": {"op_ms": p, "items": 1000 / p}, "change": {"op_ms": p - 10, "items": 1000 / (p - 10)}}
+             for p in PARENT]
+    lines = ab_pairs.summarize(pairs, spec)
+    assert len(lines) == 2
+    assert lines[0].split()[0] == "op_ms" and "wins 10/10 losses 0" in lines[0] and lines[0].endswith("9-in-10 yes")
+    assert lines[1].split()[0] == "items" and "wins 10/10 losses 0" in lines[1]
+    assert "gap  -9.57%" in lines[0]
+
+
+def test_a_single_pair_has_no_spread():
+    r = ab_pairs.compare([10.0], [9.0], "lower")
+    assert r["parent_q"] == (10.0, 10.0) and r["wins"] == 1 and r["clears"]

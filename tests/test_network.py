@@ -441,6 +441,16 @@ class TestImageBlocks:
             for name in want:
                 assert_close_to_reference(got[name], want[name])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(conv_stacks(), st.data())
+    def test_batch_output_equals_one_image_outputs(self, stack, data):
+        layers, x = stack
+        per_image = patch_values_per_image(layers, x.shape[1:])
+        images = data.draw(st.integers(1, len(x)), label="images per block")
+        single = np.concatenate([network.forward_layers(layers, image[None]) for image in x])
+        with mock.patch.object(network, "_PATCH_VALUES", images * per_image):
+            assert network.forward_layers(layers, x).tobytes() == single.tobytes()
+
     def test_remainder_block(self):
         # seven images at three a block: every per-image kernel sees 3, 3 and 1
         # images, forward and back, and every later kernel all seven
@@ -512,10 +522,24 @@ class TestImageBlocks:
 class TestFrozenModelBatches:
     """What callers of predict_batch rely on, on the frozen benchmark models."""
 
+    @pytest.mark.parametrize("blocks", ["default", "three-image"])
+    @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
+    def test_batch_features_equal_single_image_features(self, name, size, blocks):
+        model = test_search.TestGreedyContraction.frozen_model(name)
+        budget = network._PATCH_VALUES
+        if blocks == "three-image":  # 64 images make 21 blocks of three and a remainder of one
+            budget = 3 * patch_values_per_image(model.extractor, model.input_shape)
+        for seed in (1, 2, 3):
+            images = network._as_batch(model, gen_shapes(64, size=size, seed=seed, split="bench").images)
+            single = np.concatenate([network.forward_layers(model.extractor, image[None]) for image in images])
+            with mock.patch.object(network, "_PATCH_VALUES", budget):
+                batch, caches = network.forward_layers(model.extractor, images, keep_caches=True)
+            # 16 images a block at 28x28 and 4 at 42x42 by default
+            assert len(caches[0]) == (22 if blocks == "three-image" else {"ref": 4, "wide": 16}[name])
+            assert batch.tobytes() == single.tobytes()
+
     @pytest.mark.parametrize("name, size, count", [("ref", 28, 400), ("wide", 42, 300)])
     def test_batch_class_equals_single_image_class(self, name, size, count):
-        # a batch pass may round an image's features differently from a one-image
-        # pass (BLAS picks its kernel by product size), but not its class
         model = test_search.TestGreedyContraction.frozen_model(name)
         for seed in (1, 2, 3):
             images = gen_shapes(count, size=size, seed=seed, split="bench").images
@@ -852,6 +876,54 @@ class TestTrain:
                 **tests,
             )
         assert passes == []
+
+    @pytest.mark.parametrize(
+        "test_set, match",
+        [
+            ({"test_images": (5, 7, 7), "test_labels": [0] * 5}, "test image shape"),
+            ({"test_images": (5, 6, 6, 2), "test_labels": [0] * 5}, "test image shape"),
+            ({"test_images": (3, 6, 6), "test_labels": [7, 0, 1]}, "labels must lie"),
+            ({"test_images": (3, 6, 6), "test_labels": [0, 9, 1]}, "labels must lie"),
+            ({"test_images": (3, 6, 6), "test_labels": [0, 1, -1]}, "labels must lie"),
+            ({"test_images": (3, 6, 6)}, "together"),
+            ({"test_labels": [0, 1, 2]}, "together"),
+        ],
+        ids=["size", "channels", "label-7", "label-9", "label-minus-1", "images-only", "labels-only"],
+    )
+    def test_bad_test_set_raises_before_the_first_step(self, monkeypatch, test_set, match):
+        rng = np.random.default_rng(5)
+        images, labels = rng.uniform(0, 1, (10, 6, 6)), rng.integers(4, size=10)
+        if "test_images" in test_set:
+            test_set = dict(test_set, test_images=rng.uniform(0, 1, test_set["test_images"]))
+        passes = []
+        monkeypatch.setattr(network, "forward_layers", lambda *args, **kwargs: passes.append(args))
+        with pytest.raises(ShapeError, match=match):
+            train(
+                [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
+                [LayerSpec("flatten"), LayerSpec("dense", units=4), LayerSpec("log-softmax")],
+                images,
+                labels,
+                TrainConfig(epochs=1, seed=0),
+                class_count=4,
+                **test_set,
+            )
+        assert passes == []
+
+    def test_test_set_is_scored(self):
+        rng = np.random.default_rng(5)
+        images, labels = rng.uniform(0, 1, (10, 6, 6)), rng.integers(4, size=10)
+        model = train(
+            [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
+            [LayerSpec("flatten"), LayerSpec("dense", units=4), LayerSpec("log-softmax")],
+            images,
+            labels,
+            TrainConfig(epochs=1, seed=0),
+            test_images=images[:4, ..., None],
+            test_labels=labels[:4],
+            class_count=4,
+        )
+        expected = np.mean(network.predict_batch(model, images[:4]) == labels[:4])
+        assert model.metrics["test_accuracy"] == expected
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_training_error(self):

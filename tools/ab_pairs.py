@@ -70,24 +70,35 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return metrics
 
 
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles, relative gap, wins, losses and the 9-in-10 verdict
+    of one metric over paired runs; `better` is "lower" or "higher"."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q_parent = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
+    q_change = statistics.quantiles(change, n=4, method="inclusive") if len(change) > 1 else change * 3
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    return {
+        "parent": med_p, "parent_q": (q_parent[0], q_parent[2]),
+        "change": med_c, "change_q": (q_change[0], q_change[2]),
+        "gap": (med_c - med_p) / med_p if med_p else math.nan,
+        "wins": wins, "losses": losses,
+        "clears": wins >= math.ceil(0.9 * len(parent)) and sign * (med_p - med_c) > q_parent[2] - q_parent[0],
+    }
+
+
 def summarize(pairs: list[dict], spec: dict) -> list[str]:
     """One line per end-to-end metric over the (parent, change) pairs of one workload."""
     lines = []
     for m in spec["end_to_end"]:
-        name, sign = m["name"], 1 if m["better"] == "lower" else -1
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
-        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        q_parent = statistics.quantiles(parent, n=4, method="inclusive") if len(pairs) > 1 else parent * 3
-        q_change = statistics.quantiles(change, n=4, method="inclusive") if len(pairs) > 1 else change * 3
-        med_p, med_c = statistics.median(parent), statistics.median(change)
-        gap = (med_c - med_p) / med_p if med_p else math.nan
-        clears = wins >= math.ceil(0.9 * len(pairs)) and sign * (med_p - med_c) > q_parent[2] - q_parent[0]
+        name = m["name"]
+        r = compare([p["parent"][name] for p in pairs], [p["change"][name] for p in pairs], m["better"])
         lines.append(
-            f"  {name:16s} parent {med_p:10.4g} [{q_parent[0]:.4g}, {q_parent[2]:.4g}]"
-            f"  change {med_c:10.4g} [{q_change[0]:.4g}, {q_change[2]:.4g}]"
-            f"  gap {gap:+7.2%}  wins {wins}/{len(pairs)} losses {losses}  9-in-10 {'yes' if clears else 'no'}"
+            f"  {name:16s} parent {r['parent']:10.4g} [{r['parent_q'][0]:.4g}, {r['parent_q'][1]:.4g}]"
+            f"  change {r['change']:10.4g} [{r['change_q'][0]:.4g}, {r['change_q'][1]:.4g}]"
+            f"  gap {r['gap']:+7.2%}  wins {r['wins']}/{len(pairs)} losses {r['losses']}"
+            f"  9-in-10 {'yes' if r['clears'] else 'no'}"
         )
     return lines
 
