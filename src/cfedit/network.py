@@ -350,15 +350,21 @@ def _dense_input_grad(g, layer, x):
     return g @ layer.weights["weight"].T
 
 
-def _log_softmax(x, target=None):
-    """Log-softmax over the last (class) axis of `x`, or only its class
-    `target` (the last axis dropped) when one is given.
+def _log_softmax(x):
+    """Log-softmax over the last (class) axis of `x`: z - lse of `_shift_lse`."""
+    z, lse = _shift_lse(x)
+    return z - lse[..., None]
+
+
+def _shift_lse(x):
+    """(z, lse): `x` less its maximum over the last (class) axis, and the log
+    of the sum of exp(z) over that axis, whose difference is the log-softmax.
 
     It works on class columns: a running maximum, the shift and exp, then a
     sum that adds the columns in class order.  No step reduces along the
     short class axis, whose sum order is numpy's choice (pairwise from 8
     values on), so a row's result depends on that row alone, whatever the
-    batch, and the `target` column equals that column of the full output.
+    batch, and z[..., c] - lse equals column c of the full log-softmax.
     """
     classes = x.shape[-1]
     m = x[..., 0]
@@ -369,8 +375,7 @@ def _log_softmax(x, target=None):
     s = e[..., 0]
     for c in range(1, classes):
         s = s + e[..., c]
-    lse = np.log(s)
-    return z - lse[..., None] if target is None else z[..., target] - lse
+    return z, np.log(s)
 
 
 def _logsoftmax_forward(x, layer, keep_cache=True):

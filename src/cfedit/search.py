@@ -27,13 +27,14 @@ only when its hw·hw·units values, and the differences they are made from,
 fit in one block (larger grids compute each block's rows, and each committed
 edit's one row, per step).  Committing edit (i, j) adds its contraction row
 to z0, which equals the pre-activation of that scored candidate bit for bit,
-because IEEE addition commutes.  Each scored block keeps the head logits of
-its best candidate, so a trajectory entry is the full log-softmax of the
-committed candidate's scored row: its target entry is the score that chose
-the edit, bit for bit, and no per-step edited grid or one-grid head pass is
-built.  The relaxed strategy still applies each edit to a grid and runs the
-head on it.  Query and distractor go through the extractor as one two-image
-batch.
+because IEEE addition commutes.  The log-softmax works on class columns, so
+a row's value does not depend on its block, and a trajectory entry is the
+committed candidate's row of its scored block, z - lse: its target entry is
+the score that chose the edit, bit for bit, and no per-step edited grid or
+one-grid head pass is built.  Greedy holds the open query and source cells
+as masks and closes an edit's cells when it commits it.  The relaxed
+strategy still applies each edit to a grid and runs the head on it.  Query
+and distractor go through the extractor as one two-image batch.
 
 Most query cells cannot hold a step's best edit, and greedy skips them
 exactly (interval bound propagation, Gowal et al. 2018).  Once per pair,
@@ -47,9 +48,10 @@ with D_target = 0, is at least the score of every edit of that cell.  The
 leader is a score some open candidate reaches: the best of the edits each
 cell took when it was last scored, where that source is still open, or at
 a pair's first step the best edit of the cell with the largest bound.
-Only the cells whose ub reaches the leader less a margin tau go to the
-step's one `candidate_scores` call, in ascending order.  tau is the float64
-rounding error these computations can make, from the dot-product error
+Only the cells whose ub reaches the leader less a margin tau are scored, in
+ascending order and block by block, and the step's argmax runs over those
+blocks without an (hw, hw) array.  tau is the float64 rounding error these
+computations can make, from the dot-product error
 bound gamma_k (Higham 2002, ch. 3) over the magnitudes the step sees (|z0|
 plus the largest |C|, |W| and |b|); it is about 1.6e-13 of G, the bound on
 |logit| those magnitudes give, about 1e-11 on a 7x7 shapes model.  Every
@@ -58,8 +60,9 @@ depend on which other cells are scored, and so the chosen edit, the tie
 rule, the trajectory and the records are what scoring every open cell
 gives, bit for bit.  The bound is skipped below `_BOUND_CANDIDATES`
 candidates per step, where scoring every open cell costs less than
-bounding; the relaxed strategy and calls without a carry score every open
-cell.
+bounding, and for the rest of a pair after a step whose bound keeps every
+open cell, as it does on random weights; the relaxed strategy and
+`best_edit_exhaustive` score every open cell.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid, open_cells, single_edit
-from .network import ModelBundle, _log_softmax, _mlp_forward, forward_feature_pair, head_logprobs
+from .network import ModelBundle, _mlp_forward, _shift_lse, forward_feature_pair, head_logprobs
 from .relaxed import RelaxOptConfig, best_edits_relaxed
 
-# float64 values one block of query cells may hold in candidate_scores (16 MB);
+# float64 values one block of scored query cells may hold (16 MB);
 # only open query cells are scored, and only the target class's log-probability
 # is kept
 _BLOCK_VALUES = 1 << 21
@@ -144,85 +147,32 @@ def best_edit_exhaustive(
     target_class: int,
     excluded_query=(),
     excluded_source=(),
-    carry=None,
 ) -> tuple[int, int, float]:
     """Single edit maximizing the target-class log-probability over all
-    non-excluded (query cell, source cell) pairs. Returns (i, j2, score).
-    `carry` is passed on to `candidate_scores`."""
+    non-excluded (query cell, source cell) pairs. Returns (i, j2, score)."""
     model.check_class(target_class)
     open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
-    rows = np.flatnonzero(open_q)
-    if carry is not None and carry.bound is not None:
-        rows = carry.rows_to_score(target_class, rows, open_s)
-    scores = candidate_scores(model, F, F2, target_class, rows, carry, open_s)
-    flat = int(np.argmax(scores))  # first occurrence: smallest i, then smallest j2
-    i, j2 = divmod(flat, F.cells)
-    return i, j2, float(scores[i, j2])
-
-
-def candidate_scores(
-    model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int, rows, carry=None, sources=None
-) -> np.ndarray:
-    """Target-class log-probability of every single edit of the query cells
-    `rows` (indices, ascending), as an (hw, hw) array indexed by (query cell,
-    source cell); every other row, and every source column outside the
-    boolean mask `sources` (None: all), is -inf.
-
-    The head is flatten -> dense -> (dense | relu)* -> log-softmax.  With
-    that first dense layer's weight W and bias b, the first dense output of
-    edit (i, j) is z0 + (F2[j] - F[i]) . W_i, where z0 = vec(F) . W + b and
-    W_i is the (d, units) block of W for cell i; only the layers after that
-    dense layer run on the candidates, and of the log-softmax only the target
-    column.  The difference is taken before the product, so no-op edits
-    (F2[j] == F[i]) and identical source rows score bit-identically, and a
-    row's scores do not depend on which other rows are scored with it.
-
-    `carry`, a `_Carry` of the grid pair, scores its own grids, with its z0
-    and contraction (F's rows `rows` must equal its query grid's), and gets
-    the head logits of the best candidate scored here, found under the same
-    tie rule as `best_edit_exhaustive`, and, when it keeps them, each scored
-    row's best source.  None computes z0 here and the contraction one block
-    at a time.
-    """
-    model.check_grids(F, F2)
-    n = F.cells
-    state = _Carry(model, F, F2, greedy=False) if carry is None else carry
-    rows = np.asarray(rows, dtype=int)
-    out = np.full((n, n), -np.inf)
-    best = None
-    for lo in range(0, len(rows), state.block_rows):
-        q = rows[lo : lo + state.block_rows]
-        z = state.logits(q)
-        block = _log_softmax(z, target_class).reshape(len(q), n)
-        if sources is not None:
-            block[:, ~sources] = -np.inf
-        out[q] = block
-        if carry is not None:
-            if carry.row_sources is not None:
-                carry.row_sources[q] = block.argmax(axis=1)
-            k = int(np.argmax(block))  # blocks come in row order, so a later block must beat it strictly
-            if best is None or block.flat[k] > best[0]:
-                best = (block.flat[k], z[k : k + 1].copy())
-    if carry is not None:
-        carry.best_logits = None if best is None else best[1]
-    return out
+    carry = _Carry(model, F, F2, greedy=False)
+    i, j2 = carry.step(target_class, open_q, open_s)
+    return i, j2, float(carry.logprobs[target_class])
 
 
 class _Carry:
     """What greedy carries between the exhaustive steps of the pair (F, F2):
     the current grid's pre-activation z0 in the head's first dense layer, the
     edit contraction (F2[j] - F[i]) . W_i of the query grid F when it is
-    stored, the `tail` of the head's `mlp` after that layer, and the
-    (1, classes) head logits of the best candidate the last scoring saw.
+    stored, the `tail` of the head's `mlp` after that layer, and the full
+    log-probabilities of the edit the last `step` chose (`logprobs`).
 
     Greedy's carry (`greedy`) stores the contraction when it fits, and on a
     grid of at least `_BOUND_CANDIDATES` candidates also holds the interval
     bound on each query cell's best score and the source cell each cell's
     best edit took when last scored (-1 before), from which each step picks
-    the cells it scores (`rows_to_score`).  `candidate_scores`' own carry
-    does neither."""
+    the cells it scores (`rows_to_score`), until a step whose bound keeps
+    every open cell.  `best_edit_exhaustive`'s one-off carry does neither."""
 
     def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, greedy: bool):
+        model.check_grids(F, F2)
         (weight, bias), *tail = model.mlp
         self.F, self.F2, self.tail = F, F2, tuple(tail)
         n, d = F.values.shape
@@ -239,7 +189,7 @@ class _Carry:
             # cells reduce over the outermost axis; the products are the same
             out = np.empty((n, n, units)).transpose(1, 0, 2) if bounded else None
             self.contraction = np.matmul(F2.values[None] - F.values[:, None, :], self.W, out=out)
-        self.best_logits = None
+        self.logprobs = None
         self.bound = self.row_sources = None
         if bounded:
             self.bound = _RowBound(self.tail, *self._source_extremes(), self._pair_error())
@@ -279,10 +229,48 @@ class _Carry:
 
     def logits(self, q):
         """Head logits of every edit of the query cells `q`, as
-        (len(q) * hw, classes); a row's bits do not depend on `q`'s others."""
+        (len(q) * hw, classes); a row's bits do not depend on `q`'s others.
+        Edit (i, j)'s first dense output is z0 + (F2[j] - F[i]) . W_i, the
+        difference taken before the product, so no-op edits (F2[j] == F[i])
+        and identical source rows score bit-identically."""
         z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
         z += self.z0
         return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
+
+    def blocks(self, target: int, rows, sources):
+        """Score the edits of the query cells `rows` (ascending) one block at
+        a time.  Yields the block's cells q, their (len(q), hw) target-class
+        log-probabilities, with the source columns outside the boolean mask
+        `sources` at -inf, and the `_shift_lse` (z, lse) of their len(q) * hw
+        logit rows, from which any row's log-softmax is z - lse."""
+        for lo in range(0, len(rows), self.block_rows):
+            q = rows[lo : lo + self.block_rows]
+            z, lse = _shift_lse(self.logits(q))
+            block = (z[:, target] - lse).reshape(len(q), -1)
+            block[:, ~sources] = -np.inf
+            yield q, block, z, lse
+
+    def step(self, target: int, open_q, open_s) -> tuple[int, int]:
+        """The best edit (i, j2) over the query and source cells the boolean
+        masks `open_q` and `open_s` leave open, ties going to the smallest i,
+        then the smallest j2; its full log-probabilities go to `logprobs`.
+        Bounded, it scores only the rows `rows_to_score` keeps, and stops
+        bounding for the rest of the pair once the bound keeps them all."""
+        rows = np.flatnonzero(open_q)
+        if self.bound is not None:
+            kept = self.rows_to_score(target, rows, open_s)
+            if len(kept) == len(rows):
+                self.bound = self.row_sources = None
+            rows = kept
+        best = None
+        for q, block, z, lse in self.blocks(target, rows, open_s):
+            if self.row_sources is not None:
+                self.row_sources[q] = block.argmax(axis=1)
+            k = int(np.argmax(block))  # blocks come in row order, so a later block must beat it strictly
+            if best is None or block.flat[k] > best:
+                r, j2 = divmod(k, block.shape[1])
+                best, edit, self.logprobs = block.flat[k], (int(q[r]), j2), z[k] - lse[k]
+        return edit
 
     def _pair_logits(self, i, j):
         """Head logits of the edits (i[k], j[k]), as (len(i), classes), within
@@ -323,10 +311,11 @@ class _Carry:
         return rows[ub_sums <= lead * math.exp(margin)]
 
     def commit(self, i: int, j2: int) -> np.ndarray:
-        """Apply edit (i, j2), the best candidate of the last scoring, to z0,
-        and return the edited grid's log-probabilities from its scored row."""
-        self.z0 = self.z0 + self.contraction_rows([i])[0, j2]
-        return _log_softmax(self.best_logits)[0]
+        """Apply edit (i, j2), the last step's, to z0, and return the edited
+        grid's log-probabilities from its scored row."""
+        C = self.contraction
+        self.z0 = self.z0 + (C[i, j2] if C is not None else self.contraction_rows([i])[0, j2])
+        return self.logprobs
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -486,8 +475,7 @@ def greedy_counterfactual(
     h, w = F.h, F.w
     # every step closes its query cell, so no run can outlast the cell count
     max_edits = min(config.max_edits or F.cells, F.cells)
-    excluded_q: list[int] = []
-    excluded_s: list[int] = []
+    open_q, open_s = np.ones((2, F.cells), dtype=bool)  # the cells a step may still use
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]
     # open query cells keep their unedited values, so a carry scores every step on F
@@ -495,15 +483,15 @@ def greedy_counterfactual(
     current = F
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:
-        step = (current, F2, target_class, excluded_q, excluded_s)
-        if config.relax is None:
-            i, j2, _ = best_edit_exhaustive(model, *step, carry=carry)
-        else:
+        if carry is None:
+            step = (current, F2, target_class, np.flatnonzero(~open_q), np.flatnonzero(~open_s))
             i, j2, *_ = best_edits_relaxed(model, [step], config.relax)[0]
+        else:
+            i, j2 = carry.step(target_class, open_q, open_s)
         quads.append((i // w, i % w, j2 // w, j2 % w))
-        excluded_q.append(i)
+        open_q[i] = False
         if config.exclusion_policy == "query-and-distractor-cells":
-            excluded_s.append(j2)
+            open_s[j2] = False
         if carry is None:
             current = single_edit(current, F2, i, j2)
             lp = head_logprobs(model, current)

@@ -21,6 +21,7 @@ from cfedit.network import (
     train,
 )
 from cfedit.rng import substream
+from cfedit.search import _Carry
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -149,6 +150,18 @@ def layered_head_pass(model, targets):
         return out, g.reshape(values.shape)
 
     return run
+
+
+def candidate_scores(model, F, F2, target_class, rows) -> np.ndarray:
+    """Target-class log-probability of every single edit of the query cells
+    `rows` (ascending), as an (hw, hw) array indexed by (query cell, source
+    cell), every other row -inf: the blocks that exhaustive search scores."""
+    n = F.cells
+    out = np.full((n, n), -np.inf)
+    every_source = np.ones(n, bool)
+    for q, block, _, _ in _Carry(model, F, F2, greedy=False).blocks(target_class, np.asarray(rows, int), every_source):
+        out[q] = block
+    return out
 
 
 def brute_force_best_edit(model, F, F2, target_class, excluded_query=(), excluded_source=()):

@@ -1,5 +1,6 @@
-"""tools/ab_pairs.py on synthetic pairs: seed parsing, per-metric comparison
-and the 9-in-10 verdict, with no benchmark run."""
+"""tools/ab_pairs.py on synthetic pairs: seed parsing, per-metric comparison,
+the 9-in-10 verdict and the byte comparison of the records both trees wrote,
+with no benchmark run."""
 
 import importlib.util
 import os
@@ -78,3 +79,38 @@ def test_summarize_prints_one_line_per_metric():
 def test_a_single_pair_has_no_spread():
     r = ab_pairs.compare([10.0], [9.0], "lower")
     assert r["parent_q"] == (10.0, 10.0) and r["wins"] == 1 and r["clears"]
+
+
+def write_records(tree, workload, files):
+    """Write {relative path: bytes} under tree/perfbench/out/<workload>/records."""
+    for rel, data in files.items():
+        path = tree / "perfbench" / "out" / workload / "records" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+def test_identical_records_are_reported_identical(tmp_path):
+    files = {"pair_0000.json": b'{"edits": []}', "pair_0000/query.pgm": b"P5 1 1 255\n\x00"}
+    for side in ("parent", "change"):
+        write_records(tmp_path / side, "explain-ref", files)
+    count, differ = ab_pairs.differing_records(str(tmp_path / "parent"), str(tmp_path / "change"), "explain-ref")
+    assert (count, differ) == (2, [])
+    assert ab_pairs.records_line(count, differ) == "records identical (2 files)"
+
+
+def test_differing_and_one_sided_records_are_named(tmp_path):
+    write_records(tmp_path / "parent", "explain-wide", {"a.json": b"1", "b.json": b"2", "gone.json": b""})
+    write_records(tmp_path / "change", "explain-wide", {"a.json": b"1", "b.json": b"3", "new/c.pgm": b""})
+    write_records(tmp_path / "change", "explain-ref", {"a.json": b"9"})  # another workload's records are not read
+    count, differ = ab_pairs.differing_records(str(tmp_path / "parent"), str(tmp_path / "change"), "explain-wide")
+    assert (count, differ) == (4, ["b.json", "gone.json", os.path.join("new", "c.pgm")])
+    line = ab_pairs.records_line(count, differ)
+    assert line == f"records differ (3 of 4): b.json, gone.json, {os.path.join('new', 'c.pgm')}"
+    many = [f"pair_{k:04d}.json" for k in range(12)]
+    assert ab_pairs.records_line(480, many) == f"records differ (12 of 480): {', '.join(many[:10])} and 2 more"
+
+
+def test_a_workload_without_records(tmp_path):
+    count, differ = ab_pairs.differing_records(str(tmp_path / "parent"), str(tmp_path / "change"), "train")
+    assert (count, differ) == (0, [])
+    assert ab_pairs.records_line(count, differ) == "no records written"

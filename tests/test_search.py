@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cfedit import search
 from cfedit.data import gen_shapes
 from cfedit.errors import BoundsError, ExhaustedError, ShapeError
-from cfedit.grids import FeatureGrid, single_edit
+from cfedit.grids import FeatureGrid, open_cells, single_edit
 from cfedit.metrics import relaxation_fidelity
 from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
 from cfedit.relaxed import RelaxOptConfig, best_edits_relaxed
@@ -20,11 +20,10 @@ from cfedit.search import (
     ExplanationResult,
     SearchConfig,
     best_edit_exhaustive,
-    candidate_scores,
     greedy_counterfactual,
 )
 
-from conftest import brute_force_best_edit, identity_feature_model, make_model, random_grid
+from conftest import brute_force_best_edit, candidate_scores, identity_feature_model, make_model, random_grid
 
 
 def min_edit_oracle(model, F, F2, target_class, max_size=2, policy="query-and-distractor-cells"):
@@ -499,15 +498,15 @@ class TestGreedyContraction:
     def check_replay(self, head, block_values, policy, monkeypatch):
         if block_values is not None:  # 1 and 300 leave no room for the contraction
             monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
-        seen = []  # (carried state, contraction stored, returned score) per greedy step
-        best_edit = search.best_edit_exhaustive
+        seen = []  # (carry, contraction stored, chosen edit's score) per step
+        step = search._Carry.step
 
-        def spy(*args, carry=None):
-            got = best_edit(*args, carry=carry)
-            seen.append((carry is not None, carry is not None and carry.contraction is not None, got[2]))
+        def spy(self, target, open_q, open_s):
+            got = step(self, target, open_q, open_s)
+            seen.append((id(self), self.contraction is not None, self.logprobs[target]))
             return got
 
-        monkeypatch.setattr(search, "best_edit_exhaustive", spy)
+        monkeypatch.setattr(search._Carry, "step", spy)
         rng = np.random.default_rng(93)
         h, w, d, classes = 3, 3, 2, 4
         steps = 0
@@ -529,13 +528,16 @@ class TestGreedyContraction:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy))
+                    steps_seen = seen[:]  # the replay's best_edit_exhaustive steps come after
                     edits, trajectory, status = self.replay(model, query, distractor, target, policy)
                     assert (got.edits.edits, got.status) == (edits, status)
                     np.testing.assert_allclose(got.trajectory, trajectory, rtol=1e-12, atol=0)
                     assert got.trajectory[0] == trajectory[0]  # the unedited grid's one-grid pass
-                    assert [s[:2] for s in seen] == [(True, block_values is None)] * got.edit_count
+                    # every step runs on the pair's one carried state
+                    assert len(steps_seen) == got.edit_count and len({s[0] for s in steps_seen}) <= 1
+                    assert [s[1] for s in steps_seen] == [block_values is None] * got.edit_count
                     # each entry is the committed candidate's scored row
-                    assert [b for _, b in got.trajectory[1:]] == [s[2] for s in seen]
+                    assert [b for _, b in got.trajectory[1:]] == [s[2] for s in steps_seen]
                     steps += got.edit_count
         assert steps >= 30
 
@@ -677,7 +679,7 @@ class TestRowBound:
             carry.z0 = carry.z0 + drift * rng.normal(size=carry.z0.shape)  # as committed edits leave it
             i, j = np.divmod(np.arange(n * n), n)
             for target in range(classes):
-                scores = candidate_scores(model, F, F2, target, range(n), carry)
+                scores = np.concatenate([b for _, b, _, _ in carry.blocks(target, np.arange(n), np.ones(n, bool))])
                 assert np.all(np.isfinite(scores))
                 bounds = carry.bound.sums(carry.z0, target)
                 if bounds is None:  # logits this large keep every cell
@@ -704,9 +706,12 @@ class TestRowBound:
         return model
 
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
-    def test_exact_ties_across_cells_go_to_the_smallest_cell(self, policy, monkeypatch):
+    @pytest.mark.parametrize("block_rows", [None, 1, 2])
+    def test_exact_ties_across_cells_go_to_the_smallest_cell(self, policy, block_rows, monkeypatch):
         monkeypatch.setattr(search, "_BOUND_CANDIDATES", 1)
         model = self.tied_model()
+        if block_rows is not None:  # the tied cells span blocks, and the contraction is not stored
+            monkeypatch.setattr(search, "_BLOCK_VALUES", block_rows * 9 * (2 + model.mlp[0][0].shape[1]))
         rng = np.random.default_rng(6)
         f, g = rng.normal(size=2), rng.normal(size=2)
         F2 = FeatureGrid(3, 3, 2, rng.normal(size=(9, 2)))
@@ -725,9 +730,13 @@ class TestRowBound:
                 tied = [i for i in range(9) if allowed[i].max() == allowed.max()]
                 assert len(tied) >= 2
                 carry = search._Carry(model, F, F2, greedy=True)
+                assert min(carry.block_rows, 9) == (block_rows or 9) and (carry.contraction is None) == bool(block_rows)
                 # the leader comes from the last of the tied cells, not the first
                 carry.row_sources[tied[-1]] = np.argmax(allowed[tied[-1]])
-                got = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s, carry=carry)
+                got = carry.step(target, *open_cells(9, ex_q, ex_s)), carry.logprobs[target]
+                assert got == ((tied[0], np.argmax(allowed[tied[0]])), allowed.max())
+                # every open cell scored, as best_edit_exhaustive scores them
+                got = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s)
                 assert got == (tied[0], np.argmax(allowed[tied[0]]), allowed.max())
                 ex_q.append(got[0])
                 if policy == "query-and-distractor-cells":
@@ -765,8 +774,8 @@ class TestRowBound:
         monkeypatch.setattr(carry.bound, "sums", lambda z0, t: (sums, margin))
         kept = carry.rows_to_score(target, np.arange(9), np.ones(9, bool))
         assert list(kept) == [a, b]
-        got = best_edit_exhaustive(model, F, F2, target, carry=carry)
-        assert got[:2] == (b, int(np.argmax(full[b]))) and got[2] == full.max()
+        got = carry.step(target, np.ones(9, bool), np.ones(9, bool))
+        assert got == (b, int(np.argmax(full[b]))) and carry.logprobs[target] == full.max()
 
     @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
@@ -782,23 +791,61 @@ class TestRowBound:
             for a, b in itertools.permutations(classes, 2)
         ]
         rows = {"scored": 0, "open": 0}
-        scorer = search.candidate_scores
+        blocks = search._Carry.blocks
 
-        def counting(model, F, F2, target, scored, carry=None, sources=None):
+        def counting(self, target, scored, sources):
             rows["scored"] += len(scored)
-            return scorer(model, F, F2, target, scored, carry, sources)
+            return blocks(self, target, scored, sources)
 
         def run():
             config = SearchConfig(policy)
             return [greedy_counterfactual(model, ds.images[q], ds.images[d], t, config) for q, d, t in pairs]
 
-        monkeypatch.setattr(search, "candidate_scores", counting)
+        monkeypatch.setattr(search._Carry, "blocks", counting)
         bounded = run()
         pruned, rows["scored"] = rows["scored"], 0
         monkeypatch.setattr(search._Carry, "rows_to_score", lambda self, t, open_rows, sources: open_rows)
         every = run()
         assert bounded == every
         assert pruned < rows["scored"]
+
+    @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_bounding_stops_after_a_step_that_cuts_nothing(self, policy, stored, monkeypatch):
+        h, w, d = 4, 4, 3
+        n = h * w
+        if not stored:
+            monkeypatch.setattr(search, "_BLOCK_VALUES", 300)  # no room for the contraction
+        seen = []  # (bounding, contraction stored) per greedy step
+        step = search._Carry.step
+
+        def spy(self, target, open_q, open_s):
+            seen.append((self.bound is not None, self.contraction is not None))
+            return step(self, target, open_q, open_s)
+
+        monkeypatch.setattr(search._Carry, "step", spy)
+        config, steps = SearchConfig(policy), 0
+        for seed in range(6):
+            # random weights, dense(50) -> relu -> dense(10): the bound keeps every cell
+            head = [LayerSpec("flatten"), LayerSpec("dense", units=50), LayerSpec("relu"), LayerSpec("dense", units=10)]
+            conv = LayerSpec("conv2d", out_channels=d, kernel_size=1)
+            model = make_model([conv], head + [LayerSpec("log-softmax")], (h, w, d), 10, seed)
+            query, distractor = np.random.default_rng(seed).normal(size=(2, h, w, d))
+            target = int(np.argmin(head_logprobs(model, forward_features(model, query))))
+            runs = []
+            for candidates in (1, n * n + 1):  # bounded, then every open cell scored
+                monkeypatch.setattr(search, "_BOUND_CANDIDATES", candidates)
+                del seen[:]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    runs.append((greedy_counterfactual(model, query, distractor, target, config), seen[:]))
+            (bounded, bounded_seen), (every, every_seen) = runs
+            assert bounded == every
+            assert [b for b, _ in bounded_seen] == [True] + [False] * (bounded.edit_count - 1)
+            assert not any(b for b, _ in every_seen)
+            assert {c for _, c in bounded_seen + every_seen} == {stored}
+            steps += bounded.edit_count
+        assert steps >= 20
 
     def test_rows_scored_per_open_row_on_the_wide_pool(self, monkeypatch):
         bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -807,18 +854,18 @@ class TestRowBound:
         wl = workloads.WORKLOADS["explain-wide"](1, False)
         wl.setup()
         rows = {"scored": 0, "open": 0}
-        scorer, best_edit = search.candidate_scores, search.best_edit_exhaustive
+        blocks, step = search._Carry.blocks, search._Carry.step
 
-        def counting(model, F, F2, target, scored, carry=None, sources=None):
+        def counting(self, target, scored, sources):
             rows["scored"] += len(scored)
-            return scorer(model, F, F2, target, scored, carry, sources)
+            return blocks(self, target, scored, sources)
 
-        def opening(model, F, F2, target, ex_q=(), ex_s=(), carry=None):
-            rows["open"] += F.cells - len(ex_q)
-            return best_edit(model, F, F2, target, ex_q, ex_s, carry=carry)
+        def opening(self, target, open_q, open_s):
+            rows["open"] += int(open_q.sum())
+            return step(self, target, open_q, open_s)
 
-        monkeypatch.setattr(search, "candidate_scores", counting)
-        monkeypatch.setattr(search, "best_edit_exhaustive", opening)
+        monkeypatch.setattr(search._Carry, "blocks", counting)
+        monkeypatch.setattr(search._Carry, "step", opening)
         for q, d in wl.pool[:20]:
             target = int(predict_batch(wl.model, wl.ds.images[d][None])[0])
             greedy_counterfactual(wl.model, wl.ds.images[q], wl.ds.images[d], target, wl.config)

@@ -9,6 +9,11 @@ sides alike. The parent's tree is `--rev` exported with `git archive` into a
 temporary directory, which is removed afterwards; nothing is added to the
 repository. Nothing under `perfbench/` is changed: each side runs its own copy.
 
+After each pair it compares the records and rasters the two runs wrote
+under `perfbench/out/<workload>/records`, byte for byte, and prints
+"records identical" or the files that differ, so every pair also checks that
+the change writes what the parent writes.
+
 For every end-to-end metric of BENCHMARK.json it prints both sides' medians
 and quartiles, the relative gap of the medians, the pairs the change won
 (ties count for neither side), and whether the change clears the 9-in-10
@@ -70,6 +75,39 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return metrics
 
 
+def _files(root: str) -> dict:
+    """{path relative to `root`: full path} of every file under `root` (none if it is absent)."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): os.path.join(d, f) for d, _, files in os.walk(root) for f in files
+    }
+
+
+def differing_records(parent_tree: str, change_tree: str, workload: str) -> tuple[int, list[str]]:
+    """(how many files either tree wrote under perfbench/out/<workload>/records,
+    the relative paths of those whose bytes differ or that only one tree has)."""
+    parent, change = (
+        _files(os.path.join(tree, "perfbench", "out", workload, "records")) for tree in (parent_tree, change_tree)
+    )
+    differ = []
+    for rel in sorted(parent.keys() | change.keys()):
+        if rel not in parent or rel not in change:
+            differ.append(rel)
+            continue
+        with open(parent[rel], "rb") as a, open(change[rel], "rb") as b:
+            if a.read() != b.read():
+                differ.append(rel)
+    return len(parent.keys() | change.keys()), differ
+
+
+def records_line(count: int, differ: list[str]) -> str:
+    """The verdict on `differing_records` printed after each pair, naming at
+    most 10 of the files that differ (`--out` keeps them all)."""
+    if differ:
+        more = f" and {len(differ) - 10} more" if len(differ) > 10 else ""
+        return f"records differ ({len(differ)} of {count}): {', '.join(differ[:10])}{more}"
+    return f"records identical ({count} files)" if count else "no records written"
+
+
 def compare(parent: list[float], change: list[float], better: str) -> dict:
     """Medians, quartiles, relative gap, wins, losses and the 9-in-10 verdict
     of one metric over paired runs; `better` is "lower" or "higher"."""
@@ -129,9 +167,12 @@ def main(argv=None) -> int:
                     pair[side] = run_side(tree, workload, seed, args.seconds)
                 pairs.append(pair)
                 bad = [s for s in ("parent", "change") if not pair[s]["correct"] or pair[s]["failed"]]
+                count, differ = differing_records(parent_tree, ROOT, workload)
+                pair["records_differ"] = differ
                 print(
                     f"{workload} seed {seed} ({pair['first']} first): op_cal_ms_p50 "
                     f"{pair['parent']['op_cal_ms_p50']:.4g} -> {pair['change']['op_cal_ms_p50']:.4g}"
+                    f"  {records_line(count, differ)}"
                     + (f"  INCORRECT OR FAILED: {', '.join(bad)}" if bad else ""),
                     flush=True,
                 )
