@@ -7,7 +7,7 @@ model's decision to the distractor's class, and renders those edits back to
 pixel space via receptive fields.
 """
 
-from .grids import EditList, FeatureGrid, apply_edits, single_edit
+from .grids import EditList, FeatureGrid, apply_edits
 from .network import (
     LayerSpec,
     ModelBundle,
@@ -41,7 +41,6 @@ __all__ = [
     "reference_extractor_specs",
     "reference_head_specs",
     "save_model",
-    "single_edit",
     "softmax",
     "train",
 ]

@@ -39,5 +39,7 @@ class ExhaustedError(CfeditError):
 
 def is_number(value, integer: bool = False) -> bool:
     """True for a real number (an integer when `integer`) that is not a bool."""
+    if type(value) is int or (type(value) is float and not integer):  # the common cases, without the ABC checks
+        return True
     kind = numbers.Integral if integer else numbers.Real
     return isinstance(value, kind) and not isinstance(value, bool)

@@ -7,14 +7,14 @@ cells and an alignment matrix selecting source cells:
 
     edited = (1 - a) o F  +  a o (P @ F')
 
-where `o` broadcasts the gate across the d channels.  `blend` is the one
-place this transform is computed: it takes plain stacks of grid values,
-gates and alignments, in either the discrete form (binary gate, permutation
-alignment) or the relaxed one (simplex gate, row-stochastic alignment).
-`apply_edits` converts its inputs, checks their shapes and calls it; the
-relaxed solver checks its (B, n, d) stacks once per lockstep chunk and calls
-`blend` at every step.  Greedy search runs the discrete form one cell at a
-time through `single_edit`, which equals it for a one-hot gate.
+where `o` broadcasts the gate across the d channels.  `apply_edits`
+computes it on plain stacks of grid values, gates and alignments, in either
+the discrete form (binary gate, permutation alignment) or the relaxed one
+(simplex gate, row-stochastic alignment).  Neither search builds an edited
+grid: both work in the head's first dense layer space
+(`network.PairEdits`), where an edit adds its delta's contraction to the
+unedited grid's output.  `open_cells` turns a search's excluded cells into
+the masks of the cells it may still use.
 """
 
 from __future__ import annotations
@@ -105,42 +105,15 @@ def apply_edits(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
     F and F2 are (..., n, d) stacks of grid values, `a` the (..., n) gates and
     `P` the (..., n, n) alignments; inputs are left untouched."""
     F, F2, a, P = (np.asarray(x, dtype=np.float64) for x in (F, F2, a, P))
-    check_edit_shapes(F.shape, F2.shape, a.shape, P.shape)
-    return blend(F, F2, a, P)
-
-
-def check_edit_shapes(F_shape, F2_shape, a_shape, P_shape):
-    """Raise ShapeError unless the shapes fit `apply_edits`."""
-    if len(F_shape) < 2 or F2_shape != F_shape:
-        raise ShapeError(f"grid stacks must share an (..., n, d) shape, got {F_shape} and {F2_shape}")
-    if a_shape != F_shape[:-1]:
-        raise ShapeError(f"gate shape {a_shape} does not match grid cells {F_shape[:-1]}")
-    if P_shape != a_shape + a_shape[-1:]:
-        raise ShapeError(f"alignment shape {P_shape} does not match grid cells {F_shape[:-1]}")
-
-
-def blend(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
-    """`apply_edits` without conversion or checks, for float64 arrays whose
-    shapes `check_edit_shapes` has passed: a caller that blends stacks of one
-    shape many times checks them once."""
+    if F.ndim < 2 or F2.shape != F.shape:
+        raise ShapeError(f"grid stacks must share an (..., n, d) shape, got {F.shape} and {F2.shape}")
+    if a.shape != F.shape[:-1]:
+        raise ShapeError(f"gate shape {a.shape} does not match grid cells {F.shape[:-1]}")
+    if P.shape != a.shape + a.shape[-1:]:
+        raise ShapeError(f"alignment shape {P.shape} does not match grid cells {F.shape[:-1]}")
     PF2 = P @ F2
     gate = a[..., None]
     return (1.0 - gate) * F + gate * PF2, PF2
-
-
-def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid:
-    """F with row i replaced by row j2 of F2."""
-    for dim in ("h", "w", "d"):
-        if getattr(F, dim) != getattr(F2, dim):
-            raise ShapeError(f"grid {dim} mismatch: {getattr(F, dim)} vs {getattr(F2, dim)}")
-    n = F.cells
-    if not (0 <= i < n):
-        raise BoundsError(f"query cell {i} outside [0, {n})")
-    if not (0 <= j2 < n):
-        raise BoundsError(f"source cell {j2} outside [0, {n})")
-    out = F.values.copy()
-    out[i] = F2.values[j2]
-    return FeatureGrid(F.h, F.w, F.d, out)
 
 
 def open_cells(n: int, excluded_query=(), excluded_source=()) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,9 @@ portable two-file model format (JSON manifest + float64 blob).
 
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
-None per relu.  Every head pass reads it, through `_mlp_forward` or, for the
-gradient w.r.t. the input of a stack of grids, `head_gradient_pass`; only
-`train` runs the head's layers through `forward_layers` and `backward_layers`.
+None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient_pass`,
+`PairEdits`); only `train` runs the head's layers through `forward_layers` and
+`backward_layers`.
 
 A stack's leading per-image layers (conv2d, relu, maxpool2d: an extractor)
 run forward and backward one block of images at a time, every layer on one
@@ -628,29 +628,29 @@ def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
     return head_logprobs_batch(model, F.values[None])[0]
 
 
-def head_gradient_pass(model: ModelBundle, targets):
-    """The function that maps an (N, hw, d) stack of grids, N = len(targets),
-    to what `head_input_gradient_batch` returns for it.
-
-    The one-hot output gradient is built here, once.  A caller that
-    evaluates many stacks of the same shape and targets (the relaxed solver,
-    once per Adam step) does not pay for it per call; the stack's shape is
-    its to check.  The pass performs the operations of `forward_layers` and
-    `backward_layers` in their order, so every bit agrees with them."""
+def tail_gradient_pass(model: ModelBundle, targets):
+    """The function that maps an (N, units) stack z of first dense outputs,
+    N = len(targets), to the (N, classes) log-probabilities the head's layers
+    after the first dense one give, and the gradient of each row's
+    `targets[k]` log-probability w.r.t. z.  The one-hot output gradient is
+    built once, for the many stacks a caller may pass (the relaxed solver,
+    one per Adam step), whose shape is the caller's to check.  The pass
+    performs the operations of `forward_layers` and `backward_layers` in
+    their order, so every bit agrees with them."""
     onehot = np.zeros((len(targets), model.class_count))
     onehot[np.arange(len(targets)), targets] = 1.0
+    tail = model.mlp[1:]
 
-    def run(values):
-        x = values.reshape(len(values), -1)
+    def run(x):
         masks = []  # relu's input > 0, per layer
-        for layer in model.mlp:
+        for layer in tail:
             masks.append(x > 0 if layer is None else None)
             x = np.maximum(x, 0.0) if layer is None else x @ layer[0] + layer[1]
         out = _log_softmax(x)
         g = onehot - np.exp(out)  # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
-        for layer, mask in zip(reversed(model.mlp), reversed(masks)):
+        for layer, mask in zip(reversed(tail), reversed(masks)):
             g = g * mask if layer is None else g @ layer[0].T
-        return out, g.reshape(values.shape)
+        return out, g
 
     return run
 
@@ -660,7 +660,52 @@ def head_input_gradient_batch(model: ModelBundle, values: np.ndarray, targets) -
     each grid's `targets[k]` log-probability w.r.t. that grid; returns the
     (N, classes) log-probabilities and the (N, hw, d) gradients, all from one
     forward and one backward pass over the batch."""
-    return head_gradient_pass(model, targets)(_grid_batch(model, values))
+    (weight, bias), *_ = model.mlp
+    v = _grid_batch(model, values)
+    out, g = tail_gradient_pass(model, targets)(v.reshape(len(v), -1) @ weight + bias)
+    return out, (g @ weight.T).reshape(v.shape)
+
+
+class PairEdits:
+    """The head on the single-cell edits of the grid pair (F, F2): edit (i, j)
+    copies F2's cell j into F's cell i, and its first dense output is
+    z0 + C[i, j], where z0 = F.flat . W + b and C[i, j] = (F2[j] - F[i]) . W_i
+    is the edit contraction, W_i being cell i's (d, units) block of W.  The
+    difference is taken before the product, so no-op edits (F2[j] == F[i])
+    and identical source rows score bit-identically.  `rows` is the scorer
+    of both search strategies; its log-softmax works on class columns, so a
+    row's bits do not depend on the other rows scored with it."""
+
+    def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid):
+        model.check_grids(F, F2)
+        (weight, bias), *tail = model.mlp
+        self.F, self.F2, self.tail = F, F2, tuple(tail)
+        n, d = F.values.shape
+        self.W = weight.reshape(n, d, -1)
+        self.z0 = F.values.reshape(-1) @ weight + bias
+        self.contraction = None  # the whole (hw, hw, units) contraction, where a subclass stores it
+
+    def contraction_rows(self, q):
+        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
+        new (len(q), hw, units) array."""
+        if self.contraction is not None:
+            return self.contraction[q]
+        return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
+
+    def logits(self, q):
+        """Head logits of the edits (q[k], j), as row k * hw + j of (len(q) * hw, classes)."""
+        z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
+        z += self.z0
+        return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
+
+    def rows(self, q):
+        """The `_shift_lse` (z, lse) of `logits(q)`, whose row r's log-softmax is z[r] - lse[r]."""
+        return _shift_lse(self.logits(q))
+
+    def edit_logprobs(self, i: int, j: int) -> np.ndarray:
+        """The (classes,) log-probabilities of edit (i, j), from cell i's block."""
+        z, lse = self.rows([i])
+        return z[j] - lse[j]
 
 
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:

@@ -3,26 +3,26 @@
 The binary gate and permutation alignment are relaxed to a simplex vector and
 a row-stochastic matrix, both parameterized through softmax so the constraints
 hold by construction.  Adam (Kingma & Ba, ICLR 2015) ascends the
-target-class log-probability of the blended grid minus entropy penalties that
+target-class log-probability of the relaxed edit minus entropy penalties that
 sharpen the distributions; the result is rounded back to a single discrete
-edit whose score is re-evaluated exactly.
+edit, which `network.PairEdits` scores as exhaustive search scores it, so an
+edit both strategies choose gets the same score bit for bit.
 
-Problems are solved in lockstep batches: the gates, alignments, blends,
-entropies, gradients and Adam moments of B problems are stacked along a
-leading axis, and each step runs the head forward and backward once over the
-(B, h, w, d) stack.  Each problem's logits are packed into one (n+1, n)
-array, the gate logits in row 0 over the n alignment rows; every row is a
-softmax of its own, so one softmax, one entropy pass, one softmax chain rule
-and one Adam update cover both.  The head pass is
-`network.head_gradient_pass`, built once per chunk: its one-hot output
-gradient is made once, and it runs the head (flatten -> dense -> (dense |
-relu)* -> log-softmax, the one form a bundle has) forward and backward over
-the bundle's parsed `mlp`, the (weight, bias) pair of each dense layer and
-a None for each relu.  A problem that meets the stop test is frozen, not
-removed: its logits stop moving and its trajectory ends.  The blend itself is
-`grids.blend`, the transform's only implementation, on stacks whose shapes
-`ascent_steps` checks once per chunk; greedy search's relaxed step is
-`best_edits_relaxed` on a batch of one.
+The solver works in the head's first dense layer space, as exhaustive search
+does: the relaxed grid (1 - a) o F + a o (P @ F2) is F plus the delta
+a o (P @ F2 - F), so its first dense output is z0 + delta.flat . W, with z0
+the unedited grid's (`PairEdits.z0`).  Each step forms the delta in d-space,
+contracts it with W, runs the head's layers after that one forward and
+backward (`network.tail_gradient_pass`) and maps the gradient back through
+W^T.  A closed query cell has a gate of exactly 0, so its delta adds
+nothing: greedy's relaxed step runs on the unedited grid and its carry's z0.
+
+Problems are solved in lockstep batches, stacked along a leading axis.  Each
+problem's logits are packed into one (n+1, n) array, the gate logits in row
+0 over the n alignment rows; every row is a softmax of its own, so one
+softmax, one entropy pass, one softmax chain rule and one Adam update cover
+both.  A problem that meets the stop test is frozen, not removed: its
+logits stop moving and its trajectory ends.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import FormatError, is_number
-from .grids import blend, check_edit_shapes, open_cells, single_edit
-from .network import ModelBundle, head_gradient_pass, head_logprobs
+from .grids import open_cells
+from .network import ModelBundle, PairEdits, tail_gradient_pass
 
 MASK_LOGIT = -1e9
 # Adam's moment decays and denominator guard; RelaxOptConfig.learning_rate is its step size
@@ -80,29 +80,30 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _objective_and_grads(head_pass, F, F2, targets, X):
+def _objective_and_grads(tail_pass, W, F, F2, z0, targets, X):
     """The objective and its analytic gradients for a stack of B problems.
 
-    objective = g_target(blend) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
-    where a = softmax(alpha), p_i = softmax(M[i]), H(p) = -sum p ln p with
-    0 ln 0 = 0, and w_a, w_P are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN:
-    each row's alignment entropy is weighted by its gate mass.
+    objective = g_target(z) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
+    where z = z0 + (a o (P @ F2 - F)).flat . W, a = softmax(alpha),
+    p_i = softmax(M[i]), H(p) = -sum p ln p with 0 ln 0 = 0, and w_a, w_P
+    are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN: each row's alignment
+    entropy is weighted by its gate mass.
 
-    F and F2 are (B, n, d) float64 grid values, `targets` the B target classes
-    and `head_pass` is `network.head_gradient_pass` for them; `ascent_steps`
-    has checked their shapes.  X is the (B, n+1, n) packed logits: row 0 the
-    gate logits alpha, rows 1..n the alignment logits M.  Every row is a
-    softmax of its own, so one softmax, one entropy pass and one chain rule
-    cover both.  Returns the (B,) objectives, their gradient w.r.t. X, and
-    S = softmax(X), packed as X is (gate a in row 0, alignment P in rows
-    1..n).
+    F and F2 are (B, n, d) float64 grid values, z0 their (B, units) first
+    dense outputs, W that layer's (n d, units) weight, and `tail_pass` is
+    `network.tail_gradient_pass` for the B `targets`.  X is the (B, n+1, n)
+    packed logits: row 0 the gate logits alpha, rows 1..n the alignment
+    logits M.  Returns the (B,) objectives, their gradient w.r.t. X, and
+    S = softmax(X), packed as X is.
     """
     S = softmax(X)
     a, P = S[:, 0], S[:, 1:]
-    blended, PF2 = blend(F, F2, a, P)
     gate = a[:, :, None]
-
-    lp, G = head_pass(blended)  # G: (B, n, d)
+    delta = P @ F2 - F  # each cell's aligned distractor row less its own
+    z = (gate * delta).reshape(len(X), -1) @ W
+    z += z0
+    lp, g = tail_pass(z)
+    G = (g @ W.T).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
 
     log_S = np.log(np.where(S > 0, S, 1.0))
     H = -(S * log_S).sum(axis=-1)  # (B, n+1): the gate's entropy, then each alignment row's
@@ -114,7 +115,7 @@ def _objective_and_grads(head_pass, F, F2, targets, X):
     dS = np.empty_like(S)
     # d objective / d a
     da = dS[:, 0]
-    (G * (PF2 - F)).sum(axis=-1, out=da)
+    (G * delta).sum(axis=-1, out=da)
     da += ENTROPY_WEIGHT_GATE * (log_S[:, 0] + 1.0)
     da -= ENTROPY_WEIGHT_ALIGN * H_rows
     # d objective / d P
@@ -129,28 +130,26 @@ def _objective_and_grads(head_pass, F, F2, targets, X):
     return objective, S * (dS - ydots), S
 
 
-def ascent_steps(model: ModelBundle, F, F2, targets, X, opt: RelaxOptConfig):
+def ascent_steps(model: ModelBundle, F, F2, z0, targets, X, opt: RelaxOptConfig):
     """Bias-corrected Adam ascent on B problems in lockstep: the (B, n+1, n)
-    packed logits X (see `_objective_and_grads`) are updated in place.
+    packed logits X (see `_objective_and_grads`, which F, F2, z0 and the B
+    `targets` are for) are updated in place.
 
-    F and F2 are (B, n, d) float64 grid values and `targets` the B target
-    classes; their shapes are checked here, once, and every step blends them
-    unchecked.  Yields (objectives, S, live) at each iterate before stepping
-    from it, at most `opt.max_steps` times, where S = softmax(X) holds the
-    gates in row 0 and the alignments in rows 1..n.  `live` is a (B,)
-    boolean array, all True at first: a consumer freezes a problem by
-    clearing its entry, after which its logits stay exactly where they are,
-    and the ascent ends once no problem is live.  A logit whose gradient is
-    always exactly zero (a closed cell at MASK_LOGIT) keeps zero moments and
-    so never moves.
+    Yields (objectives, S, live) at each iterate before stepping from it, at
+    most `opt.max_steps` times, where S = softmax(X) holds the gates in row 0
+    and the alignments in rows 1..n.  `live` is a (B,) boolean array, all
+    True at first: a consumer freezes a problem by clearing its entry, after
+    which its logits stay exactly where they are, and the ascent ends once no
+    problem is live.  A logit whose gradient is always exactly zero (a
+    closed cell at MASK_LOGIT) keeps zero moments and so never moves.
     """
-    check_edit_shapes(F.shape, F2.shape, X[:, 0].shape, X[:, 1:].shape)
-    head_pass = head_gradient_pass(model, targets)
+    tail_pass = tail_gradient_pass(model, targets)
+    W = model.mlp[0][0]
     live = np.ones(len(X), dtype=bool)
     moving = live[:, None, None]  # a view: clearing an entry of `live` freezes that problem
     m, v = np.zeros_like(X), np.zeros_like(X)
     for t in range(1, opt.max_steps + 1):
-        obj, dX, S = _objective_and_grads(head_pass, F, F2, targets, X)
+        obj, dX, S = _objective_and_grads(tail_pass, W, F, F2, z0, targets, X)
         yield obj, S, live
         if not live.any():
             return
@@ -170,25 +169,31 @@ _CHUNK_VALUES = 1 << 18
 
 
 def best_edits_relaxed(model: ModelBundle, problems, opt: RelaxOptConfig = RelaxOptConfig()) -> list:
-    """Relaxed best edits of many problems, solved in lockstep batches.
-
-    `problems` is a list of (F, F2, target_class, excluded_query,
-    excluded_source).  They are split into chunks of at most
-    `_CHUNK_VALUES` // (n² + n·d) problems, and at least one; every
-    chunk runs through one Adam ascent, one head forward and backward over
-    the whole stack per step.  A problem that meets the stop test is frozen
-    there and its trajectory ends, while the rest of its chunk goes on.
-
-    Returns, per problem and in order, (query cell, source cell, discrete
-    score, per-step objective values, converged), where converged means the
-    last step met the stop test.  Each edit, score and step count is the one
-    the problem gets when solved alone; the objectives may differ in their
-    last bits, as a batched product rounds differently from a one-row one.
-    """
-    problems = list(problems)
-    for F, F2, target, *_ in problems:
-        model.check_grids(F, F2)
+    """`best_pair_edits` on a list of (F, F2, target_class, excluded_query,
+    excluded_source), each checked before any is solved.  Returns, per
+    problem and in order, (query cell, source cell, discrete score, per-step
+    objective values, converged)."""
+    pairs = []
+    for F, F2, target, excluded_query, excluded_source in problems:
         model.check_class(target)
+        pairs.append((PairEdits(model, F, F2), target, *open_cells(F.cells, excluded_query, excluded_source)))
+    solved = best_pair_edits(model, pairs, opt)
+    return [(i, j2, float(lp[target]), *rest) for (_, target, *_), (i, j2, lp, *rest) in zip(pairs, solved)]
+
+
+def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
+    """Relaxed best edits of problems given as (`network.PairEdits`, target
+    class, open query mask, open source mask), each mask with a cell open.
+
+    They are split into chunks of at most `_CHUNK_VALUES` // (n² + n·d)
+    problems, and at least one, each run through one Adam ascent.  Returns,
+    per problem and in order, (query cell, source cell, the edit's
+    log-probabilities from `PairEdits.edit_logprobs`, per-step objective
+    values, converged), where converged means the last step met the stop
+    test.  Each edit, score and step count is the one the problem gets when
+    solved alone; the objectives may differ in their last bits, as a batched
+    product rounds differently from a one-row one.
+    """
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
     edits = []
@@ -198,23 +203,24 @@ def best_edits_relaxed(model: ModelBundle, problems, opt: RelaxOptConfig = Relax
 
 
 def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
-    """best_edits_relaxed on problems that run as one lockstep batch."""
+    """best_pair_edits on problems that run as one lockstep batch."""
     n = model.h * model.w
-    masks = [open_cells(n, exq, exs) for _, _, _, exq, exs in problems]
     # packed logits, the gate row over the alignment rows, in C order (a softmax
-    # over the rows of another layout rounds differently); excluded cells get
+    # over the rows of another layout rounds differently); closed cells get
     # zero mass, hence zero gradient, so their logits stay put
     X = np.full((len(problems), n + 1, n), MASK_LOGIT)
-    for x, (open_q, open_s) in zip(X, masks):
+    for x, (_, _, open_q, open_s) in zip(X, problems):
         x[0, open_q] = 0.0
         x[1:, open_s] = 0.0
-    Fv = np.stack([p[0].values for p in problems])
-    F2v = np.stack([p[1].values for p in problems])
-    targets = np.array([p[2] for p in problems])
+    pairs = [p[0] for p in problems]
+    F = np.stack([p.F.values for p in pairs])
+    F2 = np.stack([p.F2.values for p in pairs])
+    z0 = np.stack([p.z0 for p in pairs])
+    targets = np.array([p[1] for p in problems])
     rows = np.arange(len(problems))
     objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
     steps = np.zeros(len(problems), dtype=int)
-    for obj, S, live in ascent_steps(model, Fv, F2v, targets, X, opt):
+    for obj, S, live in ascent_steps(model, F, F2, z0, targets, X, opt):
         objectives.append(obj)
         steps += live
         # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
@@ -230,9 +236,7 @@ def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     cells = S[:, 0].argmax(axis=1)
     sources = S[rows, 1 + cells].argmax(axis=1)
     edits = []
-    for b, (F, F2, target, _, _) in enumerate(problems):
+    for b, pair in enumerate(pairs):
         i, j2 = int(cells[b]), int(sources[b])
-        score = head_logprobs(model, single_edit(F, F2, i, j2))[target]
-        edits.append((i, j2, float(score), objectives[: steps[b], b].tolist(), not live[b]))
+        edits.append((i, j2, pair.edit_logprobs(i, j2), objectives[: steps[b], b].tolist(), not live[b]))
     return edits
-

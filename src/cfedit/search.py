@@ -12,20 +12,20 @@ The head is flatten -> dense -> (dense | relu)* -> log-softmax, the one form
 all (hw)^2 single edits builds no edited grid: an edit changes one cell, so
 its pre-activation in the first dense layer is the unedited one plus the
 cell's difference times that cell's block of the weight, and only the tail
-of `mlp` after it runs per candidate (`network._mlp_forward`).  Only the
-query cells still open are scored, and of the final log-softmax only the
-target class is computed, bit-identical to that column of the full output.
-Scoring works through a fixed number of values per block of query cells, so
-memory stays bounded as the grid grows.
+of `mlp` after it runs per candidate (`network.PairEdits`, the scorer of
+both strategies).  Only the query cells still open are scored, and of the
+final log-softmax only the target class is kept, bit-identical to that
+column of the full output.  Scoring works through a fixed number of values
+per block of query cells, so memory stays bounded as the grid grows.
 
 A greedy step only changes the query cell it then closes, so the query cells
 still open keep their unedited values at every step of a pair.  Exhaustive
 greedy carries its state from one step to the next instead of rebuilding the
-edited grid: the current grid's pre-activation z0 in that first dense layer,
-and the edit contraction of all query cells, computed once per pair and kept
-only when its hw·hw·units values, and the differences they are made from,
-fit in one block (larger grids compute each block's rows, and each committed
-edit's one row, per step).  Committing edit (i, j) adds its contraction row
+edited grid (`_Carry`): the current grid's pre-activation z0 in that first
+dense layer, and the edit contraction of all query cells, computed once per
+pair and kept only when its hw·hw·units values, and the differences they
+are made from, fit in one block (larger grids compute each block's rows,
+and each committed edit's one row, per step).  Committing edit (i, j) adds its contraction row
 to z0, which equals the pre-activation of that scored candidate bit for bit,
 because IEEE addition commutes.  The log-softmax works on class columns, so
 a row's value does not depend on its block, and a trajectory entry is the
@@ -33,8 +33,10 @@ committed candidate's row of its scored block, z - lse: its target entry is
 the score that chose the edit, bit for bit, and no per-step edited grid or
 one-grid head pass is built.  Greedy holds the open query and source cells
 as masks and closes an edit's cells when it commits it.  The relaxed
-strategy still applies each edit to a grid and runs the head on it.  Query
-and distractor go through the extractor as one two-image batch.
+strategy steps on the same carry (`relaxed.best_pair_edits` on the unedited
+grid, the carry's z0 and the open masks) and commits its edit's scored row
+the same way.  Query and distractor go through the extractor as one
+two-image batch.
 
 Most query cells cannot hold a step's best edit, and greedy skips them
 exactly (interval bound propagation, Gowal et al. 2018).  Once per pair,
@@ -61,8 +63,8 @@ rule, the trajectory and the records are what scoring every open cell
 gives, bit for bit.  The bound is skipped below `_BOUND_CANDIDATES`
 candidates per step, where scoring every open cell costs less than
 bounding, and for the rest of a pair after a step whose bound keeps every
-open cell, as it does on random weights; the relaxed strategy and
-`best_edit_exhaustive` score every open cell.
+open cell, as it does on random weights; `best_edit_exhaustive` scores
+every open cell.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ShapeError, is_number
-from .grids import EditList, FeatureGrid, open_cells, single_edit
-from .network import ModelBundle, _mlp_forward, _shift_lse, forward_feature_pair, head_logprobs
-from .relaxed import RelaxOptConfig, best_edits_relaxed
+from .grids import EditList, FeatureGrid, open_cells
+from .network import ModelBundle, PairEdits, _mlp_forward, forward_feature_pair, head_logprobs
+from .relaxed import RelaxOptConfig, best_pair_edits
 
 # float64 values one block of scored query cells may hold (16 MB);
 # only open query cells are scored, and only the target class's log-probability
@@ -152,44 +154,34 @@ def best_edit_exhaustive(
     non-excluded (query cell, source cell) pairs. Returns (i, j2, score)."""
     model.check_class(target_class)
     open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
-    carry = _Carry(model, F, F2, greedy=False)
-    i, j2 = carry.step(target_class, open_q, open_s)
-    return i, j2, float(carry.logprobs[target_class])
+    i, j2, lp = _Carry(model, F, F2, greedy=False).step(target_class, open_q, open_s)
+    return i, j2, float(lp[target_class])
 
 
-class _Carry:
-    """What greedy carries between the exhaustive steps of the pair (F, F2):
-    the current grid's pre-activation z0 in the head's first dense layer, the
-    edit contraction (F2[j] - F[i]) . W_i of the query grid F when it is
-    stored, the `tail` of the head's `mlp` after that layer, and the full
-    log-probabilities of the edit the last `step` chose (`logprobs`).
-
-    Greedy's carry (`greedy`) stores the contraction when it fits, and on a
-    grid of at least `_BOUND_CANDIDATES` candidates also holds the interval
-    bound on each query cell's best score and the source cell each cell's
-    best edit took when last scored (-1 before), from which each step picks
-    the cells it scores (`rows_to_score`), until a step whose bound keeps
-    every open cell.  `best_edit_exhaustive`'s one-off carry does neither."""
+class _Carry(PairEdits):
+    """What greedy carries between the steps of the pair (F, F2): the
+    `PairEdits` of the query grid F, whose z0 each committed edit moves to
+    the current grid's.  An exhaustive greedy carry (`greedy`) stores the
+    contraction when it fits, and on a grid of at least `_BOUND_CANDIDATES`
+    candidates also holds the interval bound on each query cell's best score
+    and the source cell each cell's best edit took when last scored (-1
+    before), from which each step picks the cells it scores
+    (`rows_to_score`), until a step whose bound keeps every open cell.
+    `best_edit_exhaustive`'s one-off carry and the relaxed strategy's carry
+    do neither."""
 
     def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, greedy: bool):
-        model.check_grids(F, F2)
-        (weight, bias), *tail = model.mlp
-        self.F, self.F2, self.tail = F, F2, tuple(tail)
-        n, d = F.values.shape
-        units = weight.shape[1]
-        self.W = weight.reshape(n, d, units)
-        self.z0 = F.values.reshape(-1) @ weight + bias
+        super().__init__(model, F, F2)
+        n, d, units = self.W.shape
         # query cells whose contraction, and the differences it is made from, fit in
         # one block of `_BLOCK_VALUES`; greedy keeps the whole contraction if all do
         self.block_rows = max(1, _BLOCK_VALUES // (n * (d + units)))
         bounded = greedy and n * n >= _BOUND_CANDIDATES
-        self.contraction = None
         if greedy and n * n * (d + units) <= _BLOCK_VALUES:
             # source-major when bounded, so that its extremes over the source
             # cells reduce over the outermost axis; the products are the same
             out = np.empty((n, n, units)).transpose(1, 0, 2) if bounded else None
             self.contraction = np.matmul(F2.values[None] - F.values[:, None, :], self.W, out=out)
-        self.logprobs = None
         self.bound = self.row_sources = None
         if bounded:
             self.bound = _RowBound(self.tail, *self._source_extremes(), self._pair_error())
@@ -220,42 +212,25 @@ class _Carry:
         largest = np.einsum("ic,ick->ik", spread, np.abs(self.W)).max()
         return 2 * _gamma(F.values.shape[1]) * largest * (1 + 4 * _UNIT_ROUNDOFF)
 
-    def contraction_rows(self, q):
-        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
-        new (len(q), hw, units) array."""
-        if self.contraction is not None:
-            return self.contraction[q]
-        return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
-
-    def logits(self, q):
-        """Head logits of every edit of the query cells `q`, as
-        (len(q) * hw, classes); a row's bits do not depend on `q`'s others.
-        Edit (i, j)'s first dense output is z0 + (F2[j] - F[i]) . W_i, the
-        difference taken before the product, so no-op edits (F2[j] == F[i])
-        and identical source rows score bit-identically."""
-        z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
-        z += self.z0
-        return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
-
     def blocks(self, target: int, rows, sources):
         """Score the edits of the query cells `rows` (ascending) one block at
         a time.  Yields the block's cells q, their (len(q), hw) target-class
         log-probabilities, with the source columns outside the boolean mask
-        `sources` at -inf, and the `_shift_lse` (z, lse) of their len(q) * hw
-        logit rows, from which any row's log-softmax is z - lse."""
+        `sources` at -inf, and the (z, lse) of their len(q) * hw rows
+        (`PairEdits.rows`), from which any row's log-softmax is z - lse."""
         for lo in range(0, len(rows), self.block_rows):
             q = rows[lo : lo + self.block_rows]
-            z, lse = _shift_lse(self.logits(q))
+            z, lse = self.rows(q)
             block = (z[:, target] - lse).reshape(len(q), -1)
             block[:, ~sources] = -np.inf
             yield q, block, z, lse
 
-    def step(self, target: int, open_q, open_s) -> tuple[int, int]:
+    def step(self, target: int, open_q, open_s) -> tuple[int, int, np.ndarray]:
         """The best edit (i, j2) over the query and source cells the boolean
         masks `open_q` and `open_s` leave open, ties going to the smallest i,
-        then the smallest j2; its full log-probabilities go to `logprobs`.
-        Bounded, it scores only the rows `rows_to_score` keeps, and stops
-        bounding for the rest of the pair once the bound keeps them all."""
+        then the smallest j2, and its full log-probabilities.  Bounded, it
+        scores only the rows `rows_to_score` keeps, and stops bounding for
+        the rest of the pair once the bound keeps them all."""
         rows = np.flatnonzero(open_q)
         if self.bound is not None:
             kept = self.rows_to_score(target, rows, open_s)
@@ -269,7 +244,7 @@ class _Carry:
             k = int(np.argmax(block))  # blocks come in row order, so a later block must beat it strictly
             if best is None or block.flat[k] > best:
                 r, j2 = divmod(k, block.shape[1])
-                best, edit, self.logprobs = block.flat[k], (int(q[r]), j2), z[k] - lse[k]
+                best, edit = block.flat[k], (int(q[r]), j2, z[k] - lse[k])
         return edit
 
     def _pair_logits(self, i, j):
@@ -310,12 +285,11 @@ class _Carry:
         lead = z.sum(axis=1).min()
         return rows[ub_sums <= lead * math.exp(margin)]
 
-    def commit(self, i: int, j2: int) -> np.ndarray:
-        """Apply edit (i, j2), the last step's, to z0, and return the edited
-        grid's log-probabilities from its scored row."""
+    def commit(self, i: int, j2: int):
+        """Apply edit (i, j2) to z0, which equals the first dense output its
+        row was scored from, bit for bit, as IEEE addition commutes."""
         C = self.contraction
         self.z0 = self.z0 + (C[i, j2] if C is not None else self.contraction_rows([i])[0, j2])
-        return self.logprobs
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -479,24 +453,18 @@ def greedy_counterfactual(
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]
     # open query cells keep their unedited values, so a carry scores every step on F
-    carry = _Carry(model, F, F2, greedy=True) if config.relax is None else None
-    current = F
+    carry = _Carry(model, F, F2, greedy=config.relax is None)
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:
-        if carry is None:
-            step = (current, F2, target_class, np.flatnonzero(~open_q), np.flatnonzero(~open_s))
-            i, j2, *_ = best_edits_relaxed(model, [step], config.relax)[0]
+        if config.relax is None:
+            i, j2, lp = carry.step(target_class, open_q, open_s)
         else:
-            i, j2 = carry.step(target_class, open_q, open_s)
+            i, j2, lp, *_ = best_pair_edits(model, [(carry, target_class, open_q, open_s)], config.relax)[0]
+        carry.commit(i, j2)
         quads.append((i // w, i % w, j2 // w, j2 % w))
         open_q[i] = False
         if config.exclusion_policy == "query-and-distractor-cells":
             open_s[j2] = False
-        if carry is None:
-            current = single_edit(current, F2, i, j2)
-            lp = head_logprobs(model, current)
-        else:
-            lp = carry.commit(i, j2)
         trajectory.append((lp[query_class], lp[target_class]))
         if lp.argmax() == target_class:
             status = "flipped"

@@ -13,13 +13,16 @@ from cfedit.network import (
     ModelBundle,
     TrainConfig,
     backward_layers,
+    forward_feature_pair,
     forward_layers,
     head_logprobs,
     init_layer,
     reference_extractor_specs,
     reference_head_specs,
+    tail_gradient_pass,
     train,
 )
+from cfedit.relaxed import _objective_and_grads, best_edits_relaxed
 from cfedit.rng import substream
 from cfedit.search import _Carry
 
@@ -136,20 +139,74 @@ def unpack(X) -> tuple:
     return X[..., 0, :], X[..., 1:, :]
 
 
-def layered_head_pass(model, targets):
-    """`network.head_gradient_pass` rebuilt layer by layer: `forward_layers`
-    with caches, then `backward_layers` from the one-hot output gradient.
-    The fused pass performs the same operations in the same order, so the
-    two agree in every bit."""
+def layered_tail_pass(model, targets):
+    """`network.tail_gradient_pass` rebuilt layer by layer: `forward_layers`
+    with caches over the head's layers after its first dense one, then
+    `backward_layers` from the one-hot output gradient.  The fused pass
+    performs the same operations in the same order, so the two agree in
+    every bit."""
 
-    def run(values):
-        out, caches = forward_layers(model.head, values.reshape((-1,) + model.feature_shape), keep_caches=True)
+    def run(z):
+        out, caches = forward_layers(model.head[2:], z, keep_caches=True)
         onehot = np.zeros_like(out)
         onehot[np.arange(len(targets)), targets] = 1.0
-        g, _ = backward_layers(model.head, caches, onehot)
-        return out, g.reshape(values.shape)
+        g, _ = backward_layers(model.head[2:], caches, onehot)
+        return out, g
 
     return run
+
+
+def first_dense(model, F) -> np.ndarray:
+    """The (B, units) first dense outputs of a (B, n, d) stack of grid
+    values, one product per grid, as `PairEdits.z0` computes them."""
+    (weight, bias), *_ = model.mlp
+    return np.stack([f.reshape(-1) @ weight + bias for f in F])
+
+
+def objective_one(model, F, F2, target, alpha, M) -> tuple:
+    """The relaxed objective, its gradients w.r.t. the gate and alignment
+    logits, the gate and the alignment of one problem: `_objective_and_grads`
+    on a stack of one."""
+    X = pack_logits(alpha, M)[None]
+    W = model.mlp[0][0]
+    z0 = first_dense(model, F.values[None])
+    objective, dX, S = _objective_and_grads(
+        tail_gradient_pass(model, [target]), W, F.values[None], F2.values[None], z0, [target], X
+    )
+    return (objective[0], *unpack(dX[0]), *unpack(S[0]))
+
+
+def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid:
+    """F with row i replaced by row j2 of F2: the edited grid that the
+    per-grid references below run the head on."""
+    out = F.values.copy()
+    out[i] = F2.values[j2]
+    return FeatureGrid(F.h, F.w, F.d, out)
+
+
+def relaxed_replay(model, query, distractor, target, policy, opt):
+    """Greedy's relaxed strategy computed per grid, every step from scratch:
+    `best_edits_relaxed` on the edited grid with the used cells excluded,
+    then the edit applied with `single_edit` and the head run on the new
+    grid.  Returns (edits as quads, trajectory, status)."""
+    F, F2 = forward_feature_pair(model, query, distractor)
+    lp = head_logprobs(model, F)
+    query_class = lp.argmax()
+    trajectory = [(lp[query_class], lp[target])]
+    quads, ex_q, ex_s = [], [], []
+    state, status = F, "flipped" if query_class == target else "exhausted"
+    while status == "exhausted" and len(quads) < F.cells:
+        i, j2, *_ = best_edits_relaxed(model, [(state, F2, target, ex_q, ex_s)], opt)[0]
+        state = single_edit(state, F2, i, j2)
+        quads.append((i // F.w, i % F.w, j2 // F.w, j2 % F.w))
+        ex_q.append(i)
+        if policy == "query-and-distractor-cells":
+            ex_s.append(j2)
+        lp = head_logprobs(model, state)
+        trajectory.append((lp[query_class], lp[target]))
+        if lp.argmax() == target:
+            status = "flipped"
+    return tuple(quads), tuple(trajectory), status
 
 
 def candidate_scores(model, F, F2, target_class, rows) -> np.ndarray:
@@ -166,8 +223,6 @@ def candidate_scores(model, F, F2, target_class, rows) -> np.ndarray:
 
 def brute_force_best_edit(model, F, F2, target_class, excluded_query=(), excluded_source=()):
     """Independent double-loop oracle: materialize every edited grid, run the head."""
-    from cfedit.grids import single_edit
-
     best = None
     for i in range(F.cells):
         if i in set(excluded_query):

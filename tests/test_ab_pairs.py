@@ -113,4 +113,22 @@ def test_differing_and_one_sided_records_are_named(tmp_path):
 def test_a_workload_without_records(tmp_path):
     count, differ = ab_pairs.differing_records(str(tmp_path / "parent"), str(tmp_path / "change"), "train")
     assert (count, differ) == (0, [])
-    assert ab_pairs.records_line(count, differ) == "no records written"
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        ({"goal_rate": 0.75, "goal_cost": 1.25}, "goal_rate and goal_cost equal"),
+        ({"goal_rate": 0.75, "goal_cost": 1.25 + 2**-50}, "goal_rate equal, goal_cost gap +7.11e-16"),
+        ({"goal_rate": 0.5, "goal_cost": 1.25}, "goal_rate gap -0.333, goal_cost equal"),
+        ({"goal_rate": 0.6, "goal_cost": 1.0}, "goal_rate gap -0.2, goal_cost gap -0.2"),
+        ({"goal_rate": 0.75, "goal_cost": None}, "goal_rate equal, goal_cost 1.25 -> None"),
+    ],
+)
+def test_goal_line_names_each_quality_metric_that_moved(change, line):
+    assert ab_pairs.goal_line({"goal_rate": 0.75, "goal_cost": 1.25}, change) == line
+
+
+def test_a_zero_goal_rate_has_no_relative_gap():
+    line = ab_pairs.goal_line({"goal_rate": 0.0, "goal_cost": 2.0}, {"goal_rate": 0.5, "goal_cost": 2.0})
+    assert line == "goal_rate 0.0 -> 0.5, goal_cost equal"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfedit.errors import BoundsError, FormatError, ShapeError
-from cfedit.grids import EditList, FeatureGrid, apply_edits, open_cells, single_edit
+from cfedit.grids import EditList, FeatureGrid, apply_edits, open_cells
 
 
 def source_map(sources):
@@ -162,44 +162,17 @@ class TestApplyEdits:
         assert changed == a.sum()  # continuous random values never collide
 
 
-class TestSingleEdit:
+class TestOneHotEdit:
+    """A one-hot gate with a permutation alignment copies one distractor row."""
+
     def test_self_copy_is_identity(self):
         F, _ = grid_2x2()
-        out = single_edit(F, F, 2, 2)
-        np.testing.assert_array_equal(out.values, F.values)
+        np.testing.assert_array_equal(edited(F, F, np.eye(4)[2], IDENTITY_4), F.values)
 
     def test_hand_case(self):
         F, F2 = grid_2x2()
-        out = single_edit(F, F2, 0, 3)
-        np.testing.assert_array_equal(out.values, [[8.0], [2.0], [3.0], [4.0]])
-
-    def test_matches_apply_edits_one_hot(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            h, w, d = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4)
-            n = h * w
-            F = FeatureGrid(h, w, d, rng.normal(size=(n, d)))
-            F2 = FeatureGrid(h, w, d, rng.normal(size=(n, d)))
-            i, j2 = int(rng.integers(n)), int(rng.integers(n))
-            sources = np.arange(n)  # transposition: a permutation with row i -> j2
-            sources[i], sources[j2] = j2, i
-            assert sources[i] == j2
-            via_apply = edited(F, F2, np.eye(n)[i], source_map(sources))
-            np.testing.assert_array_equal(single_edit(F, F2, i, j2).values, via_apply)
-
-    def test_shape_error_names_dimension(self):
-        F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
-        F2 = FeatureGrid(2, 2, 2, np.zeros((4, 2)))
-        with pytest.raises(ShapeError, match="grid d mismatch"):
-            single_edit(F, F2, 0, 0)
-
-    def test_bounds(self):
-        F, F2 = grid_2x2()
-        with pytest.raises(BoundsError):
-            single_edit(F, F2, 4, 0)
-        with pytest.raises(BoundsError):
-            single_edit(F, F2, 0, -1)
-
+        out = edited(F, F2, np.eye(4)[0], source_map([3, 1, 2, 0]))
+        np.testing.assert_array_equal(out, [[8.0], [2.0], [3.0], [4.0]])
 
 
 class TestOpenCells:

@@ -1,3 +1,6 @@
+import importlib
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from cfedit.metrics import (
     avg_edit_count,
     relaxation_fidelity,
 )
-from cfedit.search import ExplanationResult
+from cfedit.relaxed import best_edits_relaxed
+from cfedit.search import ExplanationResult, best_edit_exhaustive
 
 from conftest import identity_feature_model, random_grid
 
@@ -123,3 +127,19 @@ class TestRelaxationFidelity:
         assert report.extras["match_rate"] == 1.0
         assert report.extras["mean_prob_ratio"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_matched_edits_score_as_exhaustive_search_does(self, monkeypatch):
+        # both strategies score an edit through one row scorer, so a matched
+        # edit's probability ratio is exactly 1 (the benchmark's seed-1 pool on `ref`)
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+        wl = importlib.import_module("workloads").WORKLOADS["fidelity"](1, False)
+        wl.setup()
+        instances = [inst for group in wl.pool for inst in group]
+        report = relaxation_fidelity(wl.model, instances, wl.opt)
+        solved = best_edits_relaxed(wl.model, instances, wl.opt)
+        matched = 0
+        for inst, sample, (i, j2, score, *_) in zip(instances, report.samples, solved):
+            if sample["match"]:
+                matched += 1
+                assert sample["prob_ratio"] == 1.0
+                assert best_edit_exhaustive(wl.model, *inst) == (i, j2, score)
+        assert matched >= 100

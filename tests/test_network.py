@@ -29,7 +29,7 @@ from cfedit.network import (
 )
 
 import test_search
-from conftest import candidate_scores, identity_feature_model, layered_head_pass, make_model
+from conftest import candidate_scores, identity_feature_model, layered_tail_pass, make_model
 
 
 def full_stack(model, images):
@@ -750,8 +750,15 @@ class TestFusedHeadPass:
             values = rng.normal(size=(batch, model.h * model.w, model.d))
             targets = rng.integers(model.class_count, size=batch)
             got = head_input_gradient_batch(model, values, targets)
-            want = layered_head_pass(model, targets)(values)
+            out, caches = network.forward_layers(model.head, values.reshape((-1,) + model.feature_shape), True)
+            onehot = np.zeros_like(out)
+            onehot[np.arange(batch), targets] = 1.0
+            want = out, network.backward_layers(model.head, caches, onehot)[0].reshape(values.shape)
             for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w), name
+            z = rng.normal(size=(batch, model.mlp[0][0].shape[1]))
+            got = network.tail_gradient_pass(model, targets)(z)
+            for g, w in zip(got, layered_tail_pass(model, targets)(z)):
                 assert g.shape == w.shape and np.array_equal(g, w), name
 
     @pytest.mark.parametrize("batch", [1, 4, 7])
@@ -769,24 +776,25 @@ class TestFusedHeadPass:
         rng = np.random.default_rng(11)
         model = identity_feature_model(2, 3, 2, 4, seed=2, linear=False)
         F, F2 = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2))), FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
-        built = network.head_gradient_pass(model, [1])
+        built = network.tail_gradient_pass(model, [1])
+        z = rng.normal(size=(1, 8))
 
         def passes(m, run):
-            return (head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), *run(F.values[None]))
+            return (head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), *run(z))
 
         before = passes(model, built)
         for layer in model.head:
             for w in layer.weights.values():
                 w[...] = rng.normal(size=w.shape)
         fresh = ModelBundle(model.extractor, model.head, model.class_count, model.input_shape)
-        want = passes(fresh, network.head_gradient_pass(fresh, [1]))
+        want = passes(fresh, network.tail_gradient_pass(fresh, [1]))
         for old, got, new in zip(before, passes(model, built), want):
             assert got.tobytes() == new.tobytes() and not np.array_equal(got, old)
 
     def test_pass_leaves_its_one_hot_gradient_alone(self, shapes_model):
         # the relaxed solver calls one pass once per Adam step
-        run = network.head_gradient_pass(shapes_model, [1, 3])
-        values = np.random.default_rng(0).normal(size=(2, 16, shapes_model.d))
+        run = network.tail_gradient_pass(shapes_model, [1, 3])
+        values = np.random.default_rng(0).normal(size=(2, shapes_model.mlp[0][0].shape[1]))
         first = run(values)
         for g, w in zip(run(values), first):
             np.testing.assert_array_equal(g, w)

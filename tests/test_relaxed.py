@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cfedit import relaxed
-from cfedit.errors import ExhaustedError
+from cfedit.errors import BoundsError, ExhaustedError
 from cfedit.grids import FeatureGrid, open_cells
-from cfedit.network import head_gradient_pass, head_logprobs
+from cfedit.network import LayerSpec, PairEdits, head_logprobs
 from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
@@ -16,7 +16,17 @@ from cfedit.relaxed import (
 )
 from cfedit.search import best_edit_exhaustive
 
-from conftest import identity_feature_model, layered_head_pass, pack_logits, random_grid, unpack
+from conftest import (
+    first_dense,
+    identity_feature_model,
+    layered_tail_pass,
+    make_model,
+    objective_one,
+    pack_logits,
+    random_grid,
+    single_edit,
+    unpack,
+)
 
 
 class TestSoftmax:
@@ -37,15 +47,6 @@ class TestSoftmax:
         assert np.isfinite(out).all() and out[0] == pytest.approx(1.0)
 
 
-def objective_one(model, F, F2, target, alpha, M):
-    """The objective, its gradients, the gate and the alignment of one
-    problem: `_objective_and_grads` on a stack of one."""
-    X = pack_logits(alpha, M)[None]
-    head_pass = head_gradient_pass(model, [target])
-    objective, dX, S = relaxed._objective_and_grads(head_pass, F.values[None], F2.values[None], [target], X)
-    return (objective[0], *unpack(dX[0]), *unpack(S[0]))
-
-
 def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
     """Target log-probability of the blend minus the objective: the entropy
     penalty the objective subtracts at logits (alpha, M) under these weights."""
@@ -63,7 +64,8 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
 def ascent_one(model, F, F2, target, X, opt):
     """ascent_steps on a batch of one problem, yielding its (objective, a, P)
     at each step; its packed logits X are updated in place."""
-    for obj, S, _ in ascent_steps(model, F.values[None], F2.values[None], [target], X[None], opt):
+    F, F2 = F.values[None], F2.values[None]
+    for obj, S, _ in ascent_steps(model, F, F2, first_dense(model, F), [target], X[None], opt):
         yield (obj[0], *unpack(S[0]))
 
 
@@ -181,11 +183,13 @@ class TestBestEditRelaxed:
         model = identity_feature_model(2, 2, 2, 3, seed=11, linear=False)
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
-        from cfedit.grids import single_edit
-        from cfedit.network import head_gradient_pass, head_logprobs
-
         i, j2, score, _, _ = best_edits_relaxed(model, [(F, F2, 2, (), ())])[0]
-        assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], abs=1e-12)
+        # the per-grid reference to within rounding; exhaustive search's scorer bit for bit
+        assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], rel=1e-12, abs=0)
+        scores = PairEdits(model, F, F2).edit_logprobs(i, j2)
+        assert score == scores[2]
+        best = best_edit_exhaustive(model, F, F2, 2, [k for k in range(4) if k != i], [k for k in range(4) if k != j2])
+        assert best == (i, j2, score)
 
     def test_masking_soundness(self):
         rng = np.random.default_rng(7)
@@ -309,7 +313,7 @@ class TestLockstepBatches:
         F2 = np.stack([p[1].values for p in problems[:2]])
         X = pack_logits(np.zeros((2, 9)), np.zeros((2, 9, 9)))
         count = 0
-        for _, _, live in ascent_steps(model, F, F2, [0, 1], X, RelaxOptConfig()):
+        for _, _, live in ascent_steps(model, F, F2, first_dense(model, F), [0, 1], X, RelaxOptConfig()):
             count += 1
             if count == 2:
                 live[:] = False
@@ -321,7 +325,7 @@ class TestLockstepBatches:
         F2 = np.stack([p[1].values for p in problems[:3]])
         X = pack_logits(np.zeros((3, 9)), np.zeros((3, 9, 9)))
         alpha, M = unpack(X)
-        steps = ascent_steps(model, F, F2, [0, 1, 2], X, RelaxOptConfig(max_steps=20))
+        steps = ascent_steps(model, F, F2, first_dense(model, F), [0, 1, 2], X, RelaxOptConfig(max_steps=20))
         for _ in range(3):
             _, _, live = next(steps)
         live[1] = False
@@ -344,7 +348,8 @@ class TestLockstepBatches:
             alpha[b, list(exq)] = MASK_LOGIT
             M[b][:, list(exs)] = MASK_LOGIT
         opt = RelaxOptConfig()
-        assert sum(1 for _ in ascent_steps(model, F, F2, [p[2] for p in chunk], X, opt)) == opt.max_steps
+        targets = [p[2] for p in chunk]
+        assert sum(1 for _ in ascent_steps(model, F, F2, first_dense(model, F), targets, X, opt)) == opt.max_steps
         for b, (_, _, _, exq, exs) in enumerate(chunk):
             assert np.all(alpha[b, list(exq)] == MASK_LOGIT)
             assert np.all(M[b][:, list(exs)] == MASK_LOGIT)
@@ -366,7 +371,7 @@ class TestLockstepBatches:
         model, problems = lockstep_problems()
         fused = best_edits_relaxed(model, problems)
         solo = [best_edits_relaxed(model, [p])[0] for p in problems[:4]]
-        monkeypatch.setattr(relaxed, "head_gradient_pass", layered_head_pass)
+        monkeypatch.setattr(relaxed, "tail_gradient_pass", layered_tail_pass)
         assert best_edits_relaxed(model, problems) == fused
         assert [best_edits_relaxed(model, [p])[0] for p in problems[:4]] == solo
 
@@ -381,3 +386,33 @@ class TestLockstepBatches:
     def test_no_problems(self):
         model, _ = lockstep_problems()
         assert best_edits_relaxed(model, []) == []
+
+    @pytest.mark.parametrize(
+        "excluded, error", [(([16], ()), BoundsError), (((), [-1]), BoundsError), ((range(16), ()), ExhaustedError)]
+    )
+    def test_every_problem_is_checked_before_any_chunk_is_solved(self, excluded, error, monkeypatch):
+        # 455 problems of a 4x4x20 grid fill a chunk; the bad one sits in the second chunk
+        model = make_model(
+            [LayerSpec("conv2d", out_channels=20, kernel_size=1)],
+            [LayerSpec("flatten"), LayerSpec("dense", units=3), LayerSpec("log-softmax")],
+            (4, 4, 20),
+            3,
+        )
+        assert relaxed._CHUNK_VALUES // (16 * (16 + 20)) == 455
+        rng = np.random.default_rng(40)
+        problems = [(random_grid(rng, 4, 4, 20), random_grid(rng, 4, 4, 20), 1, (), ()) for _ in range(3)] * 200
+        problems[500] = problems[500][:3] + excluded
+        steps = []
+        ascent = relaxed.ascent_steps
+
+        def spy(*args):
+            for out in ascent(*args):
+                steps.append(1)
+                yield out
+
+        monkeypatch.setattr(relaxed, "ascent_steps", spy)
+        with pytest.raises(error):
+            best_edits_relaxed(model, problems, RelaxOptConfig(max_steps=2))
+        assert steps == []
+        best_edits_relaxed(model, problems[:3], RelaxOptConfig(max_steps=2))
+        assert steps  # the spy sees the steps of a solve

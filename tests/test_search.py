@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cfedit import search
 from cfedit.data import gen_shapes
 from cfedit.errors import BoundsError, ExhaustedError, ShapeError
-from cfedit.grids import FeatureGrid, open_cells, single_edit
+from cfedit.grids import FeatureGrid, open_cells
 from cfedit.metrics import relaxation_fidelity
 from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
 from cfedit.relaxed import RelaxOptConfig, best_edits_relaxed
@@ -23,7 +23,15 @@ from cfedit.search import (
     greedy_counterfactual,
 )
 
-from conftest import brute_force_best_edit, candidate_scores, identity_feature_model, make_model, random_grid
+from conftest import (
+    brute_force_best_edit,
+    candidate_scores,
+    identity_feature_model,
+    make_model,
+    random_grid,
+    relaxed_replay,
+    single_edit,
+)
 
 
 def min_edit_oracle(model, F, F2, target_class, max_size=2, policy="query-and-distractor-cells"):
@@ -291,19 +299,10 @@ class TestGreedyRelaxed:
         assert result.edit_count >= 1
         i, j2, *_ = best_edits_relaxed(model, [(F, F2, target, (), ())], opt)[0]
         assert result.edits.edits[0] == (i // 3, i % 3, j2 // 3, j2 % 3)
-
-        state = F
-        ex_q, ex_s = [], []
-        assert result.trajectory[0] == (lp_q[query_class], lp_q[target])
-        for (r, c, r2, c2), step in zip(result.edits, result.trajectory[1:]):
-            cell, src = r * 3 + c, r2 * 3 + c2
-            assert best_edits_relaxed(model, [(state, F2, target, ex_q, ex_s)], opt)[0][:2] == (cell, src)
-            state = single_edit(state, F2, cell, src)
-            ex_q.append(cell)
-            ex_s.append(src)
-            lp = head_logprobs(model, state)
-            assert step == (lp[query_class], lp[target])
-        assert (result.status == "flipped") == (head_logprobs(model, state).argmax() == target)
+        edits, trajectory, status = relaxed_replay(model, query, distractor, target, "query-and-distractor-cells", opt)
+        assert (result.edits.edits, result.status) == (edits, status)
+        assert result.trajectory[0] == trajectory[0] == (lp_q[query_class], lp_q[target])
+        np.testing.assert_allclose(result.trajectory, trajectory, rtol=1e-12, atol=0)
 
 
 class TestGreedyVsMinimumOracle:
@@ -463,6 +462,8 @@ class TestGreedyContraction:
 
     @staticmethod
     def replay(model, query, distractor, target, policy):
+        """Exhaustive greedy computed per grid: `best_edit_exhaustive` on the
+        edited grid, then the head run on the next one."""
         F, F2 = forward_feature_pair(model, query, distractor)
         lp = head_logprobs(model, F)
         query_class = lp.argmax()
@@ -503,7 +504,7 @@ class TestGreedyContraction:
 
         def spy(self, target, open_q, open_s):
             got = step(self, target, open_q, open_s)
-            seen.append((id(self), self.contraction is not None, self.logprobs[target]))
+            seen.append((id(self), self.contraction is not None, got[2][target]))
             return got
 
         monkeypatch.setattr(search._Carry, "step", spy)
@@ -595,6 +596,56 @@ class TestGreedyContraction:
             assert C[q].tobytes() == unstored.contraction_rows(np.array(q)).tobytes()
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
         assert search._Carry(model, F, F2, greedy=True).contraction is None
+
+
+class TestGreedyRelaxedCarry:
+    """Greedy's relaxed strategy, which solves every step on the unedited grid
+    and its carry's z0, against the per-grid reference that solves each step
+    on the edited grid (`conftest.relaxed_replay`)."""
+
+    @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
+    @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
+    def test_matches_per_step_replay_and_its_own_scores(self, head, policy, monkeypatch):
+        scored = []  # the carry's scored row of each committed edit
+        solve = search.best_pair_edits
+
+        def spy(model, problems, opt):
+            got = solve(model, problems, opt)
+            scored.extend(lp for _, _, lp, _, _ in got)
+            return got
+
+        monkeypatch.setattr(search, "best_pair_edits", spy)
+        rng = np.random.default_rng(96)
+        h, w, d, classes = 3, 3, 2, 4
+        opt = RelaxOptConfig(max_steps=30)
+        steps = 0
+        for k in range(2):
+            model = make_model(
+                [LayerSpec("conv2d", out_channels=d, kernel_size=1)],
+                TestCandidateScoresEquivalence.HEADS[head]
+                + [LayerSpec("dense", units=classes), LayerSpec("log-softmax")],
+                (h, w, d),
+                classes,
+                seed=700 + k,
+            )
+            for F, F2 in TestCandidateScoresEquivalence.grids(rng, h, w, d)[:2]:
+                query, distractor = F.values.reshape(h, w, d), F2.values.reshape(h, w, d)
+                lp = head_logprobs(model, forward_features(model, query))
+                query_class = lp.argmax()
+                for target in np.argsort(lp)[:2]:
+                    target = int(target)
+                    del scored[:]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy, relax=opt))
+                    rows = scored[:]
+                    edits, trajectory, status = relaxed_replay(model, query, distractor, target, policy, opt)
+                    assert (got.edits.edits, got.status) == (edits, status)
+                    np.testing.assert_allclose(got.trajectory, trajectory, rtol=1e-12, atol=0)
+                    assert got.trajectory[0] == trajectory[0]
+                    assert got.trajectory[1:] == tuple((lp[query_class], lp[target]) for lp in rows)
+                    steps += got.edit_count
+        assert steps >= 20
 
 
 @pytest.mark.parametrize("target", [-1, 99])
@@ -733,8 +784,8 @@ class TestRowBound:
                 assert min(carry.block_rows, 9) == (block_rows or 9) and (carry.contraction is None) == bool(block_rows)
                 # the leader comes from the last of the tied cells, not the first
                 carry.row_sources[tied[-1]] = np.argmax(allowed[tied[-1]])
-                got = carry.step(target, *open_cells(9, ex_q, ex_s)), carry.logprobs[target]
-                assert got == ((tied[0], np.argmax(allowed[tied[0]])), allowed.max())
+                i, j2, lp = carry.step(target, *open_cells(9, ex_q, ex_s))
+                assert (i, j2, lp[target]) == (tied[0], np.argmax(allowed[tied[0]]), allowed.max())
                 # every open cell scored, as best_edit_exhaustive scores them
                 got = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s)
                 assert got == (tied[0], np.argmax(allowed[tied[0]]), allowed.max())
@@ -774,8 +825,8 @@ class TestRowBound:
         monkeypatch.setattr(carry.bound, "sums", lambda z0, t: (sums, margin))
         kept = carry.rows_to_score(target, np.arange(9), np.ones(9, bool))
         assert list(kept) == [a, b]
-        got = carry.step(target, np.ones(9, bool), np.ones(9, bool))
-        assert got == (b, int(np.argmax(full[b]))) and carry.logprobs[target] == full.max()
+        i, j2, lp = carry.step(target, np.ones(9, bool), np.ones(9, bool))
+        assert (i, j2) == (b, int(np.argmax(full[b]))) and lp[target] == full.max()
 
     @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])

@@ -12,7 +12,10 @@ repository. Nothing under `perfbench/` is changed: each side runs its own copy.
 After each pair it compares the records and rasters the two runs wrote
 under `perfbench/out/<workload>/records`, byte for byte, and prints
 "records identical" or the files that differ, so every pair also checks that
-the change writes what the parent writes.
+the change writes what the parent writes.  It also prints whether both
+sides' `goal_rate` and `goal_cost` are equal, with the relative gap of each
+that is not, so a workload that writes no records (`train`, `fidelity`)
+still shows on every pair whether its results held.
 
 For every end-to-end metric of BENCHMARK.json it prints both sides' medians
 and quartiles, the relative gap of the medians, the pairs the change won
@@ -105,7 +108,24 @@ def records_line(count: int, differ: list[str]) -> str:
     if differ:
         more = f" and {len(differ) - 10} more" if len(differ) > 10 else ""
         return f"records differ ({len(differ)} of {count}): {', '.join(differ[:10])}{more}"
-    return f"records identical ({count} files)" if count else "no records written"
+    return f"records identical ({count} files)"
+
+
+def goal_line(parent: dict, change: dict) -> str:
+    """Whether the two sides of a pair have equal `goal_rate` and
+    `goal_cost`, with the relative gap of each that differs."""
+    names = ("goal_rate", "goal_cost")
+    differ = [name for name in names if parent[name] != change[name]]
+    if not differ:
+        return "goal_rate and goal_cost equal"
+    parts = [f"{name} equal" if name not in differ else _gap(name, parent[name], change[name]) for name in names]
+    return ", ".join(parts)
+
+
+def _gap(name: str, parent, change) -> str:
+    if isinstance(parent, (int, float)) and isinstance(change, (int, float)) and parent:
+        return f"{name} gap {(change - parent) / parent:+.3g}"
+    return f"{name} {parent!r} -> {change!r}"
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
@@ -169,10 +189,11 @@ def main(argv=None) -> int:
                 bad = [s for s in ("parent", "change") if not pair[s]["correct"] or pair[s]["failed"]]
                 count, differ = differing_records(parent_tree, ROOT, workload)
                 pair["records_differ"] = differ
+                verdicts = ([records_line(count, differ)] if count else []) + [goal_line(pair["parent"], pair["change"])]
                 print(
                     f"{workload} seed {seed} ({pair['first']} first): op_cal_ms_p50 "
                     f"{pair['parent']['op_cal_ms_p50']:.4g} -> {pair['change']['op_cal_ms_p50']:.4g}"
-                    f"  {records_line(count, differ)}"
+                    f"  {'  '.join(verdicts)}"
                     + (f"  INCORRECT OR FAILED: {', '.join(bad)}" if bad else ""),
                     flush=True,
                 )
