@@ -13,8 +13,8 @@ the discrete form (binary gate, permutation alignment) or the relaxed one
 (simplex gate, row-stochastic alignment).  Neither search builds an edited
 grid: both work in the head's first dense layer space
 (`network.PairEdits`), where an edit adds its delta's contraction to the
-unedited grid's output.  `open_cells` turns a search's excluded cells into
-the masks of the cells it may still use.
+unedited grid's output, and hold the cells they may still use as the masks
+of a `search.EditProblem`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
+from .errors import BoundsError, FormatError, ShapeError, is_number
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,3 @@ def apply_edits(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
     PF2 = P @ F2
     gate = a[..., None]
     return (1.0 - gate) * F + gate * PF2, PF2
-
-
-def open_cells(n: int, excluded_query=(), excluded_source=()) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the query and source cells a best-edit search may
-    still use; raises BoundsError for an excluded cell outside [0, n) and
-    ExhaustedError when either mask is empty."""
-    open_q, open_s = masks = np.ones((2, n), dtype=bool)
-    for mask, cells in zip(masks, (list(excluded_query), list(excluded_source))):
-        if not all(0 <= c < n for c in cells):
-            raise BoundsError(f"excluded cells {cells} reach outside [0, {n})")
-        mask[cells] = False
-    if not (open_q.any() and open_s.any()):
-        raise ExhaustedError("all candidate edits are excluded")
-    return open_q, open_s
-

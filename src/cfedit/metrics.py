@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .network import ModelBundle, forward_features
-from .relaxed import RelaxOptConfig, best_edits_relaxed
-from .search import best_edit_exhaustive
+from .relaxed import RelaxOptConfig, best_pair_edits
+from .search import EditProblem, best_edit_exhaustive
 
 
 @dataclass
@@ -140,20 +140,23 @@ def relaxation_fidelity(
     against exhaustive search.
 
     `instances` is a list of (F, F2, target_class, excluded_query,
-    excluded_source); the relaxed solver runs them all as lockstep batches in
-    one `best_edits_relaxed` call.  Each relaxed sample also holds the
+    excluded_source), each posed as one `search.EditProblem`, all of them
+    checked before any is solved.  Exhaustive search steps each problem
+    once, and the relaxed solver runs the same problems as lockstep batches
+    in one `best_pair_edits` call.  Each relaxed sample also holds the
     solver's step count and whether its last step met the stop test.
     `use_relaxed=False` self-compares exhaustive search (a calibration
     identity).
     """
-    instances = list(instances)
-    if not instances:
+    problems = [EditProblem(model, *inst) for inst in instances]
+    if not problems:
         raise ShapeError("no instances supplied")
-    exhaustive = [best_edit_exhaustive(model, *inst) for inst in instances]
-    solved = best_edits_relaxed(model, instances, opt) if use_relaxed else exhaustive
+    exhaustive = [problem.step() for problem in problems]
+    solved = best_pair_edits(model, problems, opt) if use_relaxed else exhaustive
     samples = []
-    for (ei, ej, escore), (ri, rj, rscore, *work) in zip(exhaustive, solved):
-        sample = {"match": (ri, rj) == (ei, ej), "prob_ratio": float(np.exp(rscore - escore))}
+    for problem, (ei, ej, elp), (ri, rj, rlp, *work) in zip(problems, exhaustive, solved):
+        t = problem.target
+        sample = {"match": (ri, rj) == (ei, ej), "prob_ratio": float(np.exp(rlp[t] - elp[t]))}
         if work:
             trajectory, converged = work
             sample.update(steps=len(trajectory), converged=converged)

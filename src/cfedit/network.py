@@ -9,7 +9,9 @@ accepts one head form, flatten -> dense -> (dense | relu)* -> log-softmax
 the flattened grid with tied weights), and raises UnsupportedLayerError for
 any other.  Everything needed downstream is provided here:
 forward evaluation, reverse-mode gradients, a desk-scale SGD trainer, and a
-portable two-file model format (JSON manifest + float64 blob).
+portable two-file model format (JSON manifest + float64 blob), which
+`load_model` refuses unless every weight is finite and every layer's
+stride positive.
 
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
@@ -89,20 +91,20 @@ class LayerSpec:
         k = self.kind
         if k not in LAYER_KINDS:
             raise UnsupportedLayerError(f"unknown layer kind {k!r}")
+        if self.stride is not None and self.stride <= 0:
+            raise ShapeError(f"{k} stride must be positive")
+        if self.padding and k != "conv2d":
+            raise ShapeError(f"{k} takes no padding")
         if k == "conv2d":
             if not (self.out_channels and self.out_channels > 0):
                 raise ShapeError("conv2d needs positive out_channels")
             if not (self.kernel_size and self.kernel_size > 0):
                 raise ShapeError("conv2d needs positive kernel_size")
-            if (self.stride or 1) <= 0:
-                raise ShapeError("conv2d stride must be positive")
             if not (0 <= self.padding < self.kernel_size):
                 raise ShapeError("conv2d padding must satisfy 0 <= padding < kernel_size")
         elif k == "maxpool2d":
             if not (self.window and self.window > 0):
                 raise ShapeError("maxpool2d needs positive window")
-            if (self.stride or self.window) <= 0:
-                raise ShapeError("maxpool2d stride must be positive")
         elif k == "dense":
             if not (self.units and self.units > 0):
                 raise ShapeError("dense needs positive units")
@@ -673,8 +675,9 @@ class PairEdits:
     is the edit contraction, W_i being cell i's (d, units) block of W.  The
     difference is taken before the product, so no-op edits (F2[j] == F[i])
     and identical source rows score bit-identically.  `rows` is the scorer
-    of both search strategies; its log-softmax works on class columns, so a
-    row's bits do not depend on the other rows scored with it."""
+    of both search strategies, which solve its subclass `search.EditProblem`;
+    its log-softmax works on class columns, so a row's bits do not depend on
+    the other rows scored with it."""
 
     def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid):
         model.check_grids(F, F2)
@@ -683,7 +686,7 @@ class PairEdits:
         n, d = F.values.shape
         self.W = weight.reshape(n, d, -1)
         self.z0 = F.values.reshape(-1) @ weight + bias
-        self.contraction = None  # the whole (hw, hw, units) contraction, where a subclass stores it
+        self.contraction = None  # the whole (hw, hw, units) contraction, where `search.EditProblem` stores it
 
     def contraction_rows(self, q):
         """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
@@ -909,7 +912,11 @@ def load_model(path: str) -> ModelBundle:
     for entry, size in zip(manifest["weights"], sizes):
         if entry["name"] in arrays:
             raise FormatError(f"manifest weight entry {entry['name']!r} appears twice")
-        arrays[entry["name"]] = blob[off : off + size].reshape(entry["shape"]).copy()
+        values = blob[off : off + size]
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FormatError(f"weight entry {entry['name']!r} holds {values[bad[0]]} at flat index {bad[0]}")
+        arrays[entry["name"]] = values.reshape(entry["shape"]).copy()
         off += size
 
     def build(section, specs):

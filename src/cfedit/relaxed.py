@@ -6,7 +6,8 @@ hold by construction.  Adam (Kingma & Ba, ICLR 2015) ascends the
 target-class log-probability of the relaxed edit minus entropy penalties that
 sharpen the distributions; the result is rounded back to a single discrete
 edit, which `network.PairEdits` scores as exhaustive search scores it, so an
-edit both strategies choose gets the same score bit for bit.
+edit both strategies choose gets the same score bit for bit.  The problems
+are `search.EditProblem`s, which their callers build and check.
 
 The solver works in the head's first dense layer space, as exhaustive search
 does: the relaxed grid (1 - a) o F + a o (P @ F2) is F plus the delta
@@ -15,7 +16,7 @@ the unedited grid's (`PairEdits.z0`).  Each step forms the delta in d-space,
 contracts it with W, runs the head's layers after that one forward and
 backward (`network.tail_gradient_pass`) and maps the gradient back through
 W^T.  A closed query cell has a gate of exactly 0, so its delta adds
-nothing: greedy's relaxed step runs on the unedited grid and its carry's z0.
+nothing: a greedy problem is solved on the unedited grid and its carried z0.
 
 Problems are solved in lockstep batches, stacked along a leading axis.  Each
 problem's logits are packed into one (n+1, n) array, the gate logits in row
@@ -33,8 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import FormatError, is_number
-from .grids import open_cells
-from .network import ModelBundle, PairEdits, tail_gradient_pass
+from .network import ModelBundle, tail_gradient_pass
 
 MASK_LOGIT = -1e9
 # Adam's moment decays and denominator guard; RelaxOptConfig.learning_rate is its step size
@@ -168,22 +168,9 @@ def ascent_steps(model: ModelBundle, F, F2, z0, targets, X, opt: RelaxOptConfig)
 _CHUNK_VALUES = 1 << 18
 
 
-def best_edits_relaxed(model: ModelBundle, problems, opt: RelaxOptConfig = RelaxOptConfig()) -> list:
-    """`best_pair_edits` on a list of (F, F2, target_class, excluded_query,
-    excluded_source), each checked before any is solved.  Returns, per
-    problem and in order, (query cell, source cell, discrete score, per-step
-    objective values, converged)."""
-    pairs = []
-    for F, F2, target, excluded_query, excluded_source in problems:
-        model.check_class(target)
-        pairs.append((PairEdits(model, F, F2), target, *open_cells(F.cells, excluded_query, excluded_source)))
-    solved = best_pair_edits(model, pairs, opt)
-    return [(i, j2, float(lp[target]), *rest) for (_, target, *_), (i, j2, lp, *rest) in zip(pairs, solved)]
-
-
 def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
-    """Relaxed best edits of problems given as (`network.PairEdits`, target
-    class, open query mask, open source mask), each mask with a cell open.
+    """Relaxed best edits of `search.EditProblem`s: each one's grids, z0,
+    target class and open query and source masks are read, not changed.
 
     They are split into chunks of at most `_CHUNK_VALUES` // (n² + n·d)
     problems, and at least one, each run through one Adam ascent.  Returns,
@@ -209,14 +196,13 @@ def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     # over the rows of another layout rounds differently); closed cells get
     # zero mass, hence zero gradient, so their logits stay put
     X = np.full((len(problems), n + 1, n), MASK_LOGIT)
-    for x, (_, _, open_q, open_s) in zip(X, problems):
-        x[0, open_q] = 0.0
-        x[1:, open_s] = 0.0
-    pairs = [p[0] for p in problems]
-    F = np.stack([p.F.values for p in pairs])
-    F2 = np.stack([p.F2.values for p in pairs])
-    z0 = np.stack([p.z0 for p in pairs])
-    targets = np.array([p[1] for p in problems])
+    for x, p in zip(X, problems):
+        x[0, p.open_q] = 0.0
+        x[1:, p.open_s] = 0.0
+    F = np.stack([p.F.values for p in problems])
+    F2 = np.stack([p.F2.values for p in problems])
+    z0 = np.stack([p.z0 for p in problems])
+    targets = np.array([p.target for p in problems])
     rows = np.arange(len(problems))
     objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
     steps = np.zeros(len(problems), dtype=int)
@@ -236,7 +222,7 @@ def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     cells = S[:, 0].argmax(axis=1)
     sources = S[rows, 1 + cells].argmax(axis=1)
     edits = []
-    for b, pair in enumerate(pairs):
+    for b, p in enumerate(problems):
         i, j2 = int(cells[b]), int(sources[b])
-        edits.append((i, j2, pair.edit_logprobs(i, j2), objectives[: steps[b], b].tolist(), not live[b]))
+        edits.append((i, j2, p.edit_logprobs(i, j2), objectives[: steps[b], b].tolist(), not live[b]))
     return edits

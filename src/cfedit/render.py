@@ -170,7 +170,6 @@ class RenderedExplanation:
     query_heatmap: np.ndarray
     distractor_heatmap: np.ndarray
     composite: np.ndarray
-    result: ExplanationResult
 
 
 def render_explanation(
@@ -186,7 +185,7 @@ def render_explanation(
     comp = np.array(query_image, dtype=np.float64)
     for quad in result.edits:
         render_composite(comp, distractor_image, quad, rf, rf)
-    return RenderedExplanation(qh, dh, comp, result)
+    return RenderedExplanation(qh, dh, comp)
 
 
 # ---------------------------------------------------------------------------

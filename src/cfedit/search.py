@@ -18,29 +18,33 @@ final log-softmax only the target class is kept, bit-identical to that
 column of the full output.  Scoring works through a fixed number of values
 per block of query cells, so memory stays bounded as the grid grows.
 
+Each search poses best-edit problems (`EditProblem`): a grid pair, its
+target class and the masks of its open query and source cells, checked once
+when built, and solved exhaustively by `EditProblem.step` or through the
+relaxation by `relaxed.best_pair_edits`.
+
 A greedy step only changes the query cell it then closes, so the query cells
-still open keep their unedited values at every step of a pair.  Exhaustive
-greedy carries its state from one step to the next instead of rebuilding the
-edited grid (`_Carry`): the current grid's pre-activation z0 in that first
-dense layer, and the edit contraction of all query cells, computed once per
-pair and kept only when its hw·hw·units values, and the differences they
-are made from, fit in one block (larger grids compute each block's rows,
-and each committed edit's one row, per step).  Committing edit (i, j) adds its contraction row
-to z0, which equals the pre-activation of that scored candidate bit for bit,
-because IEEE addition commutes.  The log-softmax works on class columns, so
+still open keep their unedited values at every step of a pair, and greedy
+poses one problem per pair, whose state it carries from one step to the next
+instead of rebuilding the edited grid: the current grid's pre-activation z0
+in that first dense layer, and the edit contraction of all query cells,
+computed at the first step and kept only when its hw·hw·units values, and
+the differences they are made from, fit in one block (larger grids compute
+each block's rows, and each committed edit's one row, per step).
+Committing edit (i, j) adds its contraction row to z0, which equals the
+pre-activation of that scored candidate bit for bit, because IEEE addition
+commutes, and closes its cells.  The log-softmax works on class columns, so
 a row's value does not depend on its block, and a trajectory entry is the
 committed candidate's row of its scored block, z - lse: its target entry is
 the score that chose the edit, bit for bit, and no per-step edited grid or
-one-grid head pass is built.  Greedy holds the open query and source cells
-as masks and closes an edit's cells when it commits it.  The relaxed
-strategy steps on the same carry (`relaxed.best_pair_edits` on the unedited
-grid, the carry's z0 and the open masks) and commits its edit's scored row
-the same way.  Query and distractor go through the extractor as one
-two-image batch.
+one-grid head pass is built.  The relaxed strategy solves the same problem
+(`relaxed.best_pair_edits` on the unedited grid, its z0 and its open masks)
+and commits its edit's scored row the same way.  Query and distractor go
+through the extractor as one two-image batch.
 
-Most query cells cannot hold a step's best edit, and greedy skips them
-exactly (interval bound propagation, Gowal et al. 2018).  Once per pair,
-the carry reduces the contraction to its minimum and maximum over all
+Most query cells cannot hold a step's best edit, and a step skips them
+exactly (interval bound propagation, Gowal et al. 2018).  At its first step,
+a problem reduces the contraction to its minimum and maximum over all
 source cells, per query cell and unit.  At each step, z0 plus those
 extremes is carried through the rest of the head as an interval: relu is
 monotone, each dense weight acts through its positive and negative parts,
@@ -49,7 +53,7 @@ lower bounds D_c of each logit difference.  So ub = -log(sum_c exp(D_c)),
 with D_target = 0, is at least the score of every edit of that cell.  The
 leader is a score some open candidate reaches: the best of the edits each
 cell took when it was last scored, where that source is still open, or at
-a pair's first step the best edit of the cell with the largest bound.
+the first step the best edit of the cell with the largest bound.
 Only the cells whose ub reaches the leader less a margin tau are scored, in
 ascending order and block by block, and the step's argmax runs over those
 blocks without an (hw, hw) array.  tau is the float64 rounding error these
@@ -62,9 +66,8 @@ depend on which other cells are scored, and so the chosen edit, the tie
 rule, the trajectory and the records are what scoring every open cell
 gives, bit for bit.  The bound is skipped below `_BOUND_CANDIDATES`
 candidates per step, where scoring every open cell costs less than
-bounding, and for the rest of a pair after a step whose bound keeps every
-open cell, as it does on random weights; `best_edit_exhaustive` scores
-every open cell.
+bounding, and for the rest of a problem after a step whose bound keeps
+every open cell, as it does on random weights.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, is_number
-from .grids import EditList, FeatureGrid, open_cells
+from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
+from .grids import EditList, FeatureGrid
 from .network import ModelBundle, PairEdits, _mlp_forward, forward_feature_pair, head_logprobs
 from .relaxed import RelaxOptConfig, best_pair_edits
 
@@ -143,49 +146,63 @@ class ExplanationResult:
 
 
 def best_edit_exhaustive(
-    model: ModelBundle,
-    F: FeatureGrid,
-    F2: FeatureGrid,
-    target_class: int,
-    excluded_query=(),
-    excluded_source=(),
+    model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target_class: int
 ) -> tuple[int, int, float]:
     """Single edit maximizing the target-class log-probability over all
-    non-excluded (query cell, source cell) pairs. Returns (i, j2, score)."""
-    model.check_class(target_class)
-    open_q, open_s = open_cells(F.cells, excluded_query, excluded_source)
-    i, j2, lp = _Carry(model, F, F2, greedy=False).step(target_class, open_q, open_s)
+    (query cell, source cell) pairs. Returns (i, j2, score)."""
+    i, j2, lp = EditProblem(model, F, F2, target_class).step()
     return i, j2, float(lp[target_class])
 
 
-class _Carry(PairEdits):
-    """What greedy carries between the steps of the pair (F, F2): the
-    `PairEdits` of the query grid F, whose z0 each committed edit moves to
-    the current grid's.  An exhaustive greedy carry (`greedy`) stores the
-    contraction when it fits, and on a grid of at least `_BOUND_CANDIDATES`
-    candidates also holds the interval bound on each query cell's best score
-    and the source cell each cell's best edit took when last scored (-1
-    before), from which each step picks the cells it scores
-    (`rows_to_score`), until a step whose bound keeps every open cell.
-    `best_edit_exhaustive`'s one-off carry and the relaxed strategy's carry
-    do neither."""
+class EditProblem(PairEdits):
+    """One best-edit problem: the `PairEdits` of the grid pair (F, F2), the
+    target class, and the boolean masks `open_q` and `open_s` of the query
+    and source cells an edit may still use.  Building it checks the class,
+    the grids' geometry and the excluded cells, and raises ExhaustedError
+    when either mask is empty.  `step` solves it exhaustively and
+    `relaxed.best_pair_edits` through the relaxation; greedy `commit`s each
+    step's edit, which moves z0 to the edited grid's and closes its cells.
 
-    def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, greedy: bool):
+    The first `step` stores the contraction when it fits, and on a grid of
+    at least `_BOUND_CANDIDATES` candidates sets up the interval bound on
+    each query cell's best score and the source cell each cell's best edit
+    took when last scored (-1 before), from which each step picks the cells
+    it scores (`rows_to_score`), until a step whose bound keeps every open
+    cell.  A problem only the relaxed solver reads computes neither."""
+
+    def __init__(
+        self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target: int, excluded_query=(), excluded_source=()
+    ):
+        model.check_class(target)
         super().__init__(model, F, F2)
         n, d, units = self.W.shape
+        self.target = target
+        self.open_q, self.open_s = masks = np.ones((2, n), dtype=bool)
+        for mask, cells in zip(masks, (list(excluded_query), list(excluded_source))):
+            if not all(0 <= c < n for c in cells):
+                raise BoundsError(f"excluded cells {cells} reach outside [0, {n})")
+            mask[cells] = False
+        if not (self.open_q.any() and self.open_s.any()):
+            raise ExhaustedError("all candidate edits are excluded")
         # query cells whose contraction, and the differences it is made from, fit in
-        # one block of `_BLOCK_VALUES`; greedy keeps the whole contraction if all do
+        # one block of `_BLOCK_VALUES`; the first step keeps the whole contraction if all do
         self.block_rows = max(1, _BLOCK_VALUES // (n * (d + units)))
-        bounded = greedy and n * n >= _BOUND_CANDIDATES
-        if greedy and n * n * (d + units) <= _BLOCK_VALUES:
+        self.bound = self.row_sources = None
+        self.prepared = False
+
+    def _prepare(self):
+        """The first step's set-up: the stored contraction and the bound."""
+        n, d, units = self.W.shape
+        bounded = n * n >= _BOUND_CANDIDATES
+        if n * n * (d + units) <= _BLOCK_VALUES:
             # source-major when bounded, so that its extremes over the source
             # cells reduce over the outermost axis; the products are the same
             out = np.empty((n, n, units)).transpose(1, 0, 2) if bounded else None
-            self.contraction = np.matmul(F2.values[None] - F.values[:, None, :], self.W, out=out)
-        self.bound = self.row_sources = None
+            self.contraction = np.matmul(self.F2.values[None] - self.F.values[:, None, :], self.W, out=out)
         if bounded:
-            self.bound = _RowBound(self.tail, *self._source_extremes(), self._pair_error())
+            self.bound = _RowBound(self.tail, *self._source_extremes(), self._pair_error(), self.target)
             self.row_sources = np.full(n, -1)
+        self.prepared = True
 
     def _source_extremes(self):
         """The (hw, units) minimum and maximum of the contraction over all
@@ -212,33 +229,34 @@ class _Carry(PairEdits):
         largest = np.einsum("ic,ick->ik", spread, np.abs(self.W)).max()
         return 2 * _gamma(F.values.shape[1]) * largest * (1 + 4 * _UNIT_ROUNDOFF)
 
-    def blocks(self, target: int, rows, sources):
+    def blocks(self, rows):
         """Score the edits of the query cells `rows` (ascending) one block at
         a time.  Yields the block's cells q, their (len(q), hw) target-class
-        log-probabilities, with the source columns outside the boolean mask
-        `sources` at -inf, and the (z, lse) of their len(q) * hw rows
-        (`PairEdits.rows`), from which any row's log-softmax is z - lse."""
+        log-probabilities, with the closed source columns at -inf, and the
+        (z, lse) of their len(q) * hw rows (`PairEdits.rows`), from which any
+        row's log-softmax is z - lse."""
         for lo in range(0, len(rows), self.block_rows):
             q = rows[lo : lo + self.block_rows]
             z, lse = self.rows(q)
-            block = (z[:, target] - lse).reshape(len(q), -1)
-            block[:, ~sources] = -np.inf
+            block = (z[:, self.target] - lse).reshape(len(q), -1)
+            block[:, ~self.open_s] = -np.inf
             yield q, block, z, lse
 
-    def step(self, target: int, open_q, open_s) -> tuple[int, int, np.ndarray]:
-        """The best edit (i, j2) over the query and source cells the boolean
-        masks `open_q` and `open_s` leave open, ties going to the smallest i,
-        then the smallest j2, and its full log-probabilities.  Bounded, it
-        scores only the rows `rows_to_score` keeps, and stops bounding for
-        the rest of the pair once the bound keeps them all."""
-        rows = np.flatnonzero(open_q)
+    def step(self) -> tuple[int, int, np.ndarray]:
+        """The best edit (i, j2) over the open query and source cells, ties
+        going to the smallest i, then the smallest j2, and its full
+        log-probabilities.  Bounded, it scores only the rows `rows_to_score`
+        keeps, and stops bounding for good once the bound keeps them all."""
+        if not self.prepared:
+            self._prepare()
+        rows = np.flatnonzero(self.open_q)
         if self.bound is not None:
-            kept = self.rows_to_score(target, rows, open_s)
+            kept = self.rows_to_score(rows)
             if len(kept) == len(rows):
                 self.bound = self.row_sources = None
             rows = kept
         best = None
-        for q, block, z, lse in self.blocks(target, rows, open_s):
+        for q, block, z, lse in self.blocks(rows):
             if self.row_sources is not None:
                 self.row_sources[q] = block.argmax(axis=1)
             k = int(np.argmax(block))  # blocks come in row order, so a later block must beat it strictly
@@ -257,39 +275,44 @@ class _Carry(PairEdits):
         z += self.z0
         return _mlp_forward(self.tail, z)
 
-    def rows_to_score(self, target_class: int, rows, sources):
+    def rows_to_score(self, rows):
         """The query cells of `rows` (ascending) whose bound reaches the
         leader, less the rounding margin.  Every cell left out scores below
-        the leader, which some candidate over `sources` reaches, so the best
-        edit and its ties are kept.
+        the leader, which some candidate over the open sources reaches, so
+        the best edit and its ties are kept.
 
         The leader is the best of the edits each cell took when last scored,
-        where that source is still open; at a pair's first step, the best
-        edit of the cell with the largest bound.  Bounds and leader are
-        compared as sums S = sum_c exp(logit_c - logit_target), of which a
-        score is -log, so no logarithm is taken."""
-        bounds = self.bound.sums(self.z0, target_class)
+        where that source is still open; at the first step, the best edit of
+        the cell with the largest bound.  Bounds and leader are compared as
+        sums S = sum_c exp(logit_c - logit_target), of which a score is -log,
+        so no logarithm is taken."""
+        bounds = self.bound.sums(self.z0)
         if bounds is None:
             return rows
         ub_sums, margin = bounds[0][rows], bounds[1]
         js = self.row_sources[rows]
         seen = js >= 0
-        seen[seen] = sources[js[seen]]
+        seen[seen] = self.open_s[js[seen]]
         if seen.any():
             z = self._pair_logits(rows[seen], js[seen])
         else:
             top = rows[[np.argmin(ub_sums)]]
-            z = self.logits(top)[sources]
-        z -= z[:, target_class : target_class + 1]
+            z = self.logits(top)[self.open_s]
+        z -= z[:, self.target : self.target + 1]
         np.exp(z, out=z)
         lead = z.sum(axis=1).min()
         return rows[ub_sums <= lead * math.exp(margin)]
 
-    def commit(self, i: int, j2: int):
-        """Apply edit (i, j2) to z0, which equals the first dense output its
-        row was scored from, bit for bit, as IEEE addition commutes."""
+    def commit(self, i: int, j2: int, close_source: bool):
+        """Apply edit (i, j2): add its contraction row to z0, which then
+        equals the first dense output its row was scored from, bit for bit,
+        as IEEE addition commutes, and close query cell i, and source cell
+        j2 if `close_source`."""
         C = self.contraction
         self.z0 = self.z0 + (C[i, j2] if C is not None else self.contraction_rows([i])[0, j2])
+        self.open_q[i] = False
+        if close_source:
+            self.open_s[j2] = False
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -324,7 +347,7 @@ class _RowBound:
     leader's first dense outputs may lie from the scorer's.
     """
 
-    def __init__(self, tail, cmin, cmax, pair_error: float):
+    def __init__(self, tail, cmin, cmax, pair_error: float, target: int):
         self.ends = np.stack([cmin, cmax], axis=1)  # (hw, 2, units)
         self._x = np.empty_like(self.ends)
         self.c_abs = max(-cmin.min(), cmax.max(), 0.0)  # the largest |C[i, j, k]|
@@ -345,20 +368,15 @@ class _RowBound:
                 size = w.shape[1]
             self.layers.append(layer)
         # without a last dense layer the logits are the interval itself
-        self.last_w, self.last_b = last or (np.eye(size), np.zeros(size))
-        self.last_norm, self.last_bmax = _col_norm(self.last_w), float(np.abs(self.last_b).max())
-        self._targets = {}
+        last_w, last_b = last or (np.eye(size), np.zeros(size))
+        self.last_shape = last_w.shape
+        self.last_norm, self.last_bmax = _col_norm(last_w), float(np.abs(last_b).max())
+        # the block weight and bias that map [lo | hi] to lower bounds of logit_c - logit_target
+        w = last_w - last_w[:, target : target + 1]
+        self.diff_w = np.concatenate([np.maximum(w, 0.0), np.minimum(w, 0.0)])
+        self.diff_b = last_b - last_b[target]
 
-    def _difference(self, target: int):
-        """The block weight and bias that map [lo | hi] to lower bounds of
-        logit_c - logit_target, cached per target."""
-        if target not in self._targets:
-            w = self.last_w - self.last_w[:, target : target + 1]
-            b = self.last_b - self.last_b[target]
-            self._targets[target] = (np.concatenate([np.maximum(w, 0.0), np.minimum(w, 0.0)]), b)
-        return self._targets[target]
-
-    def sums(self, z0, target: int):
+    def sums(self, z0):
         """(the bound sum of every query cell, the margin): each cell's
         scores are at most -log of its bound sum plus the margin, and the
         leader's -log sum lies within the margin of a computed score.  None
@@ -384,9 +402,8 @@ class _RowBound:
         margin, G = self._margin(a, dev)
         if 2 * G >= _EXP_CAP:
             return None
-        w, b = self._difference(target)
-        D = x @ w
-        D += b
+        D = x @ self.diff_w
+        D += self.diff_b
         np.exp(D, out=D)
         return D.sum(axis=1), margin
 
@@ -410,7 +427,7 @@ class _RowBound:
         leader's sum adds 2u.  The total is doubled for the second-order
         terms it drops.
         """
-        fan_in, classes = self.last_w.shape
+        fan_in, classes = self.last_shape
         G = a * self.last_norm + self.last_bmax
         dev_logits = dev * self.last_norm + 2 * _gamma(fan_in + 1) * G
         lse = _UNIT_ROUNDOFF * (6 * G + classes + 5 * math.log(classes) + 4)
@@ -434,8 +451,9 @@ def greedy_counterfactual(
 ) -> ExplanationResult:
     """Edit f(query) toward f(distractor) until the decision flips to
     `target_class` (Greedy Sequential Search)."""
-    model.check_class(target_class)
     F, F2 = forward_feature_pair(model, query_image, distractor_image)
+    # open query cells keep their unedited values, so one problem serves every step
+    problem = EditProblem(model, F, F2, target_class)
     lp = head_logprobs(model, F)
     query_class = int(lp.argmax())
     distractor_class = head_logprobs(model, F2).argmax()
@@ -449,22 +467,17 @@ def greedy_counterfactual(
     h, w = F.h, F.w
     # every step closes its query cell, so no run can outlast the cell count
     max_edits = min(config.max_edits or F.cells, F.cells)
-    open_q, open_s = np.ones((2, F.cells), dtype=bool)  # the cells a step may still use
+    close_source = config.exclusion_policy == "query-and-distractor-cells"
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]
-    # open query cells keep their unedited values, so a carry scores every step on F
-    carry = _Carry(model, F, F2, greedy=config.relax is None)
     status = "flipped" if query_class == target_class else "exhausted"
     while status == "exhausted" and len(quads) < max_edits:
         if config.relax is None:
-            i, j2, lp = carry.step(target_class, open_q, open_s)
+            i, j2, lp = problem.step()
         else:
-            i, j2, lp, *_ = best_pair_edits(model, [(carry, target_class, open_q, open_s)], config.relax)[0]
-        carry.commit(i, j2)
+            i, j2, lp, *_ = best_pair_edits(model, [problem], config.relax)[0]
+        problem.commit(i, j2, close_source)
         quads.append((i // w, i % w, j2 // w, j2 % w))
-        open_q[i] = False
-        if config.exclusion_policy == "query-and-distractor-cells":
-            open_s[j2] = False
         trajectory.append((lp[query_class], lp[target_class]))
         if lp.argmax() == target_class:
             status = "flipped"

@@ -22,9 +22,9 @@ from cfedit.network import (
     tail_gradient_pass,
     train,
 )
-from cfedit.relaxed import _objective_and_grads, best_edits_relaxed
+from cfedit.relaxed import RelaxOptConfig, _objective_and_grads, best_pair_edits
 from cfedit.rng import substream
-from cfedit.search import _Carry
+from cfedit.search import EditProblem
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -184,9 +184,24 @@ def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid
     return FeatureGrid(F.h, F.w, F.d, out)
 
 
+def solve_exhaustive(model, F, F2, target_class, excluded_query=(), excluded_source=()):
+    """`EditProblem.step` on one problem: (query cell, source cell, target-class score)."""
+    i, j2, lp = EditProblem(model, F, F2, target_class, excluded_query, excluded_source).step()
+    return i, j2, float(lp[target_class])
+
+
+def solve_relaxed(model, instances, opt=RelaxOptConfig()):
+    """The relaxed solver on (F, F2, target_class, excluded_query,
+    excluded_source) instances, each posed as an `EditProblem`: per instance,
+    (query cell, source cell, target-class score, objectives, converged)."""
+    problems = [EditProblem(model, *inst) for inst in instances]
+    solved = best_pair_edits(model, problems, opt)
+    return [(i, j2, float(lp[p.target]), traj, conv) for p, (i, j2, lp, traj, conv) in zip(problems, solved)]
+
+
 def relaxed_replay(model, query, distractor, target, policy, opt):
     """Greedy's relaxed strategy computed per grid, every step from scratch:
-    `best_edits_relaxed` on the edited grid with the used cells excluded,
+    `solve_relaxed` on the edited grid with the used cells excluded,
     then the edit applied with `single_edit` and the head run on the new
     grid.  Returns (edits as quads, trajectory, status)."""
     F, F2 = forward_feature_pair(model, query, distractor)
@@ -196,7 +211,7 @@ def relaxed_replay(model, query, distractor, target, policy, opt):
     quads, ex_q, ex_s = [], [], []
     state, status = F, "flipped" if query_class == target else "exhausted"
     while status == "exhausted" and len(quads) < F.cells:
-        i, j2, *_ = best_edits_relaxed(model, [(state, F2, target, ex_q, ex_s)], opt)[0]
+        i, j2, *_ = solve_relaxed(model, [(state, F2, target, ex_q, ex_s)], opt)[0]
         state = single_edit(state, F2, i, j2)
         quads.append((i // F.w, i % F.w, j2 // F.w, j2 % F.w))
         ex_q.append(i)
@@ -215,8 +230,7 @@ def candidate_scores(model, F, F2, target_class, rows) -> np.ndarray:
     cell), every other row -inf: the blocks that exhaustive search scores."""
     n = F.cells
     out = np.full((n, n), -np.inf)
-    every_source = np.ones(n, bool)
-    for q, block, _, _ in _Carry(model, F, F2, greedy=False).blocks(target_class, np.asarray(rows, int), every_source):
+    for q, block, _, _ in EditProblem(model, F, F2, target_class).blocks(np.asarray(rows, int)):
         out[q] = block
     return out
 

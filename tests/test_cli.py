@@ -2,6 +2,8 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
+import struct
 import tempfile
 
 import pytest
@@ -485,6 +487,34 @@ class TestConfigAndErrors:
             capsys,
         )
         assert "exactly one" in err["message"]
+
+    @pytest.mark.parametrize("defect", ["nan-weight", "inf-weight", "stride-0"])
+    @pytest.mark.parametrize("command", ["explain", "batch-explain", "fidelity", "render"])
+    def test_broken_model_is_one_error_line(self, cli_model, tmp_path, capsys, defect, command):
+        # a NaN bias used to load and write a trajectory of NaN, which is not JSON
+        model = tmp_path / "model"
+        shutil.copytree(cli_model, model)
+        if defect == "stride-0":
+            manifest = json.loads((model / "manifest.json").read_text())
+            manifest["extractor"][0]["stride"] = 0
+            (model / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            blob = (model / "weights.bin").read_bytes()
+            value = float("nan") if defect == "nan-weight" else float("inf")
+            (model / "weights.bin").write_bytes(blob[:-8] + struct.pack("<d", value))
+        args = {
+            "explain": ["--query-index", "0", "--distractor-index", "5"],
+            "batch-explain": [],
+            "fidelity": ["--instances", "2"],
+            "render": ["--record", str(tmp_path / "explanation.json")],
+        }[command]
+        out = tmp_path / "out"
+        err = run_err([command, *BATCH_ARGS, "--model", str(model), *args, "--out", str(out)], capsys)
+        if defect == "stride-0":
+            assert err["type"] == "ShapeError" and "stride" in err["message"]
+        else:
+            assert err["type"] == "FormatError" and "'head.3.bias'" in err["message"]
+        assert not out.exists()
 
     def test_missing_model_machine_readable_error(self, tmp_path, capsys):
         err = run_err(

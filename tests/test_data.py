@@ -195,7 +195,7 @@ def write_artifacts(out, size):
         EditList(quads, 4, 4), [(-0.25 * k, -1.5) for k in range(size + 1)], "flipped", 0, 1, "q", "d"
     )
     raster = np.linspace(0, 1, 9 * size * size).reshape(3 * size, 3 * size)
-    write_explanation(result, RenderedExplanation(raster, raster, raster, result), out)
+    write_explanation(result, RenderedExplanation(raster, raster, raster), out)
     write_json(os.path.join(out, "report.json"), avg_edit_count([result] * size).to_json())
     save_model(identity_feature_model(2, 2, size, size), os.path.join(out, "model"))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfedit.errors import BoundsError, FormatError, ShapeError
-from cfedit.grids import EditList, FeatureGrid, apply_edits, open_cells
+from cfedit.grids import EditList, FeatureGrid, apply_edits
 
 
 def source_map(sources):
@@ -173,17 +173,3 @@ class TestOneHotEdit:
         F, F2 = grid_2x2()
         out = edited(F, F2, np.eye(4)[0], source_map([3, 1, 2, 0]))
         np.testing.assert_array_equal(out, [[8.0], [2.0], [3.0], [4.0]])
-
-
-class TestOpenCells:
-    def test_masks(self):
-        open_q, open_s = open_cells(4, [0, 2], [3])
-        assert open_q.tolist() == [False, True, False, True]
-        assert open_s.tolist() == [True, True, True, False]
-
-    @pytest.mark.parametrize(
-        "excluded_query, excluded_source", [([4], []), ([-1], []), ([], [1, 99]), ([], [-4])]
-    )
-    def test_cells_outside_the_grid_raise(self, excluded_query, excluded_source):
-        with pytest.raises(BoundsError, match="excluded cells"):
-            open_cells(4, excluded_query, excluded_source)

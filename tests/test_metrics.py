@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from cfedit.errors import ShapeError
+from cfedit import relaxed, search
+from cfedit.errors import BoundsError, ExhaustedError, ShapeError
 from cfedit.grids import EditList
 from cfedit.metrics import (
     agreement_cross_class,
@@ -12,10 +13,11 @@ from cfedit.metrics import (
     avg_edit_count,
     relaxation_fidelity,
 )
-from cfedit.relaxed import best_edits_relaxed
+from cfedit.network import LayerSpec
+from cfedit.relaxed import RelaxOptConfig
 from cfedit.search import ExplanationResult, best_edit_exhaustive
 
-from conftest import identity_feature_model, random_grid
+from conftest import identity_feature_model, make_model, random_grid, solve_relaxed
 
 
 def result_with(n_edits, status="flipped"):
@@ -135,11 +137,48 @@ class TestRelaxationFidelity:
         wl.setup()
         instances = [inst for group in wl.pool for inst in group]
         report = relaxation_fidelity(wl.model, instances, wl.opt)
-        solved = best_edits_relaxed(wl.model, instances, wl.opt)
+        solved = solve_relaxed(wl.model, instances, wl.opt)
         matched = 0
         for inst, sample, (i, j2, score, *_) in zip(instances, report.samples, solved):
             if sample["match"]:
                 matched += 1
                 assert sample["prob_ratio"] == 1.0
-                assert best_edit_exhaustive(wl.model, *inst) == (i, j2, score)
+                assert best_edit_exhaustive(wl.model, *inst[:3]) == (i, j2, score)
         assert matched >= 100
+
+    @pytest.mark.parametrize(
+        "excluded, error", [(([16], ()), BoundsError), (((), [-1]), BoundsError), ((range(16), ()), ExhaustedError)]
+    )
+    def test_every_instance_is_checked_before_any_is_solved(self, excluded, error, monkeypatch):
+        # 455 problems of a 4x4x20 grid fill a relaxed chunk; the bad one sits in the second chunk
+        model = make_model(
+            [LayerSpec("conv2d", out_channels=20, kernel_size=1)],
+            [LayerSpec("flatten"), LayerSpec("dense", units=3), LayerSpec("log-softmax")],
+            (4, 4, 20),
+            3,
+        )
+        assert relaxed._CHUNK_VALUES // (16 * (16 + 20)) == 455
+        rng = np.random.default_rng(40)
+        instances = [(random_grid(rng, 4, 4, 20), random_grid(rng, 4, 4, 20), 1, (), ()) for _ in range(3)] * 200
+        instances[500] = instances[500][:3] + excluded
+        solved = []  # the strategies that ran a step
+        ascent, step = relaxed.ascent_steps, search.EditProblem.step
+
+        def relaxed_spy(*args):
+            for out in ascent(*args):
+                solved.append("relaxed")
+                yield out
+
+        def exhaustive_spy(self):
+            solved.append("exhaustive")
+            return step(self)
+
+        monkeypatch.setattr(relaxed, "ascent_steps", relaxed_spy)
+        monkeypatch.setattr(search.EditProblem, "step", exhaustive_spy)
+        opt = RelaxOptConfig(max_steps=2)
+        for use_relaxed in (True, False):
+            with pytest.raises(error):
+                relaxation_fidelity(model, instances, opt, use_relaxed)
+        assert solved == []
+        relaxation_fidelity(model, instances[:3], opt)
+        assert set(solved) == {"relaxed", "exhaustive"}  # the spies see the steps of a solve

@@ -1217,3 +1217,35 @@ class TestSerialization:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(error):
             load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda m: m["extractor"][0].update(stride=0), "conv2d stride must be positive"),
+            (lambda m: m["extractor"].append({"kind": "maxpool2d", "window": 1, "stride": 0}), "maxpool2d stride"),
+            (lambda m: m["extractor"].append({"kind": "maxpool2d", "window": 1, "padding": 3}), "maxpool2d takes no"),
+            (lambda m: m["extractor"].append({"kind": "relu", "stride": 0}), "relu stride"),
+        ],
+        ids=["conv-stride-0", "pool-stride-0", "pool-padding", "relu-stride-0"],
+    )
+    def test_geometry_the_runtime_would_not_apply_is_refused(self, tmp_path, edit, match):
+        # stride 0 used to run as the default stride, and a pool padding was applied nowhere
+        model = identity_feature_model(2, 2, 1, 3)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ShapeError, match=match):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_refused(self, tmp_path, value):
+        model = identity_feature_model(2, 2, 1, 3)
+        path = tmp_path / "m"
+        save_model(model, str(path))
+        blob = np.frombuffer((path / "weights.bin").read_bytes(), dtype="<f8").copy()
+        blob[[-2, -1]] = value  # entries 1 and 2 of the last dense bias; the first is named
+        (path / "weights.bin").write_bytes(blob.tobytes())
+        with pytest.raises(FormatError, match=rf"'head\.1\.bias' holds {value} at flat index 1"):
+            load_model(str(path))

@@ -12,7 +12,7 @@ edits must reproduce its recorded trajectory.
 The explain workloads also run traced: their per-layer counts must show
 that greedy search ran under the tracer and that its hook counted the
 committed edits, one per greedy step, so a tracer hook that no longer fits
-its function's signature fails here.  Greedy's steps are private `_Carry`
+its function's signature fails here.  Greedy's steps are `EditProblem`
 methods, which the tracer does not wrap, so `search.steps_per_pair` (calls
 of `best_edit_exhaustive` per greedy call) reads 0 on these workloads.
 `fidelity` runs traced too, with the tracer wrapped around the public

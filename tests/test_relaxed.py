@@ -4,27 +4,27 @@ import numpy as np
 import pytest
 
 from cfedit import relaxed
-from cfedit.errors import BoundsError, ExhaustedError
-from cfedit.grids import FeatureGrid, open_cells
-from cfedit.network import LayerSpec, PairEdits, head_logprobs
+from cfedit.errors import ExhaustedError
+from cfedit.grids import FeatureGrid
+from cfedit.network import PairEdits, head_logprobs
 from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
     ascent_steps,
-    best_edits_relaxed,
     softmax,
 )
-from cfedit.search import best_edit_exhaustive
+from cfedit.search import EditProblem, best_edit_exhaustive
 
 from conftest import (
     first_dense,
     identity_feature_model,
     layered_tail_pass,
-    make_model,
     objective_one,
     pack_logits,
     random_grid,
     single_edit,
+    solve_exhaustive,
+    solve_relaxed,
     unpack,
 )
 
@@ -174,7 +174,7 @@ class TestBestEditRelaxed:
         model.head[1].weights["weight"][0, 1] = 1.0
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         F2 = FeatureGrid(2, 2, 1, np.array([[9.0], [0.0], [0.0], [0.0]]))
-        i, j2, score, traj, _ = best_edits_relaxed(model, [(F, F2, 1, (), ())])[0]
+        i, j2, score, traj, _ = solve_relaxed(model, [(F, F2, 1, (), ())])[0]
         assert (i, j2) == best_edit_exhaustive(model, F, F2, 1)[:2] == (0, 0)
         assert len(traj) >= 1
 
@@ -183,12 +183,12 @@ class TestBestEditRelaxed:
         model = identity_feature_model(2, 2, 2, 3, seed=11, linear=False)
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
-        i, j2, score, _, _ = best_edits_relaxed(model, [(F, F2, 2, (), ())])[0]
+        i, j2, score, _, _ = solve_relaxed(model, [(F, F2, 2, (), ())])[0]
         # the per-grid reference to within rounding; exhaustive search's scorer bit for bit
         assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], rel=1e-12, abs=0)
         scores = PairEdits(model, F, F2).edit_logprobs(i, j2)
         assert score == scores[2]
-        best = best_edit_exhaustive(model, F, F2, 2, [k for k in range(4) if k != i], [k for k in range(4) if k != j2])
+        best = solve_exhaustive(model, F, F2, 2, [k for k in range(4) if k != i], [k for k in range(4) if k != j2])
         assert best == (i, j2, score)
 
     def test_masking_soundness(self):
@@ -210,7 +210,7 @@ class TestBestEditRelaxed:
             assert np.all(P[:, excluded_s] < 1e-12)
             steps += 1
         assert steps == 60
-        i, j2, *_ = best_edits_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], opt)[0]
+        i, j2, *_ = solve_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], opt)[0]
         assert i not in excluded_q
         assert j2 not in excluded_s
 
@@ -240,7 +240,7 @@ class TestBestEditRelaxed:
         model = identity_feature_model(2, 2, 1, 2)
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         with pytest.raises(ExhaustedError):
-            best_edits_relaxed(model, [(F, F, 1, range(4), ())])
+            solve_relaxed(model, [(F, F, 1, range(4), ())])
 
     def test_zero_entropy_dominant_edit_agreement_rate(self, monkeypatch):
         # local optima are possible: log failures, assert a loose majority
@@ -255,7 +255,7 @@ class TestBestEditRelaxed:
             F = random_grid(rng, 2, 2, 1)
             F2 = FeatureGrid(2, 2, 1, rng.normal(size=(4, 1)) * 5)
             want = best_edit_exhaustive(model, F, F2, 1)[:2]
-            got = best_edits_relaxed(model, [(F, F2, 1, (), ())], opt)[0][:2]
+            got = solve_relaxed(model, [(F, F2, 1, (), ())], opt)[0][:2]
             agree += got == want
         assert agree / trials >= 0.75
 
@@ -280,10 +280,10 @@ class TestLockstepBatches:
         order = np.random.default_rng(32).permutation(len(problems))
         shuffled = [problems[k] for k in order]
         opt = RelaxOptConfig()
-        batch = best_edits_relaxed(model, shuffled, opt)
+        batch = solve_relaxed(model, shuffled, opt)
         steps = []
         for problem, (i, j2, score, traj, converged) in zip(shuffled, batch):
-            si, sj2, sscore, straj, _ = best_edits_relaxed(model, [problem], opt)[0]
+            si, sj2, sscore, straj, _ = solve_relaxed(model, [problem], opt)[0]
             assert (i, j2, score, len(traj)) == (si, sj2, sscore, len(straj))
             np.testing.assert_allclose(traj, straj, rtol=1e-12, atol=0)
             steps.append(len(traj))
@@ -297,8 +297,9 @@ class TestLockstepBatches:
         opt = RelaxOptConfig(max_steps=17)
         stop = opt.sharpness_stop
         flags = []
-        for (F, F2, target, exq, exs), edit in zip(problems, best_edits_relaxed(model, problems, opt)):
-            open_q, open_s = open_cells(9, exq, exs)
+        for (F, F2, target, exq, exs), edit in zip(problems, solve_relaxed(model, problems, opt)):
+            problem = EditProblem(model, F, F2, target, exq, exs)
+            open_q, open_s = problem.open_q, problem.open_s
             X = pack_logits(np.where(open_q, 0.0, MASK_LOGIT), np.where(open_s, np.zeros((9, 1)), MASK_LOGIT))
             for _, a, P in itertools.islice(ascent_one(model, F, F2, target, X, opt), len(edit[3])):
                 pass
@@ -360,8 +361,9 @@ class TestLockstepBatches:
         # a solo solve's objectives are those of the ascent on C-ordered packed logits
         model, problems = lockstep_problems()
         for F, F2, target, exq, exs in problems:
-            _, _, _, traj, _ = best_edits_relaxed(model, [(F, F2, target, exq, exs)])[0]
-            open_q, open_s = open_cells(9, exq, exs)
+            _, _, _, traj, _ = solve_relaxed(model, [(F, F2, target, exq, exs)])[0]
+            problem = EditProblem(model, F, F2, target, exq, exs)
+            open_q, open_s = problem.open_q, problem.open_s
             X = pack_logits(np.where(open_q, 0.0, MASK_LOGIT), np.where(open_s, np.zeros((9, 1)), MASK_LOGIT))
             replay = [obj for obj, _, _ in itertools.islice(ascent_one(model, F, F2, target, X, RelaxOptConfig()), len(traj))]
             assert traj == replay
@@ -369,50 +371,20 @@ class TestLockstepBatches:
     def test_fused_head_pass_gives_identical_solves(self, monkeypatch):
         # the fused head pass against the per-layer forward and backward: no bit changes
         model, problems = lockstep_problems()
-        fused = best_edits_relaxed(model, problems)
-        solo = [best_edits_relaxed(model, [p])[0] for p in problems[:4]]
+        fused = solve_relaxed(model, problems)
+        solo = [solve_relaxed(model, [p])[0] for p in problems[:4]]
         monkeypatch.setattr(relaxed, "tail_gradient_pass", layered_tail_pass)
-        assert best_edits_relaxed(model, problems) == fused
-        assert [best_edits_relaxed(model, [p])[0] for p in problems[:4]] == solo
+        assert solve_relaxed(model, problems) == fused
+        assert [solve_relaxed(model, [p])[0] for p in problems[:4]] == solo
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_smaller_chunks_give_the_same_edits(self, monkeypatch, per_chunk):
         model, problems = lockstep_problems()
-        whole = best_edits_relaxed(model, problems)
+        whole = solve_relaxed(model, problems)
         monkeypatch.setattr(relaxed, "_CHUNK_VALUES", per_chunk * 9 * (9 + 2))
-        chunked = best_edits_relaxed(model, problems)
+        chunked = solve_relaxed(model, problems)
         assert [e[:3] + (len(e[3]), e[4]) for e in chunked] == [e[:3] + (len(e[3]), e[4]) for e in whole]
 
     def test_no_problems(self):
         model, _ = lockstep_problems()
-        assert best_edits_relaxed(model, []) == []
-
-    @pytest.mark.parametrize(
-        "excluded, error", [(([16], ()), BoundsError), (((), [-1]), BoundsError), ((range(16), ()), ExhaustedError)]
-    )
-    def test_every_problem_is_checked_before_any_chunk_is_solved(self, excluded, error, monkeypatch):
-        # 455 problems of a 4x4x20 grid fill a chunk; the bad one sits in the second chunk
-        model = make_model(
-            [LayerSpec("conv2d", out_channels=20, kernel_size=1)],
-            [LayerSpec("flatten"), LayerSpec("dense", units=3), LayerSpec("log-softmax")],
-            (4, 4, 20),
-            3,
-        )
-        assert relaxed._CHUNK_VALUES // (16 * (16 + 20)) == 455
-        rng = np.random.default_rng(40)
-        problems = [(random_grid(rng, 4, 4, 20), random_grid(rng, 4, 4, 20), 1, (), ()) for _ in range(3)] * 200
-        problems[500] = problems[500][:3] + excluded
-        steps = []
-        ascent = relaxed.ascent_steps
-
-        def spy(*args):
-            for out in ascent(*args):
-                steps.append(1)
-                yield out
-
-        monkeypatch.setattr(relaxed, "ascent_steps", spy)
-        with pytest.raises(error):
-            best_edits_relaxed(model, problems, RelaxOptConfig(max_steps=2))
-        assert steps == []
-        best_edits_relaxed(model, problems[:3], RelaxOptConfig(max_steps=2))
-        assert steps  # the spy sees the steps of a solve
+        assert solve_relaxed(model, []) == []

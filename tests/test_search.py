@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from cfedit import search
 from cfedit.data import gen_shapes
 from cfedit.errors import BoundsError, ExhaustedError, ShapeError
-from cfedit.grids import FeatureGrid, open_cells
+from cfedit.grids import FeatureGrid
 from cfedit.metrics import relaxation_fidelity
 from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
-from cfedit.relaxed import RelaxOptConfig, best_edits_relaxed
+from cfedit.relaxed import RelaxOptConfig
 from cfedit.search import (
+    EditProblem,
     ExplanationResult,
     SearchConfig,
     best_edit_exhaustive,
@@ -31,6 +32,8 @@ from conftest import (
     random_grid,
     relaxed_replay,
     single_edit,
+    solve_exhaustive,
+    solve_relaxed,
 )
 
 
@@ -90,7 +93,7 @@ class TestBestEditExhaustive:
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
         i0, j0, _ = best_edit_exhaustive(model, F, F2, 1)
-        i1, j1, _ = best_edit_exhaustive(model, F, F2, 1, excluded_query=[i0], excluded_source=[j0])
+        i1, j1, _ = solve_exhaustive(model, F, F2, 1, excluded_query=[i0], excluded_source=[j0])
         assert i1 != i0 and j1 != j0
         want = brute_force_best_edit(model, F, F2, 1, excluded_query=[i0], excluded_source=[j0])
         assert (i1, j1) == want[:2]
@@ -99,18 +102,18 @@ class TestBestEditExhaustive:
         model = identity_feature_model(2, 2, 1, 2)
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         with pytest.raises(ExhaustedError):
-            best_edit_exhaustive(model, F, F, 1, excluded_query=range(4))
+            solve_exhaustive(model, F, F, 1, excluded_query=range(4))
 
 
 def relaxed_single_problem(model, F, F2, target, excluded_query=(), excluded_source=()):
-    """best_edits_relaxed on one problem, called as best_edit_exhaustive is."""
+    """The relaxed solver on one problem, called as solve_exhaustive is."""
     problem = (F, F2, target, excluded_query, excluded_source)
-    return best_edits_relaxed(model, [problem], RelaxOptConfig(max_steps=5))[0]
+    return solve_relaxed(model, [problem], RelaxOptConfig(max_steps=5))[0]
 
 
 @pytest.mark.parametrize(
     "solver",
-    [best_edit_exhaustive, relaxed_single_problem],
+    [solve_exhaustive, relaxed_single_problem],
     ids=["exhaustive", "relaxed"],
 )
 class TestSolverEdgeCases:
@@ -141,7 +144,8 @@ class TestSolverEdgeCases:
             solver(model, F, F2, target)
 
     @pytest.mark.parametrize(
-        "excluded", [{"excluded_query": [4]}, {"excluded_query": [-1]}, {"excluded_source": [0, 99]}]
+        "excluded",
+        [{"excluded_query": [4]}, {"excluded_query": [-1]}, {"excluded_source": [0, 99]}, {"excluded_source": [-4]}],
     )
     def test_excluded_cell_out_of_range_raises(self, solver, excluded):
         rng = np.random.default_rng(7)
@@ -149,6 +153,15 @@ class TestSolverEdgeCases:
         F, F2 = random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1)
         with pytest.raises(BoundsError, match="excluded cells"):
             solver(model, F, F2, 1, **excluded)
+
+
+class TestEditProblem:
+    def test_masks(self):
+        rng = np.random.default_rng(8)
+        model = identity_feature_model(2, 2, 1, 2)
+        problem = EditProblem(model, random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1), 1, [0, 2], [3])
+        assert problem.open_q.tolist() == [False, True, False, True]
+        assert problem.open_s.tolist() == [True, True, True, False]
 
 
 class TestGreedy:
@@ -223,7 +236,7 @@ class TestGreedy:
         ex_q, ex_s = [], []
         for (i, j, i2, j2) in result.edits:
             cell, src = i * 3 + j, i2 * 3 + j2
-            bi, bj, _ = best_edit_exhaustive(model, state, F2, target, ex_q, ex_s)
+            bi, bj, _ = solve_exhaustive(model, state, F2, target, ex_q, ex_s)
             assert (bi, bj) == (cell, src)
             state = single_edit(state, F2, cell, src)
             ex_q.append(cell)
@@ -297,7 +310,7 @@ class TestGreedyRelaxed:
             warnings.simplefilter("ignore")
             result = greedy_counterfactual(model, query, distractor, target, SearchConfig(relax=opt))
         assert result.edit_count >= 1
-        i, j2, *_ = best_edits_relaxed(model, [(F, F2, target, (), ())], opt)[0]
+        i, j2, *_ = solve_relaxed(model, [(F, F2, target, (), ())], opt)[0]
         assert result.edits.edits[0] == (i // 3, i % 3, j2 // 3, j2 % 3)
         edits, trajectory, status = relaxed_replay(model, query, distractor, target, "query-and-distractor-cells", opt)
         assert (result.edits.edits, result.status) == (edits, status)
@@ -399,7 +412,7 @@ class TestCandidateScoresEquivalence:
                     candidate_scores(model, F, F2, target, range(n)), want, rtol=0, atol=1e-12
                 )
                 for ex_q, ex_s in exclusions:
-                    i, j2, score = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s)
+                    i, j2, score = solve_exhaustive(model, F, F2, target, ex_q, ex_s)
                     bi, bj, bscore = brute_force_best_edit(model, F, F2, target, ex_q, ex_s)
                     assert (i, j2) == (bi, bj)
                     assert score == pytest.approx(bscore, abs=1e-12)
@@ -471,7 +484,7 @@ class TestGreedyContraction:
         quads, ex_q, ex_s = [], [], []
         state, status = F, "flipped" if query_class == target else "exhausted"
         while status == "exhausted" and len(quads) < F.cells:
-            i, j2, _ = best_edit_exhaustive(model, state, F2, target, ex_q, ex_s)
+            i, j2, _ = solve_exhaustive(model, state, F2, target, ex_q, ex_s)
             state = single_edit(state, F2, i, j2)
             quads.append((i // F.w, i % F.w, j2 // F.w, j2 % F.w))
             ex_q.append(i)
@@ -499,15 +512,15 @@ class TestGreedyContraction:
     def check_replay(self, head, block_values, policy, monkeypatch):
         if block_values is not None:  # 1 and 300 leave no room for the contraction
             monkeypatch.setattr(search, "_BLOCK_VALUES", block_values)
-        seen = []  # (carry, contraction stored, chosen edit's score) per step
-        step = search._Carry.step
+        seen = []  # (problem, contraction stored, chosen edit's score) per step
+        step = search.EditProblem.step
 
-        def spy(self, target, open_q, open_s):
-            got = step(self, target, open_q, open_s)
-            seen.append((id(self), self.contraction is not None, got[2][target]))
+        def spy(self):
+            got = step(self)
+            seen.append((id(self), self.contraction is not None, got[2][self.target]))
             return got
 
-        monkeypatch.setattr(search._Carry, "step", spy)
+        monkeypatch.setattr(search.EditProblem, "step", spy)
         rng = np.random.default_rng(93)
         h, w, d, classes = 3, 3, 2, 4
         steps = 0
@@ -534,7 +547,7 @@ class TestGreedyContraction:
                     assert (got.edits.edits, got.status) == (edits, status)
                     np.testing.assert_allclose(got.trajectory, trajectory, rtol=1e-12, atol=0)
                     assert got.trajectory[0] == trajectory[0]  # the unedited grid's one-grid pass
-                    # every step runs on the pair's one carried state
+                    # every step solves the pair's one problem
                     assert len(steps_seen) == got.edit_count and len({s[0] for s in steps_seen}) <= 1
                     assert [s[1] for s in steps_seen] == [block_values is None] * got.edit_count
                     # each entry is the committed candidate's scored row
@@ -586,27 +599,33 @@ class TestGreedyContraction:
         F, F2 = random_grid(rng, h, w, d), random_grid(rng, h, w, d)
         n = h * w
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units))
-        C = search._Carry(model, F, F2, greedy=True).contraction
+        problem = EditProblem(model, F, F2, 0)
+        assert problem.contraction is None  # until the first step
+        stepped = problem.step()
+        C = problem.contraction
         assert C.shape == (n, n, units) and C.size <= search._BLOCK_VALUES
         W = model.head[1].weights["weight"].reshape(n, d, units)
         naive = np.array([[(F2.values[j] - F.values[i]) @ W[i] for j in range(n)] for i in range(n)])
         np.testing.assert_allclose(C, naive, rtol=0, atol=1e-12)
-        unstored = search._Carry(model, F, F2, greedy=False)
+        unstored = EditProblem(model, F, F2, 0)  # a problem the relaxed solver alone reads
         for q in ([0], [n - 1], [1, 4, 5], list(range(n))):  # the blocks the per-step path computes
             assert C[q].tobytes() == unstored.contraction_rows(np.array(q)).tobytes()
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
-        assert search._Carry(model, F, F2, greedy=True).contraction is None
+        problem = EditProblem(model, F, F2, 0)
+        again = problem.step()
+        assert problem.contraction is None
+        assert again[:2] == stepped[:2] and again[2].tobytes() == stepped[2].tobytes()
 
 
 class TestGreedyRelaxedCarry:
     """Greedy's relaxed strategy, which solves every step on the unedited grid
-    and its carry's z0, against the per-grid reference that solves each step
+    and its problem's z0, against the per-grid reference that solves each step
     on the edited grid (`conftest.relaxed_replay`)."""
 
     @pytest.mark.parametrize("head", sorted(TestCandidateScoresEquivalence.HEADS))
     @pytest.mark.parametrize("policy", ["query-and-distractor-cells", "query-cells-only"])
     def test_matches_per_step_replay_and_its_own_scores(self, head, policy, monkeypatch):
-        scored = []  # the carry's scored row of each committed edit
+        scored = []  # the problem's scored row of each committed edit
         solve = search.best_pair_edits
 
         def spy(model, problems, opt):
@@ -725,23 +744,25 @@ class TestRowBound:
             mp.setattr(search, "_BOUND_CANDIDATES", 1)
             if not stored:
                 mp.setattr(search, "_BLOCK_VALUES", 1)  # no room for the contraction
-            carry = search._Carry(model, F, F2, greedy=True)
-            assert carry.bound is not None and (carry.contraction is not None) == stored
-            carry.z0 = carry.z0 + drift * rng.normal(size=carry.z0.shape)  # as committed edits leave it
+            z0 = EditProblem(model, F, F2, 0).z0
+            z0 = z0 + drift * rng.normal(size=z0.shape)  # as committed edits leave it
             i, j = np.divmod(np.arange(n * n), n)
             for target in range(classes):
-                scores = np.concatenate([b for _, b, _, _ in carry.blocks(target, np.arange(n), np.ones(n, bool))])
+                problem = EditProblem(model, F, F2, target)
+                problem._prepare()
+                assert problem.bound is not None and (problem.contraction is not None) == stored
+                problem.z0 = z0
+                scores = np.concatenate([b for _, b, _, _ in problem.blocks(np.arange(n))])
                 assert np.all(np.isfinite(scores))
-                bounds = carry.bound.sums(carry.z0, target)
+                bounds = problem.bound.sums(problem.z0)
                 if bounds is None:  # logits this large keep every cell
-                    rows = carry.rows_to_score(target, np.arange(n), np.ones(n, bool))
-                    assert list(rows) == list(range(n))
+                    assert list(problem.rows_to_score(np.arange(n))) == list(range(n))
                     continue
                 sums, margin = bounds
                 assert np.all(np.log(sums) <= -scores.max(axis=1) + margin), (np.log(sums), scores.max(axis=1))
                 # the leader's single-edit logits stay within the margin of the
                 # scorer's (a sum that overflows keeps every cell)
-                z = carry._pair_logits(i, j)
+                z = problem._pair_logits(i, j)
                 with np.errstate(over="ignore"):
                     pair_sums = np.exp(z - z[:, target : target + 1]).sum(axis=1)
                 finite = np.isfinite(pair_sums)
@@ -780,14 +801,15 @@ class TestRowBound:
                 allowed[:, ex_s] = -np.inf
                 tied = [i for i in range(9) if allowed[i].max() == allowed.max()]
                 assert len(tied) >= 2
-                carry = search._Carry(model, F, F2, greedy=True)
-                assert min(carry.block_rows, 9) == (block_rows or 9) and (carry.contraction is None) == bool(block_rows)
+                problem = EditProblem(model, F, F2, target, ex_q, ex_s)
+                problem._prepare()
+                assert min(problem.block_rows, 9) == (block_rows or 9) and (problem.contraction is None) == bool(block_rows)
                 # the leader comes from the last of the tied cells, not the first
-                carry.row_sources[tied[-1]] = np.argmax(allowed[tied[-1]])
-                i, j2, lp = carry.step(target, *open_cells(9, ex_q, ex_s))
+                problem.row_sources[tied[-1]] = np.argmax(allowed[tied[-1]])
+                i, j2, lp = problem.step()
                 assert (i, j2, lp[target]) == (tied[0], np.argmax(allowed[tied[0]]), allowed.max())
-                # every open cell scored, as best_edit_exhaustive scores them
-                got = best_edit_exhaustive(model, F, F2, target, ex_q, ex_s)
+                # a fresh problem, whose first leader is the edit of the cell with the largest bound
+                got = solve_exhaustive(model, F, F2, target, ex_q, ex_s)
                 assert got == (tied[0], np.argmax(allowed[tied[0]]), allowed.max())
                 ex_q.append(got[0])
                 if policy == "query-and-distractor-cells":
@@ -815,17 +837,18 @@ class TestRowBound:
                 continue
             break
         assert 0 < gap <= 2e-12 and full[b].max() == full.max()
-        carry = search._Carry(model, F, F2, greedy=True)
-        _, margin = carry.bound.sums(carry.z0, target)
+        problem = EditProblem(model, F, F2, target)
+        problem._prepare()
+        _, margin = problem.bound.sums(problem.z0)
         # cell a has the largest bound, so its best edit is the leader; cell
         # b's bound is exactly its best score, below a's
         sums = np.full(9, np.inf)
         sums[a] = np.exp(-full[a].max()) / 2
         sums[b] = np.exp(-full[b].max())
-        monkeypatch.setattr(carry.bound, "sums", lambda z0, t: (sums, margin))
-        kept = carry.rows_to_score(target, np.arange(9), np.ones(9, bool))
+        monkeypatch.setattr(problem.bound, "sums", lambda z0: (sums, margin))
+        kept = problem.rows_to_score(np.arange(9))
         assert list(kept) == [a, b]
-        i, j2, lp = carry.step(target, np.ones(9, bool), np.ones(9, bool))
+        i, j2, lp = problem.step()
         assert (i, j2) == (b, int(np.argmax(full[b]))) and lp[target] == full.max()
 
     @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
@@ -842,20 +865,20 @@ class TestRowBound:
             for a, b in itertools.permutations(classes, 2)
         ]
         rows = {"scored": 0, "open": 0}
-        blocks = search._Carry.blocks
+        blocks = search.EditProblem.blocks
 
-        def counting(self, target, scored, sources):
+        def counting(self, scored):
             rows["scored"] += len(scored)
-            return blocks(self, target, scored, sources)
+            return blocks(self, scored)
 
         def run():
             config = SearchConfig(policy)
             return [greedy_counterfactual(model, ds.images[q], ds.images[d], t, config) for q, d, t in pairs]
 
-        monkeypatch.setattr(search._Carry, "blocks", counting)
+        monkeypatch.setattr(search.EditProblem, "blocks", counting)
         bounded = run()
         pruned, rows["scored"] = rows["scored"], 0
-        monkeypatch.setattr(search._Carry, "rows_to_score", lambda self, t, open_rows, sources: open_rows)
+        monkeypatch.setattr(search.EditProblem, "rows_to_score", lambda self, open_rows: open_rows)
         every = run()
         assert bounded == every
         assert pruned < rows["scored"]
@@ -867,14 +890,21 @@ class TestRowBound:
         n = h * w
         if not stored:
             monkeypatch.setattr(search, "_BLOCK_VALUES", 300)  # no room for the contraction
-        seen = []  # (bounding, contraction stored) per greedy step
-        step = search._Carry.step
+        seen = []  # [bounded, contraction stored] per greedy step
+        step, rows_to_score = search.EditProblem.step, search.EditProblem.rows_to_score
 
-        def spy(self, target, open_q, open_s):
-            seen.append((self.bound is not None, self.contraction is not None))
-            return step(self, target, open_q, open_s)
+        def stepping(self):
+            seen.append([False, None])
+            got = step(self)
+            seen[-1][1] = self.contraction is not None
+            return got
 
-        monkeypatch.setattr(search._Carry, "step", spy)
+        def bounding(self, rows):
+            seen[-1][0] = True
+            return rows_to_score(self, rows)
+
+        monkeypatch.setattr(search.EditProblem, "step", stepping)
+        monkeypatch.setattr(search.EditProblem, "rows_to_score", bounding)
         config, steps = SearchConfig(policy), 0
         for seed in range(6):
             # random weights, dense(50) -> relu -> dense(10): the bound keeps every cell
@@ -905,18 +935,18 @@ class TestRowBound:
         wl = workloads.WORKLOADS["explain-wide"](1, False)
         wl.setup()
         rows = {"scored": 0, "open": 0}
-        blocks, step = search._Carry.blocks, search._Carry.step
+        blocks, step = search.EditProblem.blocks, search.EditProblem.step
 
-        def counting(self, target, scored, sources):
+        def counting(self, scored):
             rows["scored"] += len(scored)
-            return blocks(self, target, scored, sources)
+            return blocks(self, scored)
 
-        def opening(self, target, open_q, open_s):
-            rows["open"] += int(open_q.sum())
-            return step(self, target, open_q, open_s)
+        def opening(self):
+            rows["open"] += int(self.open_q.sum())
+            return step(self)
 
-        monkeypatch.setattr(search._Carry, "blocks", counting)
-        monkeypatch.setattr(search._Carry, "step", opening)
+        monkeypatch.setattr(search.EditProblem, "blocks", counting)
+        monkeypatch.setattr(search.EditProblem, "step", opening)
         for q, d in wl.pool[:20]:
             target = int(predict_batch(wl.model, wl.ds.images[d][None])[0])
             greedy_counterfactual(wl.model, wl.ds.images[q], wl.ds.images[d], target, wl.config)
@@ -927,12 +957,14 @@ class TestRowBound:
         rng = np.random.default_rng(97)
         model = identity_feature_model(3, 3, 2, 3, seed=8, linear=False)
         F, F2 = random_grid(rng, 3, 3, 2), random_grid(rng, 3, 3, 2)
-        carry = search._Carry(model, F, F2, greedy=True)
+        bounded = EditProblem(model, F, F2, 0)
+        bounded._prepare()
         monkeypatch.setattr(search, "_BOUND_CANDIDATES", 82)  # above 3x3's 81 candidates
-        plain = search._Carry(model, F, F2, greedy=True)
+        plain = EditProblem(model, F, F2, 0)
+        plain._prepare()
         assert plain.bound is None
-        assert carry.contraction.shape == plain.contraction.shape == (9, 9, 8)
-        assert not carry.contraction.flags.c_contiguous and plain.contraction.flags.c_contiguous
-        assert carry.contraction.tobytes() == plain.contraction.tobytes()
+        assert bounded.contraction.shape == plain.contraction.shape == (9, 9, 8)
+        assert not bounded.contraction.flags.c_contiguous and plain.contraction.flags.c_contiguous
+        assert bounded.contraction.tobytes() == plain.contraction.tobytes()
         for q in ([0], [8], [1, 4, 5], list(range(9))):
-            assert carry.contraction_rows(q).tobytes() == plain.contraction_rows(q).tobytes()
+            assert bounded.contraction_rows(q).tobytes() == plain.contraction_rows(q).tobytes()
