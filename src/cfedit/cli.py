@@ -38,7 +38,7 @@ from .render import (
     write_explanation,
 )
 from .rng import substream
-from .search import SearchConfig, greedy_counterfactual
+from .search import EXCLUSION_POLICIES, SearchConfig, greedy_counterfactual
 
 
 def _add_common(p):
@@ -126,12 +126,12 @@ DEFAULTS = {
     "dataset": "shapes",
     "shapes_count": 400,
     "shapes_size": 28,
-    "epochs": 10,
-    "learning_rate": 0.01,
-    "batch_size": 64,
+    "epochs": TrainConfig().epochs,
+    "learning_rate": TrainConfig().learning_rate,
+    "batch_size": TrainConfig().batch_size,
     "strategy": "exhaustive",
-    "max_edits": None,
-    "exclusion_policy": "query-and-distractor-cells",
+    "max_edits": SearchConfig().max_edits,
+    "exclusion_policy": SearchConfig().exclusion_policy,
     "relax_lr": RelaxOptConfig().learning_rate,
     "relax_steps": RelaxOptConfig().max_steps,
     "pairs": 50,
@@ -141,7 +141,7 @@ DEFAULTS = {
 CHOICES = {
     "dataset": ("shapes", "idx"),
     "strategy": ("exhaustive", "relaxed"),
-    "exclusion_policy": ("query-cells-only", "query-and-distractor-cells"),
+    "exclusion_policy": EXCLUSION_POLICIES,
 }
 
 # smallest accepted value of numeric keys, checked before any data is built

@@ -12,6 +12,7 @@ desk-scale experiments and the test suite.  Both sources yield grayscale
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import struct
@@ -50,37 +51,29 @@ class Dataset:
         return len(self.images)
 
 
+def _read_idx(path: str, magic: int, dims: int, what: str):
+    """(the header's `dims` counts, the uint8 body of that shape) of the IDX
+    file at `path`, after checking its magic, header and body lengths; any
+    bytes past the body are ignored."""
+    size = 4 * (dims + 1)
+    with open(path, "rb") as fh:
+        header = fh.read(size)
+        if len(header) < size:
+            raise FormatError(f"{path}: truncated header at byte {len(header)}")
+        got, *counts = struct.unpack(f">{dims + 1}I", header)
+        if got != magic:
+            raise FormatError(f"{path}: bad magic 0x{got:08x} at byte 0 (want 0x{magic:08x})")
+        body = fh.read()
+    expected = math.prod(counts)
+    if len(body) < expected:
+        raise FormatError(f"{path}: truncated {what} data at byte {size + len(body)}")
+    return counts, np.frombuffer(body[:expected], dtype=np.uint8).reshape(counts)
+
+
 def load_idx(images_path: str, labels_path: str, split: str = "") -> Dataset:
     """Parse a big-endian IDX image/label file pair; bytes scaled to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise FormatError(f"{images_path}: truncated header at byte {len(header)}")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at byte 0 (want 0x{IDX_IMAGES_MAGIC:08x})"
-            )
-        body = fh.read()
-    expected = count * rows * cols
-    if len(body) < expected:
-        raise FormatError(f"{images_path}: truncated pixel data at byte {16 + len(body)}")
-    images = np.frombuffer(body[:expected], dtype=np.uint8).reshape(count, rows, cols)
-
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise FormatError(f"{labels_path}: truncated header at byte {len(header)}")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at byte 0 (want 0x{IDX_LABELS_MAGIC:08x})"
-            )
-        body = fh.read()
-    if len(body) < label_count:
-        raise FormatError(f"{labels_path}: truncated label data at byte {8 + len(body)}")
-    labels = np.frombuffer(body[:label_count], dtype=np.uint8)
-
+    (count, _, _), images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixel")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")
     if count != label_count:
         raise FormatError(f"image count {count} does not match label count {label_count}")
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(int), 10, split=split)

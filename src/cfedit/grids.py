@@ -11,10 +11,9 @@ where `o` broadcasts the gate across the d channels.  `apply_edits`
 computes it on plain stacks of grid values, gates and alignments, in either
 the discrete form (binary gate, permutation alignment) or the relaxed one
 (simplex gate, row-stochastic alignment).  Neither search builds an edited
-grid: both work in the head's first dense layer space
-(`network.PairEdits`), where an edit adds its delta's contraction to the
-unedited grid's output, and hold the cells they may still use as the masks
-of a `search.EditProblem`.
+grid: both work in the head's first dense layer space of a
+`search.EditProblem`, where an edit adds its delta's contraction to the
+unedited grid's output, and the cells they may still use are its masks.
 """
 
 from __future__ import annotations

@@ -141,20 +141,23 @@ def relaxation_fidelity(
 
     `instances` is a list of (F, F2, target_class, excluded_query,
     excluded_source), each posed as one `search.EditProblem`, all of them
-    checked before any is solved.  Exhaustive search steps each problem
-    once, and the relaxed solver runs the same problems as lockstep batches
-    in one `best_pair_edits` call.  Each relaxed sample also holds the
-    solver's step count and whether its last step met the stop test.
-    `use_relaxed=False` self-compares exhaustive search (a calibration
-    identity).
+    checked before any is solved.  The relaxed solver runs the problems as
+    lockstep batches in one `best_pair_edits` call, which stores nothing on
+    them; then exhaustive search steps each problem once, and drops it, with
+    the contraction and bound its step stored.  Each relaxed sample also
+    holds the solver's step count and whether its last step met the stop
+    test.  `use_relaxed=False` self-compares exhaustive search (a
+    calibration identity).
     """
     problems = [EditProblem(model, *inst) for inst in instances]
     if not problems:
         raise ShapeError("no instances supplied")
-    exhaustive = [problem.step() for problem in problems]
-    solved = best_pair_edits(model, problems, opt) if use_relaxed else exhaustive
+    solved = best_pair_edits(model, problems, opt) if use_relaxed else [None] * len(problems)
     samples = []
-    for problem, (ei, ej, elp), (ri, rj, rlp, *work) in zip(problems, exhaustive, solved):
+    for k, relaxed_edit in enumerate(solved):
+        problem, problems[k] = problems[k], None
+        ei, ej, elp = problem.step()
+        ri, rj, rlp, *work = relaxed_edit or (ei, ej, elp)
         t = problem.target
         sample = {"match": (ri, rj) == (ei, ej), "prob_ratio": float(np.exp(rlp[t] - elp[t]))}
         if work:

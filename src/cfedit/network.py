@@ -15,8 +15,8 @@ stride positive.
 
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
-None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient_pass`,
-`PairEdits`); only `train` runs the head's layers through `forward_layers` and
+None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient_pass`);
+only `train` runs the head's layers through `forward_layers` and
 `backward_layers`.
 
 A stack's leading per-image layers (conv2d, relu, maxpool2d: an extractor)
@@ -666,49 +666,6 @@ def head_input_gradient_batch(model: ModelBundle, values: np.ndarray, targets) -
     v = _grid_batch(model, values)
     out, g = tail_gradient_pass(model, targets)(v.reshape(len(v), -1) @ weight + bias)
     return out, (g @ weight.T).reshape(v.shape)
-
-
-class PairEdits:
-    """The head on the single-cell edits of the grid pair (F, F2): edit (i, j)
-    copies F2's cell j into F's cell i, and its first dense output is
-    z0 + C[i, j], where z0 = F.flat . W + b and C[i, j] = (F2[j] - F[i]) . W_i
-    is the edit contraction, W_i being cell i's (d, units) block of W.  The
-    difference is taken before the product, so no-op edits (F2[j] == F[i])
-    and identical source rows score bit-identically.  `rows` is the scorer
-    of both search strategies, which solve its subclass `search.EditProblem`;
-    its log-softmax works on class columns, so a row's bits do not depend on
-    the other rows scored with it."""
-
-    def __init__(self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid):
-        model.check_grids(F, F2)
-        (weight, bias), *tail = model.mlp
-        self.F, self.F2, self.tail = F, F2, tuple(tail)
-        n, d = F.values.shape
-        self.W = weight.reshape(n, d, -1)
-        self.z0 = F.values.reshape(-1) @ weight + bias
-        self.contraction = None  # the whole (hw, hw, units) contraction, where `search.EditProblem` stores it
-
-    def contraction_rows(self, q):
-        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
-        new (len(q), hw, units) array."""
-        if self.contraction is not None:
-            return self.contraction[q]
-        return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
-
-    def logits(self, q):
-        """Head logits of the edits (q[k], j), as row k * hw + j of (len(q) * hw, classes)."""
-        z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
-        z += self.z0
-        return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
-
-    def rows(self, q):
-        """The `_shift_lse` (z, lse) of `logits(q)`, whose row r's log-softmax is z[r] - lse[r]."""
-        return _shift_lse(self.logits(q))
-
-    def edit_logprobs(self, i: int, j: int) -> np.ndarray:
-        """The (classes,) log-probabilities of edit (i, j), from cell i's block."""
-        z, lse = self.rows([i])
-        return z[j] - lse[j]
 
 
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:

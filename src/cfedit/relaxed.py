@@ -5,14 +5,14 @@ a row-stochastic matrix, both parameterized through softmax so the constraints
 hold by construction.  Adam (Kingma & Ba, ICLR 2015) ascends the
 target-class log-probability of the relaxed edit minus entropy penalties that
 sharpen the distributions; the result is rounded back to a single discrete
-edit, which `network.PairEdits` scores as exhaustive search scores it, so an
-edit both strategies choose gets the same score bit for bit.  The problems
-are `search.EditProblem`s, which their callers build and check.
+edit, which `search.EditProblem` scores as exhaustive search scores it, so
+an edit both strategies choose gets the same score bit for bit.  The
+problems are `search.EditProblem`s, which their callers build and check.
 
 The solver works in the head's first dense layer space, as exhaustive search
 does: the relaxed grid (1 - a) o F + a o (P @ F2) is F plus the delta
 a o (P @ F2 - F), so its first dense output is z0 + delta.flat . W, with z0
-the unedited grid's (`PairEdits.z0`).  Each step forms the delta in d-space,
+the unedited grid's (`EditProblem.z0`).  Each step forms the delta in d-space,
 contracts it with W, runs the head's layers after that one forward and
 backward (`network.tail_gradient_pass`) and maps the gradient back through
 W^T.  A closed query cell has a gate of exactly 0, so its delta adds
@@ -175,7 +175,7 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     They are split into chunks of at most `_CHUNK_VALUES` // (n² + n·d)
     problems, and at least one, each run through one Adam ascent.  Returns,
     per problem and in order, (query cell, source cell, the edit's
-    log-probabilities from `PairEdits.edit_logprobs`, per-step objective
+    log-probabilities from `EditProblem.edit_logprobs`, per-step objective
     values, converged), where converged means the last step met the stop
     test.  Each edit, score and step count is the one the problem gets when
     solved alone; the objectives may differ in their last bits, as a batched

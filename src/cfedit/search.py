@@ -12,7 +12,7 @@ The head is flatten -> dense -> (dense | relu)* -> log-softmax, the one form
 all (hw)^2 single edits builds no edited grid: an edit changes one cell, so
 its pre-activation in the first dense layer is the unedited one plus the
 cell's difference times that cell's block of the weight, and only the tail
-of `mlp` after it runs per candidate (`network.PairEdits`, the scorer of
+of `mlp` after it runs per candidate (`EditProblem.logits`, the scorer of
 both strategies).  Only the query cells still open are scored, and of the
 final log-softmax only the target class is kept, bit-identical to that
 column of the full output.  Scoring works through a fixed number of values
@@ -21,7 +21,8 @@ per block of query cells, so memory stays bounded as the grid grows.
 Each search poses best-edit problems (`EditProblem`): a grid pair, its
 target class and the masks of its open query and source cells, checked once
 when built, and solved exhaustively by `EditProblem.step` or through the
-relaxation by `relaxed.best_pair_edits`.
+relaxation by `relaxed.best_pair_edits`.  Greedy takes the query class from
+the problem's unedited log-probabilities.
 
 A greedy step only changes the query cell it then closes, so the query cells
 still open keep their unedited values at every step of a pair, and greedy
@@ -80,7 +81,7 @@ import numpy as np
 
 from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid
-from .network import ModelBundle, PairEdits, _mlp_forward, forward_feature_pair, head_logprobs
+from .network import ModelBundle, _log_softmax, _mlp_forward, _shift_lse, forward_feature_pair, head_logprobs
 from .relaxed import RelaxOptConfig, best_pair_edits
 
 # float64 values one block of scored query cells may hold (16 MB);
@@ -96,14 +97,18 @@ _BLOCK_VALUES = 1 << 21
 _BOUND_CANDIDATES = 1250
 
 
+# whether a committed edit closes its query cell only, or its source cell too
+EXCLUSION_POLICIES = ("query-cells-only", "query-and-distractor-cells")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    exclusion_policy: str = "query-and-distractor-cells"  # or "query-cells-only"
+    exclusion_policy: str = "query-and-distractor-cells"
     max_edits: int | None = None  # default: hw
     relax: RelaxOptConfig | None = None  # None: exhaustive search
 
     def __post_init__(self):
-        if self.exclusion_policy not in ("query-cells-only", "query-and-distractor-cells"):
+        if self.exclusion_policy not in EXCLUSION_POLICIES:
             raise FormatError(f"unknown exclusion policy {self.exclusion_policy!r}")
         max_edits = self.max_edits
         if not (max_edits is None or is_number(max_edits, integer=True) and max_edits > 0):
@@ -154,14 +159,22 @@ def best_edit_exhaustive(
     return i, j2, float(lp[target_class])
 
 
-class EditProblem(PairEdits):
-    """One best-edit problem: the `PairEdits` of the grid pair (F, F2), the
-    target class, and the boolean masks `open_q` and `open_s` of the query
-    and source cells an edit may still use.  Building it checks the class,
-    the grids' geometry and the excluded cells, and raises ExhaustedError
-    when either mask is empty.  `step` solves it exhaustively and
-    `relaxed.best_pair_edits` through the relaxation; greedy `commit`s each
-    step's edit, which moves z0 to the edited grid's and closes its cells.
+class EditProblem:
+    """One best-edit problem: the single-cell edits of the grid pair (F, F2)
+    toward the target class, over the query and source cells that the
+    boolean masks `open_q` and `open_s` leave open.  Edit (i, j) copies F2's
+    cell j into F's cell i; its first dense output is z0 + C[i, j], with
+    z0 = F.flat . W + b and the contraction C[i, j] = (F2[j] - F[i]) . W_i
+    (W_i: cell i's (d, units) block of W), the difference taken first so
+    that no-op edits and identical source rows score bit-identically.
+
+    Building it checks the class, the grids' geometry and the excluded
+    cells, raises ExhaustedError when either mask is empty, and computes
+    `logprobs`, the unedited grid's log-probabilities, from z0 (FormatError
+    unless finite).  `step` solves it exhaustively and
+    `relaxed.best_pair_edits` through the relaxation, both scoring with
+    `logits`; greedy `commit`s each step's edit, which moves z0 to the edited
+    grid's and closes its cells.
 
     The first `step` stores the contraction when it fits, and on a grid of
     at least `_BOUND_CANDIDATES` candidates sets up the interval bound on
@@ -174,9 +187,11 @@ class EditProblem(PairEdits):
         self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target: int, excluded_query=(), excluded_source=()
     ):
         model.check_class(target)
-        super().__init__(model, F, F2)
-        n, d, units = self.W.shape
-        self.target = target
+        model.check_grids(F, F2)
+        (weight, bias), *tail = model.mlp
+        self.F, self.F2, self.tail, self.target = F, F2, tuple(tail), target
+        n, d = F.values.shape
+        self.W = weight.reshape(n, d, -1)
         self.open_q, self.open_s = masks = np.ones((2, n), dtype=bool)
         for mask, cells in zip(masks, (list(excluded_query), list(excluded_source))):
             if not all(0 <= c < n for c in cells):
@@ -184,11 +199,32 @@ class EditProblem(PairEdits):
             mask[cells] = False
         if not (self.open_q.any() and self.open_s.any()):
             raise ExhaustedError("all candidate edits are excluded")
+        self.z0 = F.values.reshape(-1) @ weight + bias
+        # `_mlp_forward` overwrites its input, so it runs on a copy of z0
+        self.logprobs = _finite(_log_softmax(_mlp_forward(self.tail, self.z0[None].copy()))[0])
         # query cells whose contraction, and the differences it is made from, fit in
         # one block of `_BLOCK_VALUES`; the first step keeps the whole contraction if all do
-        self.block_rows = max(1, _BLOCK_VALUES // (n * (d + units)))
-        self.bound = self.row_sources = None
+        self.block_rows = max(1, _BLOCK_VALUES // (n * (d + weight.shape[1])))
+        self.contraction = self.bound = self.row_sources = None
         self.prepared = False
+
+    def contraction_rows(self, q):
+        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
+        new (len(q), hw, units) array."""
+        if self.contraction is not None:
+            return self.contraction[q]
+        return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
+
+    def logits(self, q):
+        """Head logits of the edits (q[k], j), as row k * hw + j of (len(q) * hw, classes)."""
+        z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
+        z += self.z0
+        return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
+
+    def edit_logprobs(self, i: int, j: int) -> np.ndarray:
+        """The (classes,) log-probabilities of edit (i, j), from cell i's block."""
+        z, lse = _shift_lse(self.logits([i]))
+        return _finite(z[j] - lse[j])
 
     def _prepare(self):
         """The first step's set-up: the stored contraction and the bound."""
@@ -233,11 +269,11 @@ class EditProblem(PairEdits):
         """Score the edits of the query cells `rows` (ascending) one block at
         a time.  Yields the block's cells q, their (len(q), hw) target-class
         log-probabilities, with the closed source columns at -inf, and the
-        (z, lse) of their len(q) * hw rows (`PairEdits.rows`), from which any
+        `_shift_lse` (z, lse) of their len(q) * hw rows, from which any
         row's log-softmax is z - lse."""
         for lo in range(0, len(rows), self.block_rows):
             q = rows[lo : lo + self.block_rows]
-            z, lse = self.rows(q)
+            z, lse = _shift_lse(self.logits(q))
             block = (z[:, self.target] - lse).reshape(len(q), -1)
             block[:, ~self.open_s] = -np.inf
             yield q, block, z, lse
@@ -246,7 +282,8 @@ class EditProblem(PairEdits):
         """The best edit (i, j2) over the open query and source cells, ties
         going to the smallest i, then the smallest j2, and its full
         log-probabilities.  Bounded, it scores only the rows `rows_to_score`
-        keeps, and stops bounding for good once the bound keeps them all."""
+        keeps, and stops bounding for good once the bound keeps them all.
+        Raises FormatError when the best edit's scores are not finite."""
         if not self.prepared:
             self._prepare()
         rows = np.flatnonzero(self.open_q)
@@ -255,15 +292,16 @@ class EditProblem(PairEdits):
             if len(kept) == len(rows):
                 self.bound = self.row_sources = None
             rows = kept
-        best = None
+        # a head whose scores overflow to NaN may leave this edit in place
+        best, (i, j2, lp) = -np.inf, (-1, -1, None)
         for q, block, z, lse in self.blocks(rows):
             if self.row_sources is not None:
                 self.row_sources[q] = block.argmax(axis=1)
             k = int(np.argmax(block))  # blocks come in row order, so a later block must beat it strictly
-            if best is None or block.flat[k] > best:
+            if block.flat[k] > best:
                 r, j2 = divmod(k, block.shape[1])
-                best, edit = block.flat[k], (int(q[r]), j2, z[k] - lse[k])
-        return edit
+                best, i, lp = block.flat[k], int(q[r]), z[k] - lse[k]
+        return i, j2, _finite(lp)
 
     def _pair_logits(self, i, j):
         """Head logits of the edits (i[k], j[k]), as (len(i), classes), within
@@ -313,6 +351,14 @@ class EditProblem(PairEdits):
         self.open_q[i] = False
         if close_source:
             self.open_s[j2] = False
+
+
+def _finite(lp):
+    """`lp`, if it holds log-probabilities that are all finite; else FormatError.
+    A head with NaN or infinite weights, or whose values overflow, gives NaN or inf."""
+    if lp is None or not np.isfinite(lp).all():
+        raise FormatError("the head gives non-finite log-probabilities")
+    return lp
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -454,7 +500,7 @@ def greedy_counterfactual(
     F, F2 = forward_feature_pair(model, query_image, distractor_image)
     # open query cells keep their unedited values, so one problem serves every step
     problem = EditProblem(model, F, F2, target_class)
-    lp = head_logprobs(model, F)
+    lp = problem.logprobs
     query_class = int(lp.argmax())
     distractor_class = head_logprobs(model, F2).argmax()
     if distractor_class != target_class:

@@ -158,7 +158,7 @@ def layered_tail_pass(model, targets):
 
 def first_dense(model, F) -> np.ndarray:
     """The (B, units) first dense outputs of a (B, n, d) stack of grid
-    values, one product per grid, as `PairEdits.z0` computes them."""
+    values, one product per grid, as `search.EditProblem.z0` computes them."""
     (weight, bias), *_ = model.mlp
     return np.stack([f.reshape(-1) @ weight + bias for f in F])
 

@@ -1,5 +1,6 @@
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from cfedit.metrics import (
     avg_edit_count,
     relaxation_fidelity,
 )
-from cfedit.network import LayerSpec
+from cfedit.data import gen_shapes
+from cfedit.network import LayerSpec, forward_feature_pair, predict_batch
 from cfedit.relaxed import RelaxOptConfig
 from cfedit.search import ExplanationResult, best_edit_exhaustive
 
+import test_search
 from conftest import identity_feature_model, make_model, random_grid, solve_relaxed
 
 
@@ -182,3 +185,24 @@ class TestRelaxationFidelity:
         assert solved == []
         relaxation_fidelity(model, instances[:3], opt)
         assert set(solved) == {"relaxed", "exhaustive"}  # the spies see the steps of a solve
+
+    @pytest.mark.parametrize("use_relaxed, limit", [(False, 8), (True, 25)])
+    def test_no_problem_outlives_its_step(self, use_relaxed, limit):
+        # a stepped problem stores its 7x7 contraction and bound, about 1 MB;
+        # kept to the end, they grow the peak by that much per instance
+        model = test_search.TestGreedyContraction.frozen_model("wide")
+        ds = gen_shapes(120, size=42, seed=1, split="bench")
+        preds = predict_batch(model, ds.images)
+        instances = [
+            (*forward_feature_pair(model, ds.images[q], ds.images[d]), int(preds[d]), (), ())
+            for q, d in zip(range(0, 120, 2), range(1, 120, 2))
+            if preds[q] != preds[d]
+        ]
+        assert len(instances) >= 30
+        tracemalloc.start()
+        try:
+            relaxation_fidelity(model, instances, RelaxOptConfig(max_steps=2), use_relaxed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit << 20, (len(instances), peak)

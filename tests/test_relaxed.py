@@ -6,7 +6,7 @@ import pytest
 from cfedit import relaxed
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid
-from cfedit.network import PairEdits, head_logprobs
+from cfedit.network import head_logprobs
 from cfedit.relaxed import (
     MASK_LOGIT,
     RelaxOptConfig,
@@ -186,7 +186,7 @@ class TestBestEditRelaxed:
         i, j2, score, _, _ = solve_relaxed(model, [(F, F2, 2, (), ())])[0]
         # the per-grid reference to within rounding; exhaustive search's scorer bit for bit
         assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], rel=1e-12, abs=0)
-        scores = PairEdits(model, F, F2).edit_logprobs(i, j2)
+        scores = EditProblem(model, F, F2, 2).edit_logprobs(i, j2)
         assert score == scores[2]
         best = solve_exhaustive(model, F, F2, 2, [k for k in range(4) if k != i], [k for k in range(4) if k != j2])
         assert best == (i, j2, score)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cfedit import search
 from cfedit.data import gen_shapes
-from cfedit.errors import BoundsError, ExhaustedError, ShapeError
+from cfedit.errors import BoundsError, ExhaustedError, FormatError, ShapeError
 from cfedit.grids import FeatureGrid
 from cfedit.metrics import relaxation_fidelity
 from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
@@ -679,6 +679,60 @@ def test_frozen_model_refuses_a_target_class_out_of_range(target):
     for use_relaxed in (True, False):
         with pytest.raises(BoundsError, match="target class"):
             relaxation_fidelity(model, [(F, F2, target, [], [])], use_relaxed=use_relaxed)
+
+
+@pytest.mark.parametrize("name, size, count", [("ref", 28, 400), ("wide", 42, 300)])
+def test_unedited_logprobs_equal_the_one_grid_pass(name, size, count):
+    """A problem's log-probabilities, computed from its z0, are the bits of
+    `head_logprobs` on the query grid, on consecutive image pairs of the
+    seed 1-3 bench pools."""
+    model = TestGreedyContraction.frozen_model(name)
+    for seed in (1, 2, 3):
+        images = gen_shapes(count, size=size, seed=seed, split="bench").images
+        for k in range(0, count, 2):
+            F, F2 = forward_feature_pair(model, images[k], images[k + 1])
+            assert EditProblem(model, F, F2, 0).logprobs.tobytes() == head_logprobs(model, F).tobytes()
+
+
+# the overflows that make these heads non-finite warn, and so may a distractor of another class
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:distractor is predicted")
+class TestNonFiniteHead:
+    """A head whose scores are not finite raises FormatError through every
+    search entry point, before any edit is recorded."""
+
+    @pytest.mark.parametrize("name, size", [("ref", 28), ("wide", 42)])
+    @pytest.mark.parametrize("layer, param, index, value", [(1, "weight", (0, 0), np.nan), (3, "bias", 0, np.inf)])
+    def test_frozen_models(self, name, size, layer, param, index, value):
+        model = TestGreedyContraction.frozen_model(name)
+        model.head[layer].weights[param][index] = value
+        ds = gen_shapes(4, size=size, seed=8, split="bench")
+        query, distractor = ds.images[0], ds.images[1]
+        for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
+            with pytest.raises(FormatError, match="non-finite"):
+                greedy_counterfactual(model, query, distractor, 1, config)
+        F, F2 = forward_feature_pair(model, query, distractor)
+        with pytest.raises(FormatError, match="non-finite"):
+            best_edit_exhaustive(model, F, F2, 1)
+        for use_relaxed in (True, False):
+            with pytest.raises(FormatError, match="non-finite"):
+                relaxation_fidelity(model, [(F, F2, 1, [], [])], RelaxOptConfig(max_steps=5), use_relaxed)
+
+    def test_edits_that_overflow(self):
+        # the unedited grid scores finitely, but every edit's logits overflow to inf
+        model = identity_feature_model(2, 2, 1, 3, seed=1)
+        model.head[1].weights["weight"][:] = 1e200
+        F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
+        F2 = FeatureGrid(2, 2, 1, np.full((4, 1), 1e200))
+        problem = EditProblem(model, F, F2, 1)
+        assert np.isfinite(problem.logprobs).all()
+        with pytest.raises(FormatError, match="non-finite"):
+            problem.step()
+        with pytest.raises(FormatError, match="non-finite"):
+            problem.edit_logprobs(0, 0)
+        query, distractor = F.values.reshape(2, 2, 1), F2.values.reshape(2, 2, 1)
+        for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
+            with pytest.raises(FormatError, match="non-finite"):
+                greedy_counterfactual(model, query, distractor, 1, config)
 
 
 def bound_grids(rng, h, w, d, kind):
