@@ -7,7 +7,7 @@ model's decision to the distractor's class, and renders those edits back to
 pixel space via receptive fields.
 """
 
-from .grids import EditList, FeatureGrid, apply_edits
+from .grids import EditList, FeatureGrid
 from .network import (
     LayerSpec,
     ModelBundle,
@@ -32,7 +32,6 @@ __all__ = [
     "RelaxOptConfig",
     "SearchConfig",
     "TrainConfig",
-    "apply_edits",
     "best_edit_exhaustive",
     "forward_features",
     "greedy_counterfactual",

@@ -403,7 +403,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        # numbers that overflow end in a typed error, not in numpy's warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](args)
     except (CfeditError, OSError) as exc:
         print(
             "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)}),

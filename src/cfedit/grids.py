@@ -1,4 +1,4 @@
-"""Spatial feature grids and the feature-space edit transformation.
+"""Spatial feature grids and the edit lists that change them.
 
 A feature map of geometry h x w x d is stored as an hw x d matrix, row-major
 over cells (cell i = row * w + col).  Edits replace whole rows of the query
@@ -7,11 +7,8 @@ cells and an alignment matrix selecting source cells:
 
     edited = (1 - a) o F  +  a o (P @ F')
 
-where `o` broadcasts the gate across the d channels.  `apply_edits`
-computes it on plain stacks of grid values, gates and alignments, in either
-the discrete form (binary gate, permutation alignment) or the relaxed one
-(simplex gate, row-stochastic alignment).  Neither search builds an edited
-grid: both work in the head's first dense layer space of a
+where `o` broadcasts the gate across the d channels.  Neither search builds
+an edited grid: both work in the head's first dense layer space of a
 `search.EditProblem`, where an edit adds its delta's contraction to the
 unedited grid's output, and the cells they may still use are its masks.
 """
@@ -97,19 +94,3 @@ class EditList:
     def source_cells(self) -> list[int]:
         return [i2 * self.w + j2 for (_, _, i2, j2) in self.edits]
 
-
-def apply_edits(F, F2, a, P) -> tuple[np.ndarray, np.ndarray]:
-    """The edited stack (1 - a) o F + a o (P @ F2), and the aligned rows P @ F2.
-
-    F and F2 are (..., n, d) stacks of grid values, `a` the (..., n) gates and
-    `P` the (..., n, n) alignments; inputs are left untouched."""
-    F, F2, a, P = (np.asarray(x, dtype=np.float64) for x in (F, F2, a, P))
-    if F.ndim < 2 or F2.shape != F.shape:
-        raise ShapeError(f"grid stacks must share an (..., n, d) shape, got {F.shape} and {F2.shape}")
-    if a.shape != F.shape[:-1]:
-        raise ShapeError(f"gate shape {a.shape} does not match grid cells {F.shape[:-1]}")
-    if P.shape != a.shape + a.shape[-1:]:
-        raise ShapeError(f"alignment shape {P.shape} does not match grid cells {F.shape[:-1]}")
-    PF2 = P @ F2
-    gate = a[..., None]
-    return (1.0 - gate) * F + gate * PF2, PF2

@@ -610,18 +610,13 @@ def forward_feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarr
     return FeatureGrid.from_array(out[0]), FeatureGrid.from_array(out[1])
 
 
-def _grid_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
-    """(N, hw, d) grid matrices as float64, after checking them against the head's input shape."""
+def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
+    """g over a batch of grids given as (N, hw, d) matrices; returns (N, classes)."""
     h, w, d = model.feature_shape
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 3 or v.shape[1:] != (h * w, d):
         raise ShapeError(f"expected batch of ({h * w}, {d}) grids, got {v.shape}")
-    return v
-
-
-def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
-    """g over a batch of grids given as (N, hw, d) matrices; returns (N, classes)."""
-    return _log_softmax(_mlp_forward(model.mlp, _grid_batch(model, values).reshape(len(values), -1)))
+    return _log_softmax(_mlp_forward(model.mlp, v.reshape(len(v), -1)))
 
 
 def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
@@ -657,26 +652,25 @@ def tail_gradient_pass(model: ModelBundle, targets):
     return run
 
 
-def head_input_gradient_batch(model: ModelBundle, values: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """g over a batch of grids given as (N, hw, d) matrices, and the gradient of
-    each grid's `targets[k]` log-probability w.r.t. that grid; returns the
-    (N, classes) log-probabilities and the (N, hw, d) gradients, all from one
-    forward and one backward pass over the batch."""
-    (weight, bias), *_ = model.mlp
-    v = _grid_batch(model, values)
-    out, g = tail_gradient_pass(model, targets)(v.reshape(len(v), -1) @ weight + bias)
-    return out, (g @ weight.T).reshape(v.shape)
+def _finite(lp):
+    """`lp`, if it holds log-probabilities that are all finite; else FormatError.
+    A head with NaN or infinite weights, or whose values overflow, gives NaN or inf."""
+    if lp is None or not np.isfinite(lp).all():
+        raise FormatError("the head gives non-finite log-probabilities")
+    return lp
 
 
 def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
-    """Predicted class of each image, evaluated `_PREDICT_IMAGES` images at a time."""
+    """Predicted class of each image, evaluated `_PREDICT_IMAGES` images at a
+    time.  Raises FormatError when any log-probability is not finite, as the
+    argmax of NaN names no class."""
     imgs = _as_batch(model, images)
     preds = []
     for lo in range(0, len(imgs), _PREDICT_IMAGES):
         chunk = imgs[lo : lo + _PREDICT_IMAGES]
         # the features stay a temporary, freed before the next chunk's pass
         logits = _mlp_forward(model.mlp, forward_layers(model.extractor, chunk).reshape(len(chunk), -1))
-        preds.append(np.argmax(_log_softmax(logits), axis=1))
+        preds.append(np.argmax(_finite(_log_softmax(logits)), axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 
@@ -773,9 +767,12 @@ def train(
                     ly.weights[name] += vel[name]
             step += 1
 
-    model.metrics["train_accuracy"] = _accuracy(model, images, labels)
-    if len(sets) > 1:
-        model.metrics["test_accuracy"] = _accuracy(model, *sets[1])
+    try:  # the last update is checked here, by the accuracy pass's scores
+        model.metrics["train_accuracy"] = _accuracy(model, images, labels)
+        if len(sets) > 1:
+            model.metrics["test_accuracy"] = _accuracy(model, *sets[1])
+    except FormatError as exc:
+        raise TrainingError(f"the accuracy pass's scores became non-finite at step {step}: {exc}", step=step) from exc
     return model
 
 

@@ -132,17 +132,12 @@ def render_heatmap(image: np.ndarray, cells, rf: ReceptiveFieldMap) -> np.ndarra
     return (1.0 - alpha) * img + alpha * 1.0
 
 
-def render_composite(
-    composite: np.ndarray,
-    distractor: np.ndarray,
-    edit: tuple,
-    rf_query: ReceptiveFieldMap,
-    rf_distractor: ReceptiveFieldMap,
-):
+def render_composite(composite: np.ndarray, distractor: np.ndarray, edit: tuple, rf: ReceptiveFieldMap):
     """Paste the distractor's highlighted patch onto `composite`, a float64
     array of the query's shape, in place.
 
-    The two receptive-field rectangle centers are aligned; the highlight
+    Query and distractor share the receptive fields `rf`.  The two
+    receptive-field rectangle centers are aligned; the highlight
     intensity over the distractor is the per-pixel alpha.  Source pixels that
     fall outside either image are skipped.  Only the distractor rectangle,
     moved and clipped to the query, is blended, with the cached falloff of
@@ -152,8 +147,8 @@ def render_composite(
     if composite.shape != dimg.shape:
         raise ShapeError(f"query shape {composite.shape} != distractor shape {dimg.shape}")
     i, j, i2, j2 = edit
-    cy_q, cx_q = rf_query.rect_center(i, j)
-    t, l, b, r = rf_distractor.rect(i2, j2)
+    cy_q, cx_q = rf.rect_center(i, j)
+    t, l, b, r = rf.rect(i2, j2)
     dy = int(round(cy_q - (t + b) / 2.0))
     dx = int(round(cx_q - (l + r) / 2.0))
     # destination rows [dst_t, dst_b) and columns [dst_l, dst_r) in the query
@@ -184,7 +179,7 @@ def render_explanation(
     dh = render_heatmap(distractor_image, d_cells, rf)
     comp = np.array(query_image, dtype=np.float64)
     for quad in result.edits:
-        render_composite(comp, distractor_image, quad, rf, rf)
+        render_composite(comp, distractor_image, quad, rf)
     return RenderedExplanation(qh, dh, comp)
 
 

@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid
-from .network import ModelBundle, _log_softmax, _mlp_forward, _shift_lse, forward_feature_pair, head_logprobs
+from .network import ModelBundle, _finite, _log_softmax, _mlp_forward, _shift_lse, forward_feature_pair, head_logprobs
 from .relaxed import RelaxOptConfig, best_pair_edits
 
 # float64 values one block of scored query cells may hold (16 MB);
@@ -351,14 +351,6 @@ class EditProblem:
         self.open_q[i] = False
         if close_source:
             self.open_s[j2] = False
-
-
-def _finite(lp):
-    """`lp`, if it holds log-probabilities that are all finite; else FormatError.
-    A head with NaN or infinite weights, or whose values overflow, gives NaN or inf."""
-    if lp is None or not np.isfinite(lp).all():
-        raise FormatError("the head gives non-finite log-probabilities")
-    return lp
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

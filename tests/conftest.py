@@ -176,6 +176,31 @@ def objective_one(model, F, F2, target, alpha, M) -> tuple:
     return (objective[0], *unpack(dX[0]), *unpack(S[0]))
 
 
+def transformed(F, F2, a, P) -> np.ndarray:
+    """The paper's edit (1 - a) o F + a o (P @ F2), built explicitly on
+    (..., n, d) grid values with (..., n) gates `a` and (..., n, n)
+    alignments `P`: the reference for the first dense outputs that both
+    searches form without building it."""
+    gate = np.asarray(a, dtype=np.float64)[..., None]
+    return (1.0 - gate) * F + gate * (P @ F2)
+
+
+def relaxed_first_dense(model, F, F2, z0, targets, X) -> tuple:
+    """The (B, units) first dense outputs z that `_objective_and_grads`
+    forms from the (B, n, d) grid values F and F2, their z0 and the packed
+    logits X, caught by a spy on its tail pass; and S = softmax(X), the
+    gates and alignments they were formed with, packed as X is."""
+    seen = []
+    tail_pass = tail_gradient_pass(model, targets)
+
+    def spy(z):
+        seen.append(z.copy())
+        return tail_pass(z)
+
+    _, _, S = _objective_and_grads(spy, model.mlp[0][0], F, F2, z0, targets, X)
+    return seen[0], S
+
+
 def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid:
     """F with row i replaced by row j2 of F2: the edited grid that the
     per-grid references below run the head on."""

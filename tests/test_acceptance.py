@@ -20,7 +20,7 @@ import pytest
 
 from cfedit.cli import main as cli_main
 from cfedit.errors import FormatError
-from cfedit.grids import FeatureGrid, apply_edits
+from cfedit.grids import FeatureGrid
 from cfedit.metrics import (
     agreement_cross_class,
     agreement_same_class,
@@ -31,17 +31,18 @@ from cfedit.network import (
     TrainConfig,
     forward_features,
     forward_layers,
-    head_input_gradient_batch,
     head_logprobs,
     load_model,
     predict_batch,
     reference_extractor_specs,
     reference_head_specs,
     save_model,
+    tail_gradient_pass,
     train,
 )
+from cfedit.relaxed import MASK_LOGIT
 from cfedit.render import receptive_field_map, write_explanation, read_explanation
-from cfedit.search import ExplanationResult, best_edit_exhaustive, greedy_counterfactual
+from cfedit.search import EditProblem, ExplanationResult, best_edit_exhaustive, greedy_counterfactual
 from cfedit.data import gen_shapes, load_idx
 
 from conftest import (
@@ -49,7 +50,11 @@ from conftest import (
     identity_feature_model,
     mnist_paths_or_skip,
     objective_one,
+    pack_logits,
     random_grid,
+    relaxed_first_dense,
+    transformed,
+    unpack,
 )
 from test_search import min_edit_oracle
 
@@ -299,7 +304,11 @@ class TestCriterion5GradientSuite:
             F2 = random_grid(rng, 2, 2, 2)
             target = int(rng.integers(3))
 
-            grad = head_input_gradient_batch(model, F.values[None], [target])[1][0]
+            # the grid gradient the relaxed solver forms: the tail pass at the
+            # unedited grid's first dense output, mapped back through W^T
+            W = model.mlp[0][0]
+            z0 = EditProblem(model, F, F2, target).z0[None]
+            grad = (tail_gradient_pass(model, [target])(z0)[1] @ W.T).reshape(4, 2)
             fd = np.zeros_like(grad)
             for i in range(4):
                 for c in range(2):
@@ -346,60 +355,81 @@ class TestCriterion5GradientSuite:
 
 
 class TestCriterion6TransformationIdentities:
+    """The paper's edit (1 - a) o F + a o (P @ F2), built explicitly here,
+    against the first dense outputs the searches form without building it:
+    exhaustive search's z0 + (F2[j] - F[i]) . W_i (`EditProblem`) and the
+    relaxed solver's z0 + (a o (P @ F2 - F)) . W (`_objective_and_grads`)."""
+
     def test_identity_replacement_affine(self):
         rng = np.random.default_rng(60)
         failures = 0
-        relaxed = {}  # (n, d) -> the relaxed instances of that shape, with their outputs
+        models = {}  # (h, w, d) -> the model of that feature geometry
+        relaxed = {}  # (h, w, d) -> the relaxed instances of that geometry, with their z
         for k in range(1000):
             h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             d = int(rng.integers(1, 4))
             n = h * w
+            geometry = (h, w, d)
+            if geometry not in models:
+                models[geometry] = identity_feature_model(h, w, d, 3, seed=6000 + len(models), linear=False)
+            model = models[geometry]
+            weight, bias = model.mlp[0]
             F = random_grid(rng, h, w, d)
             F2 = random_grid(rng, h, w, d)
-            perm = rng.permutation(n)
-            P = np.eye(n)[perm]  # row i selects source cell perm[i]
-
-            # gate all zeros: output is the query grid, bitwise
-            out, _ = apply_edits(F.values, F2.values, np.zeros(n), P)
-            if not np.array_equal(out, F.values):
-                failures += 1
-                continue
-
-            # gate all ones: output rows are the aligned distractor rows
-            out, aligned = apply_edits(F.values, F2.values, np.ones(n), P)
-            if not (np.allclose(out, F2.values[perm], atol=1e-12) and np.array_equal(aligned, F2.values[perm])):
-                failures += 1
-                continue
-
-            # one-hot gate and a permutation row: row i copied from the distractor, bitwise
+            perm = rng.permutation(n)  # alignment row i selects source cell perm[i]
+            target = int(rng.integers(3))
             i = k % n
-            out, _ = apply_edits(F.values, F2.values, np.eye(n)[i], P)
-            copied = F.values.copy()
-            copied[i] = F2.values[perm[i]]
-            if not np.array_equal(out, copied):
+            j = int(perm[i])
+
+            # a no-op edit leaves the scored row at z0, bitwise, with the
+            # contraction computed per row and stored by the first step
+            noop = F2.values.copy()
+            noop[j] = F.values[i]
+            problem = EditProblem(model, F, FeatureGrid(h, w, d, noop), target)
+            rows = [problem.contraction_rows([i])[0, j] + problem.z0]
+            problem.step()
+            rows.append(problem.contraction_rows([i])[0, j] + problem.z0)
+            if not all(np.array_equal(z, problem.z0) for z in rows):
                 failures += 1
                 continue
 
-            # relaxed gate: every row is the stated affine combination
-            a = rng.dirichlet(np.ones(n))
-            M = rng.dirichlet(np.ones(n), size=n)
-            out, _ = apply_edits(F.values, F2.values, a, M)
-            expected = (1 - a)[:, None] * F.values + a[:, None] * (M @ F2.values)
-            if not np.allclose(out, expected, atol=1e-12):
+            # a one-hot gate and alignment row: the relaxed z, the scored row
+            # (computed and stored) and the explicit row copy agree
+            problem = EditProblem(model, F, F2, target)
+            X = np.full((1, n + 1, n), MASK_LOGIT)
+            X[0, 0, i] = X[0, 1 + i, j] = 0.0
+            z, _ = relaxed_first_dense(model, F.values[None], F2.values[None], problem.z0[None], [target], X)
+            copied = transformed(F.values, F2.values, np.eye(n)[i], np.eye(n)[perm])
+            want = [problem.contraction_rows([i])[0, j] + problem.z0]
+            problem.step()
+            want += [problem.contraction_rows([i])[0, j] + problem.z0, copied.reshape(-1) @ weight + bias]
+            if not all(np.allclose(z[0], v, rtol=0, atol=1e-12) for v in want):
                 failures += 1
                 continue
-            relaxed.setdefault((n, d), []).append((F.values, F2.values, a, M, out))
 
-        # a stack of same-shape instances, as the relaxed solver passes them, equals the per-instance calls
-        for group in relaxed.values():
-            Fs, F2s, gates, aligns, outs = (np.stack(x) for x in zip(*group))
-            stacked, _ = apply_edits(Fs, F2s, gates, aligns)
-            failures += int((np.abs(stacked - outs) > 1e-12).any(axis=(1, 2)).sum())
+            # relaxed gates and alignments: z is the explicit affine grid's first dense output
+            X = pack_logits(np.log(rng.dirichlet(np.ones(n))), np.log(rng.dirichlet(np.ones(n), size=n)))[None]
+            z, S = relaxed_first_dense(model, F.values[None], F2.values[None], problem.z0[None], [target], X)
+            gate, align = unpack(S[0])
+            expected = transformed(F.values, F2.values, gate, align).reshape(-1) @ weight + bias
+            if not np.allclose(z[0], expected, rtol=0, atol=1e-12):
+                failures += 1
+                continue
+            relaxed.setdefault(geometry, []).append((F.values, F2.values, problem.z0, target, X[0], z[0]))
+
+        # a stack of same-shape instances, as the relaxed solver passes them, equals the per-instance z
+        for geometry, group in relaxed.items():
+            Fs, F2s, z0s, targets, Xs, zs = zip(*group)
+            stacked, _ = relaxed_first_dense(
+                models[geometry], np.stack(Fs), np.stack(F2s), np.stack(z0s), list(targets), np.stack(Xs)
+            )
+            failures += int((np.abs(stacked - np.stack(zs)) > 1e-12).any(axis=1).sum())
         ok = failures == 0
         report(
             6, "transformation identities",
             ok, f"{failures} failures over 1000 random instances at 1e-12 "
-            f"(one-hot gates against a row copy, relaxed ones stacked in {len(relaxed)} shape groups)",
+            f"(no-op edits bitwise at z0, one-hot gates against the scored row and a row copy, "
+            f"relaxed ones against the explicit transform and stacked in {len(relaxed)} shape groups)",
         )
 
 

@@ -5,14 +5,16 @@ import os
 import shutil
 import struct
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfedit.cli import CHOICES, DEFAULTS, MINIMUM, _search_config, main, resolve_config
 from cfedit.errors import CfeditError
-from cfedit.network import TrainConfig, save_model
+from cfedit.network import TrainConfig, load_model, save_model
 from cfedit.relaxed import RelaxOptConfig
 
 from conftest import identity_feature_model, tree_bytes
@@ -281,6 +283,52 @@ config_files = (
     | st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["unknown"]), config_values, max_size=4)
     | config_values
 )
+
+
+class TestNonFiniteScores:
+    """Scores that overflow end in one stderr line, the typed error's, with
+    none of numpy's floating-point warnings before it, and no artifact."""
+
+    @staticmethod
+    def one_error_line(argv, capsys):
+        capsys.readouterr()
+        settings = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [str(w.message) for w in caught] == []
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert np.geterr() == settings  # library callers keep numpy's settings
+        return json.loads(lines[0][len("error: "):])
+
+    @pytest.mark.parametrize("command", ["explain", "batch-explain", "fidelity"])
+    def test_overflowing_head(self, cli_model, tmp_path, capsys, command):
+        # these weights load, but the head's values overflow to inf and NaN on every image
+        model = load_model(cli_model)
+        for layer in (model.head[1], model.head[3]):
+            layer.weights["weight"] *= 1e160
+        bundle = str(tmp_path / "model")
+        save_model(model, bundle)
+        args = {
+            "explain": ["--query-index", "0", "--distractor-index", "5"],
+            "batch-explain": ["--pairs", "2"],
+            "fidelity": ["--instances", "3"],
+        }[command]
+        out = tmp_path / "out"
+        err = self.one_error_line([command, *BATCH_ARGS, "--model", bundle, *args, "--out", str(out)], capsys)
+        assert err["type"] == "FormatError" and "non-finite" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["40", "200"])
+    def test_diverging_training_writes_no_bundle(self, tmp_path, capsys, count):
+        # with 40 shapes the one update is the last, which only the accuracy pass checks
+        out = tmp_path / "bundle"
+        argv = ["train", "--dataset", "shapes", "--shapes-count", count, "--epochs", "1",
+                "--learning-rate", "1e200", "--seed", "0", "--out", str(out)]
+        err = self.one_error_line(argv, capsys)
+        assert err["type"] == "TrainingError" and "non-finite" in err["message"]
+        assert not out.exists()
 
 
 class TestConfigFileProperty:

@@ -19,7 +19,6 @@ from cfedit.network import (
     TrainConfig,
     forward_feature_pair,
     forward_features,
-    head_input_gradient_batch,
     head_logprobs,
     load_model,
     reference_extractor_specs,
@@ -35,6 +34,16 @@ from conftest import candidate_scores, identity_feature_model, layered_tail_pass
 def full_stack(model, images):
     """g(f(images)): one forward pass over extractor + head for an (N, H, W, C) batch."""
     return network.forward_layers(model.extractor + model.head, np.asarray(images, dtype=np.float64))
+
+
+def grid_gradient(model, values, targets):
+    """The (N, classes) log-probabilities of an (N, hw, d) stack of grids and
+    the gradient of each grid's `targets[k]` log-probability w.r.t. that
+    grid, as the relaxed solver forms it: `tail_gradient_pass` at the first
+    dense outputs, mapped back through that layer's weight transposed."""
+    (weight, bias), *_ = model.mlp
+    out, g = network.tail_gradient_pass(model, targets)(values.reshape(len(values), -1) @ weight + bias)
+    return out, (g @ weight.T).reshape(values.shape)
 
 
 def log_softmax_ref(logits):
@@ -545,6 +554,17 @@ class TestFrozenModelBatches:
             single = [int(network.predict_batch(model, image[None])[0]) for image in images]
             assert network.predict_batch(model, images).tolist() == single
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_predict_batch_refuses_non_finite_scores(self):
+        # the argmax of NaN scores is class 0, which callers took for a prediction
+        model = test_search.TestGreedyContraction.frozen_model("ref")
+        for layer in (model.head[1], model.head[3]):
+            layer.weights["weight"] *= 1e160
+        images = gen_shapes(8, size=28, seed=1, split="bench").images
+        for batch in (images[:1], images):
+            with pytest.raises(FormatError, match="non-finite"):
+                network.predict_batch(model, batch)
+
     def test_predict_batch_memory_is_bounded(self):
         model = test_search.TestGreedyContraction.frozen_model("wide")
         for count in (64, 256, 512):
@@ -578,11 +598,11 @@ class TestBackwardSelection:
             for name in b:
                 assert a[name].tobytes() == b[name].tobytes()
 
-    def test_head_input_gradient_equals_full_backward(self):
+    def test_grid_gradient_equals_full_backward(self):
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=3)
         F = forward_features(model, np.random.default_rng(3).uniform(0, 1, (28, 28, 1)))
         target = 7
-        lp, grad = head_input_gradient_batch(model, F.values[None], [target])
+        lp, grad = grid_gradient(model, F.values[None], [target])
         out, caches = network.forward_layers(model.head, F.values.reshape(1, 4, 4, 20), keep_caches=True)
         g = np.zeros_like(out)
         g[0, target] = 1.0
@@ -688,7 +708,9 @@ class TestLogSoftmax:
                 assert np.array_equal(one, out[k])
 
 
-class TestHeadInputGradient:
+class TestGridGradient:
+    """The grid gradient the relaxed solver forms, `grid_gradient`."""
+
     def test_linear_head_closed_form(self):
         model = identity_feature_model(2, 2, 1, 3, seed=4)
         W = model.head[1].weights["weight"]  # (4, 3)
@@ -697,7 +719,7 @@ class TestHeadInputGradient:
         logits = F.values.ravel() @ W + model.head[1].weights["bias"]
         p = np.exp(log_softmax_ref(logits))
         expected = ((np.eye(3)[target] - p) @ W.T).reshape(4, 1)
-        _, grad = head_input_gradient_batch(model, F.values[None], [target])
+        _, grad = grid_gradient(model, F.values[None], [target])
         np.testing.assert_allclose(grad[0], expected, atol=1e-12)
 
     def test_finite_difference_random_heads(self):
@@ -706,7 +728,7 @@ class TestHeadInputGradient:
             model = identity_feature_model(2, 3, 2, 4, seed=100 + k, linear=False)
             F = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
             target = int(rng.integers(4))
-            grad = head_input_gradient_batch(model, F.values[None], [target])[1][0]
+            grad = grid_gradient(model, F.values[None], [target])[1][0]
             eps = 1e-5
             fd = np.zeros_like(grad)
             for i in range(6):
@@ -725,7 +747,7 @@ class TestHeadInputGradient:
         model = identity_feature_model(2, 2, 1, 3)
         model.head[1].weights["weight"][...] = 0.0
         F = FeatureGrid(2, 2, 1, np.ones((4, 1)))
-        np.testing.assert_array_equal(head_input_gradient_batch(model, F.values[None], [0])[1], 0.0)
+        np.testing.assert_array_equal(grid_gradient(model, F.values[None], [0])[1], 0.0)
 
 
 class TestFusedHeadPass:
@@ -749,7 +771,7 @@ class TestFusedHeadPass:
         for name, model in self.heads(shapes_model):
             values = rng.normal(size=(batch, model.h * model.w, model.d))
             targets = rng.integers(model.class_count, size=batch)
-            got = head_input_gradient_batch(model, values, targets)
+            got = grid_gradient(model, values, targets)
             out, caches = network.forward_layers(model.head, values.reshape((-1,) + model.feature_shape), True)
             onehot = np.zeros_like(out)
             onehot[np.arange(batch), targets] = 1.0
@@ -947,6 +969,23 @@ class TestTrain:
                 TrainConfig(epochs=200, seed=0, learning_rate=1e6),
                 class_count=2,
             )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_the_last_update_raises_training_error(self):
+        # one update: the loss check runs before it, so only the accuracy pass sees its scores
+        rng = np.random.default_rng(2)
+        images = rng.uniform(0, 1, (32, 6, 6))
+        labels = rng.integers(2, size=32)
+        with pytest.raises(TrainingError, match="accuracy pass") as caught:
+            train(
+                [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
+                [LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("log-softmax")],
+                images,
+                labels,
+                TrainConfig(epochs=1, seed=0, learning_rate=1e200),
+                class_count=2,
+            )
+        assert caught.value.step == 1
 
     def test_monotone_descent_smoke(self, monkeypatch):
         # tiny fixed batch, small step, plain SGD: loss must not increase epoch over epoch

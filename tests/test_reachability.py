@@ -11,6 +11,11 @@ references, so a re-export in `__init__`, a type hint or a library call of
 the same name keeps nothing alive.  Module-level statements outside
 `__init__` run on import and count as reached code.
 
+The acceptance tests are roots so that a criterion may check the code it is
+about, but a criterion should check code the product runs.  So a public
+name that they alone reach, and no command or benchmark does, must be on
+the explicit `ACCEPTANCE_ONLY` list.
+
 A function can be reached while one of its options is set only by unit
 tests, so a second rule checks options: every defaulted parameter of a
 public function, method or constructor is set, by keyword, by position or
@@ -27,6 +32,9 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(cfedit.__file__))
 REPO = os.path.dirname(os.path.dirname(PACKAGE_DIR))
 PERFBENCH_DIR = os.path.join(REPO, "perfbench")
 ACCEPTANCE = os.path.join(REPO, "tests", "test_acceptance.py")
+# public names that only the acceptance tests reach: criterion 8's agreement
+# metrics, which no command computes
+ACCEPTANCE_ONLY = ("metrics.agreement_same_class", "metrics.agreement_cross_class")
 
 
 def parse(path):
@@ -65,11 +73,12 @@ def imported_modules(tree):
     }
 
 
-def root_references():
-    """Names used by the benchmark and the acceptance tests, `from` imports included."""
+def root_references(acceptance=True):
+    """Names used by the benchmark and, when `acceptance`, the acceptance
+    tests, `from` imports included."""
     paths = [os.path.join(PERFBENCH_DIR, f) for f in sorted(os.listdir(PERFBENCH_DIR)) if f.endswith(".py")]
     found = set()
-    for path in paths + [ACCEPTANCE]:
+    for path in paths + ([ACCEPTANCE] if acceptance else []):
         tree = parse(path)
         found |= references([tree], imported_modules(tree))
         found |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
@@ -108,9 +117,15 @@ def class_level_code(node):
     return node.decorator_list + node.bases + body
 
 
-def unreached_public_names():
+def public(qual):
+    return not any(part.startswith("_") for part in qual.split(".")[1:])
+
+
+def reached_names(acceptance=True):
+    """Every definition's qualified name, and the set of those reached from
+    `cli.main`, the benchmark and, when `acceptance`, the acceptance tests."""
     defs, module_code, modules = definitions()
-    names = {"main"} | root_references() | references(module_code, modules)
+    names = {"main"} | root_references(acceptance) | references(module_code, modules)
     reached = set()
     changed = True
     while changed:
@@ -129,16 +144,22 @@ def unreached_public_names():
                 body = class_level_code(node) if isinstance(node, ast.ClassDef) else [node]
                 names |= references(body, modules)
                 changed = True
-    return sorted(
-        qual
-        for qual in defs
-        if qual not in reached and not any(part.startswith("_") for part in qual.split(".")[1:])
-    )
+    return list(defs), reached
 
 
 def test_every_public_name_is_reached():
-    unreached = unreached_public_names()
+    defs, reached = reached_names()
+    unreached = sorted(qual for qual in defs if qual not in reached and public(qual))
     assert not unreached, f"public names no command, benchmark or acceptance test reaches: {unreached}"
+
+
+def test_acceptance_only_names_are_listed():
+    """A public name that only the acceptance tests reach vouches for code
+    the product never runs, unless a criterion is about that code itself."""
+    _, reached = reached_names()
+    _, product = reached_names(acceptance=False)
+    only = sorted(qual for qual in reached - product if public(qual))
+    assert only == sorted(ACCEPTANCE_ONLY), f"public names only the acceptance tests reach: {only}"
 
 
 def call_sites():

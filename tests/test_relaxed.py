@@ -22,9 +22,11 @@ from conftest import (
     objective_one,
     pack_logits,
     random_grid,
+    relaxed_first_dense,
     single_edit,
     solve_exhaustive,
     solve_relaxed,
+    transformed,
     unpack,
 )
 
@@ -97,6 +99,83 @@ class TestEntropy:
         for _ in range(20):
             alpha, M = rng.normal(size=6) * 3, rng.normal(size=(6, 6)) * 3
             assert entropy_terms(monkeypatch, alpha, M, 1.0, 1.0) >= -1e-12
+
+
+class TestEditTransform:
+    """The relaxed solver's first dense output z against the paper's edit
+    built explicitly (`transformed`), on hand-set 2x2 grids."""
+
+    F = FeatureGrid(2, 2, 1, np.array([[1.0], [2.0], [3.0], [4.0]]))
+    F2 = FeatureGrid(2, 2, 1, np.array([[5.0], [6.0], [7.0], [8.0]]))
+
+    def z(self, model, F, F2, X):
+        z0 = first_dense(model, F.values[None])
+        return relaxed_first_dense(model, F.values[None], F2.values[None], z0, [0], X[None])[0][0]
+
+    def test_hand_case_cell0_from_cell3(self):
+        # one-hot gate at cell 0, alignment row 0 <- cell 3: the edited grid is [8, 2, 3, 4]
+        model = identity_feature_model(2, 2, 1, 3, seed=4)
+        weight, bias = model.mlp[0]
+        sources = [3, 1, 2, 0]
+        edited = transformed(self.F.values, self.F2.values, np.eye(4)[0], np.eye(4)[sources])
+        np.testing.assert_array_equal(edited, [[8.0], [2.0], [3.0], [4.0]])
+        X = pack_logits(np.where(np.arange(4) == 0, 0.0, MASK_LOGIT), np.where(np.eye(4)[sources] > 0, 0.0, MASK_LOGIT))
+        problem = EditProblem(model, self.F, self.F2, 0)
+        z = self.z(model, self.F, self.F2, X)
+        np.testing.assert_allclose(z, edited.reshape(-1) @ weight + bias, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z, problem.contraction_rows([0])[0, 3] + problem.z0, rtol=0, atol=1e-12)
+
+    def test_self_copy_is_identity(self):
+        # a cell copied onto itself adds an exact zero: z stays at z0, bit for bit
+        model = identity_feature_model(2, 2, 1, 3, seed=5)
+        z0 = first_dense(model, self.F.values[None])[0]
+        for i in range(4):
+            X = pack_logits(np.where(np.arange(4) == i, 0.0, MASK_LOGIT), one_hot_rows(4))
+            assert self.z(model, self.F, self.F, X).tobytes() == z0.tobytes()
+            problem = EditProblem(model, self.F, self.F, 0)
+            assert (problem.contraction_rows([i])[0, i] + problem.z0).tobytes() == problem.z0.tobytes()
+
+    def test_matches_scalar_loop_oracle(self):
+        # one-hot gate and permutation alignment on random grid sizes, against
+        # a per-cell, per-channel evaluation of the paper's edit
+        rng = np.random.default_rng(7)
+        for seed in range(20):
+            h, w, d = (int(v) for v in rng.integers(1, 4, size=3))
+            n = h * w
+            F, F2 = random_grid(rng, h, w, d), random_grid(rng, h, w, d)
+            i, sources = int(rng.integers(n)), rng.permutation(n)
+            model = identity_feature_model(h, w, d, 3, seed=seed)
+            weight, bias = model.mlp[0]
+            a, P = np.eye(n)[i], np.eye(n)[sources]
+            oracle = np.zeros_like(F.values)
+            for k in range(n):
+                for c in range(d):
+                    mixed = sum(P[k, j] * F2.values[j, c] for j in range(n))
+                    oracle[k, c] = (1 - a[k]) * F.values[k, c] + a[k] * mixed
+            X = pack_logits(np.where(a > 0, 0.0, MASK_LOGIT), np.where(P > 0, 0.0, MASK_LOGIT))
+            np.testing.assert_allclose(self.z(model, F, F2, X), oracle.reshape(-1) @ weight + bias, rtol=0, atol=1e-12)
+
+    def test_affine_in_the_gate(self):
+        # under a fixed alignment, z at the mean of two gates is the mean of their z
+        rng = np.random.default_rng(5)
+        F, F2 = random_grid(rng, 2, 2, 3), random_grid(rng, 2, 2, 3)
+        model = identity_feature_model(2, 2, 3, 3, seed=6)
+        w1, w2 = rng.dirichlet(np.ones(4), size=2)
+        M = np.zeros((4, 4))
+        mid = self.z(model, F, F2, pack_logits(np.log((w1 + w2) / 2), M))
+        avg = (self.z(model, F, F2, pack_logits(np.log(w1), M)) + self.z(model, F, F2, pack_logits(np.log(w2), M))) / 2
+        np.testing.assert_allclose(mid, avg, rtol=0, atol=1e-9)
+
+    def test_inputs_unmodified(self):
+        rng = np.random.default_rng(8)
+        F, F2 = rng.normal(size=(2, 1, 4, 2))
+        model = identity_feature_model(2, 2, 2, 3, seed=7)
+        z0 = first_dense(model, F)
+        X = rng.normal(size=(1, 5, 4))
+        before = [v.copy() for v in (F, F2, z0, X)]
+        relaxed_first_dense(model, F, F2, z0, [0], X)
+        for after, kept in zip((F, F2, z0, X), before):
+            np.testing.assert_array_equal(after, kept)
 
 
 class TestObjectiveGradients:

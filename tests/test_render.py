@@ -183,7 +183,7 @@ class TestComposite:
         img = np.random.default_rng(2).uniform(0, 1, (8, 8))
         for cell in ((0, 0), (1, 1)):
             out = img.copy()
-            render_composite(out, img, cell + cell, self.rf(), self.rf())
+            render_composite(out, img, cell + cell, self.rf())
             np.testing.assert_allclose(out, img, atol=1e-12)
 
     def test_zero_alpha_leaves_query_unchanged(self):
@@ -194,7 +194,7 @@ class TestComposite:
         alpha = intensity_map(rf_zero, [])
         assert alpha.max() == 0.0  # no cells highlighted -> no blending anywhere
         out = q.copy()
-        render_composite(out, q, (0, 0, 0, 0), rf_zero, rf_zero)
+        render_composite(out, q, (0, 0, 0, 0), rf_zero)
         np.testing.assert_allclose(out, q, atol=1e-12)
 
     def test_blend_matches_scalar_oracle(self):
@@ -203,7 +203,7 @@ class TestComposite:
         d = rng.uniform(0, 1, (8, 8))
         edit = (1, 0, 0, 1)  # query cell (1,0) <- distractor cell (0,1)
         out = q.copy()
-        render_composite(out, d, edit, self.rf(), self.rf())
+        render_composite(out, d, edit, self.rf())
         alpha = intensity_map(self.rf(), [((0, 1), 1.0)])
         cy_q, cx_q = self.rf().rect_center(1, 0)
         cy_d, cx_d = self.rf().rect_center(0, 1)
@@ -219,7 +219,7 @@ class TestComposite:
 
     def test_geometry_mismatch(self):
         with pytest.raises(ShapeError):
-            render_composite(np.zeros((8, 8)), np.zeros((6, 6)), (0, 0, 0, 0), self.rf(), self.rf())
+            render_composite(np.zeros((8, 8)), np.zeros((6, 6)), (0, 0, 0, 0), self.rf())
 
     @staticmethod
     def whole_image(q, d, edit, rf):
@@ -256,7 +256,7 @@ class TestComposite:
             for source in cells:
                 edit = cell + source
                 got = q.copy()
-                render_composite(got, d, edit, rf, rf)
+                render_composite(got, d, edit, rf)
                 assert got.tobytes() == self.whole_image(q, d, edit, rf).tobytes(), edit
         edits = [cells[k] + cells[-1 - k] for k in range(len(cells))]
         result = ExplanationResult(EditList(tuple(edits), rf.h, rf.w), ((0.0, 0.0),) * (len(edits) + 1), "exhausted", 0, 1)
