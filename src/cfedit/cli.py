@@ -406,11 +406,10 @@ def main(argv=None) -> int:
         # numbers that overflow end in a typed error, not in numpy's warnings on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return COMMANDS[args.command](args)
-    except (CfeditError, OSError) as exc:
-        print(
-            "error: " + json.dumps({"type": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (CfeditError, OSError, MemoryError) as exc:
+        # numpy's failed allocation (a dataset too large to hold) is a private MemoryError subclass
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print("error: " + json.dumps({"type": kind, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

@@ -6,12 +6,13 @@ The extractor maps pixels to an h x w x d feature grid; the head maps a grid
 to class log-probabilities, returned as plain float64 arrays.  `ModelBundle`
 accepts one head form, flatten -> dense -> (dense | relu)* -> log-softmax
 (the paper's fc head; a global-average-pool -> fc head is a dense layer on
-the flattened grid with tied weights), and raises UnsupportedLayerError for
-any other.  Everything needed downstream is provided here:
-forward evaluation, reverse-mode gradients, a desk-scale SGD trainer, and a
-portable two-file model format (JSON manifest + float64 blob), which
-`load_model` refuses unless every weight is finite and every layer's
-stride positive.
+the flattened grid with tied weights), and an extractor of conv2d, relu and
+maxpool2d layers only, whose receptive fields `render` maps; it raises
+UnsupportedLayerError for any other.  Everything needed downstream is
+provided here: forward evaluation, reverse-mode gradients, a desk-scale SGD
+trainer, and a portable two-file model format (JSON manifest + float64
+blob), which `load_model` refuses unless every weight is finite and every
+layer's stride positive.
 
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
@@ -206,7 +207,8 @@ def init_layer(spec: LayerSpec, geom: tuple, rng: np.random.Generator) -> tuple[
 # images (2 MB).  A block holds as many whole images as fit, and at least one.
 _PATCH_VALUES = 1 << 18
 
-# kinds that act on each image alone; a stack's leading run of them goes block by block
+# kinds that act on each image alone, the extractor's vocabulary; a stack's
+# leading run of them goes block by block
 _PER_IMAGE = ("conv2d", "relu", "maxpool2d")
 
 
@@ -454,15 +456,11 @@ def forward_layers(layers, x, keep_caches=False):
     caches = [] if keep_caches else None
     if lead:
         step, geom = _block_plan(layers[:lead], x.shape)
-        spans = [slice(lo, lo + step) for lo in range(0, len(x), step)] if len(x) > step else [slice(None)]
-        blocks = [(span, [] if keep_caches else None) for span in spans]
-        if len(blocks) == 1:  # the one block's output is the stack's, uncopied
-            x = _forward_run(layers[:lead], x, blocks[0][1])
-        else:
-            out = np.empty((len(x),) + geom)
-            for span, block in blocks:
-                out[span] = _forward_run(layers[:lead], x[span], block)
-            x = out
+        blocks = [(slice(lo, lo + step), [] if keep_caches else None) for lo in range(0, len(x), step)]
+        out = np.empty((len(x),) + geom)
+        for span, block in blocks:
+            out[span] = _forward_run(layers[:lead], x[span], block)
+        x = out
         if keep_caches:
             caches.append(blocks)
     x = _forward_run(layers[lead:], x, caches)
@@ -506,7 +504,7 @@ def backward_layers(layers, caches, g, input_grad=True):
     g = _backward_run(layers[lead:], caches[bool(lead) :], g, grads[lead:], input_grad or lead > 0)
     if lead:
         parts = [_backward_run(layers[:lead], block, g[span], grads, input_grad) for span, block in caches[0]]
-        g = np.concatenate(parts) if input_grad and len(parts) > 1 else parts[0]
+        g = np.concatenate(parts) if input_grad else None
     return g, grads
 
 
@@ -537,6 +535,10 @@ class ModelBundle:
             raise ShapeError("head must end in a log-softmax layer")
         geom = tuple(self.input_shape)
         for layer in self.extractor:
+            if layer.spec.kind not in _PER_IMAGE:
+                raise UnsupportedLayerError(
+                    f"extractor layer {layer.spec.kind!r} is not one of {', '.join(_PER_IMAGE)}"
+                )
             geom = _checked_geometry(layer, geom)
         if len(geom) != 3:
             raise ShapeError("extractor must produce a spatial h x w x d geometry")

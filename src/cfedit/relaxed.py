@@ -22,7 +22,9 @@ Problems are solved in lockstep batches, stacked along a leading axis.  Each
 problem's logits are packed into one (n+1, n) array, the gate logits in row
 0 over the n alignment rows; every row is a softmax of its own, so one
 softmax, one entropy pass, one softmax chain rule and one Adam update cover
-both.  A problem that meets the stop test is frozen, not removed: its
+both.  Each chunk of problems is one loop in `best_pair_edits`: a step
+evaluates the objective, applies the stop test and takes the Adam update
+beside it.  A problem that meets the stop test is frozen, not removed: its
 logits stop moving and its trajectory ends.
 """
 
@@ -130,38 +132,6 @@ def _objective_and_grads(tail_pass, W, F, F2, z0, targets, X):
     return objective, S * (dS - ydots), S
 
 
-def ascent_steps(model: ModelBundle, F, F2, z0, targets, X, opt: RelaxOptConfig):
-    """Bias-corrected Adam ascent on B problems in lockstep: the (B, n+1, n)
-    packed logits X (see `_objective_and_grads`, which F, F2, z0 and the B
-    `targets` are for) are updated in place.
-
-    Yields (objectives, S, live) at each iterate before stepping from it, at
-    most `opt.max_steps` times, where S = softmax(X) holds the gates in row 0
-    and the alignments in rows 1..n.  `live` is a (B,) boolean array, all
-    True at first: a consumer freezes a problem by clearing its entry, after
-    which its logits stay exactly where they are, and the ascent ends once no
-    problem is live.  A logit whose gradient is always exactly zero (a
-    closed cell at MASK_LOGIT) keeps zero moments and so never moves.
-    """
-    tail_pass = tail_gradient_pass(model, targets)
-    W = model.mlp[0][0]
-    live = np.ones(len(X), dtype=bool)
-    moving = live[:, None, None]  # a view: clearing an entry of `live` freezes that problem
-    m, v = np.zeros_like(X), np.zeros_like(X)
-    for t in range(1, opt.max_steps + 1):
-        obj, dX, S = _objective_and_grads(tail_pass, W, F, F2, z0, targets, X)
-        yield obj, S, live
-        if not live.any():
-            return
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * dX
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * dX * dX
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        np.add(X, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=X, where=moving)
-
-
 # float64 values (n² alignment logits and n·d grid values per problem) one
 # lockstep chunk of problems may hold in each of its stacked arrays (2 MB);
 # the packed logits, n² + n per problem, fit as d >= 1
@@ -173,8 +143,15 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     target class and open query and source masks are read, not changed.
 
     They are split into chunks of at most `_CHUNK_VALUES` // (n² + n·d)
-    problems, and at least one, each run through one Adam ascent.  Returns,
-    per problem and in order, (query cell, source cell, the edit's
+    problems, and at least one.  Each chunk runs one bias-corrected Adam
+    ascent on its stacked packed logits (see `_objective_and_grads`), at most
+    `opt.max_steps` steps: a step evaluates every problem, ends the
+    trajectory of each one that meets the stop test, and moves the logits of
+    the rest.  A frozen problem's logits stay exactly where they are, and the
+    ascent ends once none is live.  A logit whose gradient is always exactly
+    zero (a closed cell at MASK_LOGIT) keeps zero moments and so never moves.
+
+    Returns, per problem and in order, (query cell, source cell, the edit's
     log-probabilities from `EditProblem.edit_logprobs`, per-step objective
     values, converged), where converged means the last step met the stop
     test.  Each edit, score and step count is the one the problem gets when
@@ -183,46 +160,53 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     """
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
+    W = model.mlp[0][0]
     edits = []
     for lo in range(0, len(problems), size):
-        edits += _solve_chunk(model, problems[lo : lo + size], opt)
-    return edits
+        chunk = problems[lo : lo + size]
+        # packed logits, the gate row over the alignment rows, in C order (a softmax
+        # over the rows of another layout rounds differently); closed cells get
+        # zero mass, hence zero gradient, so their logits stay put
+        X = np.full((len(chunk), n + 1, n), MASK_LOGIT)
+        for x, p in zip(X, chunk):
+            x[0, p.open_q] = 0.0
+            x[1:, p.open_s] = 0.0
+        F = np.stack([p.F.values for p in chunk])
+        F2 = np.stack([p.F2.values for p in chunk])
+        z0 = np.stack([p.z0 for p in chunk])
+        targets = np.array([p.target for p in chunk])
+        tail_pass = tail_gradient_pass(model, targets)
+        rows = np.arange(len(chunk))
+        objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
+        steps = np.zeros(len(chunk), dtype=int)
+        live = np.ones(len(chunk), dtype=bool)
+        m, v = np.zeros_like(X), np.zeros_like(X)
+        for t in range(1, opt.max_steps + 1):
+            obj, dX, S = _objective_and_grads(tail_pass, W, F, F2, z0, targets, X)
+            objectives.append(obj)
+            steps += live
+            # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
+            a = S[:, 0]
+            sharp = a.max(axis=1) >= opt.sharpness_stop
+            if sharp.any():
+                sharp &= S[rows, 1 + a.argmax(axis=1)].max(axis=1) >= opt.sharpness_stop
+                live &= ~sharp
+            if not live.any():
+                break
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * dX
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * dX * dX
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            np.add(X, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=X, where=live[:, None, None])
 
-
-def _solve_chunk(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
-    """best_pair_edits on problems that run as one lockstep batch."""
-    n = model.h * model.w
-    # packed logits, the gate row over the alignment rows, in C order (a softmax
-    # over the rows of another layout rounds differently); closed cells get
-    # zero mass, hence zero gradient, so their logits stay put
-    X = np.full((len(problems), n + 1, n), MASK_LOGIT)
-    for x, p in zip(X, problems):
-        x[0, p.open_q] = 0.0
-        x[1:, p.open_s] = 0.0
-    F = np.stack([p.F.values for p in problems])
-    F2 = np.stack([p.F2.values for p in problems])
-    z0 = np.stack([p.z0 for p in problems])
-    targets = np.array([p.target for p in problems])
-    rows = np.arange(len(problems))
-    objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
-    steps = np.zeros(len(problems), dtype=int)
-    for obj, S, live in ascent_steps(model, F, F2, z0, targets, X, opt):
-        objectives.append(obj)
-        steps += live
-        # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
-        a = S[:, 0]
-        sharp = a.max(axis=1) >= opt.sharpness_stop
-        if sharp.any():
-            sharp &= S[rows, 1 + a.argmax(axis=1)].max(axis=1) >= opt.sharpness_stop
-            live &= ~sharp
-
-    # `live` now marks the problems that never met the stop test
-    objectives = np.array(objectives)
-    S = softmax(X)
-    cells = S[:, 0].argmax(axis=1)
-    sources = S[rows, 1 + cells].argmax(axis=1)
-    edits = []
-    for b, p in enumerate(problems):
-        i, j2 = int(cells[b]), int(sources[b])
-        edits.append((i, j2, p.edit_logprobs(i, j2), objectives[: steps[b], b].tolist(), not live[b]))
+        # `live` now marks the problems that never met the stop test
+        objectives = np.array(objectives)
+        S = softmax(X)
+        cells = S[:, 0].argmax(axis=1)
+        sources = S[rows, 1 + cells].argmax(axis=1)
+        for b, p in enumerate(chunk):
+            i, j2 = int(cells[b]), int(sources[b])
+            edits.append((i, j2, p.edit_logprobs(i, j2), objectives[: steps[b], b].tolist(), not live[b]))
     return edits

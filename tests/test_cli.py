@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import filecmp
+import io
 import json
 import os
 import shutil
@@ -9,16 +11,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfedit.cli import CHOICES, DEFAULTS, MINIMUM, _search_config, main, resolve_config
-from cfedit.errors import CfeditError
+from cfedit.data import gen_shapes
+from cfedit.errors import CfeditError, is_number
 from cfedit.network import TrainConfig, load_model, save_model
 from cfedit.relaxed import RelaxOptConfig
 
-from conftest import identity_feature_model, tree_bytes
-from test_network import relu_first
+from conftest import identity_feature_model, tree_bytes, write_idx
+from test_network import log_softmax_in_extractor, relu_first
 
 
 def run_ok(argv, capsys):
@@ -29,9 +32,9 @@ def run_ok(argv, capsys):
 
 def run_err(argv, capsys):
     assert main(argv) == 2
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    assert err.startswith("error: ")
-    return json.loads(err[len("error: ") :])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return json.loads(lines[0][len("error: ") :])
 
 
 @pytest.fixture(scope="session")
@@ -361,6 +364,122 @@ class TestConfigFileProperty:
                 pass
 
 
+# the files a small run reads, by name: each one's path in the run's directory,
+# and the commands that read it
+RUN_INPUTS = {
+    "config": ("config.json", ("train", "explain", "batch-explain", "fidelity", "render", "evaluate")),
+    "manifest": ("model/manifest.json", ("explain", "batch-explain", "fidelity", "render")),
+    "weights": ("model/weights.bin", ("explain", "batch-explain", "fidelity", "render")),
+    "idx-images": ("images.idx", ("train", "explain", "batch-explain", "fidelity")),
+    "idx-labels": ("labels.idx", ("train", "explain", "batch-explain", "fidelity")),
+    "record": ("records/explanation.json", ("render", "evaluate")),
+}
+JSON_INPUTS = ("config", "manifest", "record")
+# every count and size of the run is small; a mutation may lower one, never raise it
+SMALL_RUN = {
+    "shapes_count": 40, "pairs": 2, "instances": 2, "epochs": 1, "batch_size": 16,
+    "relax_steps": 5, "max_edits": 3, "strategy": "relaxed", "seed": 3,
+}
+
+
+def grows(old, new) -> bool:
+    """Whether any number of the JSON value `old` is larger at the same place in `new`."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return any(grows(v, new[k]) for k, v in old.items() if k in new)
+    if isinstance(old, list) and isinstance(new, list):
+        return any(grows(a, b) for a, b in zip(old, new))
+    return is_number(old) and is_number(new) and new > old
+
+
+def raises_a_count(name, old: bytes, new: bytes) -> bool:
+    """Whether `new`, a mutation of the run input `name`, raises a count or size that `old` holds."""
+    if name.startswith("idx"):  # byte 3 of the header counts the dimensions, a big-endian word each
+
+        def dims(blob):
+            return [int.from_bytes(blob[k : k + 4], "big") for k in range(4, 4 + 4 * old[3], 4)]
+
+        return new[3:4] > old[3:4] or any(b > a for a, b in zip(dims(old), dims(new)))
+    if name not in JSON_INPUTS:
+        return False
+    try:
+        parsed = json.loads(new)
+    except ValueError:
+        return False
+    old = json.loads(old)
+    if name == "config" and isinstance(parsed, dict):  # a key the file loses takes its default
+        old, parsed = {**DEFAULTS, **old}, {**DEFAULTS, **parsed}
+    return grows(old, parsed)
+
+
+@pytest.fixture(scope="module")
+def small_run(cli_model, tmp_path_factory):
+    """The directory of a small run's inputs (see RUN_INPUTS): a config, a
+    model bundle, an IDX pair and an explanation record."""
+    root = tmp_path_factory.mktemp("run")
+    shutil.copytree(cli_model, root / "model")
+    (root / "config.json").write_text(json.dumps(SMALL_RUN))
+    ds = gen_shapes(12, seed=4, split="idx")
+    write_idx(str(root / "images.idx"), str(root / "labels.idx"), ds.images, ds.labels)
+    argv = ["explain", "--config", str(root / "config.json"), "--model", str(root / "model"),
+            "--query-index", "0", "--distractor-index", "1", "--out", str(root / "records")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return root
+
+
+class TestMalformedInputsProperty:
+    """Byte mutations of every file a run reads: the run succeeds, or it ends
+    in exit code 2 with one `error: {...}` line on stderr.  `cli.main` runs
+    in-process, and no mutation raises a count or size."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_INPUTS))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_code_and_one_error_line(self, small_run, name, data):
+        path, commands = RUN_INPUTS[name]
+        old = (small_run / path).read_bytes()
+        if name in JSON_INPUTS:  # often a digit lowered, so that the file still parses
+            digits = [k for k, c in enumerate(old) if c in b"0123456789"]
+            lowered = st.sampled_from(digits).flatmap(  # by 0 to all of it; a leading 0 does not parse
+                lambda k: st.tuples(st.just(k), st.integers(0, old[k] - ord("0")).map(lambda by: old[k] - by))
+            )
+            edit = lowered | st.tuples(st.integers(0, len(old) - 1), st.integers(0, 255))
+        else:  # the first 16 bytes (an IDX file's header) as often as the rest
+            edit = st.tuples(st.integers(0, 15) | st.integers(0, len(old) - 1), st.integers(0, 255))
+        new = bytearray(old)
+        for k, value in data.draw(st.lists(edit, min_size=1, max_size=3)):
+            new[k] = value
+        if data.draw(st.integers(0, 7)) == 0:  # cut short
+            new = new[: data.draw(st.integers(0, len(new)))]
+        new = bytes(new)
+        assume(not raises_a_count(name, old, new))
+        command = data.draw(st.sampled_from(commands))
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(small_run, tmp, dirs_exist_ok=True)
+            here = {key: os.path.join(tmp, rel) for key, (rel, _) in RUN_INPUTS.items()}
+            with open(here[name], "wb") as fh:
+                fh.write(new)
+            model = ["--model", os.path.dirname(here["manifest"])]
+            args = {
+                "train": [],
+                "explain": [*model, "--query-index", "0", "--distractor-index", "1"],
+                "batch-explain": [*model, "--no-rasters"],
+                "fidelity": model,
+                "render": [*model, "--record", here["record"]],
+                "evaluate": ["--records", os.path.dirname(here["record"])],
+            }[command]
+            if name.startswith("idx"):
+                args += ["--dataset", "idx", "--idx-images", here["idx-images"], "--idx-labels", here["idx-labels"]]
+            argv = [command, "--config", here["config"], *args, "--out", os.path.join(tmp, "out")]
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = main(argv)
+        lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert (rc, lines) == (0, []) or rc == 2 and len(lines) == 1 and lines[0].startswith("error: {"), (rc, lines)
+
+
 class TestConfigAndErrors:
     def test_relaxed_defaults_are_the_solver_defaults(self):
         opt = RelaxOptConfig()
@@ -536,15 +655,18 @@ class TestConfigAndErrors:
         )
         assert "exactly one" in err["message"]
 
-    @pytest.mark.parametrize("defect", ["nan-weight", "inf-weight", "stride-0"])
+    @pytest.mark.parametrize("defect", ["nan-weight", "inf-weight", "stride-0", "log-softmax-in-extractor"])
     @pytest.mark.parametrize("command", ["explain", "batch-explain", "fidelity", "render"])
     def test_broken_model_is_one_error_line(self, cli_model, tmp_path, capsys, defect, command):
         # a NaN bias used to load and write a trajectory of NaN, which is not JSON
         model = tmp_path / "model"
         shutil.copytree(cli_model, model)
-        if defect == "stride-0":
+        if defect in ("stride-0", "log-softmax-in-extractor"):
             manifest = json.loads((model / "manifest.json").read_text())
-            manifest["extractor"][0]["stride"] = 0
+            if defect == "stride-0":
+                manifest["extractor"][0]["stride"] = 0
+            else:  # it keeps the extractor's grid, but has no receptive field to render
+                log_softmax_in_extractor(manifest)
             (model / "manifest.json").write_text(json.dumps(manifest))
         else:
             blob = (model / "weights.bin").read_bytes()
@@ -560,6 +682,8 @@ class TestConfigAndErrors:
         err = run_err([command, *BATCH_ARGS, "--model", str(model), *args, "--out", str(out)], capsys)
         if defect == "stride-0":
             assert err["type"] == "ShapeError" and "stride" in err["message"]
+        elif defect == "log-softmax-in-extractor":
+            assert err["type"] == "UnsupportedLayerError" and "'log-softmax'" in err["message"]
         else:
             assert err["type"] == "FormatError" and "'head.3.bias'" in err["message"]
         assert not out.exists()
@@ -712,6 +836,16 @@ class TestConfigAndErrors:
         assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
         err = json.loads(lines[0][len("error: "):])
         assert err["type"] == "UnsupportedLayerError" and "flatten -> dense" in err["message"]
+
+    @pytest.mark.parametrize("command", ["batch-explain", "fidelity"])
+    def test_dataset_too_large_to_allocate(self, cli_model, tmp_path, capsys, command):
+        # 10^12 28x28 images are 5.57 PiB, beyond any 48-bit address space, so
+        # numpy refuses the allocation before anything is mapped or written
+        out = tmp_path / "out"
+        argv = [command, "--model", cli_model, "--dataset", "shapes", "--shapes-count", str(10**12), "--out", str(out)]
+        err = run_err(argv, capsys)
+        assert err["type"] == "MemoryError" and "5.57 PiB" in err["message"]
+        assert not out.exists()
 
     def test_manifest_weight_shape_overflowing_int64(self, tmp_path, capsys):
         # 2**32 * 2**32 values wrap to 0 in int64, which an empty blob would match

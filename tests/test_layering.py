@@ -2,11 +2,13 @@
 
 Each module may import only modules below it in LAYERS, and every import
 sits at module level, so importing a module never pulls in anything above
-it, neither at load time nor later from inside a function.
+it, neither at load time nor later from inside a function.  Outside the
+package, the runtime imports the standard library and numpy, nothing else.
 """
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -75,3 +77,20 @@ def test_no_import_inside_a_function(module):
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, f"{module} imports inside a function at lines {nested}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_the_standard_library_numpy_and_the_package(module):
+    outside = []
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in ("numpy", "cfedit"):
+                outside.append(f"line {node.lineno}: {name}")
+    assert not outside, f"{module} imports outside the standard library and numpy: {outside}"

@@ -165,18 +165,17 @@ class TestRelaxationFidelity:
         instances = [(random_grid(rng, 4, 4, 20), random_grid(rng, 4, 4, 20), 1, (), ()) for _ in range(3)] * 200
         instances[500] = instances[500][:3] + excluded
         solved = []  # the strategies that ran a step
-        ascent, step = relaxed.ascent_steps, search.EditProblem.step
+        evaluate, step = relaxed._objective_and_grads, search.EditProblem.step
 
         def relaxed_spy(*args):
-            for out in ascent(*args):
-                solved.append("relaxed")
-                yield out
+            solved.append("relaxed")
+            return evaluate(*args)
 
         def exhaustive_spy(self):
             solved.append("exhaustive")
             return step(self)
 
-        monkeypatch.setattr(relaxed, "ascent_steps", relaxed_spy)
+        monkeypatch.setattr(relaxed, "_objective_and_grads", relaxed_spy)
         monkeypatch.setattr(search.EditProblem, "step", exhaustive_spy)
         opt = RelaxOptConfig(max_steps=2)
         for use_relaxed in (True, False):

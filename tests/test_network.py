@@ -167,7 +167,7 @@ class TestCacheFreeForward:
         assert out.tobytes() == kept.tobytes()
         # one entry for the blocked extractor, holding a cache per layer per block, then one per head layer
         assert len(caches) == 1 + len(model.head)
-        assert [span for span, _ in caches[0]] == [slice(None)]  # six images make one block
+        assert [span for span, _ in caches[0]] == [slice(0, 16)]  # six images make one block
         assert len(caches[0][0][1]) == len(model.extractor)
 
 
@@ -1037,6 +1037,11 @@ def relu_first(manifest):
         entry["name"] = entry["name"].replace("head.1.", "head.2.")
 
 
+def log_softmax_in_extractor(manifest):
+    # after the 1x1 conv, so the weights keep their names; the geometry stays h x w x d
+    manifest["extractor"].append({"kind": "log-softmax"})
+
+
 def conv1x1_in_head(manifest):
     # the extractor's 1x1 conv, with its weights, moves to the head's front
     manifest["head"].insert(0, manifest["extractor"][0])
@@ -1239,12 +1244,14 @@ class TestSerialization:
             (relu_first, UnsupportedLayerError),
             (conv1x1_in_head, UnsupportedLayerError),
             (flatten_then_log_softmax, UnsupportedLayerError),
+            (log_softmax_in_extractor, UnsupportedLayerError),
         ],
         ids=[
             "weight-without-shape", "weight-shape-string", "weights-not-list",
             "class-count-string", "input-shape-rank-1", "extractor-entry-not-object",
             "metrics-not-object", "weight-shape-mismatch", "pool-after-flatten",
             "relu-first", "conv1x1-in-head", "flatten-then-log-softmax",
+            "log-softmax-in-extractor",
         ],
     )
     def test_malformed_manifest_raises_typed_error(self, tmp_path, edit, error):

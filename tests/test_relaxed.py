@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,12 +5,7 @@ from cfedit import relaxed
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid
 from cfedit.network import head_logprobs
-from cfedit.relaxed import (
-    MASK_LOGIT,
-    RelaxOptConfig,
-    ascent_steps,
-    softmax,
-)
+from cfedit.relaxed import MASK_LOGIT, RelaxOptConfig, softmax
 from cfedit.search import EditProblem, best_edit_exhaustive
 
 from conftest import (
@@ -63,12 +56,21 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
     return head_logprobs(model, blend)[1] - objective
 
 
-def ascent_one(model, F, F2, target, X, opt):
-    """ascent_steps on a batch of one problem, yielding its (objective, a, P)
-    at each step; its packed logits X are updated in place."""
-    F, F2 = F.values[None], F2.values[None]
-    for obj, S, _ in ascent_steps(model, F, F2, first_dense(model, F), [target], X[None], opt):
-        yield (obj[0], *unpack(S[0]))
+def record_ascent(monkeypatch) -> list:
+    """A spy on `relaxed._objective_and_grads` for the rest of the test: the
+    returned list gets one (X, objectives, gradient, S) tuple per call, for
+    the stacked problems of the chunk being solved, with X copied as the call
+    saw it (the solver updates its packed logits in place)."""
+    calls = []
+    evaluate = relaxed._objective_and_grads
+
+    def spy(tail_pass, W, F, F2, z0, targets, X):
+        out = evaluate(tail_pass, W, F, F2, z0, targets, X)
+        calls.append((X.copy(), *out))
+        return out
+
+    monkeypatch.setattr(relaxed, "_objective_and_grads", spy)
+    return calls
 
 
 def one_hot_rows(n):
@@ -211,38 +213,35 @@ class TestObjectiveGradients:
                     fd_M[i, j] = (obj(alpha, up) - obj(alpha, dn)) / (2 * eps)
             assert np.abs(fd_M - dM).max() / max(np.abs(fd_M).max(), 1e-12) <= 1e-4
 
-    def test_constraints_hold_every_step(self):
+    def test_constraints_hold_every_step(self, monkeypatch):
         rng = np.random.default_rng(4)
         model = identity_feature_model(2, 2, 2, 3, seed=9)
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
-        opt = RelaxOptConfig(max_steps=50)
-        X = pack_logits(np.zeros(4), np.zeros((4, 4)))
-        steps = 0
-        for _, a, P in ascent_one(model, F, F2, 1, X, opt):
+        calls = record_ascent(monkeypatch)
+        _, _, _, traj, _ = solve_relaxed(model, [(F, F2, 1, (), ())], RelaxOptConfig(max_steps=50))[0]
+        assert len(calls) == len(traj) > 1
+        for _, _, _, S in calls:
+            a, P = unpack(S[0])
             assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-6
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
-            steps += 1
-        assert steps == 50
 
-    def test_first_step_moves_each_logit_by_learning_rate(self):
+    def test_first_step_moves_each_logit_by_learning_rate(self, monkeypatch):
         # bias-corrected Adam's first step is lr * g / (|g| + eps): about the
-        # step size times the gradient's sign
+        # step size times the gradient's sign, and exactly 0 on a closed cell
         rng = np.random.default_rng(5)
         model = identity_feature_model(3, 3, 2, 3, seed=21, linear=False)
         F = random_grid(rng, 3, 3, 2)
         F2 = random_grid(rng, 3, 3, 2)
-        opt = RelaxOptConfig(learning_rate=0.25, max_steps=2)
-        X = pack_logits(rng.normal(size=9) * 0.5, rng.normal(size=(9, 9)) * 0.5)
-        alpha, M = unpack(X)
-        alpha0, M0 = alpha.copy(), M.copy()
+        calls = record_ascent(monkeypatch)
+        solve_relaxed(model, [(F, F2, 2, [4], [0, 7])], RelaxOptConfig(learning_rate=0.25, max_steps=2))
+        (X0, _, dX, _), (X1, _, _, _) = calls
+        alpha0, M0 = unpack(X0[0])
         _, dalpha, dM, _, _ = objective_one(model, F, F2, 2, alpha0, M0)
-        steps = ascent_one(model, F, F2, 2, X, opt)
-        next(steps)
-        next(steps)  # resuming runs the first update
-        np.testing.assert_allclose(alpha - alpha0, 0.25 * dalpha / (np.abs(dalpha) + 1e-8), rtol=1e-9)
-        np.testing.assert_allclose(M - M0, 0.25 * dM / (np.abs(dM) + 1e-8), rtol=1e-9)
+        np.testing.assert_array_equal(dX[0], pack_logits(dalpha, dM))
+        np.testing.assert_allclose(X1 - X0, 0.25 * dX / (np.abs(dX) + 1e-8), rtol=1e-9, atol=0)
+        assert np.all((X1 == X0) == (dX == 0)) and np.all(X1[0, 0, [4]] == MASK_LOGIT)
 
 
 class TestBestEditRelaxed:
@@ -270,46 +269,40 @@ class TestBestEditRelaxed:
         best = solve_exhaustive(model, F, F2, 2, [k for k in range(4) if k != i], [k for k in range(4) if k != j2])
         assert best == (i, j2, score)
 
-    def test_masking_soundness(self):
+    def test_masking_soundness(self, monkeypatch):
         rng = np.random.default_rng(7)
         model = identity_feature_model(3, 3, 2, 3, seed=13)
         F = random_grid(rng, 3, 3, 2)
         F2 = random_grid(rng, 3, 3, 2)
         excluded_q = [0, 4]
         excluded_s = [2, 8]
-        opt = RelaxOptConfig(max_steps=60)
-        # start from the solver's masked logits and inspect the soft distributions at every step
-        X = pack_logits(np.zeros(9), np.zeros((9, 9)))
-        alpha, M = unpack(X)
-        alpha[excluded_q] = MASK_LOGIT
-        M[:, excluded_s] = MASK_LOGIT
-        steps = 0
-        for _, a, P in ascent_one(model, F, F2, 1, X, opt):
+        # inspect the soft distributions at every step of the solve
+        calls = record_ascent(monkeypatch)
+        i, j2, _, traj, _ = solve_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], RelaxOptConfig(max_steps=60))[0]
+        assert len(calls) == len(traj) > 1
+        for _, _, _, S in calls:
+            a, P = unpack(S[0])
             assert np.all(a[excluded_q] < 1e-12)
             assert np.all(P[:, excluded_s] < 1e-12)
-            steps += 1
-        assert steps == 60
-        i, j2, *_ = solve_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], opt)[0]
         assert i not in excluded_q
         assert j2 not in excluded_s
 
-    def test_closed_logits_stay_exactly_masked(self):
+    def test_closed_logits_stay_exactly_masked(self, monkeypatch):
         # closed cells get exactly zero gradient, so zero Adam moments and zero steps
         rng = np.random.default_rng(12)
         model = identity_feature_model(3, 3, 2, 3, seed=17, linear=False)
         F = random_grid(rng, 3, 3, 2)
         F2 = random_grid(rng, 3, 3, 2)
-        opt = RelaxOptConfig()
         excluded_q = [1, 5, 6]
         excluded_s = [0, 7]
-        X = pack_logits(np.zeros(9), np.zeros((9, 9)))
-        alpha, M = unpack(X)
-        alpha[excluded_q] = MASK_LOGIT
-        M[:, excluded_s] = MASK_LOGIT
-        steps = sum(1 for _ in ascent_one(model, F, F2, 0, X, opt))
-        assert steps == opt.max_steps
-        assert np.all(alpha[excluded_q] == MASK_LOGIT)
-        assert np.all(M[:, excluded_s] == MASK_LOGIT)
+        calls = record_ascent(monkeypatch)
+        solve_relaxed(model, [(F, F2, 0, excluded_q, excluded_s)])
+        assert len(calls) > 1
+        for X, _, dX, _ in calls:
+            alpha, M = unpack(X[0])
+            assert np.all(alpha[excluded_q] == MASK_LOGIT)
+            assert np.all(M[:, excluded_s] == MASK_LOGIT)
+            assert np.all(dX[0, 0, excluded_q] == 0.0) and np.all(dX[0, 1:, excluded_s] == 0.0)
         open_q = np.setdiff1d(np.arange(9), excluded_q)
         open_s = np.setdiff1d(np.arange(9), excluded_s)
         assert np.all(alpha[open_q] != 0.0) and np.all(np.abs(alpha[open_q]) < 1e3)
@@ -370,82 +363,63 @@ class TestLockstepBatches:
         assert single[:2] == (5, 0) and len(single[3]) == 1
         assert max(steps) > 1
 
-    def test_converged_means_last_step_met_the_stop_test(self):
+    def test_converged_means_last_step_met_the_stop_test(self, monkeypatch):
         model, problems = lockstep_problems()
         # two of these problems meet the stop test on exactly their 17th step
         opt = RelaxOptConfig(max_steps=17)
         stop = opt.sharpness_stop
+        calls = record_ascent(monkeypatch)
         flags = []
-        for (F, F2, target, exq, exs), edit in zip(problems, solve_relaxed(model, problems, opt)):
-            problem = EditProblem(model, F, F2, target, exq, exs)
-            open_q, open_s = problem.open_q, problem.open_s
-            X = pack_logits(np.where(open_q, 0.0, MASK_LOGIT), np.where(open_s, np.zeros((9, 1)), MASK_LOGIT))
-            for _, a, P in itertools.islice(ascent_one(model, F, F2, target, X, opt), len(edit[3])):
-                pass
+        for b, edit in enumerate(solve_relaxed(model, problems, opt)):
+            a, P = unpack(calls[len(edit[3]) - 1][3][b])
             i = a.argmax()
             assert edit[4] == (a[i] >= stop and P[i].max() >= stop)
             flags.append((edit[4], len(edit[3]) == opt.max_steps))
         assert {(True, False), (True, True), (False, True)} <= set(flags)
 
-    def test_ascent_ends_once_no_problem_is_live(self):
+    def test_a_chunk_steps_as_long_as_its_longest_trajectory(self, monkeypatch):
+        # 3 problems a chunk: the ascent of each ends once none of its problems is live
         model, problems = lockstep_problems()
-        F = np.stack([p[0].values for p in problems[:2]])
-        F2 = np.stack([p[1].values for p in problems[:2]])
-        X = pack_logits(np.zeros((2, 9)), np.zeros((2, 9, 9)))
-        count = 0
-        for _, _, live in ascent_steps(model, F, F2, first_dense(model, F), [0, 1], X, RelaxOptConfig()):
-            count += 1
-            if count == 2:
-                live[:] = False
-        assert count == 2
-
-    def test_frozen_row_logits_stay_exactly_fixed(self):
-        model, problems = lockstep_problems()
-        F = np.stack([p[0].values for p in problems[:3]])
-        F2 = np.stack([p[1].values for p in problems[:3]])
-        X = pack_logits(np.zeros((3, 9)), np.zeros((3, 9, 9)))
-        alpha, M = unpack(X)
-        steps = ascent_steps(model, F, F2, first_dense(model, F), [0, 1, 2], X, RelaxOptConfig(max_steps=20))
-        for _ in range(3):
-            _, _, live = next(steps)
-        live[1] = False
-        frozen = alpha[1].copy(), M[1].copy()
-        moving = alpha[0].copy(), M[0].copy()
-        count = 3 + sum(1 for _ in steps)
-        assert count == 20
-        np.testing.assert_array_equal(alpha[1], frozen[0])
-        np.testing.assert_array_equal(M[1], frozen[1])
-        assert np.all(alpha[0] != moving[0]) and np.all(M[0] != moving[1])
-
-    def test_closed_cells_stay_at_mask_logit(self):
-        model, problems = lockstep_problems()
-        chunk = problems[:4]
-        F = np.stack([p[0].values for p in chunk])
-        F2 = np.stack([p[1].values for p in chunk])
-        X = pack_logits(np.zeros((4, 9)), np.zeros((4, 9, 9)))
-        alpha, M = unpack(X)
-        for b, (_, _, _, exq, exs) in enumerate(chunk):
-            alpha[b, list(exq)] = MASK_LOGIT
-            M[b][:, list(exs)] = MASK_LOGIT
+        monkeypatch.setattr(relaxed, "_CHUNK_VALUES", 3 * 9 * (9 + 2))
+        calls = record_ascent(monkeypatch)
         opt = RelaxOptConfig()
-        targets = [p[2] for p in chunk]
-        assert sum(1 for _ in ascent_steps(model, F, F2, first_dense(model, F), targets, X, opt)) == opt.max_steps
-        for b, (_, _, _, exq, exs) in enumerate(chunk):
-            assert np.all(alpha[b, list(exq)] == MASK_LOGIT)
-            assert np.all(M[b][:, list(exs)] == MASK_LOGIT)
-            open_q = np.setdiff1d(np.arange(9), list(exq))
-            assert np.all(alpha[b, open_q] != 0.0)
+        steps = [len(e[3]) for e in solve_relaxed(model, problems, opt)]
+        longest = [max(steps[lo : lo + 3]) for lo in range(0, len(steps), 3)]
+        assert [len(X) for X, *_ in calls] == [3] * sum(longest)
+        assert max(longest) < opt.max_steps
 
-    def test_trajectory_replays_bit_for_bit(self):
-        # a solo solve's objectives are those of the ascent on C-ordered packed logits
+    def test_frozen_problem_logits_stay_exactly_fixed(self, monkeypatch):
         model, problems = lockstep_problems()
+        calls = record_ascent(monkeypatch)
+        steps = [len(e[3]) for e in solve_relaxed(model, problems, RelaxOptConfig(max_steps=20))]
+        assert len(calls) == 20 and min(steps) < 20
+        for b, last in enumerate(steps):
+            Xs = [X[b] for X, *_ in calls]
+            # a live problem moves at every step; from the step that freezes it, it stays put
+            assert all(not np.array_equal(x, y) for x, y in zip(Xs[: last - 1], Xs[1:last]))
+            assert all(np.array_equal(x, Xs[last - 1]) for x in Xs[last:])
+
+    def test_closed_cells_stay_at_mask_logit(self, monkeypatch):
+        model, problems = lockstep_problems()
+        calls = record_ascent(monkeypatch)
+        solve_relaxed(model, problems)
+        for b, (_, _, _, exq, exs) in enumerate(problems):
+            for X, *_ in calls:
+                alpha, M = unpack(X[b])
+                assert np.all(alpha[list(exq)] == MASK_LOGIT)
+                assert np.all(M[:, list(exs)] == MASK_LOGIT)
+            open_q = np.setdiff1d(np.arange(9), list(exq))
+            assert np.all(alpha[open_q] != 0.0) or len(open_q) == 1
+
+    def test_trajectory_replays_bit_for_bit(self, monkeypatch):
+        # a solo solve's objectives are those of its C-ordered packed logits, evaluated afresh
+        model, problems = lockstep_problems()
+        calls = record_ascent(monkeypatch)
         for F, F2, target, exq, exs in problems:
+            calls.clear()
             _, _, _, traj, _ = solve_relaxed(model, [(F, F2, target, exq, exs)])[0]
-            problem = EditProblem(model, F, F2, target, exq, exs)
-            open_q, open_s = problem.open_q, problem.open_s
-            X = pack_logits(np.where(open_q, 0.0, MASK_LOGIT), np.where(open_s, np.zeros((9, 1)), MASK_LOGIT))
-            replay = [obj for obj, _, _ in itertools.islice(ascent_one(model, F, F2, target, X, RelaxOptConfig()), len(traj))]
-            assert traj == replay
+            assert traj == [obj[0] for _, obj, _, _ in calls]
+            assert traj == [objective_one(model, F, F2, target, *unpack(X[0]))[0] for X, *_ in calls]
 
     def test_fused_head_pass_gives_identical_solves(self, monkeypatch):
         # the fused head pass against the per-layer forward and backward: no bit changes
