@@ -161,8 +161,8 @@ def relaxation_fidelity(
         t = problem.target
         sample = {"match": (ri, rj) == (ei, ej), "prob_ratio": float(np.exp(rlp[t] - elp[t]))}
         if work:
-            trajectory, converged = work
-            sample.update(steps=len(trajectory), converged=converged)
+            steps, converged = work
+            sample.update(steps=steps, converged=converged)
         samples.append(sample)
     match_rate = float(np.mean([s["match"] for s in samples]))
     extras = {"match_rate": match_rate, "mean_prob_ratio": float(np.mean([s["prob_ratio"] for s in samples]))}

@@ -629,13 +629,12 @@ def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
 
 def tail_gradient_pass(model: ModelBundle, targets):
     """The function that maps an (N, units) stack z of first dense outputs,
-    N = len(targets), to the (N, classes) log-probabilities the head's layers
-    after the first dense one give, and the gradient of each row's
-    `targets[k]` log-probability w.r.t. z.  The one-hot output gradient is
-    built once, for the many stacks a caller may pass (the relaxed solver,
-    one per Adam step), whose shape is the caller's to check.  The pass
-    performs the operations of `forward_layers` and `backward_layers` in
-    their order, so every bit agrees with them."""
+    N = len(targets), to the gradient w.r.t. z of each row's `targets[k]`
+    log-probability under the head's layers after the first dense one.  The
+    one-hot output gradient is built once, for the many stacks a caller may
+    pass (the relaxed solver, one per Adam step), whose shape is the
+    caller's to check.  The pass performs the operations of `forward_layers`
+    and `backward_layers` in their order, so every bit agrees with them."""
     onehot = np.zeros((len(targets), model.class_count))
     onehot[np.arange(len(targets)), targets] = 1.0
     tail = model.mlp[1:]
@@ -645,11 +644,11 @@ def tail_gradient_pass(model: ModelBundle, targets):
         for layer in tail:
             masks.append(x > 0 if layer is None else None)
             x = np.maximum(x, 0.0) if layer is None else x @ layer[0] + layer[1]
-        out = _log_softmax(x)
-        g = onehot - np.exp(out)  # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
+        # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
+        g = onehot - np.exp(_log_softmax(x))
         for layer, mask in zip(reversed(tail), reversed(masks)):
             g = g * mask if layer is None else g @ layer[0].T
-        return out, g
+        return g
 
     return run
 
@@ -700,8 +699,6 @@ class TrainConfig:
 
 
 def _accuracy(model, images, labels):
-    if len(images) == 0:
-        return float("nan")
     return float(np.mean(predict_batch(model, images) == labels))
 
 
@@ -717,20 +714,21 @@ def train(
 ) -> ModelBundle:
     """SGD-with-momentum trainer; deterministic given config.seed.  The
     optional test set, given whole or not at all, is checked against the
-    training set before the first step and scored after the last."""
+    training set before the first step and scored after the last; neither
+    set may be empty."""
     if (test_images is None) != (test_labels is None):
         raise ShapeError("test_images and test_labels must be given together")
     sets = [(images, labels)] + ([] if test_images is None else [(test_images, test_labels)])
     sets = [(np.asarray(imgs, dtype=np.float64), np.asarray(labs, dtype=int)) for imgs, labs in sets]
     sets = [(imgs[..., None] if imgs.ndim == 3 else imgs, labs) for imgs, labs in sets]
     images, labels = sets[0]
-    for imgs, labs in sets:
+    for name, (imgs, labs) in zip(("training", "test"), sets):
         if labs.shape != imgs.shape[:1]:
             raise ShapeError(f"label shape {labs.shape} does not match {len(imgs)} images")
         if imgs.shape[1:] != images.shape[1:]:
             raise ShapeError(f"test image shape {imgs.shape[1:]} does not match training images {images.shape[1:]}")
-    if len(images) == 0:
-        raise ShapeError("dataset is empty")
+        if len(imgs) == 0:
+            raise ShapeError(f"the {name} set is empty")
     if class_count is None:
         class_count = int(labels.max()) + 1
     if any(np.any(labs >= class_count) or np.any(labs < 0) for _, labs in sets):

@@ -4,10 +4,12 @@ The binary gate and permutation alignment are relaxed to a simplex vector and
 a row-stochastic matrix, both parameterized through softmax so the constraints
 hold by construction.  Adam (Kingma & Ba, ICLR 2015) ascends the
 target-class log-probability of the relaxed edit minus entropy penalties that
-sharpen the distributions; the result is rounded back to a single discrete
-edit, which `search.EditProblem` scores as exhaustive search scores it, so
-an edit both strategies choose gets the same score bit for bit.  The
-problems are `search.EditProblem`s, which their callers build and check.
+sharpen the distributions, stepping on the objective's gradient alone
+(its value is never formed); the result is rounded back to a single
+discrete edit, which `search.EditProblem` scores as exhaustive search
+scores it, so an edit both strategies choose gets the same score bit for
+bit.  The problems are `search.EditProblem`s, which their callers build
+and check.
 
 The solver works in the head's first dense layer space, as exhaustive search
 does: the relaxed grid (1 - a) o F + a o (P @ F2) is F plus the delta
@@ -21,11 +23,11 @@ nothing: a greedy problem is solved on the unedited grid and its carried z0.
 Problems are solved in lockstep batches, stacked along a leading axis.  Each
 problem's logits are packed into one (n+1, n) array, the gate logits in row
 0 over the n alignment rows; every row is a softmax of its own, so one
-softmax, one entropy pass, one softmax chain rule and one Adam update cover
-both.  Each chunk of problems is one loop in `best_pair_edits`: a step
-evaluates the objective, applies the stop test and takes the Adam update
-beside it.  A problem that meets the stop test is frozen, not removed: its
-logits stop moving and its trajectory ends.
+softmax, one softmax chain rule and one Adam update cover both.  Each
+chunk of problems is one loop in `best_pair_edits`: a step takes the
+gradient, applies the stop test and takes the Adam update beside it.  A
+problem that meets the stop test is frozen, not removed: its logits stop
+moving and its step count stops growing.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _objective_and_grads(tail_pass, W, F, F2, z0, targets, X):
-    """The objective and its analytic gradients for a stack of B problems.
+def _objective_gradient(tail_pass, W, F, F2, z0, X):
+    """The gradient of the relaxed objective for a stack of B problems.
 
     objective = g_target(z) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
     where z = z0 + (a o (P @ F2 - F)).flat . W, a = softmax(alpha),
@@ -93,10 +95,10 @@ def _objective_and_grads(tail_pass, W, F, F2, z0, targets, X):
 
     F and F2 are (B, n, d) float64 grid values, z0 their (B, units) first
     dense outputs, W that layer's (n d, units) weight, and `tail_pass` is
-    `network.tail_gradient_pass` for the B `targets`.  X is the (B, n+1, n)
-    packed logits: row 0 the gate logits alpha, rows 1..n the alignment
-    logits M.  Returns the (B,) objectives, their gradient w.r.t. X, and
-    S = softmax(X), packed as X is.
+    `network.tail_gradient_pass` for the B problems' targets.  X is the
+    (B, n+1, n) packed logits: row 0 the gate logits alpha, rows 1..n the
+    alignment logits M.  Returns the gradient w.r.t. X and S = softmax(X),
+    both packed as X is.
     """
     S = softmax(X)
     a, P = S[:, 0], S[:, 1:]
@@ -104,15 +106,10 @@ def _objective_and_grads(tail_pass, W, F, F2, z0, targets, X):
     delta = P @ F2 - F  # each cell's aligned distractor row less its own
     z = (gate * delta).reshape(len(X), -1) @ W
     z += z0
-    lp, g = tail_pass(z)
-    G = (g @ W.T).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
+    G = (tail_pass(z) @ W.T).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
 
     log_S = np.log(np.where(S > 0, S, 1.0))
-    H = -(S * log_S).sum(axis=-1)  # (B, n+1): the gate's entropy, then each alignment row's
-    H_rows = H[:, 1:]
-    objective = (
-        lp[np.arange(len(lp)), targets] - ENTROPY_WEIGHT_GATE * H[:, 0] - ENTROPY_WEIGHT_ALIGN * _dots(a, H_rows)
-    )
+    H_rows = -(P * log_S[:, 1:]).sum(axis=-1)  # (B, n): each alignment row's entropy
 
     dS = np.empty_like(S)
     # d objective / d a
@@ -126,10 +123,10 @@ def _objective_and_grads(tail_pass, W, F, F2, z0, targets, X):
     dP += ENTROPY_WEIGHT_ALIGN * gate * (log_S[:, 1:] + 1.0)
 
     # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g), row by row;
-    # the gate row's y.g is a row dot product, as in the objective
+    # the gate row's y.g is a row dot product
     ydots = (S * dS).sum(axis=-1, keepdims=True)
     ydots[:, 0, 0] = _dots(a, da)
-    return objective, S * (dS - ydots), S
+    return S * (dS - ydots), S
 
 
 # float64 values (n² alignment logits and n·d grid values per problem) one
@@ -144,19 +141,19 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
 
     They are split into chunks of at most `_CHUNK_VALUES` // (n² + n·d)
     problems, and at least one.  Each chunk runs one bias-corrected Adam
-    ascent on its stacked packed logits (see `_objective_and_grads`), at most
-    `opt.max_steps` steps: a step evaluates every problem, ends the
-    trajectory of each one that meets the stop test, and moves the logits of
-    the rest.  A frozen problem's logits stay exactly where they are, and the
-    ascent ends once none is live.  A logit whose gradient is always exactly
-    zero (a closed cell at MASK_LOGIT) keeps zero moments and so never moves.
+    ascent on its stacked packed logits (see `_objective_gradient`), at most
+    `opt.max_steps` steps: a step takes every problem's gradient, freezes
+    each one that meets the stop test, and moves the logits of the rest.  A
+    frozen problem's logits stay exactly where they are, and the ascent ends
+    once none is live.  A logit whose gradient is always exactly zero (a
+    closed cell at MASK_LOGIT) keeps zero moments and so never moves.
 
     Returns, per problem and in order, (query cell, source cell, the edit's
-    log-probabilities from `EditProblem.edit_logprobs`, per-step objective
-    values, converged), where converged means the last step met the stop
-    test.  Each edit, score and step count is the one the problem gets when
-    solved alone; the objectives may differ in their last bits, as a batched
-    product rounds differently from a one-row one.
+    log-probabilities from `EditProblem.edit_logprobs`, steps, converged),
+    where steps counts the steps the problem was live for, the one that
+    froze it included, and converged means its last step met the stop test.
+    Each edit, score, step count and flag is the one the problem gets when
+    solved alone.
     """
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
@@ -174,16 +171,13 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         F = np.stack([p.F.values for p in chunk])
         F2 = np.stack([p.F2.values for p in chunk])
         z0 = np.stack([p.z0 for p in chunk])
-        targets = np.array([p.target for p in chunk])
-        tail_pass = tail_gradient_pass(model, targets)
+        tail_pass = tail_gradient_pass(model, [p.target for p in chunk])
         rows = np.arange(len(chunk))
-        objectives = []  # one (B,) array per step; a frozen problem's entries past its last step are unused
         steps = np.zeros(len(chunk), dtype=int)
         live = np.ones(len(chunk), dtype=bool)
         m, v = np.zeros_like(X), np.zeros_like(X)
         for t in range(1, opt.max_steps + 1):
-            obj, dX, S = _objective_and_grads(tail_pass, W, F, F2, z0, targets, X)
-            objectives.append(obj)
+            dX, S = _objective_gradient(tail_pass, W, F, F2, z0, X)
             steps += live
             # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
             a = S[:, 0]
@@ -202,11 +196,10 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
             np.add(X, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=X, where=live[:, None, None])
 
         # `live` now marks the problems that never met the stop test
-        objectives = np.array(objectives)
         S = softmax(X)
         cells = S[:, 0].argmax(axis=1)
         sources = S[rows, 1 + cells].argmax(axis=1)
         for b, p in enumerate(chunk):
             i, j2 = int(cells[b]), int(sources[b])
-            edits.append((i, j2, p.edit_logprobs(i, j2), objectives[: steps[b], b].tolist(), not live[b]))
+            edits.append((i, j2, p.edit_logprobs(i, j2), int(steps[b]), not live[b]))
     return edits

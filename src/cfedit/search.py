@@ -22,7 +22,8 @@ Each search poses best-edit problems (`EditProblem`): a grid pair, its
 target class and the masks of its open query and source cells, checked once
 when built, and solved exhaustively by `EditProblem.step` or through the
 relaxation by `relaxed.best_pair_edits`.  Greedy takes the query class from
-the problem's unedited log-probabilities.
+the problem's unedited log-probabilities and the target class from its
+caller, and runs no head pass on the distractor.
 
 A greedy step only changes the query cell it then closes, so the query cells
 still open keep their unedited values at every step of a pair, and greedy
@@ -74,14 +75,13 @@ every open cell, as it does on random weights.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid
-from .network import ModelBundle, _finite, _log_softmax, _mlp_forward, _shift_lse, forward_feature_pair, head_logprobs
+from .network import ModelBundle, _finite, _log_softmax, _mlp_forward, _shift_lse, forward_feature_pair
 from .relaxed import RelaxOptConfig, best_pair_edits
 
 # float64 values one block of scored query cells may hold (16 MB);
@@ -488,19 +488,13 @@ def greedy_counterfactual(
     distractor_id: str = "",
 ) -> ExplanationResult:
     """Edit f(query) toward f(distractor) until the decision flips to
-    `target_class` (Greedy Sequential Search)."""
+    `target_class` (Greedy Sequential Search).  The target is the caller's
+    and need not be the distractor's predicted class."""
     F, F2 = forward_feature_pair(model, query_image, distractor_image)
     # open query cells keep their unedited values, so one problem serves every step
     problem = EditProblem(model, F, F2, target_class)
     lp = problem.logprobs
     query_class = int(lp.argmax())
-    distractor_class = head_logprobs(model, F2).argmax()
-    if distractor_class != target_class:
-        warnings.warn(
-            f"distractor is predicted as class {distractor_class}, "
-            f"not the requested target class {target_class}",
-            stacklevel=2,
-        )
 
     h, w = F.h, F.w
     # every step closes its query cell, so no run can outlast the cell count

@@ -22,7 +22,8 @@ from cfedit.network import (
     tail_gradient_pass,
     train,
 )
-from cfedit.relaxed import RelaxOptConfig, _objective_and_grads, best_pair_edits
+from cfedit import relaxed
+from cfedit.relaxed import RelaxOptConfig, _objective_gradient, best_pair_edits
 from cfedit.rng import substream
 from cfedit.search import EditProblem
 
@@ -150,8 +151,7 @@ def layered_tail_pass(model, targets):
         out, caches = forward_layers(model.head[2:], z, keep_caches=True)
         onehot = np.zeros_like(out)
         onehot[np.arange(len(targets)), targets] = 1.0
-        g, _ = backward_layers(model.head[2:], caches, onehot)
-        return out, g
+        return backward_layers(model.head[2:], caches, onehot)[0]
 
     return run
 
@@ -163,30 +163,44 @@ def first_dense(model, F) -> np.ndarray:
     return np.stack([f.reshape(-1) @ weight + bias for f in F])
 
 
-def objective_one(model, F, F2, target, alpha, M) -> tuple:
-    """The relaxed objective, its gradients w.r.t. the gate and alignment
-    logits, the gate and the alignment of one problem: `_objective_and_grads`
-    on a stack of one."""
-    X = pack_logits(alpha, M)[None]
-    W = model.mlp[0][0]
-    z0 = first_dense(model, F.values[None])
-    objective, dX, S = _objective_and_grads(
-        tail_gradient_pass(model, [target]), W, F.values[None], F2.values[None], z0, [target], X
-    )
-    return (objective[0], *unpack(dX[0]), *unpack(S[0]))
-
-
 def transformed(F, F2, a, P) -> np.ndarray:
     """The paper's edit (1 - a) o F + a o (P @ F2), built explicitly on
     (..., n, d) grid values with (..., n) gates `a` and (..., n, n)
     alignments `P`: the reference for the first dense outputs that both
-    searches form without building it."""
+    searches form without building it, and for the relaxed objective."""
     gate = np.asarray(a, dtype=np.float64)[..., None]
     return (1.0 - gate) * F + gate * (P @ F2)
 
 
+def entropy(p) -> np.ndarray:
+    """-sum p ln p along the last axis, with 0 ln 0 = 0."""
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+
+
+def objective_one(model, F, F2, target, alpha, M) -> tuple:
+    """The relaxed objective of one problem, its gradients w.r.t. the gate
+    and alignment logits, the gate and the alignment.  The objective is
+    built here: the head's target log-probability of the paper's edit,
+    built explicitly (`transformed`) from the softmax gate and alignment
+    rows the solver forms, less the gate's entropy and the gate-weighted
+    alignment entropies.  The gradients are `_objective_gradient`'s, on a
+    stack of one."""
+    W = model.mlp[0][0]
+    z0 = first_dense(model, F.values[None])
+    X = pack_logits(alpha, M)[None]
+    dX, S = _objective_gradient(tail_gradient_pass(model, [target]), W, F.values[None], F2.values[None], z0, X)
+    a, P = unpack(S[0])
+    edited = FeatureGrid(F.h, F.w, F.d, transformed(F.values, F2.values, a, P))
+    objective = (
+        head_logprobs(model, edited)[target]
+        - relaxed.ENTROPY_WEIGHT_GATE * entropy(a)
+        - relaxed.ENTROPY_WEIGHT_ALIGN * a @ entropy(P)
+    )
+    return (objective, *unpack(dX[0]), a, P)
+
+
 def relaxed_first_dense(model, F, F2, z0, targets, X) -> tuple:
-    """The (B, units) first dense outputs z that `_objective_and_grads`
+    """The (B, units) first dense outputs z that `_objective_gradient`
     forms from the (B, n, d) grid values F and F2, their z0 and the packed
     logits X, caught by a spy on its tail pass; and S = softmax(X), the
     gates and alignments they were formed with, packed as X is."""
@@ -197,7 +211,7 @@ def relaxed_first_dense(model, F, F2, z0, targets, X) -> tuple:
         seen.append(z.copy())
         return tail_pass(z)
 
-    _, _, S = _objective_and_grads(spy, model.mlp[0][0], F, F2, z0, targets, X)
+    _, S = _objective_gradient(spy, model.mlp[0][0], F, F2, z0, X)
     return seen[0], S
 
 
@@ -218,10 +232,10 @@ def solve_exhaustive(model, F, F2, target_class, excluded_query=(), excluded_sou
 def solve_relaxed(model, instances, opt=RelaxOptConfig()):
     """The relaxed solver on (F, F2, target_class, excluded_query,
     excluded_source) instances, each posed as an `EditProblem`: per instance,
-    (query cell, source cell, target-class score, objectives, converged)."""
+    (query cell, source cell, target-class score, steps, converged)."""
     problems = [EditProblem(model, *inst) for inst in instances]
     solved = best_pair_edits(model, problems, opt)
-    return [(i, j2, float(lp[p.target]), traj, conv) for p, (i, j2, lp, traj, conv) in zip(problems, solved)]
+    return [(i, j2, float(lp[p.target]), steps, conv) for p, (i, j2, lp, steps, conv) in zip(problems, solved)]
 
 
 def relaxed_replay(model, query, distractor, target, policy, opt):

@@ -646,6 +646,23 @@ class TestConfigAndErrors:
         assert "--test-idx-images" in err["message"] and "--test-idx-labels" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("empty", ["training", "test"])
+    def test_train_on_an_empty_idx_set(self, tmp_path, capsys, empty):
+        # a valid IDX header that counts 0 images: an accuracy over it would be NaN
+        ds = gen_shapes(40, seed=0, split="idx")
+        for name in ("training", "test"):
+            images, labels = (ds.images[:0], ds.labels[:0]) if name == empty else (ds.images, ds.labels)
+            write_idx(str(tmp_path / f"{name}.images"), str(tmp_path / f"{name}.labels"), images, labels)
+        out = tmp_path / "bundle"
+        capsys.readouterr()
+        err = run_err(["train", "--dataset", "idx", "--epochs", "1",
+                       "--idx-images", str(tmp_path / "training.images"),
+                       "--idx-labels", str(tmp_path / "training.labels"),
+                       "--test-idx-images", str(tmp_path / "test.images"),
+                       "--test-idx-labels", str(tmp_path / "test.labels"), "--out", str(out)], capsys)
+        assert err["type"] == "ShapeError" and empty in err["message"] and "empty" in err["message"]
+        assert not out.exists()
+
     def test_both_distractor_flags_rejected(self, cli_model, tmp_path, capsys):
         err = run_err(
             ["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0",

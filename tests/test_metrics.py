@@ -149,6 +149,17 @@ class TestRelaxationFidelity:
                 assert best_edit_exhaustive(wl.model, *inst[:3]) == (i, j2, score)
         assert matched >= 100
 
+    def test_relaxed_work_on_the_fidelity_pool(self, monkeypatch):
+        # the benchmark's seed-1 pool on `ref`, in its 4-instance groups: the
+        # solver's steps, its converged solves and its matches are pinned
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+        wl = importlib.import_module("workloads").WORKLOADS["fidelity"](1, False)
+        wl.setup()
+        assert [len(group) for group in wl.pool] == [4] * 36
+        samples = [s for group in wl.pool for s in relaxation_fidelity(wl.model, group, wl.opt).samples]
+        work = sum(s["steps"] for s in samples), sum(s["converged"] for s in samples), sum(s["match"] for s in samples)
+        assert work == (4544, 136, 108)
+
     @pytest.mark.parametrize(
         "excluded, error", [(([16], ()), BoundsError), (((), [-1]), BoundsError), ((range(16), ()), ExhaustedError)]
     )
@@ -165,7 +176,7 @@ class TestRelaxationFidelity:
         instances = [(random_grid(rng, 4, 4, 20), random_grid(rng, 4, 4, 20), 1, (), ()) for _ in range(3)] * 200
         instances[500] = instances[500][:3] + excluded
         solved = []  # the strategies that ran a step
-        evaluate, step = relaxed._objective_and_grads, search.EditProblem.step
+        evaluate, step = relaxed._objective_gradient, search.EditProblem.step
 
         def relaxed_spy(*args):
             solved.append("relaxed")
@@ -175,7 +186,7 @@ class TestRelaxationFidelity:
             solved.append("exhaustive")
             return step(self)
 
-        monkeypatch.setattr(relaxed, "_objective_and_grads", relaxed_spy)
+        monkeypatch.setattr(relaxed, "_objective_gradient", relaxed_spy)
         monkeypatch.setattr(search.EditProblem, "step", exhaustive_spy)
         opt = RelaxOptConfig(max_steps=2)
         for use_relaxed in (True, False):

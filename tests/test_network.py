@@ -37,13 +37,13 @@ def full_stack(model, images):
 
 
 def grid_gradient(model, values, targets):
-    """The (N, classes) log-probabilities of an (N, hw, d) stack of grids and
-    the gradient of each grid's `targets[k]` log-probability w.r.t. that
-    grid, as the relaxed solver forms it: `tail_gradient_pass` at the first
-    dense outputs, mapped back through that layer's weight transposed."""
+    """The gradient of each grid's `targets[k]` log-probability w.r.t. that
+    grid, for an (N, hw, d) stack of grids, as the relaxed solver forms it:
+    `tail_gradient_pass` at the first dense outputs, mapped back through that
+    layer's weight transposed."""
     (weight, bias), *_ = model.mlp
-    out, g = network.tail_gradient_pass(model, targets)(values.reshape(len(values), -1) @ weight + bias)
-    return out, (g @ weight.T).reshape(values.shape)
+    g = network.tail_gradient_pass(model, targets)(values.reshape(len(values), -1) @ weight + bias)
+    return (g @ weight.T).reshape(values.shape)
 
 
 def log_softmax_ref(logits):
@@ -602,13 +602,12 @@ class TestBackwardSelection:
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=3)
         F = forward_features(model, np.random.default_rng(3).uniform(0, 1, (28, 28, 1)))
         target = 7
-        lp, grad = grid_gradient(model, F.values[None], [target])
+        grad = grid_gradient(model, F.values[None], [target])
         out, caches = network.forward_layers(model.head, F.values.reshape(1, 4, 4, 20), keep_caches=True)
         g = np.zeros_like(out)
         g[0, target] = 1.0
         gx, _ = network.backward_layers(model.head, caches, g)
         assert grad.tobytes() == gx.reshape(1, 16, 20).tobytes()
-        assert lp.tobytes() == out.tobytes()
 
 
 class TestHead:
@@ -719,7 +718,7 @@ class TestGridGradient:
         logits = F.values.ravel() @ W + model.head[1].weights["bias"]
         p = np.exp(log_softmax_ref(logits))
         expected = ((np.eye(3)[target] - p) @ W.T).reshape(4, 1)
-        _, grad = grid_gradient(model, F.values[None], [target])
+        grad = grid_gradient(model, F.values[None], [target])
         np.testing.assert_allclose(grad[0], expected, atol=1e-12)
 
     def test_finite_difference_random_heads(self):
@@ -728,7 +727,7 @@ class TestGridGradient:
             model = identity_feature_model(2, 3, 2, 4, seed=100 + k, linear=False)
             F = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
             target = int(rng.integers(4))
-            grad = grid_gradient(model, F.values[None], [target])[1][0]
+            grad = grid_gradient(model, F.values[None], [target])[0]
             eps = 1e-5
             fd = np.zeros_like(grad)
             for i in range(6):
@@ -747,7 +746,7 @@ class TestGridGradient:
         model = identity_feature_model(2, 2, 1, 3)
         model.head[1].weights["weight"][...] = 0.0
         F = FeatureGrid(2, 2, 1, np.ones((4, 1)))
-        np.testing.assert_array_equal(grid_gradient(model, F.values[None], [0])[1], 0.0)
+        np.testing.assert_array_equal(grid_gradient(model, F.values[None], [0]), 0.0)
 
 
 class TestFusedHeadPass:
@@ -775,13 +774,11 @@ class TestFusedHeadPass:
             out, caches = network.forward_layers(model.head, values.reshape((-1,) + model.feature_shape), True)
             onehot = np.zeros_like(out)
             onehot[np.arange(batch), targets] = 1.0
-            want = out, network.backward_layers(model.head, caches, onehot)[0].reshape(values.shape)
-            for g, w in zip(got, want):
-                assert g.shape == w.shape and np.array_equal(g, w), name
+            want = network.backward_layers(model.head, caches, onehot)[0].reshape(values.shape)
+            assert got.shape == want.shape and np.array_equal(got, want), name
             z = rng.normal(size=(batch, model.mlp[0][0].shape[1]))
-            got = network.tail_gradient_pass(model, targets)(z)
-            for g, w in zip(got, layered_tail_pass(model, targets)(z)):
-                assert g.shape == w.shape and np.array_equal(g, w), name
+            got, want = network.tail_gradient_pass(model, targets)(z), layered_tail_pass(model, targets)(z)
+            assert got.shape == want.shape and np.array_equal(got, want), name
 
     @pytest.mark.parametrize("batch", [1, 4, 7])
     def test_logprobs_and_predictions_match_forward_layers(self, shapes_model, batch):
@@ -802,7 +799,7 @@ class TestFusedHeadPass:
         z = rng.normal(size=(1, 8))
 
         def passes(m, run):
-            return (head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), *run(z))
+            return head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), run(z)
 
         before = passes(model, built)
         for layer in model.head:
@@ -818,8 +815,7 @@ class TestFusedHeadPass:
         run = network.tail_gradient_pass(shapes_model, [1, 3])
         values = np.random.default_rng(0).normal(size=(2, shapes_model.mlp[0][0].shape[1]))
         first = run(values)
-        for g, w in zip(run(values), first):
-            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(run(values), first)
 
 
 class TestComposition:

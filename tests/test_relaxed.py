@@ -43,8 +43,9 @@ class TestSoftmax:
 
 
 def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
-    """Target log-probability of the blend minus the objective: the entropy
-    penalty the objective subtracts at logits (alpha, M) under these weights."""
+    """Target log-probability of the blend minus the reference objective
+    (`objective_one`): the entropy penalty it subtracts at logits (alpha, M)
+    under these weights."""
     monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_GATE", weight_gate)
     monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_ALIGN", weight_align)
     n = len(alpha)
@@ -57,19 +58,19 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
 
 
 def record_ascent(monkeypatch) -> list:
-    """A spy on `relaxed._objective_and_grads` for the rest of the test: the
-    returned list gets one (X, objectives, gradient, S) tuple per call, for
-    the stacked problems of the chunk being solved, with X copied as the call
-    saw it (the solver updates its packed logits in place)."""
+    """A spy on `relaxed._objective_gradient` for the rest of the test: the
+    returned list gets one (X, gradient, S) tuple per call, for the stacked
+    problems of the chunk being solved, with X copied as the call saw it
+    (the solver updates its packed logits in place)."""
     calls = []
-    evaluate = relaxed._objective_and_grads
+    evaluate = relaxed._objective_gradient
 
-    def spy(tail_pass, W, F, F2, z0, targets, X):
-        out = evaluate(tail_pass, W, F, F2, z0, targets, X)
+    def spy(tail_pass, W, F, F2, z0, X):
+        out = evaluate(tail_pass, W, F, F2, z0, X)
         calls.append((X.copy(), *out))
         return out
 
-    monkeypatch.setattr(relaxed, "_objective_and_grads", spy)
+    monkeypatch.setattr(relaxed, "_objective_gradient", spy)
     return calls
 
 
@@ -219,9 +220,9 @@ class TestObjectiveGradients:
         F = random_grid(rng, 2, 2, 2)
         F2 = random_grid(rng, 2, 2, 2)
         calls = record_ascent(monkeypatch)
-        _, _, _, traj, _ = solve_relaxed(model, [(F, F2, 1, (), ())], RelaxOptConfig(max_steps=50))[0]
-        assert len(calls) == len(traj) > 1
-        for _, _, _, S in calls:
+        _, _, _, steps, _ = solve_relaxed(model, [(F, F2, 1, (), ())], RelaxOptConfig(max_steps=50))[0]
+        assert len(calls) == steps > 1
+        for _, _, S in calls:
             a, P = unpack(S[0])
             assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-6
             assert np.all(P >= 0)
@@ -236,7 +237,7 @@ class TestObjectiveGradients:
         F2 = random_grid(rng, 3, 3, 2)
         calls = record_ascent(monkeypatch)
         solve_relaxed(model, [(F, F2, 2, [4], [0, 7])], RelaxOptConfig(learning_rate=0.25, max_steps=2))
-        (X0, _, dX, _), (X1, _, _, _) = calls
+        (X0, dX, _), (X1, _, _) = calls
         alpha0, M0 = unpack(X0[0])
         _, dalpha, dM, _, _ = objective_one(model, F, F2, 2, alpha0, M0)
         np.testing.assert_array_equal(dX[0], pack_logits(dalpha, dM))
@@ -252,9 +253,9 @@ class TestBestEditRelaxed:
         model.head[1].weights["weight"][0, 1] = 1.0
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         F2 = FeatureGrid(2, 2, 1, np.array([[9.0], [0.0], [0.0], [0.0]]))
-        i, j2, score, traj, _ = solve_relaxed(model, [(F, F2, 1, (), ())])[0]
+        i, j2, score, steps, _ = solve_relaxed(model, [(F, F2, 1, (), ())])[0]
         assert (i, j2) == best_edit_exhaustive(model, F, F2, 1)[:2] == (0, 0)
-        assert len(traj) >= 1
+        assert steps >= 1
 
     def test_discrete_score_rule(self):
         rng = np.random.default_rng(6)
@@ -278,9 +279,9 @@ class TestBestEditRelaxed:
         excluded_s = [2, 8]
         # inspect the soft distributions at every step of the solve
         calls = record_ascent(monkeypatch)
-        i, j2, _, traj, _ = solve_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], RelaxOptConfig(max_steps=60))[0]
-        assert len(calls) == len(traj) > 1
-        for _, _, _, S in calls:
+        i, j2, _, steps, _ = solve_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], RelaxOptConfig(max_steps=60))[0]
+        assert len(calls) == steps > 1
+        for _, _, S in calls:
             a, P = unpack(S[0])
             assert np.all(a[excluded_q] < 1e-12)
             assert np.all(P[:, excluded_s] < 1e-12)
@@ -298,7 +299,7 @@ class TestBestEditRelaxed:
         calls = record_ascent(monkeypatch)
         solve_relaxed(model, [(F, F2, 0, excluded_q, excluded_s)])
         assert len(calls) > 1
-        for X, _, dX, _ in calls:
+        for X, dX, _ in calls:
             alpha, M = unpack(X[0])
             assert np.all(alpha[excluded_q] == MASK_LOGIT)
             assert np.all(M[:, excluded_s] == MASK_LOGIT)
@@ -353,15 +354,10 @@ class TestLockstepBatches:
         shuffled = [problems[k] for k in order]
         opt = RelaxOptConfig()
         batch = solve_relaxed(model, shuffled, opt)
-        steps = []
-        for problem, (i, j2, score, traj, converged) in zip(shuffled, batch):
-            si, sj2, sscore, straj, _ = solve_relaxed(model, [problem], opt)[0]
-            assert (i, j2, score, len(traj)) == (si, sj2, sscore, len(straj))
-            np.testing.assert_allclose(traj, straj, rtol=1e-12, atol=0)
-            steps.append(len(traj))
+        assert batch == [solve_relaxed(model, [problem], opt)[0] for problem in shuffled]
         single = batch[list(order).index(4)]  # the problem with one open query and source cell
-        assert single[:2] == (5, 0) and len(single[3]) == 1
-        assert max(steps) > 1
+        assert single[:2] == (5, 0) and single[3] == 1
+        assert max(steps for *_, steps, _ in batch) > 1
 
     def test_converged_means_last_step_met_the_stop_test(self, monkeypatch):
         model, problems = lockstep_problems()
@@ -371,19 +367,19 @@ class TestLockstepBatches:
         calls = record_ascent(monkeypatch)
         flags = []
         for b, edit in enumerate(solve_relaxed(model, problems, opt)):
-            a, P = unpack(calls[len(edit[3]) - 1][3][b])
+            a, P = unpack(calls[edit[3] - 1][2][b])
             i = a.argmax()
             assert edit[4] == (a[i] >= stop and P[i].max() >= stop)
-            flags.append((edit[4], len(edit[3]) == opt.max_steps))
+            flags.append((edit[4], edit[3] == opt.max_steps))
         assert {(True, False), (True, True), (False, True)} <= set(flags)
 
-    def test_a_chunk_steps_as_long_as_its_longest_trajectory(self, monkeypatch):
+    def test_a_chunk_steps_as_long_as_its_longest_live_problem(self, monkeypatch):
         # 3 problems a chunk: the ascent of each ends once none of its problems is live
         model, problems = lockstep_problems()
         monkeypatch.setattr(relaxed, "_CHUNK_VALUES", 3 * 9 * (9 + 2))
         calls = record_ascent(monkeypatch)
         opt = RelaxOptConfig()
-        steps = [len(e[3]) for e in solve_relaxed(model, problems, opt)]
+        steps = [e[3] for e in solve_relaxed(model, problems, opt)]
         longest = [max(steps[lo : lo + 3]) for lo in range(0, len(steps), 3)]
         assert [len(X) for X, *_ in calls] == [3] * sum(longest)
         assert max(longest) < opt.max_steps
@@ -391,7 +387,7 @@ class TestLockstepBatches:
     def test_frozen_problem_logits_stay_exactly_fixed(self, monkeypatch):
         model, problems = lockstep_problems()
         calls = record_ascent(monkeypatch)
-        steps = [len(e[3]) for e in solve_relaxed(model, problems, RelaxOptConfig(max_steps=20))]
+        steps = [e[3] for e in solve_relaxed(model, problems, RelaxOptConfig(max_steps=20))]
         assert len(calls) == 20 and min(steps) < 20
         for b, last in enumerate(steps):
             Xs = [X[b] for X, *_ in calls]
@@ -411,16 +407,6 @@ class TestLockstepBatches:
             open_q = np.setdiff1d(np.arange(9), list(exq))
             assert np.all(alpha[open_q] != 0.0) or len(open_q) == 1
 
-    def test_trajectory_replays_bit_for_bit(self, monkeypatch):
-        # a solo solve's objectives are those of its C-ordered packed logits, evaluated afresh
-        model, problems = lockstep_problems()
-        calls = record_ascent(monkeypatch)
-        for F, F2, target, exq, exs in problems:
-            calls.clear()
-            _, _, _, traj, _ = solve_relaxed(model, [(F, F2, target, exq, exs)])[0]
-            assert traj == [obj[0] for _, obj, _, _ in calls]
-            assert traj == [objective_one(model, F, F2, target, *unpack(X[0]))[0] for X, *_ in calls]
-
     def test_fused_head_pass_gives_identical_solves(self, monkeypatch):
         # the fused head pass against the per-layer forward and backward: no bit changes
         model, problems = lockstep_problems()
@@ -435,8 +421,7 @@ class TestLockstepBatches:
         model, problems = lockstep_problems()
         whole = solve_relaxed(model, problems)
         monkeypatch.setattr(relaxed, "_CHUNK_VALUES", per_chunk * 9 * (9 + 2))
-        chunked = solve_relaxed(model, problems)
-        assert [e[:3] + (len(e[3]), e[4]) for e in chunked] == [e[:3] + (len(e[3]), e[4]) for e in whole]
+        assert solve_relaxed(model, problems) == whole
 
     def test_no_problems(self):
         model, _ = lockstep_problems()

@@ -2,7 +2,6 @@ import importlib
 import importlib.util
 import itertools
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -187,9 +186,7 @@ class TestGreedy:
         model.head[1].weights["weight"][3, 1] = 1.0
         query = np.full((2, 2, 1), -1.0)
         distractor = np.full((2, 2, 1), 0.5)  # one edit: 0.5 - 1 < 0; two edits: 1 > 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = greedy_counterfactual(model, query, distractor, 1)
+        result = greedy_counterfactual(model, query, distractor, 1)
         assert result.status == "flipped"
         assert result.edit_count == 2
         assert sorted((i, j) for (i, j, _, _) in result.edits) == [(0, 0), (1, 1)]
@@ -203,21 +200,17 @@ class TestGreedy:
         imgs = gen_shapes(80, size=28, seed=1, split="search-test").images
         preds = predict_batch(shapes_model, imgs)
         done = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(10):
-                q, d = rng.integers(80, size=2)
-                if preds[q] == preds[d]:
-                    continue
-                result = greedy_counterfactual(
-                    shapes_model, imgs[q], imgs[d], int(preds[d])
-                )
-                assert len(result.trajectory) == result.edit_count + 1
-                cells = result.edits.query_cells()
-                assert len(cells) == len(set(cells))
-                if result.status == "flipped":
-                    assert result.trajectory[-1][1] >= result.trajectory[-1][0]
-                done += 1
+        for _ in range(10):
+            q, d = rng.integers(80, size=2)
+            if preds[q] == preds[d]:
+                continue
+            result = greedy_counterfactual(shapes_model, imgs[q], imgs[d], int(preds[d]))
+            assert len(result.trajectory) == result.edit_count + 1
+            cells = result.edits.query_cells()
+            assert len(cells) == len(set(cells))
+            if result.status == "flipped":
+                assert result.trajectory[-1][1] >= result.trajectory[-1][0]
+            done += 1
         assert done >= 5
 
     def test_greedy_step_reproducibility(self):
@@ -229,9 +222,7 @@ class TestGreedy:
         F2 = FeatureGrid.from_array(distractor)
         lp_q = head_logprobs(model, FeatureGrid.from_array(query))
         target = int(np.argsort(lp_q)[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = greedy_counterfactual(model, query, distractor, target)
+        result = greedy_counterfactual(model, query, distractor, target)
         state = FeatureGrid.from_array(query)
         ex_q, ex_s = [], []
         for (i, j, i2, j2) in result.edits:
@@ -247,10 +238,8 @@ class TestGreedy:
         model = identity_feature_model(3, 3, 2, 3, seed=21)
         query = rng.normal(size=(3, 3, 2))
         distractor = rng.normal(size=(3, 3, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            r1 = greedy_counterfactual(model, query, distractor, 2)
-            r2 = greedy_counterfactual(model, query, distractor, 2)
+        r1 = greedy_counterfactual(model, query, distractor, 2)
+        r2 = greedy_counterfactual(model, query, distractor, 2)
         assert r1 == r2
 
     def test_exclusion_policy_query_only_allows_source_reuse(self):
@@ -263,9 +252,7 @@ class TestGreedy:
         distractor = np.full((2, 2, 1), -1.0)
         distractor[0, 0, 0] = 0.6  # single good source cell; one edit is not enough
         cfg = SearchConfig(exclusion_policy="query-cells-only")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = greedy_counterfactual(model, query, distractor, 1, cfg)
+        result = greedy_counterfactual(model, query, distractor, 1, cfg)
         assert result.status == "flipped"
         sources = result.edits.source_cells()
         assert sources == [0, 0]  # best source reused under the relaxed policy
@@ -277,21 +264,9 @@ class TestGreedy:
         model.head[1].weights["bias"][...] = np.array([1.0, 0.0])
         query = rng.normal(size=(3, 3, 1))
         distractor = rng.normal(size=(3, 3, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = greedy_counterfactual(
-                model, query, distractor, 1, SearchConfig(max_edits=3)
-            )
+        result = greedy_counterfactual(model, query, distractor, 1, SearchConfig(max_edits=3))
         assert result.status == "exhausted"
         assert result.edit_count == 3
-
-    def test_misclassified_distractor_warns(self):
-        model = identity_feature_model(2, 2, 1, 2, seed=1)
-        rng = np.random.default_rng(2)
-        img = rng.normal(size=(2, 2, 1))
-        pred = head_logprobs(model, FeatureGrid.from_array(img)).argmax()
-        with pytest.warns(UserWarning, match="distractor"):
-            greedy_counterfactual(model, img, img, 1 - pred)
 
 
 class TestGreedyRelaxed:
@@ -306,9 +281,7 @@ class TestGreedyRelaxed:
         query_class = lp_q.argmax()
         target = int(np.argsort(lp_q)[0])
         opt = RelaxOptConfig(max_steps=60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = greedy_counterfactual(model, query, distractor, target, SearchConfig(relax=opt))
+        result = greedy_counterfactual(model, query, distractor, target, SearchConfig(relax=opt))
         assert result.edit_count >= 1
         i, j2, *_ = solve_relaxed(model, [(F, F2, target, (), ())], opt)[0]
         assert result.edits.edits[0] == (i // 3, i % 3, j2 // 3, j2 % 3)
@@ -330,9 +303,7 @@ class TestGreedyVsMinimumOracle:
             F2 = FeatureGrid.from_array(distractor)
             pred = head_logprobs(model, F).argmax()
             target = 1 - pred
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = greedy_counterfactual(model, query, distractor, target)
+            result = greedy_counterfactual(model, query, distractor, target)
             if result.status != "flipped" or not (1 <= result.edit_count <= 2):
                 continue
             size, flips = min_edit_oracle(model, F, F2, target)
@@ -539,9 +510,7 @@ class TestGreedyContraction:
                 for target in np.argsort(lp)[:2]:  # the least likely classes take the most steps
                     target = int(target)
                     del seen[:]
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy))
+                    got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy))
                     steps_seen = seen[:]  # the replay's best_edit_exhaustive steps come after
                     edits, trajectory, status = self.replay(model, query, distractor, target, policy)
                     assert (got.edits.edits, got.status) == (edits, status)
@@ -654,9 +623,7 @@ class TestGreedyRelaxedCarry:
                 for target in np.argsort(lp)[:2]:
                     target = int(target)
                     del scored[:]
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy, relax=opt))
+                    got = greedy_counterfactual(model, query, distractor, target, SearchConfig(policy, relax=opt))
                     rows = scored[:]
                     edits, trajectory, status = relaxed_replay(model, query, distractor, target, policy, opt)
                     assert (got.edits.edits, got.status) == (edits, status)
@@ -694,8 +661,8 @@ def test_unedited_logprobs_equal_the_one_grid_pass(name, size, count):
             assert EditProblem(model, F, F2, 0).logprobs.tobytes() == head_logprobs(model, F).tobytes()
 
 
-# the overflows that make these heads non-finite warn, and so may a distractor of another class
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:distractor is predicted")
+# the overflows that make these heads non-finite warn
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteHead:
     """A head whose scores are not finite raises FormatError through every
     search entry point, before any edit is recorded."""
@@ -971,9 +938,7 @@ class TestRowBound:
             for candidates in (1, n * n + 1):  # bounded, then every open cell scored
                 monkeypatch.setattr(search, "_BOUND_CANDIDATES", candidates)
                 del seen[:]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    runs.append((greedy_counterfactual(model, query, distractor, target, config), seen[:]))
+                runs.append((greedy_counterfactual(model, query, distractor, target, config), seen[:]))
             (bounded, bounded_seen), (every, every_seen) = runs
             assert bounded == every
             assert [b for b, _ in bounded_seen] == [True] + [False] * (bounded.edit_count - 1)
