@@ -8,8 +8,7 @@ sharpen the distributions, stepping on the objective's gradient alone
 (its value is never formed); the result is rounded back to a single
 discrete edit, which `search.EditProblem` scores as exhaustive search
 scores it, so an edit both strategies choose gets the same score bit for
-bit.  The problems are `search.EditProblem`s, which their callers build
-and check.
+bit.
 
 The solver works in the head's first dense layer space, as exhaustive search
 does: the relaxed grid (1 - a) o F + a o (P @ F2) is F plus the delta
@@ -25,9 +24,8 @@ problem's logits are packed into one (n+1, n) array, the gate logits in row
 0 over the n alignment rows; every row is a softmax of its own, so one
 softmax, one softmax chain rule and one Adam update cover both.  Each
 chunk of problems is one loop in `best_pair_edits`: a step takes the
-gradient, applies the stop test and takes the Adam update beside it.  A
-problem that meets the stop test is frozen, not removed: its logits stop
-moving and its step count stops growing.
+gradient, rounds and removes the problems that meet the stop test, and
+takes the Adam update on the rest.
 """
 
 from __future__ import annotations
@@ -76,15 +74,7 @@ class RelaxOptConfig:
         return {"learning_rate": self.learning_rate, "max_steps": self.max_steps}
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (B, n) stacks, as a (B,) vector.
-
-    Each row is a (1, n) by (n, 1) product, which rounds as the 1-d dot
-    product `x[b] @ y[b]` does whatever B is (np.einsum rounds differently)."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _objective_gradient(tail_pass, W, F, F2, z0, X):
+def _objective_gradient(tail_pass, W, WT, F, F2, F2T, z0, X):
     """The gradient of the relaxed objective for a stack of B problems.
 
     objective = g_target(z) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
@@ -94,44 +84,47 @@ def _objective_gradient(tail_pass, W, F, F2, z0, X):
     entropy is weighted by its gate mass.
 
     F and F2 are (B, n, d) float64 grid values, z0 their (B, units) first
-    dense outputs, W that layer's (n d, units) weight, and `tail_pass` is
-    `network.tail_gradient_pass` for the B problems' targets.  X is the
-    (B, n+1, n) packed logits: row 0 the gate logits alpha, rows 1..n the
-    alignment logits M.  Returns the gradient w.r.t. X and S = softmax(X),
-    both packed as X is.
+    dense outputs, W that layer's (n d, units) weight, WT and F2T contiguous
+    transposes of W and F2 (faster to multiply than transposed views), and
+    `tail_pass` is `network.tail_gradient_pass` for the B problems' targets.
+    X is the (B, n+1, n) packed logits: row 0 the gate logits alpha, rows
+    1..n the alignment logits M.  Returns the gradient w.r.t. X and S, both
+    packed as X is.
     """
-    S = softmax(X)
-    a, P = S[:, 0], S[:, 1:]
-    gate = a[:, :, None]
-    delta = P @ F2 - F  # each cell's aligned distractor row less its own
-    z = (gate * delta).reshape(len(X), -1) @ W
-    z += z0
-    G = (tail_pass(z) @ W.T).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
+    # one softmax gives S and log S; a closed cell's log S stays finite (about
+    # MASK_LOGIT) with S exactly 0, so its terms below are exactly 0
+    dX = X - X.max(axis=-1, keepdims=True)
+    S = np.exp(dX)
+    total = S.sum(axis=-1, keepdims=True)
+    S /= total
+    dX -= np.log(total)  # log S, on which the gradient is assembled
+    gate, P = S[:, 0, :, None], S[:, 1:]  # the gate as a column, and the alignment
+    delta = P @ F2
+    delta -= F  # each cell's aligned distractor row less its own
+    z = (gate * delta).reshape(len(X), -1) @ W + z0
+    G = (tail_pass(z) @ WT).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
 
-    log_S = np.log(np.where(S > 0, S, 1.0))
-    H_rows = -(P * log_S[:, 1:]).sum(axis=-1)  # (B, n): each alignment row's entropy
-
-    dS = np.empty_like(S)
-    # d objective / d a
-    da = dS[:, 0]
-    (G * delta).sum(axis=-1, out=da)
-    da += ENTROPY_WEIGHT_GATE * (log_S[:, 0] + 1.0)
-    da -= ENTROPY_WEIGHT_ALIGN * H_rows
-    # d objective / d P
-    dP = dS[:, 1:]
-    np.multiply(gate, G @ F2.transpose(0, 2, 1), out=dP)
-    dP += ENTROPY_WEIGHT_ALIGN * gate * (log_S[:, 1:] + 1.0)
-
-    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g), row by row;
-    # the gate row's y.g is a row dot product
-    ydots = (S * dS).sum(axis=-1, keepdims=True)
-    ydots[:, 0, 0] = _dots(a, da)
-    return S * (dS - ydots), S
+    neg_H = (P * dX[:, 1:]).sum(axis=-1)  # sum_j p_ij ln p_ij = -H(p_i)
+    dX += 1.0
+    # d objective / d a = w_a (ln a + 1) + G . delta + w_P sum_j p_ij ln p_ij
+    da = dX[:, 0]
+    da *= ENTROPY_WEIGHT_GATE
+    da += (G * delta).sum(axis=-1)
+    da += ENTROPY_WEIGHT_ALIGN * neg_H
+    # d objective / d P = a_i (G @ F2^T + w_P (ln p_ij + 1))
+    dP = dX[:, 1:]
+    dP *= ENTROPY_WEIGHT_ALIGN
+    dP += G @ F2T
+    dP *= gate
+    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g), row by row
+    dX -= (S * dX).sum(axis=-1, keepdims=True)
+    dX *= S
+    return dX, S
 
 
-# float64 values (n² alignment logits and n·d grid values per problem) one
-# lockstep chunk of problems may hold in each of its stacked arrays (2 MB);
-# the packed logits, n² + n per problem, fit as d >= 1
+# float64 values (n² alignment logits and n·d grid values per problem) a chunk
+# may hold in each stacked array (2 MB): F, F2, F2T, the packed logits (n² + n,
+# which fit as d >= 1), their Adam moments, each step's gradient, S and temporaries
 _CHUNK_VALUES = 1 << 18
 
 
@@ -142,64 +135,70 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     They are split into chunks of at most `_CHUNK_VALUES` // (n² + n·d)
     problems, and at least one.  Each chunk runs one bias-corrected Adam
     ascent on its stacked packed logits (see `_objective_gradient`), at most
-    `opt.max_steps` steps: a step takes every problem's gradient, freezes
-    each one that meets the stop test, and moves the logits of the rest.  A
-    frozen problem's logits stay exactly where they are, and the ascent ends
-    once none is live.  A logit whose gradient is always exactly zero (a
-    closed cell at MASK_LOGIT) keeps zero moments and so never moves.
+    `opt.max_steps` steps: a step takes the gradient of every problem still
+    stacked; each one that meets the stop test is rounded from that step's
+    S and leaves the stacks, and the rest move.  A problem that never meets
+    it is rounded after the last step.  A closed cell's logit (MASK_LOGIT)
+    gets exactly zero gradient, hence zero moments, so it never moves.
 
     Returns, per problem and in order, (query cell, source cell, the edit's
-    log-probabilities from `EditProblem.edit_logprobs`, steps, converged),
-    where steps counts the steps the problem was live for, the one that
-    froze it included, and converged means its last step met the stop test.
-    Each edit, score, step count and flag is the one the problem gets when
-    solved alone.
+    log-probabilities from `EditProblem.edit_logprobs`, steps, converged):
+    the steps that took its gradient, and whether the last met the stop
+    test.  Each is what the problem gets when solved alone.
     """
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
     W = model.mlp[0][0]
-    edits = []
+    WT = np.ascontiguousarray(W.T)
+    edits = [None] * len(problems)
+
+    def round_edits(ids, S, steps, converged):  # the gate's argmax, then its cell's alignment argmax
+        for k, s in zip(ids, S):
+            i = int(s[0].argmax())
+            j2 = int(s[1 + i].argmax())
+            edits[k] = (i, j2, problems[k].edit_logprobs(i, j2), steps, converged)
+
     for lo in range(0, len(problems), size):
         chunk = problems[lo : lo + size]
-        # packed logits, the gate row over the alignment rows, in C order (a softmax
-        # over the rows of another layout rounds differently); closed cells get
-        # zero mass, hence zero gradient, so their logits stay put
+        # packed logits in C order (a softmax over another layout's rows rounds differently);
+        # closed cells get zero mass, hence zero gradient, so their logits stay put
         X = np.full((len(chunk), n + 1, n), MASK_LOGIT)
         for x, p in zip(X, chunk):
             x[0, p.open_q] = 0.0
             x[1:, p.open_s] = 0.0
         F = np.stack([p.F.values for p in chunk])
         F2 = np.stack([p.F2.values for p in chunk])
+        F2T = np.ascontiguousarray(F2.transpose(0, 2, 1))
         z0 = np.stack([p.z0 for p in chunk])
-        tail_pass = tail_gradient_pass(model, [p.target for p in chunk])
-        rows = np.arange(len(chunk))
-        steps = np.zeros(len(chunk), dtype=int)
-        live = np.ones(len(chunk), dtype=bool)
+        targets = np.array([p.target for p in chunk])
+        ids = np.arange(lo, lo + len(chunk))  # the problem each stacked row holds
+        tail_pass = tail_gradient_pass(model, targets)
         m, v = np.zeros_like(X), np.zeros_like(X)
         for t in range(1, opt.max_steps + 1):
-            dX, S = _objective_gradient(tail_pass, W, F, F2, z0, X)
-            steps += live
+            dX, S = _objective_gradient(tail_pass, W, WT, F, F2, F2T, z0, X)
             # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
             a = S[:, 0]
-            sharp = a.max(axis=1) >= opt.sharpness_stop
-            if sharp.any():
-                sharp &= S[rows, 1 + a.argmax(axis=1)].max(axis=1) >= opt.sharpness_stop
-                live &= ~sharp
-            if not live.any():
-                break
+            if a.max() >= opt.sharpness_stop:  # one call for the many steps where no gate is
+                sharp = a.max(axis=1) >= opt.sharpness_stop
+                sharp &= S[np.arange(len(S)), 1 + a.argmax(axis=1)].max(axis=1) >= opt.sharpness_stop
+                if sharp.any():
+                    round_edits(ids[sharp], S[sharp], t, True)
+                    if sharp.all():
+                        break
+                    live = (X, dX, m, v, F, F2, F2T, z0, targets, ids)
+                    X, dX, m, v, F, F2, F2T, z0, targets, ids = (x[~sharp] for x in live)
+                    tail_pass = tail_gradient_pass(model, targets)
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * dX
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * dX * dX
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            np.add(X, opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), out=X, where=live[:, None, None])
-
-        # `live` now marks the problems that never met the stop test
-        S = softmax(X)
-        cells = S[:, 0].argmax(axis=1)
-        sources = S[rows, 1 + cells].argmax(axis=1)
-        for b, p in enumerate(chunk):
-            i, j2 = int(cells[b]), int(sources[b])
-            edits.append((i, j2, p.edit_logprobs(i, j2), int(steps[b]), not live[b]))
+            # on the gradient's buffer, the bias corrections folded into step size and ε (Kingma & Ba, §2)
+            correction = (1.0 - ADAM_BETA2**t) ** 0.5
+            np.sqrt(v, out=dX)
+            dX += ADAM_EPS * correction
+            np.divide(m, dX, out=dX)
+            dX *= opt.learning_rate * correction / (1.0 - ADAM_BETA1**t)
+            X += dX
+        else:  # out of steps: the problems left are rounded from their updated logits
+            round_edits(ids, softmax(X), opt.max_steps, False)
     return edits

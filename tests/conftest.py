@@ -177,6 +177,13 @@ def entropy(p) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
+def gradient_operands(model, F, F2) -> tuple:
+    """`_objective_gradient`'s (W, WT, F, F2, F2T) arguments for the (B, n, d)
+    grid values F and F2, with the contiguous transposes the solver makes."""
+    W = model.mlp[0][0]
+    return W, np.ascontiguousarray(W.T), F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
+
+
 def objective_one(model, F, F2, target, alpha, M) -> tuple:
     """The relaxed objective of one problem, its gradients w.r.t. the gate
     and alignment logits, the gate and the alignment.  The objective is
@@ -185,10 +192,10 @@ def objective_one(model, F, F2, target, alpha, M) -> tuple:
     rows the solver forms, less the gate's entropy and the gate-weighted
     alignment entropies.  The gradients are `_objective_gradient`'s, on a
     stack of one."""
-    W = model.mlp[0][0]
     z0 = first_dense(model, F.values[None])
     X = pack_logits(alpha, M)[None]
-    dX, S = _objective_gradient(tail_gradient_pass(model, [target]), W, F.values[None], F2.values[None], z0, X)
+    operands = gradient_operands(model, F.values[None], F2.values[None])
+    dX, S = _objective_gradient(tail_gradient_pass(model, [target]), *operands, z0, X)
     a, P = unpack(S[0])
     edited = FeatureGrid(F.h, F.w, F.d, transformed(F.values, F2.values, a, P))
     objective = (
@@ -211,7 +218,7 @@ def relaxed_first_dense(model, F, F2, z0, targets, X) -> tuple:
         seen.append(z.copy())
         return tail_pass(z)
 
-    _, S = _objective_gradient(spy, model.mlp[0][0], F, F2, z0, X)
+    _, S = _objective_gradient(spy, *gradient_operands(model, F, F2), z0, X)
     return seen[0], S
 
 

@@ -1,9 +1,11 @@
 """tools/ab_pairs.py on synthetic pairs: seed parsing, per-metric comparison,
-the 9-in-10 verdict and the byte comparison of the records both trees wrote,
-with no benchmark run."""
+the 9-in-10 verdict, the byte comparison of the records both trees wrote and
+the export of the change's tree from a temporary git repository, with no
+benchmark run."""
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -132,3 +134,32 @@ def test_goal_line_names_each_quality_metric_that_moved(change, line):
 def test_a_zero_goal_rate_has_no_relative_gap():
     line = ab_pairs.goal_line({"goal_rate": 0.0, "goal_cost": 2.0}, {"goal_rate": 0.5, "goal_cost": 2.0})
     assert line == "goal_rate 0.0 -> 0.5, goal_cost equal"
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=repo, check=True)
+
+
+def test_the_change_side_exports_the_checkout_as_it_is_on_disk(tmp_path, monkeypatch):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "sub").mkdir(parents=True)
+    files = {".gitignore": "*.log\nout/\n", "kept.py": "1\n", "edited.py": "2\n", "gone.py": "3\n", "sub/deep.py": "4\n"}
+    for rel, text in files.items():
+        (repo / rel).write_text(text)
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "seed")
+    (repo / "edited.py").write_text("2 edited\n")  # a tracked file, edited and not committed
+    (repo / "gone.py").unlink()  # a tracked file deleted on disk
+    (repo / "sub" / "new.py").write_text("5\n")  # untracked, not ignored
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "record.json").write_text("ignored\n")
+    monkeypatch.setattr(ab_pairs, "ROOT", str(repo))
+    dest.mkdir()
+    ab_pairs.export_checkout(str(dest))
+    exported = {rel: (dest / rel).read_text() for rel in ab_pairs._files(str(dest))}
+    assert exported == {
+        ".gitignore": "*.log\nout/\n", "kept.py": "1\n", "edited.py": "2 edited\n",
+        os.path.join("sub", "deep.py"): "4\n", os.path.join("sub", "new.py"): "5\n",
+    }

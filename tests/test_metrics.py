@@ -159,6 +159,15 @@ class TestRelaxationFidelity:
         samples = [s for group in wl.pool for s in relaxation_fidelity(wl.model, group, wl.opt).samples]
         work = sum(s["steps"] for s in samples), sum(s["converged"] for s in samples), sum(s["match"] for s in samples)
         assert work == (4544, 136, 108)
+        # the pool solved in one call, where problems leave the stack at other
+        # times than in their groups, gives every group's output
+        problems = [search.EditProblem(wl.model, *inst) for group in wl.pool for inst in group]
+
+        def solve(chunk):
+            solved = relaxed.best_pair_edits(wl.model, chunk, wl.opt)
+            return [(i, j2, lp.tobytes(), steps, conv) for i, j2, lp, steps, conv in solved]
+
+        assert solve(problems) == [edit for k in range(0, len(problems), 4) for edit in solve(problems[k : k + 4])]
 
     @pytest.mark.parametrize(
         "excluded, error", [(([16], ()), BoundsError), (((), [-1]), BoundsError), ((range(16), ()), ExhaustedError)]

@@ -59,19 +59,29 @@ def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
 
 def record_ascent(monkeypatch) -> list:
     """A spy on `relaxed._objective_gradient` for the rest of the test: the
-    returned list gets one (X, gradient, S) tuple per call, for the stacked
-    problems of the chunk being solved, with X copied as the call saw it
-    (the solver updates its packed logits in place)."""
+    returned list gets one (X, gradient, S, z0) tuple per call, for the
+    problems stacked in it, with X copied as the call saw it and the
+    gradient as the call returned it (the solver updates its packed logits
+    in place, and takes the Adam update on the gradient's buffer)."""
     calls = []
     evaluate = relaxed._objective_gradient
 
-    def spy(tail_pass, W, F, F2, z0, X):
-        out = evaluate(tail_pass, W, F, F2, z0, X)
-        calls.append((X.copy(), *out))
-        return out
+    def spy(tail_pass, W, WT, F, F2, F2T, z0, X):
+        dX, S = evaluate(tail_pass, W, WT, F, F2, F2T, z0, X)
+        calls.append((X.copy(), dX.copy(), S, z0))
+        return dX, S
 
     monkeypatch.setattr(relaxed, "_objective_gradient", spy)
     return calls
+
+
+def stacked_rows(model, problems, calls) -> list:
+    """Per call that `record_ascent` saw, {problem index: its row in that
+    call's stack}, in row order, for (F, F2, target, excluded_query,
+    excluded_source) problems, each known by its z0 row."""
+    keys = {first_dense(model, F.values[None])[0].tobytes(): k for k, (F, *_) in enumerate(problems)}
+    assert len(keys) == len(problems)
+    return [{keys[row.tobytes()]: r for r, row in enumerate(z0)} for *_, z0 in calls]
 
 
 def one_hot_rows(n):
@@ -222,7 +232,7 @@ class TestObjectiveGradients:
         calls = record_ascent(monkeypatch)
         _, _, _, steps, _ = solve_relaxed(model, [(F, F2, 1, (), ())], RelaxOptConfig(max_steps=50))[0]
         assert len(calls) == steps > 1
-        for _, _, S in calls:
+        for _, _, S, _ in calls:
             a, P = unpack(S[0])
             assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-6
             assert np.all(P >= 0)
@@ -237,7 +247,7 @@ class TestObjectiveGradients:
         F2 = random_grid(rng, 3, 3, 2)
         calls = record_ascent(monkeypatch)
         solve_relaxed(model, [(F, F2, 2, [4], [0, 7])], RelaxOptConfig(learning_rate=0.25, max_steps=2))
-        (X0, dX, _), (X1, _, _) = calls
+        (X0, dX, _, _), (X1, *_) = calls
         alpha0, M0 = unpack(X0[0])
         _, dalpha, dM, _, _ = objective_one(model, F, F2, 2, alpha0, M0)
         np.testing.assert_array_equal(dX[0], pack_logits(dalpha, dM))
@@ -281,7 +291,7 @@ class TestBestEditRelaxed:
         calls = record_ascent(monkeypatch)
         i, j2, _, steps, _ = solve_relaxed(model, [(F, F2, 1, excluded_q, excluded_s)], RelaxOptConfig(max_steps=60))[0]
         assert len(calls) == steps > 1
-        for _, _, S in calls:
+        for _, _, S, _ in calls:
             a, P = unpack(S[0])
             assert np.all(a[excluded_q] < 1e-12)
             assert np.all(P[:, excluded_s] < 1e-12)
@@ -299,7 +309,7 @@ class TestBestEditRelaxed:
         calls = record_ascent(monkeypatch)
         solve_relaxed(model, [(F, F2, 0, excluded_q, excluded_s)])
         assert len(calls) > 1
-        for X, dX, _ in calls:
+        for X, dX, *_ in calls:
             alpha, M = unpack(X[0])
             assert np.all(alpha[excluded_q] == MASK_LOGIT)
             assert np.all(M[:, excluded_s] == MASK_LOGIT)
@@ -365,43 +375,64 @@ class TestLockstepBatches:
         opt = RelaxOptConfig(max_steps=17)
         stop = opt.sharpness_stop
         calls = record_ascent(monkeypatch)
+        solved = solve_relaxed(model, problems, opt)
+        rows = stacked_rows(model, problems, calls)
         flags = []
-        for b, edit in enumerate(solve_relaxed(model, problems, opt)):
-            a, P = unpack(calls[edit[3] - 1][2][b])
+        for k, edit in enumerate(solved):
+            # its last call is its last step, where it met the stop test or ran out of steps
+            assert [t for t, at in enumerate(rows, 1) if k in at][-1] == edit[3]
+            a, P = unpack(calls[edit[3] - 1][2][rows[edit[3] - 1][k]])
             i = a.argmax()
             assert edit[4] == (a[i] >= stop and P[i].max() >= stop)
             flags.append((edit[4], edit[3] == opt.max_steps))
         assert {(True, False), (True, True), (False, True)} <= set(flags)
 
     def test_a_chunk_steps_as_long_as_its_longest_live_problem(self, monkeypatch):
-        # 3 problems a chunk: the ascent of each ends once none of its problems is live
+        # 3 problems a chunk: call t of a chunk stacks, in order, exactly its
+        # problems with at least t steps, and its ascent ends once none is left
         model, problems = lockstep_problems()
         monkeypatch.setattr(relaxed, "_CHUNK_VALUES", 3 * 9 * (9 + 2))
         calls = record_ascent(monkeypatch)
         opt = RelaxOptConfig()
         steps = [e[3] for e in solve_relaxed(model, problems, opt)]
-        longest = [max(steps[lo : lo + 3]) for lo in range(0, len(steps), 3)]
-        assert [len(X) for X, *_ in calls] == [3] * sum(longest)
-        assert max(longest) < opt.max_steps
+        stacks = [
+            [k for k in range(lo, lo + 3) if steps[k] >= t]
+            for lo in range(0, len(steps), 3)
+            for t in range(1, max(steps[lo : lo + 3]) + 1)
+        ]
+        assert [list(at) for at in stacked_rows(model, problems, calls)] == stacks
+        assert [len(X) for X, *_ in calls] == [len(stack) for stack in stacks]
+        assert max(steps) < opt.max_steps
 
     def test_frozen_problem_logits_stay_exactly_fixed(self, monkeypatch):
+        # a problem that meets the stop test leaves the stack: its logits take no
+        # further update, and its edit is the rounding of its last call's S
         model, problems = lockstep_problems()
         calls = record_ascent(monkeypatch)
-        steps = [e[3] for e in solve_relaxed(model, problems, RelaxOptConfig(max_steps=20))]
+        solved = solve_relaxed(model, problems, RelaxOptConfig(max_steps=20))
+        rows = stacked_rows(model, problems, calls)
+        steps = [e[3] for e in solved]
         assert len(calls) == 20 and min(steps) < 20
-        for b, last in enumerate(steps):
-            Xs = [X[b] for X, *_ in calls]
-            # a live problem moves at every step; from the step that freezes it, it stays put
-            assert all(not np.array_equal(x, y) for x, y in zip(Xs[: last - 1], Xs[1:last]))
-            assert all(np.array_equal(x, Xs[last - 1]) for x in Xs[last:])
+        for k, (i, j2, _, last, converged) in enumerate(solved):
+            # it is in every call up to the step that stopped it, and in none after
+            assert [t for t, at in enumerate(rows, 1) if k in at] == list(range(1, last + 1))
+            # its logits move at every call it is in
+            Xs = [X[at[k]] for (X, *_), at in zip(calls, rows) if k in at]
+            assert all(not np.array_equal(x, y) for x, y in zip(Xs, Xs[1:]))
+            if converged:
+                a, P = unpack(calls[last - 1][2][rows[last - 1][k]])
+                assert (i, j2) == (a.argmax(), P[a.argmax()].argmax())
 
     def test_closed_cells_stay_at_mask_logit(self, monkeypatch):
         model, problems = lockstep_problems()
         calls = record_ascent(monkeypatch)
         solve_relaxed(model, problems)
-        for b, (_, _, _, exq, exs) in enumerate(problems):
-            for X, *_ in calls:
-                alpha, M = unpack(X[b])
+        rows = stacked_rows(model, problems, calls)
+        for k, (_, _, _, exq, exs) in enumerate(problems):
+            Xs = [X[at[k]] for (X, *_), at in zip(calls, rows) if k in at]
+            assert Xs  # every call it is in
+            for x in Xs:
+                alpha, M = unpack(x)
                 assert np.all(alpha[list(exq)] == MASK_LOGIT)
                 assert np.all(M[:, list(exs)] == MASK_LOGIT)
             open_q = np.setdiff1d(np.arange(9), list(exq))

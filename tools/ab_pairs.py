@@ -3,11 +3,16 @@
     python3 tools/ab_pairs.py --rev HEAD --workload train --seeds 101-110 --seconds 10
 
 Each pair runs `perfbench/run.py --trace 0` on the same seed once in the
-parent's tree and once in this checkout, back to back. The side that runs
+parent's tree and once in the change's, back to back. The side that runs
 first alternates from pair to pair, so drift in machine speed falls on both
-sides alike. The parent's tree is `--rev` exported with `git archive` into a
-temporary directory, which is removed afterwards; nothing is added to the
-repository. Nothing under `perfbench/` is changed: each side runs its own copy.
+sides alike. Both trees are temporary exports, made alike so that neither
+side runs from a different kind of tree or a path of another length: the
+parent's is `--rev` exported with `git archive` into an `ab-parent-*`
+directory, and the change's is this checkout as it is on disk (its tracked
+files with their uncommitted edits, and its untracked files that are not
+ignored) copied into an `ab-change-*` directory. Both are removed
+afterwards; nothing is added to the repository. Nothing under `perfbench/`
+is changed: each side runs its own copy.
 
 After each pair it compares the records and rasters the two runs wrote
 under `perfbench/out/<workload>/records`, byte for byte, and prints
@@ -31,6 +36,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -61,6 +67,20 @@ def export_tree(rev: str, dest: str) -> str:
         with tarfile.open(fileobj=fh) as tar:
             tar.extractall(dest, filter="data")
     return commit
+
+
+def export_checkout(dest: str) -> None:
+    """Copy this checkout into `dest` as it is on disk: its tracked files
+    with their uncommitted edits, and its untracked files that are not
+    ignored. A tracked file deleted on disk is left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT, capture_output=True, check=True
+    ).stdout.decode()
+    for rel in filter(None, listed.split("\0")):
+        src, out = os.path.join(ROOT, rel), os.path.join(dest, rel)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(out), exist_ok=True)
+            shutil.copy2(src, out)
 
 
 def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -173,13 +193,17 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     results = {}
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree:
+    with (
+        tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree,
+        tempfile.TemporaryDirectory(prefix="ab-change-") as change_tree,
+    ):
         commit = export_tree(args.rev, parent_tree)
-        print(f"parent {commit} in {parent_tree}; change {ROOT}", flush=True)
+        export_checkout(change_tree)
+        print(f"parent {commit} in {parent_tree}; change {ROOT} in {change_tree}", flush=True)
         for workload in args.workload:
             pairs = results[workload] = []
             for k, seed in enumerate(args.seeds):
-                sides = [("parent", parent_tree), ("change", ROOT)]
+                sides = [("parent", parent_tree), ("change", change_tree)]
                 if k % 2:
                     sides.reverse()
                 pair = {"seed": seed, "first": sides[0][0]}
@@ -187,7 +211,7 @@ def main(argv=None) -> int:
                     pair[side] = run_side(tree, workload, seed, args.seconds)
                 pairs.append(pair)
                 bad = [s for s in ("parent", "change") if not pair[s]["correct"] or pair[s]["failed"]]
-                count, differ = differing_records(parent_tree, ROOT, workload)
+                count, differ = differing_records(parent_tree, change_tree, workload)
                 pair["records_differ"] = differ
                 verdicts = ([records_line(count, differ)] if count else []) + [goal_line(pair["parent"], pair["change"])]
                 print(
