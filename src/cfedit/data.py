@@ -89,7 +89,7 @@ def write_file(path: str, payload: bytes):
     Every file cfedit writes goes through here.  The file is opened without
     O_TRUNC (created with mode 0o666 less the umask, as `open` does), written
     through its descriptor with no buffer between, and then cut at the end of
-    the payload.  Truncating a file that holds
+    the payload if the file was longer.  Truncating a file that holds
     data to zero frees its blocks and, on ext4, starts writeback at close,
     which costs several times the write itself when a run overwrites earlier
     output; an interrupted write may leave old bytes past the new ones.
@@ -100,32 +100,41 @@ def write_file(path: str, payload: bytes):
         view = memoryview(payload)
         while view:  # a write may take only part of the payload
             view = view[os.write(fd, view) :]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(payload):
             os.ftruncate(fd, len(payload))
     finally:
         os.close(fd)
 
 
 def write_json(path: str, obj):
-    """Write `obj` as indented, key-sorted JSON, ASCII-only as `json.dump`
-    writes it: the form of every record, report and manifest."""
-    write_file(path, json.dumps(obj, indent=1, sort_keys=True).encode("ascii"))
+    """Write `obj` as key-sorted JSON on one line, ASCII-only as `json.dump`
+    writes it: the form of every record, report and manifest.  With no
+    indent, `json.dumps` runs its C encoder."""
+    write_file(path, json.dumps(obj, sort_keys=True).encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
 # rasters: binary PGM (P5), maxval 255
 # ---------------------------------------------------------------------------
 
-def write_raster(path: str, raster: np.ndarray):
-    arr = np.asarray(raster, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"raster must be HxW grayscale, got shape {arr.shape}")
+def write_rasters(paths, rasters):
+    """Write each of `rasters`, HxW grayscale arrays of one shape with values
+    in [0, 1], to the path at the same place in `paths`.  All of them are
+    checked and quantized before the first file is written, so a bad one
+    leaves no file behind."""
+    arrs = [np.asarray(r, dtype=np.float64) for r in rasters]
+    shape = arrs[0].shape
+    if len(shape) != 2 or any(a.shape != shape for a in arrs):
+        raise ShapeError(f"rasters must be HxW grayscale of one shape, got shapes {[a.shape for a in arrs]}")
+    stack = np.stack(arrs)
     # negated, so that NaN fails too
-    if not np.all((arr >= 0) & (arr <= 1)):
+    if not np.all((stack >= 0) & (stack <= 1)):
         raise ShapeError("raster values must be finite and lie in [0, 1]")
-    data = np.round(arr * 255.0).astype(np.uint8)
-    h, w = arr.shape
-    write_file(path, b"P5\n%d %d\n255\n" % (w, h) + data.tobytes())
+    data = np.round(stack * 255.0).astype(np.uint8)
+    header = b"P5\n%d %d\n255\n" % (shape[1], shape[0])
+    for path, plane in zip(paths, data):
+        write_file(path, header + plane.tobytes())
 
 
 # ---------------------------------------------------------------------------

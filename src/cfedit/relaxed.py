@@ -144,7 +144,9 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     Returns, per problem and in order, (query cell, source cell, the edit's
     log-probabilities from `EditProblem.edit_logprobs`, steps, converged):
     the steps that took its gradient, and whether the last met the stop
-    test.  Each is what the problem gets when solved alone.
+    test.  On the pinned pools these match each problem's solo solve, but
+    a stack's first-dense product rows may differ in their last bits from
+    one-row products, by BLAS kernel (ROADMAP item 4).
     """
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_json, write_raster
+from .data import write_json, write_rasters
 from .errors import FormatError, ShapeError, UnsupportedLayerError, is_number
 from .grids import EditList
 from .search import ExplanationResult, SearchConfig
@@ -129,7 +129,7 @@ def render_heatmap(image: np.ndarray, cells, rf: ReceptiveFieldMap) -> np.ndarra
     if img.ndim != 2:
         raise ShapeError(f"image must be HxW grayscale, got shape {img.shape}")
     alpha = intensity_map(rf, cells)
-    return (1.0 - alpha) * img + alpha * 1.0
+    return (1.0 - alpha) * img + alpha
 
 
 def render_composite(composite: np.ndarray, distractor: np.ndarray, edit: tuple, rf: ReceptiveFieldMap):
@@ -266,19 +266,17 @@ def write_explanation(
     prefix: str = "explanation",
     extra: dict | None = None,
 ) -> dict:
-    """Write record JSON plus PGM rasters; returns {name: path}."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write PGM rasters, checked together before any file is written, then
+    the record JSON; returns {name: path}."""
+    if not os.path.isdir(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     record = result_to_record(result, rf_query, rf_distractor, config, extra)
     paths = {"record": os.path.join(out_dir, f"{prefix}.json")}
-    write_json(paths["record"], record)
     if renders is not None:
-        for name, raster in (
-            ("query_heatmap", renders.query_heatmap),
-            ("distractor_heatmap", renders.distractor_heatmap),
-            ("composite", renders.composite),
-        ):
-            paths[name] = os.path.join(out_dir, f"{prefix}_{name}.pgm")
-            write_raster(paths[name], raster)
+        names = ("query_heatmap", "distractor_heatmap", "composite")
+        paths.update((name, os.path.join(out_dir, f"{prefix}_{name}.pgm")) for name in names)
+        write_rasters([paths[name] for name in names], [getattr(renders, name) for name in names])
+    write_json(paths["record"], record)
     return paths
 
 

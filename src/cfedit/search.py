@@ -63,10 +63,11 @@ computations can make, from the dot-product error
 bound gamma_k (Higham 2002, ch. 3) over the magnitudes the step sees (|z0|
 plus the largest |C|, |W| and |b|); it is about 1.6e-13 of G, the bound on
 |logit| those magnitudes give, about 1e-11 on a 7x7 shapes model.  Every
-cell that could reach or tie the best is scored, a cell's scores do not
-depend on which other cells are scored, and so the chosen edit, the tie
-rule, the trajectory and the records are what scoring every open cell
-gives, bit for bit.  The bound is skipped below `_BOUND_CANDIDATES`
+cell that could reach or tie the best is scored.  Where a cell's scores do
+not depend on which other cells are scored, as with SkylakeX OpenBLAS on
+the tests' heads but not with Haswell (ROADMAP item 4), the chosen edit,
+the tie rule, the trajectory and the records are what scoring every open
+cell gives, bit for bit.  The bound is skipped below `_BOUND_CANDIDATES`
 candidates per step, where scoring every open cell costs less than
 bounding, and for the rest of a problem after a step whose bound keeps
 every open cell, as it does on random weights.

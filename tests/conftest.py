@@ -1,3 +1,4 @@
+import ctypes
 import os
 import re
 import struct
@@ -75,7 +76,7 @@ _RASTER_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def read_raster(path: str) -> np.ndarray:
-    """Inverse of write_raster (binary PGM, maxval 255), for checking rendered files."""
+    """Inverse of write_rasters (binary PGM, maxval 255), for checking rendered files."""
     with open(path, "rb") as fh:
         blob = fh.read()
     # exactly one whitespace byte ends the header; pixel bytes may look like whitespace
@@ -342,3 +343,29 @@ def shapes_model():
         TrainConfig(epochs=8, seed=0, learning_rate=0.05),
         class_count=ds.class_count,
     )
+
+
+def blas_kernel(lib) -> str:
+    """The kernel a scipy-openblas library `lib` (a `ctypes.CDLL`) picked at
+    run time, or "unknown" when it has no such query."""
+    try:
+        corename = lib.scipy_openblas_get_corename64_
+    except AttributeError:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii")
+
+
+def blas_line() -> str:
+    """numpy's BLAS, its version and the kernel it runs on, in one line.  The
+    kernel is looked up through numpy's own extension module, whose
+    dependencies hold the BLAS numpy loaded."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    kernel = blas_kernel(ctypes.CDLL(np._core._multiarray_umath.__file__))
+    return f"BLAS: {blas.get('name')} {blas.get('version')}, kernel {kernel}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the BLAS kernel in the summary, which shows under -q too: bits
+    of some search tests depend on it (ROADMAP item 4)."""
+    terminalreporter.write_line(blas_line())

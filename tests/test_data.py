@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import stat
 import struct
@@ -189,7 +190,7 @@ class TestShapes:
 
 def write_artifacts(out, size):
     """A record with its three rasters, a report and a model bundle, each
-    longer the larger `size` is."""
+    longer the larger `size` is; returns the raster."""
     quads = tuple((k, k, k, 0) for k in range(size))
     result = ExplanationResult(
         EditList(quads, 4, 4), [(-0.25 * k, -1.5) for k in range(size + 1)], "flipped", 0, 1, "q", "d"
@@ -198,6 +199,7 @@ def write_artifacts(out, size):
     write_explanation(result, RenderedExplanation(raster, raster, raster), out)
     write_json(os.path.join(out, "report.json"), avg_edit_count([result] * size).to_json())
     save_model(identity_feature_model(2, 2, size, size), os.path.join(out, "model"))
+    return raster
 
 
 class TestFileWriter:
@@ -211,6 +213,27 @@ class TestFileWriter:
         assert tree_bytes(over) == shorter
         assert sorted(shorter) == sorted(longer) and len(shorter) == 7
         assert all(len(shorter[name]) < len(longer[name]) for name in shorter)
+
+    def test_json_and_rasters_are_exactly_their_encodings(self, tmp_path):
+        raster = write_artifacts(str(tmp_path), 2)
+        files = tree_bytes(tmp_path)
+        h, w = raster.shape
+        pgm = b"P5\n%d %d\n255\n" % (w, h) + np.round(raster * 255).astype(np.uint8).tobytes()
+        assert sorted(p.suffix for p in files) == [".bin"] + [".json"] * 3 + [".pgm"] * 3
+        for name, blob in files.items():
+            if name.suffix == ".json":
+                assert blob == json.dumps(json.loads(blob), sort_keys=True).encode("ascii"), name
+            elif name.suffix == ".pgm":
+                assert blob == pgm, name
+
+    def test_only_a_longer_file_is_cut(self, tmp_path, monkeypatch):
+        path, cuts, ftruncate = tmp_path / "f", [], os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: (cuts.append(length), ftruncate(fd, length))[1])
+        write_file(str(path), b"abcdef")
+        write_file(str(path), b"uvwxyz")
+        assert cuts == [] and path.read_bytes() == b"uvwxyz"
+        write_file(str(path), b"abc")
+        assert cuts == [3] and path.read_bytes() == b"abc"
 
     def test_missing_file_is_created_under_the_umask(self, tmp_path):
         old = os.umask(0o007)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cfedit import render
-from cfedit.data import write_raster
+from cfedit.data import write_rasters
 from cfedit.errors import CfeditError, FormatError, ShapeError, UnsupportedLayerError
 from cfedit.grids import EditList
 from cfedit.network import LayerSpec, forward_features, reference_extractor_specs
@@ -270,14 +270,14 @@ class TestRasterIO:
     def test_pgm_round_trip(self, tmp_path):
         img = np.round(np.random.default_rng(4).uniform(0, 1, (5, 7)) * 255) / 255
         path = str(tmp_path / "x.pgm")
-        write_raster(path, img)
+        write_rasters([path], [img])
         np.testing.assert_allclose(read_raster(path), img, atol=1e-12)
 
     def test_whitespace_valued_leading_pixels_round_trip(self, tmp_path):
         # pixel bytes 9-13 and 32 are ASCII whitespace; they follow the header directly
         img = (np.array([32, 9, 10, 11, 12, 13, 32, 0]) / 255).reshape(2, 4)
         path = str(tmp_path / "x.pgm")
-        write_raster(path, img)
+        write_rasters([path], [img])
         np.testing.assert_array_equal(read_raster(path), img)
 
     def test_bad_magic(self, tmp_path):
@@ -288,7 +288,7 @@ class TestRasterIO:
 
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ShapeError):
-            write_raster(str(tmp_path / "y.pgm"), np.full((2, 2), 1.5))
+            write_rasters([str(tmp_path / "y.pgm")], [np.full((2, 2), 1.5)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, tmp_path, bad):
@@ -298,13 +298,20 @@ class TestRasterIO:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any cast could warn
             with pytest.raises(ShapeError):
-                write_raster(str(path), img)
+                write_rasters([str(path)], [img])
         assert not path.exists()
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 1)])
     def test_channel_axis_rejected(self, tmp_path, shape):
         with pytest.raises(ShapeError):
-            write_raster(str(tmp_path / "z.pgm"), np.zeros(shape))
+            write_rasters([str(tmp_path / "z.pgm")], [np.zeros(shape)])
+
+    def test_each_raster_goes_to_its_path(self, tmp_path):
+        rasters = [np.full((2, 3), v / 255) for v in (0, 7, 255)]
+        paths = [str(tmp_path / f"{k}.pgm") for k in range(3)]
+        write_rasters(paths, rasters)
+        for path, raster in zip(paths, rasters):
+            np.testing.assert_array_equal(read_raster(path), raster)
 
 
 def sample_result(n_edits=2):
@@ -337,6 +344,14 @@ class TestRecords:
         back, record = read_explanation(paths["record"])
         assert back.status == "flipped"
         assert back.edit_count == 0
+
+    # the second of the three rasters holds a NaN, or has another shape
+    @pytest.mark.parametrize("bad", [np.array([[0.5, np.nan], [0.5, 0.5]]), np.full((2, 3), 0.5)])
+    def test_a_bad_raster_leaves_no_file_of_the_pair(self, tmp_path, bad):
+        good = np.full((2, 2), 0.5)
+        with pytest.raises(ShapeError):
+            write_explanation(sample_result(1), render.RenderedExplanation(good, bad, good), str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_trajectory_entries_carry_both_logprobs(self):
         record = result_to_record(sample_result(3))
