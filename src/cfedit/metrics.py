@@ -50,9 +50,9 @@ def avg_edit_count(results) -> MetricReport:
     if not flipped:
         return MetricReport("avg_edit_count", None, len(results), extras=extras)
     counts = np.array(flipped)
-    hist = {}
+    hist = {}  # keyed by str(count), as JSON keys are strings: the report reloads to itself
     for c in counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
+        hist[str(c)] = hist.get(str(c), 0) + 1
     extras.update({"median": float(np.median(counts)), "histogram": hist})
     return MetricReport(
         "avg_edit_count",

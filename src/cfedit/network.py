@@ -17,25 +17,25 @@ layer's stride positive.
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
 None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient_pass`);
-only `train` runs the head's layers through `forward_layers` and
-`backward_layers`.
+only `train` runs the head's layers, as a stack of their own, through
+`forward_layers` and `backward_layers`.
 
-A stack's leading per-image layers (conv2d, relu, maxpool2d: an extractor)
-run forward and backward one block of images at a time, every layer on one
-block before the next block starts, so that a block's arrays stay in cache
-and the scratch memory is bounded per block (cache blocking, Lam, Rothberg &
-Wolf 1991).  A block holds as many images as keep the largest conv layer's
-patch matrix within `_PATCH_VALUES` float64 values, and at least one: 16
-images on the 28x28 reference layers, 4 on 42x42 ones.  The layers from
-flatten on run over the whole batch.  Convolution unrolls a block into its
-patch matrix (im2col, Chellapilla et al. 2006), copying each window row as
-one record.  Its forward pass is one stacked product, one GEMM per image of
-the block, and its weight gradient one GEMM over the block.  Its input
-gradient copies the output gradient kw times, strided, into a zero buffer
-with one column per padded input column (an im2col of the gradient along
-the width only), multiplies that by the kernel laid out as (kw·cout, kh·cin)
-in one GEMM, and adds the product into the input gradient in kh row-shifted
-slices, for every stride and padding.
+A stack runs forward and backward one block of images at a time, every
+layer on one block before the next block starts, so that a block's arrays
+stay in cache and the scratch memory is bounded per block (cache blocking,
+Lam, Rothberg & Wolf 1991); every layer kind acts on each image alone, so
+this holds for any stack.  A block holds as many images as keep the largest
+conv layer's patch matrix within `_PATCH_VALUES` float64 values, and at
+least one: 16 images on the 28x28 reference layers, 4 on 42x42 ones, and
+up to `_PATCH_VALUES` on a stack with no conv layer, such as a head.
+Convolution unrolls a block into its patch matrix (im2col, Chellapilla et
+al. 2006), copying each window row as one record.  Its forward pass is one
+stacked product, one GEMM per image of the block, and its weight gradient
+one GEMM over the block.  Its input gradient copies the output gradient kw
+times, strided, into a zero buffer with one column per padded input column
+(an im2col of the gradient along the width only), multiplies that by the
+kernel laid out as (kw·cout, kh·cin) in one GEMM, and adds the product into
+the input gradient in kh row-shifted slices, for every stride and padding.
 
 Max pooling takes a running `np.maximum` over the k² strided views of its
 input, then recovers for each output the index of the first maximum in
@@ -207,9 +207,8 @@ def init_layer(spec: LayerSpec, geom: tuple, rng: np.random.Generator) -> tuple[
 # images (2 MB).  A block holds as many whole images as fit, and at least one.
 _PATCH_VALUES = 1 << 18
 
-# kinds that act on each image alone, the extractor's vocabulary; a stack's
-# leading run of them goes block by block
-_PER_IMAGE = ("conv2d", "relu", "maxpool2d")
+# the layer kinds an extractor may hold; `ModelBundle` refuses any other
+_EXTRACTOR_KINDS = ("conv2d", "relu", "maxpool2d")
 
 
 def _patches(xpad, kh, kw, s, oh, ow, tap_major=False):
@@ -416,14 +415,9 @@ _INPUT_GRAD = {
 _WEIGHT_GRADS = {"conv2d": _conv_weight_grads, "dense": _dense_weight_grads}
 
 
-def _leading_per_image(layers):
-    """The number of leading layers of the stack that act on each image alone."""
-    return next((k for k, layer in enumerate(layers) if layer.spec.kind not in _PER_IMAGE), len(layers))
-
-
 def _block_plan(layers, shape):
-    """(images per block, output geometry) of the per-image `layers` on a batch
-    of `shape`: as many images as keep every conv layer's patch matrix within
+    """(images per block, output geometry) of the stack `layers` on a batch of
+    `shape`: as many images as keep every conv layer's patch matrix within
     `_PATCH_VALUES`, and at least one."""
     geom, per_image = tuple(shape[1:]), 1
     for layer in layers:
@@ -434,37 +428,24 @@ def _block_plan(layers, shape):
     return max(1, _PATCH_VALUES // per_image), geom
 
 
-def _forward_run(layers, x, caches):
-    """Output of `layers` on `x`, appending each layer's cache to the list
-    `caches`; with `caches` None no cache is computed."""
-    for layer in layers:
-        x, cache = _FORWARD[layer.spec.kind](x, layer, caches is not None)
-        if caches is not None:
-            caches.append(cache)
-    return x
-
-
 def forward_layers(layers, x, keep_caches=False):
     """Output of the stack on batch `x`, and with `keep_caches` the caches
-    `backward_layers` reads; without them no cache is computed.
-
-    The stack's leading per-image layers run one block of images at a time
-    (see `_block_plan`), and their caches make one entry: a (slice of the
-    batch, list of per-layer caches) pair per block.  Every later layer runs
-    on the whole batch and has an entry of its own."""
-    lead = _leading_per_image(layers)
-    caches = [] if keep_caches else None
-    if lead:
-        step, geom = _block_plan(layers[:lead], x.shape)
-        blocks = [(slice(lo, lo + step), [] if keep_caches else None) for lo in range(0, len(x), step)]
-        out = np.empty((len(x),) + geom)
-        for span, block in blocks:
-            out[span] = _forward_run(layers[:lead], x[span], block)
-        x = out
+    `backward_layers` reads: a (slice of the batch, list of per-layer caches)
+    pair per block of images (see `_block_plan`).  Without them no cache is
+    computed."""
+    step, geom = _block_plan(layers, x.shape)
+    out = np.empty((len(x),) + geom)
+    caches = []
+    for lo in range(0, len(x), step):
+        span, xb, block = slice(lo, lo + step), x[lo : lo + step], []
+        for layer in layers:
+            xb, cache = _FORWARD[layer.spec.kind](xb, layer, keep_caches)
+            if keep_caches:  # conv2d returns its padded input either way
+                block.append(cache)
+        out[span] = xb
         if keep_caches:
-            caches.append(blocks)
-    x = _forward_run(layers[lead:], x, caches)
-    return (x, caches) if keep_caches else x
+            caches.append((span, block))
+    return (out, caches) if keep_caches else out
 
 
 def _mlp_forward(mlp, x):
@@ -479,33 +460,26 @@ def _mlp_forward(mlp, x):
     return x
 
 
-def _backward_run(layers, caches, g, grads, input_grad):
-    """Gradient w.r.t. the input of `layers` from `g` at their output, adding
-    each layer's weight gradients into its dict in `grads`."""
-    for idx in range(len(layers) - 1, -1, -1):
-        layer, cache = layers[idx], caches[idx]
-        kind = layer.spec.kind
-        if kind in _WEIGHT_GRADS:
-            for name, grad in _WEIGHT_GRADS[kind](g, layer, cache).items():
-                grads[idx][name] = grads[idx][name] + grad if name in grads[idx] else grad
-        g = _INPUT_GRAD[kind](g, layer, cache) if idx or input_grad else None
-    return g
-
-
 def backward_layers(layers, caches, g, input_grad=True):
     """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
     objective, given its gradient `g` at the stack output and the caches of
-    `forward_layers`.  The leading per-image layers run back block by block, in
-    the forward pass's blocks, and a conv layer's weight gradients are the sum
-    of its blocks' in block order.  With `input_grad=False` the first layer's
-    input gradient is skipped and None takes its place."""
-    lead = _leading_per_image(layers)
+    `forward_layers`.  The stack runs back block by block, in the forward
+    pass's blocks, and a layer's weight gradients are the sum of its blocks' in
+    block order.  With `input_grad=False` the first layer's input gradient is
+    skipped and None takes its place."""
     grads = [{} for _ in layers]
-    g = _backward_run(layers[lead:], caches[bool(lead) :], g, grads[lead:], input_grad or lead > 0)
-    if lead:
-        parts = [_backward_run(layers[:lead], block, g[span], grads, input_grad) for span, block in caches[0]]
-        g = np.concatenate(parts) if input_grad else None
-    return g, grads
+    parts = []
+    for span, block in caches:
+        gb = g[span]
+        for idx in range(len(layers) - 1, -1, -1):
+            layer, cache = layers[idx], block[idx]
+            kind = layer.spec.kind
+            if kind in _WEIGHT_GRADS:
+                for name, grad in _WEIGHT_GRADS[kind](gb, layer, cache).items():
+                    grads[idx][name] = grads[idx][name] + grad if name in grads[idx] else grad
+            gb = _INPUT_GRAD[kind](gb, layer, cache) if idx or input_grad else None
+        parts.append(gb)
+    return (np.concatenate(parts) if input_grad else None), grads
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +509,9 @@ class ModelBundle:
             raise ShapeError("head must end in a log-softmax layer")
         geom = tuple(self.input_shape)
         for layer in self.extractor:
-            if layer.spec.kind not in _PER_IMAGE:
+            if layer.spec.kind not in _EXTRACTOR_KINDS:
                 raise UnsupportedLayerError(
-                    f"extractor layer {layer.spec.kind!r} is not one of {', '.join(_PER_IMAGE)}"
+                    f"extractor layer {layer.spec.kind!r} is not one of {', '.join(_EXTRACTOR_KINDS)}"
                 )
             geom = _checked_geometry(layer, geom)
         if len(geom) != 3:
@@ -754,14 +728,17 @@ def train(
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x, y = images[idx], labels[idx]
-            out, caches = forward_layers(all_layers, x, keep_caches=True)
+            # two stacks: the head, with no conv layer, runs as one block
+            features, ext_caches = forward_layers(model.extractor, x, keep_caches=True)
+            out, head_caches = forward_layers(model.head, features, keep_caches=True)
             loss = -float(np.mean(out[np.arange(len(y)), y]))
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at step {step}", step=step)
             g = np.zeros_like(out)
             g[np.arange(len(y)), y] = -1.0 / len(y)
-            _, wgrads = backward_layers(all_layers, caches, g, input_grad=False)
-            for ly, vel, wg in zip(all_layers, velocity, wgrads):
+            g, head_grads = backward_layers(model.head, head_caches, g)
+            _, ext_grads = backward_layers(model.extractor, ext_caches, g, input_grad=False)
+            for ly, vel, wg in zip(all_layers, velocity, ext_grads + head_grads):
                 for name, grad in wg.items():
                     vel[name] = MOMENTUM * vel[name] - config.learning_rate * grad
                     ly.weights[name] += vel[name]

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cfedit.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, gen_shapes
 from cfedit.errors import FormatError
@@ -65,6 +66,13 @@ def write_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def json_containers(inner):
+    """Small JSON lists and objects of `inner`: the `extend` of a recursive
+    JSON-value strategy, a named function so that Hypothesis reads all of it
+    when it checks that the function uses its argument."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
 
 
 def tree_bytes(root) -> dict:

@@ -190,14 +190,20 @@ class TestShapes:
 
 def write_artifacts(out, size):
     """A record with its three rasters, a report and a model bundle, each
-    longer the larger `size` is; returns the raster."""
+    longer the larger `size` is; returns the raster.  The report's edit-count
+    histogram runs from 1 to `size` + 9 edits, past 10, where the numeric and
+    the string order of its keys part."""
     quads = tuple((k, k, k, 0) for k in range(size))
     result = ExplanationResult(
         EditList(quads, 4, 4), [(-0.25 * k, -1.5) for k in range(size + 1)], "flipped", 0, 1, "q", "d"
     )
     raster = np.linspace(0, 1, 9 * size * size).reshape(3 * size, 3 * size)
     write_explanation(result, RenderedExplanation(raster, raster, raster), out)
-    write_json(os.path.join(out, "report.json"), avg_edit_count([result] * size).to_json())
+    counts = [
+        ExplanationResult(EditList(tuple((k, 0, k, 0) for k in range(n)), n, 1), [(0.0, 0.0)] * (n + 1), "flipped", 0, 1)
+        for n in range(1, size + 10)
+    ]
+    write_json(os.path.join(out, "report.json"), avg_edit_count([result] * size + counts).to_json())
     save_model(identity_feature_model(2, 2, size, size), os.path.join(out, "model"))
     return raster
 

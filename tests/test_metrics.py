@@ -39,7 +39,7 @@ class TestAvgEditCount:
         report = avg_edit_count([result_with(1), result_with(2), result_with(3)])
         assert report.value == 2.0
         assert report.extras["median"] == 2.0
-        assert report.extras["histogram"] == {1: 1, 2: 1, 3: 1}
+        assert report.extras["histogram"] == {"1": 1, "2": 1, "3": 1}
 
     def test_exhausted_excluded_from_mean(self):
         report = avg_edit_count([result_with(1), result_with(4, status="exhausted")])

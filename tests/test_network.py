@@ -28,7 +28,7 @@ from cfedit.network import (
 )
 
 import test_search
-from conftest import candidate_scores, identity_feature_model, layered_tail_pass, make_model
+from conftest import candidate_scores, identity_feature_model, json_containers, layered_tail_pass, make_model
 
 
 def full_stack(model, images):
@@ -165,10 +165,9 @@ class TestCacheFreeForward:
         out = network.forward_layers(layers, x)
         kept, caches = network.forward_layers(layers, x, keep_caches=True)
         assert out.tobytes() == kept.tobytes()
-        # one entry for the blocked extractor, holding a cache per layer per block, then one per head layer
-        assert len(caches) == 1 + len(model.head)
-        assert [span for span, _ in caches[0]] == [slice(0, 16)]  # six images make one block
-        assert len(caches[0][0][1]) == len(model.extractor)
+        # a (slice, per-layer caches) pair per block; six images make one block
+        assert [span for span, _ in caches] == [slice(0, 16)]
+        assert len(caches[0][1]) == len(layers)
 
 
 def conv_forward_reference(x, layer):
@@ -356,7 +355,8 @@ def pool_backward_reference(g, idx, window, stride, shape):
 
 
 def stack_forward_reference(layers, x):
-    """(output, per-layer caches) of a conv / relu / maxpool stack through the reference kernels."""
+    """(output, per-layer caches) of a stack through the reference kernels:
+    the per-offset conv, the per-window pool, and plain numpy for the rest."""
     caches = []
     for layer in layers:
         kind = layer.spec.kind
@@ -364,10 +364,17 @@ def stack_forward_reference(layers, x):
             x, cache = conv_forward_reference(x, layer)
         elif kind == "relu":
             x, cache = np.maximum(x, 0.0), x > 0
-        else:
+        elif kind == "maxpool2d":
             cache = x.shape
             x, idx = pool_reference(x, layer.spec.window, layer.spec.effective_stride())
             cache = (idx, cache)
+        elif kind == "flatten":
+            x, cache = x.reshape(len(x), -1), x.shape
+        elif kind == "dense":
+            x, cache = (x[:, :, None] * layer.weights["weight"]).sum(axis=1) + layer.weights["bias"], x
+        else:
+            z = x - x.max(axis=1, keepdims=True)
+            x = cache = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         caches.append(cache)
     return x, caches
 
@@ -382,8 +389,15 @@ def stack_backward_reference(layers, caches, g):
             g, grads[idx] = conv_backward_reference(g, layer, cache)
         elif kind == "relu":
             g = g * cache
-        else:
+        elif kind == "maxpool2d":
             g = pool_backward_reference(g, cache[0], layer.spec.window, layer.spec.effective_stride(), cache[1])
+        elif kind == "flatten":
+            g = g.reshape(cache)
+        elif kind == "dense":
+            grads[idx] = {"weight": (cache[:, :, None] * g[:, None, :]).sum(axis=0), "bias": g.sum(axis=0)}
+            g = (g[:, None, :] * layer.weights["weight"]).sum(axis=2)
+        else:
+            g = g - np.exp(cache) * g.sum(axis=1, keepdims=True)
     return g, grads
 
 
@@ -399,9 +413,11 @@ def patch_values_per_image(layers, geom):
 
 
 @st.composite
-def conv_stacks(draw):
+def conv_stacks(draw, heads=False):
     """A random conv -> relu -> maxpool -> conv -> relu [-> maxpool] stack, with
-    strides and padding, and an input batch of at least two images."""
+    strides and padding, and an input batch of at least two images.  With
+    `heads` the stack sometimes ends in a head, flatten -> dense [-> relu ->
+    dense] -> log-softmax."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, geom = draw(st.integers(2, 7)), (draw(st.integers(5, 12)), draw(st.integers(5, 12)), draw(st.integers(1, 3)))
     specs = []
@@ -414,6 +430,11 @@ def conv_stacks(draw):
         ]
         if not second or draw(st.booleans()):
             specs.append(LayerSpec("maxpool2d", window=draw(st.integers(1, 3)), stride=draw(st.integers(1, 3))))
+    if heads and draw(st.booleans()):
+        specs += [LayerSpec("flatten"), LayerSpec("dense", units=draw(st.integers(1, 5)))]
+        if draw(st.booleans()):
+            specs += [LayerSpec("relu"), LayerSpec("dense", units=draw(st.integers(1, 5)))]
+        specs.append(LayerSpec("log-softmax"))
     layers, shape = [], geom
     for spec in specs:
         try:
@@ -425,11 +446,12 @@ def conv_stacks(draw):
 
 
 class TestImageBlocks:
-    """forward_layers and backward_layers run the leading per-image layers one
-    block of images at a time, and every layer from flatten on over the batch."""
+    """forward_layers and backward_layers run every layer of a stack one block
+    of images at a time, a head's layers too; a stack with no conv layer runs
+    as one block."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(conv_stacks(), st.data())
+    @given(conv_stacks(heads=True), st.data())
     def test_blocked_stack_matches_references(self, stack, data):
         layers, x = stack
         per_image = patch_values_per_image(layers, x.shape[1:])
@@ -441,7 +463,7 @@ class TestImageBlocks:
         with mock.patch.object(network, "_PATCH_VALUES", cap):
             out, caches = network.forward_layers(layers, x, keep_caches=True)
             gx, grads = network.backward_layers(layers, caches, g)
-        assert [span.stop - span.start for span, _ in caches[0][:-1]] == [images] * (-(-len(x) // images) - 1)
+        assert [span.stop - span.start for span, _ in caches[:-1]] == [images] * (-(-len(x) // images) - 1)
         assert_close_to_reference(out, out_ref)
         assert_close_to_reference(gx, gx_ref)
         for got, want in zip(grads, grads_ref):
@@ -460,8 +482,8 @@ class TestImageBlocks:
             assert network.forward_layers(layers, x).tobytes() == single.tobytes()
 
     def test_remainder_block(self):
-        # seven images at three a block: every per-image kernel sees 3, 3 and 1
-        # images, forward and back, and every later kernel all seven
+        # seven images at three a block: every kernel sees 3, 3 and 1 images,
+        # forward and back, the head's kernels too
         rng = np.random.default_rng(0)
         specs = [
             LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=1),
@@ -476,7 +498,7 @@ class TestImageBlocks:
         for spec in specs:
             layer, geom = network.init_layer(spec, geom, rng)
             layers.append(layer)
-        lead, x = layers[:4], rng.normal(size=(7, 9, 8, 2))
+        x = rng.normal(size=(7, 9, 8, 2))
         seen = []
 
         def spy(table, name):
@@ -488,7 +510,7 @@ class TestImageBlocks:
 
             return {kind: wrap(kind, real) for kind, real in table.items()}
 
-        with mock.patch.object(network, "_PATCH_VALUES", 3 * patch_values_per_image(lead, x.shape[1:])), \
+        with mock.patch.object(network, "_PATCH_VALUES", 3 * patch_values_per_image(layers, x.shape[1:])), \
                 mock.patch.dict(network._FORWARD, spy(network._FORWARD, "forward")), \
                 mock.patch.dict(network._WEIGHT_GRADS, spy(network._WEIGHT_GRADS, "weights")), \
                 mock.patch.dict(network._INPUT_GRAD, spy(network._INPUT_GRAD, "input")):
@@ -500,11 +522,34 @@ class TestImageBlocks:
             return [(name, layer.spec.kind, images) for name in names]
 
         blocks = (3, 3, 1)
-        forward = [("forward", ly.spec.kind, b) for b in blocks for ly in lead]
-        forward += [("forward", ly.spec.kind, 7) for ly in layers[4:]]
-        backward = [step for ly in reversed(layers[4:]) for step in steps(ly, 7)]
-        backward += [step for b in blocks for ly in reversed(lead) for step in steps(ly, b)]
+        forward = [("forward", ly.spec.kind, b) for b in blocks for ly in layers]
+        backward = [step for b in blocks for ly in reversed(layers) for step in steps(ly, b)]
         assert seen == forward + backward
+
+    @pytest.mark.parametrize("count", [64, 1000])
+    def test_stack_without_conv_runs_in_one_block(self, count):
+        # train runs its head as such a stack: one block performs the operations
+        # of a whole-batch pass, forward and back, so trained bits rest on it
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=5)
+        rng = np.random.default_rng(count)
+        x = rng.normal(size=(count,) + model.feature_shape)
+        g = rng.normal(size=(count, 10))
+        out, caches = network.forward_layers(model.head, x, keep_caches=True)
+        gx, grads = network.backward_layers(model.head, caches, g)
+        assert [span for span, _ in caches] == [slice(0, network._PATCH_VALUES)]
+        want, want_caches = x, []
+        for layer in model.head:
+            want, cache = network._FORWARD[layer.spec.kind](want, layer)
+            want_caches.append(cache)
+        want_g = g
+        for layer, cache, got in reversed(list(zip(model.head, want_caches, grads))):
+            if layer.spec.kind in network._WEIGHT_GRADS:
+                want_grads = network._WEIGHT_GRADS[layer.spec.kind](want_g, layer, cache)
+                assert sorted(got) == sorted(want_grads)
+                assert all(got[name].tobytes() == want_grads[name].tobytes() for name in got)
+            want_g = network._INPUT_GRAD[layer.spec.kind](want_g, layer, cache)
+        assert out.tobytes() == want.tobytes()
+        assert gx.shape == x.shape and gx.tobytes() == want_g.tobytes()
 
     def test_train_repeats_under_a_small_budget(self):
         rng = np.random.default_rng(6)
@@ -543,7 +588,7 @@ class TestFrozenModelBatches:
             with mock.patch.object(network, "_PATCH_VALUES", budget):
                 batch, caches = network.forward_layers(model.extractor, images, keep_caches=True)
             # 16 images a block at 28x28 and 4 at 42x42 by default
-            assert len(caches[0]) == (22 if blocks == "three-image" else {"ref": 4, "wide": 16}[name])
+            assert len(caches) == (22 if blocks == "three-image" else {"ref": 4, "wide": 16}[name])
             assert batch.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("name, size, count", [("ref", 28, 400), ("wide", 42, 300)])
@@ -1061,7 +1106,7 @@ def flatten_then_log_softmax(manifest):
 # any JSON value, small: integers reach past int64, floats include NaN and infinities
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    json_containers,
     max_leaves=6,
 )
 # a dimension list as a manifest might declare it: mostly small, sometimes negative or past int64

@@ -23,7 +23,7 @@ from cfedit.render import (
 )
 from cfedit.search import ExplanationResult, SearchConfig
 
-from conftest import make_model, read_raster
+from conftest import json_containers, make_model, read_raster
 
 
 class TestReceptiveField:
@@ -377,7 +377,7 @@ class TestRecords:
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    json_containers,
     max_leaves=6,
 )
 # places a mutation may hit; () is the whole record
