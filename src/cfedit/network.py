@@ -369,16 +369,19 @@ def _shift_lse(x):
     values on), so a row's result depends on that row alone, whatever the
     batch, and z[..., c] - lse equals column c of the full log-softmax.
     """
-    classes = x.shape[-1]
     m = x[..., 0]
-    for c in range(1, classes):
+    for c in range(1, x.shape[-1]):
         m = np.maximum(m, x[..., c])
     z = x - m[..., None]
-    e = np.exp(z)
+    return z, np.log(_class_sum(np.exp(z)))
+
+
+def _class_sum(e):
+    """The sum of `e` over its last (class) axis, adding columns in class order."""
     s = e[..., 0]
-    for c in range(1, classes):
+    for c in range(1, e.shape[-1]):
         s = s + e[..., c]
-    return z, np.log(s)
+    return s
 
 
 def _logsoftmax_forward(x, layer, keep_cache=True):
@@ -608,7 +611,8 @@ def tail_gradient_pass(model: ModelBundle, targets):
     one-hot output gradient is built once, for the many stacks a caller may
     pass (the relaxed solver, one per Adam step), whose shape is the
     caller's to check.  The pass performs the operations of `forward_layers`
-    and `backward_layers` in their order, so every bit agrees with them."""
+    and `backward_layers` in their order, except the log-softmax's shift
+    (one row max; only its exp is read), so every bit agrees with them."""
     onehot = np.zeros((len(targets), model.class_count))
     onehot[np.arange(len(targets)), targets] = 1.0
     tail = model.mlp[1:]
@@ -618,8 +622,11 @@ def tail_gradient_pass(model: ModelBundle, targets):
         for layer in tail:
             masks.append(x > 0 if layer is None else None)
             x = np.maximum(x, 0.0) if layer is None else x @ layer[0] + layer[1]
-        # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
-        g = onehot - np.exp(_log_softmax(x))
+        # the log-softmax backward of a one-hot gradient, whose sum is exactly 1:
+        # `_shift_lse` but for one row max as the shift, which may differ from
+        # its running max in a zero's sign alone, and exp drops that
+        z = x - x.max(axis=-1, keepdims=True)
+        g = onehot - np.exp(z - np.log(_class_sum(np.exp(z)))[:, None])
         for layer, mask in zip(reversed(tail), reversed(masks)):
             g = g * mask if layer is None else g @ layer[0].T
         return g

@@ -22,10 +22,11 @@ nothing: a greedy problem is solved on the unedited grid and its carried z0.
 Problems are solved in lockstep batches, stacked along a leading axis.  Each
 problem's logits are packed into one (n+1, n) array, the gate logits in row
 0 over the n alignment rows; every row is a softmax of its own, so one
-softmax, one softmax chain rule and one Adam update cover both.  Each
-chunk of problems is one loop in `best_pair_edits`: a step takes the
-gradient, rounds and removes the problems that meet the stop test, and
-takes the Adam update on the rest.
+softmax, one softmax chain rule, one multiply by a column of entropy
+weights and one Adam update (`_adam_step`, on unscaled moments) cover
+both.  Each chunk of problems is one loop in `best_pair_edits`: a step
+takes the gradient, rounds and removes the problems that meet the stop
+test, and takes the Adam update on the rest.
 """
 
 from __future__ import annotations
@@ -74,22 +75,40 @@ class RelaxOptConfig:
         return {"learning_rate": self.learning_rate, "max_steps": self.max_steps}
 
 
-def _objective_gradient(tail_pass, W, WT, F, F2, F2T, z0, X):
+def _entropy_weights(n: int) -> np.ndarray:
+    """The (n+1, 1) column of entropy weights over packed rows: ENTROPY_WEIGHT_GATE
+    on the gate row 0, ENTROPY_WEIGHT_ALIGN on the n alignment rows."""
+    weights = np.full((n + 1, 1), ENTROPY_WEIGHT_ALIGN)
+    weights[0] = ENTROPY_WEIGHT_GATE
+    return weights
+
+
+def _row_dots(x, y):
+    """Each row's dot product of the (..., k) stacks x and y, as (..., 1, 1)
+    matmul products: one dot per row, whatever the stack's size."""
+    return x[..., None, :] @ y[..., :, None]
+
+
+def _objective_gradient(tail_pass, W, WT, weights, F, F2, F2T, z0, X):
     """The gradient of the relaxed objective for a stack of B problems.
 
     objective = g_target(z) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
     where z = z0 + (a o (P @ F2 - F)).flat . W, a = softmax(alpha),
     p_i = softmax(M[i]), H(p) = -sum p ln p with 0 ln 0 = 0, and w_a, w_P
-    are ENTROPY_WEIGHT_GATE and ENTROPY_WEIGHT_ALIGN: each row's alignment
-    entropy is weighted by its gate mass.
+    are the entropy weights of the gate row and of the alignment rows
+    (`_entropy_weights`): each row's alignment entropy is weighted by its
+    gate mass.
 
-    F and F2 are (B, n, d) float64 grid values, z0 their (B, units) first
-    dense outputs, W that layer's (n d, units) weight, WT and F2T contiguous
+    W is the first dense layer's (n d, units) weight, `weights` the (n+1, 1)
+    entropy weight column, F and F2 (B, n, d) float64 grid values and z0
+    their (B, units) first dense outputs; WT and F2T are contiguous
     transposes of W and F2 (faster to multiply than transposed views), and
     `tail_pass` is `network.tail_gradient_pass` for the B problems' targets.
     X is the (B, n+1, n) packed logits: row 0 the gate logits alpha, rows
     1..n the alignment logits M.  Returns the gradient w.r.t. X and S, both
-    packed as X is.
+    packed as X is.  Its row sums (sum p ln p, G . delta and the chain
+    rule's S . dX) are `_row_dots`, so each row's bits are its own, whatever
+    B, and one multiply by `weights` weights both entropy terms.
     """
     # one softmax gives S and log S; a closed cell's log S stays finite (about
     # MASK_LOGIT) with S exactly 0, so its terms below are exactly 0
@@ -104,22 +123,43 @@ def _objective_gradient(tail_pass, W, WT, F, F2, F2T, z0, X):
     z = (gate * delta).reshape(len(X), -1) @ W + z0
     G = (tail_pass(z) @ WT).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
 
-    neg_H = (P * dX[:, 1:]).sum(axis=-1)  # sum_j p_ij ln p_ij = -H(p_i)
-    dX += 1.0
-    # d objective / d a = w_a (ln a + 1) + G . delta + w_P sum_j p_ij ln p_ij
+    # d objective / d a = w_a (ln a + 1) + G . delta + w_P sum_j p_ij ln p_ij and
+    # d objective / d P = a_i (G @ F2^T + w_P (ln p_ij + 1)); each row's + 1 (times
+    # w_a, or a_i w_P) is a constant over the row, which the chain rule cancels
+    dX *= weights  # w_a ln a in row 0, w_P ln p_ij below
     da = dX[:, 0]
-    da *= ENTROPY_WEIGHT_GATE
-    da += (G * delta).sum(axis=-1)
-    da += ENTROPY_WEIGHT_ALIGN * neg_H
-    # d objective / d P = a_i (G @ F2^T + w_P (ln p_ij + 1))
+    da += _row_dots(G, delta)[..., 0, 0]
+    da += _row_dots(P, dX[:, 1:])[..., 0, 0]
     dP = dX[:, 1:]
-    dP *= ENTROPY_WEIGHT_ALIGN
     dP += G @ F2T
     dP *= gate
-    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g), row by row
-    dX -= (S * dX).sum(axis=-1, keepdims=True)
+    # chain through softmax: for y = softmax(x), J^T g = y * (g - y.g), row by row,
+    # the same for g + c as for g, since y sums to 1
+    dX -= _row_dots(S, dX)[..., 0]
     dX *= S
     return dX, S
+
+
+def _adam_step(g, m, v, t: int, learning_rate: float) -> np.ndarray:
+    """Adam's step t (Kingma & Ba, ICLR 2015) for the gradient g, formed on
+    g's buffer and returned; the moments m and v are updated in place.
+
+    They are kept unscaled (m <- beta1 m + g, v <- beta2 v + g^2), the paper's
+    m_t / (1 - beta1) and v_t / (1 - beta2), so those factors fold into the
+    step size and ε beside the bias corrections (§2).  A logit whose every
+    gradient was exactly 0 keeps m = 0 and takes a step of exactly 0.
+    """
+    m *= ADAM_BETA1
+    m += g
+    g *= g
+    v *= ADAM_BETA2
+    v += g
+    c = ((1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA2)) ** 0.5
+    np.sqrt(v, out=g)
+    g += ADAM_EPS * c
+    np.divide(m, g, out=g)
+    g *= learning_rate * c * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1**t)
+    return g
 
 
 # float64 values (n² alignment logits and n·d grid values per problem) a chunk
@@ -152,6 +192,7 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
     W = model.mlp[0][0]
     WT = np.ascontiguousarray(W.T)
+    weights = _entropy_weights(n)  # read here, once per call, for the weights in force
     edits = [None] * len(problems)
 
     def round_edits(ids, S, steps, converged):  # the gate's argmax, then its cell's alignment argmax
@@ -177,7 +218,7 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         tail_pass = tail_gradient_pass(model, targets)
         m, v = np.zeros_like(X), np.zeros_like(X)
         for t in range(1, opt.max_steps + 1):
-            dX, S = _objective_gradient(tail_pass, W, WT, F, F2, F2T, z0, X)
+            dX, S = _objective_gradient(tail_pass, W, WT, weights, F, F2, F2T, z0, X)
             # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
             a = S[:, 0]
             if a.max() >= opt.sharpness_stop:  # one call for the many steps where no gate is
@@ -190,17 +231,7 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
                     live = (X, dX, m, v, F, F2, F2T, z0, targets, ids)
                     X, dX, m, v, F, F2, F2T, z0, targets, ids = (x[~sharp] for x in live)
                     tail_pass = tail_gradient_pass(model, targets)
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * dX
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * dX * dX
-            # on the gradient's buffer, the bias corrections folded into step size and ε (Kingma & Ba, §2)
-            correction = (1.0 - ADAM_BETA2**t) ** 0.5
-            np.sqrt(v, out=dX)
-            dX += ADAM_EPS * correction
-            np.divide(m, dX, out=dX)
-            dX *= opt.learning_rate * correction / (1.0 - ADAM_BETA1**t)
-            X += dX
+            X += _adam_step(dX, m, v, t, opt.learning_rate)
         else:  # out of steps: the problems left are rounded from their updated logits
             round_edits(ids, softmax(X), opt.max_steps, False)
     return edits

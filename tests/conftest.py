@@ -25,7 +25,7 @@ from cfedit.network import (
     train,
 )
 from cfedit import relaxed
-from cfedit.relaxed import RelaxOptConfig, _objective_gradient, best_pair_edits
+from cfedit.relaxed import RelaxOptConfig, _entropy_weights, _objective_gradient, best_pair_edits
 from cfedit.rng import substream
 from cfedit.search import EditProblem
 
@@ -187,10 +187,11 @@ def entropy(p) -> np.ndarray:
 
 
 def gradient_operands(model, F, F2) -> tuple:
-    """`_objective_gradient`'s (W, WT, F, F2, F2T) arguments for the (B, n, d)
-    grid values F and F2, with the contiguous transposes the solver makes."""
+    """`_objective_gradient`'s (W, WT, weights, F, F2, F2T) arguments for the
+    (B, n, d) grid values F and F2, with the contiguous transposes and the
+    entropy weight column (under the weights in force) the solver makes."""
     W = model.mlp[0][0]
-    return W, np.ascontiguousarray(W.T), F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
+    return W, np.ascontiguousarray(W.T), _entropy_weights(F.shape[1]), F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
 
 
 def objective_one(model, F, F2, target, alpha, M) -> tuple:

@@ -149,16 +149,17 @@ class TestRelaxationFidelity:
                 assert best_edit_exhaustive(wl.model, *inst[:3]) == (i, j2, score)
         assert matched >= 100
 
-    def test_relaxed_work_on_the_fidelity_pool(self, monkeypatch):
-        # the benchmark's seed-1 pool on `ref`, in its 4-instance groups: the
-        # solver's steps, its converged solves and its matches are pinned
+    @pytest.mark.parametrize("seed, pinned", [(1, (4544, 136, 108)), (2, (4553, 136, 114)), (3, (4466, 136, 104))])
+    def test_relaxed_work_on_the_fidelity_pool(self, monkeypatch, seed, pinned):
+        # the benchmark's pool for this seed on `ref`, in its 4-instance groups:
+        # the solver's steps, its converged solves and its matches are pinned
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
-        wl = importlib.import_module("workloads").WORKLOADS["fidelity"](1, False)
+        wl = importlib.import_module("workloads").WORKLOADS["fidelity"](seed, False)
         wl.setup()
         assert [len(group) for group in wl.pool] == [4] * 36
         samples = [s for group in wl.pool for s in relaxation_fidelity(wl.model, group, wl.opt).samples]
         work = sum(s["steps"] for s in samples), sum(s["converged"] for s in samples), sum(s["match"] for s in samples)
-        assert work == (4544, 136, 108)
+        assert work == pinned
         # the pool solved in one call, where problems leave the stack at other
         # times than in their groups, gives every group's output
         problems = [search.EditProblem(wl.model, *inst) for group in wl.pool for inst in group]

@@ -66,8 +66,8 @@ def record_ascent(monkeypatch) -> list:
     calls = []
     evaluate = relaxed._objective_gradient
 
-    def spy(tail_pass, W, WT, F, F2, F2T, z0, X):
-        dX, S = evaluate(tail_pass, W, WT, F, F2, F2T, z0, X)
+    def spy(tail_pass, W, WT, weights, F, F2, F2T, z0, X):
+        dX, S = evaluate(tail_pass, W, WT, weights, F, F2, F2T, z0, X)
         calls.append((X.copy(), dX.copy(), S, z0))
         return dX, S
 
@@ -253,6 +253,29 @@ class TestObjectiveGradients:
         np.testing.assert_array_equal(dX[0], pack_logits(dalpha, dM))
         np.testing.assert_allclose(X1 - X0, 0.25 * dX / (np.abs(dX) + 1e-8), rtol=1e-9, atol=0)
         assert np.all((X1 == X0) == (dX == 0)) and np.all(X1[0, 0, [4]] == MASK_LOGIT)
+
+    def test_adam_steps_match_textbook_adam(self):
+        # the solver's Adam keeps unscaled moments and folds (1 - beta) and the
+        # bias corrections into its step size and ε; textbook bias-corrected
+        # Adam (Kingma & Ba, Algorithm 1) takes the same steps.  A logit whose
+        # every gradient is exactly 0, as a closed cell's is, never moves
+        rng = np.random.default_rng(7)
+        grads = rng.normal(size=(24, 2, 5, 4))
+        grads[rng.random(grads.shape) < 0.2] = 0.0
+        closed = rng.random(grads.shape[1:]) < 0.2
+        grads[:, closed] = 0.0
+        X = np.where(closed, MASK_LOGIT, 0.0)
+        m, v, m_book, v_book = (np.zeros_like(X) for _ in range(4))
+        b1, b2, eps, lr = relaxed.ADAM_BETA1, relaxed.ADAM_BETA2, relaxed.ADAM_EPS, 0.3
+        for t, g in enumerate(grads, 1):
+            m_book = b1 * m_book + (1 - b1) * g
+            v_book = b2 * v_book + (1 - b2) * g * g
+            want = lr * (m_book / (1 - b1**t)) / (np.sqrt(v_book / (1 - b2**t)) + eps)
+            step = relaxed._adam_step(g.copy(), m, v, t, lr)
+            np.testing.assert_allclose(step, want, rtol=1e-12, atol=0)
+            assert np.all(step[closed] == 0.0)
+            X += step
+        assert closed.any() and np.all(X[closed] == MASK_LOGIT) and np.all(X[~closed] != 0.0)
 
 
 class TestBestEditRelaxed:
