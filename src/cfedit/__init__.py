@@ -20,7 +20,7 @@ from .network import (
     save_model,
     train,
 )
-from .relaxed import RelaxOptConfig, softmax
+from .relaxed import RelaxOptConfig
 from .search import ExplanationResult, SearchConfig, best_edit_exhaustive, greedy_counterfactual
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "reference_extractor_specs",
     "reference_head_specs",
     "save_model",
-    "softmax",
     "train",
 ]

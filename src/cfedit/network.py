@@ -16,7 +16,7 @@ layer's stride positive.
 
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
-None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient_pass`);
+None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient`);
 only `train` runs the head's layers, as a stack of their own, through
 `forward_layers` and `backward_layers`.
 
@@ -604,34 +604,27 @@ def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
     return head_logprobs_batch(model, F.values[None])[0]
 
 
-def tail_gradient_pass(model: ModelBundle, targets):
-    """The function that maps an (N, units) stack z of first dense outputs,
-    N = len(targets), to the gradient w.r.t. z of each row's `targets[k]`
-    log-probability under the head's layers after the first dense one.  The
-    one-hot output gradient is built once, for the many stacks a caller may
-    pass (the relaxed solver, one per Adam step), whose shape is the
-    caller's to check.  The pass performs the operations of `forward_layers`
-    and `backward_layers` in their order, except the log-softmax's shift
-    (one row max; only its exp is read), so every bit agrees with them."""
-    onehot = np.zeros((len(targets), model.class_count))
-    onehot[np.arange(len(targets)), targets] = 1.0
+def tail_gradient(model: ModelBundle, onehot, z):
+    """The gradient w.r.t. the (N, units) stack z of first dense outputs of
+    each row's target log-probability under the head's layers after the
+    first dense one, row k's target being the class that row k of the
+    (N, classes) one-hot matrix `onehot` marks; the shapes are the caller's
+    to check.  It performs the operations of `forward_layers` and
+    `backward_layers` in their order, except the log-softmax's shift (one
+    row max; only its exp is read), so every bit agrees with them."""
     tail = model.mlp[1:]
-
-    def run(x):
-        masks = []  # relu's input > 0, per layer
-        for layer in tail:
-            masks.append(x > 0 if layer is None else None)
-            x = np.maximum(x, 0.0) if layer is None else x @ layer[0] + layer[1]
-        # the log-softmax backward of a one-hot gradient, whose sum is exactly 1:
-        # `_shift_lse` but for one row max as the shift, which may differ from
-        # its running max in a zero's sign alone, and exp drops that
-        z = x - x.max(axis=-1, keepdims=True)
-        g = onehot - np.exp(z - np.log(_class_sum(np.exp(z)))[:, None])
-        for layer, mask in zip(reversed(tail), reversed(masks)):
-            g = g * mask if layer is None else g @ layer[0].T
-        return g
-
-    return run
+    masks = []  # relu's input > 0, per layer
+    for layer in tail:
+        masks.append(z > 0 if layer is None else None)
+        z = np.maximum(z, 0.0) if layer is None else z @ layer[0] + layer[1]
+    # the log-softmax backward of a one-hot gradient, whose sum is exactly 1:
+    # `_shift_lse` but for one row max as the shift, which may differ from
+    # its running max in a zero's sign alone, and exp drops that
+    z = z - z.max(axis=-1, keepdims=True)
+    g = onehot - np.exp(z - np.log(_class_sum(np.exp(z)))[:, None])
+    for layer, mask in zip(reversed(tail), reversed(masks)):
+        g = g * mask if layer is None else g @ layer[0].T
+    return g
 
 
 def _finite(lp):

@@ -15,9 +15,10 @@ does: the relaxed grid (1 - a) o F + a o (P @ F2) is F plus the delta
 a o (P @ F2 - F), so its first dense output is z0 + delta.flat . W, with z0
 the unedited grid's (`EditProblem.z0`).  Each step forms the delta in d-space,
 contracts it with W, runs the head's layers after that one forward and
-backward (`network.tail_gradient_pass`) and maps the gradient back through
-W^T.  A closed query cell has a gate of exactly 0, so its delta adds
-nothing: a greedy problem is solved on the unedited grid and its carried z0.
+backward (`network.tail_gradient`, from the problems' one-hot target rows)
+and maps the gradient back through W^T.  A closed query cell has a gate of
+exactly 0, so its delta adds nothing: a greedy problem is solved on the
+unedited grid and its carried z0.
 
 Problems are solved in lockstep batches, stacked along a leading axis.  Each
 problem's logits are packed into one (n+1, n) array, the gate logits in row
@@ -37,7 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import FormatError, is_number
-from .network import ModelBundle, tail_gradient_pass
+from .network import ModelBundle, tail_gradient
 
 MASK_LOGIT = -1e9
 # Adam's moment decays and denominator guard; RelaxOptConfig.learning_rate is its step size
@@ -47,14 +48,6 @@ ADAM_EPS = 1e-8
 # weights of the gate entropy and of the gate-weighted alignment entropies in the objective
 ENTROPY_WEIGHT_GATE = 0.1
 ENTROPY_WEIGHT_ALIGN = 0.1
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis."""
-    x = np.asarray(logits, dtype=np.float64)
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def _row_dots(x, y):
     return x[..., None, :] @ y[..., :, None]
 
 
-def _objective_gradient(tail_pass, W, WT, weights, F, F2, F2T, z0, X):
+def _objective_gradient(model, WT, weights, F, F2, F2T, z0, onehot, X):
     """The gradient of the relaxed objective for a stack of B problems.
 
     objective = g_target(z) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
@@ -99,11 +92,12 @@ def _objective_gradient(tail_pass, W, WT, weights, F, F2, F2T, z0, X):
     (`_entropy_weights`): each row's alignment entropy is weighted by its
     gate mass.
 
-    W is the first dense layer's (n d, units) weight, `weights` the (n+1, 1)
-    entropy weight column, F and F2 (B, n, d) float64 grid values and z0
-    their (B, units) first dense outputs; WT and F2T are contiguous
-    transposes of W and F2 (faster to multiply than transposed views), and
-    `tail_pass` is `network.tail_gradient_pass` for the B problems' targets.
+    W is the (n d, units) weight of `model`'s first dense layer, `weights`
+    the (n+1, 1) entropy weight column, F and F2 (B, n, d) float64 grid
+    values, z0 their (B, units) first dense outputs and `onehot` the
+    (B, classes) one-hot rows of their target classes, which
+    `network.tail_gradient` reads; WT and F2T are contiguous transposes of W
+    and F2 (faster to multiply than transposed views).
     X is the (B, n+1, n) packed logits: row 0 the gate logits alpha, rows
     1..n the alignment logits M.  Returns the gradient w.r.t. X and S, both
     packed as X is.  Its row sums (sum p ln p, G . delta and the chain
@@ -120,8 +114,8 @@ def _objective_gradient(tail_pass, W, WT, weights, F, F2, F2T, z0, X):
     gate, P = S[:, 0, :, None], S[:, 1:]  # the gate as a column, and the alignment
     delta = P @ F2
     delta -= F  # each cell's aligned distractor row less its own
-    z = (gate * delta).reshape(len(X), -1) @ W + z0
-    G = (tail_pass(z) @ WT).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
+    z = (gate * delta).reshape(len(X), -1) @ model.mlp[0][0] + z0
+    G = (tail_gradient(model, onehot, z) @ WT).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
 
     # d objective / d a = w_a (ln a + 1) + G . delta + w_P sum_j p_ij ln p_ij and
     # d objective / d P = a_i (G @ F2^T + w_P (ln p_ij + 1)); each row's + 1 (times
@@ -177,9 +171,12 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     ascent on its stacked packed logits (see `_objective_gradient`), at most
     `opt.max_steps` steps: a step takes the gradient of every problem still
     stacked; each one that meets the stop test is rounded from that step's
-    S and leaves the stacks, and the rest move.  A problem that never meets
-    it is rounded after the last step.  A closed cell's logit (MASK_LOGIT)
-    gets exactly zero gradient, hence zero moments, so it never moves.
+    S and leaves the stacks, its one-hot target row too, and the rest move.
+    A problem that never meets it is rounded from its logits after the last
+    step: each row's softmax is monotone, so its argmax is the logits' (but
+    where exp rounds two distinct logits to one value).  A closed cell's
+    logit (MASK_LOGIT) gets exactly zero gradient, hence zero moments, so
+    it never moves.
 
     Returns, per problem and in order, (query cell, source cell, the edit's
     log-probabilities from `EditProblem.edit_logprobs`, steps, converged):
@@ -190,13 +187,12 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     """
     n = model.h * model.w
     size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
-    W = model.mlp[0][0]
-    WT = np.ascontiguousarray(W.T)
+    WT = np.ascontiguousarray(model.mlp[0][0].T)
     weights = _entropy_weights(n)  # read here, once per call, for the weights in force
     edits = [None] * len(problems)
 
-    def round_edits(ids, S, steps, converged):  # the gate's argmax, then its cell's alignment argmax
-        for k, s in zip(ids, S):
+    def round_edits(ids, packed, steps, converged):  # from S or X: the gate's argmax, then its cell's alignment argmax
+        for k, s in zip(ids, packed):
             i = int(s[0].argmax())
             j2 = int(s[1 + i].argmax())
             edits[k] = (i, j2, problems[k].edit_logprobs(i, j2), steps, converged)
@@ -213,12 +209,11 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         F2 = np.stack([p.F2.values for p in chunk])
         F2T = np.ascontiguousarray(F2.transpose(0, 2, 1))
         z0 = np.stack([p.z0 for p in chunk])
-        targets = np.array([p.target for p in chunk])
+        onehot = np.eye(model.class_count)[[p.target for p in chunk]]
         ids = np.arange(lo, lo + len(chunk))  # the problem each stacked row holds
-        tail_pass = tail_gradient_pass(model, targets)
         m, v = np.zeros_like(X), np.zeros_like(X)
         for t in range(1, opt.max_steps + 1):
-            dX, S = _objective_gradient(tail_pass, W, WT, weights, F, F2, F2T, z0, X)
+            dX, S = _objective_gradient(model, WT, weights, F, F2, F2T, z0, onehot, X)
             # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
             a = S[:, 0]
             if a.max() >= opt.sharpness_stop:  # one call for the many steps where no gate is
@@ -228,10 +223,9 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
                     round_edits(ids[sharp], S[sharp], t, True)
                     if sharp.all():
                         break
-                    live = (X, dX, m, v, F, F2, F2T, z0, targets, ids)
-                    X, dX, m, v, F, F2, F2T, z0, targets, ids = (x[~sharp] for x in live)
-                    tail_pass = tail_gradient_pass(model, targets)
+                    live = (X, dX, m, v, F, F2, F2T, z0, onehot, ids)
+                    X, dX, m, v, F, F2, F2T, z0, onehot, ids = (x[~sharp] for x in live)
             X += _adam_step(dX, m, v, t, opt.learning_rate)
         else:  # out of steps: the problems left are rounded from their updated logits
-            round_edits(ids, softmax(X), opt.max_steps, False)
+            round_edits(ids, X, opt.max_steps, False)
     return edits

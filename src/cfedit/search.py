@@ -182,7 +182,9 @@ class EditProblem:
     each query cell's best score and the source cell each cell's best edit
     took when last scored (-1 before), from which each step picks the cells
     it scores (`rows_to_score`), until a step whose bound keeps every open
-    cell.  A problem only the relaxed solver reads computes neither."""
+    cell.  A problem only the relaxed solver reads computes neither.  The
+    scorer, the bound's set-up and `commit` read the contraction only
+    through `contraction_rows`, stored or not."""
 
     def __init__(
         self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target: int, excluded_query=(), excluded_source=()
@@ -210,8 +212,9 @@ class EditProblem:
         self.prepared = False
 
     def contraction_rows(self, q):
-        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as a
-        new (len(q), hw, units) array."""
+        """The contraction (F2[j] - F[i]) . W_i of the query cells i in `q`, as
+        a (len(q), hw, units) array: a new one when `q` lists cells, a view
+        of the stored contraction when `q` is a slice and it is stored."""
         if self.contraction is not None:
             return self.contraction[q]
         return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
@@ -228,31 +231,25 @@ class EditProblem:
         return _finite(z[j] - lse[j])
 
     def _prepare(self):
-        """The first step's set-up: the stored contraction and the bound."""
+        """The first step's set-up: the stored contraction, and the bound from
+        the contraction's extremes over the source cells, block by block."""
         n, d, units = self.W.shape
         bounded = n * n >= _BOUND_CANDIDATES
-        if n * n * (d + units) <= _BLOCK_VALUES:
+        if n * n * (d + units) <= _BLOCK_VALUES:  # then block_rows >= n
             # source-major when bounded, so that its extremes over the source
             # cells reduce over the outermost axis; the products are the same
             out = np.empty((n, n, units)).transpose(1, 0, 2) if bounded else None
             self.contraction = np.matmul(self.F2.values[None] - self.F.values[:, None, :], self.W, out=out)
         if bounded:
-            self.bound = _RowBound(self.tail, *self._source_extremes(), self._pair_error(), self.target)
+            cmin, cmax = np.empty((n, units)), np.empty((n, units))
+            for lo in range(0, n, self.block_rows):
+                rows = slice(lo, lo + self.block_rows)
+                C = self.contraction_rows(rows)
+                C.min(axis=1, out=cmin[rows])
+                C.max(axis=1, out=cmax[rows])
+            self.bound = _RowBound(self.tail, cmin, cmax, self._pair_error(), self.target)
             self.row_sources = np.full(n, -1)
         self.prepared = True
-
-    def _source_extremes(self):
-        """The (hw, units) minimum and maximum of the contraction over all
-        source cells, in one pass over its blocks when it is not stored."""
-        if self.contraction is not None:
-            return self.contraction.min(axis=1), self.contraction.max(axis=1)
-        n, _, units = self.W.shape
-        cmin, cmax = np.empty((n, units)), np.empty((n, units))
-        for lo in range(0, n, self.block_rows):
-            C = self.contraction_rows(np.arange(lo, min(lo + self.block_rows, n)))
-            C.min(axis=1, out=cmin[lo : lo + self.block_rows])
-            C.max(axis=1, out=cmax[lo : lo + self.block_rows])
-        return cmin, cmax
 
     def _pair_error(self) -> float:
         """How far `_pair_logits`'s contraction values may lie from the
@@ -347,8 +344,7 @@ class EditProblem:
         equals the first dense output its row was scored from, bit for bit,
         as IEEE addition commutes, and close query cell i, and source cell
         j2 if `close_source`."""
-        C = self.contraction
-        self.z0 = self.z0 + (C[i, j2] if C is not None else self.contraction_rows([i])[0, j2])
+        self.z0 = self.z0 + self.contraction_rows(slice(i, i + 1))[0, j2]
         self.open_q[i] = False
         if close_source:
             self.open_s[j2] = False

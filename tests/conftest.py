@@ -2,6 +2,7 @@ import ctypes
 import os
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cfedit.network import (
     init_layer,
     reference_extractor_specs,
     reference_head_specs,
-    tail_gradient_pass,
+    tail_gradient,
     train,
 )
 from cfedit import relaxed
@@ -149,20 +150,19 @@ def unpack(X) -> tuple:
     return X[..., 0, :], X[..., 1:, :]
 
 
-def layered_tail_pass(model, targets):
-    """`network.tail_gradient_pass` rebuilt layer by layer: `forward_layers`
-    with caches over the head's layers after its first dense one, then
+def layered_tail_gradient(model, onehot, z):
+    """`network.tail_gradient` rebuilt layer by layer: `forward_layers` with
+    caches over the head's layers after its first dense one, then
     `backward_layers` from the one-hot output gradient.  The fused pass
     performs the same operations in the same order, so the two agree in
     every bit."""
+    _, caches = forward_layers(model.head[2:], z, keep_caches=True)
+    return backward_layers(model.head[2:], caches, onehot)[0]
 
-    def run(z):
-        out, caches = forward_layers(model.head[2:], z, keep_caches=True)
-        onehot = np.zeros_like(out)
-        onehot[np.arange(len(targets)), targets] = 1.0
-        return backward_layers(model.head[2:], caches, onehot)[0]
 
-    return run
+def one_hot(model, targets) -> np.ndarray:
+    """The (len(targets), classes) one-hot rows of the classes `targets`."""
+    return np.eye(model.class_count)[list(targets)]
 
 
 def first_dense(model, F) -> np.ndarray:
@@ -187,11 +187,11 @@ def entropy(p) -> np.ndarray:
 
 
 def gradient_operands(model, F, F2) -> tuple:
-    """`_objective_gradient`'s (W, WT, weights, F, F2, F2T) arguments for the
-    (B, n, d) grid values F and F2, with the contiguous transposes and the
-    entropy weight column (under the weights in force) the solver makes."""
-    W = model.mlp[0][0]
-    return W, np.ascontiguousarray(W.T), _entropy_weights(F.shape[1]), F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
+    """`_objective_gradient`'s (model, WT, weights, F, F2, F2T) arguments for
+    the (B, n, d) grid values F and F2, with the contiguous transposes and
+    the entropy weight column (under the weights in force) the solver makes."""
+    WT = np.ascontiguousarray(model.mlp[0][0].T)
+    return model, WT, _entropy_weights(F.shape[1]), F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
 
 
 def objective_one(model, F, F2, target, alpha, M) -> tuple:
@@ -205,7 +205,7 @@ def objective_one(model, F, F2, target, alpha, M) -> tuple:
     z0 = first_dense(model, F.values[None])
     X = pack_logits(alpha, M)[None]
     operands = gradient_operands(model, F.values[None], F2.values[None])
-    dX, S = _objective_gradient(tail_gradient_pass(model, [target]), *operands, z0, X)
+    dX, S = _objective_gradient(*operands, z0, one_hot(model, [target]), X)
     a, P = unpack(S[0])
     edited = FeatureGrid(F.h, F.w, F.d, transformed(F.values, F2.values, a, P))
     objective = (
@@ -219,16 +219,17 @@ def objective_one(model, F, F2, target, alpha, M) -> tuple:
 def relaxed_first_dense(model, F, F2, z0, targets, X) -> tuple:
     """The (B, units) first dense outputs z that `_objective_gradient`
     forms from the (B, n, d) grid values F and F2, their z0 and the packed
-    logits X, caught by a spy on its tail pass; and S = softmax(X), the
-    gates and alignments they were formed with, packed as X is."""
+    logits X, caught by a spy on its `tail_gradient` call; and S =
+    softmax(X), the gates and alignments they were formed with, packed as X
+    is."""
     seen = []
-    tail_pass = tail_gradient_pass(model, targets)
 
-    def spy(z):
+    def spy(model, onehot, z):
         seen.append(z.copy())
-        return tail_pass(z)
+        return tail_gradient(model, onehot, z)
 
-    _, S = _objective_gradient(spy, *gradient_operands(model, F, F2), z0, X)
+    with mock.patch.object(relaxed, "tail_gradient", spy):
+        _, S = _objective_gradient(*gradient_operands(model, F, F2), z0, one_hot(model, targets), X)
     return seen[0], S
 
 

@@ -36,7 +36,7 @@ from cfedit.network import (
     reference_extractor_specs,
     reference_head_specs,
     save_model,
-    tail_gradient_pass,
+    tail_gradient,
     train,
 )
 from cfedit.relaxed import MASK_LOGIT
@@ -49,6 +49,7 @@ from conftest import (
     identity_feature_model,
     mnist_paths_or_skip,
     objective_one,
+    one_hot,
     pack_logits,
     random_grid,
     relaxed_first_dense,
@@ -297,11 +298,11 @@ class TestCriterion5GradientSuite:
             F2 = random_grid(rng, 2, 2, 2)
             target = int(rng.integers(3))
 
-            # the grid gradient the relaxed solver forms: the tail pass at the
+            # the grid gradient the relaxed solver forms: `tail_gradient` at the
             # unedited grid's first dense output, mapped back through W^T
             W = model.mlp[0][0]
             z0 = EditProblem(model, F, F2, target).z0[None]
-            grad = (tail_gradient_pass(model, [target])(z0) @ W.T).reshape(4, 2)
+            grad = (tail_gradient(model, one_hot(model, [target]), z0) @ W.T).reshape(4, 2)
             fd = np.zeros_like(grad)
             for i in range(4):
                 for c in range(2):

@@ -149,15 +149,29 @@ class TestRelaxationFidelity:
                 assert best_edit_exhaustive(wl.model, *inst[:3]) == (i, j2, score)
         assert matched >= 100
 
-    @pytest.mark.parametrize("seed, pinned", [(1, (4544, 136, 108)), (2, (4553, 136, 114)), (3, (4466, 136, 104))])
-    def test_relaxed_work_on_the_fidelity_pool(self, monkeypatch, seed, pinned):
-        # the benchmark's pool for this seed on `ref`, in its 4-instance groups:
-        # the solver's steps, its converged solves and its matches are pinned
+    @pytest.mark.parametrize(
+        "seed, max_steps, pinned",
+        [
+            (1, None, (4544, 136, 108)),
+            (2, None, (4553, 136, 114)),
+            (3, None, (4466, 136, 104)),
+            # in 10 steps no problem meets the stop test, so every edit is
+            # rounded from the logits after the last step
+            (1, 10, (1440, 0, 54)),
+            (2, 10, (1440, 0, 60)),
+            (3, 10, (1440, 0, 54)),
+        ],
+    )
+    def test_relaxed_work_on_the_fidelity_pool(self, monkeypatch, seed, max_steps, pinned):
+        # the benchmark's pool for this seed on `ref`, in its 4-instance groups,
+        # under its budget (None) or `max_steps`: the solver's steps, its
+        # converged solves and its matches are pinned
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
         wl = importlib.import_module("workloads").WORKLOADS["fidelity"](seed, False)
         wl.setup()
         assert [len(group) for group in wl.pool] == [4] * 36
-        samples = [s for group in wl.pool for s in relaxation_fidelity(wl.model, group, wl.opt).samples]
+        opt = wl.opt if max_steps is None else RelaxOptConfig(max_steps=max_steps)
+        samples = [s for group in wl.pool for s in relaxation_fidelity(wl.model, group, opt).samples]
         work = sum(s["steps"] for s in samples), sum(s["converged"] for s in samples), sum(s["match"] for s in samples)
         assert work == pinned
         # the pool solved in one call, where problems leave the stack at other
@@ -165,7 +179,7 @@ class TestRelaxationFidelity:
         problems = [search.EditProblem(wl.model, *inst) for group in wl.pool for inst in group]
 
         def solve(chunk):
-            solved = relaxed.best_pair_edits(wl.model, chunk, wl.opt)
+            solved = relaxed.best_pair_edits(wl.model, chunk, opt)
             return [(i, j2, lp.tobytes(), steps, conv) for i, j2, lp, steps, conv in solved]
 
         assert solve(problems) == [edit for k in range(0, len(problems), 4) for edit in solve(problems[k : k + 4])]

@@ -28,7 +28,14 @@ from cfedit.network import (
 )
 
 import test_search
-from conftest import candidate_scores, identity_feature_model, json_containers, layered_tail_pass, make_model
+from conftest import (
+    candidate_scores,
+    identity_feature_model,
+    json_containers,
+    layered_tail_gradient,
+    make_model,
+    one_hot,
+)
 
 
 def full_stack(model, images):
@@ -39,10 +46,10 @@ def full_stack(model, images):
 def grid_gradient(model, values, targets):
     """The gradient of each grid's `targets[k]` log-probability w.r.t. that
     grid, for an (N, hw, d) stack of grids, as the relaxed solver forms it:
-    `tail_gradient_pass` at the first dense outputs, mapped back through that
+    `tail_gradient` at the first dense outputs, mapped back through that
     layer's weight transposed."""
     (weight, bias), *_ = model.mlp
-    g = network.tail_gradient_pass(model, targets)(values.reshape(len(values), -1) @ weight + bias)
+    g = network.tail_gradient(model, one_hot(model, targets), values.reshape(len(values), -1) @ weight + bias)
     return (g @ weight.T).reshape(values.shape)
 
 
@@ -822,7 +829,8 @@ class TestFusedHeadPass:
             want = network.backward_layers(model.head, caches, onehot)[0].reshape(values.shape)
             assert got.shape == want.shape and np.array_equal(got, want), name
             z = rng.normal(size=(batch, model.mlp[0][0].shape[1]))
-            got, want = network.tail_gradient_pass(model, targets)(z), layered_tail_pass(model, targets)(z)
+            onehot = one_hot(model, targets)
+            got, want = network.tail_gradient(model, onehot, z), layered_tail_gradient(model, onehot, z)
             assert got.shape == want.shape and np.array_equal(got, want), name
 
     @pytest.mark.parametrize("batch", [1, 4, 7])
@@ -840,27 +848,26 @@ class TestFusedHeadPass:
         rng = np.random.default_rng(11)
         model = identity_feature_model(2, 3, 2, 4, seed=2, linear=False)
         F, F2 = FeatureGrid(2, 3, 2, rng.normal(size=(6, 2))), FeatureGrid(2, 3, 2, rng.normal(size=(6, 2)))
-        built = network.tail_gradient_pass(model, [1])
-        z = rng.normal(size=(1, 8))
+        onehot, z = one_hot(model, [1]), rng.normal(size=(1, 8))
 
-        def passes(m, run):
-            return head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), run(z)
+        def passes(m):
+            return head_logprobs(m, F), candidate_scores(m, F, F2, 1, range(6)), network.tail_gradient(m, onehot, z)
 
-        before = passes(model, built)
+        before = passes(model)
         for layer in model.head:
             for w in layer.weights.values():
                 w[...] = rng.normal(size=w.shape)
         fresh = ModelBundle(model.extractor, model.head, model.class_count, model.input_shape)
-        want = passes(fresh, network.tail_gradient_pass(fresh, [1]))
-        for old, got, new in zip(before, passes(model, built), want):
+        for old, got, new in zip(before, passes(model), passes(fresh)):
             assert got.tobytes() == new.tobytes() and not np.array_equal(got, old)
 
     def test_pass_leaves_its_one_hot_gradient_alone(self, shapes_model):
-        # the relaxed solver calls one pass once per Adam step
-        run = network.tail_gradient_pass(shapes_model, [1, 3])
+        # the relaxed solver passes a chunk's one-hot rows at every Adam step
+        onehot = one_hot(shapes_model, [1, 3])
         values = np.random.default_rng(0).normal(size=(2, shapes_model.mlp[0][0].shape[1]))
-        first = run(values)
-        np.testing.assert_array_equal(run(values), first)
+        first = network.tail_gradient(shapes_model, onehot, values)
+        np.testing.assert_array_equal(onehot, one_hot(shapes_model, [1, 3]))
+        np.testing.assert_array_equal(network.tail_gradient(shapes_model, onehot, values), first)
 
 
 class TestComposition:

@@ -5,14 +5,16 @@ from cfedit import relaxed
 from cfedit.errors import ExhaustedError
 from cfedit.grids import FeatureGrid
 from cfedit.network import head_logprobs
-from cfedit.relaxed import MASK_LOGIT, RelaxOptConfig, softmax
+from cfedit.relaxed import MASK_LOGIT, RelaxOptConfig
 from cfedit.search import EditProblem, best_edit_exhaustive
 
 from conftest import (
     first_dense,
+    gradient_operands,
     identity_feature_model,
-    layered_tail_pass,
+    layered_tail_gradient,
     objective_one,
+    one_hot,
     pack_logits,
     random_grid,
     relaxed_first_dense,
@@ -24,22 +26,35 @@ from conftest import (
 )
 
 
+def solver_softmax(x) -> np.ndarray:
+    """The S that `_objective_gradient` returns for packed logits whose every
+    row is x, on a zero 1 x len(x) x 1 grid: every row is softmax(x)."""
+    n = len(x)
+    model = identity_feature_model(1, n, 1, 2)
+    F = np.zeros((1, n, 1))
+    X = np.tile(np.asarray(x, dtype=np.float64), (1, n + 1, 1))
+    _, S = relaxed._objective_gradient(*gradient_operands(model, F, F), first_dense(model, F), one_hot(model, [0]), X)
+    return S[0]
+
+
 class TestSoftmax:
+    """The softmax that gives the solver's gate and alignment rows."""
+
     def test_uniform_on_zeros(self):
-        np.testing.assert_allclose(softmax(np.zeros(7)), np.full(7, 1 / 7), atol=1e-15)
+        np.testing.assert_allclose(solver_softmax(np.zeros(7)), np.full((8, 7), 1 / 7), atol=1e-15)
 
     def test_exact_log_ratios(self):
-        out = softmax(np.log([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
+        out = solver_softmax(np.log([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(out, np.tile([1 / 6, 2 / 6, 3 / 6], (4, 1)), atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=10) * 5
-        np.testing.assert_allclose(softmax(x), softmax(x + 123.456), atol=1e-12)
+        np.testing.assert_allclose(solver_softmax(x), solver_softmax(x + 123.456), atol=1e-12)
 
     def test_stable_for_large_logits(self):
-        out = softmax(np.array([1e4, 0.0]))
-        assert np.isfinite(out).all() and out[0] == pytest.approx(1.0)
+        out = solver_softmax(np.array([1e4, 0.0]))
+        assert np.isfinite(out).all() and out[:, 0] == pytest.approx(1.0)
 
 
 def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
@@ -66,8 +81,8 @@ def record_ascent(monkeypatch) -> list:
     calls = []
     evaluate = relaxed._objective_gradient
 
-    def spy(tail_pass, W, WT, weights, F, F2, F2T, z0, X):
-        dX, S = evaluate(tail_pass, W, WT, weights, F, F2, F2T, z0, X)
+    def spy(model, WT, weights, F, F2, F2T, z0, onehot, X):
+        dX, S = evaluate(model, WT, weights, F, F2, F2T, z0, onehot, X)
         calls.append((X.copy(), dX.copy(), S, z0))
         return dX, S
 
@@ -466,7 +481,7 @@ class TestLockstepBatches:
         model, problems = lockstep_problems()
         fused = solve_relaxed(model, problems)
         solo = [solve_relaxed(model, [p])[0] for p in problems[:4]]
-        monkeypatch.setattr(relaxed, "tail_gradient_pass", layered_tail_pass)
+        monkeypatch.setattr(relaxed, "tail_gradient", layered_tail_gradient)
         assert solve_relaxed(model, problems) == fused
         assert [solve_relaxed(model, [p])[0] for p in problems[:4]] == solo
 
