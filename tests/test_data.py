@@ -3,12 +3,15 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cfedit import data
 from cfedit.data import (
     DEFAULT_GRAMMAR,
     IDX_IMAGES_MAGIC,
@@ -31,6 +34,7 @@ from cfedit.network import (
     train,
 )
 from cfedit.render import RenderedExplanation, write_explanation
+from cfedit.rng import substream
 from cfedit.search import ExplanationResult
 
 from conftest import identity_feature_model, tree_bytes, write_idx
@@ -149,7 +153,76 @@ class TestDataset:
             Dataset(np.zeros((2, 4, 4)), np.array([0, 5]), 2)
 
 
+def render_shape(size, shape, cx, cy, radius):
+    ys = np.arange(size)[:, None]
+    xs = np.arange(size)[None, :]
+    if shape == "circle":
+        mask = np.hypot(ys - cy, xs - cx) <= radius
+    else:  # square
+        mask = (np.abs(ys - cy) <= radius) & (np.abs(xs - cx) <= radius)
+    return mask.astype(np.float64)
+
+
+def shapes_one_at_a_time(count, size, seed, split):
+    """The shapes dataset drawn and rendered one image at a time, with
+    numpy's own `uniform` and `normal`: the reference `gen_shapes` keeps."""
+    rng = substream(seed, f"shapes-{split}")
+    images = np.zeros((count, size, size))
+    labels = np.zeros(count, dtype=int)
+    for k in range(count):
+        cls = int(rng.integers(len(DEFAULT_GRAMMAR)))
+        spec = DEFAULT_GRAMMAR[cls]
+        cx = data._POSITIONS[spec["position"]] * size + rng.uniform(-1.5, 1.5)
+        cy = 0.5 * size + rng.uniform(-1.5, 1.5)
+        radius = size * rng.uniform(0.12, 0.18)
+        img = render_shape(size, spec["shape"], cx, cy, radius)
+        images[k] = np.clip(img + rng.normal(0, data.NOISE_STD, img.shape), 0.0, 1.0)
+        labels[k] = cls
+    return Dataset(images, labels, len(DEFAULT_GRAMMAR), split=split, ids=[f"{split}-{k}" for k in range(count)])
+
+
+BLOCK = data._SHAPE_VALUES // 28**2  # images per block at 28x28
+
+
 class TestShapes:
+    @pytest.mark.parametrize(
+        "count, size, seed, split",
+        [
+            (1, 1, 0, "shapes"),
+            (3, 2, 5, "shapes"),
+            (BLOCK - 1, 28, 1, "bench"),
+            (BLOCK, 28, 9, "train"),
+            (BLOCK + 1, 28, 9, "shapes"),
+            (2 * BLOCK, 28, 0, "layers"),
+            (2 * BLOCK + 1, 28, 0, "shapes"),
+            (300, 17, 4, "train"),
+            (300, 42, 2, "bench"),
+            (60, 14, 3, "test"),
+        ],
+    )
+    def test_matches_the_per_image_reference(self, count, size, seed, split):
+        got, want = gen_shapes(count, size=size, seed=seed, split=split), shapes_one_at_a_time(count, size, seed, split)
+        assert got.images.shape == (count, size, size)
+        assert got.images.tobytes() == want.images.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.ids == want.ids and got.class_count == want.class_count == len(DEFAULT_GRAMMAR)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("size", [1, 2, 17, 28, 42])
+    def test_every_block_size_gives_the_same_bytes(self, block, size):
+        want = shapes_one_at_a_time(15, size, 4, "shapes").images.tobytes()
+        with mock.patch.object(data, "_SHAPE_VALUES", block * size * size):
+            assert gen_shapes(15, size=size, seed=4).images.tobytes() == want
+
+    def test_scratch_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            images = gen_shapes(2048, size=28, seed=1).images
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= images.nbytes + (4 << 20), peak - images.nbytes
+
     def test_deterministic_per_seed(self):
         a = gen_shapes(30, seed=7)
         b = gen_shapes(30, seed=7)
@@ -165,8 +238,9 @@ class TestShapes:
         assert ds.class_count == len(DEFAULT_GRAMMAR)
 
     def test_count_positive(self):
-        with pytest.raises(ShapeError):
-            gen_shapes(0)
+        for count, size in ((0, 28), (-1, 28), (1, 0), (1, -1)):
+            with pytest.raises(ShapeError, match="must be positive"):
+                gen_shapes(count, size=size)
 
     def test_separable_by_small_model(self):
         train_ds = gen_shapes(600, size=14, seed=0, split="train")
