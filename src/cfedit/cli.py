@@ -371,10 +371,10 @@ def cmd_render(args) -> int:
     model = load_model(args.model)
     dataset = _load_dataset(args, cfg)
     result, record = read_explanation(args.record)
-    if (result.edits.h, result.edits.w) != (model.h, model.w):
+    h, w, _ = model.feature_shape
+    if (result.edits.h, result.edits.w) != (h, w):
         raise FormatError(
-            f"record grid {result.edits.h}x{result.edits.w} does not match "
-            f"the model's {model.h}x{model.w} feature grid"
+            f"record grid {result.edits.h}x{result.edits.w} does not match the model's {h}x{w} feature grid"
         )
     if "query_index" not in record or "distractor_index" not in record:
         raise CfeditError("record carries no dataset indices; cannot re-render")

@@ -549,18 +549,6 @@ class ModelBundle:
                     f"grid geometry {(G.h, G.w, G.d)} does not match head input {self.feature_shape}"
                 )
 
-    @property
-    def h(self):
-        return self.feature_shape[0]
-
-    @property
-    def w(self):
-        return self.feature_shape[1]
-
-    @property
-    def d(self):
-        return self.feature_shape[2]
-
 
 # images per forward pass in predict_batch
 _PREDICT_IMAGES = 256

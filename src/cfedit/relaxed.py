@@ -23,17 +23,16 @@ unedited grid and its carried z0.
 Problems are solved in lockstep batches, stacked along a leading axis.  Each
 problem's logits are packed into one (n+1, n) array, the gate logits in row
 0 over the n alignment rows; every row is a softmax of its own, so one
-softmax, one softmax chain rule, one multiply by a column of entropy
-weights and one Adam update (`_adam_step`, on unscaled moments) cover
-both.  Each chunk of problems is one loop in `best_pair_edits`: a step
-takes the gradient, rounds and removes the problems that meet the stop
-test, and takes the Adam update on the rest.
+softmax, one softmax chain rule, one multiply by the entropy weight and
+one Adam update (`_adam_step`, on unscaled moments) cover both.  Each
+chunk of problems is one loop in `best_pair_edits`: a step takes the
+gradient, rounds and removes the problems that meet the stop test, and
+takes the Adam update on the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -45,9 +44,10 @@ MASK_LOGIT = -1e9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# weights of the gate entropy and of the gate-weighted alignment entropies in the objective
-ENTROPY_WEIGHT_GATE = 0.1
-ENTROPY_WEIGHT_ALIGN = 0.1
+# weight of the gate entropy and of the gate-weighted alignment entropies in the objective
+ENTROPY_WEIGHT = 0.1
+# a problem stops once its gate and that cell's alignment row both reach it
+SHARPNESS_STOP = 0.95
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class RelaxOptConfig:
     # with Adam, instances that sharpen do so in about 30 steps; the rest sit at a
     # mixed gate whose rounding no longer changes, so more steps only cost time
     max_steps: int = 60
-    sharpness_stop: ClassVar[float] = 0.95  # stop once the gate and its row's alignment both reach it
 
     def __post_init__(self):
         if not (is_number(self.learning_rate) and 0 < self.learning_rate < np.inf):
@@ -68,41 +67,31 @@ class RelaxOptConfig:
         return {"learning_rate": self.learning_rate, "max_steps": self.max_steps}
 
 
-def _entropy_weights(n: int) -> np.ndarray:
-    """The (n+1, 1) column of entropy weights over packed rows: ENTROPY_WEIGHT_GATE
-    on the gate row 0, ENTROPY_WEIGHT_ALIGN on the n alignment rows."""
-    weights = np.full((n + 1, 1), ENTROPY_WEIGHT_ALIGN)
-    weights[0] = ENTROPY_WEIGHT_GATE
-    return weights
-
-
 def _row_dots(x, y):
     """Each row's dot product of the (..., k) stacks x and y, as (..., 1, 1)
     matmul products: one dot per row, whatever the stack's size."""
     return x[..., None, :] @ y[..., :, None]
 
 
-def _objective_gradient(model, WT, weights, F, F2, F2T, z0, onehot, X):
+def _objective_gradient(model, WT, F, F2, F2T, z0, onehot, X):
     """The gradient of the relaxed objective for a stack of B problems.
 
-    objective = g_target(z) - w_a * H(a) - w_P * sum_i a_i * H(p_i)
+    objective = g_target(z) - w * (H(a) + sum_i a_i * H(p_i))
     where z = z0 + (a o (P @ F2 - F)).flat . W, a = softmax(alpha),
-    p_i = softmax(M[i]), H(p) = -sum p ln p with 0 ln 0 = 0, and w_a, w_P
-    are the entropy weights of the gate row and of the alignment rows
-    (`_entropy_weights`): each row's alignment entropy is weighted by its
-    gate mass.
+    p_i = softmax(M[i]), H(p) = -sum p ln p with 0 ln 0 = 0, and w is
+    ENTROPY_WEIGHT: each row's alignment entropy is weighted by its gate
+    mass.
 
-    W is the (n d, units) weight of `model`'s first dense layer, `weights`
-    the (n+1, 1) entropy weight column, F and F2 (B, n, d) float64 grid
-    values, z0 their (B, units) first dense outputs and `onehot` the
-    (B, classes) one-hot rows of their target classes, which
-    `network.tail_gradient` reads; WT and F2T are contiguous transposes of W
-    and F2 (faster to multiply than transposed views).
+    W is the (n d, units) weight of `model`'s first dense layer, F and F2
+    (B, n, d) float64 grid values, z0 their (B, units) first dense outputs
+    and `onehot` the (B, classes) one-hot rows of their target classes,
+    which `network.tail_gradient` reads; WT and F2T are contiguous
+    transposes of W and F2 (faster to multiply than transposed views).
     X is the (B, n+1, n) packed logits: row 0 the gate logits alpha, rows
     1..n the alignment logits M.  Returns the gradient w.r.t. X and S, both
     packed as X is.  Its row sums (sum p ln p, G . delta and the chain
     rule's S . dX) are `_row_dots`, so each row's bits are its own, whatever
-    B, and one multiply by `weights` weights both entropy terms.
+    B, and one multiply by ENTROPY_WEIGHT weights both entropy terms.
     """
     # one softmax gives S and log S; a closed cell's log S stays finite (about
     # MASK_LOGIT) with S exactly 0, so its terms below are exactly 0
@@ -117,10 +106,10 @@ def _objective_gradient(model, WT, weights, F, F2, F2T, z0, onehot, X):
     z = (gate * delta).reshape(len(X), -1) @ model.mlp[0][0] + z0
     G = (tail_gradient(model, onehot, z) @ WT).reshape(F.shape)  # the gradient w.r.t. the relaxed grid
 
-    # d objective / d a = w_a (ln a + 1) + G . delta + w_P sum_j p_ij ln p_ij and
-    # d objective / d P = a_i (G @ F2^T + w_P (ln p_ij + 1)); each row's + 1 (times
-    # w_a, or a_i w_P) is a constant over the row, which the chain rule cancels
-    dX *= weights  # w_a ln a in row 0, w_P ln p_ij below
+    # d objective / d a = w (ln a + 1) + G . delta + w sum_j p_ij ln p_ij and
+    # d objective / d P = a_i (G @ F2^T + w (ln p_ij + 1)); each row's + 1 (times
+    # w, or a_i w) is a constant over the row, which the chain rule cancels
+    dX *= ENTROPY_WEIGHT  # w ln a in row 0, w ln p_ij below
     da = dX[:, 0]
     da += _row_dots(G, delta)[..., 0, 0]
     da += _row_dots(P, dX[:, 1:])[..., 0, 0]
@@ -185,10 +174,10 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
     a stack's first-dense product rows may differ in their last bits from
     one-row products, by BLAS kernel (ROADMAP item 4).
     """
-    n = model.h * model.w
-    size = max(1, _CHUNK_VALUES // (n * (n + model.d)))
+    h, w, d = model.feature_shape
+    n = h * w
+    size = max(1, _CHUNK_VALUES // (n * (n + d)))
     WT = np.ascontiguousarray(model.mlp[0][0].T)
-    weights = _entropy_weights(n)  # read here, once per call, for the weights in force
     edits = [None] * len(problems)
 
     def round_edits(ids, packed, steps, converged):  # from S or X: the gate's argmax, then its cell's alignment argmax
@@ -213,12 +202,12 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         ids = np.arange(lo, lo + len(chunk))  # the problem each stacked row holds
         m, v = np.zeros_like(X), np.zeros_like(X)
         for t in range(1, opt.max_steps + 1):
-            dX, S = _objective_gradient(model, WT, weights, F, F2, F2T, z0, onehot, X)
+            dX, S = _objective_gradient(model, WT, F, F2, F2T, z0, onehot, X)
             # a problem stops once its gate's largest entry and that cell's alignment row are both sharp
             a = S[:, 0]
-            if a.max() >= opt.sharpness_stop:  # one call for the many steps where no gate is
-                sharp = a.max(axis=1) >= opt.sharpness_stop
-                sharp &= S[np.arange(len(S)), 1 + a.argmax(axis=1)].max(axis=1) >= opt.sharpness_stop
+            if a.max() >= SHARPNESS_STOP:  # one call for the many steps where no gate is
+                sharp = a.max(axis=1) >= SHARPNESS_STOP
+                sharp &= S[np.arange(len(S)), 1 + a.argmax(axis=1)].max(axis=1) >= SHARPNESS_STOP
                 if sharp.any():
                     round_edits(ids[sharp], S[sharp], t, True)
                     if sharp.all():

@@ -37,8 +37,6 @@ RECORD_VERSION = 1
 class ReceptiveFieldMap:
     """Per-cell input rectangles for one extractor on one input size."""
 
-    h: int  # feature grid rows
-    w: int  # feature grid cols
     field: int  # unclipped field size (pixels, square)
     stride: int  # input-pixel step between adjacent cells
     offset: int  # unclipped start of cell (0,0)'s field (may be negative with padding)
@@ -65,7 +63,6 @@ class ReceptiveFieldMap:
 def receptive_field_map(extractor_specs, image_h: int, image_w: int) -> ReceptiveFieldMap:
     """Run the field/jump recurrence over conv/pool/relu layers."""
     field, jump, offset = 1, 1, 0
-    geom_h, geom_w = image_h, image_w
     for spec in extractor_specs:
         kind = spec.kind
         if kind == "relu":
@@ -81,9 +78,7 @@ def receptive_field_map(extractor_specs, image_h: int, image_w: int) -> Receptiv
         field += (k - 1) * jump
         offset -= p * jump
         jump *= s
-        geom_h = (geom_h + 2 * p - k) // s + 1
-        geom_w = (geom_w + 2 * p - k) // s + 1
-    return ReceptiveFieldMap(geom_h, geom_w, field, jump, offset, image_h, image_w)
+    return ReceptiveFieldMap(field, jump, offset, image_h, image_w)
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +236,25 @@ def record_to_result(record: dict) -> ExplanationResult:
         isinstance(e, list) and len(e) == 2 and all(is_number(v) for v in e) for e in trajectory
     )):
         raise FormatError("record trajectory must be a list of pairs of numbers")
+    edits = record["edits"]
+    if not (isinstance(edits, list) and all(
+        isinstance(e, dict) and all(isinstance(e.get(k), list) and len(e[k]) == 2 for k in ("cell", "source"))
+        for e in edits
+    )):
+        raise FormatError("record edits must be a list of objects, each with a 2-element cell and source")
+    ids = [record.get(key, "") for key in ("query_id", "distractor_id")]
+    if not all(isinstance(v, str) for v in ids):
+        raise FormatError(f"record query_id and distractor_id must be strings, got {ids!r}")
     try:
-        quads = tuple(tuple(e["cell"]) + tuple(e["source"]) for e in record["edits"])
         return ExplanationResult(
-            EditList(quads, g["h"], g["w"]),
+            EditList(tuple(tuple(e["cell"] + e["source"]) for e in edits), g["h"], g["w"]),
             tuple((a, b) for a, b in trajectory),
             record["status"],
             record["query_class"],
             record["target_class"],
-            record.get("query_id", ""),
-            record.get("distractor_id", ""),
+            *ids,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed record: {exc!r}") from exc
 
 

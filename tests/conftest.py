@@ -26,7 +26,7 @@ from cfedit.network import (
     train,
 )
 from cfedit import relaxed
-from cfedit.relaxed import RelaxOptConfig, _entropy_weights, _objective_gradient, best_pair_edits
+from cfedit.relaxed import RelaxOptConfig, _objective_gradient, best_pair_edits
 from cfedit.rng import substream
 from cfedit.search import EditProblem
 
@@ -187,11 +187,11 @@ def entropy(p) -> np.ndarray:
 
 
 def gradient_operands(model, F, F2) -> tuple:
-    """`_objective_gradient`'s (model, WT, weights, F, F2, F2T) arguments for
-    the (B, n, d) grid values F and F2, with the contiguous transposes and
-    the entropy weight column (under the weights in force) the solver makes."""
+    """`_objective_gradient`'s (model, WT, F, F2, F2T) arguments for the
+    (B, n, d) grid values F and F2, with the contiguous transposes the
+    solver makes."""
     WT = np.ascontiguousarray(model.mlp[0][0].T)
-    return model, WT, _entropy_weights(F.shape[1]), F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
+    return model, WT, F, F2, np.ascontiguousarray(F2.transpose(0, 2, 1))
 
 
 def objective_one(model, F, F2, target, alpha, M) -> tuple:
@@ -208,11 +208,7 @@ def objective_one(model, F, F2, target, alpha, M) -> tuple:
     dX, S = _objective_gradient(*operands, z0, one_hot(model, [target]), X)
     a, P = unpack(S[0])
     edited = FeatureGrid(F.h, F.w, F.d, transformed(F.values, F2.values, a, P))
-    objective = (
-        head_logprobs(model, edited)[target]
-        - relaxed.ENTROPY_WEIGHT_GATE * entropy(a)
-        - relaxed.ENTROPY_WEIGHT_ALIGN * a @ entropy(P)
-    )
+    objective = head_logprobs(model, edited)[target] - relaxed.ENTROPY_WEIGHT * (entropy(a) + a @ entropy(P))
     return (objective, *unpack(dX[0]), a, P)
 
 

@@ -26,6 +26,23 @@ def test_parse_seeds(text, seeds):
     assert ab_pairs.parse_seeds(text) == seeds
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("5-3", "runs backwards"), ("1-2,9-7", "runs backwards"), ("", "invalid"), ("3,", "invalid")],
+)
+def test_seeds_that_name_no_run_are_a_usage_error_before_any_export(text, message, monkeypatch, capsys):
+    def export(*args):
+        raise AssertionError("a tree was exported for seeds that name no run")
+
+    monkeypatch.setattr(ab_pairs, "export_tree", export)
+    monkeypatch.setattr(ab_pairs, "export_checkout", export)
+    with pytest.raises(SystemExit) as exit_info:
+        ab_pairs.main(["--workload", "train", "--seeds", text])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and message in err
+
+
 def test_wins_losses_and_ties():
     r = ab_pairs.compare([10.0, 10.0, 10.0, 10.0, 10.0], [9.0, 11.0, 10.0, 8.0, 10.0], "lower")
     assert (r["wins"], r["losses"]) == (2, 1)  # the two equal pairs count for neither side

@@ -765,19 +765,27 @@ class TestConfigAndErrors:
             (None, 5),
             (None, None),
             ("trajectory", [["-0.1", "-2.0"], ["-1.0", "-0.5"]]),
+            ("edits", [{"cell": [0, 0, 1], "source": [1]}]),
+            ("edits", [{"cell": [1], "source": [1, 1, 0]}]),
+            ("edits", [{"cell": "01", "source": [1, 0]}]),
+            ("query_id", [5]),
+            ("distractor_id", {"a": 1}),
+            ("query_id", 5),
         ],
         ids=[
             "edit-without-cell", "grid-without-h", "grid-not-object", "edits-not-list",
             "cell-not-integer", "trajectory-not-pairs", "cell-fraction-and-bool", "source-float",
             "query-class-string", "query-class-float", "target-class-negative", "target-class-null",
             "version-bool", "grid-negative-h", "grid-float-h", "trajectory-int-overflow", "record-int",
-            "record-null", "trajectory-numeric-strings",
+            "record-null", "trajectory-numeric-strings", "cell-lengths-cancel-3-1", "cell-lengths-cancel-1-3",
+            "cell-string", "query-id-list", "distractor-id-object", "query-id-int",
         ],
     )
     def test_malformed_record_is_one_error_line(self, cli_model, tmp_path, capsys, command, field, value):
+        # the model's 4x4 grid, so that `render` meets no error but the record's own
         record = {
             "record_version": 1,
-            "grid": {"h": 2, "w": 2},
+            "grid": {"h": 4, "w": 4},
             "edits": [{"cell": [0, 1], "source": [1, 0]}],
             "trajectory": [[-0.1, -2.0], [-1.0, -0.5]],
             "status": "flipped",

@@ -4,10 +4,14 @@ Each module may import only modules below it in LAYERS, and every import
 sits at module level, so importing a module never pulls in anything above
 it, neither at load time nor later from inside a function.  Outside the
 package, the runtime imports the standard library and numpy, nothing else.
+The source checks are backed by importing each module alone in a fresh
+interpreter, which also catches what a package `__init__` loads.
 """
 
 import ast
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -94,3 +98,30 @@ def test_imports_only_the_standard_library_numpy_and_the_package(module):
             if top not in sys.stdlib_module_names and top not in ("numpy", "cfedit"):
                 outside.append(f"line {node.lineno}: {name}")
     assert not outside, f"{module} imports outside the standard library and numpy: {outside}"
+
+
+def loaded_modules(module):
+    """The names in `sys.modules` after a fresh interpreter imports
+    `cfedit.<module>` (the package itself for `__init__`) and nothing else."""
+    target = "cfedit" if module == "__init__" else f"cfedit.{module}"
+    path = os.pathsep.join(filter(None, (os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH"))))
+    code = f"import json, sys, {target}; print(json.dumps([{target}.__file__, sorted(sys.modules)]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    where, loaded = json.loads(out.stdout)
+    assert os.path.dirname(os.path.abspath(where)) == PACKAGE_DIR
+    return loaded
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importing_a_module_loads_nothing_above_it(module):
+    above = [
+        name for name in loaded_modules(module)
+        if name.startswith("cfedit.") and RANK[name.split(".")[1]] > RANK[module]
+    ]
+    assert not above, f"importing {module} loads modules above its layer: {above}"
+
+
+def test_errors_loads_no_numpy():
+    assert "numpy" not in loaded_modules("errors")

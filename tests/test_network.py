@@ -820,7 +820,8 @@ class TestFusedHeadPass:
     def test_matches_generic_pass_bit_for_bit(self, shapes_model, batch):
         rng = np.random.default_rng(batch)
         for name, model in self.heads(shapes_model):
-            values = rng.normal(size=(batch, model.h * model.w, model.d))
+            h, w, d = model.feature_shape
+            values = rng.normal(size=(batch, h * w, d))
             targets = rng.integers(model.class_count, size=batch)
             got = grid_gradient(model, values, targets)
             out, caches = network.forward_layers(model.head, values.reshape((-1,) + model.feature_shape), True)
@@ -837,7 +838,8 @@ class TestFusedHeadPass:
     def test_logprobs_and_predictions_match_forward_layers(self, shapes_model, batch):
         rng = np.random.default_rng(10 + batch)
         for name, model in self.heads(shapes_model):
-            values = rng.normal(size=(batch, model.h * model.w, model.d))
+            h, w, d = model.feature_shape
+            values = rng.normal(size=(batch, h * w, d))
             want = network.forward_layers(model.head, values.reshape((batch,) + model.feature_shape))
             assert network.head_logprobs_batch(model, values).tobytes() == want.tobytes(), name
             images = rng.uniform(0, 1, (batch,) + tuple(model.input_shape))

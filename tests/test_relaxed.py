@@ -57,12 +57,11 @@ class TestSoftmax:
         assert np.isfinite(out).all() and out[:, 0] == pytest.approx(1.0)
 
 
-def entropy_terms(monkeypatch, alpha, M, weight_gate, weight_align):
+def entropy_terms(monkeypatch, alpha, M, weight):
     """Target log-probability of the blend minus the reference objective
     (`objective_one`): the entropy penalty it subtracts at logits (alpha, M)
-    under these weights."""
-    monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_GATE", weight_gate)
-    monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_ALIGN", weight_align)
+    under this weight."""
+    monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT", weight)
     n = len(alpha)
     rng = np.random.default_rng(n)
     model = identity_feature_model(1, n, 1, 2, seed=n)
@@ -81,8 +80,8 @@ def record_ascent(monkeypatch) -> list:
     calls = []
     evaluate = relaxed._objective_gradient
 
-    def spy(model, WT, weights, F, F2, F2T, z0, onehot, X):
-        dX, S = evaluate(model, WT, weights, F, F2, F2T, z0, onehot, X)
+    def spy(model, WT, F, F2, F2T, z0, onehot, X):
+        dX, S = evaluate(model, WT, F, F2, F2T, z0, onehot, X)
         calls.append((X.copy(), dX.copy(), S, z0))
         return dX, S
 
@@ -109,24 +108,24 @@ class TestEntropy:
 
     def test_one_hot_is_zero(self, monkeypatch):
         alpha = np.array([MASK_LOGIT, 0.0, MASK_LOGIT])
-        assert entropy_terms(monkeypatch, alpha, one_hot_rows(3), 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_terms(monkeypatch, alpha, one_hot_rows(3), 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_is_log_n(self, monkeypatch):
-        gate = entropy_terms(monkeypatch, np.zeros(8), one_hot_rows(8), 1.0, 0.0)
-        align = entropy_terms(monkeypatch, np.zeros(8), np.zeros((8, 8)), 0.0, 1.0)
+        gate = entropy_terms(monkeypatch, np.zeros(8), one_hot_rows(8), 1.0)
+        both = entropy_terms(monkeypatch, np.zeros(8), np.zeros((8, 8)), 1.0)
         assert gate == pytest.approx(np.log(8), abs=1e-12)
-        assert align == pytest.approx(np.log(8), abs=1e-12)  # gate mass sums to 1
+        assert both - gate == pytest.approx(np.log(8), abs=1e-12)  # gate mass sums to 1
 
     def test_half_half(self, monkeypatch):
         alpha = np.array([0.0, 0.0, MASK_LOGIT])
-        penalty = entropy_terms(monkeypatch, alpha, one_hot_rows(3), 1.0, 0.0)
+        penalty = entropy_terms(monkeypatch, alpha, one_hot_rows(3), 1.0)
         assert penalty == pytest.approx(np.log(2), abs=1e-12)
 
     def test_nonnegative(self, monkeypatch):
         rng = np.random.default_rng(1)
         for _ in range(20):
             alpha, M = rng.normal(size=6) * 3, rng.normal(size=(6, 6)) * 3
-            assert entropy_terms(monkeypatch, alpha, M, 1.0, 1.0) >= -1e-12
+            assert entropy_terms(monkeypatch, alpha, M, 1.0) >= -1e-12
 
 
 class TestEditTransform:
@@ -365,8 +364,7 @@ class TestBestEditRelaxed:
 
     def test_zero_entropy_dominant_edit_agreement_rate(self, monkeypatch):
         # local optima are possible: log failures, assert a loose majority
-        monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_GATE", 0.0)
-        monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT_ALIGN", 0.0)
+        monkeypatch.setattr(relaxed, "ENTROPY_WEIGHT", 0.0)
         rng = np.random.default_rng(8)
         opt = RelaxOptConfig()
         agree = 0
@@ -411,7 +409,7 @@ class TestLockstepBatches:
         model, problems = lockstep_problems()
         # two of these problems meet the stop test on exactly their 17th step
         opt = RelaxOptConfig(max_steps=17)
-        stop = opt.sharpness_stop
+        stop = relaxed.SHARPNESS_STOP
         calls = record_ascent(monkeypatch)
         solved = solve_relaxed(model, problems, opt)
         rows = stacked_rows(model, problems, calls)

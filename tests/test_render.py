@@ -10,7 +10,7 @@ from cfedit import render
 from cfedit.data import write_rasters
 from cfedit.errors import CfeditError, FormatError, ShapeError, UnsupportedLayerError
 from cfedit.grids import EditList
-from cfedit.network import LayerSpec, forward_features, reference_extractor_specs
+from cfedit.network import LayerSpec, forward_features, output_geometry, reference_extractor_specs
 from cfedit.render import (
     ReceptiveFieldMap,
     intensity_map,
@@ -24,6 +24,14 @@ from cfedit.render import (
 from cfedit.search import ExplanationResult, SearchConfig
 
 from conftest import json_containers, make_model, read_raster
+
+
+def grid_shape(specs, size):
+    """The (rows, cols) of the feature grid that `specs` make of a size x size image."""
+    geom = (size, size, 1)
+    for spec in specs:
+        geom = output_geometry(spec, geom)
+    return geom[:2]
 
 
 class TestReceptiveField:
@@ -49,7 +57,8 @@ class TestReceptiveField:
 
     def test_reference_extractor_geometry(self):
         rf = receptive_field_map(reference_extractor_specs(), 28, 28)
-        assert (rf.h, rf.w) == (4, 4)
+        assert grid_shape(reference_extractor_specs(), 28) == (4, 4)
+        assert rf.rect(3, 3) == (12, 12, 27, 27)  # the grid's last cell ends on the image's edge
         assert rf.stride == 4
         assert rf.field == 16
 
@@ -85,7 +94,7 @@ class TestReceptiveField:
 
 class TestHeatmap:
     def rf(self):
-        return ReceptiveFieldMap(2, 2, 4, 4, 0, 8, 8)
+        return ReceptiveFieldMap(4, 4, 0, 8, 8)
 
     def test_empty_cells_leave_image_unchanged(self):
         img = np.random.default_rng(0).uniform(0, 1, (8, 8))
@@ -93,7 +102,7 @@ class TestHeatmap:
         np.testing.assert_array_equal(out, img)
 
     def test_overlap_takes_max(self):
-        rf = ReceptiveFieldMap(2, 2, 6, 2, 0, 8, 8)  # overlapping fields
+        rf = ReceptiveFieldMap(6, 2, 0, 8, 8)  # overlapping fields
         half = intensity_map(rf, [((0, 0), 0.5)])
         full = intensity_map(rf, [((0, 1), 1.0)])
         amap = intensity_map(rf, [((0, 0), 0.5), ((0, 1), 1.0)])
@@ -151,10 +160,10 @@ class TestFalloffCache:
     ])
     def test_matches_per_call_formula_bitwise(self, specs, size, grid):
         rf = receptive_field_map(specs, size, size)
-        assert (rf.h, rf.w) == grid
+        assert grid_shape(specs, size) == grid
         sizes = set()
-        for row in range(rf.h):
-            for col in range(rf.w):
+        for row in range(grid[0]):
+            for col in range(grid[1]):
                 t, l, b, r = rf.rect(row, col)
                 sizes.add((b - t + 1, r - l + 1))
                 for weight in (1.0, 0.5):
@@ -175,7 +184,7 @@ class TestFalloffCache:
 
 class TestComposite:
     def rf(self):
-        return ReceptiveFieldMap(2, 2, 4, 4, 0, 8, 8)
+        return ReceptiveFieldMap(4, 4, 0, 8, 8)
 
     def test_identical_images_same_cell_unchanged(self):
         # blending an image onto itself: with matching cells the aligned patch
@@ -190,7 +199,7 @@ class TestComposite:
         rng = np.random.default_rng(9)
         q = rng.uniform(0, 1, (8, 8))
         d = rng.uniform(0, 1, (8, 8))
-        rf_zero = ReceptiveFieldMap(2, 2, 4, 4, 0, 8, 8)
+        rf_zero = ReceptiveFieldMap(4, 4, 0, 8, 8)
         alpha = intensity_map(rf_zero, [])
         assert alpha.max() == 0.0  # no cells highlighted -> no blending anywhere
         out = q.copy()
@@ -251,7 +260,8 @@ class TestComposite:
         rf = receptive_field_map(specs, size, size)
         rng = np.random.default_rng(10)
         q, d = rng.uniform(0, 1, (size, size)), rng.uniform(0, 1, (size, size))
-        cells = [(row, col) for row in range(rf.h) for col in range(rf.w)]
+        rows, cols = grid_shape(specs, size)
+        cells = [(row, col) for row in range(rows) for col in range(cols)]
         for cell in cells:
             for source in cells:
                 edit = cell + source
@@ -259,7 +269,7 @@ class TestComposite:
                 render_composite(got, d, edit, rf)
                 assert got.tobytes() == self.whole_image(q, d, edit, rf).tobytes(), edit
         edits = [cells[k] + cells[-1 - k] for k in range(len(cells))]
-        result = ExplanationResult(EditList(tuple(edits), rf.h, rf.w), ((0.0, 0.0),) * (len(edits) + 1), "exhausted", 0, 1)
+        result = ExplanationResult(EditList(tuple(edits), rows, cols), ((0.0, 0.0),) * (len(edits) + 1), "exhausted", 0, 1)
         want = q
         for edit in edits:
             want = self.whole_image(want, d, edit, rf)
@@ -360,7 +370,7 @@ class TestRecords:
             assert len(entry) == 2
 
     def test_record_carries_rects_and_config(self, tmp_path):
-        rf = ReceptiveFieldMap(4, 4, 16, 4, 0, 28, 28)
+        rf = ReceptiveFieldMap(16, 4, 0, 28, 28)
         record = result_to_record(sample_result(1), rf, rf, SearchConfig())
         assert record["edits"][0]["cell_rect"] == list(rf.rect(0, 0))
         assert record["config"]["strategy"] == "exhaustive"

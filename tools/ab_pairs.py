@@ -47,11 +47,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'101-110' or '3,5,8' (or a mix) as a list of seeds."""
+    """'101-110' or '3,5,8' (or a mix) as a list of seeds; a reversed range
+    such as '5-3' is a usage error, not an empty run."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
