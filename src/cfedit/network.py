@@ -30,22 +30,40 @@ least one: 16 images on the 28x28 reference layers, 4 on 42x42 ones, and
 up to `_PATCH_VALUES` on a stack with no conv layer, such as a head.
 Convolution unrolls a block into its patch matrix (im2col, Chellapilla et
 al. 2006), copying each window row as one record.  Its forward pass is one
-stacked product, one GEMM per image of the block, and its weight gradient
+stacked product, one GEMM per image of the block, plus the bias tiled over
+the output cells, one contiguous add per image; its weight gradient is
 one GEMM over the block.  Its input gradient copies the output gradient kw
 times, strided, into a zero buffer with one column per padded input column
 (an im2col of the gradient along the width only), multiplies that by the
 kernel laid out as (kw·cout, kh·cin) in one GEMM, and adds the product into
 the input gradient in kh row-shifted slices, for every stride and padding.
 
-Max pooling takes a running `np.maximum` over the k² strided views of its
-input, then recovers for each output the index of the first maximum in
-(dh, dw) scan order, one comparison per tap; its backward routes each
-gradient to that one input.
+Max pooling is separable: a running `np.maximum` over the window's rows,
+whose strided views are runs of whole image rows, then over its columns.
+It then recovers for each output the index of the first maximum in (dh, dw)
+scan order, one comparison per tap.  Its backward routes each gradient to
+that one input.  Where windows do not overlap (stride at least the window)
+each tap writes its gradient once, as g·(idx == m), and only the inputs no
+window reaches are zero-filled; overlapping windows add into zeros.  So an
+input that a negative gradient does not reach gets -0.0, where adding into
+zeros gives +0.0.  The maximum has the bits of the first maximum in scan
+order, but for a zero maximum, which may take the sign of another zero of
+its window.
+
+A stack runs each relu that directly precedes a max pool after that pool
+(`_run_order`), so that relu and its mask work on the pooled values, a
+quarter of them for a 2x2 window.  The two commute exactly: relu is
+monotone, so the maximum of relu(x) over a window is relu of the maximum of
+x, and a positive maximum is first reached at the same tap; a window whose
+maximum is not positive passes its gradient times zero either way, and
+relu makes every zero +0.0.  Outputs keep their bits.  Where windows do not
+overlap every gradient keeps its bits too; where they overlap, an input
+gradient that sums zeros may take the other sign.  Neither layer holds
+weights, and each keeps its cache in its manifest slot.
 
 A forward pass that keeps no caches (every inference pass: features, head
-scores, predictions) computes none: max pooling stops after the running
-maximum and relu builds no mask, with outputs bit-identical to a pass that
-keeps them.
+scores, predictions) computes none: max pooling stops after the maximum and
+relu builds no mask, with outputs bit-identical to a pass that keeps them.
 
 An image's features do not depend on the batch it runs in: each conv GEMM
 has the shape of a one-image pass, and every other extractor step acts on
@@ -246,8 +264,9 @@ def _conv_forward(x, layer, keep_cache=True):
     oh = (hp - kh) // s + 1
     ow = (wp - kw) // s + 1
     # one GEMM per image, of the shape a one-image pass runs (see the module docstring)
-    out = _patches(x, kh, kw, s, oh, ow).reshape(n, oh * ow, -1) @ kern.reshape(-1, cout)
-    out += bias
+    out = (_patches(x, kh, kw, s, oh, ow).reshape(n, oh * ow, -1) @ kern.reshape(-1, cout)).reshape(n, -1)
+    # the bias tiled over the output cells: one contiguous add per image, not an inner loop cout long
+    out += bias[None].repeat(oh * ow, axis=0).ravel()
     return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
 
 
@@ -292,15 +311,21 @@ def _pool_forward(x, layer, keep_cache=True):
     n, h, w, c = x.shape
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    taps = [x[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] for dh in range(k) for dw in range(k)]
-    out = taps[0].copy()
-    for tap in taps[1:]:
-        # on equal values np.maximum returns its second argument: the earlier tap's bits stay
-        np.maximum(tap, out, out=out)
+    # separable: the maximum over each window's rows, whose strided views are
+    # runs of whole image rows, then over its columns.  On equal values
+    # np.maximum returns its second argument, so of a window's zeros of either
+    # sign the first in (dw, dh) order gives the bits
+    rows = x[:, : oh * s : s].copy()
+    for dh in range(1, k):
+        np.maximum(x[:, dh : dh + oh * s : s], rows, out=rows)
+    out = rows[:, :, : ow * s : s].copy()
+    for dw in range(1, k):
+        np.maximum(rows[:, :, dw : dw + ow * s : s], out, out=out)
     if not keep_cache:
         return out, None
     # the index of the first maximum in (dh, dw) scan order (deterministic ties)
     # is the number of taps before it, each below the maximum
+    taps = [x[:, dh : dh + oh * s : s, dw : dw + ow * s : s] for dh in range(k) for dw in range(k)]
     below = taps[0] != out
     idx = below.astype(np.min_scalar_type(k * k - 1))
     for tap in taps[1:-1]:
@@ -313,11 +338,25 @@ def _pool_input_grad(g, layer, cache):
     spec = layer.spec
     k, s = spec.window, spec.effective_stride()
     idx, xshape = cache
-    gx = np.zeros(xshape)
     oh, ow = g.shape[1], g.shape[2]
+    if s < k:  # overlapping windows: an input may take gradient from several
+        gx = np.zeros(xshape)
+        for m in range(k * k):
+            dh, dw = divmod(m, k)
+            gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s] += g * (idx == m)
+        return gx
+    # windows that do not overlap reach each input at most once: each tap
+    # writes its gradient once, and only the inputs no window reaches (past
+    # the last window, and in the gaps between windows) are zero-filled
+    gx = np.empty(xshape)
+    gx[:, oh * s :] = 0.0
+    gx[:, :, ow * s :] = 0.0
+    for d in range(k, s):
+        gx[:, d::s] = 0.0
+        gx[:, :, d::s] = 0.0
     for m in range(k * k):
         dh, dw = divmod(m, k)
-        gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s, :] += g * (idx == m)
+        np.multiply(g, idx == m, out=gx[:, dh : dh + oh * s : s, dw : dw + ow * s : s])
     return gx
 
 
@@ -395,7 +434,7 @@ def _logsoftmax_input_grad(g, layer, y):
 
 
 # each forward returns (output, cache); with keep_cache False the max pool
-# stops at its running max and relu builds no mask, and their cache is None
+# stops at its maximum and relu builds no mask, and their cache is None
 _FORWARD = {
     "conv2d": _conv_forward,
     "maxpool2d": _pool_forward,
@@ -431,20 +470,34 @@ def _block_plan(layers, shape):
     return max(1, _PATCH_VALUES // per_image), geom
 
 
+def _run_order(layers):
+    """The indices of `layers` in the order a pass runs them: the manifest
+    order, but each relu that directly precedes a max pool runs after it.
+    The two commute (see the module docstring), and relu then acts on the
+    pooled values only."""
+    order = list(range(len(layers)))
+    for i in range(len(layers) - 1):
+        if layers[i].spec.kind == "relu" and layers[i + 1].spec.kind == "maxpool2d":
+            order[i], order[i + 1] = i + 1, i
+    return order
+
+
 def forward_layers(layers, x, keep_caches=False):
     """Output of the stack on batch `x`, and with `keep_caches` the caches
     `backward_layers` reads: a (slice of the batch, list of per-layer caches)
     pair per block of images (see `_block_plan`).  Without them no cache is
-    computed."""
+    computed.  The layers run in `_run_order`; the caches stay in manifest
+    order."""
     step, geom = _block_plan(layers, x.shape)
+    order = _run_order(layers)
     out = np.empty((len(x),) + geom)
     caches = []
     for lo in range(0, len(x), step):
-        span, xb, block = slice(lo, lo + step), x[lo : lo + step], []
-        for layer in layers:
-            xb, cache = _FORWARD[layer.spec.kind](xb, layer, keep_caches)
+        span, xb, block = slice(lo, lo + step), x[lo : lo + step], [None] * len(layers)
+        for idx in order:
+            xb, cache = _FORWARD[layers[idx].spec.kind](xb, layers[idx], keep_caches)
             if keep_caches:  # conv2d returns its padded input either way
-                block.append(cache)
+                block[idx] = cache
         out[span] = xb
         if keep_caches:
             caches.append((span, block))
@@ -467,20 +520,23 @@ def backward_layers(layers, caches, g, input_grad=True):
     """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
     objective, given its gradient `g` at the stack output and the caches of
     `forward_layers`.  The stack runs back block by block, in the forward
-    pass's blocks, and a layer's weight gradients are the sum of its blocks' in
-    block order.  With `input_grad=False` the first layer's input gradient is
-    skipped and None takes its place."""
+    pass's blocks and in its `_run_order` reversed, and a layer's weight
+    gradients are the sum of its blocks' in block order.  With
+    `input_grad=False` the first layer run skips its input gradient and None
+    takes the stack's."""
     grads = [{} for _ in layers]
+    order = _run_order(layers)
     parts = []
     for span, block in caches:
         gb = g[span]
-        for idx in range(len(layers) - 1, -1, -1):
+        for pos in range(len(order) - 1, -1, -1):
+            idx = order[pos]
             layer, cache = layers[idx], block[idx]
             kind = layer.spec.kind
             if kind in _WEIGHT_GRADS:
                 for name, grad in _WEIGHT_GRADS[kind](gb, layer, cache).items():
                     grads[idx][name] = grads[idx][name] + grad if name in grads[idx] else grad
-            gb = _INPUT_GRAD[kind](gb, layer, cache) if idx or input_grad else None
+            gb = _INPUT_GRAD[kind](gb, layer, cache) if pos or input_grad else None
         parts.append(gb)
     return (np.concatenate(parts) if input_grad else None), grads
 

@@ -1,9 +1,10 @@
 """tools/ab_pairs.py on synthetic pairs: seed parsing, per-metric comparison,
-the 9-in-10 verdict, the byte comparison of the records both trees wrote and
-the export of the change's tree from a temporary git repository, with no
-benchmark run."""
+the 9-in-10 verdict, the control arm and the rotation of the three arms, the
+byte comparison of the records both trees wrote and the export of the
+change's tree from a temporary git repository, with no benchmark run."""
 
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -86,13 +87,65 @@ def test_nine_in_ten_verdict(shift, losing_pairs, clears):
 
 def test_summarize_prints_one_line_per_metric():
     spec = {"end_to_end": [{"name": "op_ms", "better": "lower"}, {"name": "items", "better": "higher"}]}
-    pairs = [{"parent": {"op_ms": p, "items": 1000 / p}, "change": {"op_ms": p - 10, "items": 1000 / (p - 10)}}
-             for p in PARENT]
+    # the control beats the parent in the first three pairs and loses the rest by 1
+    control = [p - 1 if k < 3 else p + 1 for k, p in enumerate(PARENT)]
+    pairs = [
+        {"parent": {"op_ms": p, "items": 1000 / p}, "change": {"op_ms": p - 10, "items": 1000 / (p - 10)},
+         "control": {"op_ms": c, "items": 1000 / c}}
+        for p, c in zip(PARENT, control)
+    ]
     lines = ab_pairs.summarize(pairs, spec)
     assert len(lines) == 2
-    assert lines[0].split()[0] == "op_ms" and "wins 10/10 losses 0" in lines[0] and lines[0].endswith("9-in-10 yes")
+    assert lines[0].split()[0] == "op_ms" and "wins 10/10 losses 0" in lines[0] and "9-in-10 yes" in lines[0]
     assert lines[1].split()[0] == "items" and "wins 10/10 losses 0" in lines[1]
     assert "gap  -9.57%" in lines[0]
+    # the control's median 105.5 against the parent's 104.5
+    assert lines[0].endswith("control gap  +0.96% wins 3/10") and lines[1].endswith("wins 3/10")
+
+
+def test_arms_rotate_from_pair_to_pair():
+    orders = [ab_pairs.arm_order(k) for k in range(6)]
+    assert orders[0] == ab_pairs.ARMS == ("parent", "control", "change")
+    assert orders[:3] == orders[3:]
+    for position in range(3):  # over three pairs every arm runs once in every position
+        assert sorted(order[position] for order in orders[:3]) == sorted(ab_pairs.ARMS)
+
+
+def test_every_arm_runs_from_a_path_of_one_length():
+    assert sorted(ab_pairs.PREFIXES) == sorted(ab_pairs.ARMS)
+    assert len({len(prefix) for prefix in ab_pairs.PREFIXES.values()}) == 1
+
+
+def test_each_pair_runs_three_arms_in_rotation(tmp_path, monkeypatch, capsys):
+    exported, runs = [], []
+
+    def export_tree(rev, dest):
+        exported.append((rev, os.path.basename(dest)[:10]))
+        return "c0ffee"
+
+    def run_side(tree, workload, seed, seconds):
+        arm = next(a for a, prefix in ab_pairs.PREFIXES.items() if os.path.basename(tree).startswith(prefix))
+        runs.append((seed, arm))
+        metrics = {m: 1.0 for m in ("setup_s", "peak_rss_mb", "ok_ops_ratio", "op_cal_ms_p90", "items_per_cal_s")}
+        op = {"parent": 10.0, "control": 10.5, "change": 9.0}[arm] + seed / 100
+        return dict(metrics, op_cal_ms_p50=op, goal_rate=1.0, goal_cost=2.0, correct=True, failed=0)
+
+    monkeypatch.setattr(ab_pairs, "export_tree", export_tree)
+    monkeypatch.setattr(ab_pairs, "export_checkout", lambda dest: None)
+    monkeypatch.setattr(ab_pairs, "run_side", run_side)
+    out = tmp_path / "pairs.json"
+    assert ab_pairs.main(["--workload", "train", "--seeds", "1-4", "--rev", "HEAD~1", "--out", str(out)]) == 0
+    assert exported == [("HEAD~1", "ab-parent-"), ("c0ffee", "ab-control")]
+    assert runs == [(seed, arm) for seed in (1, 2, 3, 4) for arm in ab_pairs.arm_order(seed - 1)]
+    report = capsys.readouterr().out
+    assert "train seed 2 (control, change, parent): op_cal_ms_p50 10.02 -> 9.02 (control 10.52)" in report
+    summary = next(line for line in report.splitlines() if line.split()[:1] == ["op_cal_ms_p50"])
+    assert "wins 4/4 losses 0" in summary and summary.endswith("control gap  +4.99% wins 0/4")
+    saved = json.loads(out.read_text())
+    assert saved["parent"] == "c0ffee"
+    pairs = saved["results"]["train"]
+    assert [p["order"] for p in pairs] == [list(ab_pairs.arm_order(k)) for k in range(4)]
+    assert [p["control"]["op_cal_ms_p50"] for p in pairs] == [10.51, 10.52, 10.53, 10.54]
 
 
 def test_a_single_pair_has_no_spread():

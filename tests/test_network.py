@@ -324,6 +324,53 @@ class TestPoolKernels:
             np.testing.assert_array_equal(idx, idx_ref)
             assert shape == inputs.shape
 
+    def test_zero_maximum_keeps_the_scan_order_index(self):
+        # rows, then columns: of a window's zeros of either sign, the maximum
+        # takes the bits of the first in (dw, dh) order, and the index the first
+        # in (dh, dw) order; a relu after the pool makes every zero +0.0
+        x = np.array([[-1.0, -0.0], [0.0, -2.0]])[None, :, :, None]
+        out, (idx, _) = network._pool_forward(x, pool_layer(2, 2))
+        out_ref, idx_ref = pool_reference(x, 2, 2)
+        assert np.array_equal(out, out_ref) and np.array_equal(idx, idx_ref) and idx.item() == 1
+        assert (out.item(), np.signbit(out.item()), np.signbit(out_ref.item())) == (0.0, False, True)
+
+    @pytest.mark.parametrize(
+        "window, stride, shape",
+        [
+            (2, 2, (3, 9, 8, 2)),  # the last input row lies past the last window
+            (2, 3, (3, 9, 8, 2)),  # one row and one column in every three lie between windows
+            (3, 3, (2, 7, 10, 3)),
+            (1, 2, (2, 7, 10, 3)),
+            (2, 2, (2, 8, 8, 1)),  # every input lies in one window
+            (3, 1, (3, 9, 8, 2)),  # overlapping windows accumulate
+            (3, 2, (3, 9, 8, 2)),
+        ],
+    )
+    def test_input_grad_matches_per_window_reference(self, window, stride, shape):
+        rng = np.random.default_rng(window * 10 + stride)
+        x = np.maximum(rng.normal(-0.5, 1.0, size=shape), 0.0)
+        x[0, :4, :4, 0] = 0.0  # all-zero windows
+        layer = pool_layer(window, stride)
+        out, (idx, xshape) = network._pool_forward(x, layer)
+        g = rng.normal(size=out.shape)
+        g[0, 0, 0, 0] = -0.0
+
+        def nan_filled(shape, *args, **kwargs):  # so that an input no write reaches shows
+            buf = np.ndarray(shape)
+            buf.fill(np.nan)
+            return buf
+
+        with mock.patch.object(np, "empty", nan_filled):
+            gx = network._pool_input_grad(g, layer, (idx, xshape))
+        ref = pool_backward_reference(g, idx, window, stride, xshape)
+        if stride < window:  # the kernel adds an input's gradients in tap order, the reference in window order
+            assert_close_to_reference(gx, ref)
+            return
+        # the reference adds each gradient into zeros, so all its zeros are
+        # +0.0; each tap writes g·(idx == m) once, which is -0.0 where a
+        # negative g does not reach an input
+        assert (gx + 0.0).tobytes() == ref.tobytes()
+
     def test_all_zero_window_routes_gradient_to_first_tap(self):
         x = np.zeros((1, 4, 4, 1))
         out, caches = network.forward_layers([pool_layer(2, 2)], x, keep_caches=True)
@@ -452,6 +499,21 @@ def conv_stacks(draw, heads=False):
     return layers, rng.normal(size=(n,) + geom)
 
 
+def train_small_stack():
+    """A small padded stack with strided pools, trained for two epochs on random images."""
+    rng = np.random.default_rng(6)
+    images, labels = rng.uniform(0, 1, (20, 10, 10)), rng.integers(3, size=20)
+    specs = (
+        [LayerSpec("conv2d", out_channels=4, kernel_size=3), LayerSpec("relu"), LayerSpec("maxpool2d", window=2),
+         LayerSpec("conv2d", out_channels=5, kernel_size=3, padding=1), LayerSpec("relu"),
+         LayerSpec("maxpool2d", window=2)],
+        [LayerSpec("flatten"), LayerSpec("dense", units=6), LayerSpec("relu"), LayerSpec("dense", units=3),
+         LayerSpec("log-softmax")],
+    )
+    config = TrainConfig(epochs=2, batch_size=8, seed=3, learning_rate=0.05)
+    return train(*specs, images, labels, config, class_count=3)
+
+
 class TestImageBlocks:
     """forward_layers and backward_layers run every layer of a stack one block
     of images at a time, a head's layers too; a stack with no conv layer runs
@@ -529,8 +591,9 @@ class TestImageBlocks:
             return [(name, layer.spec.kind, images) for name in names]
 
         blocks = (3, 3, 1)
-        forward = [("forward", ly.spec.kind, b) for b in blocks for ly in layers]
-        backward = [step for b in blocks for ly in reversed(layers) for step in steps(ly, b)]
+        run = [layers[i] for i in (0, 2, 1, 3, 4, 5, 6)]  # the relu runs after the max pool it precedes
+        forward = [("forward", ly.spec.kind, b) for b in blocks for ly in run]
+        backward = [step for b in blocks for ly in reversed(run) for step in steps(ly, b)]
         assert seen == forward + backward
 
     @pytest.mark.parametrize("count", [64, 1000])
@@ -559,24 +622,95 @@ class TestImageBlocks:
         assert gx.shape == x.shape and gx.tobytes() == want_g.tobytes()
 
     def test_train_repeats_under_a_small_budget(self):
-        rng = np.random.default_rng(6)
-        images, labels = rng.uniform(0, 1, (20, 10, 10)), rng.integers(3, size=20)
-        specs = (
-            [LayerSpec("conv2d", out_channels=4, kernel_size=3), LayerSpec("relu"), LayerSpec("maxpool2d", window=2),
-             LayerSpec("conv2d", out_channels=5, kernel_size=3, padding=1), LayerSpec("relu"),
-             LayerSpec("maxpool2d", window=2)],
-            [LayerSpec("flatten"), LayerSpec("dense", units=6), LayerSpec("relu"), LayerSpec("dense", units=3),
-             LayerSpec("log-softmax")],
-        )
-        config = TrainConfig(epochs=2, batch_size=8, seed=3, learning_rate=0.05)
-        default = train(*specs, images, labels, config, class_count=3)
+        default = train_small_stack()
         # two images per block: conv1 and conv2 each have 8 * 8 * 9 * 1 = 4 * 4 * 9 * 4 = 576 patch values per image
         with mock.patch.object(network, "_PATCH_VALUES", 2 * 576):
-            small = [train(*specs, images, labels, config, class_count=3) for _ in range(2)]
+            small = [train_small_stack() for _ in range(2)]
         for a, b, c in zip(*(m.extractor + m.head for m in small + [default])):
             for name in c.weights:
                 assert a.weights[name].tobytes() == b.weights[name].tobytes()
                 assert np.abs(a.weights[name] - c.weights[name]).max() <= 1e-12 * np.abs(c.weights[name]).max()
+
+
+def manifest_order():
+    """`_run_order` patched to the identity: every pass runs the layers in manifest order."""
+    return mock.patch.object(network, "_run_order", lambda layers: list(range(len(layers))))
+
+
+def forward_backward(layers, x, g):
+    """(output, input gradient, weight gradients) of one cached pass of the stack."""
+    out, caches = network.forward_layers(layers, x, keep_caches=True)
+    return (out, *network.backward_layers(layers, caches, g))
+
+
+class TestRunOrder:
+    """A relu that directly precedes a max pool runs after it, on the pooled
+    values.  Relu is monotone, so the maximum of relu(x) over a window is
+    relu of the maximum of x, and a positive maximum is first reached at the
+    same tap; a window whose maximum is not positive passes the gradient
+    times zero either way.  No output and no gradient moves, but for the
+    sign of a zero input gradient where pool windows overlap."""
+
+    def test_each_relu_before_a_pool_runs_after_it(self):
+        def order(*kinds):
+            return network._run_order([network.Layer(LayerSpec(k, window=2 if k == "maxpool2d" else None))
+                                       for k in kinds])
+
+        assert order("relu", "maxpool2d", "relu", "maxpool2d") == [1, 0, 3, 2]
+        assert order("relu", "relu", "maxpool2d", "maxpool2d") == [0, 2, 1, 3]
+        assert order("maxpool2d", "relu", "flatten", "relu") == [0, 1, 2, 3]
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10)
+        assert network._run_order(model.extractor + model.head) == [0, 2, 1, 3, 5, 4, 6, 7, 8, 9, 10]
+
+    def test_training_is_bit_identical_in_manifest_order(self):
+        default = train_small_stack()
+        with manifest_order():
+            manifest = train_small_stack()
+        for a, b in zip(default.extractor + default.head, manifest.extractor + manifest.head):
+            assert sorted(a.weights) == sorted(b.weights)
+            for name in a.weights:
+                assert a.weights[name].tobytes() == b.weights[name].tobytes()
+
+    def test_reference_stack_is_bit_identical_in_manifest_order(self):
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=8)
+        conv1 = model.extractor[0].weights
+        conv1["kernel"][..., 0] = 0.0  # channel 0: all-zero windows
+        conv1["bias"][:3] = (0.0, -0.5, 0.5)  # channels 1 and 2: windows of a constant at most 0, and above 0
+        x = np.random.default_rng(8).uniform(0, 1, (5, 28, 28, 1))
+        x[0] = 0.0  # every window of every channel ties
+        x[1, :14] = 0.0
+        layers = model.extractor + model.head
+        g = np.random.default_rng(9).normal(size=(5, 10))
+        got = forward_backward(layers, x, g)
+        with manifest_order():
+            want = forward_backward(layers, x, g)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        for a, b in zip(got[2], want[2]):
+            assert sorted(a) == sorted(b) and all(a[name].tobytes() == b[name].tobytes() for name in a)
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (2, 3), (1, 1), (3, 1), (3, 2)])
+    def test_relu_and_pool_commute(self, window, stride):
+        rng = np.random.default_rng(window * 10 + stride)
+        x = rng.normal(size=(4, 9, 8, 2))
+        x[0, :4, :4, 0] = 0.0  # all-zero windows
+        x[1, 2:6, 1:5, 1] = 0.25  # tied positive maxima
+        x[2, :, :, 1] = -np.abs(x[2, :, :, 1])  # maxima below 0
+        x[3] = np.where(rng.random((9, 8, 2)) < 0.5, -0.0, 0.0)  # zeros of either sign
+        x[3, ::3, ::2, 1] = -1.0
+        layers = [network.Layer(LayerSpec("relu")), pool_layer(window, stride)]
+        g = rng.normal(size=(4,) + network.output_geometry(layers[1].spec, x.shape[1:]))
+        g[0, 0] = -0.0
+        out, gx, _ = forward_backward(layers, x, g)
+        with manifest_order():
+            want_out, want_gx, _ = forward_backward(layers, x, g)
+        assert out.tobytes() == want_out.tobytes()
+        if stride < window:
+            # an input that several windows reach sums their gradients; where
+            # it is not positive, manifest order zeroes that sum, whose sign
+            # is the sum's, and the run order sums zeros from +0.0
+            assert np.array_equal(gx, want_gx) and (gx + 0.0).tobytes() == (want_gx + 0.0).tobytes()
+        else:
+            assert gx.tobytes() == want_gx.tobytes()
 
 
 class TestFrozenModelBatches:

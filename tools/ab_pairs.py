@@ -2,37 +2,42 @@
 
     python3 tools/ab_pairs.py --rev HEAD --workload train --seeds 101-110 --seconds 10
 
-Each pair runs `perfbench/run.py --trace 0` on the same seed once in the
-parent's tree and once in the change's, back to back. The side that runs
-first alternates from pair to pair, so drift in machine speed falls on both
-sides alike. Both trees are temporary exports, made alike so that neither
-side runs from a different kind of tree or a path of another length: the
-parent's is `--rev` exported with `git archive` into an `ab-parent-*`
-directory, and the change's is this checkout as it is on disk (its tracked
-files with their uncommitted edits, and its untracked files that are not
-ignored) copied into an `ab-change-*` directory. Both are removed
-afterwards; nothing is added to the repository. Nothing under `perfbench/`
-is changed: each side runs its own copy.
+Each pair runs `perfbench/run.py --trace 0` on the same seed in three arms,
+back to back: the parent's tree (A), a second export of the parent (A′, the
+control) and the change's tree (B). The order of the arms rotates from pair
+to pair, so each runs first, second and third alike and drift in machine
+speed falls on all of them. All three trees are temporary exports, made
+alike so that no arm runs from a different kind of tree or a path of
+another length: the parent's and the control's are `--rev` exported with
+`git archive` into `ab-parent-*` and `ab-control*` directories, and the
+change's is this checkout as it is on disk (its tracked files with their
+uncommitted edits, and its untracked files that are not ignored) copied
+into an `ab-change-*` directory. All are removed afterwards; nothing is
+added to the repository. Nothing under `perfbench/` is changed: each arm
+runs its own copy.
 
-After each pair it compares the records and rasters the two runs wrote
-under `perfbench/out/<workload>/records`, byte for byte, and prints
-"records identical" or the files that differ, so every pair also checks that
-the change writes what the parent writes.  It also prints whether both
-sides' `goal_rate` and `goal_cost` are equal, with the relative gap of each
-that is not, so a workload that writes no records (`train`, `fidelity`)
-still shows on every pair whether its results held.
+After each pair it compares the records and rasters the parent and the
+change wrote under `perfbench/out/<workload>/records`, byte for byte, and
+prints "records identical" or the files that differ, so every pair also
+checks that the change writes what the parent writes.  It also prints
+whether both sides' `goal_rate` and `goal_cost` are equal, with the relative
+gap of each that is not, so a workload that writes no records (`train`,
+`fidelity`) still shows on every pair whether its results held.
 
-For every end-to-end metric of BENCHMARK.json it prints both sides' medians
-and quartiles, the relative gap of the medians, the pairs the change won
-(ties count for neither side), and whether the change clears the 9-in-10
-rule: it wins at least 9 of every 10 pairs, and its median beats the parent's
-by more than the parent's interquartile range. `--out` also writes every
-pair's metrics as JSON.
+For every end-to-end metric of BENCHMARK.json it prints the parent's and the
+change's medians and quartiles, the relative gap B − A of the medians, the
+pairs the change won (ties count for neither side), and whether the change
+clears the 9-in-10 rule: it wins at least 9 of every 10 pairs, and its median
+beats the parent's by more than the parent's interquartile range. Beside it
+stands the control's gap A′ − A and the pairs the control won: the same code
+run twice, so a B − A gap no larger than it is noise. `--out` also writes
+every pair's metrics, all three arms, as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -44,6 +49,16 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ARMS = ("parent", "control", "change")
+
+# the prefixes of the arms' temporary trees, all of one length
+PREFIXES = {"parent": "ab-parent-", "control": "ab-control", "change": "ab-change-"}
+
+
+def arm_order(k: int) -> tuple:
+    """The order the arms of pair `k` run in, rotated one place per pair."""
+    return ARMS[k % 3 :] + ARMS[: k % 3]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -171,16 +186,20 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def summarize(pairs: list[dict], spec: dict) -> list[str]:
-    """One line per end-to-end metric over the (parent, change) pairs of one workload."""
+    """One line per end-to-end metric over the pairs of one workload: the
+    change against the parent, and the control's gap and wins beside it."""
     lines = []
     for m in spec["end_to_end"]:
         name = m["name"]
-        r = compare([p["parent"][name] for p in pairs], [p["change"][name] for p in pairs], m["better"])
+        parent = [p["parent"][name] for p in pairs]
+        r = compare(parent, [p["change"][name] for p in pairs], m["better"])
+        c = compare(parent, [p["control"][name] for p in pairs], m["better"])
         lines.append(
             f"  {name:16s} parent {r['parent']:10.4g} [{r['parent_q'][0]:.4g}, {r['parent_q'][1]:.4g}]"
             f"  change {r['change']:10.4g} [{r['change_q'][0]:.4g}, {r['change_q'][1]:.4g}]"
             f"  gap {r['gap']:+7.2%}  wins {r['wins']}/{len(pairs)} losses {r['losses']}"
             f"  9-in-10 {'yes' if r['clears'] else 'no'}"
+            f"  control gap {c['gap']:+7.2%} wins {c['wins']}/{len(pairs)}"
         )
     return lines
 
@@ -197,31 +216,31 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     results = {}
-    with (
-        tempfile.TemporaryDirectory(prefix="ab-parent-") as parent_tree,
-        tempfile.TemporaryDirectory(prefix="ab-change-") as change_tree,
-    ):
-        commit = export_tree(args.rev, parent_tree)
-        export_checkout(change_tree)
-        print(f"parent {commit} in {parent_tree}; change {ROOT} in {change_tree}", flush=True)
+    with contextlib.ExitStack() as stack:
+        trees = {arm: stack.enter_context(tempfile.TemporaryDirectory(prefix=PREFIXES[arm])) for arm in ARMS}
+        commit = export_tree(args.rev, trees["parent"])
+        export_tree(commit, trees["control"])
+        export_checkout(trees["change"])
+        print(
+            f"parent {commit} in {trees['parent']} and {trees['control']}; change {ROOT} in {trees['change']}",
+            flush=True,
+        )
         for workload in args.workload:
             pairs = results[workload] = []
             for k, seed in enumerate(args.seeds):
-                sides = [("parent", parent_tree), ("change", change_tree)]
-                if k % 2:
-                    sides.reverse()
-                pair = {"seed": seed, "first": sides[0][0]}
-                for side, tree in sides:
-                    pair[side] = run_side(tree, workload, seed, args.seconds)
+                order = arm_order(k)
+                pair = {"seed": seed, "order": list(order)}
+                for arm in order:
+                    pair[arm] = run_side(trees[arm], workload, seed, args.seconds)
                 pairs.append(pair)
-                bad = [s for s in ("parent", "change") if not pair[s]["correct"] or pair[s]["failed"]]
-                count, differ = differing_records(parent_tree, change_tree, workload)
+                bad = [arm for arm in ARMS if not pair[arm]["correct"] or pair[arm]["failed"]]
+                count, differ = differing_records(trees["parent"], trees["change"], workload)
                 pair["records_differ"] = differ
                 verdicts = ([records_line(count, differ)] if count else []) + [goal_line(pair["parent"], pair["change"])]
                 print(
-                    f"{workload} seed {seed} ({pair['first']} first): op_cal_ms_p50 "
+                    f"{workload} seed {seed} ({', '.join(order)}): op_cal_ms_p50 "
                     f"{pair['parent']['op_cal_ms_p50']:.4g} -> {pair['change']['op_cal_ms_p50']:.4g}"
-                    f"  {'  '.join(verdicts)}"
+                    f" (control {pair['control']['op_cal_ms_p50']:.4g})  {'  '.join(verdicts)}"
                     + (f"  INCORRECT OR FAILED: {', '.join(bad)}" if bad else ""),
                     flush=True,
                 )
