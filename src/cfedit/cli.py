@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .data import Dataset, gen_shapes, load_idx, write_json
-from .errors import CfeditError, FormatError, is_number
+from .errors import CfeditError, FormatError, ShapeError, is_number
 from .metrics import avg_edit_count, relaxation_fidelity
 from .network import (
     ModelBundle,
@@ -212,7 +212,10 @@ def _checked_index(dataset: Dataset, index, what: str) -> int:
 
 
 def _sample_pairs(preds, count, rng) -> list[tuple[int, int]]:
-    """Up to `count` (query, distractor) pairs predicted differently; 20 draws per pair at most."""
+    """Up to `count` (query, distractor) pairs predicted differently; 20 draws
+    per pair at most.  An empty dataset has no query to draw: ShapeError."""
+    if not len(preds):
+        raise ShapeError("the dataset is empty: no (query, distractor) pair to draw")
     pairs = []
     for _ in range(count * 20):
         if len(pairs) == count:

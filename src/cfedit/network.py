@@ -128,12 +128,15 @@ class LayerSpec:
             if not (self.units and self.units > 0):
                 raise ShapeError("dense needs positive units")
 
-    def effective_stride(self) -> int:
+    def window_geometry(self) -> tuple[int, int, int]:
+        """(size, stride, padding) of a conv2d or maxpool2d window: a conv's
+        stride defaults to 1 and a pool's to its window, and a pool has no
+        padding.  Every other kind has no window and raises UnsupportedLayerError."""
         if self.kind == "conv2d":
-            return self.stride or 1
+            return self.kernel_size, self.stride or 1, self.padding
         if self.kind == "maxpool2d":
-            return self.stride or self.window
-        return 1
+            return self.window, self.stride or self.window, 0
+        raise UnsupportedLayerError(f"layer kind {self.kind!r} has no conv or pool window")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -168,24 +171,16 @@ def output_geometry(spec: LayerSpec, geom: tuple) -> tuple:
     k = spec.kind
     if k in ("relu", "log-softmax"):
         return geom
-    if k in ("conv2d", "maxpool2d") and len(geom) != 3:
-        raise ShapeError(f"{k} layer requires spatial input")
-    if k == "conv2d":
+    if k in ("conv2d", "maxpool2d"):
+        if len(geom) != 3:
+            raise ShapeError(f"{k} layer requires spatial input")
         h, w, c = geom
-        s = spec.effective_stride()
-        oh = (h + 2 * spec.padding - spec.kernel_size) // s + 1
-        ow = (w + 2 * spec.padding - spec.kernel_size) // s + 1
+        size, s, p = spec.window_geometry()
+        oh = (h + 2 * p - size) // s + 1
+        ow = (w + 2 * p - size) // s + 1
         if oh <= 0 or ow <= 0:
-            raise ShapeError(f"conv2d output collapses to {oh}x{ow} from input {h}x{w}")
-        return (oh, ow, spec.out_channels)
-    if k == "maxpool2d":
-        h, w, c = geom
-        s = spec.effective_stride()
-        oh = (h - spec.window) // s + 1
-        ow = (w - spec.window) // s + 1
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(f"maxpool2d output collapses to {oh}x{ow} from input {h}x{w}")
-        return (oh, ow, c)
+            raise ShapeError(f"{k} output collapses to {oh}x{ow} from input {h}x{w}")
+        return (oh, ow, spec.out_channels if k == "conv2d" else c)
     if k == "flatten":
         return (math.prod(geom),)
     if k == "dense":
@@ -229,22 +224,11 @@ _PATCH_VALUES = 1 << 18
 _EXTRACTOR_KINDS = ("conv2d", "relu", "maxpool2d")
 
 
-def _patches(xpad, kh, kw, s, oh, ow, tap_major=False):
+def _patches(xpad, kh, kw, s, oh, ow):
     """The (images·oh·ow, kh·kw·cin) patch matrix of the contiguous batch xpad,
     in (dh, dw, c) order.  Channels-last, the kw·cin values of one window row
-    are contiguous, so the copy moves each row as one record.
-
-    `tap_major` copies the patches tap by tap instead and returns the transpose
-    of that copy, which GEMM reads as cheaply.  With one input channel each tap
-    copies whole image rows: the reference conv1's weight gradient on a
-    16-image block then takes 0.72-0.75 ms, against 0.74-0.82 ms from the
-    row-record copy in the (gm.T @ P).T order that more channels use, and
-    0.83-0.92 ms in the P.T @ gm order (medians of 9 interleaved rounds, 3
-    runs, 2-vCPU Xeon, one BLAS thread)."""
+    are contiguous, so the copy moves each row as one record."""
     cin = xpad.shape[3]
-    if tap_major:
-        win = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, : oh * s : s, : ow * s : s]
-        return np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(kh * kw * cin, -1).T
     sn, sh, sw, _ = xpad.strides
     rows = np.ndarray(
         (len(xpad), oh, ow, kh), np.dtype((np.void, kw * cin * 8)), xpad, strides=(sn, sh * s, sw * s, sh)
@@ -258,7 +242,7 @@ def _conv_forward(x, layer, keep_cache=True):
     kh, kw, cin, cout = kern.shape
     if x.shape[3] != cin:
         raise ShapeError(f"conv2d input has {x.shape[3]} channels, kernel expects {cin}")
-    s, p = spec.effective_stride(), spec.padding
+    _, s, p = spec.window_geometry()
     x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else np.ascontiguousarray(x)
     n, hp, wp, _ = x.shape
     oh = (hp - kh) // s + 1
@@ -272,15 +256,11 @@ def _conv_forward(x, layer, keep_cache=True):
 
 def _conv_weight_grads(g, layer, xpad):
     kern = layer.weights["kernel"]
-    kh, kw, cin, cout = kern.shape
+    kh, kw, _, cout = kern.shape
     _, oh, ow, _ = g.shape
     gm = g.reshape(-1, cout)
-    s = layer.spec.effective_stride()
-    # the faster GEMM order for each (see `_patches`)
-    if cin == 1:
-        gk = _patches(xpad, kh, kw, s, oh, ow, tap_major=True).T @ gm
-    else:
-        gk = (gm.T @ _patches(xpad, kh, kw, s, oh, ow)).T
+    _, s, _ = layer.spec.window_geometry()
+    gk = (gm.T @ _patches(xpad, kh, kw, s, oh, ow)).T
     # a ones-vector GEMM: a reduction over axes (0, 1, 2) runs an inner loop only cout long
     return {"kernel": gk.reshape(kern.shape), "bias": np.ones(len(gm)) @ gm}
 
@@ -288,7 +268,7 @@ def _conv_weight_grads(g, layer, xpad):
 def _conv_input_grad(g, layer, xpad):
     kern = layer.weights["kernel"]
     kh, kw, cin, cout = kern.shape
-    s, p = layer.spec.effective_stride(), layer.spec.padding
+    _, s, p = layer.spec.window_geometry()
     n, oh, ow, _ = g.shape
     wp = xpad.shape[2]
     # g copied kw times into its input columns: cols[:, i, x, dw] is the gradient
@@ -307,7 +287,7 @@ def _conv_input_grad(g, layer, xpad):
 
 def _pool_forward(x, layer, keep_cache=True):
     spec = layer.spec
-    k, s = spec.window, spec.effective_stride()
+    k, s, _ = spec.window_geometry()
     n, h, w, c = x.shape
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
@@ -336,7 +316,7 @@ def _pool_forward(x, layer, keep_cache=True):
 
 def _pool_input_grad(g, layer, cache):
     spec = layer.spec
-    k, s = spec.window, spec.effective_stride()
+    k, s, _ = spec.window_geometry()
     idx, xshape = cache
     oh, ow = g.shape[1], g.shape[2]
     if s < k:  # overlapping windows: an input may take gradient from several

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_json, write_rasters
-from .errors import FormatError, ShapeError, UnsupportedLayerError, is_number
+from .errors import FormatError, ShapeError, is_number
 from .grids import EditList
 from .search import ExplanationResult, SearchConfig
 
@@ -61,20 +61,14 @@ class ReceptiveFieldMap:
 
 
 def receptive_field_map(extractor_specs, image_h: int, image_w: int) -> ReceptiveFieldMap:
-    """Run the field/jump recurrence over conv/pool/relu layers."""
+    """Run the field/jump recurrence over conv/pool/relu layers; any other
+    kind has no window, and `LayerSpec.window_geometry` raises
+    UnsupportedLayerError naming it."""
     field, jump, offset = 1, 1, 0
     for spec in extractor_specs:
-        kind = spec.kind
-        if kind == "relu":
+        if spec.kind == "relu":
             continue
-        if kind == "conv2d":
-            k, s, p = spec.kernel_size, spec.effective_stride(), spec.padding
-        elif kind == "maxpool2d":
-            k, s, p = spec.window, spec.effective_stride(), 0
-        else:
-            raise UnsupportedLayerError(
-                f"layer kind {kind!r} has no receptive field; extractor must be conv/pool/relu"
-            )
+        k, s, p = spec.window_geometry()
         field += (k - 1) * jump
         offset -= p * jump
         jump *= s

@@ -101,6 +101,35 @@ def test_summarize_prints_one_line_per_metric():
     assert "gap  -9.57%" in lines[0]
     # the control's median 105.5 against the parent's 104.5
     assert lines[0].endswith("control gap  +0.96% wins 3/10") and lines[1].endswith("wins 3/10")
+    # the change's per-pair gaps of -10 lie far outside the control's [-1, +1]
+    assert "beyond control yes" in lines[0] and "beyond control yes" in lines[1]
+
+
+# the control's per-pair gaps A′ − A run from -2 to +3
+CONTROL = [p + d for p, d in zip(PARENT, [-2, 1, 0, 3, -1, 2, 0, 1, -2, 3])]
+
+
+@pytest.mark.parametrize(
+    "shifts, beyond",
+    [
+        ([-1.0] * 10, False),  # a median gap of -1, inside [-2, +3]
+        ([-2.0] * 10, False),  # a gap on the range's edge is inside it
+        ([-2.5] * 10, True),  # below the control's least gap
+        ([4.0] * 10, True),  # above its greatest: a loss beyond noise is flagged too
+        ([-9.0] * 4 + [0.0] * 6, False),  # the median of the gaps, 0, not their extremes
+    ],
+)
+def test_beyond_control_reads_the_controls_spread(shifts, beyond):
+    change = [p + d for p, d in zip(PARENT, shifts)]
+    assert ab_pairs.beyond_control(PARENT, change, CONTROL) is beyond
+
+
+def test_summarize_prints_a_gap_inside_the_controls_spread():
+    spec = {"end_to_end": [{"name": "op_ms", "better": "lower"}]}
+    pairs = [{"parent": {"op_ms": p}, "change": {"op_ms": p - 1}, "control": {"op_ms": c}} for p, c in zip(PARENT, CONTROL)]
+    (line,) = ab_pairs.summarize(pairs, spec)
+    # ten wins, but a gap of -1 that the same code run twice also shows
+    assert "wins 10/10" in line and "beyond control no" in line
 
 
 def test_arms_rotate_from_pair_to_pair():

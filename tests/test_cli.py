@@ -663,6 +663,18 @@ class TestConfigAndErrors:
         assert err["type"] == "ShapeError" and empty in err["message"] and "empty" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["batch-explain", "fidelity"])
+    def test_pairs_from_an_empty_idx_set(self, cli_model, tmp_path, capsys, command):
+        # drawing a query from 0 images used to end in numpy's "high <= 0" traceback
+        ds = gen_shapes(40, seed=0, split="idx")
+        write_idx(str(tmp_path / "images"), str(tmp_path / "labels"), ds.images[:0], ds.labels[:0])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = run_err([command, "--dataset", "idx", "--idx-images", str(tmp_path / "images"),
+                       "--idx-labels", str(tmp_path / "labels"), "--model", cli_model, "--out", str(out)], capsys)
+        assert err["type"] == "ShapeError" and "dataset" in err["message"] and "empty" in err["message"]
+        assert not out.exists()
+
     def test_both_distractor_flags_rejected(self, cli_model, tmp_path, capsys):
         err = run_err(
             ["explain", *BATCH_ARGS, "--model", cli_model, "--query-index", "0",

@@ -71,6 +71,25 @@ class TestLayerSpec:
         with pytest.raises(ShapeError):
             LayerSpec("dense", units=0)
 
+    def test_conv_window_defaults_to_stride_one_and_keeps_its_padding(self):
+        assert LayerSpec("conv2d", out_channels=2, kernel_size=3, padding=1).window_geometry() == (3, 1, 1)
+        assert LayerSpec("conv2d", out_channels=2, kernel_size=5, stride=2).window_geometry() == (5, 2, 0)
+
+    def test_pool_window_defaults_to_its_own_stride_and_no_padding(self):
+        assert LayerSpec("maxpool2d", window=3).window_geometry() == (3, 3, 0)
+        assert LayerSpec("maxpool2d", window=3, stride=1).window_geometry() == (3, 1, 0)
+
+    @pytest.mark.parametrize("spec", [LayerSpec("relu"), LayerSpec("flatten"), LayerSpec("dense", units=3),
+                                      LayerSpec("log-softmax")])
+    def test_other_kinds_have_no_window(self, spec):
+        with pytest.raises(UnsupportedLayerError, match=repr(spec.kind)):
+            spec.window_geometry()
+
+    @pytest.mark.parametrize("spec", [LayerSpec("conv2d", out_channels=2, kernel_size=5), LayerSpec("maxpool2d", window=5)])
+    def test_collapsed_output_names_the_kind(self, spec):
+        with pytest.raises(ShapeError, match=f"{spec.kind} output collapses to 0x0 from input 4x4"):
+            network.output_geometry(spec, (4, 4, 1))
+
 
 class TestForward:
     def test_zero_extractor_gives_zero_grid(self):
@@ -182,7 +201,7 @@ def conv_forward_reference(x, layer):
     spec = layer.spec
     kern, bias = layer.weights["kernel"], layer.weights["bias"]
     kh, kw, _, cout = kern.shape
-    s, p = spec.effective_stride(), spec.padding
+    _, s, p = spec.window_geometry()
     x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
     n, hp, wp, _ = x.shape
     oh = (hp - kh) // s + 1
@@ -199,7 +218,7 @@ def conv_backward_reference(g, layer, xpad):
     spec = layer.spec
     kern = layer.weights["kernel"]
     kh, kw, _, _ = kern.shape
-    s, p = spec.effective_stride(), spec.padding
+    _, s, p = spec.window_geometry()
     _, oh, ow, _ = g.shape
     gk = np.zeros_like(kern)
     gx = np.zeros_like(xpad)
@@ -420,7 +439,7 @@ def stack_forward_reference(layers, x):
             x, cache = np.maximum(x, 0.0), x > 0
         elif kind == "maxpool2d":
             cache = x.shape
-            x, idx = pool_reference(x, layer.spec.window, layer.spec.effective_stride())
+            x, idx = pool_reference(x, *layer.spec.window_geometry()[:2])
             cache = (idx, cache)
         elif kind == "flatten":
             x, cache = x.reshape(len(x), -1), x.shape
@@ -444,7 +463,7 @@ def stack_backward_reference(layers, caches, g):
         elif kind == "relu":
             g = g * cache
         elif kind == "maxpool2d":
-            g = pool_backward_reference(g, cache[0], layer.spec.window, layer.spec.effective_stride(), cache[1])
+            g = pool_backward_reference(g, cache[0], *layer.spec.window_geometry()[:2], cache[1])
         elif kind == "flatten":
             g = g.reshape(cache)
         elif kind == "dense":

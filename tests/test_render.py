@@ -63,8 +63,13 @@ class TestReceptiveField:
         assert rf.field == 16
 
     def test_dense_layer_rejected(self):
-        with pytest.raises(UnsupportedLayerError):
+        with pytest.raises(UnsupportedLayerError, match="'dense'"):
             receptive_field_map([LayerSpec("dense", units=3)], 8, 8)
+
+    def test_flatten_after_conv_layers_rejected(self):
+        specs = [LayerSpec("conv2d", out_channels=2, kernel_size=3), LayerSpec("relu"), LayerSpec("flatten")]
+        with pytest.raises(UnsupportedLayerError, match="'flatten'"):
+            receptive_field_map(specs, 8, 8)
 
     def test_perturbation_soundness_reference_extractor(self):
         # zeroing pixels outside a cell's predicted rectangle must not change

@@ -30,8 +30,11 @@ pairs the change won (ties count for neither side), and whether the change
 clears the 9-in-10 rule: it wins at least 9 of every 10 pairs, and its median
 beats the parent's by more than the parent's interquartile range. Beside it
 stands the control's gap A′ − A and the pairs the control won: the same code
-run twice, so a B − A gap no larger than it is noise. `--out` also writes
-every pair's metrics, all three arms, as JSON.
+run twice, so a B − A gap no larger than it is noise. The line also says
+whether the change's gap lies beyond the control's spread: whether the
+median of the per-pair gaps B − A lies outside the range of the per-pair
+gaps A′ − A. `--out` also writes every pair's metrics, all three arms, as
+JSON.
 """
 
 from __future__ import annotations
@@ -185,20 +188,31 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def beyond_control(parent: list[float], change: list[float], control: list[float]) -> bool:
+    """Whether the median of the per-pair gaps B − A lies outside the range
+    of the per-pair gaps A′ − A. The control runs the parent's code again,
+    so its gaps span what noise alone gives; a gap within them shows nothing."""
+    noise = [a - p for p, a in zip(parent, control)]
+    gap = statistics.median(c - p for p, c in zip(parent, change))
+    return not min(noise) <= gap <= max(noise)
+
+
 def summarize(pairs: list[dict], spec: dict) -> list[str]:
     """One line per end-to-end metric over the pairs of one workload: the
-    change against the parent, and the control's gap and wins beside it."""
+    change against the parent, whether its gap lies beyond the control's
+    spread, and the control's gap and wins."""
     lines = []
     for m in spec["end_to_end"]:
         name = m["name"]
-        parent = [p["parent"][name] for p in pairs]
-        r = compare(parent, [p["change"][name] for p in pairs], m["better"])
-        c = compare(parent, [p["control"][name] for p in pairs], m["better"])
+        parent, change, control = ([p[arm][name] for p in pairs] for arm in ("parent", "change", "control"))
+        r = compare(parent, change, m["better"])
+        c = compare(parent, control, m["better"])
         lines.append(
             f"  {name:16s} parent {r['parent']:10.4g} [{r['parent_q'][0]:.4g}, {r['parent_q'][1]:.4g}]"
             f"  change {r['change']:10.4g} [{r['change_q'][0]:.4g}, {r['change_q'][1]:.4g}]"
             f"  gap {r['gap']:+7.2%}  wins {r['wins']}/{len(pairs)} losses {r['losses']}"
             f"  9-in-10 {'yes' if r['clears'] else 'no'}"
+            f"  beyond control {'yes' if beyond_control(parent, change, control) else 'no'}"
             f"  control gap {c['gap']:+7.2%} wins {c['wins']}/{len(pairs)}"
         )
     return lines
