@@ -13,10 +13,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .data import Dataset, gen_shapes, load_idx, write_json
+from .data import Dataset, gen_shapes, load_idx, read_json, write_json
 from .errors import CfeditError, FormatError, ShapeError, is_number
 from .metrics import avg_edit_count, relaxation_fidelity
 from .network import (
@@ -154,11 +155,7 @@ def resolve_config(args) -> dict:
     keys in CHOICES must take one of their listed values."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
-            raise FormatError(f"{args.config}: invalid JSON: {exc}") from exc
+        file_cfg = read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise FormatError(f"{args.config}: config must be a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
@@ -213,7 +210,9 @@ def _checked_index(dataset: Dataset, index, what: str) -> int:
 
 def _sample_pairs(preds, count, rng) -> list[tuple[int, int]]:
     """Up to `count` (query, distractor) pairs predicted differently; 20 draws
-    per pair at most.  An empty dataset has no query to draw: ShapeError."""
+    per pair at most.  A draw makes no pair only when every image has one
+    predicted class, so an empty dataset, or one predicted as a single
+    class, has no pair to draw: ShapeError."""
     if not len(preds):
         raise ShapeError("the dataset is empty: no (query, distractor) pair to draw")
     pairs = []
@@ -224,6 +223,8 @@ def _sample_pairs(preds, count, rng) -> list[tuple[int, int]]:
         others = np.flatnonzero(preds != preds[q])
         if len(others):
             pairs.append((q, int(others[rng.integers(len(others))])))
+    if not pairs:
+        raise ShapeError(f"the model predicts class {preds[0]} for every image: no (query, distractor) pair to draw")
     return pairs
 
 
@@ -341,7 +342,7 @@ def cmd_evaluate(args) -> int:
     if not results:
         raise CfeditError(f"no records found in {args.records}")
     report = avg_edit_count(results)
-    payload = report.to_json()
+    payload = asdict(report)
     payload["run_config"] = cfg
     write_json(args.out, payload)
     print(json.dumps({"value": report.value, "count": report.count}, sort_keys=True))
@@ -359,7 +360,7 @@ def cmd_fidelity(args) -> int:
         F, F2 = forward_feature_pair(model, dataset.images[q], dataset.images[d])
         instances.append((F, F2, int(preds[d]), (), ()))
     report = relaxation_fidelity(model, instances, opt, use_relaxed=cfg["strategy"] == "relaxed")
-    payload = report.to_json()
+    payload = asdict(report)
     payload["run_config"] = cfg
     write_json(args.out, payload)
     print(json.dumps(report.extras, sort_keys=True))

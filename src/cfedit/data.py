@@ -1,5 +1,5 @@
-"""Dataset ingestion and file formats: IDX digit files, the file writer,
-PGM rasters, and a synthetic shapes generator.
+"""Dataset ingestion and file formats: IDX digit files, the file writer and
+JSON reader, PGM rasters, and a synthetic shapes generator.
 
 The IDX parser reads the standard big-endian container used to distribute
 handwritten-digit datasets.  The shapes generator renders labeled images of
@@ -114,6 +114,17 @@ def write_json(path: str, obj):
     write_file(path, json.dumps(obj, sort_keys=True).encode("ascii"))
 
 
+def read_json(path: str):
+    """The JSON value in the file at `path`: every record, manifest and config
+    cfedit reads.  Bad JSON, or bytes that are not UTF-8, raise FormatError
+    naming the path; OSError passes through."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # rasters: binary PGM (P5), maxval 255
 # ---------------------------------------------------------------------------
@@ -207,5 +218,4 @@ def gen_shapes(count: int, size: int = 28, seed: int = 0, split: str = "shapes")
         block *= NOISE_STD
         block += dist <= r
         np.clip(block, 0.0, 1.0, out=block)
-    ids = [f"{split}-{k}" for k in range(count)]
-    return Dataset(images, labels, len(DEFAULT_GRAMMAR), split=split, ids=ids)
+    return Dataset(images, labels, len(DEFAULT_GRAMMAR), split=split)

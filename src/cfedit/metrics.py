@@ -26,15 +26,6 @@ class MetricReport:
     samples: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "count": self.count,
-            "samples": self.samples,
-            "extras": self.extras,
-        }
-
 
 # ---------------------------------------------------------------------------
 # edit-count statistics

@@ -18,7 +18,8 @@ The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
 None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient`);
 only `train` runs the head's layers, as a stack of their own, through
-`forward_layers` and `backward_layers`.
+`forward_layers` and `backward_layers`.  Every log-softmax, the layer's and
+each fused pass's, takes its shift and class sum from `_shift_lse`.
 
 A stack runs forward and backward one block of images at a time, every
 layer on one block before the next block starts, so that a block's arrays
@@ -76,14 +77,13 @@ of 64 images differently on the frozen benchmark model `ref`.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import write_file, write_json
+from .data import read_json, write_file, write_json
 from .errors import BoundsError, FormatError, ShapeError, TrainingError, UnsupportedLayerError, is_number
 from .grids import FeatureGrid
 from .rng import substream
@@ -139,12 +139,7 @@ class LayerSpec:
         raise UnsupportedLayerError(f"layer kind {self.kind!r} has no conv or pool window")
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for f in fields(self)[1:]:
-            v = getattr(self, f.name)
-            if v is not None and not (f.name == "padding" and v == 0):
-                out[f.name] = v
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None and not (k == "padding" and v == 0)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LayerSpec":
@@ -392,15 +387,11 @@ def _shift_lse(x):
     for c in range(1, x.shape[-1]):
         m = np.maximum(m, x[..., c])
     z = x - m[..., None]
-    return z, np.log(_class_sum(np.exp(z)))
-
-
-def _class_sum(e):
-    """The sum of `e` over its last (class) axis, adding columns in class order."""
+    e = np.exp(z)
     s = e[..., 0]
     for c in range(1, e.shape[-1]):
         s = s + e[..., c]
-    return s
+    return z, np.log(s)
 
 
 def _logsoftmax_forward(x, layer, keep_cache=True):
@@ -634,18 +625,16 @@ def tail_gradient(model: ModelBundle, onehot, z):
     first dense one, row k's target being the class that row k of the
     (N, classes) one-hot matrix `onehot` marks; the shapes are the caller's
     to check.  It performs the operations of `forward_layers` and
-    `backward_layers` in their order, except the log-softmax's shift (one
-    row max; only its exp is read), so every bit agrees with them."""
+    `backward_layers` in their order, the log-softmax through `_shift_lse`
+    as every head pass, so every bit agrees with them."""
     tail = model.mlp[1:]
     masks = []  # relu's input > 0, per layer
     for layer in tail:
         masks.append(z > 0 if layer is None else None)
         z = np.maximum(z, 0.0) if layer is None else z @ layer[0] + layer[1]
-    # the log-softmax backward of a one-hot gradient, whose sum is exactly 1:
-    # `_shift_lse` but for one row max as the shift, which may differ from
-    # its running max in a zero's sign alone, and exp drops that
-    z = z - z.max(axis=-1, keepdims=True)
-    g = onehot - np.exp(z - np.log(_class_sum(np.exp(z)))[:, None])
+    # the log-softmax backward of a one-hot gradient, whose sum is exactly 1
+    z, lse = _shift_lse(z)
+    g = onehot - np.exp(z - lse[:, None])
     for layer, mask in zip(reversed(tail), reversed(masks)):
         g = g * mask if layer is None else g @ layer[0].T
     return g
@@ -843,11 +832,7 @@ def _check_manifest(manifest):
 
 
 def load_model(path: str) -> ModelBundle:
-    try:
-        with open(os.path.join(path, "manifest.json")) as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    manifest = read_json(os.path.join(path, "manifest.json"))
     _check_manifest(manifest)
 
     ext_specs = [LayerSpec.from_json(o) for o in manifest["extractor"]]

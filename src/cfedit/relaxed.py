@@ -63,9 +63,6 @@ class RelaxOptConfig:
         if not (is_number(self.max_steps, integer=True) and self.max_steps > 0):
             raise FormatError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
-    def to_json(self) -> dict:
-        return {"learning_rate": self.learning_rate, "max_steps": self.max_steps}
-
 
 def _row_dots(x, y):
     """Each row's dot product of the (..., k) stacks x and y, as (..., 1, 1)

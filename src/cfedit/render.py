@@ -15,13 +15,12 @@ file writer in `data`.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_json, write_rasters
+from .data import read_json, write_json, write_rasters
 from .errors import FormatError, ShapeError, is_number
 from .grids import EditList
 from .search import ExplanationResult, SearchConfig
@@ -278,10 +277,7 @@ def write_explanation(
 
 def read_explanation(record_path: str) -> tuple[ExplanationResult, dict]:
     try:
-        with open(record_path) as fh:
-            record = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
-        raise FormatError(f"{record_path}: invalid JSON: {exc}") from exc
+        record = read_json(record_path)
     except OSError as exc:
         raise FormatError(f"{record_path}: {exc}") from exc
     return record_to_result(record), record

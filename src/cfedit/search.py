@@ -76,7 +76,7 @@ every open cell, as it does on random weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,13 +116,9 @@ class SearchConfig:
             raise FormatError(f"max_edits must be a positive integer, got {max_edits!r}")
 
     def to_json(self) -> dict:
-        out = {
-            "exclusion_policy": self.exclusion_policy,
-            "max_edits": self.max_edits,
-            "strategy": "exhaustive" if self.relax is None else "relaxed",
-        }
-        if self.relax is not None:
-            out["relax"] = self.relax.to_json()
+        """The fields, with no `relax` key for exhaustive search, and the strategy."""
+        out = {k: v for k, v in asdict(self).items() if k != "relax" or v is not None}
+        out["strategy"] = "relaxed" if "relax" in out else "exhaustive"
         return out
 
 

@@ -1,7 +1,8 @@
 """tools/ab_pairs.py on synthetic pairs: seed parsing, per-metric comparison,
 the 9-in-10 verdict, the control arm and the rotation of the three arms, the
-byte comparison of the records both trees wrote and the export of the
-change's tree from a temporary git repository, with no benchmark run."""
+per-pair environment pad, the byte comparison of the records both trees
+wrote and the export of the change's tree from a temporary git repository,
+with no benchmark run."""
 
 import importlib.util
 import json
@@ -146,15 +147,16 @@ def test_every_arm_runs_from_a_path_of_one_length():
 
 
 def test_each_pair_runs_three_arms_in_rotation(tmp_path, monkeypatch, capsys):
-    exported, runs = [], []
+    exported, runs, pads = [], [], []
 
     def export_tree(rev, dest):
         exported.append((rev, os.path.basename(dest)[:10]))
         return "c0ffee"
 
-    def run_side(tree, workload, seed, seconds):
+    def run_side(tree, workload, seed, seconds, pad):
         arm = next(a for a, prefix in ab_pairs.PREFIXES.items() if os.path.basename(tree).startswith(prefix))
         runs.append((seed, arm))
+        pads.append((seed, pad))
         metrics = {m: 1.0 for m in ("setup_s", "peak_rss_mb", "ok_ops_ratio", "op_cal_ms_p90", "items_per_cal_s")}
         op = {"parent": 10.0, "control": 10.5, "change": 9.0}[arm] + seed / 100
         return dict(metrics, op_cal_ms_p50=op, goal_rate=1.0, goal_cost=2.0, correct=True, failed=0)
@@ -166,6 +168,8 @@ def test_each_pair_runs_three_arms_in_rotation(tmp_path, monkeypatch, capsys):
     assert ab_pairs.main(["--workload", "train", "--seeds", "1-4", "--rev", "HEAD~1", "--out", str(out)]) == 0
     assert exported == [("HEAD~1", "ab-parent-"), ("c0ffee", "ab-control")]
     assert runs == [(seed, arm) for seed in (1, 2, 3, 4) for arm in ab_pairs.arm_order(seed - 1)]
+    # the three arms of a pair run with one pad, drawn from the pair's seed
+    assert pads == [(seed, ab_pairs.pad_length(seed)) for seed in (1, 2, 3, 4) for _ in range(3)]
     report = capsys.readouterr().out
     assert "train seed 2 (control, change, parent): op_cal_ms_p50 10.02 -> 9.02 (control 10.52)" in report
     summary = next(line for line in report.splitlines() if line.split()[:1] == ["op_cal_ms_p50"])
@@ -175,6 +179,29 @@ def test_each_pair_runs_three_arms_in_rotation(tmp_path, monkeypatch, capsys):
     pairs = saved["results"]["train"]
     assert [p["order"] for p in pairs] == [list(ab_pairs.arm_order(k)) for k in range(4)]
     assert [p["control"]["op_cal_ms_p50"] for p in pairs] == [10.51, 10.52, 10.53, 10.54]
+    assert [p["pad"] for p in pairs] == [ab_pairs.pad_length(seed) for seed in (1, 2, 3, 4)]
+
+
+def test_pad_lengths_are_drawn_from_the_seed():
+    lengths = [ab_pairs.pad_length(seed) for seed in range(100)]
+    assert all(0 <= n <= ab_pairs.PAD_MAX for n in lengths) and len(set(lengths)) > 90
+
+
+def test_a_run_carries_its_pad_in_its_environment(monkeypatch):
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(kwargs)
+        line = json.dumps({"metrics": {"op_cal_ms_p50": {"value": 1.5}}, "correct": True, "failed": 0})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setenv("AB_PAIRS_TEST_KEPT", "1")
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    for pad in (0, 7, ab_pairs.PAD_MAX):
+        metrics = ab_pairs.run_side("tree", "train", 3, 1.0, pad)
+        assert metrics == {"op_cal_ms_p50": 1.5, "correct": True, "failed": 0}
+        env = calls[-1]["env"]
+        assert env[ab_pairs.PAD_VAR] == "x" * pad and env["AB_PAIRS_TEST_KEPT"] == "1"
 
 
 def test_a_single_pair_has_no_spread():

@@ -4,6 +4,7 @@ import os
 import stat
 import struct
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from cfedit.data import (
     Dataset,
     gen_shapes,
     load_idx,
+    read_json,
     write_file,
     write_json,
 )
@@ -237,6 +239,10 @@ class TestShapes:
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
         assert ds.class_count == len(DEFAULT_GRAMMAR)
 
+    def test_ids_name_the_split(self):
+        assert gen_shapes(2, size=4, split="train").ids == ["train-0", "train-1"]
+        assert gen_shapes(2, size=4, split="").ids == ["img-0", "img-1"]
+
     def test_count_positive(self):
         for count, size in ((0, 28), (-1, 28), (1, 0), (1, -1)):
             with pytest.raises(ShapeError, match="must be positive"):
@@ -277,7 +283,7 @@ def write_artifacts(out, size):
         ExplanationResult(EditList(tuple((k, 0, k, 0) for k in range(n)), n, 1), [(0.0, 0.0)] * (n + 1), "flipped", 0, 1)
         for n in range(1, size + 10)
     ]
-    write_json(os.path.join(out, "report.json"), avg_edit_count([result] * size + counts).to_json())
+    write_json(os.path.join(out, "report.json"), asdict(avg_edit_count([result] * size + counts)))
     save_model(identity_feature_model(2, 2, size, size), os.path.join(out, "model"))
     return raster
 
@@ -342,3 +348,22 @@ class TestFileWriter:
             assert os.read(reader, 16) == b"abc"
         finally:
             os.close(reader)
+
+
+class TestReadJson:
+    def test_round_trip(self, tmp_path):
+        path = str(tmp_path / "v.json")
+        write_json(path, {"b": [1, 2.5, None], "a": "x"})
+        assert read_json(path) == {"a": "x", "b": [1, 2.5, None]}
+
+    @pytest.mark.parametrize("payload", [b'{"a": 1', b"", b'"\xff\xfe"', b"\xff\xfe{}"])
+    def test_bad_json_or_bytes_name_the_path(self, tmp_path, payload):
+        # the last two payloads are not UTF-8, which reading reports as a UnicodeDecodeError
+        path = str(tmp_path / "bad.json")
+        write_file(path, payload)
+        with pytest.raises(FormatError, match="bad.json: invalid JSON"):
+            read_json(path)
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            read_json(str(tmp_path / "missing.json"))

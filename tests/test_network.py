@@ -969,21 +969,31 @@ class TestFusedHeadPass:
             model = make_model([LayerSpec("conv2d", out_channels=4, kernel_size=1)], specs, (3, 3, 4), 5, seed=3)
             yield name, model
 
+    @staticmethod
+    def with_edge_rows(rng, rows):
+        """`rows` (B, n) over three more: zeros and alternating +0.0/-0.0, whose
+        logits tie exactly where no bias follows (else they are the biases
+        alone), and a row so large that one logit dominates and the softmax
+        rounds to exactly one-hot."""
+        n = rows.shape[1]
+        signed = np.where(np.arange(n) % 2, -0.0, 0.0)
+        return np.concatenate([rows, np.zeros((1, n)), signed[None], 1e6 * rng.normal(size=(1, n))])
+
     @pytest.mark.parametrize("batch", [1, 4, 7])
     def test_matches_generic_pass_bit_for_bit(self, shapes_model, batch):
         rng = np.random.default_rng(batch)
         for name, model in self.heads(shapes_model):
             h, w, d = model.feature_shape
-            values = rng.normal(size=(batch, h * w, d))
-            targets = rng.integers(model.class_count, size=batch)
+            values = self.with_edge_rows(rng, rng.normal(size=(batch, h * w * d))).reshape(-1, h * w, d)
+            targets = rng.integers(model.class_count, size=len(values))
             got = grid_gradient(model, values, targets)
             out, caches = network.forward_layers(model.head, values.reshape((-1,) + model.feature_shape), True)
-            onehot = np.zeros_like(out)
-            onehot[np.arange(batch), targets] = 1.0
+            assert np.exp(out[-1]).max() == 1.0, name
+            onehot = one_hot(model, targets)
             want = network.backward_layers(model.head, caches, onehot)[0].reshape(values.shape)
             assert got.shape == want.shape and np.array_equal(got, want), name
-            z = rng.normal(size=(batch, model.mlp[0][0].shape[1]))
-            onehot = one_hot(model, targets)
+            z = self.with_edge_rows(rng, rng.normal(size=(batch, model.mlp[0][0].shape[1])))
+            assert np.exp(network.forward_layers(model.head[2:], z)[-1]).max() == 1.0, name
             got, want = network.tail_gradient(model, onehot, z), layered_tail_gradient(model, onehot, z)
             assert got.shape == want.shape and np.array_equal(got, want), name
 

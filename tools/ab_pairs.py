@@ -16,6 +16,13 @@ into an `ab-change-*` directory. All are removed afterwards; nothing is
 added to the repository. Nothing under `perfbench/` is changed: each arm
 runs its own copy.
 
+Every run also carries an environment variable that nothing reads,
+`AB_PAIRS_PAD`, whose length each pair draws from its seed, from 0 to
+`PAD_MAX` bytes. The three arms of a pair get the same length, so the
+environment's size, and with it the layout of the stack, varies from pair
+to pair alike for all of them, and no arm keeps a layout that happens to
+be lucky (Mytkowicz et al., ASPLOS 2009).
+
 After each pair it compares the records and rasters the parent and the
 change wrote under `perfbench/out/<workload>/records`, byte for byte, and
 prints "records identical" or the files that differ, so every pair also
@@ -33,8 +40,8 @@ stands the control's gap A′ − A and the pairs the control won: the same code
 run twice, so a B − A gap no larger than it is noise. The line also says
 whether the change's gap lies beyond the control's spread: whether the
 median of the per-pair gaps B − A lies outside the range of the per-pair
-gaps A′ − A. `--out` also writes every pair's metrics, all three arms, as
-JSON.
+gaps A′ − A. `--out` also writes every pair's metrics, all three arms, and
+its pad length as JSON.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import contextlib
 import json
 import math
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -57,6 +65,16 @@ ARMS = ("parent", "control", "change")
 
 # the prefixes of the arms' temporary trees, all of one length
 PREFIXES = {"parent": "ab-parent-", "control": "ab-control", "change": "ab-change-"}
+
+
+# the variable that pads each run's environment, and its longest value in bytes
+PAD_VAR = "AB_PAIRS_PAD"
+PAD_MAX = 4096
+
+
+def pad_length(seed: int) -> int:
+    """The length of `PAD_VAR` in every arm of the pair run on `seed`."""
+    return random.Random(seed).randint(0, PAD_MAX)
 
 
 def arm_order(k: int) -> tuple:
@@ -105,12 +123,13 @@ def export_checkout(dest: str) -> None:
             shutil.copy2(src, out)
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one benchmark run in `tree`, with `correct` and `failed`."""
+def run_side(tree: str, workload: str, seed: int, seconds: float, pad: int) -> dict:
+    """The end-to-end metrics of one benchmark run in `tree`, with `correct`
+    and `failed`; its environment carries `PAD_VAR` of `pad` bytes."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True, env=dict(os.environ, **{PAD_VAR: "x" * pad}),
     )
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench in {tree} exited with {proc.returncode}:\n{proc.stderr}")
@@ -243,9 +262,9 @@ def main(argv=None) -> int:
             pairs = results[workload] = []
             for k, seed in enumerate(args.seeds):
                 order = arm_order(k)
-                pair = {"seed": seed, "order": list(order)}
+                pair = {"seed": seed, "order": list(order), "pad": pad_length(seed)}
                 for arm in order:
-                    pair[arm] = run_side(trees[arm], workload, seed, args.seconds)
+                    pair[arm] = run_side(trees[arm], workload, seed, args.seconds, pair["pad"])
                 pairs.append(pair)
                 bad = [arm for arm in ARMS if not pair[arm]["correct"] or pair[arm]["failed"]]
                 count, differ = differing_records(trees["parent"], trees["change"], workload)
