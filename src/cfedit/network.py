@@ -21,6 +21,17 @@ only `train` runs the head's layers, as a stack of their own, through
 `forward_layers` and `backward_layers`.  Every log-softmax, the layer's and
 each fused pass's, takes its shift and class sum from `_shift_lse`.
 
+A forward pass runs a `_Schedule`: a stack parsed for one image geometry
+into its steps in run order (`_run_order`), each with the fixed geometry its
+kernel reads (a conv's kernel shape, stride, padding, output size and patch
+record; a pool's window, stride and output size), and the images per block.
+`forward_layers` builds one on each call, for the stack and batch it is
+given.  The bundle builds its extractor's once, as it parses its head, for
+its own input shape only (`_as_batch` refuses any other), and
+`predict_batch`, `forward_features` and `forward_feature_pair` run it
+through the same kernels.  A step holds its layer, whose weights the kernel
+reads on each call, so `train`'s in-place updates reach every pass.
+
 A stack runs forward and backward one block of images at a time, every
 layer on one block before the next block starts, so that a block's arrays
 stay in cache and the scratch memory is bounded per block (cache blocking,
@@ -40,8 +51,9 @@ kernel laid out as (kw·cout, kh·cin) in one GEMM, and adds the product into
 the input gradient in kh row-shifted slices, for every stride and padding.
 
 Max pooling is separable: a running `np.maximum` over the window's rows,
-whose strided views are runs of whole image rows, then over its columns.
-It then recovers for each output the index of the first maximum in (dh, dw)
+whose strided views are runs of whole image rows, then over its columns,
+each started from its first two taps, so that no rows are copied.  It then
+recovers for each output the index of the first maximum in (dh, dw)
 scan order, one comparison per tap.  Its backward routes each gradient to
 that one input.  Where windows do not overlap (stride at least the window)
 each tap writes its gradient once, as g·(idx == m), and only the inputs no
@@ -60,11 +72,14 @@ maximum is not positive passes its gradient times zero either way, and
 relu makes every zero +0.0.  Outputs keep their bits.  Where windows do not
 overlap every gradient keeps its bits too; where they overlap, an input
 gradient that sums zeros may take the other sign.  Neither layer holds
-weights, and each keeps its cache in its manifest slot.
+weights, and each keeps its cache in its manifest slot.  A relu that runs
+right after a max pool overwrites the pool's output, an array the pool made
+and no cache holds, instead of allocating another.
 
 A forward pass that keeps no caches (every inference pass: features, head
 scores, predictions) computes none: max pooling stops after the maximum and
 relu builds no mask, with outputs bit-identical to a pass that keeps them.
+A batch of one block returns its last step's output without a copy.
 
 An image's features do not depend on the batch it runs in: each conv GEMM
 has the shape of a one-image pass, and every other extractor step acts on
@@ -219,31 +234,27 @@ _PATCH_VALUES = 1 << 18
 _EXTRACTOR_KINDS = ("conv2d", "relu", "maxpool2d")
 
 
-def _patches(xpad, kh, kw, s, oh, ow):
+def _patch_record(kw, cin):
+    """The dtype of one patch record: the kw·cin float64 values of a window row."""
+    return np.dtype((np.void, kw * cin * 8))
+
+
+def _patches(xpad, kh, s, oh, ow, record):
     """The (images·oh·ow, kh·kw·cin) patch matrix of the contiguous batch xpad,
     in (dh, dw, c) order.  Channels-last, the kw·cin values of one window row
-    are contiguous, so the copy moves each row as one record."""
-    cin = xpad.shape[3]
+    are contiguous, so the copy moves each row as one `record`."""
     sn, sh, sw, _ = xpad.strides
-    rows = np.ndarray(
-        (len(xpad), oh, ow, kh), np.dtype((np.void, kw * cin * 8)), xpad, strides=(sn, sh * s, sw * s, sh)
-    )
-    return rows.copy().view(np.float64).reshape(-1, kh * kw * cin)
+    rows = np.ndarray((len(xpad), oh, ow, kh), record, xpad, strides=(sn, sh * s, sw * s, sh))
+    return rows.copy().view(np.float64).reshape(-1, kh * record.itemsize // 8)
 
 
-def _conv_forward(x, layer, keep_cache=True):
-    spec = layer.spec
-    kern, bias = layer.weights["kernel"], layer.weights["bias"]
-    kh, kw, cin, cout = kern.shape
-    if x.shape[3] != cin:
-        raise ShapeError(f"conv2d input has {x.shape[3]} channels, kernel expects {cin}")
-    _, s, p = spec.window_geometry()
+def _conv_forward(x, step, keep_cache=True):
+    kern, bias = step.layer.weights["kernel"], step.layer.weights["bias"]
+    (kh, _, _, cout), (_, s, p), (oh, ow) = step.kernel_shape, step.window, step.out_hw
     x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else np.ascontiguousarray(x)
-    n, hp, wp, _ = x.shape
-    oh = (hp - kh) // s + 1
-    ow = (wp - kw) // s + 1
+    n = len(x)
     # one GEMM per image, of the shape a one-image pass runs (see the module docstring)
-    out = (_patches(x, kh, kw, s, oh, ow).reshape(n, oh * ow, -1) @ kern.reshape(-1, cout)).reshape(n, -1)
+    out = (_patches(x, kh, s, oh, ow, step.record).reshape(n, oh * ow, -1) @ kern.reshape(-1, cout)).reshape(n, -1)
     # the bias tiled over the output cells: one contiguous add per image, not an inner loop cout long
     out += bias[None].repeat(oh * ow, axis=0).ravel()
     return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
@@ -251,11 +262,11 @@ def _conv_forward(x, layer, keep_cache=True):
 
 def _conv_weight_grads(g, layer, xpad):
     kern = layer.weights["kernel"]
-    kh, kw, _, cout = kern.shape
+    kh, kw, cin, cout = kern.shape
     _, oh, ow, _ = g.shape
     gm = g.reshape(-1, cout)
     _, s, _ = layer.spec.window_geometry()
-    gk = (gm.T @ _patches(xpad, kh, kw, s, oh, ow)).T
+    gk = (gm.T @ _patches(xpad, kh, s, oh, ow, _patch_record(kw, cin))).T
     # a ones-vector GEMM: a reduction over axes (0, 1, 2) runs an inner loop only cout long
     return {"kernel": gk.reshape(kern.shape), "bias": np.ones(len(gm)) @ gm}
 
@@ -280,22 +291,25 @@ def _conv_input_grad(g, layer, xpad):
     return gx[:, p : gx.shape[1] - p, p : gx.shape[2] - p]
 
 
-def _pool_forward(x, layer, keep_cache=True):
-    spec = layer.spec
-    k, s, _ = spec.window_geometry()
-    n, h, w, c = x.shape
-    oh = (h - k) // s + 1
-    ow = (w - k) // s + 1
+def _running_max(taps):
+    """A fresh array of the running `np.maximum` over `taps`, each next tap
+    its first argument: it starts from the first two taps, with no copy."""
+    if len(taps) == 1:
+        return taps[0].copy()
+    m = np.maximum(taps[1], taps[0])
+    for tap in taps[2:]:
+        np.maximum(tap, m, out=m)
+    return m
+
+
+def _pool_forward(x, step, keep_cache=True):
+    (k, s, _), (oh, ow) = step.window, step.out_hw
     # separable: the maximum over each window's rows, whose strided views are
     # runs of whole image rows, then over its columns.  On equal values
     # np.maximum returns its second argument, so of a window's zeros of either
     # sign the first in (dw, dh) order gives the bits
-    rows = x[:, : oh * s : s].copy()
-    for dh in range(1, k):
-        np.maximum(x[:, dh : dh + oh * s : s], rows, out=rows)
-    out = rows[:, :, : ow * s : s].copy()
-    for dw in range(1, k):
-        np.maximum(rows[:, :, dw : dw + ow * s : s], out, out=out)
+    rows = _running_max([x[:, dh : dh + oh * s : s] for dh in range(k)])
+    out = _running_max([rows[:, :, dw : dw + ow * s : s] for dw in range(k)])
     if not keep_cache:
         return out, None
     # the index of the first maximum in (dh, dw) scan order (deterministic ties)
@@ -335,15 +349,16 @@ def _pool_input_grad(g, layer, cache):
     return gx
 
 
-def _relu_forward(x, layer, keep_cache=True):
-    return np.maximum(x, 0.0), (x > 0 if keep_cache else None)
+def _relu_forward(x, step, keep_cache=True):
+    mask = x > 0 if keep_cache else None
+    return np.maximum(x, 0.0, out=x if step.in_place else None), mask
 
 
 def _relu_input_grad(g, layer, mask):
     return g * mask
 
 
-def _flatten_forward(x, layer, keep_cache=True):
+def _flatten_forward(x, step, keep_cache=True):
     n = x.shape[0]
     return x.reshape(n, -1), x.shape
 
@@ -352,11 +367,8 @@ def _flatten_input_grad(g, layer, shape):
     return g.reshape(shape)
 
 
-def _dense_forward(x, layer, keep_cache=True):
-    w, b = layer.weights["weight"], layer.weights["bias"]
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense input size {x.shape[1]} does not match weight rows {w.shape[0]}")
-    return x @ w + b, x
+def _dense_forward(x, step, keep_cache=True):
+    return x @ step.layer.weights["weight"] + step.layer.weights["bias"], x
 
 
 def _dense_weight_grads(g, layer, x):
@@ -365,6 +377,11 @@ def _dense_weight_grads(g, layer, x):
 
 def _dense_input_grad(g, layer, x):
     return g @ layer.weights["weight"].T
+
+
+# below this many rows `_shift_lse` accumulates along the class axis, where
+# one call costs less than a call per class column
+_LSE_ACCUMULATE_ROWS = 32
 
 
 def _log_softmax(x):
@@ -382,7 +399,14 @@ def _shift_lse(x):
     short class axis, whose sum order is numpy's choice (pairwise from 8
     values on), so a row's result depends on that row alone, whatever the
     batch, and z[..., c] - lse equals column c of the full log-softmax.
+    Below `_LSE_ACCUMULATE_ROWS` rows the running maximum and the sum are
+    `np.maximum.accumulate` and `np.add.accumulate` along the class axis, one
+    call each in place of one per column: the same binary operations in the
+    same order, so the same bits.
     """
+    if x.size < _LSE_ACCUMULATE_ROWS * x.shape[-1]:
+        z = x - np.maximum.accumulate(x, axis=-1)[..., -1:]
+        return z, np.log(np.add.accumulate(np.exp(z), axis=-1)[..., -1])
     m = x[..., 0]
     for c in range(1, x.shape[-1]):
         m = np.maximum(m, x[..., c])
@@ -394,7 +418,7 @@ def _shift_lse(x):
     return z, np.log(s)
 
 
-def _logsoftmax_forward(x, layer, keep_cache=True):
+def _logsoftmax_forward(x, step, keep_cache=True):
     y = _log_softmax(x)
     return y, y
 
@@ -428,17 +452,58 @@ _INPUT_GRAD = {
 _WEIGHT_GRADS = {"conv2d": _conv_weight_grads, "dense": _dense_weight_grads}
 
 
-def _block_plan(layers, shape):
-    """(images per block, output geometry) of the stack `layers` on a batch of
-    `shape`: as many images as keep every conv layer's patch matrix within
-    `_PATCH_VALUES`, and at least one."""
-    geom, per_image = tuple(shape[1:]), 1
-    for layer in layers:
-        out = output_geometry(layer.spec, geom)
+class _Step:
+    """One layer of a pass on images of one geometry, and what its forward
+    kernel reads that the geometry fixes: for conv2d the kernel shape, the
+    window's (size, stride, padding), the output size and the patch-record
+    dtype; for maxpool2d the window and the output size; for relu whether it
+    may overwrite its input, the fresh output of the max pool run before it.
+    It holds the layer itself, whose weights the kernel reads on each call,
+    so in-place weight updates reach every pass."""
+
+    __slots__ = ("index", "layer", "forward", "window", "out_hw", "kernel_shape", "record", "in_place")
+
+    def __init__(self, index, layer, geom, out, in_place):
+        kind = layer.spec.kind
+        self.index, self.layer, self.forward, self.in_place = index, layer, _FORWARD[kind], in_place
+        windowed = kind in ("conv2d", "maxpool2d")
+        self.window, self.out_hw = (layer.spec.window_geometry(), out[:2]) if windowed else (None, None)
+        self.kernel_shape = layer.weights["kernel"].shape if kind == "conv2d" else None
+        self.record = _patch_record(self.kernel_shape[1], geom[2]) if kind == "conv2d" else None
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """A stack parsed for images of one geometry: its steps in `_run_order`,
+    the images per block, as many as keep every conv layer's patch matrix
+    within `_PATCH_VALUES` and at least one, and the output geometry.
+    `fresh` says the last step's output is an array the pass made, not a
+    view of its input, which holds unless every step is a flatten."""
+
+    steps: tuple
+    images: int
+    geom: tuple
+    fresh: bool
+
+
+def _schedule(layers, geom) -> _Schedule:
+    """The `_Schedule` of the stack `layers` on images of geometry `geom`;
+    raises ShapeError where a layer's weights do not fit its input."""
+    order = _run_order(layers)
+    after_pool = {b for a, b in zip(order, order[1:]) if layers[a].spec.kind == "maxpool2d"}
+    geom, per_image, steps = tuple(geom), 1, []
+    for idx, layer in enumerate(layers):
+        out = _checked_geometry(layer, geom)
+        steps.append(_Step(idx, layer, geom, out, layer.spec.kind == "relu" and idx in after_pool))
         if layer.spec.kind == "conv2d":
             per_image = max(per_image, out[0] * out[1] * layer.spec.kernel_size**2 * geom[2])
         geom = out
-    return max(1, _PATCH_VALUES // per_image), geom
+    return _Schedule(
+        tuple(steps[idx] for idx in order),
+        max(1, _PATCH_VALUES // per_image),
+        geom,
+        any(layer.spec.kind != "flatten" for layer in layers),
+    )
 
 
 def _run_order(layers):
@@ -456,20 +521,30 @@ def _run_order(layers):
 def forward_layers(layers, x, keep_caches=False):
     """Output of the stack on batch `x`, and with `keep_caches` the caches
     `backward_layers` reads: a (slice of the batch, list of per-layer caches)
-    pair per block of images (see `_block_plan`).  Without them no cache is
+    pair per block of images (see `_Schedule`).  Without them no cache is
     computed.  The layers run in `_run_order`; the caches stay in manifest
     order."""
-    step, geom = _block_plan(layers, x.shape)
-    order = _run_order(layers)
-    out = np.empty((len(x),) + geom)
+    return _run(_schedule(layers, x.shape[1:]), x, keep_caches)
+
+
+def _run(schedule, x, keep_caches=False):
+    """`forward_layers` of the stack that `schedule` parsed, on batch `x` of
+    its geometry.  A batch of one block returns its last step's output as it
+    is, unless that is a view of `x`."""
+    n, images = len(x), schedule.images
+    whole = 0 < n <= images and schedule.fresh
+    out = None if whole else np.empty((n,) + schedule.geom)
     caches = []
-    for lo in range(0, len(x), step):
-        span, xb, block = slice(lo, lo + step), x[lo : lo + step], [None] * len(layers)
-        for idx in order:
-            xb, cache = _FORWARD[layers[idx].spec.kind](xb, layers[idx], keep_caches)
+    for lo in range(0, n, images):
+        span, xb, block = slice(lo, lo + images), x[lo : lo + images], [None] * len(schedule.steps)
+        for step in schedule.steps:
+            xb, cache = step.forward(xb, step, keep_caches)
             if keep_caches:  # conv2d returns its padded input either way
-                block[idx] = cache
-        out[span] = xb
+                block[step.index] = cache
+        if whole:
+            out = xb
+        else:
+            out[span] = xb
         if keep_caches:
             caches.append((span, block))
     return (out, caches) if keep_caches else out
@@ -537,13 +612,15 @@ class ModelBundle:
     def __post_init__(self):
         if not self.head or self.head[-1].spec.kind != "log-softmax":
             raise ShapeError("head must end in a log-softmax layer")
-        geom = tuple(self.input_shape)
         for layer in self.extractor:
             if layer.spec.kind not in _EXTRACTOR_KINDS:
                 raise UnsupportedLayerError(
                     f"extractor layer {layer.spec.kind!r} is not one of {', '.join(_EXTRACTOR_KINDS)}"
                 )
-            geom = _checked_geometry(layer, geom)
+        # the extractor parsed once for the model's own input shape: every
+        # inference pass runs it, and it holds the layers, as `mlp` does
+        self.schedule = _schedule(self.extractor, self.input_shape)
+        geom = self.schedule.geom
         if len(geom) != 3:
             raise ShapeError("extractor must produce a spatial h x w x d geometry")
         self.feature_shape = geom
@@ -593,14 +670,14 @@ def _as_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
 
 def forward_features(model: ModelBundle, image: np.ndarray) -> FeatureGrid:
     """f(image): run the extractor, returning the spatial feature grid."""
-    out = forward_layers(model.extractor, _as_batch(model, [image]))
+    out = _run(model.schedule, _as_batch(model, [image]))
     return FeatureGrid.from_array(out[0])
 
 
 def forward_feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> tuple:
     """(f(image), f(image2)) from one two-image extractor pass."""
     batch = np.concatenate([_as_batch(model, [image]), _as_batch(model, [image2])])
-    out = forward_layers(model.extractor, batch)
+    out = _run(model.schedule, batch)
     return FeatureGrid.from_array(out[0]), FeatureGrid.from_array(out[1])
 
 
@@ -657,7 +734,7 @@ def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
     for lo in range(0, len(imgs), _PREDICT_IMAGES):
         chunk = imgs[lo : lo + _PREDICT_IMAGES]
         # the features stay a temporary, freed before the next chunk's pass
-        logits = _mlp_forward(model.mlp, forward_layers(model.extractor, chunk).reshape(len(chunk), -1))
+        logits = _mlp_forward(model.mlp, _run(model.schedule, chunk).reshape(len(chunk), -1))
         preds.append(np.argmax(_finite(_log_softmax(logits)), axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 

@@ -87,7 +87,8 @@ def test_nine_in_ten_verdict(shift, losing_pairs, clears):
 
 
 def test_summarize_prints_one_line_per_metric():
-    spec = {"end_to_end": [{"name": "op_ms", "better": "lower"}, {"name": "items", "better": "higher"}]}
+    spec = {"end_to_end": [{"name": "op_ms", "better": "lower", "bound": 0.25},
+                           {"name": "items", "better": "higher", "bound": 0.25}]}
     # the control beats the parent in the first three pairs and loses the rest by 1
     control = [p - 1 if k < 3 else p + 1 for k, p in enumerate(PARENT)]
     pairs = [
@@ -100,6 +101,7 @@ def test_summarize_prints_one_line_per_metric():
     assert lines[0].split()[0] == "op_ms" and "wins 10/10 losses 0" in lines[0] and "9-in-10 yes" in lines[0]
     assert lines[1].split()[0] == "items" and "wins 10/10 losses 0" in lines[1]
     assert "gap  -9.57%" in lines[0]
+    assert "within bound 25% yes" in lines[0] and "within bound 25% yes" in lines[1]
     # the control's median 105.5 against the parent's 104.5
     assert lines[0].endswith("control gap  +0.96% wins 3/10") and lines[1].endswith("wins 3/10")
     # the change's per-pair gaps of -10 lie far outside the control's [-1, +1]
@@ -126,11 +128,41 @@ def test_beyond_control_reads_the_controls_spread(shifts, beyond):
 
 
 def test_summarize_prints_a_gap_inside_the_controls_spread():
-    spec = {"end_to_end": [{"name": "op_ms", "better": "lower"}]}
+    spec = {"end_to_end": [{"name": "op_ms", "better": "lower", "bound": 0.25}]}
     pairs = [{"parent": {"op_ms": p}, "change": {"op_ms": p - 1}, "control": {"op_ms": c}} for p, c in zip(PARENT, CONTROL)]
     (line,) = ab_pairs.summarize(pairs, spec)
     # ten wins, but a gap of -1 that the same code run twice also shows
     assert "wins 10/10" in line and "beyond control no" in line
+
+
+@pytest.mark.parametrize(
+    "better, shift, within",
+    [
+        ("lower", 0.0, True),
+        ("lower", -30.0, True),  # better by any amount
+        ("lower", 5.2, True),  # worse, but by less than 5% of the parent's median 104.5 (5.225)
+        ("lower", 5.3, False),
+        ("higher", -5.2, True),
+        ("higher", -5.3, False),
+        ("higher", 30.0, True),
+    ],
+)
+def test_within_bound_reads_the_medians_against_the_bound(better, shift, within):
+    change = [v + shift for v in PARENT]
+    assert ab_pairs.within_bound(PARENT, change, better, 0.05) is within
+
+
+def test_summarize_flags_a_metric_beyond_its_bound():
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+                           {"name": "items", "better": "higher", "bound": 0.05},
+                           {"name": "ok_ops_ratio", "better": "higher", "bound": 0.01}]}
+    # peak RSS 10% up, throughput 4% down, correctness unchanged
+    pairs = [{arm: {"peak_rss_mb": p * f, "items": 1000 / p * g, "ok_ops_ratio": 1.0}
+              for arm, f, g in (("parent", 1, 1), ("control", 1, 1), ("change", 1.1, 0.96))} for p in PARENT]
+    lines = ab_pairs.summarize(pairs, spec)
+    assert "within bound 5% no" in lines[0]
+    assert "within bound 5% yes" in lines[1]
+    assert "within bound 1% yes" in lines[2]
 
 
 def test_arms_rotate_from_pair_to_pair():

@@ -180,8 +180,8 @@ class TestCacheFreeForward:
     def test_pool_and_relu_build_no_cache(self):
         rng = np.random.default_rng(32)
         x = rng.normal(size=(2, 6, 6, 3))
-        assert network._pool_forward(x, pool_layer(2, 2), keep_cache=False)[1] is None
-        assert network._relu_forward(x, network.Layer(LayerSpec("relu")), keep_cache=False)[1] is None
+        assert network._pool_forward(x, step_of(pool_layer(2, 2), x), keep_cache=False)[1] is None
+        assert network._relu_forward(x, step_of(network.Layer(LayerSpec("relu")), x), keep_cache=False)[1] is None
 
     def test_reference_stack_is_bit_identical(self):
         model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=4)
@@ -327,6 +327,11 @@ def pool_layer(window, stride):
     return network.Layer(LayerSpec("maxpool2d", window=window, stride=stride))
 
 
+def step_of(layer, x):
+    """The step a pass builds for `layer` alone on the images of batch `x`."""
+    return network._schedule([layer], x.shape[1:]).steps[0]
+
+
 class TestPoolKernels:
     @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (3, 1), (3, 2), (2, 3), (1, 1)])
     def test_matches_per_window_reference(self, window, stride):
@@ -337,7 +342,7 @@ class TestPoolKernels:
         x[1, 2:6, 1:5, 1] = 0.25  # equal nonzero values tie too
         signed_zeros = np.where(rng.random((2, 7, 10, 3)) < 0.5, -0.0, 0.0)  # ties equal in value only
         for inputs in (x, rng.normal(size=(2, 7, 10, 3)), signed_zeros):
-            out, (idx, shape) = network._pool_forward(inputs, pool_layer(window, stride))
+            out, (idx, shape) = network._pool_forward(inputs, step_of(pool_layer(window, stride), inputs))
             out_ref, idx_ref = pool_reference(inputs, window, stride)
             assert out.tobytes() == out_ref.tobytes()
             np.testing.assert_array_equal(idx, idx_ref)
@@ -348,7 +353,7 @@ class TestPoolKernels:
         # takes the bits of the first in (dw, dh) order, and the index the first
         # in (dh, dw) order; a relu after the pool makes every zero +0.0
         x = np.array([[-1.0, -0.0], [0.0, -2.0]])[None, :, :, None]
-        out, (idx, _) = network._pool_forward(x, pool_layer(2, 2))
+        out, (idx, _) = network._pool_forward(x, step_of(pool_layer(2, 2), x))
         out_ref, idx_ref = pool_reference(x, 2, 2)
         assert np.array_equal(out, out_ref) and np.array_equal(idx, idx_ref) and idx.item() == 1
         assert (out.item(), np.signbit(out.item()), np.signbit(out_ref.item())) == (0.0, False, True)
@@ -370,7 +375,7 @@ class TestPoolKernels:
         x = np.maximum(rng.normal(-0.5, 1.0, size=shape), 0.0)
         x[0, :4, :4, 0] = 0.0  # all-zero windows
         layer = pool_layer(window, stride)
-        out, (idx, xshape) = network._pool_forward(x, layer)
+        out, (idx, xshape) = network._pool_forward(x, step_of(layer, x))
         g = rng.normal(size=out.shape)
         g[0, 0, 0, 0] = -0.0
 
@@ -405,14 +410,15 @@ class TestPoolKernels:
         out, caches = network.forward_layers([layer], x, keep_caches=True)
         R = rng.normal(size=out.shape)
         gx, _ = network.backward_layers([layer], caches, R * out)
+        step = step_of(layer, x)
         eps = 1e-6
         fd = np.zeros_like(x)
         for idx in np.ndindex(x.shape):
             keep = x[idx]
             x[idx] = keep + eps
-            up = 0.5 * float(np.sum(R * network._pool_forward(x, layer)[0] ** 2))
+            up = 0.5 * float(np.sum(R * network._pool_forward(x, step)[0] ** 2))
             x[idx] = keep - eps
-            down = 0.5 * float(np.sum(R * network._pool_forward(x, layer)[0] ** 2))
+            down = 0.5 * float(np.sum(R * network._pool_forward(x, step)[0] ** 2))
             x[idx] = keep
             fd[idx] = (up - down) / (2 * eps)
         assert np.abs(fd - gx).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
@@ -628,7 +634,7 @@ class TestImageBlocks:
         assert [span for span, _ in caches] == [slice(0, network._PATCH_VALUES)]
         want, want_caches = x, []
         for layer in model.head:
-            want, cache = network._FORWARD[layer.spec.kind](want, layer)
+            want, cache = network._FORWARD[layer.spec.kind](want, step_of(layer, want))
             want_caches.append(cache)
         want_g = g
         for layer, cache, got in reversed(list(zip(model.head, want_caches, grads))):
@@ -781,6 +787,141 @@ class TestFrozenModelBatches:
             finally:
                 tracemalloc.stop()
             assert peak < 8 << 20, (count, peak)
+
+
+class TestModelSchedule:
+    """`predict_batch`, `forward_features` and `forward_feature_pair` run the
+    extractor schedule the bundle built once, for its own input shape, and
+    their features equal `forward_layers(model.extractor, ...)` bit for bit."""
+
+    EXTRACTORS = {
+        # padding 2, an overlapping pool (window 3, stride 2) after the relu
+        # that runs after it, a stride-2 conv, and a relu after an overlapping pool
+        "padded": [
+            LayerSpec("conv2d", out_channels=3, kernel_size=5, padding=2),
+            LayerSpec("relu"),
+            LayerSpec("maxpool2d", window=3, stride=2),
+            LayerSpec("conv2d", out_channels=4, kernel_size=3, stride=2),
+            LayerSpec("maxpool2d", window=2, stride=1),
+            LayerSpec("relu"),
+        ],
+        # a relu on a conv's output, one before a pool and one after that relu
+        "relus": [
+            LayerSpec("conv2d", out_channels=3, kernel_size=3, stride=2, padding=2),
+            LayerSpec("relu"),
+            LayerSpec("conv2d", out_channels=4, kernel_size=3, padding=1),
+            LayerSpec("relu"),
+            LayerSpec("maxpool2d", window=3, stride=2),
+            LayerSpec("relu"),
+        ],
+    }
+    HEAD = [LayerSpec("flatten"), LayerSpec("dense", units=5), LayerSpec("relu"), LayerSpec("dense", units=3),
+            LayerSpec("log-softmax")]
+
+    @staticmethod
+    def predicted_features(model, images):
+        """(predict_batch's classes, the features its head read)."""
+        seen, real = [], network._mlp_forward
+
+        def spy(mlp, x):
+            seen.append(x.copy())
+            return real(mlp, x)
+
+        with mock.patch.object(network, "_mlp_forward", spy):
+            preds = network.predict_batch(model, images)
+        return preds, np.concatenate(seen).reshape((-1,) + model.feature_shape)
+
+    def check_passes(self, model, images):
+        kept = images.copy()
+        want = network.forward_layers(model.extractor, images)
+        preds, features = self.predicted_features(model, images)
+        assert features.tobytes() == want.tobytes()
+        logprobs = network.head_logprobs_batch(model, want.reshape(len(want), -1, want.shape[-1]))
+        assert preds.tolist() == np.argmax(logprobs, axis=1).tolist()
+        d = model.feature_shape[2]
+        for k, image in enumerate(images):
+            assert forward_features(model, image).values.tobytes() == want[k].reshape(-1, d).tobytes()
+        for k in range(len(images) - 1):
+            F, F2 = forward_feature_pair(model, images[k], images[k + 1])
+            assert F.values.tobytes() == want[k].reshape(-1, d).tobytes()
+            assert F2.values.tobytes() == want[k + 1].reshape(-1, d).tobytes()
+        assert images.tobytes() == kept.tobytes()  # no pass writes into its input
+
+    @pytest.mark.parametrize("block", [1, 3, None])  # images per block; None: the default budget
+    @pytest.mark.parametrize("name", sorted(EXTRACTORS))
+    def test_passes_equal_forward_layers(self, name, block):
+        layers = self.EXTRACTORS[name]
+        rng = np.random.default_rng(len(name) + (block or 0))
+        budget = network._PATCH_VALUES
+        if block is not None:
+            probe = make_model(layers, self.HEAD, (18, 18, 2), 3)
+            budget = block * patch_values_per_image(probe.extractor, probe.input_shape)
+        with mock.patch.object(network, "_PATCH_VALUES", budget):  # the schedule is built here, once
+            model = make_model(layers, self.HEAD, (18, 18, 2), 3, seed=block or 0)
+        assert block is None or model.schedule.images == block
+        assert [step.layer for step in model.schedule.steps] == [model.extractor[i] for i in
+                                                                network._run_order(model.extractor)]
+        # 1 image, 2 images, exactly one block of 3, and several blocks
+        for count in (1, 2, 3, 7):
+            images = rng.normal(size=(count, 18, 18, 2))
+            images[0, :6] = 0.0  # all-zero windows
+            self.check_passes(model, images)
+
+    def test_in_place_weight_updates_reach_every_pass(self):
+        model = make_model(self.EXTRACTORS["padded"], self.HEAD, (18, 18, 2), 3, seed=1)
+        images = np.random.default_rng(1).normal(size=(4, 18, 18, 2))
+        before = network.forward_layers(model.extractor, images)
+        for layer in model.extractor:
+            for w in layer.weights.values():
+                w *= -1.5
+        assert network.forward_layers(model.extractor, images).tobytes() != before.tobytes()
+        self.check_passes(model, images)
+
+    def test_a_trained_model_runs_its_trained_weights(self):
+        # train builds its bundle, and with it the schedule, before its first update
+        model = train_small_stack()
+        assert all(step.layer in model.extractor for step in model.schedule.steps)
+        rng = np.random.default_rng(6)  # train_small_stack's images
+        images = rng.uniform(0, 1, (20, 10, 10, 1))
+        labels = rng.integers(3, size=20)
+        self.check_passes(model, images)
+        accuracy = np.mean(np.argmax(full_stack(model, images), axis=1) == labels)
+        assert model.metrics["train_accuracy"] == accuracy
+
+
+class TestShiftLse:
+    """`_shift_lse` accumulates along the class axis below
+    `_LSE_ACCUMULATE_ROWS` rows and loops over the class columns from there
+    on: the same binary operations in class order, so the same bits."""
+
+    @staticmethod
+    def batches(rng, rows, classes):
+        shape = (rows, classes)
+        yield rng.normal(size=shape)
+        yield np.zeros(shape)
+        yield np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        yield 1e6 * rng.normal(size=shape)
+        mixed = rng.normal(size=shape)
+        mixed[::3] = 0.0
+        mixed[1::3] = np.where(np.arange(classes) % 2, -0.0, 0.0)
+        mixed[2::3] *= 1e6
+        yield mixed
+
+    @pytest.mark.parametrize("classes", [4, 10])
+    @pytest.mark.parametrize(
+        "rows", [1, 4, network._LSE_ACCUMULATE_ROWS - 1, network._LSE_ACCUMULATE_ROWS, 100, 600]
+    )
+    def test_both_paths_give_the_same_bits(self, rows, classes):
+        rng = np.random.default_rng(rows * classes)
+        for x in self.batches(rng, rows, classes):
+            got = network._shift_lse(x)
+            with mock.patch.object(network, "_LSE_ACCUMULATE_ROWS", 0):
+                columns = network._shift_lse(x)
+            with mock.patch.object(network, "_LSE_ACCUMULATE_ROWS", rows + 1):
+                accumulated = network._shift_lse(x)
+            for a, b, c in zip(got, columns, accumulated):
+                assert a.shape == b.shape == c.shape
+                assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 class TestBackwardSelection:

@@ -40,8 +40,11 @@ stands the control's gap A′ − A and the pairs the control won: the same code
 run twice, so a B − A gap no larger than it is noise. The line also says
 whether the change's gap lies beyond the control's spread: whether the
 median of the per-pair gaps B − A lies outside the range of the per-pair
-gaps A′ − A. `--out` also writes every pair's metrics, all three arms, and
-its pad length as JSON.
+gaps A′ − A. It also says whether the change stays within the metric's
+`bound`: whether its median is worse than the parent's by no more than that
+fraction of the parent's median, the no-regression rule every metric must
+keep. `--out` also writes every pair's metrics, all three arms, and its pad
+length as JSON.
 """
 
 from __future__ import annotations
@@ -216,21 +219,33 @@ def beyond_control(parent: list[float], change: list[float], control: list[float
     return not min(noise) <= gap <= max(noise)
 
 
+def within_bound(parent: list[float], change: list[float], better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by no more
+    than `bound`, a fraction of the parent's median; `better` is "lower" or
+    "higher"."""
+    sign = 1 if better == "lower" else -1
+    med_p = statistics.median(parent)
+    return sign * (statistics.median(change) - med_p) <= bound * abs(med_p)
+
+
 def summarize(pairs: list[dict], spec: dict) -> list[str]:
     """One line per end-to-end metric over the pairs of one workload: the
-    change against the parent, whether its gap lies beyond the control's
-    spread, and the control's gap and wins."""
+    change against the parent, whether it stays within the metric's bound,
+    whether its gap lies beyond the control's spread, and the control's gap
+    and wins."""
     lines = []
     for m in spec["end_to_end"]:
         name = m["name"]
         parent, change, control = ([p[arm][name] for p in pairs] for arm in ("parent", "change", "control"))
         r = compare(parent, change, m["better"])
         c = compare(parent, control, m["better"])
+        within = within_bound(parent, change, m["better"], m["bound"])
         lines.append(
             f"  {name:16s} parent {r['parent']:10.4g} [{r['parent_q'][0]:.4g}, {r['parent_q'][1]:.4g}]"
             f"  change {r['change']:10.4g} [{r['change_q'][0]:.4g}, {r['change_q'][1]:.4g}]"
             f"  gap {r['gap']:+7.2%}  wins {r['wins']}/{len(pairs)} losses {r['losses']}"
             f"  9-in-10 {'yes' if r['clears'] else 'no'}"
+            f"  within bound {m['bound']:.0%} {'yes' if within else 'no'}"
             f"  beyond control {'yes' if beyond_control(parent, change, control) else 'no'}"
             f"  control gap {c['gap']:+7.2%} wins {c['wins']}/{len(pairs)}"
         )
