@@ -16,21 +16,24 @@ layer's stride positive.
 
 The bundle parses that head once into `mlp`, the layers between flatten and
 log-softmax: a (weight, bias) pair of the layer's own arrays per dense layer,
-None per relu.  Every head pass reads it (`_mlp_forward`, `tail_gradient`);
-only `train` runs the head's layers, as a stack of their own, through
-`forward_layers` and `backward_layers`.  Every log-softmax, the layer's and
-each fused pass's, takes its shift and class sum from `_shift_lse`.
+None per relu.  Every head pass but `train`'s reads it (`_mlp_forward`,
+`tail_gradient`).  Every log-softmax, the layer's and each fused pass's,
+takes its shift and class sum from `_shift_lse`.
 
-A forward pass runs a `_Schedule`: a stack parsed for one image geometry
-into its steps in run order (`_run_order`), each with the fixed geometry its
-kernel reads (a conv's kernel shape, stride, padding, output size and patch
-record; a pool's window, stride and output size), and the images per block.
-`forward_layers` builds one on each call, for the stack and batch it is
-given.  The bundle builds its extractor's once, as it parses its head, for
-its own input shape only (`_as_batch` refuses any other), and
-`predict_batch`, `forward_features` and `forward_feature_pair` run it
-through the same kernels.  A step holds its layer, whose weights the kernel
-reads on each call, so `train`'s in-place updates reach every pass.
+A pass runs a `_Schedule`: a stack parsed for one image geometry into its
+steps in run order (`_run_order`), each with the fixed geometry its kernels,
+forward and backward, read (a conv's kernel shape, stride, padding, output
+size and patch record; a pool's window, stride and output size), and the
+images per block.  A forward pass that keeps caches keeps each with its
+step, in run order, and the backward pass runs those steps reversed, so it
+works out neither the order nor the geometry again.  The bundle parses two
+stacks once, for its own input shape only (`_as_batch` refuses any other):
+its extractor, whose schedule `predict_batch`, `forward_features` and
+`forward_feature_pair` run, and its head, on the extractor's grid.  `train`
+runs the bundle's two schedules, forward and back, and so parses nothing per
+batch; `forward_layers` parses a stack that no bundle holds, such as one
+layer alone.  A step holds its layer, whose weights the kernels read on each
+call, so `train`'s in-place updates reach every pass.
 
 A stack runs forward and backward one block of images at a time, every
 layer on one block before the next block starts, so that a block's arrays
@@ -72,7 +75,7 @@ maximum is not positive passes its gradient times zero either way, and
 relu makes every zero +0.0.  Outputs keep their bits.  Where windows do not
 overlap every gradient keeps its bits too; where they overlap, an input
 gradient that sums zeros may take the other sign.  Neither layer holds
-weights, and each keeps its cache in its manifest slot.  A relu that runs
+weights, and each keeps its cache beside its own step.  A relu that runs
 right after a max pool overwrites the pool's output, an array the pool made
 and no cache holds, instead of allocating another.
 
@@ -234,11 +237,6 @@ _PATCH_VALUES = 1 << 18
 _EXTRACTOR_KINDS = ("conv2d", "relu", "maxpool2d")
 
 
-def _patch_record(kw, cin):
-    """The dtype of one patch record: the kw·cin float64 values of a window row."""
-    return np.dtype((np.void, kw * cin * 8))
-
-
 def _patches(xpad, kh, s, oh, ow, record):
     """The (images·oh·ow, kh·kw·cin) patch matrix of the contiguous batch xpad,
     in (dh, dw, c) order.  Channels-last, the kw·cin values of one window row
@@ -260,30 +258,25 @@ def _conv_forward(x, step, keep_cache=True):
     return out.reshape(n, oh, ow, cout), x  # cache padded input; backward rebuilds the patches
 
 
-def _conv_weight_grads(g, layer, xpad):
-    kern = layer.weights["kernel"]
-    kh, kw, cin, cout = kern.shape
-    _, oh, ow, _ = g.shape
+def _conv_weight_grads(g, step, xpad):
+    (kh, _, _, cout), (_, s, _), (oh, ow) = step.kernel_shape, step.window, step.out_hw
     gm = g.reshape(-1, cout)
-    _, s, _ = layer.spec.window_geometry()
-    gk = (gm.T @ _patches(xpad, kh, s, oh, ow, _patch_record(kw, cin))).T
+    gk = (gm.T @ _patches(xpad, kh, s, oh, ow, step.record)).T
     # a ones-vector GEMM: a reduction over axes (0, 1, 2) runs an inner loop only cout long
-    return {"kernel": gk.reshape(kern.shape), "bias": np.ones(len(gm)) @ gm}
+    return {"kernel": gk.reshape(step.kernel_shape), "bias": np.ones(len(gm)) @ gm}
 
 
-def _conv_input_grad(g, layer, xpad):
-    kern = layer.weights["kernel"]
-    kh, kw, cin, cout = kern.shape
-    _, s, p = layer.spec.window_geometry()
-    n, oh, ow, _ = g.shape
-    wp = xpad.shape[2]
+def _conv_input_grad(g, step, xpad):
+    (kh, kw, cin, cout), (_, s, p), (oh, ow) = step.kernel_shape, step.window, step.out_hw
+    n, wp = len(g), xpad.shape[2]
     # g copied kw times into its input columns: cols[:, i, x, dw] is the gradient
     # of output (i, (x - dw) / s), zero where that is no output
     cols = np.zeros((n, oh, wp, kw, cout))
     for dw in range(kw):
         cols[:, :, dw : dw + ow * s : s, dw] = g
-    kern_cols = kern.transpose(1, 3, 0, 2).reshape(kw * cout, kh * cin)  # rows (dw, cout), columns (dh, cin)
-    # rows[:, i, :, dh] is output row i's gradient at input row i·s + dh
+    kern_cols = step.layer.weights["kernel"].transpose(1, 3, 0, 2).reshape(kw * cout, kh * cin)
+    # kern_cols has rows (dw, cout) and columns (dh, cin); rows[:, i, :, dh] is
+    # output row i's gradient at input row i·s + dh
     rows = (cols.reshape(-1, kw * cout) @ kern_cols).reshape(n, oh, wp, kh, cin)
     gx = np.zeros(xpad.shape)
     for dh in range(kh):
@@ -323,11 +316,9 @@ def _pool_forward(x, step, keep_cache=True):
     return out, (idx, x.shape)
 
 
-def _pool_input_grad(g, layer, cache):
-    spec = layer.spec
-    k, s, _ = spec.window_geometry()
+def _pool_input_grad(g, step, cache):
+    (k, s, _), (oh, ow) = step.window, step.out_hw
     idx, xshape = cache
-    oh, ow = g.shape[1], g.shape[2]
     if s < k:  # overlapping windows: an input may take gradient from several
         gx = np.zeros(xshape)
         for m in range(k * k):
@@ -354,7 +345,7 @@ def _relu_forward(x, step, keep_cache=True):
     return np.maximum(x, 0.0, out=x if step.in_place else None), mask
 
 
-def _relu_input_grad(g, layer, mask):
+def _relu_input_grad(g, step, mask):
     return g * mask
 
 
@@ -363,7 +354,7 @@ def _flatten_forward(x, step, keep_cache=True):
     return x.reshape(n, -1), x.shape
 
 
-def _flatten_input_grad(g, layer, shape):
+def _flatten_input_grad(g, step, shape):
     return g.reshape(shape)
 
 
@@ -371,12 +362,12 @@ def _dense_forward(x, step, keep_cache=True):
     return x @ step.layer.weights["weight"] + step.layer.weights["bias"], x
 
 
-def _dense_weight_grads(g, layer, x):
+def _dense_weight_grads(g, step, x):
     return {"weight": x.T @ g, "bias": g.sum(axis=0)}
 
 
-def _dense_input_grad(g, layer, x):
-    return g @ layer.weights["weight"].T
+def _dense_input_grad(g, step, x):
+    return g @ step.layer.weights["weight"].T
 
 
 # below this many rows `_shift_lse` accumulates along the class axis, where
@@ -423,7 +414,7 @@ def _logsoftmax_forward(x, step, keep_cache=True):
     return y, y
 
 
-def _logsoftmax_input_grad(g, layer, y):
+def _logsoftmax_input_grad(g, step, y):
     p = np.exp(y)
     return g - p * g.sum(axis=-1, keepdims=True)
 
@@ -453,13 +444,14 @@ _WEIGHT_GRADS = {"conv2d": _conv_weight_grads, "dense": _dense_weight_grads}
 
 
 class _Step:
-    """One layer of a pass on images of one geometry, and what its forward
-    kernel reads that the geometry fixes: for conv2d the kernel shape, the
-    window's (size, stride, padding), the output size and the patch-record
-    dtype; for maxpool2d the window and the output size; for relu whether it
-    may overwrite its input, the fresh output of the max pool run before it.
-    It holds the layer itself, whose weights the kernel reads on each call,
-    so in-place weight updates reach every pass."""
+    """One layer of a pass on images of one geometry, its manifest `index`,
+    and what its kernels, forward and backward, read that the geometry
+    fixes: for conv2d the kernel shape, the window's (size, stride,
+    padding), the output size and the patch-record dtype; for maxpool2d the
+    window and the output size; for relu whether it may overwrite its input,
+    the fresh output of the max pool run before it.  It holds the layer
+    itself, whose weights the kernels read on each call, so in-place weight
+    updates reach every pass."""
 
     __slots__ = ("index", "layer", "forward", "window", "out_hw", "kernel_shape", "record", "in_place")
 
@@ -469,7 +461,8 @@ class _Step:
         windowed = kind in ("conv2d", "maxpool2d")
         self.window, self.out_hw = (layer.spec.window_geometry(), out[:2]) if windowed else (None, None)
         self.kernel_shape = layer.weights["kernel"].shape if kind == "conv2d" else None
-        self.record = _patch_record(self.kernel_shape[1], geom[2]) if kind == "conv2d" else None
+        # one patch record: the kw·cin float64 values of a window row
+        self.record = np.dtype((np.void, self.kernel_shape[1] * geom[2] * 8)) if kind == "conv2d" else None
 
 
 @dataclass(frozen=True)
@@ -488,12 +481,16 @@ class _Schedule:
 
 def _schedule(layers, geom) -> _Schedule:
     """The `_Schedule` of the stack `layers` on images of geometry `geom`;
-    raises ShapeError where a layer's weights do not fit its input."""
+    raises ShapeError where a layer does not fit its input or its weights
+    do not."""
     order = _run_order(layers)
     after_pool = {b for a, b in zip(order, order[1:]) if layers[a].spec.kind == "maxpool2d"}
     geom, per_image, steps = tuple(geom), 1, []
     for idx, layer in enumerate(layers):
-        out = _checked_geometry(layer, geom)
+        out = output_geometry(layer.spec, geom)
+        expected, got = _param_shapes(layer.spec, geom), {name: np.shape(w) for name, w in layer.weights.items()}
+        if got != expected:
+            raise ShapeError(f"{layer.spec.kind} weights {got} do not match the expected {expected}")
         steps.append(_Step(idx, layer, geom, out, layer.spec.kind == "relu" and idx in after_pool))
         if layer.spec.kind == "conv2d":
             per_image = max(per_image, out[0] * out[1] * layer.spec.kernel_size**2 * geom[2])
@@ -520,10 +517,9 @@ def _run_order(layers):
 
 def forward_layers(layers, x, keep_caches=False):
     """Output of the stack on batch `x`, and with `keep_caches` the caches
-    `backward_layers` reads: a (slice of the batch, list of per-layer caches)
-    pair per block of images (see `_Schedule`).  Without them no cache is
-    computed.  The layers run in `_run_order`; the caches stay in manifest
-    order."""
+    `backward_layers` reads: a (slice of the batch, list of (step, cache)
+    pairs in run order) pair per block of images (see `_Schedule`).  Without
+    them no cache is computed.  The layers run in `_run_order`."""
     return _run(_schedule(layers, x.shape[1:]), x, keep_caches)
 
 
@@ -536,11 +532,11 @@ def _run(schedule, x, keep_caches=False):
     out = None if whole else np.empty((n,) + schedule.geom)
     caches = []
     for lo in range(0, n, images):
-        span, xb, block = slice(lo, lo + images), x[lo : lo + images], [None] * len(schedule.steps)
+        span, xb, block = slice(lo, lo + images), x[lo : lo + images], []
         for step in schedule.steps:
             xb, cache = step.forward(xb, step, keep_caches)
             if keep_caches:  # conv2d returns its padded input either way
-                block[step.index] = cache
+                block.append((step, cache))
         if whole:
             out = xb
         else:
@@ -563,26 +559,25 @@ def _mlp_forward(mlp, x):
 
 
 def backward_layers(layers, caches, g, input_grad=True):
-    """(gradient w.r.t. the stack input, per-layer weight gradients) of a scalar
-    objective, given its gradient `g` at the stack output and the caches of
-    `forward_layers`.  The stack runs back block by block, in the forward
-    pass's blocks and in its `_run_order` reversed, and a layer's weight
-    gradients are the sum of its blocks' in block order.  With
-    `input_grad=False` the first layer run skips its input gradient and None
-    takes the stack's."""
+    """(gradient w.r.t. the stack input, per-layer weight gradients in
+    manifest order) of a scalar objective, given its gradient `g` at the
+    stack output and the caches of the forward pass of `layers`.  The stack
+    runs back block by block, in the forward pass's blocks, through each
+    block's (step, cache) pairs reversed, so in the order that pass ran;
+    a layer's weight gradients are the sum of its blocks' in block order.
+    With `input_grad=False` the first step run skips its input gradient and
+    None takes the stack's."""
     grads = [{} for _ in layers]
-    order = _run_order(layers)
     parts = []
     for span, block in caches:
         gb = g[span]
-        for pos in range(len(order) - 1, -1, -1):
-            idx = order[pos]
-            layer, cache = layers[idx], block[idx]
-            kind = layer.spec.kind
+        for pos in range(len(block) - 1, -1, -1):
+            step, cache = block[pos]
+            kind, wg = step.layer.spec.kind, grads[step.index]
             if kind in _WEIGHT_GRADS:
-                for name, grad in _WEIGHT_GRADS[kind](gb, layer, cache).items():
-                    grads[idx][name] = grads[idx][name] + grad if name in grads[idx] else grad
-            gb = _INPUT_GRAD[kind](gb, layer, cache) if pos or input_grad else None
+                for name, grad in _WEIGHT_GRADS[kind](gb, step, cache).items():
+                    wg[name] = wg[name] + grad if name in wg else grad
+            gb = _INPUT_GRAD[kind](gb, step, cache) if pos or input_grad else None
         parts.append(gb)
     return (np.concatenate(parts) if input_grad else None), grads
 
@@ -590,16 +585,6 @@ def backward_layers(layers, caches, g, input_grad=True):
 # ---------------------------------------------------------------------------
 # model bundle
 # ---------------------------------------------------------------------------
-
-def _checked_geometry(layer: Layer, geom: tuple) -> tuple:
-    """Output geometry of `layer`, after checking its weights fit input `geom`."""
-    out = output_geometry(layer.spec, geom)
-    expected = _param_shapes(layer.spec, geom)
-    got = {name: np.shape(w) for name, w in layer.weights.items()}
-    if got != expected:
-        raise ShapeError(f"{layer.spec.kind} weights {got} do not match the expected {expected}")
-    return out
-
 
 @dataclass
 class ModelBundle:
@@ -624,11 +609,11 @@ class ModelBundle:
         if len(geom) != 3:
             raise ShapeError("extractor must produce a spatial h x w x d geometry")
         self.feature_shape = geom
-        for layer in self.head:
-            geom = _checked_geometry(layer, geom)
-        if geom != (self.class_count,):
+        # the head parsed once for that grid: `train` runs both schedules
+        self.head_schedule = _schedule(self.head, geom)
+        if self.head_schedule.geom != (self.class_count,):
             raise ShapeError(
-                f"head output geometry {geom} does not match class count {self.class_count}"
+                f"head output geometry {self.head_schedule.geom} does not match class count {self.class_count}"
             )
         kinds = [layer.spec.kind for layer in self.head]
         if kinds[:2] != ["flatten", "dense"] or not set(kinds[2:-1]) <= {"dense", "relu"}:
@@ -818,9 +803,9 @@ def train(
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x, y = images[idx], labels[idx]
-            # two stacks: the head, with no conv layer, runs as one block
-            features, ext_caches = forward_layers(model.extractor, x, keep_caches=True)
-            out, head_caches = forward_layers(model.head, features, keep_caches=True)
+            # the bundle's two schedules: the head, with no conv layer, runs as one block
+            features, ext_caches = _run(model.schedule, x, keep_caches=True)
+            out, head_caches = _run(model.head_schedule, features, keep_caches=True)
             loss = -float(np.mean(out[np.arange(len(y)), y]))
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at step {step}", step=step)

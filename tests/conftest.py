@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import os
 import re
 import struct
@@ -288,19 +289,44 @@ def candidate_scores(model, F, F2, target_class, rows) -> np.ndarray:
     return out
 
 
+def brute_force_scores(model, F, F2, target_class) -> np.ndarray:
+    """The test side's one brute-force referee: the target-class
+    log-probability of every single edit, as an (hw, hw) array indexed by
+    (query cell, source cell), each from `head_logprobs` on the edited grid
+    that `single_edit` materializes."""
+    n = F.cells
+    return np.array(
+        [[head_logprobs(model, single_edit(F, F2, i, j))[target_class] for j in range(n)] for i in range(n)]
+    )
+
+
 def brute_force_best_edit(model, F, F2, target_class, excluded_query=(), excluded_source=()):
-    """Independent double-loop oracle: materialize every edited grid, run the head."""
-    best = None
-    for i in range(F.cells):
-        if i in set(excluded_query):
-            continue
-        for j in range(F.cells):
-            if j in set(excluded_source):
-                continue
-            score = head_logprobs(model, single_edit(F, F2, i, j))[target_class]
-            if best is None or score > best[2]:
-                best = (i, j, score)
-    return best
+    """(query cell, source cell, score) of the first maximum of
+    `brute_force_scores` over the cells not excluded: the tie rule of the
+    search, smallest query cell, then smallest source cell."""
+    rows, cols = (np.setdiff1d(np.arange(F.cells), excluded) for excluded in (excluded_query, excluded_source))
+    open_scores = brute_force_scores(model, F, F2, target_class)[np.ix_(rows, cols)]
+    i, j = np.unravel_index(np.argmax(open_scores), open_scores.shape)
+    return int(rows[i]), int(cols[j]), open_scores[i, j]
+
+
+def min_edit_oracle(model, F, F2, target_class, max_size=2, policy="query-and-distractor-cells"):
+    """All flipping edit sets up to max_size, by exhaustive subset enumeration."""
+    n = F.cells
+    flips = []
+    for size in range(1, max_size + 1):
+        for qcells in itertools.combinations(range(n), size):
+            source_pools = itertools.permutations(range(n), size) if policy == "query-and-distractor-cells" \
+                else itertools.product(range(n), repeat=size)
+            for sources in source_pools:
+                grid = F
+                for i, j in zip(qcells, sources):
+                    grid = single_edit(grid, F2, i, j)
+                if head_logprobs(model, grid).argmax() == target_class:
+                    flips.append(frozenset(zip(qcells, sources)))
+        if flips:
+            return size, flips
+    return None, []
 
 
 @pytest.fixture(scope="session")

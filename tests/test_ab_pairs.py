@@ -2,12 +2,17 @@
 the 9-in-10 verdict, the control arm and the rotation of the three arms, the
 per-pair environment pad, the byte comparison of the records both trees
 wrote and the export of the change's tree from a temporary git repository,
-with no benchmark run."""
+with no benchmark run; and the removal of the trees when a signal stops the
+tool, with a stand-in benchmark that waits to be stopped."""
 
 import importlib.util
 import json
 import os
+import shutil
+import signal
 import subprocess
+import sys
+import time
 
 import pytest
 
@@ -321,3 +326,50 @@ def test_the_change_side_exports_the_checkout_as_it_is_on_disk(tmp_path, monkeyp
         ".gitignore": "*.log\nout/\n", "kept.py": "1\n", "edited.py": "2 edited\n",
         os.path.join("sub", "deep.py"): "4\n", os.path.join("sub", "new.py"): "5\n",
     }
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_a_signal_removes_the_trees_and_the_running_benchmark(tmp_path, signum):
+    repo, tmp, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    tmp.mkdir()
+    shutil.copy(os.path.join(ROOT, "tools", "ab_pairs.py"), repo / "tools")
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), repo)
+    # the stand-in benchmark names its process, then waits to be stopped
+    (repo / "perfbench" / "run.py").write_text(
+        "import os, time\n"
+        f"with open({str(pid_file) + '.part'!r}, 'w') as fh:\n"
+        "    fh.write(str(os.getpid()))\n"
+        f"os.replace({str(pid_file) + '.part'!r}, {str(pid_file)!r})\n"
+        "time.sleep(600)\n"
+    )
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "seed")
+    proc = subprocess.Popen(
+        [sys.executable, str(repo / "tools" / "ab_pairs.py"), "--workload", "train", "--seeds", "1"],
+        cwd=repo, env=dict(os.environ, TMPDIR=str(tmp)), stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("parent ") and f" in {tmp}" in line, line
+        assert len(list(tmp.glob("ab-*"))) == 3
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) == -signum
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    try:  # the benchmark should be gone with the tool; one left running is stopped here
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        orphaned = True
+    except ProcessLookupError:
+        orphaned = False
+    assert not orphaned
+    assert not list(tmp.glob("ab-*"))

@@ -47,6 +47,7 @@ from cfedit.data import gen_shapes, load_idx
 from conftest import (
     brute_force_best_edit,
     identity_feature_model,
+    min_edit_oracle,
     mnist_paths_or_skip,
     objective_one,
     one_hot,
@@ -56,7 +57,6 @@ from conftest import (
     transformed,
     unpack,
 )
-from test_search import min_edit_oracle
 
 
 def report(criterion, label, passed, detail):

@@ -374,8 +374,8 @@ class TestPoolKernels:
         rng = np.random.default_rng(window * 10 + stride)
         x = np.maximum(rng.normal(-0.5, 1.0, size=shape), 0.0)
         x[0, :4, :4, 0] = 0.0  # all-zero windows
-        layer = pool_layer(window, stride)
-        out, (idx, xshape) = network._pool_forward(x, step_of(layer, x))
+        step = step_of(pool_layer(window, stride), x)
+        out, (idx, xshape) = network._pool_forward(x, step)
         g = rng.normal(size=out.shape)
         g[0, 0, 0, 0] = -0.0
 
@@ -385,7 +385,7 @@ class TestPoolKernels:
             return buf
 
         with mock.patch.object(np, "empty", nan_filled):
-            gx = network._pool_input_grad(g, layer, (idx, xshape))
+            gx = network._pool_input_grad(g, step, (idx, xshape))
         ref = pool_backward_reference(g, idx, window, stride, xshape)
         if stride < window:  # the kernel adds an input's gradients in tap order, the reference in window order
             assert_close_to_reference(gx, ref)
@@ -634,15 +634,16 @@ class TestImageBlocks:
         assert [span for span, _ in caches] == [slice(0, network._PATCH_VALUES)]
         want, want_caches = x, []
         for layer in model.head:
-            want, cache = network._FORWARD[layer.spec.kind](want, step_of(layer, want))
-            want_caches.append(cache)
+            step = step_of(layer, want)
+            want, cache = network._FORWARD[layer.spec.kind](want, step)
+            want_caches.append((step, cache))
         want_g = g
-        for layer, cache, got in reversed(list(zip(model.head, want_caches, grads))):
+        for layer, (step, cache), got in reversed(list(zip(model.head, want_caches, grads))):
             if layer.spec.kind in network._WEIGHT_GRADS:
-                want_grads = network._WEIGHT_GRADS[layer.spec.kind](want_g, layer, cache)
+                want_grads = network._WEIGHT_GRADS[layer.spec.kind](want_g, step, cache)
                 assert sorted(got) == sorted(want_grads)
                 assert all(got[name].tobytes() == want_grads[name].tobytes() for name in got)
-            want_g = network._INPUT_GRAD[layer.spec.kind](want_g, layer, cache)
+            want_g = network._INPUT_GRAD[layer.spec.kind](want_g, step, cache)
         assert out.tobytes() == want.tobytes()
         assert gx.shape == x.shape and gx.tobytes() == want_g.tobytes()
 
@@ -712,6 +713,24 @@ class TestRunOrder:
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         for a, b in zip(got[2], want[2]):
             assert sorted(a) == sorted(b) and all(a[name].tobytes() == b[name].tobytes() for name in a)
+
+    def test_backward_runs_the_order_its_forward_pass_ran(self):
+        # each cache carries its step, so backward walks the steps its forward
+        # pass ran, here in manifest order, whatever `_run_order` says now
+        model = make_model(reference_extractor_specs(), reference_head_specs(10), (28, 28, 1), 10, seed=8)
+        layers = model.extractor + model.head
+        rng = np.random.default_rng(8)
+        x, g = rng.uniform(0, 1, (5, 28, 28, 1)), rng.normal(size=(5, 10))
+        with manifest_order():
+            _, caches = network.forward_layers(layers, x, keep_caches=True)
+        gx, grads = network.backward_layers(layers, caches, g)
+        assert [step.index for step, _ in caches[0][1]] == list(range(len(layers)))
+        gx_ref, grads_ref = stack_backward_reference(layers, stack_forward_reference(layers, x)[1], g)
+        assert_close_to_reference(gx, gx_ref)
+        for got, want in zip(grads, grads_ref):
+            assert sorted(got) == sorted(want)
+            for name in want:
+                assert_close_to_reference(got[name], want[name])
 
     @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (2, 3), (1, 1), (3, 1), (3, 2)])
     def test_relu_and_pool_commute(self, window, stride):
@@ -881,12 +900,28 @@ class TestModelSchedule:
         # train builds its bundle, and with it the schedule, before its first update
         model = train_small_stack()
         assert all(step.layer in model.extractor for step in model.schedule.steps)
+        assert [step.layer for step in model.head_schedule.steps] == model.head
         rng = np.random.default_rng(6)  # train_small_stack's images
         images = rng.uniform(0, 1, (20, 10, 10, 1))
         labels = rng.integers(3, size=20)
         self.check_passes(model, images)
         accuracy = np.mean(np.argmax(full_stack(model, images), axis=1) == labels)
         assert model.metrics["train_accuracy"] == accuracy
+
+    def test_train_parses_its_stacks_only_in_its_bundle(self):
+        # train_small_stack runs 3 batches an epoch for 2 epochs on the two
+        # schedules its bundle built, and builds no other
+        calls, real = [], network._schedule
+
+        def spy(layers, geom):
+            calls.append(len(layers))
+            return real(layers, geom)
+
+        with mock.patch.object(network, "_schedule", spy):
+            model = train_small_stack()
+            trained = len(calls)
+            network.ModelBundle(model.extractor, model.head, model.class_count, model.input_shape)
+        assert trained == len(calls) - trained == 2
 
 
 class TestShiftLse:
@@ -1226,7 +1261,7 @@ class TestTrain:
         images = rng.uniform(0, 1, (10, 6, 6))
         labels = rng.integers(2, size=10)
         passes = []
-        monkeypatch.setattr(network, "forward_layers", lambda *args, **kwargs: passes.append(args))
+        monkeypatch.setattr(network, "_run", lambda *args, **kwargs: passes.append(args))
         with pytest.raises(UnsupportedLayerError, match="relu"):
             train(
                 [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
@@ -1248,7 +1283,7 @@ class TestTrain:
         if test_set:
             tests = {"test_images": rng.uniform(0, 1, (test_set[0], 6, 6)), "test_labels": [0] * test_set[1]}
         passes = []
-        monkeypatch.setattr(network, "forward_layers", lambda *args, **kwargs: passes.append(args))
+        monkeypatch.setattr(network, "_run", lambda *args, **kwargs: passes.append(args))
         with pytest.raises(ShapeError, match="label shape"):
             train(
                 [LayerSpec("conv2d", out_channels=2, kernel_size=3)],
@@ -1280,7 +1315,7 @@ class TestTrain:
         if "test_images" in test_set:
             test_set = dict(test_set, test_images=rng.uniform(0, 1, test_set["test_images"]))
         passes = []
-        monkeypatch.setattr(network, "forward_layers", lambda *args, **kwargs: passes.append(args))
+        monkeypatch.setattr(network, "_run", lambda *args, **kwargs: passes.append(args))
         with pytest.raises(ShapeError, match=match):
             train(
                 [LayerSpec("conv2d", out_channels=2, kernel_size=3)],

@@ -16,7 +16,9 @@ its function's signature fails here.  Greedy's steps are `EditProblem`
 methods, which the tracer does not wrap, so `search.steps_per_pair` (calls
 of `best_edit_exhaustive` per greedy call) reads 0 on these workloads.
 `fidelity` runs traced too, with the tracer wrapped around the public
-functions the relaxed solver calls at every step.
+functions the relaxed solver calls at every step, and so does `train`, whose
+traced run also times every reference layer alone, forward and back, through
+`forward_layers` and `backward_layers` on a stack of that one layer.
 
 The runs share one copy of `perfbench/` (without its `out/`), `src/` and
 `BENCHMARK.json` in a temporary directory, so they write their outputs
@@ -69,6 +71,10 @@ def test_fidelity_traced_smoke_is_correct(bench_copy):
 
 def test_train_smoke_is_correct(bench_copy):
     assert_smoke_correct(bench_copy, "train")
+
+
+def test_train_traced_smoke_is_correct(bench_copy):
+    assert_smoke_correct(bench_copy, "train", trace=1)
 
 
 def test_explain_ref_smoke_is_correct(bench_copy):

@@ -25,34 +25,17 @@ from cfedit.search import (
 
 from conftest import (
     brute_force_best_edit,
+    brute_force_scores,
     candidate_scores,
     identity_feature_model,
     make_model,
+    min_edit_oracle,
     random_grid,
     relaxed_replay,
     single_edit,
     solve_exhaustive,
     solve_relaxed,
 )
-
-
-def min_edit_oracle(model, F, F2, target_class, max_size=2, policy="query-and-distractor-cells"):
-    """All flipping edit sets up to max_size, by exhaustive subset enumeration."""
-    n = F.cells
-    flips = []
-    for size in range(1, max_size + 1):
-        for qcells in itertools.combinations(range(n), size):
-            source_pools = itertools.permutations(range(n), size) if policy == "query-and-distractor-cells" \
-                else itertools.product(range(n), repeat=size)
-            for sources in source_pools:
-                grid = F
-                for i, j in zip(qcells, sources):
-                    grid = single_edit(grid, F2, i, j)
-                if head_logprobs(model, grid).argmax() == target_class:
-                    flips.append(frozenset(zip(qcells, sources)))
-        if flips:
-            return size, flips
-    return None, []
 
 
 class TestBestEditExhaustive:
@@ -351,13 +334,6 @@ class TestCandidateScoresEquivalence:
         pairs = [(F, F2), (dupF, dupF2), (same, same), (zero, dupF2), (dupF, zero)]
         return [(FeatureGrid(h, w, d, a), FeatureGrid(h, w, d, b)) for a, b in pairs]
 
-    @staticmethod
-    def brute_force_scores(model, F, F2, target):
-        n = F.cells
-        return np.array(
-            [[head_logprobs(model, single_edit(F, F2, i, j))[target] for j in range(n)] for i in range(n)]
-        )
-
     @pytest.mark.parametrize("head", sorted(HEADS))
     @pytest.mark.parametrize("block_values", [None, 1, 300])
     def test_matches_per_grid_brute_force(self, head, block_values, monkeypatch):
@@ -378,7 +354,7 @@ class TestCandidateScoresEquivalence:
             )
             for F, F2 in self.grids(rng, h, w, d):
                 target = int(rng.integers(classes))
-                want = self.brute_force_scores(model, F, F2, target)
+                want = brute_force_scores(model, F, F2, target)
                 np.testing.assert_allclose(
                     candidate_scores(model, F, F2, target, range(n)), want, rtol=0, atol=1e-12
                 )

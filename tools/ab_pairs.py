@@ -12,9 +12,11 @@ another length: the parent's and the control's are `--rev` exported with
 `git archive` into `ab-parent-*` and `ab-control*` directories, and the
 change's is this checkout as it is on disk (its tracked files with their
 uncommitted edits, and its untracked files that are not ignored) copied
-into an `ab-change-*` directory. All are removed afterwards; nothing is
-added to the repository. Nothing under `perfbench/` is changed: each arm
-runs its own copy.
+into an `ab-change-*` directory. All are removed afterwards, also when a
+SIGINT or SIGTERM stops the run: the signal kills the running benchmark,
+the three trees are removed, and the tool then ends by that signal.
+Nothing is added to the repository. Nothing under `perfbench/` is
+changed: each arm runs its own copy.
 
 Every run also carries an environment variable that nothing reads,
 `AB_PAIRS_PAD`, whose length each pair draws from its seed, from 0 to
@@ -56,6 +58,7 @@ import math
 import os
 import random
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -252,6 +255,16 @@ def summarize(pairs: list[dict], spec: dict) -> list[str]:
     return lines
 
 
+class Stopped(Exception):
+    """A SIGINT or SIGTERM, raised where the run is, so that it unwinds:
+    `subprocess.run` kills the benchmark it waits on, and each arm's
+    `TemporaryDirectory` removes its tree."""
+
+
+def _stop(signum, frame):
+    raise Stopped(signum)
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -263,6 +276,25 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="write every pair's metrics to this JSON file")
     args = p.parse_args(argv)
 
+    handlers = {signum: signal.signal(signum, _stop) for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        commit, results = run_pairs(args, spec)
+    except Stopped as stop:  # the trees are gone: end by the signal, as its default action does
+        signal.signal(stop.args[0], signal.SIG_DFL)
+        os.kill(os.getpid(), stop.args[0])
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"parent": commit, "results": results}, fh, indent=1)
+    return 0
+
+
+def run_pairs(args, spec: dict) -> tuple[str, dict]:
+    """Export the three trees, run every pair of every workload in them and
+    print each pair and each workload's summary.  Returns the parent's
+    commit and {workload: its pairs}."""
     results = {}
     with contextlib.ExitStack() as stack:
         trees = {arm: stack.enter_context(tempfile.TemporaryDirectory(prefix=PREFIXES[arm])) for arm in ARMS}
@@ -294,10 +326,7 @@ def main(argv=None) -> int:
                 )
             print(f"{workload}: {len(pairs)} pairs")
             print("\n".join(summarize(pairs, spec)), flush=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"parent": commit, "results": results}, fh, indent=1)
-    return 0
+    return commit, results
 
 
 if __name__ == "__main__":
