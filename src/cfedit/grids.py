@@ -68,19 +68,20 @@ class EditList:
     w: int
 
     def __post_init__(self):
+        # one pass: integer coordinates, both cells in the grid, no query cell twice
+        norm, seen = [], set()
         for e in self.edits:
-            if not all(is_number(v, integer=True) for v in e):
+            if not all([is_number(v, integer=True) for v in e]):
                 raise FormatError(f"edit {e!r} has a cell coordinate that is not an integer")
-        norm = tuple(tuple(int(v) for v in e) for e in self.edits)
-        seen = set()
-        for (i, j, i2, j2) in norm:
-            for (r, c) in ((i, j), (i2, j2)):
+            i, j, i2, j2 = e = tuple(map(int, e))
+            for r, c in (i, j), (i2, j2):
                 if not (0 <= r < self.h and 0 <= c < self.w):
                     raise BoundsError(f"cell ({r}, {c}) outside {self.h}x{self.w} grid")
             if (i, j) in seen:
                 raise BoundsError(f"query cell ({i}, {j}) edited twice")
             seen.add((i, j))
-        object.__setattr__(self, "edits", norm)
+            norm.append(e)
+        object.__setattr__(self, "edits", tuple(norm))
 
     def __len__(self):
         return len(self.edits)

@@ -140,7 +140,7 @@ def relaxation_fidelity(
     test.  `use_relaxed=False` self-compares exhaustive search (a
     calibration identity).
     """
-    problems = [EditProblem(model, *inst) for inst in instances]
+    problems = [EditProblem(model, *model.check_grids(F, F2), *posed) for F, F2, *posed in instances]
     if not problems:
         raise ShapeError("no instances supplied")
     solved = best_pair_edits(model, problems, opt) if use_relaxed else [None] * len(problems)

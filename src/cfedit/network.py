@@ -29,7 +29,9 @@ step, in run order, and the backward pass runs those steps reversed, so it
 works out neither the order nor the geometry again.  The bundle parses two
 stacks once, for its own input shape only (`_as_batch` refuses any other):
 its extractor, whose schedule `predict_batch`, `forward_features` and
-`forward_feature_pair` run, and its head, on the extractor's grid.  `train`
+`_feature_pair` run, and its head, on the extractor's grid.  `_feature_pair`
+is greedy's pair pass, and `forward_feature_pair`'s: it checks once that
+the features are finite (ShapeError, as `FeatureGrid`).  `train`
 runs the bundle's two schedules, forward and back, and so parses nothing per
 batch; `forward_layers` parses a stack that no bundle holds, such as one
 layer alone.  A step holds its layer, whose weights the kernels read on each
@@ -87,7 +89,7 @@ A batch of one block returns its last step's output without a copy.
 An image's features do not depend on the batch it runs in: each conv GEMM
 has the shape of a one-image pass, and every other extractor step acts on
 each value alone, so every image of a batch, a block or the two-image batch
-of `forward_feature_pair` gets the bits of its one-image pass.  One GEMM
+of `_feature_pair` gets the bits of its one-image pass.  One GEMM
 over a whole block would not give them, because BLAS picks its kernel by
 the product's size: it rounded 2,375 to 2,389 of the 20,480 feature values
 of 64 images differently on the frozen benchmark model `ref`.
@@ -630,13 +632,14 @@ class ModelBundle:
         if not (is_number(target, integer=True) and 0 <= target < self.class_count):
             raise BoundsError(f"target class {target!r} outside [0, {self.class_count})")
 
-    def check_grids(self, *grids: FeatureGrid):
-        """Raise ShapeError unless every grid has the head's input geometry."""
+    def check_grids(self, *grids: FeatureGrid) -> list:
+        """The grids' (hw, d) values; ShapeError unless every grid has the head's input geometry."""
         for G in grids:
             if (G.h, G.w, G.d) != self.feature_shape:
                 raise ShapeError(
                     f"grid geometry {(G.h, G.w, G.d)} does not match head input {self.feature_shape}"
                 )
+        return [G.values for G in grids]
 
 
 # images per forward pass in predict_batch
@@ -659,11 +662,18 @@ def forward_features(model: ModelBundle, image: np.ndarray) -> FeatureGrid:
     return FeatureGrid.from_array(out[0])
 
 
+def _feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> np.ndarray:
+    """f(image) and f(image2) as the (2, hw, d) values of one two-image pass; ShapeError unless finite."""
+    batch = np.concatenate([_as_batch(model, [image]), _as_batch(model, [image2])])
+    out = _run(model.schedule, batch).reshape(2, -1, model.feature_shape[2])
+    if not np.isfinite(out).all():
+        raise ShapeError("grid values must be finite")
+    return out
+
+
 def forward_feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> tuple:
     """(f(image), f(image2)) from one two-image extractor pass."""
-    batch = np.concatenate([_as_batch(model, [image]), _as_batch(model, [image2])])
-    out = _run(model.schedule, batch)
-    return FeatureGrid.from_array(out[0]), FeatureGrid.from_array(out[1])
+    return tuple(FeatureGrid(*model.feature_shape, F) for F in _feature_pair(model, image, image2))
 
 
 def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
@@ -677,8 +687,7 @@ def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:
 
 def head_logprobs(model: ModelBundle, F: FeatureGrid) -> np.ndarray:
     """g(F): the float64 (classes,) log-probabilities of one feature grid."""
-    model.check_grids(F)
-    return head_logprobs_batch(model, F.values[None])[0]
+    return head_logprobs_batch(model, np.stack(model.check_grids(F)))[0]
 
 
 def tail_gradient(model: ModelBundle, onehot, z):
@@ -721,7 +730,7 @@ def predict_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
         # the features stay a temporary, freed before the next chunk's pass
         logits = _mlp_forward(model.mlp, _run(model.schedule, chunk).reshape(len(chunk), -1))
         preds.append(np.argmax(_finite(_log_softmax(logits)), axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
+    return preds[0] if len(preds) == 1 else np.concatenate(preds) if preds else np.zeros(0, dtype=int)
 
 
 # ---------------------------------------------------------------------------

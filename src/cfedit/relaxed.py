@@ -191,8 +191,8 @@ def best_pair_edits(model: ModelBundle, problems, opt: RelaxOptConfig) -> list:
         for x, p in zip(X, chunk):
             x[0, p.open_q] = 0.0
             x[1:, p.open_s] = 0.0
-        F = np.stack([p.F.values for p in chunk])
-        F2 = np.stack([p.F2.values for p in chunk])
+        F = np.stack([p.F for p in chunk])
+        F2 = np.stack([p.F2 for p in chunk])
         F2T = np.ascontiguousarray(F2.transpose(0, 2, 1))
         z0 = np.stack([p.z0 for p in chunk])
         onehot = np.eye(model.class_count)[[p.target for p in chunk]]

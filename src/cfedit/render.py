@@ -42,17 +42,20 @@ class ReceptiveFieldMap:
     image_h: int
     image_w: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_rects", {})  # the nonempty rectangles computed so far, by cell
+
     def rect(self, row: int, col: int) -> tuple[int, int, int, int]:
-        """Clipped (top, left, bottom, right), bounds inclusive."""
-        top = self.offset + row * self.stride
-        left = self.offset + col * self.stride
-        bottom = top + self.field - 1
-        right = left + self.field - 1
-        top, left = max(top, 0), max(left, 0)
-        bottom, right = min(bottom, self.image_h - 1), min(right, self.image_w - 1)
-        if top > bottom or left > right:
-            raise ShapeError(f"cell ({row}, {col}) has an empty clipped receptive field")
-        return (top, left, bottom, right)
+        """Clipped (top, left, bottom, right), bounds inclusive, computed once per cell."""
+        rect = self._rects.get((row, col))
+        if rect is None:
+            top, left = self.offset + row * self.stride, self.offset + col * self.stride
+            bottom, right = min(top + self.field, self.image_h) - 1, min(left + self.field, self.image_w) - 1
+            top, left = max(top, 0), max(left, 0)
+            if top > bottom or left > right:
+                raise ShapeError(f"cell ({row}, {col}) has an empty clipped receptive field")
+            rect = self._rects[row, col] = (top, left, bottom, right)
+        return rect
 
     def rect_center(self, row: int, col: int) -> tuple[float, float]:
         t, l, b, r = self.rect(row, col)
@@ -120,9 +123,10 @@ def render_heatmap(image: np.ndarray, cells, rf: ReceptiveFieldMap) -> np.ndarra
     return (1.0 - alpha) * img + alpha
 
 
-def render_composite(composite: np.ndarray, distractor: np.ndarray, edit: tuple, rf: ReceptiveFieldMap):
-    """Paste the distractor's highlighted patch onto `composite`, a float64
-    array of the query's shape, in place.
+def render_composite(composite: np.ndarray, distractor: np.ndarray, edits, rf: ReceptiveFieldMap):
+    """Paste the distractor's highlighted patch of each edit of `edits`, in
+    order, onto `composite`, a float64 array of the query's shape, in place;
+    the distractor is checked once.
 
     Query and distractor share the receptive fields `rf`.  The two
     receptive-field rectangle centers are aligned; the highlight
@@ -134,18 +138,18 @@ def render_composite(composite: np.ndarray, distractor: np.ndarray, edit: tuple,
     dimg = np.asarray(distractor, dtype=np.float64)
     if composite.shape != dimg.shape:
         raise ShapeError(f"query shape {composite.shape} != distractor shape {dimg.shape}")
-    i, j, i2, j2 = edit
-    cy_q, cx_q = rf.rect_center(i, j)
-    t, l, b, r = rf.rect(i2, j2)
-    dy = int(round(cy_q - (t + b) / 2.0))
-    dx = int(round(cx_q - (l + r) / 2.0))
-    # destination rows [dst_t, dst_b) and columns [dst_l, dst_r) in the query
-    dst_t, dst_l = max(t + dy, 0), max(l + dx, 0)
-    dst_b, dst_r = min(b + 1 + dy, dimg.shape[0]), min(r + 1 + dx, dimg.shape[1])
-    if dst_t < dst_b and dst_l < dst_r:
-        a = _unit_falloff(b - t + 1, r - l + 1)[dst_t - dy - t : dst_b - dy - t, dst_l - dx - l : dst_r - dx - l]
-        region = composite[dst_t:dst_b, dst_l:dst_r]
-        region[...] = (1.0 - a) * region + a * dimg[dst_t - dy : dst_b - dy, dst_l - dx : dst_r - dx]
+    for i, j, i2, j2 in edits:
+        cy_q, cx_q = rf.rect_center(i, j)
+        t, l, b, r = rf.rect(i2, j2)
+        dy = int(round(cy_q - (t + b) / 2.0))
+        dx = int(round(cx_q - (l + r) / 2.0))
+        # destination rows [dst_t, dst_b) and columns [dst_l, dst_r) in the query
+        dst_t, dst_l = max(t + dy, 0), max(l + dx, 0)
+        dst_b, dst_r = min(b + 1 + dy, dimg.shape[0]), min(r + 1 + dx, dimg.shape[1])
+        if dst_t < dst_b and dst_l < dst_r:
+            a = _unit_falloff(b - t + 1, r - l + 1)[dst_t - dy - t : dst_b - dy - t, dst_l - dx - l : dst_r - dx - l]
+            region = composite[dst_t:dst_b, dst_l:dst_r]
+            region[...] = (1.0 - a) * region + a * dimg[dst_t - dy : dst_b - dy, dst_l - dx : dst_r - dx]
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,7 @@ def render_explanation(
     qh = render_heatmap(query_image, q_cells, rf)
     dh = render_heatmap(distractor_image, d_cells, rf)
     comp = np.array(query_image, dtype=np.float64)
-    for quad in result.edits:
-        render_composite(comp, distractor_image, quad, rf)
+    render_composite(comp, distractor_image, result.edits, rf)
     return RenderedExplanation(qh, dh, comp)
 
 

@@ -18,12 +18,15 @@ final log-softmax only the target class is kept, bit-identical to that
 column of the full output.  Scoring works through a fixed number of values
 per block of query cells, so memory stays bounded as the grid grows.
 
-Each search poses best-edit problems (`EditProblem`): a grid pair, its
-target class and the masks of its open query and source cells, checked once
-when built, and solved exhaustively by `EditProblem.step` or through the
-relaxation by `relaxed.best_pair_edits`.  Greedy takes the query class from
-the problem's unedited log-probabilities and the target class from its
-caller, and runs no head pass on the distractor.
+Each search poses best-edit problems (`EditProblem`): two (hw, d) grid
+arrays, whose shape the problem checks, a target class and the masks of the
+open query and source cells, solved exhaustively by `EditProblem.step` or
+through the relaxation by `relaxed.best_pair_edits`.  Greedy's arrays come
+from one pair pass that checks their finiteness (`network._feature_pair`);
+`best_edit_exhaustive` and `metrics.relaxation_fidelity` take finite
+`FeatureGrid`s and pose the values `check_grids` returns.  Greedy takes the
+query class from the problem's unedited log-probabilities and the target
+class from its caller, and runs no head pass on the distractor.
 
 A greedy step only changes the query cell it then closes, so the query cells
 still open keep their unedited values at every step of a pair, and greedy
@@ -41,8 +44,7 @@ committed candidate's row of its scored block, z - lse: its target entry is
 the score that chose the edit, bit for bit, and no per-step edited grid or
 one-grid head pass is built.  The relaxed strategy solves the same problem
 (`relaxed.best_pair_edits` on the unedited grid, its z0 and its open masks)
-and commits its edit's scored row the same way.  Query and distractor go
-through the extractor as one two-image batch.
+and commits its edit's scored row the same way.
 
 Most query cells cannot hold a step's best edit, and a step skips them
 exactly (interval bound propagation, Gowal et al. 2018).  At its first step,
@@ -82,7 +84,7 @@ import numpy as np
 
 from .errors import BoundsError, ExhaustedError, FormatError, ShapeError, is_number
 from .grids import EditList, FeatureGrid
-from .network import ModelBundle, _finite, _log_softmax, _mlp_forward, _shift_lse, forward_feature_pair
+from .network import ModelBundle, _feature_pair, _finite, _log_softmax, _mlp_forward, _shift_lse
 from .relaxed import RelaxOptConfig, best_pair_edits
 
 # float64 values one block of scored query cells may hold (16 MB);
@@ -114,12 +116,14 @@ class SearchConfig:
         max_edits = self.max_edits
         if not (max_edits is None or is_number(max_edits, integer=True) and max_edits > 0):
             raise FormatError(f"max_edits must be a positive integer, got {max_edits!r}")
-
-    def to_json(self) -> dict:
-        """The fields, with no `relax` key for exhaustive search, and the strategy."""
         out = {k: v for k, v in asdict(self).items() if k != "relax" or v is not None}
         out["strategy"] = "relaxed" if "relax" in out else "exhaustive"
-        return out
+        object.__setattr__(self, "_json", out)
+
+    def to_json(self) -> dict:
+        """The fields, with no `relax` key for exhaustive search, and the
+        strategy: a new copy, nested `relax` dict too, of one built with the config."""
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in self._json.items()}
 
 
 @dataclass(frozen=True)
@@ -152,26 +156,26 @@ def best_edit_exhaustive(
 ) -> tuple[int, int, float]:
     """Single edit maximizing the target-class log-probability over all
     (query cell, source cell) pairs. Returns (i, j2, score)."""
-    i, j2, lp = EditProblem(model, F, F2, target_class).step()
+    i, j2, lp = EditProblem(model, *model.check_grids(F, F2), target_class).step()
     return i, j2, float(lp[target_class])
 
 
 class EditProblem:
-    """One best-edit problem: the single-cell edits of the grid pair (F, F2)
-    toward the target class, over the query and source cells that the
+    """One best-edit problem: the single-cell edits of the (hw, d) grid arrays
+    (F, F2) toward the target class, over the query and source cells that the
     boolean masks `open_q` and `open_s` leave open.  Edit (i, j) copies F2's
     cell j into F's cell i; its first dense output is z0 + C[i, j], with
     z0 = F.flat . W + b and the contraction C[i, j] = (F2[j] - F[i]) . W_i
     (W_i: cell i's (d, units) block of W), the difference taken first so
     that no-op edits and identical source rows score bit-identically.
 
-    Building it checks the class, the grids' geometry and the excluded
-    cells, raises ExhaustedError when either mask is empty, and computes
-    `logprobs`, the unedited grid's log-probabilities, from z0 (FormatError
-    unless finite).  `step` solves it exhaustively and
-    `relaxed.best_pair_edits` through the relaxation, both scoring with
-    `logits`; greedy `commit`s each step's edit, which moves z0 to the edited
-    grid's and closes its cells.
+    Building it checks the class, the arrays' shape (their finiteness is
+    their maker's to check) and any excluded cells, raises ExhaustedError
+    when either mask is empty, and computes `logprobs`, the unedited grid's
+    log-probabilities, from z0 (FormatError unless finite).  `step` solves
+    it exhaustively and `relaxed.best_pair_edits` through the relaxation,
+    both scoring with `logits`; greedy `commit`s each step's edit, which
+    moves z0 to the edited grid's and closes its cells.
 
     The first `step` stores the contraction when it fits, and on a grid of
     at least `_BOUND_CANDIDATES` candidates sets up the interval bound on
@@ -183,22 +187,26 @@ class EditProblem:
     through `contraction_rows`, stored or not."""
 
     def __init__(
-        self, model: ModelBundle, F: FeatureGrid, F2: FeatureGrid, target: int, excluded_query=(), excluded_source=()
+        self, model: ModelBundle, F: np.ndarray, F2: np.ndarray, target: int, excluded_query=(), excluded_source=()
     ):
         model.check_class(target)
-        model.check_grids(F, F2)
+        h, w, d = model.feature_shape
+        if F.shape != (h * w, d) or F2.shape != F.shape:
+            raise ShapeError(f"grid shapes {F.shape} and {F2.shape} do not match head input {(h * w, d)}")
         (weight, bias), *tail = model.mlp
         self.F, self.F2, self.tail, self.target = F, F2, tuple(tail), target
-        n, d = F.values.shape
+        n = h * w
         self.W = weight.reshape(n, d, -1)
         self.open_q, self.open_s = masks = np.ones((2, n), dtype=bool)
-        for mask, cells in zip(masks, (list(excluded_query), list(excluded_source))):
-            if not all(0 <= c < n for c in cells):
-                raise BoundsError(f"excluded cells {cells} reach outside [0, {n})")
-            mask[cells] = False
-        if not (self.open_q.any() and self.open_s.any()):
-            raise ExhaustedError("all candidate edits are excluded")
-        self.z0 = F.values.reshape(-1) @ weight + bias
+        excluded = (list(excluded_query), list(excluded_source))
+        if any(excluded):
+            for mask, cells in zip(masks, excluded):
+                if not all(0 <= c < n for c in cells):
+                    raise BoundsError(f"excluded cells {cells} reach outside [0, {n})")
+                mask[cells] = False
+            if not (self.open_q.any() and self.open_s.any()):
+                raise ExhaustedError("all candidate edits are excluded")
+        self.z0 = F.reshape(-1) @ weight + bias
         # `_mlp_forward` overwrites its input, so it runs on a copy of z0
         self.logprobs = _finite(_log_softmax(_mlp_forward(self.tail, self.z0[None].copy()))[0])
         # query cells whose contraction, and the differences it is made from, fit in
@@ -213,13 +221,13 @@ class EditProblem:
         of the stored contraction when `q` is a slice and it is stored."""
         if self.contraction is not None:
             return self.contraction[q]
-        return np.matmul(self.F2.values[None] - self.F.values[q, None, :], self.W[q])
+        return np.matmul(self.F2[None] - self.F[q, None, :], self.W[q])
 
     def logits(self, q):
         """Head logits of the edits (q[k], j), as row k * hw + j of (len(q) * hw, classes)."""
         z = self.contraction_rows(q)  # a fresh array, so the tail runs in place on it
         z += self.z0
-        return _mlp_forward(self.tail, z.reshape(len(q) * self.F.cells, -1))
+        return _mlp_forward(self.tail, z.reshape(len(q) * len(self.F), -1))
 
     def edit_logprobs(self, i: int, j: int) -> np.ndarray:
         """The (classes,) log-probabilities of edit (i, j), from cell i's block."""
@@ -235,7 +243,7 @@ class EditProblem:
             # source-major when bounded, so that its extremes over the source
             # cells reduce over the outermost axis; the products are the same
             out = np.empty((n, n, units)).transpose(1, 0, 2) if bounded else None
-            self.contraction = np.matmul(self.F2.values[None] - self.F.values[:, None, :], self.W, out=out)
+            self.contraction = np.matmul(self.F2[None] - self.F[:, None, :], self.W, out=out)
         if bounded:
             cmin, cmax = np.empty((n, units)), np.empty((n, units))
             for lo in range(0, n, self.block_rows):
@@ -254,10 +262,10 @@ class EditProblem:
         F2's extremes per channel."""
         if self.contraction is not None:
             return 0.0
-        F, F2v = self.F, self.F2.values
-        spread = np.maximum(F2v.max(axis=0) - F.values, F.values - F2v.min(axis=0))
+        F, F2 = self.F, self.F2
+        spread = np.maximum(F2.max(axis=0) - F, F - F2.min(axis=0))
         largest = np.einsum("ic,ick->ik", spread, np.abs(self.W)).max()
-        return 2 * _gamma(F.values.shape[1]) * largest * (1 + 4 * _UNIT_ROUNDOFF)
+        return 2 * _gamma(F.shape[1]) * largest * (1 + 4 * _UNIT_ROUNDOFF)
 
     def blocks(self, rows):
         """Score the edits of the query cells `rows` (ascending) one block at
@@ -280,7 +288,7 @@ class EditProblem:
         Raises FormatError when the best edit's scores are not finite."""
         if not self.prepared:
             self._prepare()
-        rows = np.flatnonzero(self.open_q)
+        rows = self.open_q.nonzero()[0]
         if self.bound is not None:
             kept = self.rows_to_score(rows)
             if len(kept) == len(rows):
@@ -291,7 +299,7 @@ class EditProblem:
         for q, block, z, lse in self.blocks(rows):
             if self.row_sources is not None:
                 self.row_sources[q] = block.argmax(axis=1)
-            k = int(np.argmax(block))  # blocks come in row order, so a later block must beat it strictly
+            k = int(block.argmax())  # blocks come in row order, so a later block must beat it strictly
             if block.flat[k] > best:
                 r, j2 = divmod(k, block.shape[1])
                 best, i, lp = block.flat[k], int(q[r]), z[k] - lse[k]
@@ -303,7 +311,7 @@ class EditProblem:
         if self.contraction is not None:
             z = self.contraction[i, j]
         else:
-            z = np.matmul((self.F2.values[j] - self.F.values[i])[:, None, :], self.W[i])[:, 0]
+            z = np.matmul((self.F2[j] - self.F[i])[:, None, :], self.W[i])[:, 0]
         z += self.z0
         return _mlp_forward(self.tail, z)
 
@@ -483,15 +491,14 @@ def greedy_counterfactual(
     """Edit f(query) toward f(distractor) until the decision flips to
     `target_class` (Greedy Sequential Search).  The target is the caller's
     and need not be the distractor's predicted class."""
-    F, F2 = forward_feature_pair(model, query_image, distractor_image)
     # open query cells keep their unedited values, so one problem serves every step
-    problem = EditProblem(model, F, F2, target_class)
+    problem = EditProblem(model, *_feature_pair(model, query_image, distractor_image), target_class)
     lp = problem.logprobs
     query_class = int(lp.argmax())
 
-    h, w = F.h, F.w
+    h, w, _ = model.feature_shape
     # every step closes its query cell, so no run can outlast the cell count
-    max_edits = min(config.max_edits or F.cells, F.cells)
+    max_edits = min(config.max_edits or h * w, h * w)
     close_source = config.exclusion_policy == "query-and-distractor-cells"
     quads = []
     trajectory = [(lp[query_class], lp[target_class])]

@@ -240,7 +240,7 @@ def single_edit(F: FeatureGrid, F2: FeatureGrid, i: int, j2: int) -> FeatureGrid
 
 def solve_exhaustive(model, F, F2, target_class, excluded_query=(), excluded_source=()):
     """`EditProblem.step` on one problem: (query cell, source cell, target-class score)."""
-    i, j2, lp = EditProblem(model, F, F2, target_class, excluded_query, excluded_source).step()
+    i, j2, lp = EditProblem(model, F.values, F2.values, target_class, excluded_query, excluded_source).step()
     return i, j2, float(lp[target_class])
 
 
@@ -248,7 +248,7 @@ def solve_relaxed(model, instances, opt=RelaxOptConfig()):
     """The relaxed solver on (F, F2, target_class, excluded_query,
     excluded_source) instances, each posed as an `EditProblem`: per instance,
     (query cell, source cell, target-class score, steps, converged)."""
-    problems = [EditProblem(model, *inst) for inst in instances]
+    problems = [EditProblem(model, F.values, F2.values, *posed) for F, F2, *posed in instances]
     solved = best_pair_edits(model, problems, opt)
     return [(i, j2, float(lp[p.target]), steps, conv) for p, (i, j2, lp, steps, conv) in zip(problems, solved)]
 
@@ -284,7 +284,7 @@ def candidate_scores(model, F, F2, target_class, rows) -> np.ndarray:
     cell), every other row -inf: the blocks that exhaustive search scores."""
     n = F.cells
     out = np.full((n, n), -np.inf)
-    for q, block, _, _ in EditProblem(model, F, F2, target_class).blocks(np.asarray(rows, int)):
+    for q, block, _, _ in EditProblem(model, F.values, F2.values, target_class).blocks(np.asarray(rows, int)):
         out[q] = block
     return out
 

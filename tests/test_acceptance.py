@@ -301,7 +301,7 @@ class TestCriterion5GradientSuite:
             # the grid gradient the relaxed solver forms: `tail_gradient` at the
             # unedited grid's first dense output, mapped back through W^T
             W = model.mlp[0][0]
-            z0 = EditProblem(model, F, F2, target).z0[None]
+            z0 = EditProblem(model, F.values, F2.values, target).z0[None]
             grad = (tail_gradient(model, one_hot(model, [target]), z0) @ W.T).reshape(4, 2)
             fd = np.zeros_like(grad)
             for i in range(4):
@@ -379,7 +379,7 @@ class TestCriterion6TransformationIdentities:
             # contraction computed per row and stored by the first step
             noop = F2.values.copy()
             noop[j] = F.values[i]
-            problem = EditProblem(model, F, FeatureGrid(h, w, d, noop), target)
+            problem = EditProblem(model, F.values, FeatureGrid(h, w, d, noop).values, target)
             rows = [problem.contraction_rows([i])[0, j] + problem.z0]
             problem.step()
             rows.append(problem.contraction_rows([i])[0, j] + problem.z0)
@@ -389,7 +389,7 @@ class TestCriterion6TransformationIdentities:
 
             # a one-hot gate and alignment row: the relaxed z, the scored row
             # (computed and stored) and the explicit row copy agree
-            problem = EditProblem(model, F, F2, target)
+            problem = EditProblem(model, F.values, F2.values, target)
             X = np.full((1, n + 1, n), MASK_LOGIT)
             X[0, 0, i] = X[0, 1 + i, j] = 0.0
             z, _ = relaxed_first_dense(model, F.values[None], F2.values[None], problem.z0[None], [target], X)

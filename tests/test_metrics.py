@@ -176,7 +176,7 @@ class TestRelaxationFidelity:
         assert work == pinned
         # the pool solved in one call, where problems leave the stack at other
         # times than in their groups, gives every group's output
-        problems = [search.EditProblem(wl.model, *inst) for group in wl.pool for inst in group]
+        problems = [search.EditProblem(wl.model, F.values, F2.values, *posed) for group in wl.pool for F, F2, *posed in group]
 
         def solve(chunk):
             solved = relaxed.best_pair_edits(wl.model, chunk, opt)

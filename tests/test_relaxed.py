@@ -147,7 +147,7 @@ class TestEditTransform:
         edited = transformed(self.F.values, self.F2.values, np.eye(4)[0], np.eye(4)[sources])
         np.testing.assert_array_equal(edited, [[8.0], [2.0], [3.0], [4.0]])
         X = pack_logits(np.where(np.arange(4) == 0, 0.0, MASK_LOGIT), np.where(np.eye(4)[sources] > 0, 0.0, MASK_LOGIT))
-        problem = EditProblem(model, self.F, self.F2, 0)
+        problem = EditProblem(model, self.F.values, self.F2.values, 0)
         z = self.z(model, self.F, self.F2, X)
         np.testing.assert_allclose(z, edited.reshape(-1) @ weight + bias, rtol=0, atol=1e-12)
         np.testing.assert_allclose(z, problem.contraction_rows([0])[0, 3] + problem.z0, rtol=0, atol=1e-12)
@@ -159,7 +159,7 @@ class TestEditTransform:
         for i in range(4):
             X = pack_logits(np.where(np.arange(4) == i, 0.0, MASK_LOGIT), one_hot_rows(4))
             assert self.z(model, self.F, self.F, X).tobytes() == z0.tobytes()
-            problem = EditProblem(model, self.F, self.F, 0)
+            problem = EditProblem(model, self.F.values, self.F.values, 0)
             assert (problem.contraction_rows([i])[0, i] + problem.z0).tobytes() == problem.z0.tobytes()
 
     def test_matches_scalar_loop_oracle(self):
@@ -312,7 +312,7 @@ class TestBestEditRelaxed:
         i, j2, score, _, _ = solve_relaxed(model, [(F, F2, 2, (), ())])[0]
         # the per-grid reference to within rounding; exhaustive search's scorer bit for bit
         assert score == pytest.approx(head_logprobs(model, single_edit(F, F2, i, j2))[2], rel=1e-12, abs=0)
-        scores = EditProblem(model, F, F2, 2).edit_logprobs(i, j2)
+        scores = EditProblem(model, F.values, F2.values, 2).edit_logprobs(i, j2)
         assert score == scores[2]
         best = solve_exhaustive(model, F, F2, 2, [k for k in range(4) if k != i], [k for k in range(4) if k != j2])
         assert best == (i, j2, score)

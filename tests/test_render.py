@@ -62,6 +62,40 @@ class TestReceptiveField:
         assert rf.stride == 4
         assert rf.field == 16
 
+    # a padded, strided conv and an overlapping pool: a negative offset, so border fields are clipped
+    PADDED_STRIDED = [
+        LayerSpec("conv2d", out_channels=2, kernel_size=5, stride=2, padding=2),
+        LayerSpec("relu"),
+        LayerSpec("maxpool2d", window=3, stride=2),
+        LayerSpec("conv2d", out_channels=2, kernel_size=3, padding=1),
+    ]
+
+    @pytest.mark.parametrize("specs", [reference_extractor_specs(), PADDED_STRIDED], ids=["reference", "padded-strided"])
+    @pytest.mark.parametrize("size", [28, 42, 33])
+    def test_rect_is_the_recurrence_formula_for_every_cell(self, specs, size):
+        rf = receptive_field_map(specs, size, size)
+        rows, cols = grid_shape(specs, size)
+
+        def span(k):  # cell k's unclipped field along one axis, clipped to the image
+            start = rf.offset + k * rf.stride
+            return max(start, 0), min(start + rf.field - 1, size - 1)
+
+        cells = [(row, col) for row in range(rows) for col in range(cols)]
+        clipped = 0
+        for row, col in cells + cells[::-1]:  # the second pass reads the rectangles kept by the first
+            (t, b), (l, r) = span(row), span(col)
+            assert rf.rect(row, col) == (t, l, b, r)
+            clipped += (b - t, r - l) != (rf.field - 1, rf.field - 1)
+        assert clipped > 0 if specs is self.PADDED_STRIDED else clipped == 0
+
+    def test_empty_clipped_field_raises_on_every_call(self):
+        rf = ReceptiveFieldMap(4, 4, 0, 8, 8)
+        for _ in range(3):
+            for cell in ((2, 0), (0, -1)):  # past the bottom edge; left of the left edge
+                with pytest.raises(ShapeError, match="empty clipped receptive field"):
+                    rf.rect(*cell)
+            assert rf.rect(1, 1) == (4, 4, 7, 7)
+
     def test_dense_layer_rejected(self):
         with pytest.raises(UnsupportedLayerError, match="'dense'"):
             receptive_field_map([LayerSpec("dense", units=3)], 8, 8)
@@ -197,7 +231,7 @@ class TestComposite:
         img = np.random.default_rng(2).uniform(0, 1, (8, 8))
         for cell in ((0, 0), (1, 1)):
             out = img.copy()
-            render_composite(out, img, cell + cell, self.rf())
+            render_composite(out, img, [cell + cell], self.rf())
             np.testing.assert_allclose(out, img, atol=1e-12)
 
     def test_zero_alpha_leaves_query_unchanged(self):
@@ -208,7 +242,7 @@ class TestComposite:
         alpha = intensity_map(rf_zero, [])
         assert alpha.max() == 0.0  # no cells highlighted -> no blending anywhere
         out = q.copy()
-        render_composite(out, q, (0, 0, 0, 0), rf_zero)
+        render_composite(out, q, [(0, 0, 0, 0)], rf_zero)
         np.testing.assert_allclose(out, q, atol=1e-12)
 
     def test_blend_matches_scalar_oracle(self):
@@ -217,7 +251,7 @@ class TestComposite:
         d = rng.uniform(0, 1, (8, 8))
         edit = (1, 0, 0, 1)  # query cell (1,0) <- distractor cell (0,1)
         out = q.copy()
-        render_composite(out, d, edit, self.rf())
+        render_composite(out, d, [edit], self.rf())
         alpha = intensity_map(self.rf(), [((0, 1), 1.0)])
         cy_q, cx_q = self.rf().rect_center(1, 0)
         cy_d, cx_d = self.rf().rect_center(0, 1)
@@ -233,7 +267,7 @@ class TestComposite:
 
     def test_geometry_mismatch(self):
         with pytest.raises(ShapeError):
-            render_composite(np.zeros((8, 8)), np.zeros((6, 6)), (0, 0, 0, 0), self.rf())
+            render_composite(np.zeros((8, 8)), np.zeros((6, 6)), [(0, 0, 0, 0)], self.rf())
 
     @staticmethod
     def whole_image(q, d, edit, rf):
@@ -271,7 +305,7 @@ class TestComposite:
             for source in cells:
                 edit = cell + source
                 got = q.copy()
-                render_composite(got, d, edit, rf)
+                render_composite(got, d, [edit], rf)
                 assert got.tobytes() == self.whole_image(q, d, edit, rf).tobytes(), edit
         edits = [cells[k] + cells[-1 - k] for k in range(len(cells))]
         result = ExplanationResult(EditList(tuple(edits), rows, cols), ((0.0, 0.0),) * (len(edits) + 1), "exhausted", 0, 1)

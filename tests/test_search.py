@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfedit import search
+from cfedit import metrics, search
 from cfedit.data import gen_shapes
 from cfedit.errors import BoundsError, ExhaustedError, FormatError, ShapeError
 from cfedit.grids import FeatureGrid
@@ -141,9 +141,85 @@ class TestEditProblem:
     def test_masks(self):
         rng = np.random.default_rng(8)
         model = identity_feature_model(2, 2, 1, 2)
-        problem = EditProblem(model, random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1), 1, [0, 2], [3])
+        F, F2 = random_grid(rng, 2, 2, 1), random_grid(rng, 2, 2, 1)
+        problem = EditProblem(model, F.values, F2.values, 1, [0, 2], [3])
         assert problem.open_q.tolist() == [False, True, False, True]
         assert problem.open_s.tolist() == [True, True, True, False]
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a problem was posed")
+
+
+class TestGridHandOff:
+    """Greedy poses its problem on the two (hw, d) arrays of one checked pair
+    pass; `EditProblem` checks their shape, and the public solvers check
+    their grids' geometry before posing any problem."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1], ids=["query", "distractor"])
+    def test_non_finite_pixel_raises_before_any_scoring(self, monkeypatch, value, which):
+        model = identity_feature_model(2, 2, 1, 2)
+        images = [np.zeros((2, 2, 1)), np.ones((2, 2, 1))]
+        images[which][1, 0, 0] = value
+        monkeypatch.setattr(search, "EditProblem", unreachable)
+        with pytest.raises(ShapeError, match="grid values must be finite"):
+            forward_feature_pair(model, *images)
+        for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
+            with pytest.raises(ShapeError, match="grid values must be finite"):
+                greedy_counterfactual(model, *images, 1, config)
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 2), (4, 1)), ((4, 1), (4, 2)), ((6, 1), (6, 1)), ((4, 1), (6, 1)), ((2, 2, 1), (2, 2, 1)), ((4,), (4,)),
+    ])
+    def test_arrays_of_another_shape_raise(self, shapes):
+        model = identity_feature_model(2, 2, 1, 2)
+        F, F2 = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ShapeError, match="head input"):
+            EditProblem(model, F, F2, 1)
+
+    @pytest.mark.parametrize("other", [(2, 3, 1), (2, 2, 2)], ids=["grid-size", "depth"])
+    def test_grids_of_another_geometry_raise(self, monkeypatch, other):
+        rng = np.random.default_rng(5)
+        model = identity_feature_model(2, 2, 1, 2)
+        F, G = random_grid(rng, 2, 2, 1), random_grid(rng, *other)
+        for pair in ((F, G), (G, F)):
+            with pytest.raises(ShapeError, match="head input"):
+                best_edit_exhaustive(model, *pair, 1)
+            with monkeypatch.context() as mp:
+                # every instance is checked before any is solved
+                mp.setattr(search.EditProblem, "step", unreachable)
+                mp.setattr(metrics, "best_pair_edits", unreachable)
+                with pytest.raises(ShapeError, match="head input"):
+                    relaxation_fidelity(model, [(F, F, 1, (), ()), (*pair, 1, (), ())])
+
+
+class TestSearchConfigJson:
+    @pytest.mark.parametrize("config, expected", [
+        (SearchConfig(), {"exclusion_policy": "query-and-distractor-cells", "max_edits": None, "strategy": "exhaustive"}),
+        (
+            SearchConfig("query-cells-only", 3, RelaxOptConfig(learning_rate=0.5, max_steps=7)),
+            {
+                "exclusion_policy": "query-cells-only",
+                "max_edits": 3,
+                "relax": {"learning_rate": 0.5, "max_steps": 7},
+                "strategy": "relaxed",
+            },
+        ),
+    ], ids=["exhaustive", "relaxed"])
+    def test_each_call_returns_an_equal_independent_dict(self, config, expected):
+        first = config.to_json()
+        assert first == expected
+        # mutate everything a caller could reach, the nested relax dict included
+        first["exclusion_policy"] = "changed"
+        first["extra"] = 1
+        del first["strategy"]
+        if "relax" in first:
+            first["relax"]["max_steps"] = -1
+            first["relax"]["extra"] = 1
+        second = config.to_json()
+        assert second == expected and second is not first
+        assert config.to_json() == expected
 
 
 class TestGreedy:
@@ -544,7 +620,7 @@ class TestGreedyContraction:
         F, F2 = random_grid(rng, h, w, d), random_grid(rng, h, w, d)
         n = h * w
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units))
-        problem = EditProblem(model, F, F2, 0)
+        problem = EditProblem(model, F.values, F2.values, 0)
         assert problem.contraction is None  # until the first step
         stepped = problem.step()
         C = problem.contraction
@@ -552,11 +628,11 @@ class TestGreedyContraction:
         W = model.head[1].weights["weight"].reshape(n, d, units)
         naive = np.array([[(F2.values[j] - F.values[i]) @ W[i] for j in range(n)] for i in range(n)])
         np.testing.assert_allclose(C, naive, rtol=0, atol=1e-12)
-        unstored = EditProblem(model, F, F2, 0)  # a problem the relaxed solver alone reads
+        unstored = EditProblem(model, F.values, F2.values, 0)  # a problem the relaxed solver alone reads
         for q in ([0], [n - 1], [1, 4, 5], list(range(n))):  # the blocks the per-step path computes
             assert C[q].tobytes() == unstored.contraction_rows(np.array(q)).tobytes()
         monkeypatch.setattr(search, "_BLOCK_VALUES", n * n * (d + units) - 1)
-        problem = EditProblem(model, F, F2, 0)
+        problem = EditProblem(model, F.values, F2.values, 0)
         again = problem.step()
         assert problem.contraction is None
         assert again[:2] == stepped[:2] and again[2].tobytes() == stepped[2].tobytes()
@@ -634,7 +710,7 @@ def test_unedited_logprobs_equal_the_one_grid_pass(name, size, count):
         images = gen_shapes(count, size=size, seed=seed, split="bench").images
         for k in range(0, count, 2):
             F, F2 = forward_feature_pair(model, images[k], images[k + 1])
-            assert EditProblem(model, F, F2, 0).logprobs.tobytes() == head_logprobs(model, F).tobytes()
+            assert EditProblem(model, F.values, F2.values, 0).logprobs.tobytes() == head_logprobs(model, F).tobytes()
 
 
 # the overflows that make these heads non-finite warn
@@ -666,7 +742,7 @@ class TestNonFiniteHead:
         model.head[1].weights["weight"][:] = 1e200
         F = FeatureGrid(2, 2, 1, np.zeros((4, 1)))
         F2 = FeatureGrid(2, 2, 1, np.full((4, 1), 1e200))
-        problem = EditProblem(model, F, F2, 1)
+        problem = EditProblem(model, F.values, F2.values, 1)
         assert np.isfinite(problem.logprobs).all()
         with pytest.raises(FormatError, match="non-finite"):
             problem.step()
@@ -741,11 +817,11 @@ class TestRowBound:
             mp.setattr(search, "_BOUND_CANDIDATES", 1)
             if not stored:
                 mp.setattr(search, "_BLOCK_VALUES", 1)  # no room for the contraction
-            z0 = EditProblem(model, F, F2, 0).z0
+            z0 = EditProblem(model, F.values, F2.values, 0).z0
             z0 = z0 + drift * rng.normal(size=z0.shape)  # as committed edits leave it
             i, j = np.divmod(np.arange(n * n), n)
             for target in range(classes):
-                problem = EditProblem(model, F, F2, target)
+                problem = EditProblem(model, F.values, F2.values, target)
                 problem._prepare()
                 assert problem.bound is not None and (problem.contraction is not None) == stored
                 problem.z0 = z0
@@ -798,7 +874,7 @@ class TestRowBound:
                 allowed[:, ex_s] = -np.inf
                 tied = [i for i in range(9) if allowed[i].max() == allowed.max()]
                 assert len(tied) >= 2
-                problem = EditProblem(model, F, F2, target, ex_q, ex_s)
+                problem = EditProblem(model, F.values, F2.values, target, ex_q, ex_s)
                 problem._prepare()
                 assert min(problem.block_rows, 9) == (block_rows or 9) and (problem.contraction is None) == bool(block_rows)
                 # the leader comes from the last of the tied cells, not the first
@@ -834,7 +910,7 @@ class TestRowBound:
                 continue
             break
         assert 0 < gap <= 2e-12 and full[b].max() == full.max()
-        problem = EditProblem(model, F, F2, target)
+        problem = EditProblem(model, F.values, F2.values, target)
         problem._prepare()
         _, margin = problem.bound.sums(problem.z0)
         # cell a has the largest bound, so its best edit is the leader; cell
@@ -952,10 +1028,10 @@ class TestRowBound:
         rng = np.random.default_rng(97)
         model = identity_feature_model(3, 3, 2, 3, seed=8, linear=False)
         F, F2 = random_grid(rng, 3, 3, 2), random_grid(rng, 3, 3, 2)
-        bounded = EditProblem(model, F, F2, 0)
+        bounded = EditProblem(model, F.values, F2.values, 0)
         bounded._prepare()
         monkeypatch.setattr(search, "_BOUND_CANDIDATES", 82)  # above 3x3's 81 candidates
-        plain = EditProblem(model, F, F2, 0)
+        plain = EditProblem(model, F.values, F2.values, 0)
         plain._prepare()
         assert plain.bound is None
         assert bounded.contraction.shape == plain.contraction.shape == (9, 9, 8)
