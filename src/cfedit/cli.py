@@ -23,7 +23,7 @@ from .metrics import avg_edit_count, relaxation_fidelity
 from .network import (
     ModelBundle,
     TrainConfig,
-    forward_feature_pair,
+    forward_features,
     load_model,
     predict_batch,
     reference_extractor_specs,
@@ -357,7 +357,7 @@ def cmd_fidelity(args) -> int:
     preds = predict_batch(model, dataset.images)
     instances = []
     for q, d in _sample_pairs(preds, cfg["instances"], substream(cfg["seed"], "fidelity")):
-        F, F2 = forward_feature_pair(model, dataset.images[q], dataset.images[d])
+        F, F2 = forward_features(model, dataset.images[q]), forward_features(model, dataset.images[d])
         instances.append((F, F2, int(preds[d]), (), ()))
     report = relaxation_fidelity(model, instances, opt, use_relaxed=cfg["strategy"] == "relaxed")
     payload = asdict(report)

@@ -49,15 +49,6 @@ class FeatureGrid:
     def cells(self) -> int:
         return self.h * self.w
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "FeatureGrid":
-        """Build from an (h, w, d) array."""
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"expected 3-d array, got shape {arr.shape}")
-        h, w, d = arr.shape
-        return cls(h, w, d, arr.reshape(h * w, d))
-
 
 @dataclass(frozen=True)
 class EditList:

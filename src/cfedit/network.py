@@ -30,12 +30,12 @@ works out neither the order nor the geometry again.  The bundle parses two
 stacks once, for its own input shape only (`_as_batch` refuses any other):
 its extractor, whose schedule `predict_batch`, `forward_features` and
 `_feature_pair` run, and its head, on the extractor's grid.  `_feature_pair`
-is greedy's pair pass, and `forward_feature_pair`'s: it checks once that
-the features are finite (ShapeError, as `FeatureGrid`).  `train`
-runs the bundle's two schedules, forward and back, and so parses nothing per
-batch; `forward_layers` parses a stack that no bundle holds, such as one
-layer alone.  A step holds its layer, whose weights the kernels read on each
-call, so `train`'s in-place updates reach every pass.
+is greedy's pair pass: it checks once that the features are finite
+(ShapeError, as `FeatureGrid`).  `train` runs the bundle's two schedules,
+forward and back, and so parses nothing per batch; `forward_layers` parses
+a stack that no bundle holds, such as one layer alone.  A step holds its
+layer, whose weights the kernels read on each call, so `train`'s in-place
+updates reach every pass.
 
 A stack runs forward and backward one block of images at a time, every
 layer on one block before the next block starts, so that a block's arrays
@@ -659,7 +659,7 @@ def _as_batch(model: ModelBundle, images: np.ndarray) -> np.ndarray:
 def forward_features(model: ModelBundle, image: np.ndarray) -> FeatureGrid:
     """f(image): run the extractor, returning the spatial feature grid."""
     out = _run(model.schedule, _as_batch(model, [image]))
-    return FeatureGrid.from_array(out[0])
+    return FeatureGrid(*model.feature_shape, out.reshape(-1, model.feature_shape[2]))
 
 
 def _feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> np.ndarray:
@@ -669,11 +669,6 @@ def _feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> 
     if not np.isfinite(out).all():
         raise ShapeError("grid values must be finite")
     return out
-
-
-def forward_feature_pair(model: ModelBundle, image: np.ndarray, image2: np.ndarray) -> tuple:
-    """(f(image), f(image2)) from one two-image extractor pass."""
-    return tuple(FeatureGrid(*model.feature_shape, F) for F in _feature_pair(model, image, image2))
 
 
 def head_logprobs_batch(model: ModelBundle, values: np.ndarray) -> np.ndarray:

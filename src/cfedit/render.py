@@ -227,11 +227,12 @@ def record_to_result(record: dict) -> ExplanationResult:
     g = record["grid"]
     if not (isinstance(g, dict) and all(is_number(g.get(k), integer=True) and g[k] > 0 for k in "hw")):
         raise FormatError(f"record grid must hold positive integers h and w, got {g!r}")
+    # every log-probability the search writes is finite and at most 0; json reads NaN and Infinity too
     trajectory = record["trajectory"]
     if not (isinstance(trajectory, list) and all(
-        isinstance(e, list) and len(e) == 2 and all(is_number(v) for v in e) for e in trajectory
+        isinstance(e, list) and len(e) == 2 and all(is_number(v) and -np.inf < v <= 0 for v in e) for e in trajectory
     )):
-        raise FormatError("record trajectory must be a list of pairs of numbers")
+        raise FormatError("record trajectory must be a list of pairs of finite log-probabilities, each at most 0")
     edits = record["edits"]
     if not (isinstance(edits, list) and all(
         isinstance(e, dict) and all(isinstance(e.get(k), list) and len(e[k]) == 2 for k in ("cell", "source"))

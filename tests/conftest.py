@@ -17,7 +17,7 @@ from cfedit.network import (
     ModelBundle,
     TrainConfig,
     backward_layers,
-    forward_feature_pair,
+    forward_features,
     forward_layers,
     head_logprobs,
     init_layer,
@@ -258,7 +258,7 @@ def relaxed_replay(model, query, distractor, target, policy, opt):
     `solve_relaxed` on the edited grid with the used cells excluded,
     then the edit applied with `single_edit` and the head run on the new
     grid.  Returns (edits as quads, trajectory, status)."""
-    F, F2 = forward_feature_pair(model, query, distractor)
+    F, F2 = forward_features(model, query), forward_features(model, distractor)
     lp = head_logprobs(model, F)
     query_class = lp.argmax()
     trajectory = [(lp[query_class], lp[target])]

@@ -266,8 +266,8 @@ class TestCriterion4OracleEquivalence:
             model = identity_feature_model(2, 2, 1, 2, seed=2000 + k, linear=bool(k % 2))
             query = rng2.normal(size=(2, 2, 1))
             distractor = rng2.normal(size=(2, 2, 1)) * 2
-            F = FeatureGrid.from_array(query)
-            F2 = FeatureGrid.from_array(distractor)
+            F = forward_features(model, query)
+            F2 = forward_features(model, distractor)
             target = 1 - int(head_logprobs(model, F).argmax())
             result = greedy_counterfactual(model, query, distractor, target)
             if result.status != "flipped" or not (1 <= result.edit_count <= 2):
@@ -563,7 +563,7 @@ class TestCriterion10FormatRoundTrips:
         from cfedit.grids import EditList
         result = ExplanationResult(
             EditList(quads, 4, 4),
-            tuple((float(x), float(y)) for x, y in rng.normal(size=(4, 2))),
+            tuple((float(x), float(y)) for x, y in -np.abs(rng.normal(size=(4, 2)))),  # log-probabilities
             "flipped", 1, 2, "q", "d",
         )
         paths = write_explanation(result, None, str(tmp_path / "rec"))

@@ -795,6 +795,11 @@ class TestConfigAndErrors:
             ("query_id", [5]),
             ("distractor_id", {"a": 1}),
             ("query_id", 5),
+            ("trajectory", [[-0.1, -2.0], [-1.0, float("nan")]]),
+            ("trajectory", [[-0.1, -2.0], [float("inf"), -0.5]]),
+            ("trajectory", [[-0.1, float("-inf")], [-1.0, -0.5]]),
+            ("trajectory", [[-0.1, -2.0], [0.5, -0.5]]),
+            ("trajectory", [[-0.1, -2.0], [-1.0, -10**400]]),
         ],
         ids=[
             "edit-without-cell", "grid-without-h", "grid-not-object", "edits-not-list",
@@ -803,6 +808,8 @@ class TestConfigAndErrors:
             "version-bool", "grid-negative-h", "grid-float-h", "trajectory-int-overflow", "record-int",
             "record-null", "trajectory-numeric-strings", "cell-lengths-cancel-3-1", "cell-lengths-cancel-1-3",
             "cell-string", "query-id-list", "distractor-id-object", "query-id-int",
+            "trajectory-nan", "trajectory-inf", "trajectory-minus-inf", "trajectory-positive",
+            "trajectory-negative-int-overflow",
         ],
     )
     def test_malformed_record_is_one_error_line(self, cli_model, tmp_path, capsys, command, field, value):

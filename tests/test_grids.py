@@ -17,7 +17,7 @@ class TestTypes:
     def test_cell_index_bijection(self):
         # row-major numbering: cell row * w + col holds array position (row, col)
         arr = np.arange(3 * 4, dtype=float).reshape(3, 4, 1)
-        F = FeatureGrid.from_array(arr)
+        F = FeatureGrid(3, 4, 1, arr.reshape(12, 1))
         quads = tuple((row, col, 2 - row, 3 - col) for row in range(3) for col in range(4))
         edits = EditList(quads, 3, 4)
         assert edits.query_cells() == list(range(12))

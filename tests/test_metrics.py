@@ -15,7 +15,7 @@ from cfedit.metrics import (
     relaxation_fidelity,
 )
 from cfedit.data import gen_shapes
-from cfedit.network import LayerSpec, forward_feature_pair, predict_batch
+from cfedit.network import LayerSpec, forward_features, predict_batch
 from cfedit.relaxed import RelaxOptConfig
 from cfedit.search import ExplanationResult, best_edit_exhaustive
 
@@ -184,6 +184,29 @@ class TestRelaxationFidelity:
 
         assert solve(problems) == [edit for k in range(0, len(problems), 4) for edit in solve(problems[k : k + 4])]
 
+    def test_exhaustive_work_on_the_explain_wide_pool(self, monkeypatch):
+        # the benchmark's seed-1 `explain-wide` pool on `wide`, each pair
+        # explained as the benchmark does: greedy's bounded steps, the rows
+        # their bound kept out of the rows open, and the edits are pinned, so
+        # a change that scores more rows fails here, whatever the machine's noise
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+        wl = importlib.import_module("workloads").WORKLOADS["explain-wide"](1, False)
+        wl.setup()
+        assert len(wl.pool) == 120
+        real, work = search.EditProblem.rows_to_score, [0, 0, 0]
+
+        def counting(problem, rows):
+            kept = real(problem, rows)
+            work[:] = work[0] + 1, work[1] + len(kept), work[2] + len(rows)
+            return kept
+
+        monkeypatch.setattr(search.EditProblem, "rows_to_score", counting)
+        edits = 0
+        for q, d in wl.pool:
+            target = int(predict_batch(wl.model, wl.ds.images[d][None])[0])
+            edits += search.greedy_counterfactual(wl.model, wl.ds.images[q], wl.ds.images[d], target, wl.config).edit_count
+        assert (*work, edits) == (760, 9639, 34374, 769)
+
     @pytest.mark.parametrize(
         "excluded, error", [(([16], ()), BoundsError), (((), [-1]), BoundsError), ((range(16), ()), ExhaustedError)]
     )
@@ -228,7 +251,7 @@ class TestRelaxationFidelity:
         ds = gen_shapes(120, size=42, seed=1, split="bench")
         preds = predict_batch(model, ds.images)
         instances = [
-            (*forward_feature_pair(model, ds.images[q], ds.images[d]), int(preds[d]), (), ())
+            (forward_features(model, ds.images[q]), forward_features(model, ds.images[d]), int(preds[d]), (), ())
             for q, d in zip(range(0, 120, 2), range(1, 120, 2))
             if preds[q] != preds[d]
         ]

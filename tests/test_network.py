@@ -17,7 +17,6 @@ from cfedit.network import (
     LayerSpec,
     ModelBundle,
     TrainConfig,
-    forward_feature_pair,
     forward_features,
     head_logprobs,
     load_model,
@@ -122,15 +121,16 @@ class TestForward:
             forward_features(model, np.zeros((3, 3, 1)))
         for pair in ((np.zeros((3, 3, 1)), np.zeros((2, 2, 1))), (np.zeros((2, 2, 1)), np.zeros((3, 3, 1)))):
             with pytest.raises(ShapeError):
-                forward_feature_pair(model, *pair)
+                network._feature_pair(model, *pair)
 
     def test_pair_pass_equals_two_single_passes(self, shapes_model):
         images = gen_shapes(24, size=28, seed=5, split="pair-test").images
         for q, d in [(0, 1), (2, 2), (5, 17), (23, 0)] + [(k, k + 12) for k in range(12)]:
-            F, F2 = forward_feature_pair(shapes_model, images[q], images[d])
-            assert F.values.tobytes() == forward_features(shapes_model, images[q]).values.tobytes()
-            assert F2.values.tobytes() == forward_features(shapes_model, images[d]).values.tobytes()
-            assert (F.h, F.w, F.d) == (F2.h, F2.w, F2.d) == shapes_model.feature_shape
+            F, F2 = network._feature_pair(shapes_model, images[q], images[d])
+            assert F.tobytes() == forward_features(shapes_model, images[q]).values.tobytes()
+            assert F2.tobytes() == forward_features(shapes_model, images[d]).values.tobytes()
+            h, w, d = shapes_model.feature_shape
+            assert F.shape == F2.shape == (h * w, d)
 
 
 class TestCacheFreeForward:
@@ -809,7 +809,7 @@ class TestFrozenModelBatches:
 
 
 class TestModelSchedule:
-    """`predict_batch`, `forward_features` and `forward_feature_pair` run the
+    """`predict_batch`, `forward_features` and `_feature_pair` run the
     extractor schedule the bundle built once, for its own input shape, and
     their features equal `forward_layers(model.extractor, ...)` bit for bit."""
 
@@ -861,9 +861,9 @@ class TestModelSchedule:
         for k, image in enumerate(images):
             assert forward_features(model, image).values.tobytes() == want[k].reshape(-1, d).tobytes()
         for k in range(len(images) - 1):
-            F, F2 = forward_feature_pair(model, images[k], images[k + 1])
-            assert F.values.tobytes() == want[k].reshape(-1, d).tobytes()
-            assert F2.values.tobytes() == want[k + 1].reshape(-1, d).tobytes()
+            F, F2 = network._feature_pair(model, images[k], images[k + 1])
+            assert F.tobytes() == want[k].reshape(-1, d).tobytes()
+            assert F2.tobytes() == want[k + 1].reshape(-1, d).tobytes()
         assert images.tobytes() == kept.tobytes()  # no pass writes into its input
 
     @pytest.mark.parametrize("block", [1, 3, None])  # images per block; None: the default budget

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cfedit import render
@@ -371,6 +371,13 @@ def sample_result(n_edits=2):
     )
 
 
+def record_bytes_with_logprob(value):
+    """A valid two-edit record's file whose last log-probability is `value`."""
+    record = result_to_record(sample_result(2))
+    record["trajectory"][2][1] = value
+    return json.dumps(record).encode()
+
+
 class TestRecords:
     def test_round_trip_random_results(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -379,7 +386,7 @@ class TestRecords:
             cells = rng.permutation(16)[:n]
             sources = rng.integers(0, 16, size=n)
             quads = tuple((c // 4, c % 4, s // 4, s % 4) for c, s in zip(cells, sources))
-            traj = tuple((float(x), float(y)) for x, y in rng.normal(size=(n + 1, 2)))
+            traj = tuple((float(x), float(y)) for x, y in -np.abs(rng.normal(size=(n + 1, 2))))  # log-probabilities
             result = ExplanationResult(
                 EditList(quads, 4, 4), traj, "flipped" if k % 2 else "exhausted", 1, 2, f"q{k}", f"d{k}"
             )
@@ -413,6 +420,14 @@ class TestRecords:
         record = result_to_record(sample_result(1), rf, rf, SearchConfig())
         assert record["edits"][0]["cell_rect"] == list(rf.rect(0, 0))
         assert record["config"]["strategy"] == "exhaustive"
+
+    # no log-probability the search writes is NaN, infinite or above 0; json reads NaN and Infinity
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5], ids=["nan", "inf", "minus-inf", "positive"])
+    def test_impossible_log_probability_rejected(self, tmp_path, value):
+        path = tmp_path / "record.json"
+        path.write_bytes(record_bytes_with_logprob(value))
+        with pytest.raises(FormatError, match="trajectory"):
+            read_explanation(str(path))
 
     def test_unknown_version_rejected(self, tmp_path):
         paths = write_explanation(sample_result(1), None, str(tmp_path))
@@ -478,6 +493,10 @@ class TestRecordProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(mutated_record_bytes())
+    # the derandomized draws load no record with such a value, so each is given once
+    @example(raw=record_bytes_with_logprob(np.nan))
+    @example(raw=record_bytes_with_logprob(np.inf))
+    @example(raw=record_bytes_with_logprob(0.5))
     def test_loads_or_raises_typed_error(self, tmp_path, raw):
         path = tmp_path / "record.json"
         path.write_bytes(raw)
@@ -486,3 +505,4 @@ class TestRecordProperties:
         except CfeditError:
             return
         assert len(result.trajectory) == len(result.edits) + 1
+        assert all(np.isfinite(v) and v <= 0 for entry in result.trajectory for v in entry)

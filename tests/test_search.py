@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfedit import metrics, search
+from cfedit import metrics, network, search
 from cfedit.data import gen_shapes
 from cfedit.errors import BoundsError, ExhaustedError, FormatError, ShapeError
 from cfedit.grids import FeatureGrid
 from cfedit.metrics import relaxation_fidelity
-from cfedit.network import LayerSpec, forward_feature_pair, forward_features, head_logprobs, load_model, predict_batch
+from cfedit.network import LayerSpec, forward_features, head_logprobs, load_model, predict_batch
 from cfedit.relaxed import RelaxOptConfig
 from cfedit.search import (
     EditProblem,
@@ -164,7 +164,7 @@ class TestGridHandOff:
         images[which][1, 0, 0] = value
         monkeypatch.setattr(search, "EditProblem", unreachable)
         with pytest.raises(ShapeError, match="grid values must be finite"):
-            forward_feature_pair(model, *images)
+            network._feature_pair(model, *images)
         for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
             with pytest.raises(ShapeError, match="grid values must be finite"):
                 greedy_counterfactual(model, *images, 1, config)
@@ -230,7 +230,7 @@ class TestGreedy:
         model = identity_feature_model(2, 2, 1, 2, seed=2)
         rng = np.random.default_rng(1)
         img = rng.normal(size=(2, 2, 1))
-        target = head_logprobs(model, FeatureGrid.from_array(img)).argmax()
+        target = head_logprobs(model, forward_features(model, img)).argmax()
         result = greedy_counterfactual(model, img, img, target)
         assert result.status == "flipped"
         assert result.edit_count == 0
@@ -249,9 +249,7 @@ class TestGreedy:
         assert result.status == "flipped"
         assert result.edit_count == 2
         assert sorted((i, j) for (i, j, _, _) in result.edits) == [(0, 0), (1, 1)]
-        size, flips = min_edit_oracle(
-            model, FeatureGrid.from_array(query), FeatureGrid.from_array(distractor), 1
-        )
+        size, flips = min_edit_oracle(model, forward_features(model, query), forward_features(model, distractor), 1)
         assert size == 2
 
     def test_trajectory_and_status_invariants(self, shapes_model):
@@ -278,11 +276,11 @@ class TestGreedy:
         model = identity_feature_model(3, 3, 2, 3, seed=17, linear=False)
         query = rng.normal(size=(3, 3, 2))
         distractor = rng.normal(size=(3, 3, 2))
-        F2 = FeatureGrid.from_array(distractor)
-        lp_q = head_logprobs(model, FeatureGrid.from_array(query))
+        F2 = forward_features(model, distractor)
+        lp_q = head_logprobs(model, forward_features(model, query))
         target = int(np.argsort(lp_q)[0])
         result = greedy_counterfactual(model, query, distractor, target)
-        state = FeatureGrid.from_array(query)
+        state = forward_features(model, query)
         ex_q, ex_s = [], []
         for (i, j, i2, j2) in result.edits:
             cell, src = i * 3 + j, i2 * 3 + j2
@@ -334,8 +332,8 @@ class TestGreedyRelaxed:
         model = identity_feature_model(3, 3, 2, 3, seed=41, linear=False)
         query = rng.normal(size=(3, 3, 2))
         distractor = rng.normal(size=(3, 3, 2))
-        F = FeatureGrid.from_array(query)
-        F2 = FeatureGrid.from_array(distractor)
+        F = forward_features(model, query)
+        F2 = forward_features(model, distractor)
         lp_q = head_logprobs(model, F)
         query_class = lp_q.argmax()
         target = int(np.argsort(lp_q)[0])
@@ -358,8 +356,8 @@ class TestGreedyVsMinimumOracle:
             model = identity_feature_model(2, 2, 1, 2, seed=300 + k, linear=bool(k % 2))
             query = rng.normal(size=(2, 2, 1))
             distractor = rng.normal(size=(2, 2, 1)) * 2
-            F = FeatureGrid.from_array(query)
-            F2 = FeatureGrid.from_array(distractor)
+            F = forward_features(model, query)
+            F2 = forward_features(model, distractor)
             pred = head_logprobs(model, F).argmax()
             target = 1 - pred
             result = greedy_counterfactual(model, query, distractor, target)
@@ -500,7 +498,7 @@ class TestGreedyContraction:
     def replay(model, query, distractor, target, policy):
         """Exhaustive greedy computed per grid: `best_edit_exhaustive` on the
         edited grid, then the head run on the next one."""
-        F, F2 = forward_feature_pair(model, query, distractor)
+        F, F2 = forward_features(model, query), forward_features(model, distractor)
         lp = head_logprobs(model, F)
         query_class = lp.argmax()
         trajectory = [(lp[query_class], lp[target])]
@@ -694,7 +692,7 @@ def test_frozen_model_refuses_a_target_class_out_of_range(target):
     for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
         with pytest.raises(BoundsError, match="target class"):
             greedy_counterfactual(model, query, distractor, target, config)
-    F, F2 = forward_feature_pair(model, query, distractor)
+    F, F2 = forward_features(model, query), forward_features(model, distractor)
     for use_relaxed in (True, False):
         with pytest.raises(BoundsError, match="target class"):
             relaxation_fidelity(model, [(F, F2, target, [], [])], use_relaxed=use_relaxed)
@@ -709,7 +707,7 @@ def test_unedited_logprobs_equal_the_one_grid_pass(name, size, count):
     for seed in (1, 2, 3):
         images = gen_shapes(count, size=size, seed=seed, split="bench").images
         for k in range(0, count, 2):
-            F, F2 = forward_feature_pair(model, images[k], images[k + 1])
+            F, F2 = forward_features(model, images[k]), forward_features(model, images[k + 1])
             assert EditProblem(model, F.values, F2.values, 0).logprobs.tobytes() == head_logprobs(model, F).tobytes()
 
 
@@ -729,7 +727,7 @@ class TestNonFiniteHead:
         for config in (SearchConfig(), SearchConfig(relax=RelaxOptConfig(max_steps=5))):
             with pytest.raises(FormatError, match="non-finite"):
                 greedy_counterfactual(model, query, distractor, 1, config)
-        F, F2 = forward_feature_pair(model, query, distractor)
+        F, F2 = forward_features(model, query), forward_features(model, distractor)
         with pytest.raises(FormatError, match="non-finite"):
             best_edit_exhaustive(model, F, F2, 1)
         for use_relaxed in (True, False):
